@@ -38,7 +38,7 @@ use dc_storage::{ByteReader, ByteWriter, PageId, PoolStats};
 use crate::config::DcTreeConfig;
 use crate::node::{DirEntry, Node, NodeId, NodeKind, StoredRecord};
 use crate::query::PreparedRange;
-use crate::split::{hierarchy_split, SplitOutcome};
+use crate::split::{align_members, hierarchy_split, SplitOutcome};
 use crate::store::{ChainStore, NodeStore};
 
 const META_MAGIC: u64 = 0x4443_4449_534b_3032; // "DCDISK02"
@@ -390,26 +390,13 @@ impl<S: NodeStore> PagedDcTree<S> {
                 node_levels[d]
             };
             for level in (0..=start).rev() {
-                let mut target = align_levels.clone();
-                target[d] = level;
-                let mut analysis = Vec::with_capacity(num_members);
-                let mut refinements: Vec<(usize, dc_mds::DimSet)> = Vec::new();
-                for (i, m) in member_mds.iter().enumerate() {
-                    let mut a = m.adapt_to_levels(&self.schema, &{
-                        let mut t = target.clone();
-                        t[d] = t[d].max(m.dim(d).level());
-                        t
-                    })?;
-                    if m.dim(d).level() > level {
-                        let refined = match &children {
-                            Some(kids) => self.subtree_dimset_at(pid(kids[i]), d, level)?,
+                let (analysis, refinements) =
+                    align_members(&self.schema, &member_mds, &align_levels, d, level, |i| {
+                        match &children {
+                            Some(kids) => self.subtree_dimset_at(pid(kids[i]), d, level),
                             None => unreachable!("records sit on leaf level 0"),
-                        };
-                        *a.dim_mut(d) = refined.clone();
-                        refinements.push((i, refined));
-                    }
-                    analysis.push(a);
-                }
+                        }
+                    })?;
                 let Some(outcome) = hierarchy_split(&self.schema, &analysis, d, min_group)? else {
                     break;
                 };

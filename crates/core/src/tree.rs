@@ -14,7 +14,7 @@ use dc_storage::{IoStats, IoTracker};
 use crate::config::DcTreeConfig;
 use crate::node::{Arena, DirEntry, Node, NodeId, NodeKind, StoredRecord};
 use crate::query::PreparedRange;
-use crate::split::{hierarchy_split, SplitOutcome};
+use crate::split::{align_members, hierarchy_split, SplitOutcome};
 
 /// Internal operation counters, useful for performance diagnosis and the
 /// benchmark harness. All counters are cumulative since construction.
@@ -746,29 +746,13 @@ impl DcTree {
                 node_levels[d]
             };
             for level in (0..=start).rev() {
-                let mut target = align_levels.clone();
-                target[d] = level;
-                let mut analysis = Vec::with_capacity(num_members);
-                let mut refinements: Vec<(usize, dc_mds::DimSet)> = Vec::new();
-                for (i, m) in member_mds.iter().enumerate() {
-                    let mut a = m.adapt_to_levels(&self.schema, &{
-                        // Adapt non-split dims to the alignment levels;
-                        // the split dim is handled separately below.
-                        let mut t = target.clone();
-                        t[d] = t[d].max(m.dim(d).level());
-                        t
-                    })?;
-                    if m.dim(d).level() > level {
-                        // Coarser than the target: refine from the subtree.
-                        let refined = match &children {
-                            Some(kids) => self.subtree_dimset_at(kids[i], d, level)?,
+                let (analysis, refinements) =
+                    align_members(&self.schema, &member_mds, &align_levels, d, level, |i| {
+                        match &children {
+                            Some(kids) => self.subtree_dimset_at(kids[i], d, level),
                             None => unreachable!("records sit on leaf level 0"),
-                        };
-                        *a.dim_mut(d) = refined.clone();
-                        refinements.push((i, refined));
-                    }
-                    analysis.push(a);
-                }
+                        }
+                    })?;
                 let Some(outcome) = hierarchy_split(&self.schema, &analysis, d, min_group)? else {
                     break;
                 };

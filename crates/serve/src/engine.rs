@@ -2135,7 +2135,7 @@ fn spawn_writer(
                         );
                     }
                 }
-                if mutated || !pending_flushes.is_empty() {
+                if mutated {
                     publish(
                         &tree,
                         &snapshot,
@@ -2146,6 +2146,13 @@ fn spawn_writer(
                         cache.as_deref(),
                         &mut deltas,
                     );
+                } else if !pending_flushes.is_empty() {
+                    // A flush of a shard nothing has touched since its last
+                    // publish: the published snapshot already is the tree,
+                    // so the barrier holds without another deep clone.
+                    shard_metrics
+                        .snapshot_published_at
+                        .store(metrics.now_nanos().max(1), Relaxed);
                 }
                 // Group commit: under `GroupCommitMs` this writer syncs the
                 // shared WAL after publishing its batch, before any flush is

@@ -19,6 +19,7 @@
 //! barrier, checkpoint images, and recovery through `ShardedDcTree::new`.
 
 use std::path::PathBuf;
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -177,8 +178,12 @@ fn check_recovery(
     p
 }
 
+/// A directory no other call gets: the tests of this binary run on parallel
+/// threads and several of them ask for the same `(tag, n)`.
 fn temp_dir(tag: &str, n: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("dc-crash-{tag}-{}-{n}", std::process::id()))
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Relaxed);
+    std::env::temp_dir().join(format!("dc-crash-{tag}-{}-{n}-{seq}", std::process::id()))
 }
 
 /// Total segment-file traffic for a fault-free run, used to place crashes.

@@ -17,7 +17,7 @@ use dctree::serve::{
 };
 use dctree::storage::BlockConfig;
 use dctree::tpcd::{generate, TpcdConfig, TpcdData};
-use dctree::Mds;
+use dctree::{DcTree, DcTreeConfig, Mds};
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -223,4 +223,23 @@ fn batched_ingest_interleaves_with_deletes_and_single_inserts() {
     looped.flush();
 
     assert_engines_agree(&mixed, &looped, &data);
+}
+
+/// The hierarchy split decides the shape of the tree a stream builds, and
+/// its tie chains make that shape a function of the inputs alone. The
+/// counts were taken before the split ran on bitsets; a kernel that orders
+/// any tie differently moves them.
+#[test]
+fn batched_stream_builds_the_golden_tree() {
+    let data = generate(&TpcdConfig::scaled(100_000, 42));
+    let mut tree = DcTree::new(data.schema.clone(), DcTreeConfig::default());
+    for chunk in data.records.chunks(256) {
+        tree.insert_batch(chunk.to_vec()).unwrap();
+    }
+    let m = tree.metrics();
+    assert_eq!(
+        (m.splits, m.failed_splits, m.supernode_growths),
+        (1169, 38, 38)
+    );
+    assert_eq!((tree.num_nodes(), tree.height()), (1172, 3));
 }
