@@ -164,7 +164,7 @@ fn main() {
         ),
     ] {
         let (dc, ins) = load(&data, config);
-        let stats = dc.stats();
+        let stats = dc.stats().unwrap();
         let (t, reads) = query_batch(&data, &dc, 0.05, queries);
         println!(
             "{label:>22} {ins:>14?} {:>7} {:>7} {t:>14?} {reads:>10.0}",
@@ -186,7 +186,7 @@ fn main() {
                 ..base
             };
             let (dc, ins) = load(&data, config);
-            let stats = dc.stats();
+            let stats = dc.stats().unwrap();
             let (t5, r5) = query_batch(&data, &dc, 0.05, queries);
             let (t25, r25) = query_batch(&data, &dc, 0.25, queries);
             let label = format!("ov={max_overlap:.2} mf={min_fill:.2}");
@@ -205,7 +205,7 @@ fn main() {
     for skew in [0.0, 0.8, 1.2] {
         let data = dc_tpcd::generate(&dc_tpcd::TpcdConfig::scaled_with_skew(n, 42, skew));
         let (dc, ins) = load(&data, base);
-        let stats = dc.stats();
+        let stats = dc.stats().unwrap();
         let (t1, r1) = query_batch(&data, &dc, 0.01, queries);
         let (t25, r25) = query_batch(&data, &dc, 0.25, queries);
         println!(
@@ -257,6 +257,7 @@ fn main() {
         // the paper's normalization.
         let dc_blocks: f64 = dc
             .stats()
+            .unwrap()
             .levels
             .iter()
             .map(|l| l.nodes as f64 * l.avg_blocks)
@@ -286,8 +287,8 @@ fn main() {
 
     println!("\nA4 — dead space: MDS vs enclosing-MBR description of data nodes");
     let (dc, _) = load(&data, base);
-    let report = dc.dead_space_report();
-    let stats = dc.stats();
+    let report = dc.dead_space_report().unwrap();
+    let stats = dc.stats().unwrap();
     println!(
         "  {} data nodes: occupied leaf cells (MDS view) = {}, interval \
          cells (MBR view) = {} → ×{:.1} dead-space blow-up for the totally \

@@ -35,7 +35,7 @@ fn main() {
     );
     for &n in &sizes {
         let e = build_engines(n, 42);
-        let stats = e.dc.stats();
+        let stats = e.dc.stats().unwrap();
         let lvl = |d: usize| {
             stats
                 .levels

@@ -52,8 +52,8 @@ fn queries(data: &TpcdData) -> Vec<Mds> {
 fn assert_trees_agree(a: &DcTree, b: &DcTree, data: &TpcdData, who: &str) {
     assert_eq!(a.len(), b.len(), "{who}: len mismatch");
     assert_eq!(
-        a.total_summary(),
-        b.total_summary(),
+        a.total_summary().unwrap(),
+        b.total_summary().unwrap(),
         "{who}: total mismatch"
     );
     for (qi, q) in queries(data).iter().enumerate() {

@@ -2,7 +2,7 @@
 //!
 //! Run inside tests (and available to embedders) after mutation batches:
 //! verifies coverage, materialized-measure consistency, capacity accounting
-//! and arena reachability. Any violation is reported as
+//! and store reachability. Any violation is reported as
 //! [`DcError::Corrupt`] with a description of the failing node.
 
 use std::collections::HashSet;
@@ -10,10 +10,11 @@ use std::collections::HashSet;
 use dc_common::{DcError, DcResult, MeasureSummary};
 use dc_mds::Mds;
 
-use crate::node::{NodeId, NodeKind};
-use crate::tree::DcTree;
+use crate::node::{Node, NodeId, NodeKind};
+use crate::store::NodeStore;
+use crate::tree::{capacity, DcTree};
 
-impl DcTree {
+impl<S: NodeStore> DcTree<S> {
     /// Verifies every structural invariant of the tree:
     ///
     /// 1. **record coverage**: every stored record is contained in the MDS
@@ -26,7 +27,8 @@ impl DcTree {
     /// 3. each node's summary equals the fold of its content (materialized
     ///    measures are exact);
     /// 4. node occupancy never exceeds `capacity × blocks`, `blocks ≥ 1`;
-    /// 5. every live arena node is reachable from the root exactly once;
+    /// 5. every live node is reachable from the root exactly once, and
+    ///    every data node sits on level `height`;
     /// 6. the recorded record count matches the stored records.
     pub fn check_invariants(&self) -> DcResult<()> {
         let mut seen: HashSet<u32> = HashSet::new();
@@ -49,6 +51,24 @@ impl DcTree {
         Ok(())
     }
 
+    /// The tree's nodes in pre-order with their depth, child handles
+    /// blanked. Two trees are the same tree — per node: kind, `blocks`, MDS,
+    /// summary and members in storage order — iff their structures are
+    /// equal, wherever their nodes live.
+    pub fn structure(&self) -> DcResult<Vec<(usize, Node)>> {
+        let mut out = Vec::with_capacity(self.num_nodes());
+        self.for_each_node(|depth, node| {
+            let mut node = node.clone();
+            if let NodeKind::Dir(entries) = &mut node.kind {
+                for e in entries {
+                    e.child = NodeId(0);
+                }
+            }
+            out.push((depth, node));
+        })?;
+        Ok(out)
+    }
+
     fn check_node(
         &self,
         id: NodeId,
@@ -60,7 +80,7 @@ impl DcTree {
         if !seen.insert(id.0) {
             return Err(DcError::Corrupt(format!("{id:?} reachable via two paths")));
         }
-        let node = self.arena.get(id);
+        let node = self.store.get(id)?;
         let fail = |msg: String| Err(DcError::Corrupt(format!("{id:?}: {msg}")));
 
         if node.blocks == 0 {
@@ -75,13 +95,20 @@ impl DcTree {
             }
         }
 
+        let cap = capacity(self.config(), &node) * node.blocks as usize;
+        if node.len() > cap {
+            return fail(format!("{} members exceed capacity {cap}", node.len()));
+        }
         path.push(node.mds.clone());
         let result = (|| {
             match &node.kind {
                 NodeKind::Data(stored) => {
-                    let cap = self.config().data_capacity * node.blocks as usize;
-                    if stored.len() > cap {
-                        return fail(format!("{} records exceed capacity {cap}", stored.len()));
+                    if path.len() != self.height() {
+                        return fail(format!(
+                            "data node on level {} of a tree of height {}",
+                            path.len(),
+                            self.height()
+                        ));
                     }
                     let mut summary = MeasureSummary::empty();
                     for r in stored {
@@ -101,10 +128,6 @@ impl DcTree {
                     *records += stored.len() as u64;
                 }
                 NodeKind::Dir(entries) => {
-                    let cap = self.config().dir_capacity * node.blocks as usize;
-                    if entries.len() > cap {
-                        return fail(format!("{} entries exceed capacity {cap}", entries.len()));
-                    }
                     if entries.is_empty() {
                         return fail("directory node without entries".into());
                     }

@@ -51,15 +51,25 @@
 //! assert_eq!(sum, Some(2000.0));
 //! ```
 //!
+//! ## Where the nodes live
+//!
+//! The paper's nodes are disk blocks. [`DcTree`] is generic over a
+//! [`NodeStore`]: the default [`Arena`] keeps them in memory (and charges
+//! logical page I/O), [`ChainStore`] keeps them as page chains behind an LRU
+//! buffer pool ([`DiskDcTree`]), and `dc-oocore` serves them compressed
+//! through a concurrent pool. Insert, choose-subtree, hierarchy split,
+//! supernode growth, queries, deletion, bulk load, the invariant checker
+//! and the statistics exist once, written against the trait, so every
+//! store builds the same tree node for node
+//! ([`DcTree::structure`] is how the tests say so).
+//!
 //! [minimum describing sequences]: dc_mds::Mds
 //! [concept hierarchies]: dc_hierarchy::ConceptHierarchy
 
 pub mod checker;
 pub mod config;
-pub mod disk;
 pub mod node;
 pub mod persist;
-pub mod persist_paged;
 pub mod query;
 pub mod split;
 pub mod stats;
@@ -67,9 +77,7 @@ pub mod store;
 pub mod tree;
 
 pub use config::DcTreeConfig;
-pub use disk::{DiskDcTree, PagedDcTree};
-pub use persist_paged::PagedTreeStore;
 pub use query::PreparedRange;
 pub use stats::{DeadSpaceReport, LevelStat, TreeStats};
-pub use store::{ChainStore, NodeStore};
+pub use store::{Arena, ChainStore, DiskDcTree, NodeStore, PersistentStore};
 pub use tree::{DcTree, TreeMetrics};

@@ -1,7 +1,7 @@
-//! Node arena of the DC-tree.
+//! Nodes of the DC-tree.
 //!
-//! Nodes live in a slab with explicit [`NodeId`] handles (a free list
-//! recycles slots released by deletion). Every node carries its own MDS and
+//! Nodes live in a [`NodeStore`](crate::store::NodeStore) under explicit
+//! [`NodeId`] handles. Every node carries its own MDS and
 //! materialized [`MeasureSummary`]; directory entries duplicate the MDS and
 //! summary of the child they reference so that a range query can apply the
 //! contained-entry shortcut of Fig. 7 *without touching the child's page* —
@@ -11,7 +11,7 @@ use dc_common::{MeasureSummary, RecordId};
 use dc_hierarchy::Record;
 use dc_mds::Mds;
 
-/// Handle of a node inside the arena.
+/// Handle of a node inside its store.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct NodeId(pub(crate) u32);
 
@@ -35,7 +35,7 @@ impl NodeId {
 
 /// One directory entry: the child's MDS and materialized measure summary,
 /// plus the child pointer.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct DirEntry {
     /// MDS of the referenced subtree (kept identical to the child's own).
     pub mds: Mds,
@@ -46,7 +46,7 @@ pub struct DirEntry {
 }
 
 /// A stored record together with its stable identifier.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct StoredRecord {
     /// The record id assigned at insertion.
     pub id: RecordId,
@@ -55,7 +55,7 @@ pub struct StoredRecord {
 }
 
 /// Payload of a node: directory entries or data records.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum NodeKind {
     /// An internal (directory) node.
     Dir(Vec<DirEntry>),
@@ -65,7 +65,7 @@ pub enum NodeKind {
 
 /// A DC-tree node: MDS, materialized summary, supernode block count, and
 /// the payload.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Node {
     /// The node's minimum describing sequence.
     pub mds: Mds,
@@ -158,72 +158,6 @@ impl Node {
     }
 }
 
-/// Slab arena with a free list.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Arena {
-    slots: Vec<Option<Node>>,
-    free: Vec<u32>,
-}
-
-impl Arena {
-    pub(crate) fn new() -> Self {
-        Arena::default()
-    }
-
-    pub(crate) fn alloc(&mut self, node: Node) -> NodeId {
-        if let Some(idx) = self.free.pop() {
-            self.slots[idx as usize] = Some(node);
-            NodeId(idx)
-        } else {
-            self.slots.push(Some(node));
-            NodeId((self.slots.len() - 1) as u32)
-        }
-    }
-
-    pub(crate) fn free(&mut self, id: NodeId) {
-        debug_assert!(self.slots[id.index()].is_some(), "double free of {id:?}");
-        self.slots[id.index()] = None;
-        self.free.push(id.0);
-    }
-
-    pub(crate) fn get(&self, id: NodeId) -> &Node {
-        self.slots[id.index()].as_ref().expect("dangling NodeId")
-    }
-
-    pub(crate) fn get_mut(&mut self, id: NodeId) -> &mut Node {
-        self.slots[id.index()].as_mut().expect("dangling NodeId")
-    }
-
-    /// Number of live nodes.
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// Iterates over live `(NodeId, &Node)` pairs.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|n| (NodeId(i as u32), n)))
-    }
-
-    /// All slots including holes — used by the persistence codec so that
-    /// `NodeId`s survive a save/load round-trip unchanged.
-    pub(crate) fn slots(&self) -> &[Option<Node>] {
-        &self.slots
-    }
-
-    /// Rebuilds an arena from raw slots (persistence load path).
-    pub(crate) fn from_slots(slots: Vec<Option<Node>>) -> Self {
-        let free = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i as u32))
-            .collect();
-        Arena { slots, free }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,25 +169,8 @@ mod tests {
     }
 
     #[test]
-    fn arena_alloc_get_free_recycles() {
-        let mut a = Arena::new();
-        let n1 = a.alloc(Node::new_data(dummy_mds()));
-        let n2 = a.alloc(Node::new_data(dummy_mds()));
-        assert_ne!(n1, n2);
-        assert_eq!(a.len(), 2);
-        a.free(n1);
-        assert_eq!(a.len(), 1);
-        let n3 = a.alloc(Node::new_data(dummy_mds()));
-        assert_eq!(n3, n1); // slot reused
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.iter().count(), 2);
-    }
-
-    #[test]
     fn new_dir_aggregates_entry_summaries() {
-        let mut a = Arena::new();
-        let c1 = a.alloc(Node::new_data(dummy_mds()));
-        let c2 = a.alloc(Node::new_data(dummy_mds()));
+        let (c1, c2) = (NodeId(0), NodeId(1));
         let entries = vec![
             DirEntry {
                 mds: dummy_mds(),

@@ -17,7 +17,8 @@ use dc_mds::{DimSet, Mds};
 use dc_storage::{BlockConfig, ByteReader, ByteWriter};
 
 use crate::config::DcTreeConfig;
-use crate::node::{Arena, DirEntry, Node, NodeId, NodeKind, StoredRecord};
+use crate::node::{DirEntry, Node, NodeId, NodeKind, StoredRecord};
+use crate::store::Arena;
 use crate::tree::DcTree;
 
 const MAGIC: &[u8; 8] = b"DCTREE01";
@@ -32,7 +33,7 @@ impl DcTree {
         write_config(&mut w, self.config());
         write_schema(&mut w, self.schema());
 
-        let slots = self.arena.slots();
+        let slots = self.store.slots();
         w.put_u32(slots.len() as u32);
         for slot in slots {
             match slot {
@@ -91,14 +92,9 @@ impl DcTree {
         let len = r.get_u64()?;
         r.expect_end()?;
 
-        let tree = DcTree::from_parts(
-            schema,
-            config,
-            Arena::from_slots(slots),
-            root,
-            next_record_id,
-            len,
-        );
+        let arena = Arena::from_slots(slots);
+        let nodes = arena.len();
+        let tree = DcTree::from_stored(schema, config, arena, root, next_record_id, len, nodes)?;
         // A loaded image is untrusted input: validate before use.
         tree.check_invariants()?;
         Ok(tree)

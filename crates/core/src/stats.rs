@@ -1,7 +1,10 @@
 //! Tree statistics — in particular the per-level node sizes the paper plots
 //! in Fig. 13 (average entries of the two highest levels below the root).
 
+use dc_common::DcResult;
+
 use crate::node::NodeKind;
+use crate::store::NodeStore;
 use crate::tree::DcTree;
 
 /// Aggregate dead-space comparison between MDS and MBR descriptions of the
@@ -70,76 +73,66 @@ pub struct TreeStats {
     pub total_mds_size: usize,
 }
 
-impl DcTree {
-    /// Computes per-level and whole-tree statistics by breadth-first walk.
-    pub fn stats(&self) -> TreeStats {
-        let mut levels: Vec<LevelStat> = Vec::new();
-        let mut dir_nodes = 0;
-        let mut data_nodes = 0;
-        let mut supernodes = 0;
+impl<S: NodeStore> DcTree<S> {
+    /// Computes per-level and whole-tree statistics in one walk.
+    pub fn stats(&self) -> DcResult<TreeStats> {
+        // Per depth: (nodes, supernodes, Σ entries, Σ blocks).
+        let mut sums: Vec<(usize, usize, usize, u64)> = Vec::new();
+        let (mut dir_nodes, mut data_nodes) = (0, 0);
         let mut total_mds_size = 0;
-
-        let mut frontier = vec![self.root];
-        let mut depth = 0;
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            let mut entries_sum = 0usize;
-            let mut blocks_sum = 0u64;
-            let mut supers = 0usize;
-            for &id in &frontier {
-                let node = self.arena.get(id);
-                entries_sum += node.len();
-                blocks_sum += node.blocks as u64;
-                total_mds_size += node.mds.size();
-                if node.is_supernode() {
-                    supers += 1;
-                }
-                match &node.kind {
-                    NodeKind::Dir(entries) => {
-                        dir_nodes += 1;
-                        next.extend(entries.iter().map(|e| e.child));
-                    }
-                    NodeKind::Data(_) => data_nodes += 1,
-                }
+        self.for_each_node(|depth, node| {
+            if sums.len() <= depth {
+                sums.resize(depth + 1, (0, 0, 0, 0));
             }
-            supernodes += supers;
-            levels.push(LevelStat {
+            let level = &mut sums[depth];
+            level.0 += 1;
+            level.1 += usize::from(node.is_supernode());
+            level.2 += node.len();
+            level.3 += u64::from(node.blocks);
+            if node.is_data() {
+                data_nodes += 1;
+            } else {
+                dir_nodes += 1;
+            }
+            total_mds_size += node.mds.size();
+        })?;
+        let levels: Vec<LevelStat> = sums
+            .iter()
+            .enumerate()
+            .map(|(depth, &(nodes, supernodes, entries, blocks))| LevelStat {
                 depth,
-                nodes: frontier.len(),
-                supernodes: supers,
-                avg_entries: entries_sum as f64 / frontier.len() as f64,
-                avg_blocks: blocks_sum as f64 / frontier.len() as f64,
-            });
-            frontier = next;
-            depth += 1;
-        }
-
-        TreeStats {
+                nodes,
+                supernodes,
+                avg_entries: entries as f64 / nodes as f64,
+                avg_blocks: blocks as f64 / nodes as f64,
+            })
+            .collect();
+        Ok(TreeStats {
             height: levels.len(),
             records: self.len(),
             dir_nodes,
             data_nodes,
-            supernodes,
+            supernodes: levels.iter().map(|l| l.supernodes).sum(),
             levels,
             total_mds_size,
-        }
+        })
     }
 
     /// Computes the [`DeadSpaceReport`] over all data nodes: per node and
     /// dimension, the distinct leaf IDs its records occupy (MDS view) versus
     /// the enclosing `[min, max]` ID interval (MBR view).
-    pub fn dead_space_report(&self) -> DeadSpaceReport {
+    pub fn dead_space_report(&self) -> DcResult<DeadSpaceReport> {
         let mut report = DeadSpaceReport {
             data_nodes: 0,
             mds_cells: 0,
             mbr_cells: 0,
         };
-        for (_, node) in self.arena.iter() {
+        self.for_each_node(|_, node| {
             let NodeKind::Data(records) = &node.kind else {
-                continue;
+                return;
             };
             if records.is_empty() {
-                continue;
+                return;
             }
             report.data_nodes += 1;
             for d in 0..node.mds.num_dims() {
@@ -149,7 +142,7 @@ impl DcTree {
                 report.mds_cells += ids.len() as u64;
                 report.mbr_cells += (ids[ids.len() - 1] - ids[0] + 1) as u64;
             }
-        }
-        report
+        })?;
+        Ok(report)
     }
 }

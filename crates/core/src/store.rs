@@ -1,27 +1,30 @@
-//! The node-storage abstraction behind the paged DC-tree.
+//! Where DC-tree nodes live.
 //!
-//! [`PagedDcTree`](crate::disk::PagedDcTree) holds the DC-tree *algorithms*
-//! (choose-subtree, hierarchy split, condensation, materialized range
-//! queries); a [`NodeStore`] holds the *pages*. The split lets the same
-//! tree run over the single-threaded [`ChainStore`] here (a `BufferPool`
-//! behind a `RefCell`, as used by tests and tools) and over the concurrent,
-//! scan-resistant pool in `dc-oocore` (compressed node pages served to the
-//! sharded engine) without duplicating any tree logic.
+//! [`DcTree`] holds the DC-tree *algorithms* (choose-subtree,
+//! hierarchy split, condensation, materialized range queries); a
+//! [`NodeStore`] holds the *nodes*. The paper's nodes are disk blocks; here
+//! the same tree runs over the in-memory [`Arena`] (the default, and what
+//! every resident shard uses), over the single-threaded [`ChainStore`] (a
+//! `BufferPool` behind a `RefCell`, as used by tests and tools) and over the
+//! concurrent, scan-resistant pool in `dc-oocore` (compressed node pages
+//! served to the sharded engine) without duplicating any tree logic.
 //!
-//! All methods take `&self`: stores that need interior mutability (every
-//! pool does — a read can evict) wrap their state themselves. Handles are
-//! [`PageId`]s; for chain stores the handle is the head page of the node's
-//! page chain, and directory entries persist it through
-//! [`NodeId::raw`](crate::node::NodeId::raw).
+//! A store hands out [`NodeId`] handles. For the arena a handle is a slot
+//! index; for chain stores it is the head page of the node's page chain,
+//! and directory entries persist it through [`NodeId::raw`].
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::path::Path;
 
 use dc_common::{DcError, DcResult};
+use dc_hierarchy::CubeSchema;
 use dc_storage::{BlockConfig, BufferPool, ByteReader, ByteWriter, PageId, PagedFile, PoolStats};
 
-use crate::node::Node;
+use crate::config::DcTreeConfig;
+use crate::node::{Node, NodeId};
 use crate::persist::{read_node, write_node};
+use crate::tree::DcTree;
 
 /// Sentinel `next` link terminating a page chain.
 pub const CHAIN_NONE: u64 = u64::MAX;
@@ -31,37 +34,142 @@ pub const PAGE_HEADER: usize = 8 + 4;
 /// file's own header).
 pub const META_PAGE: u64 = 1;
 
-/// Page-granular storage for DC-tree nodes plus one metadata blob.
+/// Storage for DC-tree nodes, keyed by [`NodeId`].
 ///
-/// The tree treats handles as opaque; a store may place a node in a single
-/// page, a chain, or anything else addressable by a `PageId`.
+/// The tree touches a node in exactly two ways: it *reads* it ([`get`]) or
+/// it runs *one mutation step* on it ([`update`]). For the arena these are
+/// a borrow and a mutable borrow; for a paged store a read is a load +
+/// decode and an update is load → mutate → store, so every step of an
+/// algorithm costs a paged store one load and at most one store.
+///
+/// [`get`]: NodeStore::get
+/// [`update`]: NodeStore::update
 pub trait NodeStore {
-    /// Loads and decodes the node at `page`. `num_dims` is the cube's
-    /// dimensionality (needed to decode MDS sets).
-    fn load_node(&self, page: PageId, num_dims: usize) -> DcResult<Node>;
+    /// Reads the node at `id`: borrowed from a resident store, decoded
+    /// (owned) from a paged one.
+    fn get(&self, id: NodeId) -> DcResult<Cow<'_, Node>>;
 
-    /// Re-encodes `node` over the storage already headed at `page`.
-    fn store_node(&self, page: PageId, node: &Node) -> DcResult<()>;
+    /// Runs one mutation step on the node at `id`. When `f` fails the
+    /// node's stored state is unspecified for resident stores (the step
+    /// may have been half applied) and unchanged for paged ones.
+    fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R>;
 
-    /// Allocates storage for a fresh node and writes it.
-    fn alloc_node(&self, node: &Node) -> DcResult<PageId>;
+    /// Stores a fresh node and returns its handle.
+    fn alloc(&mut self, node: Node) -> DcResult<NodeId>;
 
-    /// Releases the node at `page`.
-    fn free_node(&self, page: PageId) -> DcResult<()>;
+    /// Releases the node at `id`, handing back its last content.
+    fn free(&mut self, id: NodeId) -> DcResult<Node>;
+}
 
-    /// Reads the metadata blob (tree root, counters, schema).
+/// A [`NodeStore`] that outlives the process: besides nodes it keeps one
+/// metadata blob (tree root, counters, schema), which is what
+/// [`DcTree::create_in`] / [`DcTree::open_in`] / [`DcTree::flush`] write
+/// and read.
+pub trait PersistentStore: NodeStore {
+    /// Tells the store the cube's dimensionality, which decoding a node
+    /// needs (MDS sets are not counted on disk). The tree calls this before
+    /// its first node access.
+    fn set_num_dims(&mut self, num_dims: usize);
+
+    /// Reads the metadata blob.
     fn read_meta(&self) -> DcResult<Vec<u8>>;
 
     /// Rewrites the metadata blob.
-    fn write_meta(&self, bytes: &[u8]) -> DcResult<()>;
+    fn write_meta(&mut self, bytes: &[u8]) -> DcResult<()>;
 
     /// Forces every buffered write down to durable storage.
-    fn sync(&self) -> DcResult<()>;
+    fn sync(&mut self) -> DcResult<()>;
+}
+
+/// The page a paged store keeps the node `id` at.
+pub fn page_of(id: NodeId) -> PageId {
+    PageId(u64::from(id.raw()))
+}
+
+/// The node handle for a freshly allocated `page`; fails once a file has
+/// outgrown the 32-bit handle directory entries persist.
+pub fn node_at(page: PageId) -> DcResult<NodeId> {
+    u32::try_from(page.0)
+        .map(NodeId::from_raw)
+        .map_err(|_| DcError::Config(format!("page {} exceeds the node-handle width", page.0)))
 }
 
 // ----------------------------------------------------------------------
-// Chain primitives (shared layout with the paged checkpoint store):
-// every node is a chain of pages `[next: u64][len: u32][payload]`.
+// The in-memory store
+// ----------------------------------------------------------------------
+
+/// The resident [`NodeStore`]: a slab with a free list recycling the slots
+/// deletion releases.
+#[derive(Clone, Debug, Default)]
+pub struct Arena {
+    slots: Vec<Option<Node>>,
+    free: Vec<u32>,
+}
+
+impl Arena {
+    /// Iterates over live `(NodeId, &Node)` pairs.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, &Node)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|n| (NodeId(i as u32), n)))
+    }
+
+    /// Number of live nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// All slots including holes — used by the persistence codec so that
+    /// `NodeId`s survive a save/load round-trip unchanged.
+    pub(crate) fn slots(&self) -> &[Option<Node>] {
+        &self.slots
+    }
+
+    /// Rebuilds an arena from raw slots (persistence load path).
+    pub(crate) fn from_slots(slots: Vec<Option<Node>>) -> Self {
+        let free = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.is_none().then_some(i as u32))
+            .collect();
+        Arena { slots, free }
+    }
+}
+
+impl NodeStore for Arena {
+    #[inline]
+    fn get(&self, id: NodeId) -> DcResult<Cow<'_, Node>> {
+        Ok(Cow::Borrowed(
+            self.slots[id.index()].as_ref().expect("dangling NodeId"),
+        ))
+    }
+
+    #[inline]
+    fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R> {
+        f(self.slots[id.index()].as_mut().expect("dangling NodeId"))
+    }
+
+    fn alloc(&mut self, node: Node) -> DcResult<NodeId> {
+        Ok(if let Some(idx) = self.free.pop() {
+            self.slots[idx as usize] = Some(node);
+            NodeId(idx)
+        } else {
+            self.slots.push(Some(node));
+            NodeId((self.slots.len() - 1) as u32)
+        })
+    }
+
+    fn free(&mut self, id: NodeId) -> DcResult<Node> {
+        let node = self.slots[id.index()].take().expect("double free");
+        self.free.push(id.0);
+        Ok(node)
+    }
+}
+
+// ----------------------------------------------------------------------
+// Chain primitives: every node is a chain of pages
+// `[next: u64][len: u32][payload]`.
 // ----------------------------------------------------------------------
 
 pub(crate) fn read_chain(pool: &mut BufferPool, head: PageId) -> DcResult<Vec<u8>> {
@@ -158,11 +266,12 @@ pub(crate) fn init_chain(pool: &mut BufferPool, head: PageId) -> DcResult<()> {
 
 /// The single-threaded chain store: a [`BufferPool`] over a [`PagedFile`],
 /// nodes encoded with the plain (uncompressed) persist codec. This is the
-/// store behind [`DiskDcTree`](crate::disk::DiskDcTree).
+/// store behind [`DiskDcTree`].
 #[derive(Debug)]
 pub struct ChainStore {
     pool: RefCell<BufferPool>,
     payload: usize,
+    num_dims: usize,
 }
 
 impl ChainStore {
@@ -177,6 +286,7 @@ impl ChainStore {
         Ok(ChainStore {
             pool: RefCell::new(pool),
             payload: block.block_size - PAGE_HEADER,
+            num_dims: 0,
         })
     }
 
@@ -187,6 +297,7 @@ impl ChainStore {
         Ok(ChainStore {
             pool: RefCell::new(pool),
             payload: block.block_size - PAGE_HEADER,
+            num_dims: 0,
         })
     }
 
@@ -194,29 +305,40 @@ impl ChainStore {
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.borrow().stats()
     }
-}
 
-impl NodeStore for ChainStore {
-    fn load_node(&self, page: PageId, num_dims: usize) -> DcResult<Node> {
-        let bytes = read_chain(&mut self.pool.borrow_mut(), page)?;
+    fn load(&self, id: NodeId) -> DcResult<Node> {
+        let bytes = read_chain(&mut self.pool.borrow_mut(), page_of(id))?;
         let mut r = ByteReader::new(&bytes);
-        let node = read_node(&mut r, num_dims)?;
+        let node = read_node(&mut r, self.num_dims)?;
         r.expect_end()?;
         Ok(node)
     }
 
-    fn store_node(&self, page: PageId, node: &Node) -> DcResult<()> {
+    fn store(&self, id: NodeId, node: &Node) -> DcResult<()> {
         let mut w = ByteWriter::new();
         write_node(&mut w, node);
         write_chain(
             &mut self.pool.borrow_mut(),
-            page,
+            page_of(id),
             &w.into_vec(),
             self.payload,
         )
     }
+}
 
-    fn alloc_node(&self, node: &Node) -> DcResult<PageId> {
+impl NodeStore for ChainStore {
+    fn get(&self, id: NodeId) -> DcResult<Cow<'_, Node>> {
+        self.load(id).map(Cow::Owned)
+    }
+
+    fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R> {
+        let mut node = self.load(id)?;
+        let out = f(&mut node)?;
+        self.store(id, &node)?;
+        Ok(out)
+    }
+
+    fn alloc(&mut self, node: Node) -> DcResult<NodeId> {
         let head = {
             let mut pool = self.pool.borrow_mut();
             let head = pool.alloc()?;
@@ -225,19 +347,28 @@ impl NodeStore for ChainStore {
             init_chain(&mut pool, head)?;
             head
         };
-        self.store_node(head, node)?;
-        Ok(head)
+        let id = node_at(head)?;
+        self.store(id, &node)?;
+        Ok(id)
     }
 
-    fn free_node(&self, page: PageId) -> DcResult<()> {
-        free_chain(&mut self.pool.borrow_mut(), page)
+    fn free(&mut self, id: NodeId) -> DcResult<Node> {
+        let node = self.load(id)?;
+        free_chain(&mut self.pool.borrow_mut(), page_of(id))?;
+        Ok(node)
+    }
+}
+
+impl PersistentStore for ChainStore {
+    fn set_num_dims(&mut self, num_dims: usize) {
+        self.num_dims = num_dims;
     }
 
     fn read_meta(&self) -> DcResult<Vec<u8>> {
         read_chain(&mut self.pool.borrow_mut(), PageId(META_PAGE))
     }
 
-    fn write_meta(&self, bytes: &[u8]) -> DcResult<()> {
+    fn write_meta(&mut self, bytes: &[u8]) -> DcResult<()> {
         write_chain(
             &mut self.pool.borrow_mut(),
             PageId(META_PAGE),
@@ -246,7 +377,61 @@ impl NodeStore for ChainStore {
         )
     }
 
-    fn sync(&self) -> DcResult<()> {
+    fn sync(&mut self) -> DcResult<()> {
         self.pool.borrow_mut().flush()
+    }
+}
+
+/// The classic single-threaded disk tree: the DC-tree over the
+/// uncompressed [`ChainStore`]. Every node visit goes through the store's
+/// buffer pool, so the paper's I/O story is physically measurable.
+pub type DiskDcTree = DcTree<ChainStore>;
+
+impl DiskDcTree {
+    /// Creates a fresh disk tree at `path` (truncating any existing file).
+    /// `frames` bounds the buffer pool.
+    pub fn create(
+        path: impl AsRef<Path>,
+        schema: CubeSchema,
+        config: DcTreeConfig,
+        frames: usize,
+    ) -> DcResult<Self> {
+        config.validate();
+        let store = ChainStore::create(path, config.block, frames)?;
+        Self::create_in(store, schema, config)
+    }
+
+    /// Opens an existing disk tree.
+    pub fn open(path: impl AsRef<Path>, config: DcTreeConfig, frames: usize) -> DcResult<Self> {
+        let store = ChainStore::open(path, config.block, frames)?;
+        Self::open_in(store, config)
+    }
+
+    /// Buffer-pool counters: real page hits, misses, write-backs.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.store().pool_stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dc_common::ValueId;
+    use dc_mds::{DimSet, Mds};
+
+    #[test]
+    fn arena_alloc_get_free_recycles() {
+        let node = || Node::new_data(Mds::new(vec![DimSet::singleton(ValueId::new(1, 0))]));
+        let mut a = Arena::default();
+        let n1 = a.alloc(node()).unwrap();
+        let n2 = a.alloc(node()).unwrap();
+        assert_ne!(n1, n2);
+        assert_eq!(a.len(), 2);
+        a.free(n1).unwrap();
+        assert_eq!(a.len(), 1);
+        let n3 = a.alloc(node()).unwrap();
+        assert_eq!(n3, n1); // slot reused
+        assert_eq!(a.len(), 2);
+        assert_eq!(a.iter().count(), 2);
     }
 }

@@ -1,6 +1,7 @@
 //! The DC-tree proper: construction, record-at-a-time insertion with
 //! hierarchy splits and supernodes, measure-materialized range queries, and
-//! deletion.
+//! deletion — written once against a [`NodeStore`], so the same algorithms
+//! run over the in-memory [`Arena`] and over disk pages.
 
 use std::collections::HashMap;
 
@@ -9,12 +10,15 @@ use dc_common::{
 };
 use dc_hierarchy::{CubeSchema, Record};
 use dc_mds::Mds;
-use dc_storage::{IoStats, IoTracker};
+use dc_storage::{ByteReader, ByteWriter, IoStats, IoTracker};
 
 use crate::config::DcTreeConfig;
-use crate::node::{Arena, DirEntry, Node, NodeId, NodeKind, StoredRecord};
+use crate::node::{DirEntry, Node, NodeId, NodeKind, StoredRecord};
 use crate::query::PreparedRange;
 use crate::split::{align_members, hierarchy_split, SplitOutcome};
+use crate::store::{Arena, NodeStore, PersistentStore};
+
+const META_MAGIC: u64 = 0x4443_4449_534b_3032; // "DCDISK02"
 
 /// Internal operation counters, useful for performance diagnosis and the
 /// benchmark harness. All counters are cumulative since construction.
@@ -57,17 +61,29 @@ impl Clone for QueryCounters {
 /// The DC-tree: a fully dynamic, MDS-based index over a data cube with
 /// materialized measures in every directory entry.
 ///
+/// The nodes live in `S`: the in-memory [`Arena`] by default, or any paged
+/// [`NodeStore`] — the paper's nodes are disk blocks, and every algorithm
+/// here touches a node only by reading it or by running one mutation step
+/// on it, which is one load and at most one store for a paged store.
+/// Queries take `&self`; only structural mutation needs `&mut self`, which
+/// is what lets a disk-backed shard serve concurrent readers under an
+/// `RwLock`.
+///
 /// See the [crate-level documentation](crate) for an overview and a usage
 /// example.
 #[derive(Clone, Debug)]
-pub struct DcTree {
+pub struct DcTree<S = Arena> {
     schema: CubeSchema,
     config: DcTreeConfig,
-    pub(crate) arena: Arena,
+    pub(crate) store: S,
     pub(crate) root: NodeId,
     io: IoTracker,
     next_record_id: u64,
     len: u64,
+    /// Live nodes, maintained across alloc/free.
+    nodes: usize,
+    /// Node levels, maintained wherever the root moves.
+    height: usize,
     metrics: TreeMetrics,
     query_counters: QueryCounters,
 }
@@ -77,49 +93,157 @@ impl DcTree {
     /// node with the MDS `(ALL, …, ALL)` — "the relevant level is
     /// initialized to the top level for each dimension" (§3.2).
     pub fn new(schema: CubeSchema, config: DcTreeConfig) -> Self {
+        Self::with_store(Arena::default(), schema, config).expect("arena allocation cannot fail")
+    }
+
+    /// Rebuilds the tree from scratch via a hierarchy-sorted bulk load —
+    /// compaction after heavy churn (deletes leave recycled arena slots and
+    /// per-node slack that a fresh load removes). Record ids are preserved.
+    pub fn rebuild(&mut self) -> DcResult<()> {
+        let stored: Vec<StoredRecord> = self.iter_records().cloned().collect();
+        let mut keys: Vec<(Vec<u32>, usize)> = stored
+            .iter()
+            .enumerate()
+            .map(|(i, r)| Ok((self.schema.flatten_record(&r.record)?, i)))
+            .collect::<DcResult<_>>()?;
+        keys.sort();
+        let mut slots: Vec<Option<StoredRecord>> = stored.into_iter().map(Some).collect();
+        let sorted: Vec<StoredRecord> = keys
+            .into_iter()
+            .map(|(_, i)| slots[i].take().expect("each record index exactly once"))
+            .collect();
+        let mut fresh = DcTree::new(self.schema.clone(), self.config);
+        fresh.len = sorted.len() as u64;
+        fresh.next_record_id = self.next_record_id;
+        if !sorted.is_empty() {
+            fresh.build_from_sorted(sorted)?;
+        }
+        // Keep the I/O counters (the rebuild itself is accounted there).
+        let io = self.io.clone();
+        *self = fresh;
+        self.io = io;
+        Ok(())
+    }
+
+    /// Iterates over every stored record (diagnostics and tests; order is
+    /// unspecified).
+    pub fn iter_records(&self) -> impl Iterator<Item = &StoredRecord> {
+        self.store.iter().flat_map(|(_, n)| match &n.kind {
+            NodeKind::Data(records) => records.iter(),
+            NodeKind::Dir(_) => [].iter(),
+        })
+    }
+}
+
+impl<S: PersistentStore> DcTree<S> {
+    /// Creates a fresh tree inside `store` (which must be empty) and
+    /// persists it, so the store can be reopened from here on.
+    pub fn create_in(mut store: S, schema: CubeSchema, config: DcTreeConfig) -> DcResult<Self> {
+        store.set_num_dims(schema.num_dims());
+        let mut tree = Self::with_store(store, schema, config)?;
+        tree.flush()?;
+        Ok(tree)
+    }
+
+    /// Opens the tree persisted in `store`.
+    pub fn open_in(mut store: S, config: DcTreeConfig) -> DcResult<Self> {
+        let bytes = store.read_meta()?;
+        let mut r = ByteReader::new(&bytes);
+        if r.get_u64()? != META_MAGIC {
+            return Err(DcError::Corrupt("not a disk DC-tree".into()));
+        }
+        let root = crate::store::node_at(dc_storage::PageId(r.get_u64()?))?;
+        let next_record_id = r.get_u64()?;
+        let len = r.get_u64()?;
+        let nodes = r.get_u64()? as usize;
+        let schema = crate::persist::read_schema(&mut r)?;
+        r.expect_end()?;
+        store.set_num_dims(schema.num_dims());
+        Self::from_stored(schema, config, store, root, next_record_id, len, nodes)
+    }
+
+    /// Persists metadata + schema and flushes the store to disk.
+    pub fn flush(&mut self) -> DcResult<()> {
+        let mut w = ByteWriter::new();
+        w.put_u64(META_MAGIC);
+        w.put_u64(u64::from(self.root.raw()));
+        w.put_u64(self.next_record_id);
+        w.put_u64(self.len);
+        w.put_u64(self.nodes as u64);
+        crate::persist::write_schema(&mut w, &self.schema);
+        self.store.write_meta(&w.into_vec())?;
+        self.store.sync()
+    }
+}
+
+impl<S: NodeStore> DcTree<S> {
+    /// An empty tree whose lone data-node root is allocated in `store`.
+    fn with_store(mut store: S, schema: CubeSchema, config: DcTreeConfig) -> DcResult<Self> {
         config.validate();
-        let mut arena = Arena::new();
-        let root = arena.alloc(Node::new_data(Mds::all(&schema)));
-        DcTree {
+        let root = store.alloc(Node::new_data(Mds::all(&schema)))?;
+        Ok(DcTree {
             schema,
             config,
-            arena,
+            store,
             root,
             io: IoTracker::new(),
             next_record_id: 0,
             len: 0,
+            nodes: 1,
+            height: 1,
             metrics: TreeMetrics::default(),
             query_counters: QueryCounters::default(),
-        }
+        })
     }
 
-    /// Rebuilds a tree from persisted parts (the load path of
-    /// [`DcTree::from_bytes`](crate::persist)).
-    pub(crate) fn from_parts(
+    /// A tree over nodes `store` already holds (the load paths of
+    /// [`open_in`](Self::open_in) and [`crate::persist`]); the height is
+    /// read off the leftmost path.
+    pub(crate) fn from_stored(
         schema: CubeSchema,
         config: DcTreeConfig,
-        arena: Arena,
+        store: S,
         root: NodeId,
         next_record_id: u64,
         len: u64,
-    ) -> Self {
+        nodes: usize,
+    ) -> DcResult<Self> {
         config.validate();
-        DcTree {
+        let mut tree = DcTree {
             schema,
             config,
-            arena,
+            store,
             root,
             io: IoTracker::new(),
             next_record_id,
             len,
+            nodes,
+            height: 1,
             metrics: TreeMetrics::default(),
             query_counters: QueryCounters::default(),
+        };
+        let mut id = root;
+        while let NodeKind::Dir(entries) = &tree.store.get(id)?.kind {
+            let first = entries
+                .first()
+                .ok_or_else(|| DcError::Corrupt("directory node without entries".into()))?;
+            if tree.height > nodes {
+                return Err(DcError::Corrupt("cycle on the leftmost path".into()));
+            }
+            tree.height += 1;
+            id = first.child;
         }
+        Ok(tree)
     }
 
     /// The record-id counter, exposed for the persistence codec.
     pub(crate) fn next_record_id_for_persist(&self) -> u64 {
         self.next_record_id
+    }
+
+    /// The backing store.
+    pub fn store(&self) -> &S {
+        &self.store
     }
 
     /// The cube schema (grows as `insert_raw` interns new attribute values).
@@ -144,24 +268,42 @@ impl DcTree {
 
     /// Number of live nodes (directory + data).
     pub fn num_nodes(&self) -> usize {
-        self.arena.len()
+        self.nodes
     }
 
     /// Height of the tree: number of node levels (1 for a lone data node).
     pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut id = self.root;
-        while let NodeKind::Dir(entries) = &self.arena.get(id).kind {
-            h += 1;
-            id = entries[0].child;
-        }
-        h
+        self.height
     }
 
     /// The materialized aggregate over **all** records — read from the root
     /// without touching anything else.
-    pub fn total_summary(&self) -> MeasureSummary {
-        self.arena.get(self.root).summary
+    pub fn total_summary(&self) -> DcResult<MeasureSummary> {
+        Ok(self.store.get(self.root)?.summary)
+    }
+
+    /// Visits every node in pre-order — children in entry order — with its
+    /// depth below the root (0 = root).
+    pub fn for_each_node(&self, mut f: impl FnMut(usize, &Node)) -> DcResult<()> {
+        let mut pending = vec![(self.root, 0)];
+        while let Some((id, depth)) = pending.pop() {
+            let node = self.store.get(id)?;
+            f(depth, &node);
+            if let NodeKind::Dir(entries) = &node.kind {
+                pending.extend(entries.iter().rev().map(|e| (e.child, depth + 1)));
+            }
+        }
+        Ok(())
+    }
+
+    fn alloc(&mut self, node: Node) -> DcResult<NodeId> {
+        self.nodes += 1;
+        self.store.alloc(node)
+    }
+
+    fn free(&mut self, id: NodeId) -> DcResult<Node> {
+        self.nodes -= 1;
+        self.store.free(id)
     }
 
     /// Logical page-I/O counters charged so far.
@@ -204,9 +346,9 @@ impl DcTree {
     /// Inserts a raw record: one top→leaf attribute path per dimension plus
     /// the measure. New attribute values are interned into the concept
     /// hierarchies on the fly — the fully dynamic path of the paper.
-    pub fn insert_raw<S: AsRef<str>>(
+    pub fn insert_raw<T: AsRef<str>>(
         &mut self,
-        paths: &[Vec<S>],
+        paths: &[Vec<T>],
         measure: Measure,
     ) -> DcResult<RecordId> {
         let record = self.schema.intern_record(paths, measure)?;
@@ -221,7 +363,7 @@ impl DcTree {
     /// one consistent ID space across shard-local schemas (each shard
     /// replays the global intern log through this method before applying
     /// the records routed to it).
-    pub fn intern_paths<S: AsRef<str>>(&mut self, paths: &[Vec<S>]) -> DcResult<Vec<ValueId>> {
+    pub fn intern_paths<T: AsRef<str>>(&mut self, paths: &[Vec<T>]) -> DcResult<Vec<ValueId>> {
         Ok(self.schema.intern_record(paths, 0)?.dims)
     }
 
@@ -341,16 +483,15 @@ impl DcTree {
     /// (`len` / `next_record_id` are maintained by the callers — `rebuild`
     /// preserves ids, `bulk_load` assigns fresh ones).
     fn build_from_sorted(&mut self, sorted: Vec<StoredRecord>) -> DcResult<()> {
-        debug_assert!(self.arena.get(self.root).is_data());
-        debug_assert!(self.arena.get(self.root).is_empty());
-        self.arena.free(self.root);
+        let old_root = self.free(self.root)?;
+        debug_assert!(old_root.is_data() && old_root.is_empty());
         let d = self.schema.num_dims();
         // Upper MDSs are kept from degenerating into huge leaf-level value
         // lists by adapting any dimension set beyond this bound to coarser
         // hierarchy levels — the bottom-up analogue of the paper's relevant
         // level decreasing as splits descend the hierarchy.
         let max_set = self.config.data_capacity.max(self.config.dir_capacity);
-        let mut level: Vec<NodeId> = Vec::new();
+        let mut level: Vec<DirEntry> = Vec::new();
         let mut iter = sorted.into_iter().peekable();
         while iter.peek().is_some() {
             let chunk: Vec<StoredRecord> = iter.by_ref().take(self.config.data_capacity).collect();
@@ -371,27 +512,38 @@ impl DcTree {
             let mut node = Node::new_data(mds);
             node.summary = summary;
             *node.records_mut() = chunk;
-            let nid = self.arena.alloc(node);
-            self.io.write(self.arena.get(nid).blocks);
-            level.push(nid);
+            level.push(self.alloc_entry(node)?);
         }
+        self.height = 1;
         while level.len() > 1 {
             let mut next = Vec::with_capacity(level.len().div_ceil(self.config.dir_capacity));
-            for group in level.chunks(self.config.dir_capacity) {
-                let entries: Vec<DirEntry> = group.iter().map(|&c| self.entry_for(c)).collect();
+            let mut below = level.into_iter().peekable();
+            while below.peek().is_some() {
+                let entries: Vec<DirEntry> =
+                    below.by_ref().take(self.config.dir_capacity).collect();
                 let mut mds = entries[0].mds.clone();
                 for e in &entries[1..] {
                     mds = mds.cover(&e.mds, &self.schema)?;
                 }
                 let mds = self.coarsen_mds(mds, max_set)?;
-                let nid = self.arena.alloc(Node::new_dir(mds, entries));
-                self.io.write(self.arena.get(nid).blocks);
-                next.push(nid);
+                next.push(self.alloc_entry(Node::new_dir(mds, entries))?);
             }
             level = next;
+            self.height += 1;
         }
-        self.root = level[0];
+        self.root = level[0].child;
         Ok(())
+    }
+
+    /// Allocates `node` (charging its write) and returns the directory
+    /// entry that references it.
+    fn alloc_entry(&mut self, node: Node) -> DcResult<DirEntry> {
+        self.io.write(node.blocks);
+        Ok(DirEntry {
+            mds: node.mds.clone(),
+            summary: node.summary,
+            child: self.alloc(node)?,
+        })
     }
 
     /// Adapts any dimension set longer than `max_len` to coarser hierarchy
@@ -415,18 +567,8 @@ impl DcTree {
     fn insert_run(&mut self, run: &[StoredRecord]) -> DcResult<()> {
         let mut siblings = self.insert_run_rec(self.root, run)?;
         while !siblings.is_empty() {
-            let mut entries = vec![self.entry_for(self.root)];
-            for s in &siblings {
-                entries.push(self.entry_for(*s));
-            }
-            let mut mds = entries[0].mds.clone();
-            for e in entries.iter().skip(1) {
-                mds = mds.cover(&e.mds, &self.schema)?;
-            }
-            let new_root = self.arena.alloc(Node::new_dir(mds, entries));
-            self.io.write(self.arena.get(new_root).blocks);
-            self.root = new_root;
-            siblings = self.split_overflow(new_root)?;
+            self.grow_root(&siblings)?;
+            siblings = self.split_overflow(self.root)?;
         }
         Ok(())
     }
@@ -435,37 +577,38 @@ impl DcTree {
     /// one summary pass per level for the whole run. Returns every new
     /// sibling the overflow resolution produced at this level.
     fn insert_run_rec(&mut self, id: NodeId, run: &[StoredRecord]) -> DcResult<Vec<NodeId>> {
-        self.io.read(self.arena.get(id).blocks);
-        if self.arena.get(id).is_data() {
-            let node = self.arena.get_mut(id);
+        let first = &run[0].record;
+        let (child, overflow) = self.store.update(id, |node| {
+            self.io.read(node.blocks);
             for r in run {
                 node.summary.add(r.record.measure);
             }
-            node.mds
-                .extend_to_cover_record(&self.schema, &run[0].record)?;
-            node.records_mut().extend_from_slice(run);
-            self.io.write(self.arena.get(id).blocks);
-            return self.split_overflow(id);
-        }
-
-        let choice = self.choose_subtree(id, &run[0].record)?;
-        let child = {
-            let node = self.arena.get_mut(id);
-            for r in run {
-                node.summary.add(r.record.measure);
-            }
-            node.mds
-                .extend_to_cover_record(&self.schema, &run[0].record)?;
-            let entry = &mut node.entries_mut()[choice];
-            for r in run {
-                entry.summary.add(r.record.measure);
-            }
-            entry
-                .mds
-                .extend_to_cover_record(&self.schema, &run[0].record)?;
-            entry.child
+            node.mds.extend_to_cover_record(&self.schema, first)?;
+            let child = match &mut node.kind {
+                NodeKind::Data(records) => {
+                    records.extend_from_slice(run);
+                    None
+                }
+                NodeKind::Dir(entries) => {
+                    let choice = choose_subtree(&self.schema, entries, first)?;
+                    let entry = &mut entries[choice];
+                    for r in run {
+                        entry.summary.add(r.record.measure);
+                    }
+                    entry.mds.extend_to_cover_record(&self.schema, first)?;
+                    Some(entry.child)
+                }
+            };
+            self.io.write(node.blocks);
+            Ok((child, child.is_none() && overflows(&self.config, node)))
+        })?;
+        let Some(child) = child else {
+            return if overflow {
+                self.split_overflow(id)
+            } else {
+                Ok(Vec::new())
+            };
         };
-        self.io.write(self.arena.get(id).blocks);
 
         let new_children = self.insert_run_rec(child, run)?;
         if new_children.is_empty() {
@@ -473,18 +616,16 @@ impl DcTree {
         }
         // The child split (possibly multi-way): refresh its entry and add
         // the new sons, then resolve this node's own overflow.
-        let refreshed = self.entry_for(child);
-        let new_entries: Vec<DirEntry> = new_children.iter().map(|&c| self.entry_for(c)).collect();
-        let node = self.arena.get_mut(id);
-        let entry = node
-            .entries_mut()
-            .iter_mut()
-            .find(|e| e.child == child)
-            .expect("split child must still be referenced");
-        *entry = refreshed;
-        node.entries_mut().extend(new_entries);
-        self.io.write(self.arena.get(id).blocks);
-        self.split_overflow(id)
+        let refreshed = self.entry_for(child)?;
+        let new_entries: Vec<DirEntry> = new_children
+            .iter()
+            .map(|&c| self.entry_for(c))
+            .collect::<DcResult<_>>()?;
+        if self.adopt_split_child(id, refreshed, new_entries)? {
+            self.split_overflow(id)
+        } else {
+            Ok(Vec::new())
+        }
     }
 
     /// Resolves an arbitrary overflow on `id` (a batched append can exceed
@@ -495,16 +636,7 @@ impl DcTree {
         let mut siblings = Vec::new();
         let mut work = vec![id];
         while let Some(nid) = work.pop() {
-            loop {
-                let node = self.arena.get(nid);
-                let cap = if node.is_data() {
-                    self.config.data_capacity
-                } else {
-                    self.config.dir_capacity
-                };
-                if node.len() <= cap * node.blocks as usize {
-                    break;
-                }
+            while overflows(&self.config, &*self.store.get(nid)?) {
                 // `None` means the supernode grew a block; re-check.
                 if let Some(sib) = self.split_node(nid)? {
                     siblings.push(sib);
@@ -519,147 +651,99 @@ impl DcTree {
     /// touch `len` / `next_record_id`).
     fn insert_stored(&mut self, stored: StoredRecord) -> DcResult<()> {
         if let Some(new_sibling) = self.insert_rec(self.root, &stored)? {
-            // Root split: grow the tree by one level.
-            let e1 = self.entry_for(self.root);
-            let e2 = self.entry_for(new_sibling);
-            let mds = e1.mds.cover(&e2.mds, &self.schema)?;
-            let new_root = self.arena.alloc(Node::new_dir(mds, vec![e1, e2]));
-            self.io.write(self.arena.get(new_root).blocks);
-            self.root = new_root;
+            self.grow_root(&[new_sibling])?;
         }
         Ok(())
     }
 
-    fn entry_for(&self, child: NodeId) -> DirEntry {
-        let node = self.arena.get(child);
-        DirEntry {
+    /// Root split: grows the tree by one level, a new directory root over
+    /// the old root and the `siblings` it split off.
+    fn grow_root(&mut self, siblings: &[NodeId]) -> DcResult<()> {
+        let mut entries = vec![self.entry_for(self.root)?];
+        for &s in siblings {
+            entries.push(self.entry_for(s)?);
+        }
+        let mut mds = entries[0].mds.clone();
+        for e in &entries[1..] {
+            mds = mds.cover(&e.mds, &self.schema)?;
+        }
+        let root = Node::new_dir(mds, entries);
+        self.io.write(root.blocks);
+        self.root = self.alloc(root)?;
+        self.height += 1;
+        Ok(())
+    }
+
+    fn entry_for(&self, child: NodeId) -> DcResult<DirEntry> {
+        let node = self.store.get(child)?;
+        Ok(DirEntry {
             mds: node.mds.clone(),
             summary: node.summary,
             child,
-        }
+        })
+    }
+
+    /// After a child of `id` split: replaces the child's entry with its
+    /// refreshed copy and appends the new sons. Returns whether `id` now
+    /// overflows.
+    fn adopt_split_child(
+        &mut self,
+        id: NodeId,
+        refreshed: DirEntry,
+        new_entries: Vec<DirEntry>,
+    ) -> DcResult<bool> {
+        self.store.update(id, |node| {
+            let entries = node.entries_mut();
+            let entry = entries
+                .iter_mut()
+                .find(|e| e.child == refreshed.child)
+                .expect("split child must still be referenced");
+            *entry = refreshed;
+            entries.extend(new_entries);
+            self.io.write(node.blocks);
+            Ok(overflows(&self.config, node))
+        })
     }
 
     /// Recursive insert (Fig. 4). Returns the newly created sibling if this
     /// node was split.
     fn insert_rec(&mut self, id: NodeId, stored: &StoredRecord) -> DcResult<Option<NodeId>> {
-        self.io.read(self.arena.get(id).blocks);
-        if self.arena.get(id).is_data() {
-            let node = self.arena.get_mut(id);
-            node.summary.add(stored.record.measure);
-            node.mds
-                .extend_to_cover_record(&self.schema, &stored.record)?;
-            node.records_mut().push(stored.clone());
-            self.io.write(self.arena.get(id).blocks);
-            let node = self.arena.get(id);
-            if node.len() > self.config.data_capacity * node.blocks as usize {
-                return self.split_node(id);
-            }
-            return Ok(None);
-        }
-
-        // Directory node: update measure, choose subtree, descend.
-        let choice = self.choose_subtree(id, &stored.record)?;
-        let child = {
-            let node = self.arena.get_mut(id);
-            node.summary.add(stored.record.measure);
-            node.mds
-                .extend_to_cover_record(&self.schema, &stored.record)?;
-            let entry = &mut node.entries_mut()[choice];
-            entry.summary.add(stored.record.measure);
-            entry
-                .mds
-                .extend_to_cover_record(&self.schema, &stored.record)?;
-            entry.child
-        };
-        self.io.write(self.arena.get(id).blocks);
-
-        if let Some(new_sibling) = self.insert_rec(child, stored)? {
-            // The child was split: refresh its entry and add the new son.
-            let refreshed = self.entry_for(child);
-            let new_entry = self.entry_for(new_sibling);
-            let node = self.arena.get_mut(id);
-            let entry = node
-                .entries_mut()
-                .iter_mut()
-                .find(|e| e.child == child)
-                .expect("split child must still be referenced");
-            *entry = refreshed;
-            node.entries_mut().push(new_entry);
-            self.io.write(self.arena.get(id).blocks);
-            let node = self.arena.get(id);
-            if node.len() > self.config.dir_capacity * node.blocks as usize {
-                return self.split_node(id);
-            }
-        }
-        Ok(None)
-    }
-
-    /// Chooses the son to descend into: prefer entries already covering the
-    /// record (smallest volume wins); otherwise minimize the **overlap**
-    /// the insertion creates with sibling entries (the X-tree's
-    /// choose-subtree criterion, which keeps sibling regions separable for
-    /// later directory splits), then the volume enlargement, the volume,
-    /// and the size.
-    ///
-    /// The overlap criterion uses a linear-time surrogate: inserting the
-    /// record adds, per dimension, its ancestor on the entry's relevant
-    /// level; each sibling already holding that value is a newly shared
-    /// value, i.e. prospective overlap.
-    fn choose_subtree(&self, id: NodeId, record: &Record) -> DcResult<usize> {
-        let entries = self.arena.get(id).entries();
-        debug_assert!(!entries.is_empty(), "directory node without entries");
-        let mut best_covering: Option<(u128, usize, usize)> = None;
-        for (i, e) in entries.iter().enumerate() {
-            if e.mds.contains_record(&self.schema, record)? {
-                let key = (e.mds.volume(), e.mds.size(), i);
-                if best_covering.is_none_or(|b| key < b) {
-                    best_covering = Some(key);
+        let record = &stored.record;
+        // Update measure and MDS, then either append (data node) or choose
+        // the subtree to descend into (directory node).
+        let (child, mut overflow) = self.store.update(id, |node| {
+            self.io.read(node.blocks);
+            node.summary.add(record.measure);
+            node.mds.extend_to_cover_record(&self.schema, record)?;
+            let child = match &mut node.kind {
+                NodeKind::Data(records) => {
+                    records.push(stored.clone());
+                    None
                 }
-            }
-        }
-        if let Some((_, _, i)) = best_covering {
-            return Ok(i);
-        }
-
-        // Per (entry, dim): does the entry already hold the record's
-        // ancestor on its relevant level? One pass, reused below.
-        let d = self.schema.num_dims();
-        let mut holds = vec![false; entries.len() * d];
-        let mut holders_per_dim = vec![0usize; d];
-        for (i, e) in entries.iter().enumerate() {
-            for (dim, h) in self.schema.dims().enumerate() {
-                let anc = h.ancestor_at(record.dims[dim], e.mds.dim(dim).level())?;
-                if e.mds.dim(dim).contains_value(anc) {
-                    holds[i * d + dim] = true;
-                    holders_per_dim[dim] += 1;
+                NodeKind::Dir(entries) => {
+                    let choice = choose_subtree(&self.schema, entries, record)?;
+                    let entry = &mut entries[choice];
+                    entry.summary.add(record.measure);
+                    entry.mds.extend_to_cover_record(&self.schema, record)?;
+                    Some(entry.child)
                 }
+            };
+            self.io.write(node.blocks);
+            Ok((child, child.is_none() && overflows(&self.config, node)))
+        })?;
+        if let Some(child) = child {
+            if let Some(new_sibling) = self.insert_rec(child, stored)? {
+                // The child was split: refresh its entry and add the new son.
+                let refreshed = self.entry_for(child)?;
+                let new_entry = self.entry_for(new_sibling)?;
+                overflow = self.adopt_split_child(id, refreshed, vec![new_entry])?;
             }
         }
-
-        let mut best: Option<(usize, u128, u128, usize, usize)> = None;
-        for (i, e) in entries.iter().enumerate() {
-            // Newly shared values this insertion would create: for every
-            // dimension whose ancestor the entry lacks, all sibling entries
-            // already holding it become overlap partners.
-            let mut overlap_penalty = 0usize;
-            for dim in 0..d {
-                if !holds[i * d + dim] {
-                    overlap_penalty += holders_per_dim[dim];
-                }
-            }
-            let enlargement = e.mds.enlargement_for_record(&self.schema, record)?;
-            let key = (
-                overlap_penalty,
-                enlargement,
-                e.mds.volume(),
-                e.mds.size(),
-                i,
-            );
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
+        if overflow {
+            self.split_node(id)
+        } else {
+            Ok(None)
         }
-        Ok(best.expect("non-empty entries").4)
     }
 
     // ------------------------------------------------------------------
@@ -679,32 +763,26 @@ impl DcTree {
     }
 
     fn split_node_inner(&mut self, id: NodeId) -> DcResult<Option<NodeId>> {
-        let (member_mds, children, node_levels, node_dim_lens): (
-            Vec<Mds>,
-            Option<Vec<NodeId>>,
-            Vec<u8>,
-            Vec<usize>,
-        ) = {
-            let node = self.arena.get(id);
-            let (members, children) = match &node.kind {
-                NodeKind::Dir(entries) => (
-                    entries.iter().map(|e| e.mds.clone()).collect(),
-                    Some(entries.iter().map(|e| e.child).collect()),
-                ),
-                NodeKind::Data(records) => (
-                    records
-                        .iter()
-                        .map(|r| Mds::from_record(&r.record))
-                        .collect(),
-                    None,
-                ),
-            };
-            let levels = node.mds.levels();
-            let lens = (0..node.mds.num_dims())
-                .map(|d| node.mds.dim(d).len())
-                .collect();
-            (members, children, levels, lens)
+        let node = self.store.get(id)?;
+        let (member_mds, children): (Vec<Mds>, Option<Vec<NodeId>>) = match &node.kind {
+            NodeKind::Dir(entries) => (
+                entries.iter().map(|e| e.mds.clone()).collect(),
+                Some(entries.iter().map(|e| e.child).collect()),
+            ),
+            NodeKind::Data(records) => (
+                records
+                    .iter()
+                    .map(|r| Mds::from_record(&r.record))
+                    .collect(),
+                None,
+            ),
         };
+        let node_levels = node.mds.levels();
+        let node_dim_lens: Vec<usize> = (0..node.mds.num_dims())
+            .map(|d| node.mds.dim(d).len())
+            .collect();
+        let node_blocks = node.blocks;
+        drop(node);
         let num_members = member_mds.len();
         let min_group = self.config.min_group(num_members);
 
@@ -772,13 +850,22 @@ impl DcTree {
                     // in the referenced child's own MDS. Their extent at the
                     // finer level is exact (computed from the subtree), so
                     // record coverage is preserved while dead space shrinks.
-                    for (i, refined) in refinements {
-                        let child = children.as_ref().expect("refinement only on dir")[i];
-                        *self.arena.get_mut(child).mds.dim_mut(d) = refined.clone();
-                        let node = self.arena.get_mut(id);
-                        *node.entries_mut()[i].mds.dim_mut(d) = refined;
+                    if !refinements.is_empty() {
+                        let kids = children.as_ref().expect("refinement only on dir");
+                        for (i, refined) in &refinements {
+                            self.store.update(kids[*i], |child| {
+                                *child.mds.dim_mut(d) = refined.clone();
+                                Ok(())
+                            })?;
+                        }
+                        self.store.update(id, |node| {
+                            for (i, refined) in refinements {
+                                *node.entries_mut()[i].mds.dim_mut(d) = refined;
+                            }
+                            Ok(())
+                        })?;
                     }
-                    return Ok(Some(self.apply_split(id, outcome)));
+                    return self.apply_split(id, outcome).map(Some);
                 }
                 let better = match &best_rejected {
                     None => true,
@@ -798,8 +885,8 @@ impl DcTree {
 
         // No acceptable split in any dimension.
         self.metrics.failed_splits += 1;
-        let may_grow = self.config.allow_supernodes
-            && self.arena.get(id).blocks < self.config.max_supernode_blocks;
+        let may_grow =
+            self.config.allow_supernodes && node_blocks < self.config.max_supernode_blocks;
         if may_grow {
             // Grow the supernode. Growth is geometric (¼ of the current
             // block count, at least one block): a node that keeps failing to
@@ -808,9 +895,11 @@ impl DcTree {
             // growth would make a persistently unsplittable node cost
             // O(n²) over its lifetime.
             self.metrics.supernode_growths += 1;
-            let node = self.arena.get_mut(id);
-            node.blocks += (node.blocks / 4).max(1);
-            self.io.write(self.arena.get(id).blocks);
+            self.store.update(id, |node| {
+                node.blocks += (node.blocks / 4).max(1);
+                self.io.write(node.blocks);
+                Ok(())
+            })?;
             Ok(None)
         } else {
             // Supernodes disabled (ablation A2) or the supernode hit its
@@ -841,7 +930,7 @@ impl DcTree {
                     }
                 }
             };
-            Ok(Some(self.apply_split(id, outcome)))
+            self.apply_split(id, outcome).map(Some)
         }
     }
 
@@ -850,7 +939,7 @@ impl DcTree {
     /// coarser than `level`. Used by the split path to refine coarse
     /// members; never stored.
     fn subtree_dimset_at(&self, id: NodeId, d: usize, level: u8) -> DcResult<dc_mds::DimSet> {
-        let node = self.arena.get(id);
+        let node = self.store.get(id)?;
         let h = self.schema.dims().nth(d).expect("dimension in schema");
         if node.mds.dim(d).level() <= level {
             return node.mds.dim(d).adapt_to(h, level);
@@ -888,53 +977,45 @@ impl DcTree {
 
     /// Materializes a split outcome: the node keeps group 1, a fresh sibling
     /// receives group 2. Returns the sibling.
-    fn apply_split(&mut self, id: NodeId, outcome: SplitOutcome) -> NodeId {
+    fn apply_split(&mut self, id: NodeId, outcome: SplitOutcome) -> DcResult<NodeId> {
         let SplitOutcome {
             group1,
             group2,
             cover1,
             cover2,
         } = outcome;
-        let old_kind =
-            std::mem::replace(&mut self.arena.get_mut(id).kind, NodeKind::Data(Vec::new()));
-        let mut sibling = match old_kind {
-            NodeKind::Data(records) => {
-                let (mut part1, mut part2) = (Vec::new(), Vec::new());
-                partition_by_index(records, &group1, &group2, &mut part1, &mut part2);
-                let summary1: MeasureSummary = part1.iter().map(|r| r.record.measure).collect();
-                let summary2: MeasureSummary = part2.iter().map(|r| r.record.measure).collect();
-                let node = self.arena.get_mut(id);
-                node.kind = NodeKind::Data(part1);
-                node.summary = summary1;
-                node.mds = cover1;
-                let mut sibling = Node::new_data(cover2);
-                sibling.summary = summary2;
-                *sibling.records_mut() = part2;
-                sibling
-            }
-            NodeKind::Dir(entries) => {
-                let (mut part1, mut part2) = (Vec::new(), Vec::new());
-                partition_by_index(entries, &group1, &group2, &mut part1, &mut part2);
-                let summary1 = part1.iter().fold(MeasureSummary::empty(), |mut a, e| {
-                    a.merge(&e.summary);
-                    a
-                });
-                let node = self.arena.get_mut(id);
-                node.kind = NodeKind::Dir(part1);
-                node.summary = summary1;
-                node.mds = cover1;
-                Node::new_dir(cover2, part2)
-            }
-        };
-        // Supernodes shrink back to the fewest blocks that hold each part.
-        let (data_cap, dir_cap) = (self.config.data_capacity, self.config.dir_capacity);
-        let node = self.arena.get_mut(id);
-        node.blocks = blocks_needed(node, data_cap, dir_cap);
-        sibling.blocks = blocks_needed(&sibling, data_cap, dir_cap);
-        self.io.write(self.arena.get(id).blocks);
-        let sid = self.arena.alloc(sibling);
-        self.io.write(self.arena.get(sid).blocks);
-        sid
+        let sibling = self.store.update(id, |node| {
+            debug_assert_eq!(group1.len() + group2.len(), node.len());
+            let old_kind = std::mem::replace(&mut node.kind, NodeKind::Data(Vec::new()));
+            let mut sibling = match old_kind {
+                NodeKind::Data(records) => {
+                    let (part1, part2) = partition_by_index(records, &group1);
+                    node.summary = part1.iter().map(|r| r.record.measure).collect();
+                    let mut sibling = Node::new_data(cover2);
+                    sibling.summary = part2.iter().map(|r| r.record.measure).collect();
+                    node.kind = NodeKind::Data(part1);
+                    *sibling.records_mut() = part2;
+                    sibling
+                }
+                NodeKind::Dir(entries) => {
+                    let (part1, part2) = partition_by_index(entries, &group1);
+                    node.summary = part1.iter().fold(MeasureSummary::empty(), |mut a, e| {
+                        a.merge(&e.summary);
+                        a
+                    });
+                    node.kind = NodeKind::Dir(part1);
+                    Node::new_dir(cover2, part2)
+                }
+            };
+            node.mds = cover1;
+            // Supernodes shrink back to the fewest blocks that hold each part.
+            node.blocks = blocks_needed(&self.config, node);
+            sibling.blocks = blocks_needed(&self.config, &sibling);
+            self.io.write(node.blocks);
+            Ok(sibling)
+        })?;
+        self.io.write(sibling.blocks);
+        self.alloc(sibling)
     }
 
     // ------------------------------------------------------------------
@@ -1003,7 +1084,7 @@ impl DcTree {
         range: &PreparedRange,
         acc: &mut MeasureSummary,
     ) -> DcResult<()> {
-        let node = self.arena.get(id);
+        let node = self.store.get(id)?;
         self.io.read_keyed(id.0 as u64, node.blocks);
         match &node.kind {
             NodeKind::Data(records) => {
@@ -1066,7 +1147,7 @@ impl DcTree {
         range: &PreparedRange,
         f: &mut impl FnMut(&StoredRecord),
     ) -> DcResult<()> {
-        let node = self.arena.get(id);
+        let node = self.store.get(id)?;
         self.io.read_keyed(id.0 as u64, node.blocks);
         match &node.kind {
             NodeKind::Data(records) => {
@@ -1097,7 +1178,7 @@ impl DcTree {
     }
 
     fn count_rec(&self, id: NodeId, record: &Record, count: &mut u64) -> DcResult<()> {
-        let node = self.arena.get(id);
+        let node = self.store.get(id)?;
         self.io.read(node.blocks);
         match &node.kind {
             NodeKind::Data(records) => {
@@ -1190,7 +1271,7 @@ impl DcTree {
         group_level: dc_common::Level,
         groups: &mut [MeasureSummary],
     ) -> DcResult<()> {
-        let node = self.arena.get(id);
+        let node = self.store.get(id)?;
         self.io.read(node.blocks);
         let h = self.schema.dim(group_dim);
         match &node.kind {
@@ -1314,7 +1395,7 @@ impl DcTree {
         cols: usize,
         cells: &mut [MeasureSummary],
     ) -> DcResult<()> {
-        let node = self.arena.get(id);
+        let node = self.store.get(id)?;
         self.io.read(node.blocks);
         let hr = self.schema.dim(row.0);
         let hc = self.schema.dim(column.0);
@@ -1352,35 +1433,6 @@ impl DcTree {
         Ok(())
     }
 
-    /// Rebuilds the tree from scratch via a hierarchy-sorted bulk load —
-    /// compaction after heavy churn (deletes leave recycled arena slots and
-    /// per-node slack that a fresh load removes). Record ids are preserved.
-    pub fn rebuild(&mut self) -> DcResult<()> {
-        let stored: Vec<StoredRecord> = self.iter_records().cloned().collect();
-        let mut keys: Vec<(Vec<u32>, usize)> = stored
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Ok((self.schema.flatten_record(&r.record)?, i)))
-            .collect::<DcResult<_>>()?;
-        keys.sort();
-        let mut slots: Vec<Option<StoredRecord>> = stored.into_iter().map(Some).collect();
-        let sorted: Vec<StoredRecord> = keys
-            .into_iter()
-            .map(|(_, i)| slots[i].take().expect("each record index exactly once"))
-            .collect();
-        let mut fresh = DcTree::new(self.schema.clone(), self.config);
-        fresh.len = sorted.len() as u64;
-        fresh.next_record_id = self.next_record_id;
-        if !sorted.is_empty() {
-            fresh.build_from_sorted(sorted)?;
-        }
-        // Keep the I/O counters (the rebuild itself is accounted there).
-        let io = self.io.clone();
-        *self = fresh;
-        self.io = io;
-        Ok(())
-    }
-
     /// Answers a batch of range queries on `threads` worker threads —
     /// queries take `&self`, so read parallelism is free (the
     /// `ConcurrentDcTree` wrapper serves the mixed read/write case).
@@ -1388,7 +1440,10 @@ impl DcTree {
         &self,
         queries: &[Mds],
         threads: usize,
-    ) -> DcResult<Vec<MeasureSummary>> {
+    ) -> DcResult<Vec<MeasureSummary>>
+    where
+        S: Sync,
+    {
         let threads = threads.clamp(1, queries.len().max(1));
         let mut results = vec![MeasureSummary::empty(); queries.len()];
         let chunk = queries.len().div_ceil(threads).max(1);
@@ -1429,19 +1484,25 @@ impl DcTree {
         self.len -= 1;
         // Collapse a root with a single child.
         loop {
-            let node = self.arena.get(self.root);
-            match &node.kind {
-                NodeKind::Dir(entries) if entries.len() == 1 => {
-                    let child = entries[0].child;
-                    self.arena.free(self.root);
+            let only_child = match &self.store.get(self.root)?.kind {
+                NodeKind::Dir(entries) if entries.len() <= 1 => entries.first().map(|e| e.child),
+                _ => break,
+            };
+            match only_child {
+                Some(child) => {
+                    self.free(self.root)?;
                     self.root = child;
+                    self.height -= 1;
                 }
-                NodeKind::Dir(entries) if entries.is_empty() => {
+                None => {
                     let mds = Mds::all(&self.schema);
-                    *self.arena.get_mut(self.root) = Node::new_data(mds);
+                    self.store.update(self.root, |root| {
+                        *root = Node::new_data(mds);
+                        Ok(())
+                    })?;
+                    self.height = 1;
                     break;
                 }
-                _ => break,
             }
         }
         for orphan in orphans {
@@ -1473,175 +1534,247 @@ impl DcTree {
         record: &Record,
         orphans: &mut Vec<StoredRecord>,
     ) -> DcResult<bool> {
-        self.io.read(self.arena.get(id).blocks);
-        if self.arena.get(id).is_data() {
-            let pos = {
-                let node = self.arena.get(id);
-                node.records().iter().position(|r| &r.record == record)
-            };
-            let Some(pos) = pos else { return Ok(false) };
-            self.arena.get_mut(id).records_mut().remove(pos);
-            self.recompute_node(id)?;
-            self.io.write(self.arena.get(id).blocks);
-            return Ok(true);
-        }
-
         let candidates: Vec<(usize, NodeId)> = {
-            let node = self.arena.get(id);
-            let mut v = Vec::new();
-            for (i, e) in node.entries().iter().enumerate() {
-                if e.mds.contains_record(&self.schema, record)? {
-                    v.push((i, e.child));
+            let node = self.store.get(id)?;
+            self.io.read(node.blocks);
+            match &node.kind {
+                NodeKind::Data(records) => {
+                    let Some(pos) = records.iter().position(|r| &r.record == record) else {
+                        return Ok(false);
+                    };
+                    drop(node);
+                    self.store.update(id, |node| {
+                        node.records_mut().remove(pos);
+                        recompute_node(&self.schema, node)?;
+                        self.io.write(node.blocks);
+                        Ok(())
+                    })?;
+                    return Ok(true);
+                }
+                NodeKind::Dir(entries) => {
+                    let mut v = Vec::new();
+                    for (i, e) in entries.iter().enumerate() {
+                        if e.mds.contains_record(&self.schema, record)? {
+                            v.push((i, e.child));
+                        }
+                    }
+                    v
                 }
             }
-            v
         };
         for (i, child) in candidates {
             if !self.delete_rec(child, record, orphans)? {
                 continue;
             }
-            let child_node = self.arena.get(child);
-            let min_fill_len = self.config.min_group(match child_node.kind {
-                NodeKind::Data(_) => self.config.data_capacity,
-                NodeKind::Dir(_) => self.config.dir_capacity,
-            });
-            if child_node.len() < min_fill_len {
+            let (refreshed, child_len, child_blocks, cap_per_block) = {
+                let node = self.store.get(child)?;
+                let entry = DirEntry {
+                    mds: node.mds.clone(),
+                    summary: node.summary,
+                    child,
+                };
+                (
+                    entry,
+                    node.len(),
+                    node.blocks,
+                    capacity(&self.config, &node),
+                )
+            };
+            let dissolve = child_len < self.config.min_group(cap_per_block);
+            if dissolve {
                 // Dissolve the child: collect its records for re-insertion.
-                self.collect_subtree(child, orphans);
-                self.arena.get_mut(id).entries_mut().remove(i);
+                self.collect_subtree(child, orphans)?;
             } else {
                 // Maybe shrink a supernode that no longer needs its blocks.
-                let cap_per_block = if child_node.is_data() {
-                    self.config.data_capacity
-                } else {
-                    self.config.dir_capacity
-                };
-                let needed = (child_node.len().div_ceil(cap_per_block)).max(1) as u32;
-                if needed < child_node.blocks {
-                    self.arena.get_mut(child).blocks = needed;
+                let needed = (child_len.div_ceil(cap_per_block)).max(1) as u32;
+                if needed < child_blocks {
+                    self.store.update(child, |node| {
+                        node.blocks = needed;
+                        Ok(())
+                    })?;
                 }
-                let refreshed = self.entry_for(child);
-                self.arena.get_mut(id).entries_mut()[i] = refreshed;
             }
-            self.recompute_node(id)?;
-            self.io.write(self.arena.get(id).blocks);
+            self.store.update(id, |node| {
+                if dissolve {
+                    node.entries_mut().remove(i);
+                } else {
+                    node.entries_mut()[i] = refreshed;
+                }
+                recompute_node(&self.schema, node)?;
+                self.io.write(node.blocks);
+                Ok(())
+            })?;
             return Ok(true);
         }
         Ok(false)
     }
 
-    /// Recomputes a node's summary and shrinks its MDS to the minimal cover
-    /// of its content at the node's current relevant levels.
-    fn recompute_node(&mut self, id: NodeId) -> DcResult<()> {
-        let levels = self.arena.get(id).mds.levels();
-        let (mds, summary) = {
-            let node = self.arena.get(id);
-            match &node.kind {
-                NodeKind::Data(records) => {
-                    if records.is_empty() {
-                        (node.mds.clone(), MeasureSummary::empty())
-                    } else {
-                        let mut mds: Option<Mds> = None;
-                        let mut summary = MeasureSummary::empty();
-                        for r in records {
-                            summary.add(r.record.measure);
-                            let p = Mds::from_record(&r.record)
-                                .adapt_to_levels(&self.schema, &levels)?;
-                            mds = Some(match mds {
-                                None => p,
-                                Some(m) => m.union_aligned(&p),
-                            });
-                        }
-                        (mds.unwrap(), summary)
-                    }
-                }
-                NodeKind::Dir(entries) => {
-                    // Lazy refinement may have left this node's MDS finer
-                    // than some entries; the recomputed cover can go no
-                    // deeper than the coarsest entry per dimension.
-                    let levels: Vec<u8> = (0..node.mds.num_dims())
-                        .map(|dim| {
-                            entries
-                                .iter()
-                                .map(|e| e.mds.dim(dim).level())
-                                .max()
-                                .unwrap_or(levels[dim])
-                        })
-                        .collect();
-                    let mut mds: Option<Mds> = None;
-                    let mut summary = MeasureSummary::empty();
-                    for e in entries {
-                        summary.merge(&e.summary);
-                        let p = e.mds.adapt_to_levels(&self.schema, &levels)?;
-                        mds = Some(match mds {
-                            None => p,
-                            Some(m) => m.union_aligned(&p),
-                        });
-                    }
-                    (mds.unwrap_or_else(|| node.mds.clone()), summary)
+    /// Collects every record below `id` and frees the whole subtree.
+    fn collect_subtree(&mut self, id: NodeId, out: &mut Vec<StoredRecord>) -> DcResult<()> {
+        let node = self.free(id)?;
+        self.io.read(node.blocks);
+        match node.kind {
+            NodeKind::Data(mut records) => out.append(&mut records),
+            NodeKind::Dir(entries) => {
+                for e in entries {
+                    self.collect_subtree(e.child, out)?;
                 }
             }
-        };
-        let node = self.arena.get_mut(id);
-        node.mds = mds;
-        node.summary = summary;
+        }
         Ok(())
     }
-
-    /// Collects every record below `id` and frees the whole subtree.
-    fn collect_subtree(&mut self, id: NodeId, out: &mut Vec<StoredRecord>) {
-        let node = self.arena.get(id);
-        self.io.read(node.blocks);
-        match &node.kind {
-            NodeKind::Data(_) => {
-                let node = self.arena.get_mut(id);
-                out.append(node.records_mut());
-            }
-            NodeKind::Dir(entries) => {
-                let children: Vec<NodeId> = entries.iter().map(|e| e.child).collect();
-                for c in children {
-                    self.collect_subtree(c, out);
-                }
-            }
-        }
-        self.arena.free(id);
-    }
-
-    /// Iterates over every stored record (diagnostics and tests; order is
-    /// unspecified).
-    pub fn iter_records(&self) -> impl Iterator<Item = &StoredRecord> {
-        self.arena.iter().flat_map(|(_, n)| match &n.kind {
-            NodeKind::Data(records) => records.iter(),
-            NodeKind::Dir(_) => [].iter(),
-        })
-    }
 }
 
-/// Splits `items` into the subsets selected by `idx1` / `idx2` (disjoint,
-/// covering index sets).
-fn partition_by_index<T>(
-    items: Vec<T>,
-    idx1: &[usize],
-    idx2: &[usize],
-    out1: &mut Vec<T>,
-    out2: &mut Vec<T>,
-) {
-    debug_assert_eq!(idx1.len() + idx2.len(), items.len());
+/// Chooses the son to descend into: prefer entries already covering the
+/// record (smallest volume wins); otherwise minimize the **overlap** the
+/// insertion creates with sibling entries (the X-tree's choose-subtree
+/// criterion, which keeps sibling regions separable for later directory
+/// splits), then the volume enlargement, the volume, and the size.
+///
+/// The overlap criterion uses a linear-time surrogate: inserting the record
+/// adds, per dimension, its ancestor on the entry's relevant level; each
+/// sibling already holding that value is a newly shared value, i.e.
+/// prospective overlap.
+fn choose_subtree(schema: &CubeSchema, entries: &[DirEntry], record: &Record) -> DcResult<usize> {
+    debug_assert!(!entries.is_empty(), "directory node without entries");
+    let mut best_covering: Option<(u128, usize, usize)> = None;
+    for (i, e) in entries.iter().enumerate() {
+        if e.mds.contains_record(schema, record)? {
+            let key = (e.mds.volume(), e.mds.size(), i);
+            if best_covering.is_none_or(|b| key < b) {
+                best_covering = Some(key);
+            }
+        }
+    }
+    if let Some((_, _, i)) = best_covering {
+        return Ok(i);
+    }
+
+    // Per (entry, dim): does the entry already hold the record's
+    // ancestor on its relevant level? One pass, reused below.
+    let d = schema.num_dims();
+    let mut holds = vec![false; entries.len() * d];
+    let mut holders_per_dim = vec![0usize; d];
+    for (i, e) in entries.iter().enumerate() {
+        for (dim, h) in schema.dims().enumerate() {
+            let anc = h.ancestor_at(record.dims[dim], e.mds.dim(dim).level())?;
+            if e.mds.dim(dim).contains_value(anc) {
+                holds[i * d + dim] = true;
+                holders_per_dim[dim] += 1;
+            }
+        }
+    }
+
+    let mut best: Option<(usize, u128, u128, usize, usize)> = None;
+    for (i, e) in entries.iter().enumerate() {
+        // Newly shared values this insertion would create: for every
+        // dimension whose ancestor the entry lacks, all sibling entries
+        // already holding it become overlap partners.
+        let mut overlap_penalty = 0usize;
+        for dim in 0..d {
+            if !holds[i * d + dim] {
+                overlap_penalty += holders_per_dim[dim];
+            }
+        }
+        let enlargement = e.mds.enlargement_for_record(schema, record)?;
+        let key = (
+            overlap_penalty,
+            enlargement,
+            e.mds.volume(),
+            e.mds.size(),
+            i,
+        );
+        if best.is_none_or(|b| key < b) {
+            best = Some(key);
+        }
+    }
+    Ok(best.expect("non-empty entries").4)
+}
+
+/// Recomputes a node's summary and shrinks its MDS to the minimal cover of
+/// its content at the node's current relevant levels.
+fn recompute_node(schema: &CubeSchema, node: &mut Node) -> DcResult<()> {
+    let levels = node.mds.levels();
+    let (mds, summary) = match &node.kind {
+        NodeKind::Data(records) => {
+            if records.is_empty() {
+                (node.mds.clone(), MeasureSummary::empty())
+            } else {
+                let mut mds: Option<Mds> = None;
+                let mut summary = MeasureSummary::empty();
+                for r in records {
+                    summary.add(r.record.measure);
+                    let p = Mds::from_record(&r.record).adapt_to_levels(schema, &levels)?;
+                    mds = Some(match mds {
+                        None => p,
+                        Some(m) => m.union_aligned(&p),
+                    });
+                }
+                (mds.expect("non-empty records"), summary)
+            }
+        }
+        NodeKind::Dir(entries) => {
+            // Lazy refinement may have left this node's MDS finer than
+            // some entries; the recomputed cover can go no deeper than the
+            // coarsest entry per dimension.
+            let levels: Vec<u8> = (0..node.mds.num_dims())
+                .map(|dim| {
+                    entries
+                        .iter()
+                        .map(|e| e.mds.dim(dim).level())
+                        .max()
+                        .unwrap_or(levels[dim])
+                })
+                .collect();
+            let mut mds: Option<Mds> = None;
+            let mut summary = MeasureSummary::empty();
+            for e in entries {
+                summary.merge(&e.summary);
+                let p = e.mds.adapt_to_levels(schema, &levels)?;
+                mds = Some(match mds {
+                    None => p,
+                    Some(m) => m.union_aligned(&p),
+                });
+            }
+            (mds.unwrap_or_else(|| node.mds.clone()), summary)
+        }
+    };
+    node.mds = mds;
+    node.summary = summary;
+    Ok(())
+}
+
+/// Splits `items` into the members whose index is in `first` and the rest,
+/// each in storage order.
+fn partition_by_index<T>(items: Vec<T>, first: &[usize]) -> (Vec<T>, Vec<T>) {
     let mut take1 = vec![false; items.len()];
-    for &i in idx1 {
+    for &i in first {
         take1[i] = true;
     }
-    let _ = idx2;
+    let (mut part1, mut part2) = (Vec::new(), Vec::new());
     for (i, item) in items.into_iter().enumerate() {
         if take1[i] {
-            out1.push(item);
+            part1.push(item);
         } else {
-            out2.push(item);
+            part2.push(item);
         }
+    }
+    (part1, part2)
+}
+
+/// Entries (directory) or records (data) one block of `node` holds.
+pub(crate) fn capacity(config: &DcTreeConfig, node: &Node) -> usize {
+    if node.is_data() {
+        config.data_capacity
+    } else {
+        config.dir_capacity
     }
 }
 
-fn blocks_needed(node: &Node, data_cap: usize, dir_cap: usize) -> u32 {
-    let cap = if node.is_data() { data_cap } else { dir_cap };
-    (node.len().div_ceil(cap)).max(1) as u32
+fn overflows(config: &DcTreeConfig, node: &Node) -> bool {
+    node.len() > capacity(config, node) * node.blocks as usize
+}
+
+fn blocks_needed(config: &DcTreeConfig, node: &Node) -> u32 {
+    (node.len().div_ceil(capacity(config, node))).max(1) as u32
 }

@@ -1,12 +1,12 @@
-//! Differential tests: the disk-resident DC-tree must answer exactly like
-//! the in-memory tree on identical workloads, survive close/reopen cycles,
-//! and exercise the buffer pool for real.
+//! Differential tests: one `DcTree`, whatever the store. Over disk pages it
+//! must build the very tree — node for node — that it builds in the arena,
+//! answer identically, survive close/reopen cycles, and exercise the buffer
+//! pool for real.
 
 use dc_common::{AggregateOp, DimensionId, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
 use dc_mds::{DimSet, Mds};
-use dc_tree::disk::DiskDcTree;
-use dc_tree::{DcTree, DcTreeConfig};
+use dc_tree::{DcTree, DcTreeConfig, DiskDcTree};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -83,8 +83,11 @@ fn disk_tree_matches_in_memory_tree() {
         disk.insert_raw(&paths, measure).unwrap();
     }
     assert_eq!(disk.len(), mem.len());
-    assert_eq!(disk.total_summary().unwrap(), mem.total_summary());
-    assert_eq!(disk.height().unwrap(), mem.height());
+    assert_eq!(disk.total_summary().unwrap(), mem.total_summary().unwrap());
+    assert_eq!(disk.height(), mem.height());
+    assert_eq!(disk.num_nodes(), mem.num_nodes());
+    disk.check_invariants().unwrap();
+    assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
 
     let mut rng = StdRng::seed_from_u64(2);
     for _ in 0..80 {
@@ -126,6 +129,7 @@ fn disk_tree_survives_reopen() {
     }
     let mut disk = DiskDcTree::open(&path, config, 16).unwrap();
     assert_eq!(disk.len(), 200);
+    disk.check_invariants().unwrap();
     let expected: MeasureSummary = inserted.iter().map(|(_, m)| *m).collect();
     assert_eq!(disk.total_summary().unwrap(), expected);
     // Still fully dynamic after reopen (including schema growth).
@@ -183,6 +187,8 @@ fn disk_tree_deletes_like_memory_tree() {
     }
     assert_eq!(disk.len(), mem.len());
     mem.check_invariants().unwrap();
+    disk.check_invariants().unwrap();
+    assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
     let mut rng = StdRng::seed_from_u64(6);
     for _ in 0..40 {
         let q = random_query(mem.schema(), &mut rng);
@@ -215,6 +221,7 @@ fn buffer_pool_pressure_still_answers_correctly() {
     let stats = disk.pool_stats();
     assert!(stats.evictions > 0, "4 frames must thrash: {stats:?}");
     assert!(stats.writebacks > 0, "dirty nodes must be written back");
+    disk.check_invariants().unwrap();
     let mut rng = StdRng::seed_from_u64(8);
     for _ in 0..30 {
         let q = random_query(mem.schema(), &mut rng);

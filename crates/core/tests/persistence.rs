@@ -71,7 +71,10 @@ fn roundtrip_preserves_structure_and_answers() {
     assert_eq!(loaded.len(), tree.len());
     assert_eq!(loaded.height(), tree.height());
     assert_eq!(loaded.num_nodes(), tree.num_nodes());
-    assert_eq!(loaded.total_summary(), tree.total_summary());
+    assert_eq!(
+        loaded.total_summary().unwrap(),
+        tree.total_summary().unwrap()
+    );
     loaded.check_invariants().unwrap();
 
     let mut rng = StdRng::seed_from_u64(2);
@@ -121,7 +124,10 @@ fn save_and_load_via_file() {
     let path = dir.join("tree.dct");
     tree.save_to(&path).unwrap();
     let loaded = DcTree::load_from(&path).unwrap();
-    assert_eq!(loaded.total_summary(), tree.total_summary());
+    assert_eq!(
+        loaded.total_summary().unwrap(),
+        tree.total_summary().unwrap()
+    );
     std::fs::remove_file(&path).ok();
 }
 

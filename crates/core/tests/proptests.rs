@@ -5,7 +5,7 @@
 use dc_common::{AggregateOp, DimensionId, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
 use dc_mds::{DimSet, Mds};
-use dc_tree::{DcTree, DcTreeConfig};
+use dc_tree::{DcTree, DcTreeConfig, DiskDcTree};
 use proptest::prelude::*;
 
 /// One raw record, expressed as small indices so proptest can shrink it.
@@ -58,15 +58,19 @@ fn schema() -> CubeSchema {
     )
 }
 
-fn insert_raw(tree: &mut DcTree, r: &RawRec) -> Record {
-    let paths = [
+fn paths_of(r: &RawRec) -> [Vec<String>; 2] {
+    [
         vec![
             format!("a{}", r.a),
             format!("a{}b{}", r.a, r.b),
             format!("a{}b{}c{}", r.a, r.b, r.c),
         ],
         vec![format!("y{}", r.y), format!("y{}m{}", r.y, r.m)],
-    ];
+    ]
+}
+
+fn insert_raw(tree: &mut DcTree, r: &RawRec) -> Record {
+    let paths = paths_of(r);
     tree.insert_raw(&paths, r.measure as i64).unwrap();
     let dims: Vec<ValueId> = (0..2)
         .map(|d| {
@@ -165,7 +169,7 @@ proptest! {
         let bytes = tree.to_bytes();
         let loaded = DcTree::from_bytes(&bytes).unwrap();
         prop_assert_eq!(loaded.to_bytes(), bytes);
-        prop_assert_eq!(loaded.total_summary(), tree.total_summary());
+        prop_assert_eq!(loaded.total_summary().unwrap(), tree.total_summary().unwrap());
         for q in queries_for(&tree, 3) {
             prop_assert_eq!(
                 loaded.range_summary(&q).unwrap(),
@@ -218,7 +222,7 @@ proptest! {
         prop_assert_eq!(ids.len(), records.len());
         bulk.check_invariants().unwrap();
         prop_assert_eq!(bulk.len(), incremental.len());
-        prop_assert_eq!(bulk.total_summary(), incremental.total_summary());
+        prop_assert_eq!(bulk.total_summary().unwrap(), incremental.total_summary().unwrap());
         for q in queries_for(&incremental, salt) {
             prop_assert_eq!(
                 bulk.range_summary(&q).unwrap(),
@@ -251,7 +255,7 @@ proptest! {
         batched.insert_batch(records[cut..].to_vec()).unwrap();
         batched.check_invariants().unwrap();
         prop_assert_eq!(batched.len(), incremental.len());
-        prop_assert_eq!(batched.total_summary(), incremental.total_summary());
+        prop_assert_eq!(batched.total_summary().unwrap(), incremental.total_summary().unwrap());
         for q in queries_for(&incremental, salt) {
             prop_assert_eq!(
                 batched.range_summary(&q).unwrap(),
@@ -282,7 +286,7 @@ proptest! {
         }
         forward.check_invariants().unwrap();
         shuffled.check_invariants().unwrap();
-        prop_assert_eq!(forward.total_summary(), shuffled.total_summary());
+        prop_assert_eq!(forward.total_summary().unwrap(), shuffled.total_summary().unwrap());
         // Queries built against `forward`'s schema may reference values in
         // a different ID order than `shuffled`'s; compare on shared levels
         // via the ALL query plus per-level totals, which are order-free.
@@ -297,13 +301,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The disk-resident tree is a drop-in behavioural replacement for the
-    /// in-memory tree: identical answers over arbitrary insert/delete
-    /// workloads, under buffer-pool pressure.
+    /// One algorithm, one tree, whatever the store: the same interned
+    /// stream — inserts batched, deletes interleaved — builds the same tree
+    /// node for node in the arena and on disk pages, under buffer-pool
+    /// pressure.
     #[test]
     fn disk_tree_matches_memory_tree(
         steps in prop::collection::vec(step(), 1..60),
         frames in 3usize..24,
+        batch in 1usize..6,
     ) {
         let dir = std::env::temp_dir().join("dc-disk-proptests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -322,27 +328,16 @@ proptest! {
             ..DcTreeConfig::default()
         };
         let mut mem = DcTree::new(schema(), config);
-        let mut disk =
-            dc_tree::disk::DiskDcTree::create(&path, schema(), config, frames).unwrap();
+        let mut disk = DiskDcTree::create(&path, schema(), config, frames).unwrap();
         let mut live: Vec<Record> = Vec::new();
+        let mut pending: Vec<Record> = Vec::new();
         for s in &steps {
             match s {
                 Step::Insert(r) => {
-                    let rec = insert_raw(&mut mem, r);
-                    let paths: Vec<Vec<String>> = (0..2u16)
-                        .map(|d| {
-                            let h = mem.schema().dim(DimensionId(d));
-                            let leaf = rec.dims[d as usize];
-                            (0..h.top_level())
-                                .rev()
-                                .map(|l| {
-                                    h.name(h.ancestor_at(leaf, l).unwrap()).unwrap().to_string()
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    disk.insert_raw(&paths, rec.measure).unwrap();
-                    live.push(rec);
+                    let paths = paths_of(r);
+                    let dims = mem.intern_paths(&paths).unwrap();
+                    prop_assert_eq!(&disk.intern_paths(&paths).unwrap(), &dims);
+                    pending.push(Record::new(dims, r.measure as i64));
                 }
                 Step::Delete(i) => {
                     if !live.is_empty() {
@@ -352,9 +347,20 @@ proptest! {
                     }
                 }
             }
+            if pending.len() >= batch {
+                live.extend(pending.iter().cloned());
+                mem.insert_batch(pending.clone()).unwrap();
+                disk.insert_batch(std::mem::take(&mut pending)).unwrap();
+            }
         }
+        live.extend(pending.iter().cloned());
+        mem.insert_batch(pending.clone()).unwrap();
+        disk.insert_batch(pending).unwrap();
+
+        disk.check_invariants().unwrap();
+        prop_assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
         prop_assert_eq!(disk.len(), mem.len());
-        prop_assert_eq!(disk.total_summary().unwrap(), mem.total_summary());
+        prop_assert_eq!((disk.num_nodes(), disk.height()), (mem.num_nodes(), mem.height()));
         for q in queries_for(&mem, 2) {
             prop_assert_eq!(
                 disk.range_summary(&q).unwrap(),

@@ -101,7 +101,7 @@ fn oracle_summary(schema: &CubeSchema, records: &[Record], q: &Mds) -> MeasureSu
 fn empty_tree_answers_empty() {
     let tree = DcTree::new(schema(), DcTreeConfig::default());
     assert!(tree.is_empty());
-    assert_eq!(tree.total_summary(), MeasureSummary::empty());
+    assert_eq!(tree.total_summary().unwrap(), MeasureSummary::empty());
     let q = Mds::all(tree.schema());
     assert_eq!(tree.range_summary(&q).unwrap(), MeasureSummary::empty());
     assert_eq!(tree.range_query(&q, AggregateOp::Sum).unwrap(), Some(0.0));
@@ -152,7 +152,7 @@ fn inserts_grow_and_stay_consistent() {
     );
     // Root summary is the total.
     let expected: MeasureSummary = oracle.iter().map(|r| r.measure).collect();
-    assert_eq!(tree.total_summary(), expected);
+    assert_eq!(tree.total_summary().unwrap(), expected);
 }
 
 #[test]
@@ -239,7 +239,7 @@ fn coarse_queries_do_not_touch_data_pages() {
     assert_eq!(got, want);
     // Only the root itself is read (it may span several blocks if it grew
     // into a supernode).
-    let root_blocks = tree.stats().levels[0].avg_blocks as u64;
+    let root_blocks = tree.stats().unwrap().levels[0].avg_blocks as u64;
     assert_eq!(tree.io_stats().reads, root_blocks);
 }
 
@@ -265,7 +265,7 @@ fn supernodes_appear_under_duplicate_heavy_load() {
         .unwrap();
     }
     tree.check_invariants().unwrap();
-    let stats = tree.stats();
+    let stats = tree.stats().unwrap();
     assert!(
         stats.supernodes > 0,
         "identical records must force supernodes: {stats:?}"
@@ -286,7 +286,7 @@ fn forced_splits_when_supernodes_disabled() {
         ..DcTreeConfig::default()
     };
     let (tree, oracle) = build(300, 17, config);
-    let stats = tree.stats();
+    let stats = tree.stats().unwrap();
     assert_eq!(stats.supernodes, 0, "supernodes were disabled");
     // Queries still correct even with forced (possibly overlapping) splits.
     let mut rng = StdRng::seed_from_u64(18);
@@ -351,7 +351,7 @@ fn delete_everything_returns_to_empty() {
         assert!(tree.delete(r).unwrap());
     }
     assert!(tree.is_empty());
-    assert_eq!(tree.total_summary(), MeasureSummary::empty());
+    assert_eq!(tree.total_summary().unwrap(), MeasureSummary::empty());
     tree.check_invariants().unwrap();
     // And the tree is still usable afterwards.
     tree.insert_raw(
@@ -415,7 +415,7 @@ fn stats_reflect_structure() {
         ..DcTreeConfig::default()
     };
     let (tree, _) = build(400, 11, config);
-    let stats = tree.stats();
+    let stats = tree.stats().unwrap();
     assert_eq!(stats.height, tree.height());
     assert_eq!(stats.records, 400);
     assert_eq!(stats.levels.len(), stats.height);
@@ -547,7 +547,7 @@ fn group_by_rejects_bad_level() {
     // Grouping at the ALL level returns a single group with the total.
     let groups = tree.group_by(DimensionId(0), top, &filter).unwrap();
     assert_eq!(groups.len(), 1);
-    assert_eq!(groups[0].1, tree.total_summary());
+    assert_eq!(groups[0].1, tree.total_summary().unwrap());
 }
 
 #[test]
@@ -563,7 +563,10 @@ fn bulk_insert_equals_incremental_semantics() {
     let ids = bulk.bulk_insert(oracle.clone()).unwrap();
     assert_eq!(ids.len(), oracle.len());
     bulk.check_invariants().unwrap();
-    assert_eq!(bulk.total_summary(), incremental.total_summary());
+    assert_eq!(
+        bulk.total_summary().unwrap(),
+        incremental.total_summary().unwrap()
+    );
     let mut rng = StdRng::seed_from_u64(92);
     for _ in 0..60 {
         let q = random_query(bulk.schema(), &mut rng);
@@ -648,12 +651,12 @@ fn update_measure_moves_aggregates() {
     }
     tree.check_invariants().unwrap();
     let want: MeasureSummary = oracle.iter().map(|r| r.measure).collect();
-    assert_eq!(tree.total_summary(), want);
+    assert_eq!(tree.total_summary().unwrap(), want);
     // Updating a non-existent record reports false and changes nothing.
     let mut ghost = oracle[0].clone();
     ghost.measure = i64::MAX / 4;
     assert!(!tree.update_measure(&ghost, 0).unwrap());
-    assert_eq!(tree.total_summary(), want);
+    assert_eq!(tree.total_summary().unwrap(), want);
 }
 
 #[test]
@@ -664,7 +667,7 @@ fn dead_space_report_quantifies_fig3() {
         ..DcTreeConfig::default()
     };
     let (tree, _) = build(500, 121, config);
-    let report = tree.dead_space_report();
+    let report = tree.dead_space_report().unwrap();
     assert!(report.data_nodes > 0);
     assert!(report.mds_cells > 0);
     // An interval always covers at least the occupied cells…

@@ -16,7 +16,8 @@
 //! * [`codec`] — varint/delta/WAH-compressed node pages behind a format
 //!   tag, with fully checked decoding (disk bytes never panic).
 //! * [`OocStore`] — the [`NodeStore`](dc_tree::store::NodeStore) gluing the
-//!   two under `dc_tree::PagedDcTree`, page-chain layout shared with the
+//!   two under `dc_tree::DcTree` — the same tree, and the same algorithms,
+//!   as a resident shard's — page-chain layout shared with the
 //!   single-threaded `ChainStore`.
 //! * [`OocDcTree`] — the servable shard: concurrent readers, exclusive
 //!   writers, pool stats and checkpoint flush without the tree lock.

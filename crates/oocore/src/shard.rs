@@ -1,6 +1,6 @@
 //! [`OocDcTree`]: a disk-backed DC-tree shard servable by many threads.
 //!
-//! The tree logic is `dc_tree::PagedDcTree` over an [`OocStore`]; this
+//! The tree logic is `dc_tree::DcTree` over an [`OocStore`]; this
 //! wrapper adds the `RwLock` discipline the serving engine needs — queries
 //! take the read lock (the store underneath is fully concurrent, so any
 //! number of readers fault and evict pages in parallel), mutations take the
@@ -13,17 +13,17 @@ use std::sync::Arc;
 use dc_common::{AggregateOp, DcResult, DimensionId, Level, MeasureSummary, RecordId, ValueId};
 use dc_hierarchy::{CubeSchema, Record};
 use dc_mds::Mds;
-use dc_tree::{DcTreeConfig, PagedDcTree};
+use dc_tree::{DcTree, DcTreeConfig};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::pool::{ConcurrentPool, OocPoolStats};
 use crate::store::{OocOptions, OocStore};
 
-/// A DC-tree shard served out-of-core: `RwLock<PagedDcTree<OocStore>>`
+/// A DC-tree shard served out-of-core: `RwLock<DcTree<OocStore>>`
 /// plus a handle to the shared buffer pool.
 #[derive(Debug)]
 pub struct OocDcTree {
-    inner: RwLock<PagedDcTree<OocStore>>,
+    inner: RwLock<DcTree<OocStore>>,
     pool: Arc<ConcurrentPool>,
 }
 
@@ -37,7 +37,7 @@ impl OocDcTree {
     ) -> DcResult<Self> {
         let store = OocStore::create(path, opts)?;
         let pool = Arc::clone(store.pool());
-        let tree = PagedDcTree::create_in(store, schema, config)?;
+        let tree = DcTree::create_in(store, schema, config)?;
         Ok(OocDcTree {
             inner: RwLock::new(tree),
             pool,
@@ -48,7 +48,7 @@ impl OocDcTree {
     pub fn open(path: impl AsRef<Path>, config: DcTreeConfig, opts: OocOptions) -> DcResult<Self> {
         let store = OocStore::open(path, opts)?;
         let pool = Arc::clone(store.pool());
-        let tree = PagedDcTree::open_in(store, config)?;
+        let tree = DcTree::open_in(store, config)?;
         Ok(OocDcTree {
             inner: RwLock::new(tree),
             pool,
@@ -57,14 +57,14 @@ impl OocDcTree {
 
     /// Read access to the tree. Hold this across a batch of queries that
     /// must see one consistent version.
-    pub fn read(&self) -> RwLockReadGuard<'_, PagedDcTree<OocStore>> {
+    pub fn read(&self) -> RwLockReadGuard<'_, DcTree<OocStore>> {
         self.inner.read()
     }
 
     /// Write access to the tree. The shard writer holds this across a whole
     /// update batch *and* the cache publish that follows, so readers never
     /// see a half-applied batch.
-    pub fn write(&self) -> RwLockWriteGuard<'_, PagedDcTree<OocStore>> {
+    pub fn write(&self) -> RwLockWriteGuard<'_, DcTree<OocStore>> {
         self.inner.write()
     }
 
@@ -152,7 +152,7 @@ impl OocDcTree {
     }
 
     /// Tree height (root to leaf).
-    pub fn height(&self) -> DcResult<usize> {
+    pub fn height(&self) -> usize {
         self.inner.read().height()
     }
 }

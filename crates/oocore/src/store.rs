@@ -10,13 +10,16 @@
 //! either store can be pointed at pages the other wrote as long as both
 //! sides agree on who owns the codec.
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
 use dc_common::{DcError, DcResult};
 use dc_storage::{BlockConfig, PageId, PagedFile};
-use dc_tree::node::Node;
-use dc_tree::store::{NodeStore, CHAIN_NONE, META_PAGE, PAGE_HEADER};
+use dc_tree::node::{Node, NodeId};
+use dc_tree::store::{
+    node_at, page_of, NodeStore, PersistentStore, CHAIN_NONE, META_PAGE, PAGE_HEADER,
+};
 
 use crate::codec::{decode_node, encode_node};
 use crate::pool::{ConcurrentPool, OocPoolStats};
@@ -141,6 +144,7 @@ pub struct OocStore {
     pool: Arc<ConcurrentPool>,
     payload: usize,
     compress: bool,
+    num_dims: usize,
 }
 
 impl OocStore {
@@ -155,6 +159,7 @@ impl OocStore {
             pool: Arc::new(pool),
             payload: opts.block.block_size - PAGE_HEADER,
             compress: opts.compress,
+            num_dims: 0,
         })
     }
 
@@ -166,6 +171,7 @@ impl OocStore {
             pool: Arc::new(pool),
             payload: opts.block.block_size - PAGE_HEADER,
             compress: opts.compress,
+            num_dims: 0,
         })
     }
 
@@ -180,37 +186,59 @@ impl OocStore {
     }
 }
 
-impl NodeStore for OocStore {
-    fn load_node(&self, page: PageId, num_dims: usize) -> DcResult<Node> {
-        let bytes = read_chain(&self.pool, page)?;
-        decode_node(&bytes, num_dims)
+impl OocStore {
+    fn load(&self, id: NodeId) -> DcResult<Node> {
+        let bytes = read_chain(&self.pool, page_of(id))?;
+        decode_node(&bytes, self.num_dims)
     }
 
-    fn store_node(&self, page: PageId, node: &Node) -> DcResult<()> {
+    fn store(&self, id: NodeId, node: &Node) -> DcResult<()> {
         let bytes = encode_node(node, self.compress);
-        write_chain(&self.pool, page, &bytes, self.payload)
+        write_chain(&self.pool, page_of(id), &bytes, self.payload)
+    }
+}
+
+impl NodeStore for OocStore {
+    fn get(&self, id: NodeId) -> DcResult<Cow<'_, Node>> {
+        self.load(id).map(Cow::Owned)
     }
 
-    fn alloc_node(&self, node: &Node) -> DcResult<PageId> {
+    fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R> {
+        let mut node = self.load(id)?;
+        let out = f(&mut node)?;
+        self.store(id, &node)?;
+        Ok(out)
+    }
+
+    fn alloc(&mut self, node: Node) -> DcResult<NodeId> {
         let head = self.pool.alloc()?;
         init_chain(&self.pool, head)?;
-        self.store_node(head, node)?;
-        Ok(head)
+        let id = node_at(head)?;
+        self.store(id, &node)?;
+        Ok(id)
     }
 
-    fn free_node(&self, page: PageId) -> DcResult<()> {
-        free_chain(&self.pool, page)
+    fn free(&mut self, id: NodeId) -> DcResult<Node> {
+        let node = self.load(id)?;
+        free_chain(&self.pool, page_of(id))?;
+        Ok(node)
+    }
+}
+
+impl PersistentStore for OocStore {
+    fn set_num_dims(&mut self, num_dims: usize) {
+        self.num_dims = num_dims;
     }
 
     fn read_meta(&self) -> DcResult<Vec<u8>> {
         read_chain(&self.pool, PageId(META_PAGE))
     }
 
-    fn write_meta(&self, bytes: &[u8]) -> DcResult<()> {
+    fn write_meta(&mut self, bytes: &[u8]) -> DcResult<()> {
         write_chain(&self.pool, PageId(META_PAGE), bytes, self.payload)
     }
 
-    fn sync(&self) -> DcResult<()> {
+    fn sync(&mut self) -> DcResult<()> {
         self.pool.flush()
     }
 }

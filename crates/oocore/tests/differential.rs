@@ -1,7 +1,8 @@
 //! Differential test: an [`OocDcTree`] running through the concurrent pool
 //! with compressed pages and a deliberately tiny frame budget must answer
 //! every query exactly like the RAM-resident [`DcTree`], including after
-//! deletes, a reopen, and under concurrent query load.
+//! deletes, a reopen, and under concurrent query load — and, being the same
+//! tree over a different store, must *be* the same tree node for node.
 
 use std::sync::Arc;
 
@@ -11,7 +12,7 @@ use dc_mds::{DimSet, Mds};
 use dc_oocore::{OocDcTree, OocOptions};
 use dc_storage::BlockConfig;
 use dc_tpcd::{generate, TpcdConfig};
-use dc_tree::{DcTree, DcTreeConfig};
+use dc_tree::{DcTree, DcTreeConfig, DiskDcTree};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dc_oocore_diff_{}", std::process::id()));
@@ -49,8 +50,9 @@ fn probe_queries(schema: &CubeSchema) -> Vec<Mds> {
 }
 
 fn assert_equivalent(ram: &DcTree, ooc: &OocDcTree, queries: &[Mds]) {
+    ooc.read().check_invariants().unwrap();
     assert_eq!(ram.len(), ooc.len());
-    let ram_total = ram.total_summary();
+    let ram_total = ram.total_summary().unwrap();
     let ooc_total = ooc.total_summary().unwrap();
     assert_eq!(ram_total.sum, ooc_total.sum);
     assert_eq!(ram_total.count, ooc_total.count);
@@ -193,4 +195,95 @@ fn concurrent_queries_during_churn_see_consistent_states() {
         assert!(final_seen <= cube.records.len() as u64);
     }
     assert_eq!(ooc.len(), cube.records.len() as u64);
+}
+
+fn roomy_opts() -> OocOptions {
+    OocOptions {
+        frames: 256,
+        ..OocOptions::default()
+    }
+}
+
+/// One algorithm, one tree, whatever the store: the same interned stream —
+/// `insert_batch(256)` with deletes (condensation, supernode shrinking)
+/// between batches — builds the same tree node for node in the arena, in a
+/// `ChainStore` and in an `OocStore`.
+#[test]
+fn every_store_builds_the_same_tree() {
+    let cube = generate(&TpcdConfig::scaled(5_000, 42));
+    let config = DcTreeConfig::default();
+    let mut ram = DcTree::new(cube.schema.clone(), config);
+    let mut chain =
+        DiskDcTree::create(tmp("stores_chain.dct"), cube.schema.clone(), config, 256).unwrap();
+    let ooc = OocDcTree::create(
+        tmp("stores_ooc.dct"),
+        cube.schema.clone(),
+        config,
+        roomy_opts(),
+    )
+    .unwrap();
+    let mut ooc = ooc.write();
+
+    for (round, chunk) in cube.records.chunks(256).enumerate() {
+        ram.insert_batch(chunk.to_vec()).unwrap();
+        chain.insert_batch(chunk.to_vec()).unwrap();
+        ooc.insert_batch(chunk.to_vec()).unwrap();
+        if round % 2 == 1 {
+            for r in chunk.iter().step_by(2) {
+                assert!(ram.delete(r).unwrap());
+                assert!(chain.delete(r).unwrap());
+                assert!(ooc.delete(r).unwrap());
+            }
+        }
+    }
+
+    chain.check_invariants().unwrap();
+    ooc.check_invariants().unwrap();
+    let want = ram.structure().unwrap();
+    assert!(
+        chain.structure().unwrap() == want,
+        "ChainStore tree differs"
+    );
+    assert!(ooc.structure().unwrap() == want, "OocStore tree differs");
+    let counts = |m: dc_tree::TreeMetrics| (m.splits, m.failed_splits, m.supernode_growths);
+    assert_eq!(counts(chain.metrics()), counts(ram.metrics()));
+    assert_eq!(counts(ooc.metrics()), counts(ram.metrics()));
+}
+
+/// The stream of
+/// `tests/ingest_differential.rs::batched_stream_builds_the_golden_tree`
+/// fed to a paged store: the golden figures pinned there hold on disk
+/// pages too, and the tree is the resident one node for node.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the full 100 k stream through a paged store; run with --release"
+)]
+fn paged_store_builds_the_golden_tree() {
+    let cube = generate(&TpcdConfig::scaled(100_000, 42));
+    let config = DcTreeConfig::default();
+    let mut ram = DcTree::new(cube.schema.clone(), config);
+    let ooc = OocDcTree::create(
+        tmp("golden_ooc.dct"),
+        cube.schema.clone(),
+        config,
+        roomy_opts(),
+    )
+    .unwrap();
+    let mut ooc = ooc.write();
+    for chunk in cube.records.chunks(256) {
+        ram.insert_batch(chunk.to_vec()).unwrap();
+        ooc.insert_batch(chunk.to_vec()).unwrap();
+    }
+    let m = ooc.metrics();
+    assert_eq!(
+        (m.splits, m.failed_splits, m.supernode_growths),
+        (1169, 38, 38)
+    );
+    assert_eq!((ooc.num_nodes(), ooc.height()), (1172, 3));
+    ooc.check_invariants().unwrap();
+    assert!(
+        ooc.structure().unwrap() == ram.structure().unwrap(),
+        "OocStore tree differs"
+    );
 }

@@ -84,11 +84,10 @@ mod tests {
     }
 
     fn stats(p: &Partition) -> PartitionStats {
-        let ts = p.tree.stats();
         PartitionStats {
-            records: ts.records,
-            tree_nodes: ts.dir_nodes + ts.data_nodes,
-            tree_height: ts.height,
+            records: p.tree.len(),
+            tree_nodes: p.tree.num_nodes(),
+            tree_height: p.tree.height(),
             records_per_block: p.table.records_per_block(),
             bitmap_bytes: p.bitmap.bitmap_bytes(),
             has_bitmap: true,

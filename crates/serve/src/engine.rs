@@ -29,7 +29,7 @@ use dc_plan::{
 use dc_ql::ParsedStatement;
 use dc_scan::FlatTable;
 use dc_storage::BlockConfig;
-use dc_tree::{DcTree, DcTreeConfig, PagedDcTree, PreparedRange};
+use dc_tree::{DcTree, DcTreeConfig, NodeStore, PreparedRange};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::catalog::SchemaCatalog;
@@ -248,7 +248,7 @@ enum Cmd {
     Insert { record: Record, epoch: u64 },
     /// Apply a whole pre-interned batch (one `INSERT_BATCH` group's worth
     /// routed to this shard) once the catalog is replayed through `epoch`.
-    /// The resident writer feeds it to the tree's amortized batch path.
+    /// The writer feeds it to the tree's amortized batch path.
     InsertBatch { records: Vec<Record>, epoch: u64 },
     /// Delete one matching record (same epoch contract).
     Delete { record: Record, epoch: u64 },
@@ -391,7 +391,6 @@ fn capture_plan_state(
     snap: Arc<DcTree>,
     aux: Option<&AuxEngines>,
 ) -> Arc<PlanState> {
-    let ts = tree.stats();
     let bitmap = aux.and_then(|a| a.bitmap.clone()).map(Arc::new);
     let views = aux.and_then(|a| a.views.clone()).map(Arc::new);
     let table = aux.and_then(|a| a.table.clone()).map(Arc::new);
@@ -402,9 +401,9 @@ fn capture_plan_state(
             FlatTable::for_schema(BlockConfig::DEFAULT, tree.schema()).records_per_block()
         });
     let stats = PartitionStats {
-        records: ts.records,
-        tree_nodes: ts.dir_nodes + ts.data_nodes,
-        tree_height: ts.height,
+        records: tree.len(),
+        tree_nodes: tree.num_nodes(),
+        tree_height: tree.height(),
         records_per_block,
         bitmap_bytes: bitmap.as_ref().map(|b| b.bitmap_bytes()).unwrap_or(0),
         has_bitmap: bitmap.is_some(),
@@ -689,9 +688,9 @@ impl ShardedDcTree {
                     stats: RwLock::new(stats),
                 });
                 let (tx, rx) = channel();
-                let writer = spawn_writer_ooc(
+                let writer = spawn_writer(
                     shard_id,
-                    Arc::clone(&state),
+                    WriterBacking::Disk(Arc::clone(&state)),
                     rx,
                     Arc::clone(&catalog),
                     Arc::clone(&metrics),
@@ -724,11 +723,13 @@ impl ShardedDcTree {
                 let (tx, rx) = channel();
                 let writer = spawn_writer(
                     shard_id,
-                    tree,
+                    WriterBacking::Resident {
+                        tree,
+                        snapshot: Arc::clone(&snapshot),
+                        plan: Arc::clone(&plan),
+                        aux,
+                    },
                     rx,
-                    Arc::clone(&snapshot),
-                    Arc::clone(&plan),
-                    aux,
                     Arc::clone(&catalog),
                     Arc::clone(&metrics),
                     config.batch_size,
@@ -1383,6 +1384,16 @@ impl ShardedDcTree {
         self.len() == 0
     }
 
+    /// Runs the DC-tree's structural invariant checker over every shard as
+    /// readers see it: the published snapshot, or the disk tree under its
+    /// read lock.
+    pub fn check_invariants(&self) -> DcResult<()> {
+        self.shards.iter().try_for_each(|s| match &s.ooc {
+            Some(state) => state.tree.read().check_invariants(),
+            None => s.snapshot.read().check_invariants(),
+        })
+    }
+
     // ------------------------------------------------------------------
     // Queries (scatter-gather over snapshots)
     // ------------------------------------------------------------------
@@ -1572,7 +1583,7 @@ impl ShardedDcTree {
         &self,
         range: &Mds,
         paper_mode: bool,
-        mut eval: impl FnMut(&PagedDcTree<OocStore>, &PreparedRange) -> DcResult<R>,
+        mut eval: impl FnMut(&DcTree<OocStore>, &PreparedRange) -> DcResult<R>,
     ) -> DcResult<Vec<(R, u64)>> {
         let prepared = self
             .catalog
@@ -1958,15 +1969,11 @@ impl ShardedDcTree {
     pub fn total_summary(&self) -> MeasureSummary {
         let mut total = MeasureSummary::empty();
         for (i, shard) in self.shards.iter().enumerate() {
-            match &shard.ooc {
-                Some(state) => total.merge(
-                    &state
-                        .tree
-                        .total_summary()
-                        .expect("disk shard total_summary failed"),
-                ),
-                None => total.merge(&self.shard_snapshot(i).total_summary()),
-            }
+            let shard_total = match &shard.ooc {
+                Some(state) => state.tree.total_summary(),
+                None => self.shard_snapshot(i).total_summary(),
+            };
+            total.merge(&shard_total.expect("shard root read failed"));
         }
         total
     }
@@ -2061,18 +2068,56 @@ fn shard_covers(range: &Mds, schema: &CubeSchema, catalog_values: usize) -> bool
     })
 }
 
+/// Where a shard writer's tree lives — which decides how a batch is made
+/// exclusive and how it becomes visible; everything else about the writer
+/// loop is the same.
+// One value per writer thread, moved once at spawn: not worth a `Box`.
+#[allow(clippy::large_enum_variant)]
+enum WriterBacking {
+    /// The writer owns the tree; readers see `Arc` snapshots that
+    /// [`publish`] swaps in after each batch.
+    Resident {
+        tree: DcTree,
+        snapshot: Arc<RwLock<Arc<DcTree>>>,
+        plan: Arc<RwLock<Arc<PlanState>>>,
+        aux: Option<AuxEngines>,
+    },
+    /// There is no snapshot to swap: readers take the pooled tree's read
+    /// lock per query, so the writer holds its **write lock across the
+    /// whole batch and [`publish_ooc`]** and readers observe pre- or
+    /// post-batch state only — the same all-or-nothing visibility the
+    /// snapshot swap gives resident shards.
+    Disk(Arc<OocShardState>),
+}
+
+/// One writer thread's loop state: what every command it applies needs.
+struct Writer {
+    shard_id: usize,
+    catalog: Arc<SchemaCatalog>,
+    metrics: Arc<EngineMetrics>,
+    cache: Option<Arc<SharedCache>>,
+    /// The catalog epoch the shard tree's schema has been replayed through.
+    replayed: u64,
+    /// Whether the current batch changed anything a publish must show.
+    mutated: bool,
+    pending_flushes: Vec<Sender<()>>,
+    /// With a cache configured, the record-level changes of the current
+    /// batch (deletes only when the shard tree actually held the record — a
+    /// routed-away or already-removed record must not be subtracted from
+    /// cached summaries).
+    deltas: Vec<CacheDelta>,
+    shutting_down: bool,
+}
+
 /// Starts a shard's writer thread: drains its queue in batches, replays the
 /// catalog intern log up to each command's epoch, applies (collecting cache
-/// deltas), then publishes a fresh snapshot — patching the aggregate cache
-/// atomically with the snapshot swap when a cache is configured.
+/// deltas), then publishes — patching the aggregate cache atomically with
+/// the publish when a cache is configured.
 #[allow(clippy::too_many_arguments)]
 fn spawn_writer(
     shard_id: usize,
-    mut tree: DcTree,
+    mut backing: WriterBacking,
     rx: Receiver<Cmd>,
-    snapshot: Arc<RwLock<Arc<DcTree>>>,
-    plan: Arc<RwLock<Arc<PlanState>>>,
-    mut aux: Option<AuxEngines>,
     catalog: Arc<SchemaCatalog>,
     metrics: Arc<EngineMetrics>,
     batch_size: usize,
@@ -2082,18 +2127,20 @@ fn spawn_writer(
     std::thread::Builder::new()
         .name(format!("dc-shard-{shard_id}"))
         .spawn(move || {
-            let shard_metrics = &metrics.shards[shard_id];
-            let mut replayed: u64 = 0;
-            let mut pending_flushes: Vec<Sender<()>> = Vec::new();
-            let mut deltas: Vec<CacheDelta> = Vec::new();
-            let mut shutting_down = false;
-            'outer: loop {
-                // Block for the first command, then opportunistically drain
-                // up to a batch.
-                let first = match rx.recv() {
-                    Ok(cmd) => cmd,
-                    Err(_) => break 'outer, // all senders gone
-                };
+            let mut w = Writer {
+                shard_id,
+                catalog,
+                metrics,
+                cache,
+                replayed: 0,
+                mutated: false,
+                pending_flushes: Vec::new(),
+                deltas: Vec::new(),
+                shutting_down: false,
+            };
+            // Block for the first command, then opportunistically drain up
+            // to a batch; `Err` means all senders are gone.
+            while let Ok(first) = rx.recv() {
                 let mut batch = vec![first];
                 while batch.len() < batch_size {
                     match rx.try_recv() {
@@ -2101,98 +2148,118 @@ fn spawn_writer(
                         Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
                     }
                 }
-                let mut mutated = false;
-                for cmd in batch {
-                    apply(
-                        cmd,
-                        &mut tree,
-                        &catalog,
-                        &metrics,
-                        shard_id,
-                        &mut replayed,
-                        &mut mutated,
-                        &mut pending_flushes,
-                        &mut shutting_down,
-                        cache.is_some().then_some(&mut deltas),
-                        aux.as_mut(),
-                    );
-                }
-                if shutting_down {
-                    // Drain whatever is still queued before exiting.
-                    while let Ok(cmd) = rx.try_recv() {
-                        apply(
-                            cmd,
-                            &mut tree,
-                            &catalog,
-                            &metrics,
-                            shard_id,
-                            &mut replayed,
-                            &mut mutated,
-                            &mut pending_flushes,
-                            &mut shutting_down,
-                            cache.is_some().then_some(&mut deltas),
-                            aux.as_mut(),
-                        );
+                match &mut backing {
+                    WriterBacking::Resident {
+                        tree,
+                        snapshot,
+                        plan,
+                        aux,
+                    } => {
+                        apply_batch(&mut w, batch, &rx, tree, aux.as_mut());
+                        if w.mutated {
+                            publish(
+                                tree,
+                                snapshot,
+                                plan,
+                                aux,
+                                &w.metrics,
+                                shard_id,
+                                w.cache.as_deref(),
+                                &mut w.deltas,
+                            );
+                        }
+                    }
+                    WriterBacking::Disk(state) => {
+                        let mut tree = state.tree.write();
+                        apply_batch(&mut w, batch, &rx, &mut tree, None);
+                        if w.mutated {
+                            publish_ooc(
+                                &tree,
+                                state,
+                                &w.metrics,
+                                shard_id,
+                                w.cache.as_deref(),
+                                &mut w.deltas,
+                            );
+                        }
+                        // The write lock drops here: the batch and its cache
+                        // version bump become visible together.
                     }
                 }
-                if mutated {
-                    publish(
-                        &tree,
-                        &snapshot,
-                        &plan,
-                        &mut aux,
-                        &metrics,
-                        shard_id,
-                        cache.as_deref(),
-                        &mut deltas,
-                    );
-                } else if !pending_flushes.is_empty() {
+                if !w.mutated && !w.pending_flushes.is_empty() {
                     // A flush of a shard nothing has touched since its last
-                    // publish: the published snapshot already is the tree,
-                    // so the barrier holds without another deep clone.
-                    shard_metrics
+                    // publish: what readers see already is the tree, so the
+                    // barrier holds without publishing again.
+                    w.metrics.shards[shard_id]
                         .snapshot_published_at
-                        .store(metrics.now_nanos().max(1), Relaxed);
+                        .store(w.metrics.now_nanos().max(1), Relaxed);
                 }
                 // Group commit: under `GroupCommitMs` this writer syncs the
                 // shared WAL after publishing its batch, before any flush is
                 // acknowledged — an acked FLUSH is both visible and durable.
                 if let Some(wal) = wal.as_ref().filter(|w| w.group_commit) {
-                    if mutated || !pending_flushes.is_empty() {
+                    if w.mutated || !w.pending_flushes.is_empty() {
                         let _ = wal.writer.lock().group_commit();
                     }
                 }
-                for ack in pending_flushes.drain(..) {
+                for ack in w.pending_flushes.drain(..) {
                     let _ = ack.send(());
                 }
-                if shutting_down {
-                    break 'outer;
+                if w.shutting_down {
+                    break;
                 }
             }
-            shard_metrics.queue_depth.store(0, Relaxed);
+            w.metrics.shards[shard_id].queue_depth.store(0, Relaxed);
         })
         .expect("spawn shard writer")
 }
 
-/// Applies one command inside a writer thread. With a cache configured,
-/// `deltas` accumulates the record-level changes this batch made (deletes
-/// only when the shard tree actually held the record — a routed-away or
-/// already-removed record must not be subtracted from cached summaries).
-#[allow(clippy::too_many_arguments)]
-fn apply(
+/// Applies `batch` to `tree` — and, once it holds a `Shutdown`, whatever is
+/// still queued behind it — leaving in `w.mutated` whether anything needs
+/// publishing.
+fn apply_batch<S: NodeStore>(
+    w: &mut Writer,
+    batch: Vec<Cmd>,
+    rx: &Receiver<Cmd>,
+    tree: &mut DcTree<S>,
+    mut aux: Option<&mut AuxEngines>,
+) {
+    w.mutated = false;
+    for cmd in batch {
+        apply(w, cmd, tree, aux.as_deref_mut());
+    }
+    if w.shutting_down {
+        // Drain whatever is still queued before exiting.
+        while let Ok(cmd) = rx.try_recv() {
+            apply(w, cmd, tree, aux.as_deref_mut());
+        }
+    }
+}
+
+/// Applies one command to the shard tree, wherever its nodes live (`aux` is
+/// the resident planner's engines; disk shards maintain descent only). The
+/// schema is catalog-backed, so a failing mutation is store I/O failure on
+/// a disk shard and a bug on a resident one: either way the writer panics,
+/// poisoning the shard.
+fn apply<S: NodeStore>(
+    w: &mut Writer,
     cmd: Cmd,
-    tree: &mut DcTree,
-    catalog: &SchemaCatalog,
-    metrics: &EngineMetrics,
-    shard_id: usize,
-    replayed: &mut u64,
-    mutated: &mut bool,
-    pending_flushes: &mut Vec<Sender<()>>,
-    shutting_down: &mut bool,
-    deltas: Option<&mut Vec<CacheDelta>>,
+    tree: &mut DcTree<S>,
     aux: Option<&mut AuxEngines>,
 ) {
-    let shard_metrics = &metrics.shards[shard_id];
+    let Writer {
+        shard_id,
+        catalog,
+        metrics,
+        cache,
+        replayed,
+        mutated,
+        pending_flushes,
+        deltas,
+        shutting_down,
+    } = w;
+    let shard_metrics = &metrics.shards[*shard_id];
+    let deltas = cache.is_some().then_some(deltas);
     match cmd {
         Cmd::Insert { record, epoch } => {
             let t0 = Instant::now();
@@ -2206,8 +2273,7 @@ fn apply(
             if let Some(aux) = aux {
                 aux.insert(tree.schema(), &record);
             }
-            tree.insert(record)
-                .expect("catalog-backed insert cannot fail");
+            tree.insert(record).expect("shard insert failed");
             metrics.apply_latency.record(t0.elapsed());
             shard_metrics.queue_depth.fetch_sub(1, Relaxed);
             shard_metrics.applied.fetch_add(1, Relaxed);
@@ -2231,7 +2297,7 @@ fn apply(
                 }
             }
             tree.insert_batch(records)
-                .expect("catalog-backed batch insert cannot fail");
+                .expect("shard batch insert failed");
             metrics.batch_apply_latency.record(t0.elapsed());
             shard_metrics.queue_depth.fetch_sub(n, Relaxed);
             shard_metrics.applied.fetch_add(n, Relaxed);
@@ -2240,9 +2306,9 @@ fn apply(
         Cmd::Delete { record, epoch } => {
             let t0 = Instant::now();
             replay_catalog(tree, catalog, replayed, epoch);
-            // A miss means the record never existed on this shard — the
+            // `false` means the record never existed on this shard — the
             // documented no-op.
-            let removed = tree.delete(&record).unwrap_or(false);
+            let removed = tree.delete(&record).expect("shard delete failed");
             if removed {
                 if let Some(aux) = aux {
                     aux.delete(tree.schema(), &record);
@@ -2262,8 +2328,9 @@ fn apply(
         Cmd::Flush(ack) => pending_flushes.push(ack),
         Cmd::Catchup { epoch } => {
             replay_catalog(tree, catalog, replayed, epoch);
-            // Force a publish: the checkpoint path images the *published*
-            // snapshot, which must carry the caught-up schema.
+            // Force a publish: the checkpoint path images what is published
+            // (the resident snapshot; a disk shard's flushed file), which
+            // must carry the caught-up schema.
             *mutated = true;
         }
         Cmd::Shutdown => *shutting_down = true,
@@ -2273,7 +2340,12 @@ fn apply(
 /// Brings a shard tree's schema up to `epoch` by replaying the catalog's
 /// intern log. Interning is idempotent and IDs are assigned in insertion
 /// order, so the shard's schema stays an exact prefix of the catalog's.
-fn replay_catalog(tree: &mut DcTree, catalog: &SchemaCatalog, replayed: &mut u64, epoch: u64) {
+fn replay_catalog<S: NodeStore>(
+    tree: &mut DcTree<S>,
+    catalog: &SchemaCatalog,
+    replayed: &mut u64,
+    epoch: u64,
+) {
     if *replayed >= epoch {
         return;
     }
@@ -2350,208 +2422,6 @@ fn publish(
     deltas.clear();
 }
 
-/// Starts a disk-backed shard's writer thread. The structure mirrors
-/// [`spawn_writer`], with one crucial difference: there is no snapshot to
-/// swap. Instead the writer holds the shard's **write lock across the
-/// whole batch and the publish**, so readers (who take the read lock per
-/// query) observe pre- or post-batch state only — the same all-or-nothing
-/// visibility the snapshot swap gives resident shards.
-#[allow(clippy::too_many_arguments)]
-fn spawn_writer_ooc(
-    shard_id: usize,
-    state: Arc<OocShardState>,
-    rx: Receiver<Cmd>,
-    catalog: Arc<SchemaCatalog>,
-    metrics: Arc<EngineMetrics>,
-    batch_size: usize,
-    cache: Option<Arc<SharedCache>>,
-    wal: Option<Arc<DurableWal>>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("dc-shard-{shard_id}"))
-        .spawn(move || {
-            let shard_metrics = &metrics.shards[shard_id];
-            let mut replayed: u64 = 0;
-            let mut pending_flushes: Vec<Sender<()>> = Vec::new();
-            let mut deltas: Vec<CacheDelta> = Vec::new();
-            let mut shutting_down = false;
-            'outer: loop {
-                let first = match rx.recv() {
-                    Ok(cmd) => cmd,
-                    Err(_) => break 'outer,
-                };
-                let mut batch = vec![first];
-                while batch.len() < batch_size {
-                    match rx.try_recv() {
-                        Ok(cmd) => batch.push(cmd),
-                        Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                    }
-                }
-                let mut mutated = false;
-                {
-                    let mut tree = state.tree.write();
-                    for cmd in batch {
-                        apply_ooc(
-                            cmd,
-                            &mut tree,
-                            &catalog,
-                            &metrics,
-                            shard_id,
-                            &mut replayed,
-                            &mut mutated,
-                            &mut pending_flushes,
-                            &mut shutting_down,
-                            cache.is_some().then_some(&mut deltas),
-                        );
-                    }
-                    if shutting_down {
-                        while let Ok(cmd) = rx.try_recv() {
-                            apply_ooc(
-                                cmd,
-                                &mut tree,
-                                &catalog,
-                                &metrics,
-                                shard_id,
-                                &mut replayed,
-                                &mut mutated,
-                                &mut pending_flushes,
-                                &mut shutting_down,
-                                cache.is_some().then_some(&mut deltas),
-                            );
-                        }
-                    }
-                    if mutated || !pending_flushes.is_empty() {
-                        publish_ooc(
-                            &tree,
-                            &state,
-                            &metrics,
-                            shard_id,
-                            cache.as_deref(),
-                            &mut deltas,
-                        );
-                    }
-                    // The write lock drops here: the batch and its cache
-                    // version bump become visible together.
-                }
-                if let Some(wal) = wal.as_ref().filter(|w| w.group_commit) {
-                    if mutated || !pending_flushes.is_empty() {
-                        let _ = wal.writer.lock().group_commit();
-                    }
-                }
-                for ack in pending_flushes.drain(..) {
-                    let _ = ack.send(());
-                }
-                if shutting_down {
-                    break 'outer;
-                }
-            }
-            shard_metrics.queue_depth.store(0, Relaxed);
-        })
-        .expect("spawn shard writer")
-}
-
-/// Applies one command to a disk-backed shard tree (the [`apply`] twin;
-/// no aux engines — disk shards maintain descent only). Mutations go
-/// through the buffer pool, so an `Err` here is real disk I/O failure:
-/// the writer panics, poisoning the shard the same way a resident
-/// writer's impossible-error `expect`s would.
-#[allow(clippy::too_many_arguments)]
-fn apply_ooc(
-    cmd: Cmd,
-    tree: &mut PagedDcTree<OocStore>,
-    catalog: &SchemaCatalog,
-    metrics: &EngineMetrics,
-    shard_id: usize,
-    replayed: &mut u64,
-    mutated: &mut bool,
-    pending_flushes: &mut Vec<Sender<()>>,
-    shutting_down: &mut bool,
-    deltas: Option<&mut Vec<CacheDelta>>,
-) {
-    let shard_metrics = &metrics.shards[shard_id];
-    match cmd {
-        Cmd::Insert { record, epoch } => {
-            let t0 = Instant::now();
-            replay_catalog_ooc(tree, catalog, replayed, epoch);
-            if let Some(deltas) = deltas {
-                deltas.push(CacheDelta {
-                    record: record.clone(),
-                    delete: false,
-                });
-            }
-            tree.insert(record).expect("disk shard insert I/O failed");
-            metrics.apply_latency.record(t0.elapsed());
-            shard_metrics.queue_depth.fetch_sub(1, Relaxed);
-            shard_metrics.applied.fetch_add(1, Relaxed);
-            *mutated = true;
-        }
-        Cmd::InsertBatch { records, epoch } => {
-            let t0 = Instant::now();
-            replay_catalog_ooc(tree, catalog, replayed, epoch);
-            let n = records.len() as u64;
-            if let Some(deltas) = deltas {
-                for record in &records {
-                    deltas.push(CacheDelta {
-                        record: record.clone(),
-                        delete: false,
-                    });
-                }
-            }
-            // The paged tree has no bottom-up batch path; content
-            // equivalence with the resident shard holds record by record.
-            for record in records {
-                tree.insert(record).expect("disk shard insert I/O failed");
-            }
-            metrics.batch_apply_latency.record(t0.elapsed());
-            shard_metrics.queue_depth.fetch_sub(n, Relaxed);
-            shard_metrics.applied.fetch_add(n, Relaxed);
-            *mutated = true;
-        }
-        Cmd::Delete { record, epoch } => {
-            let t0 = Instant::now();
-            replay_catalog_ooc(tree, catalog, replayed, epoch);
-            let removed = tree.delete(&record).expect("disk shard delete I/O failed");
-            if removed {
-                if let Some(deltas) = deltas {
-                    deltas.push(CacheDelta {
-                        record,
-                        delete: true,
-                    });
-                }
-            }
-            metrics.apply_latency.record(t0.elapsed());
-            shard_metrics.queue_depth.fetch_sub(1, Relaxed);
-            shard_metrics.applied.fetch_add(1, Relaxed);
-            *mutated = true;
-        }
-        Cmd::Flush(ack) => pending_flushes.push(ack),
-        Cmd::Catchup { epoch } => {
-            replay_catalog_ooc(tree, catalog, replayed, epoch);
-            // Force a publish; the checkpoint path then flushes the file,
-            // which must carry the caught-up schema.
-            *mutated = true;
-        }
-        Cmd::Shutdown => *shutting_down = true,
-    }
-}
-
-/// [`replay_catalog`] for a disk-backed shard tree.
-fn replay_catalog_ooc(
-    tree: &mut PagedDcTree<OocStore>,
-    catalog: &SchemaCatalog,
-    replayed: &mut u64,
-    epoch: u64,
-) {
-    if *replayed >= epoch {
-        return;
-    }
-    for entry in catalog.entries(*replayed, epoch) {
-        tree.intern_paths(&entry)
-            .expect("disk shard catalog replay I/O failed");
-    }
-    *replayed = epoch;
-}
-
 /// The disk-mode publish: refreshes the shard's planner statistics and
 /// gauges, and (with a cache) applies the batch's deltas under the cache
 /// lock. The caller still holds the shard write lock, so the cache version
@@ -2559,7 +2429,7 @@ fn replay_catalog_ooc(
 /// observed the pre-batch tree can never pair its answer with the
 /// post-batch cache version, and vice versa.
 fn publish_ooc(
-    tree: &PagedDcTree<OocStore>,
+    tree: &DcTree<OocStore>,
     state: &OocShardState,
     metrics: &EngineMetrics,
     shard_id: usize,
@@ -2598,16 +2468,13 @@ fn publish_ooc(
 /// plus the observed buffer-pool miss rate the cost model converts into a
 /// cold-fetch multiplier. A pool with no history prices fully cold — the
 /// conservative prior for freshly opened shards.
-fn capture_ooc_stats(
-    tree: &PagedDcTree<OocStore>,
-    pool: &dc_oocore::ConcurrentPool,
-) -> PartitionStats {
+fn capture_ooc_stats(tree: &DcTree<OocStore>, pool: &dc_oocore::ConcurrentPool) -> PartitionStats {
     let p = pool.stats();
     let touches = p.hits + p.misses;
     PartitionStats {
         records: tree.len(),
-        tree_nodes: tree.num_nodes() as usize,
-        tree_height: tree.height().unwrap_or(1),
+        tree_nodes: tree.num_nodes(),
+        tree_height: tree.height(),
         records_per_block: FlatTable::for_schema(BlockConfig::DEFAULT, tree.schema())
             .records_per_block(),
         disk_resident: true,

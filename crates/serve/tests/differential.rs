@@ -72,7 +72,7 @@ fn queries(data: &TpcdData) -> Vec<dc_mds::Mds> {
 
 fn assert_engine_matches_monolith(engine: &ShardedDcTree, mono: &DcTree, data: &TpcdData) {
     assert_eq!(engine.len(), mono.len());
-    assert_eq!(engine.total_summary(), mono.total_summary());
+    assert_eq!(engine.total_summary(), mono.total_summary().unwrap());
     for q in queries(data) {
         assert_eq!(
             engine.range_summary(&q).unwrap(),
@@ -366,7 +366,7 @@ fn deletes_flow_through_shards() {
     }
     engine.flush();
     assert_eq!(engine.len(), mono.len());
-    assert_eq!(engine.total_summary(), mono.total_summary());
+    assert_eq!(engine.total_summary(), mono.total_summary().unwrap());
     let mut gen = RangeQueryGen::new(0.25, ValuePick::Scattered, 13);
     for _ in 0..30 {
         let q = gen.generate(&data.schema);
@@ -409,7 +409,7 @@ fn wal_recovery_restores_the_engine() {
     engine.flush();
     let mono = monolith(&data);
     assert_eq!(engine.len(), mono.len());
-    assert_eq!(engine.total_summary(), mono.total_summary());
+    assert_eq!(engine.total_summary(), mono.total_summary().unwrap());
     let mut gen = RangeQueryGen::new(0.05, ValuePick::Scattered, 17);
     for _ in 0..30 {
         let q = gen.generate(&data.schema);
@@ -512,7 +512,7 @@ fn checkpoint_bounds_replay_on_recovery() {
         mono.insert_raw(&data.paths_for(r), r.measure).unwrap();
     }
     assert_eq!(engine.len(), mono.len());
-    assert_eq!(engine.total_summary(), mono.total_summary());
+    assert_eq!(engine.total_summary(), mono.total_summary().unwrap());
     let mut gen = RangeQueryGen::new(0.05, ValuePick::Scattered, 23);
     for _ in 0..30 {
         let q = gen.generate(&data.schema);

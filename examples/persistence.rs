@@ -1,15 +1,15 @@
-//! Persistence: snapshot a loaded warehouse to disk — as a flat image and
-//! as a page chain inside a block-structured database file — then reload
-//! and keep inserting (the fully dynamic lifecycle survives restarts).
+//! Persistence: snapshot a loaded warehouse to disk as a flat image, and
+//! keep the same warehouse as a live disk tree whose nodes are pages of a
+//! block-structured file — then reopen and keep inserting (the fully
+//! dynamic lifecycle survives restarts either way).
 //!
 //! Run with:
 //! ```sh
 //! cargo run --release --example persistence [num_records]
 //! ```
 
-use dctree::storage::{BlockConfig, PagedFile};
 use dctree::tpcd::{generate, TpcdConfig};
-use dctree::tree::PagedTreeStore;
+use dctree::tree::DiskDcTree;
 use dctree::{AggregateOp, DcTree, DcTreeConfig, Mds};
 
 fn main() -> dctree::DcResult<()> {
@@ -26,7 +26,7 @@ fn main() -> dctree::DcResult<()> {
     for r in &data.records {
         tree.insert(r.clone())?;
     }
-    let total_before = tree.total_summary();
+    let total_before = tree.total_summary()?;
     println!("  {} records, total {} cents", tree.len(), total_before.sum);
 
     // 1. Flat image.
@@ -35,20 +35,26 @@ fn main() -> dctree::DcResult<()> {
     let flat_size = std::fs::metadata(&flat_path)?.len();
     println!("\nflat image: {flat_path:?} ({flat_size} bytes)");
     let reloaded = DcTree::load_from(&flat_path)?;
-    assert_eq!(reloaded.total_summary(), total_before);
+    assert_eq!(reloaded.total_summary()?, total_before);
     println!("  reloaded and verified (invariants checked on load)");
 
-    // 2. Page chain inside a block-structured file with an LRU buffer pool.
+    // 2. The same tree with its nodes in a paged file behind an LRU buffer
+    //    pool: nothing to snapshot, `flush` makes the file reopenable.
     let paged_path = dir.join("warehouse.pages");
-    let file = PagedFile::create(&paged_path, BlockConfig::DEFAULT)?;
-    let mut store = PagedTreeStore::create(file, 64)?;
-    store.save(&tree)?;
-    let pages = store.pool_mut().file_mut().num_pages();
-    println!("\npaged store: {paged_path:?} ({pages} × 4 KiB pages)");
-    let mut reloaded = store.load()?;
-    println!("  buffer pool after load: {:?}", store.pool_mut().stats());
+    let config = DcTreeConfig::default();
+    let mut disk = DiskDcTree::create(&paged_path, data.schema.clone(), config, 64)?;
+    for chunk in data.records.chunks(256) {
+        disk.insert_batch(chunk.to_vec())?;
+    }
+    disk.flush()?;
+    let pages = std::fs::metadata(&paged_path)?.len() / config.block.block_size as u64;
+    println!("\ndisk tree: {paged_path:?} ({pages} × 4 KiB pages)");
+    println!("  buffer pool after load: {:?}", disk.pool_stats());
+    drop(disk);
+    let mut reloaded = DiskDcTree::open(&paged_path, config, 64)?;
+    assert_eq!(reloaded.total_summary()?, total_before);
 
-    // 3. The reloaded warehouse stays fully dynamic.
+    // 3. The reopened warehouse stays fully dynamic.
     reloaded.insert_raw(
         &[
             vec!["EUROPE", "GERMANY", "MACHINERY", "Customer#999999999"],

@@ -43,7 +43,7 @@ fn main() -> dctree::DcResult<()> {
     );
 
     // The root materializes the total: no traversal needed.
-    let total = tree.total_summary();
+    let total = tree.total_summary()?;
     println!(
         "total revenue: {} cents over {} sales",
         total.sum, total.count

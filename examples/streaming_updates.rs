@@ -125,7 +125,7 @@ fn main() {
         queries_run.load(Ordering::Relaxed),
         queries_run.load(Ordering::Relaxed) as f64 / seconds as f64
     );
-    let total = tree.with_read(|t| t.total_summary());
+    let total = tree.with_read(|t| t.total_summary()).unwrap();
     println!(
         "warehouse now holds {} trades worth {} cents",
         total.count, total.sum

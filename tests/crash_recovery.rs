@@ -164,7 +164,7 @@ fn check_recovery(
     );
     let mono = oracle(data, ops, p as usize);
     assert_eq!(engine.len(), mono.len(), "len mismatch at prefix {p}");
-    assert_eq!(engine.total_summary(), mono.total_summary());
+    assert_eq!(engine.total_summary(), mono.total_summary().unwrap());
     let mut gen = RangeQueryGen::new(0.1, ValuePick::Scattered, 29);
     for _ in 0..15 {
         let q = gen.generate(&data.schema);

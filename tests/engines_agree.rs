@@ -81,7 +81,7 @@ fn scattered_queries_agree_between_dc_and_scan() {
 fn totals_agree() {
     let e = build_engines(1500, 17);
     let want: MeasureSummary = e.data.records.iter().map(|r| r.measure).collect();
-    assert_eq!(e.dc.total_summary(), want);
+    assert_eq!(e.dc.total_summary().unwrap(), want);
     let all = dctree::Mds::all(&e.data.schema);
     assert_eq!(e.scan.range_summary(&e.data.schema, &all).unwrap(), want);
     assert_eq!(e.x.range_summary(&dctree::xtree::Mbr::universe(13)), want);

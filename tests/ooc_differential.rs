@@ -15,8 +15,8 @@ use dctree::plan::Backend;
 use dctree::ql::ParsedStatement;
 use dctree::query::{RangeQueryGen, ValuePick};
 use dctree::serve::{
-    DiskOptions, EngineConfig, OocOptions, PartitionPolicy, PlannerOptions, ShardedDcTree,
-    StorageMode, SyncPolicy, WalOptions,
+    CacheConfig, DiskOptions, EngineConfig, OocOptions, PartitionPolicy, PlannerOptions,
+    ShardedDcTree, StorageMode, SyncPolicy, WalOptions,
 };
 use dctree::storage::BlockConfig;
 use dctree::tpcd::{generate, TpcdConfig, TpcdData};
@@ -76,6 +76,7 @@ fn queries(data: &TpcdData) -> Vec<Mds> {
 }
 
 fn assert_engines_agree(disk: &ShardedDcTree, ram: &ShardedDcTree, data: &TpcdData) {
+    disk.check_invariants().unwrap();
     assert_eq!(disk.len(), ram.len());
     assert_eq!(disk.total_summary(), ram.total_summary());
     for (qi, q) in queries(data).iter().enumerate() {
@@ -152,6 +153,58 @@ fn disk_engine_matches_resident_engine_through_churn() {
     disk.flush();
     ram.flush();
     assert_engines_agree(&disk, &ram, &data);
+}
+
+/// A `FLUSH` of disk shards nothing has touched since their last publish
+/// is acknowledged without publishing again: it touches no page, and what
+/// the cache held before it still answers after it.
+#[test]
+fn idle_flush_of_disk_shards_neither_publishes_nor_touches_pages() {
+    let data = generate(&TpcdConfig::scaled(800, 61));
+    let disk = ShardedDcTree::new(
+        data.schema.clone(),
+        EngineConfig {
+            cache: Some(CacheConfig::default()),
+            ..config(tiny_disk("idle"))
+        },
+    )
+    .unwrap();
+    for r in &data.records {
+        disk.insert_raw(&data.paths_for(r), r.measure).unwrap();
+    }
+    disk.flush();
+
+    let q = Mds::all(&data.schema);
+    let first = disk.range_summary(&q).unwrap();
+    let touches = |e: &ShardedDcTree| {
+        let stats = e.stats_json();
+        json_u64(&stats, "pool_hits") + json_u64(&stats, "pool_misses")
+    };
+    let (touched, published) = (touches(&disk), published_at(&disk));
+    disk.flush();
+    disk.flush();
+    assert_eq!(touches(&disk), touched, "an idle FLUSH read pages");
+    assert!(
+        published_at(&disk) > published,
+        "the barrier still refreshes snapshot_published_at"
+    );
+
+    let hits = disk.metrics().cache.hits.load(Ordering::Relaxed);
+    assert_eq!(disk.range_summary(&q).unwrap(), first);
+    assert_eq!(disk.metrics().cache.hits.load(Ordering::Relaxed), hits + 1);
+    assert_eq!(touches(&disk), touched, "a cache hit read pages");
+    disk.check_invariants().unwrap();
+}
+
+/// The oldest `snapshot_published_at` over the engine's shards.
+fn published_at(engine: &ShardedDcTree) -> u64 {
+    engine
+        .metrics()
+        .shards
+        .iter()
+        .map(|s| s.snapshot_published_at.load(Ordering::Relaxed))
+        .min()
+        .unwrap()
 }
 
 #[test]

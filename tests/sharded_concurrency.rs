@@ -128,7 +128,7 @@ fn writers_and_readers_race_then_agree_with_sequential_replay() {
     // every aggregate agrees too.
     assert_eq!(engine.len(), (WRITERS * TRADES_PER_WRITER) as u64);
     assert_eq!(engine.len(), replay.len());
-    assert_eq!(engine.total_summary(), replay.total_summary());
+    assert_eq!(engine.total_summary(), replay.total_summary().unwrap());
     let q = Mds::all(&replay.schema().clone());
     assert_eq!(
         engine.range_query(&q, AggregateOp::Sum).unwrap(),
@@ -282,7 +282,7 @@ fn cached_rollups_race_writers_and_deleters_then_agree() {
         assert_eq!(engine.len(), replay.len(), "under {policy:?}");
         assert_eq!(
             engine.total_summary(),
-            replay.total_summary(),
+            replay.total_summary().unwrap(),
             "under {policy:?}"
         );
         // Per-sector equality by *name* (IDs may differ: concurrent writers
