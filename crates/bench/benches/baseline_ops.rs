@@ -3,8 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dc_bitmap::{BitmapIndex, CompressedBitmap};
+use dc_common::TempDir;
+use dc_oocore::ConcurrentPool;
 use dc_query::{RangeQueryGen, ValuePick};
-use dc_storage::{BlockConfig, BufferPool, PagedFile};
+use dc_storage::{BlockConfig, PagedFile};
 use dc_tpcd::{generate, TpcdConfig};
 
 fn bench_wah(c: &mut Criterion) {
@@ -62,11 +64,9 @@ fn bench_bitmap_index(c: &mut Criterion) {
 }
 
 fn bench_storage(c: &mut Criterion) {
-    let dir = std::env::temp_dir().join("dc-bench-storage");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("bench-{}", std::process::id()));
-    let file = PagedFile::create(&path, BlockConfig::DEFAULT).unwrap();
-    let mut pool = BufferPool::new(file, 64);
+    let dir = TempDir::new("bench-storage");
+    let file = PagedFile::create(dir.join("pages"), BlockConfig::DEFAULT).unwrap();
+    let pool = ConcurrentPool::new(file, 64);
     let pages: Vec<_> = (0..256).map(|_| pool.alloc().unwrap()).collect();
     for (i, &p) in pages.iter().enumerate() {
         pool.with_page_mut(p, |d| d[0] = i as u8).unwrap();
@@ -90,7 +90,6 @@ fn bench_storage(c: &mut Criterion) {
         })
     });
     g.finish();
-    std::fs::remove_file(&path).ok();
 }
 
 criterion_group! {

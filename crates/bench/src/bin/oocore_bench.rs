@@ -20,10 +20,9 @@
 //! cargo run --release -p dc-bench --bin oocore_bench [records] [queries]
 //! ```
 
-use std::path::PathBuf;
 use std::time::Instant;
 
-use dc_common::{AggregateOp, DimensionId};
+use dc_common::{AggregateOp, DimensionId, TempDir};
 use dc_mds::Mds;
 use dc_oocore::{OocDcTree, OocOptions};
 use dc_query::{RangeQueryGen, ValuePick};
@@ -34,13 +33,6 @@ use dc_tree::DcTreeConfig;
 
 const BLOCK: usize = 1024;
 const SHARDS: usize = 2;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dc-oocbench-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir bench dir");
-    dir
-}
 
 /// Extracts the first integer after `"key":` in hand-rolled STATS JSON.
 fn json_u64(json: &str, key: &str) -> u64 {
@@ -113,7 +105,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Density: compressed vs. plain pages, one standalone shard each.
     // ------------------------------------------------------------------
-    let dir = temp_dir("density");
+    let dir = TempDir::new("oocbench-density");
     let mut density = Vec::new();
     for (name, compress) in [("compressed", true), ("plain", false)] {
         let tree = OocDcTree::create(
@@ -175,8 +167,9 @@ fn main() {
         engine.flush();
         engine
     };
+    let serve_dir = TempDir::new("oocbench-serve");
     let disk = build(StorageMode::Disk(DiskOptions {
-        dir: temp_dir("serve"),
+        dir: serve_dir.to_path_buf(),
         ooc: OocOptions {
             block: BlockConfig::new(BLOCK),
             frames,

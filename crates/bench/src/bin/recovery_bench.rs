@@ -15,10 +15,11 @@
 //! cargo run --release -p dc-bench --bin recovery_bench [records]
 //! ```
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
+use dc_common::TempDir;
 use dc_serve::{EngineConfig, ShardedDcTree, SyncPolicy, WalOptions};
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
 
@@ -34,7 +35,7 @@ struct Run {
     checkpoint_lsn: u64,
 }
 
-fn config(dir: &PathBuf, checkpoint_every: u64) -> EngineConfig {
+fn config(dir: &Path, checkpoint_every: u64) -> EngineConfig {
     EngineConfig {
         num_shards: SHARDS,
         wal: Some(WalOptions {
@@ -50,11 +51,7 @@ fn config(dir: &PathBuf, checkpoint_every: u64) -> EngineConfig {
 }
 
 fn bench(data: &TpcdData, checkpoint_every: u64) -> Run {
-    let dir = std::env::temp_dir().join(format!(
-        "dc-recovery-bench-{}-{checkpoint_every}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("recovery-bench");
 
     let engine = ShardedDcTree::new(data.schema.clone(), config(&dir, checkpoint_every))
         .expect("open engine");
@@ -93,7 +90,6 @@ fn bench(data: &TpcdData, checkpoint_every: u64) -> Run {
     };
     recovered.shutdown();
     drop(recovered);
-    let _ = std::fs::remove_dir_all(&dir);
     run
 }
 

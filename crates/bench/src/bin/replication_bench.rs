@@ -22,10 +22,11 @@
 //! cargo run --release -p dc-bench --bin replication_bench [records]
 //! ```
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dc_common::TempDir;
 use dc_replica::{EngineSource, Follower, FollowerConfig};
 use dc_serve::{EngineConfig, ShardedDcTree, SyncPolicy, WalOptions};
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
@@ -34,7 +35,7 @@ const SHARDS: usize = 2;
 const ROUNDS: usize = 50;
 const BATCH: usize = 20;
 
-fn wal_config(dir: &PathBuf) -> EngineConfig {
+fn wal_config(dir: &Path) -> EngineConfig {
     EngineConfig {
         num_shards: SHARDS,
         wal: Some(WalOptions {
@@ -45,12 +46,6 @@ fn wal_config(dir: &PathBuf) -> EngineConfig {
         }),
         ..EngineConfig::default()
     }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dc-repl-bench-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn main() {
@@ -66,8 +61,8 @@ fn main() {
     println!("generating TPC-D cube: {records} lineitems…");
     let data: TpcdData = generate(&TpcdConfig::scaled(records, 17));
 
-    let primary_dir = temp_dir("primary");
-    let follower_dir = temp_dir("follower");
+    let primary_dir = TempDir::new("repl-bench-primary");
+    let follower_dir = TempDir::new("repl-bench-follower");
 
     let primary = Arc::new(
         ShardedDcTree::new(data.schema.clone(), wal_config(&primary_dir)).expect("open primary"),
@@ -175,7 +170,4 @@ fn main() {
     let path = "results/replication_bench.json";
     std::fs::write(path, &json).expect("write report");
     println!("report written to {path}");
-
-    let _ = std::fs::remove_dir_all(&primary_dir);
-    let _ = std::fs::remove_dir_all(&follower_dir);
 }

@@ -55,9 +55,9 @@
 //!
 //! The paper's nodes are disk blocks. [`DcTree`] is generic over a
 //! [`NodeStore`]: the default [`Arena`] keeps them in memory (and charges
-//! logical page I/O), [`ChainStore`] keeps them as page chains behind an LRU
-//! buffer pool ([`DiskDcTree`]), and `dc-oocore` serves them compressed
-//! through a concurrent pool. Insert, choose-subtree, hierarchy split,
+//! logical page I/O), and `dc_oocore::OocStore` — the one paged store —
+//! keeps them as page chains behind a concurrent buffer pool, compressed or
+//! plain. Insert, choose-subtree, hierarchy split,
 //! supernode growth, queries, deletion, bulk load, the invariant checker
 //! and the statistics exist once, written against the trait, so every
 //! store builds the same tree node for node
@@ -79,5 +79,5 @@ pub mod tree;
 pub use config::DcTreeConfig;
 pub use query::PreparedRange;
 pub use stats::{DeadSpaceReport, LevelStat, TreeStats};
-pub use store::{Arena, ChainStore, DiskDcTree, NodeStore, PersistentStore};
+pub use store::{Arena, NodeStore, PersistentStore};
 pub use tree::{DcTree, TreeMetrics};

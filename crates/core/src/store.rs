@@ -1,38 +1,24 @@
 //! Where DC-tree nodes live.
 //!
-//! [`DcTree`] holds the DC-tree *algorithms* (choose-subtree,
+//! [`DcTree`](crate::DcTree) holds the DC-tree *algorithms* (choose-subtree,
 //! hierarchy split, condensation, materialized range queries); a
 //! [`NodeStore`] holds the *nodes*. The paper's nodes are disk blocks; here
 //! the same tree runs over the in-memory [`Arena`] (the default, and what
-//! every resident shard uses), over the single-threaded [`ChainStore`] (a
-//! `BufferPool` behind a `RefCell`, as used by tests and tools) and over the
-//! concurrent, scan-resistant pool in `dc-oocore` (compressed node pages
-//! served to the sharded engine) without duplicating any tree logic.
+//! every resident shard uses) and over `dc_oocore::OocStore` (node pages
+//! behind the concurrent, scan-resistant buffer pool) without duplicating
+//! any tree logic. This crate knows neither pages nor pools: how a node is
+//! laid out on disk is the paged store's business alone.
 //!
 //! A store hands out [`NodeId`] handles. For the arena a handle is a slot
-//! index; for chain stores it is the head page of the node's page chain,
-//! and directory entries persist it through [`NodeId::raw`].
+//! index; for a paged store it is whatever locates the node there (the head
+//! page of its chain), and directory entries persist it through
+//! [`NodeId::raw`].
 
 use std::borrow::Cow;
-use std::cell::RefCell;
-use std::path::Path;
 
-use dc_common::{DcError, DcResult};
-use dc_hierarchy::CubeSchema;
-use dc_storage::{BlockConfig, BufferPool, ByteReader, ByteWriter, PageId, PagedFile, PoolStats};
+use dc_common::DcResult;
 
-use crate::config::DcTreeConfig;
 use crate::node::{Node, NodeId};
-use crate::persist::{read_node, write_node};
-use crate::tree::DcTree;
-
-/// Sentinel `next` link terminating a page chain.
-pub const CHAIN_NONE: u64 = u64::MAX;
-/// Per-page chain header: `[next: u64][len: u32]`.
-pub const PAGE_HEADER: usize = 8 + 4;
-/// The page holding the head of the metadata chain (page 0 is the paged
-/// file's own header).
-pub const META_PAGE: u64 = 1;
 
 /// Storage for DC-tree nodes, keyed by [`NodeId`].
 ///
@@ -63,8 +49,11 @@ pub trait NodeStore {
 
 /// A [`NodeStore`] that outlives the process: besides nodes it keeps one
 /// metadata blob (tree root, counters, schema), which is what
-/// [`DcTree::create_in`] / [`DcTree::open_in`] / [`DcTree::flush`] write
-/// and read.
+/// [`create_in`] / [`open_in`] / [`flush`] write and read.
+///
+/// [`create_in`]: crate::DcTree::create_in
+/// [`open_in`]: crate::DcTree::open_in
+/// [`flush`]: crate::DcTree::flush
 pub trait PersistentStore: NodeStore {
     /// Tells the store the cube's dimensionality, which decoding a node
     /// needs (MDS sets are not counted on disk). The tree calls this before
@@ -79,19 +68,6 @@ pub trait PersistentStore: NodeStore {
 
     /// Forces every buffered write down to durable storage.
     fn sync(&mut self) -> DcResult<()>;
-}
-
-/// The page a paged store keeps the node `id` at.
-pub fn page_of(id: NodeId) -> PageId {
-    PageId(u64::from(id.raw()))
-}
-
-/// The node handle for a freshly allocated `page`; fails once a file has
-/// outgrown the 32-bit handle directory entries persist.
-pub fn node_at(page: PageId) -> DcResult<NodeId> {
-    u32::try_from(page.0)
-        .map(NodeId::from_raw)
-        .map_err(|_| DcError::Config(format!("page {} exceeds the node-handle width", page.0)))
 }
 
 // ----------------------------------------------------------------------
@@ -164,252 +140,6 @@ impl NodeStore for Arena {
         let node = self.slots[id.index()].take().expect("double free");
         self.free.push(id.0);
         Ok(node)
-    }
-}
-
-// ----------------------------------------------------------------------
-// Chain primitives: every node is a chain of pages
-// `[next: u64][len: u32][payload]`.
-// ----------------------------------------------------------------------
-
-pub(crate) fn read_chain(pool: &mut BufferPool, head: PageId) -> DcResult<Vec<u8>> {
-    let mut out = Vec::new();
-    let mut page = head.0;
-    let mut guard = 0usize;
-    while page != CHAIN_NONE {
-        let (next, chunk) = pool.with_page(PageId(page), |d| {
-            let next = u64::from_le_bytes(d[0..8].try_into().expect("8 bytes"));
-            let len = u32::from_le_bytes(d[8..12].try_into().expect("4 bytes")) as usize;
-            let len = len.min(d.len() - PAGE_HEADER);
-            (next, d[PAGE_HEADER..PAGE_HEADER + len].to_vec())
-        })?;
-        out.extend_from_slice(&chunk);
-        page = next;
-        guard += 1;
-        if guard > 1 << 22 {
-            return Err(DcError::Corrupt("page chain cycle".into()));
-        }
-    }
-    Ok(out)
-}
-
-pub(crate) fn chain_pages(pool: &mut BufferPool, head: PageId) -> DcResult<Vec<PageId>> {
-    let mut pages = vec![head];
-    let mut page = head.0;
-    loop {
-        let next = pool.with_page(PageId(page), |d| {
-            u64::from_le_bytes(d[0..8].try_into().expect("8 bytes"))
-        })?;
-        if next == CHAIN_NONE {
-            return Ok(pages);
-        }
-        pages.push(PageId(next));
-        page = next;
-        if pages.len() > 1 << 22 {
-            return Err(DcError::Corrupt("page chain cycle".into()));
-        }
-    }
-}
-
-/// Rewrites the chain headed at `head` (which stays the head) to hold
-/// `bytes`, reusing pages, allocating extras, freeing spares.
-pub(crate) fn write_chain(
-    pool: &mut BufferPool,
-    head: PageId,
-    bytes: &[u8],
-    payload_per_page: usize,
-) -> DcResult<()> {
-    let mut existing = chain_pages(pool, head)?;
-    let chunks: Vec<&[u8]> = if bytes.is_empty() {
-        vec![&[][..]]
-    } else {
-        bytes.chunks(payload_per_page).collect()
-    };
-    // Grow or shrink the page list to match.
-    while existing.len() < chunks.len() {
-        let p = pool.alloc()?;
-        existing.push(p);
-    }
-    while existing.len() > chunks.len() {
-        let spare = existing.pop().expect("len checked");
-        pool.free(spare)?;
-    }
-    for (i, chunk) in chunks.iter().enumerate() {
-        let next = if i + 1 < existing.len() {
-            existing[i + 1].0
-        } else {
-            CHAIN_NONE
-        };
-        pool.with_page_mut(existing[i], |d| {
-            d[0..8].copy_from_slice(&next.to_le_bytes());
-            d[8..12].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
-            d[PAGE_HEADER..PAGE_HEADER + chunk.len()].copy_from_slice(chunk);
-        })?;
-    }
-    Ok(())
-}
-
-pub(crate) fn free_chain(pool: &mut BufferPool, head: PageId) -> DcResult<()> {
-    for page in chain_pages(pool, head)? {
-        pool.free(page)?;
-    }
-    Ok(())
-}
-
-/// Marks a fresh page as an empty, terminated chain.
-pub(crate) fn init_chain(pool: &mut BufferPool, head: PageId) -> DcResult<()> {
-    pool.with_page_mut(head, |d| {
-        d[0..8].copy_from_slice(&CHAIN_NONE.to_le_bytes());
-        d[8..12].copy_from_slice(&0u32.to_le_bytes());
-    })
-}
-
-/// The single-threaded chain store: a [`BufferPool`] over a [`PagedFile`],
-/// nodes encoded with the plain (uncompressed) persist codec. This is the
-/// store behind [`DiskDcTree`].
-#[derive(Debug)]
-pub struct ChainStore {
-    pool: RefCell<BufferPool>,
-    payload: usize,
-    num_dims: usize,
-}
-
-impl ChainStore {
-    /// Creates a fresh chain store at `path` (truncating any existing
-    /// file); `frames` bounds the buffer pool.
-    pub fn create(path: impl AsRef<Path>, block: BlockConfig, frames: usize) -> DcResult<Self> {
-        let file = PagedFile::create(path, block)?;
-        let mut pool = BufferPool::new(file, frames);
-        let meta = pool.alloc()?;
-        debug_assert_eq!(meta.0, META_PAGE, "metadata occupies page 1");
-        init_chain(&mut pool, meta)?;
-        Ok(ChainStore {
-            pool: RefCell::new(pool),
-            payload: block.block_size - PAGE_HEADER,
-            num_dims: 0,
-        })
-    }
-
-    /// Opens an existing chain store.
-    pub fn open(path: impl AsRef<Path>, block: BlockConfig, frames: usize) -> DcResult<Self> {
-        let file = PagedFile::open(path, block)?;
-        let pool = BufferPool::new(file, frames);
-        Ok(ChainStore {
-            pool: RefCell::new(pool),
-            payload: block.block_size - PAGE_HEADER,
-            num_dims: 0,
-        })
-    }
-
-    /// Buffer-pool counters: real page hits, misses, write-backs.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.borrow().stats()
-    }
-
-    fn load(&self, id: NodeId) -> DcResult<Node> {
-        let bytes = read_chain(&mut self.pool.borrow_mut(), page_of(id))?;
-        let mut r = ByteReader::new(&bytes);
-        let node = read_node(&mut r, self.num_dims)?;
-        r.expect_end()?;
-        Ok(node)
-    }
-
-    fn store(&self, id: NodeId, node: &Node) -> DcResult<()> {
-        let mut w = ByteWriter::new();
-        write_node(&mut w, node);
-        write_chain(
-            &mut self.pool.borrow_mut(),
-            page_of(id),
-            &w.into_vec(),
-            self.payload,
-        )
-    }
-}
-
-impl NodeStore for ChainStore {
-    fn get(&self, id: NodeId) -> DcResult<Cow<'_, Node>> {
-        self.load(id).map(Cow::Owned)
-    }
-
-    fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R> {
-        let mut node = self.load(id)?;
-        let out = f(&mut node)?;
-        self.store(id, &node)?;
-        Ok(out)
-    }
-
-    fn alloc(&mut self, node: Node) -> DcResult<NodeId> {
-        let head = {
-            let mut pool = self.pool.borrow_mut();
-            let head = pool.alloc()?;
-            // Fresh pages are zeroed; initialize an empty chain terminator
-            // before the real store.
-            init_chain(&mut pool, head)?;
-            head
-        };
-        let id = node_at(head)?;
-        self.store(id, &node)?;
-        Ok(id)
-    }
-
-    fn free(&mut self, id: NodeId) -> DcResult<Node> {
-        let node = self.load(id)?;
-        free_chain(&mut self.pool.borrow_mut(), page_of(id))?;
-        Ok(node)
-    }
-}
-
-impl PersistentStore for ChainStore {
-    fn set_num_dims(&mut self, num_dims: usize) {
-        self.num_dims = num_dims;
-    }
-
-    fn read_meta(&self) -> DcResult<Vec<u8>> {
-        read_chain(&mut self.pool.borrow_mut(), PageId(META_PAGE))
-    }
-
-    fn write_meta(&mut self, bytes: &[u8]) -> DcResult<()> {
-        write_chain(
-            &mut self.pool.borrow_mut(),
-            PageId(META_PAGE),
-            bytes,
-            self.payload,
-        )
-    }
-
-    fn sync(&mut self) -> DcResult<()> {
-        self.pool.borrow_mut().flush()
-    }
-}
-
-/// The classic single-threaded disk tree: the DC-tree over the
-/// uncompressed [`ChainStore`]. Every node visit goes through the store's
-/// buffer pool, so the paper's I/O story is physically measurable.
-pub type DiskDcTree = DcTree<ChainStore>;
-
-impl DiskDcTree {
-    /// Creates a fresh disk tree at `path` (truncating any existing file).
-    /// `frames` bounds the buffer pool.
-    pub fn create(
-        path: impl AsRef<Path>,
-        schema: CubeSchema,
-        config: DcTreeConfig,
-        frames: usize,
-    ) -> DcResult<Self> {
-        config.validate();
-        let store = ChainStore::create(path, config.block, frames)?;
-        Self::create_in(store, schema, config)
-    }
-
-    /// Opens an existing disk tree.
-    pub fn open(path: impl AsRef<Path>, config: DcTreeConfig, frames: usize) -> DcResult<Self> {
-        let store = ChainStore::open(path, config.block, frames)?;
-        Self::open_in(store, config)
-    }
-
-    /// Buffer-pool counters: real page hits, misses, write-backs.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.store().pool_stats()
     }
 }
 

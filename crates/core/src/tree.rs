@@ -152,7 +152,9 @@ impl<S: PersistentStore> DcTree<S> {
         if r.get_u64()? != META_MAGIC {
             return Err(DcError::Corrupt("not a disk DC-tree".into()));
         }
-        let root = crate::store::node_at(dc_storage::PageId(r.get_u64()?))?;
+        let root = u32::try_from(r.get_u64()?)
+            .map(NodeId::from_raw)
+            .map_err(|_| DcError::Corrupt("root handle exceeds the node-handle width".into()))?;
         let next_record_id = r.get_u64()?;
         let len = r.get_u64()?;
         let nodes = r.get_u64()? as usize;

@@ -119,8 +119,7 @@ fn loaded_tree_remains_fully_dynamic() {
 #[test]
 fn save_and_load_via_file() {
     let tree = build_tree(80, 5);
-    let dir = std::env::temp_dir().join("dctree-persistence-test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dc_common::TempDir::new("persistence-test");
     let path = dir.join("tree.dct");
     tree.save_to(&path).unwrap();
     let loaded = DcTree::load_from(&path).unwrap();
@@ -128,7 +127,6 @@ fn save_and_load_via_file() {
         loaded.total_summary().unwrap(),
         tree.total_summary().unwrap()
     );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]

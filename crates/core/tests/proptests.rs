@@ -5,7 +5,7 @@
 use dc_common::{AggregateOp, DimensionId, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
 use dc_mds::{DimSet, Mds};
-use dc_tree::{DcTree, DcTreeConfig, DiskDcTree};
+use dc_tree::{DcTree, DcTreeConfig};
 use proptest::prelude::*;
 
 /// One raw record, expressed as small indices so proptest can shrink it.
@@ -295,78 +295,5 @@ proptest! {
             forward.range_summary(&all).unwrap(),
             shuffled.range_summary(&Mds::all(shuffled.schema())).unwrap()
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// One algorithm, one tree, whatever the store: the same interned
-    /// stream — inserts batched, deletes interleaved — builds the same tree
-    /// node for node in the arena and on disk pages, under buffer-pool
-    /// pressure.
-    #[test]
-    fn disk_tree_matches_memory_tree(
-        steps in prop::collection::vec(step(), 1..60),
-        frames in 3usize..24,
-        batch in 1usize..6,
-    ) {
-        let dir = std::env::temp_dir().join("dc-disk-proptests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!(
-            "case-{}-{}",
-            std::process::id(),
-            std::thread::current().name().unwrap_or("t").len() as u64
-                + steps.len() as u64 * 1000
-                + frames as u64
-        ));
-        std::fs::remove_file(&path).ok();
-
-        let config = DcTreeConfig {
-            dir_capacity: 3,
-            data_capacity: 3,
-            ..DcTreeConfig::default()
-        };
-        let mut mem = DcTree::new(schema(), config);
-        let mut disk = DiskDcTree::create(&path, schema(), config, frames).unwrap();
-        let mut live: Vec<Record> = Vec::new();
-        let mut pending: Vec<Record> = Vec::new();
-        for s in &steps {
-            match s {
-                Step::Insert(r) => {
-                    let paths = paths_of(r);
-                    let dims = mem.intern_paths(&paths).unwrap();
-                    prop_assert_eq!(&disk.intern_paths(&paths).unwrap(), &dims);
-                    pending.push(Record::new(dims, r.measure as i64));
-                }
-                Step::Delete(i) => {
-                    if !live.is_empty() {
-                        let victim = live.swap_remove(*i as usize % live.len());
-                        prop_assert!(mem.delete(&victim).unwrap());
-                        prop_assert!(disk.delete(&victim).unwrap());
-                    }
-                }
-            }
-            if pending.len() >= batch {
-                live.extend(pending.iter().cloned());
-                mem.insert_batch(pending.clone()).unwrap();
-                disk.insert_batch(std::mem::take(&mut pending)).unwrap();
-            }
-        }
-        live.extend(pending.iter().cloned());
-        mem.insert_batch(pending.clone()).unwrap();
-        disk.insert_batch(pending).unwrap();
-
-        disk.check_invariants().unwrap();
-        prop_assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
-        prop_assert_eq!(disk.len(), mem.len());
-        prop_assert_eq!((disk.num_nodes(), disk.height()), (mem.num_nodes(), mem.height()));
-        for q in queries_for(&mem, 2) {
-            prop_assert_eq!(
-                disk.range_summary(&q).unwrap(),
-                mem.range_summary(&q).unwrap()
-            );
-        }
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -186,20 +186,11 @@ impl WalFs for FaultFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("dc-fault-tests")
-            .join(format!("{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use dc_common::TempDir;
 
     #[test]
     fn crash_budget_tears_the_crossing_write() {
-        let dir = tmp_dir("budget");
+        let dir = TempDir::new("fault-budget");
         let fs = FaultFs::new(FaultPlan {
             crash_after_bytes: Some(10),
             ..FaultPlan::default()
@@ -216,12 +207,11 @@ mod tests {
             fs.create_append(&dir.join("other")).unwrap_err(),
             DcError::Fault(_)
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bit_flip_lands_at_the_absolute_offset() {
-        let dir = tmp_dir("flip");
+        let dir = TempDir::new("fault-flip");
         let fs = FaultFs::new(FaultPlan {
             flip_bit: Some((5, 0x80)),
             ..FaultPlan::default()
@@ -234,12 +224,11 @@ mod tests {
         assert_eq!(bytes[5], 0x80);
         assert!(bytes.iter().enumerate().all(|(i, &b)| (i == 5) ^ (b == 0)));
         assert!(!fs.crashed(), "a flip is silent, not a crash");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn nth_sync_fails_and_crashes() {
-        let dir = tmp_dir("sync");
+        let dir = TempDir::new("fault-sync");
         let fs = FaultFs::new(FaultPlan {
             fail_sync: Some(2),
             ..FaultPlan::default()
@@ -250,6 +239,5 @@ mod tests {
         f.write_all(&[2]).unwrap();
         assert!(matches!(f.sync().unwrap_err(), DcError::Fault(_)));
         assert!(fs.crashed());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

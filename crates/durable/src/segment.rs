@@ -199,8 +199,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trip_and_corruption() {
-        let dir = std::env::temp_dir().join(format!("dc-manifest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = dc_common::TempDir::new("manifest");
         let fs = StdFs;
         assert!(Manifest::load(&fs, &dir).unwrap().is_none());
         let m = Manifest {
@@ -217,6 +216,5 @@ mod tests {
         bytes[last] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
         assert!(Manifest::load(&fs, &dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

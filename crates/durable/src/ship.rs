@@ -214,17 +214,8 @@ mod tests {
     use super::*;
     use crate::fs::StdFs;
     use crate::wal::{SyncPolicy, WalConfig, WalReader, WalWriter};
-    use std::path::PathBuf;
+    use dc_common::TempDir;
     use std::sync::Arc;
-
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("dc-ship-tests")
-            .join(format!("{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn sample(i: i64) -> WalEntry {
         WalEntry::Insert {
@@ -256,7 +247,7 @@ mod tests {
 
     #[test]
     fn fetch_from_one_ships_everything() {
-        let dir = tmp_dir("everything");
+        let dir = TempDir::new("ship-everything");
         let mut w = open_writer(&dir, 128);
         for i in 0..20 {
             w.append(&sample(i)).unwrap();
@@ -271,12 +262,11 @@ mod tests {
             assert_eq!(*lsn, i as u64 + 1);
             assert_eq!(e, &sample(i as i64));
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fetch_skips_fully_applied_segments() {
-        let dir = tmp_dir("partial");
+        let dir = TempDir::new("ship-partial");
         let mut w = open_writer(&dir, 128);
         for i in 0..20 {
             w.append(&sample(i)).unwrap();
@@ -292,12 +282,11 @@ mod tests {
         let lsns: Vec<u64> = entries.iter().map(|(l, _)| *l).collect();
         let want: Vec<u64> = (lsns[0]..=20).collect();
         assert_eq!(lsns, want, "run is LSN-continuous");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fetch_below_checkpoint_redirects() {
-        let dir = tmp_dir("redirect");
+        let dir = TempDir::new("ship-redirect");
         let mut w = open_writer(&dir, 1 << 20);
         for i in 0..10 {
             w.append(&sample(i)).unwrap();
@@ -314,12 +303,11 @@ mod tests {
             panic!("position past the checkpoint must ship");
         };
         assert_eq!(all_entries(&ships), vec![(11, sample(99))]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_tail_ships_clean_prefix_only() {
-        let dir = tmp_dir("torn");
+        let dir = TempDir::new("ship-torn");
         let mut w = open_writer(&dir, 1 << 20);
         for i in 0..6 {
             w.append(&sample(i)).unwrap();
@@ -343,12 +331,11 @@ mod tests {
         assert_eq!(ships.len(), 1);
         assert_eq!(ships[0].bytes.len() as u64, clean, "torn tail trimmed");
         assert_eq!(all_entries(&ships).len(), 6);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fetch_checkpoint_round_trips_manifest_and_images() {
-        let dir = tmp_dir("bundle");
+        let dir = TempDir::new("ship-bundle");
         // Fresh directory: empty bundle, zero checkpoint.
         let b = fetch_checkpoint(&StdFs, &dir).unwrap();
         assert_eq!(b.manifest.checkpoint_lsn, 0);
@@ -366,6 +353,5 @@ mod tests {
         let b = fetch_checkpoint(&StdFs, &dir).unwrap();
         assert_eq!(b.manifest.checkpoint_lsn, 4);
         assert_eq!(b.images, vec![(None, b"image-bytes".to_vec())]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -523,15 +523,7 @@ pub fn scan_raw_frames(bytes: &[u8]) -> (Vec<WalEntry>, usize) {
 mod tests {
     use super::*;
     use crate::fs::StdFs;
-
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("dc-wal-tests")
-            .join(format!("{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use dc_common::TempDir;
 
     fn sample(i: i64) -> WalEntry {
         WalEntry::Insert {
@@ -551,7 +543,7 @@ mod tests {
 
     #[test]
     fn append_recover_round_trip() {
-        let dir = tmp_dir("roundtrip");
+        let dir = TempDir::new("wal-roundtrip");
         let mut w = open_writer(&dir, WalConfig::default());
         let entries: Vec<WalEntry> = (0..20)
             .map(|i| {
@@ -576,12 +568,11 @@ mod tests {
         assert_eq!(scan.next_lsn, 21);
         assert!(!scan.tail_lost);
         assert_eq!(scan.truncated_bytes, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rotation_never_splits_a_frame() {
-        let dir = tmp_dir("rotate");
+        let dir = TempDir::new("wal-rotate");
         // Tiny budget: every entry (~50 B) forces a rotation.
         let mut w = open_writer(
             &dir,
@@ -609,12 +600,11 @@ mod tests {
         let scan = WalReader::recover(&StdFs, &dir).unwrap();
         assert_eq!(scan.entries.len(), 12);
         assert!(scan.segments_scanned >= 10);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_tail_is_truncated_and_appending_resumes() {
-        let dir = tmp_dir("torn");
+        let dir = TempDir::new("wal-torn");
         let mut w = open_writer(&dir, WalConfig::default());
         for i in 0..5 {
             w.append(&sample(i)).unwrap();
@@ -645,12 +635,11 @@ mod tests {
         let scan = WalReader::recover(&StdFs, &dir).unwrap();
         assert_eq!(scan.entries.len(), 6);
         assert_eq!(scan.truncated_bytes, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bit_flip_stops_the_scan_at_the_flip() {
-        let dir = tmp_dir("bitflip");
+        let dir = TempDir::new("wal-bitflip");
         let mut w = open_writer(&dir, WalConfig::default());
         for i in 0..8 {
             w.append(&sample(i)).unwrap();
@@ -665,12 +654,11 @@ mod tests {
         let scan = WalReader::recover(&StdFs, &dir).unwrap();
         assert!(scan.entries.len() < 8, "entries after the flip discarded");
         assert!(scan.truncated_bytes > 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_directory_recovers_empty() {
-        let dir = std::env::temp_dir().join("dc-wal-tests/never-created-dir");
+        let dir = TempDir::new("wal-missing").join("never-created-dir");
         let scan = WalReader::recover(&StdFs, &dir).unwrap();
         assert!(scan.entries.is_empty());
         assert_eq!(scan.next_lsn, 1);
@@ -679,7 +667,7 @@ mod tests {
 
     #[test]
     fn append_batch_matches_looped_appends() {
-        let dir = tmp_dir("batch");
+        let dir = TempDir::new("wal-batch");
         let mut w = open_writer(
             &dir,
             WalConfig {
@@ -703,12 +691,11 @@ mod tests {
         assert_eq!(scan.entries.len(), 8);
         assert_eq!(scan.entries[..7], entries);
         assert_eq!(scan.next_lsn, 9);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn crash_inside_a_batch_group_recovers_a_clean_prefix() {
-        let dir = tmp_dir("batch-torn");
+        let dir = TempDir::new("wal-batch-torn");
         let mut w = open_writer(&dir, WalConfig::default());
         let entries: Vec<WalEntry> = (0..5).map(sample).collect();
         w.append_batch(&entries).unwrap();
@@ -723,12 +710,11 @@ mod tests {
         let scan = WalReader::recover(&StdFs, &dir).unwrap();
         assert!(scan.entries.len() < 5);
         assert_eq!(scan.entries[..], entries[..scan.entries.len()]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn every_n_and_group_commit_policies_track_synced_lsn() {
-        let dir = tmp_dir("policies");
+        let dir = TempDir::new("wal-policies");
         let mut w = open_writer(
             &dir,
             WalConfig {
@@ -746,6 +732,5 @@ mod tests {
         assert_eq!(w.synced_lsn(), 4);
         w.group_commit().unwrap();
         assert_eq!(w.synced_lsn(), 5, "group commit flushes the remainder");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

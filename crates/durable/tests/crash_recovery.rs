@@ -2,6 +2,7 @@
 //! without checkpoint, torn log tails, checkpoint + tail mixes) and verify
 //! the store always reopens to exactly the acknowledged state.
 
+use dc_common::TempDir;
 use dc_durable::{segment_file_name, DurabilityConfig, DurableDcTree, SyncPolicy};
 use dc_hierarchy::{CubeSchema, HierarchySchema};
 use dc_mds::Mds;
@@ -30,14 +31,6 @@ fn make_tree() -> DcTree {
     )
 }
 
-fn fresh_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join("dc-durable-tests")
-        .join(format!("{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
 fn paths(i: u64) -> [Vec<String>; 2] {
     [
         vec![format!("R{}", i % 3), format!("R{}-N{}", i % 3, i % 7)],
@@ -62,7 +55,7 @@ fn live_segment(dir: &std::path::Path) -> std::path::PathBuf {
 
 #[test]
 fn reopen_without_checkpoint_replays_the_log() {
-    let dir = fresh_dir("replay");
+    let dir = TempDir::new("durable-replay");
     {
         let mut store = DurableDcTree::open(&dir, make_tree, DurabilityConfig::default()).unwrap();
         for i in 0..60 {
@@ -80,12 +73,11 @@ fn reopen_without_checkpoint_replays_the_log() {
         (0..60).sum::<i64>()
     );
     store.tree().check_invariants().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn checkpoint_plus_tail_recovers_both_parts() {
-    let dir = fresh_dir("mixed");
+    let dir = TempDir::new("durable-mixed");
     {
         let mut store = DurableDcTree::open(&dir, make_tree, DurabilityConfig::default()).unwrap();
         for i in 0..40 {
@@ -105,12 +97,11 @@ fn checkpoint_plus_tail_recovers_both_parts() {
     assert_eq!(report.checkpoint_lsn, 40);
     assert_eq!(report.replayed_entries, 31, "only the tail is replayed");
     store.tree().check_invariants().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn torn_log_tail_is_truncated_on_recovery() {
-    let dir = fresh_dir("torn");
+    let dir = TempDir::new("durable-torn");
     {
         let mut store = DurableDcTree::open(&dir, make_tree, DurabilityConfig::default()).unwrap();
         for i in 0..25 {
@@ -133,7 +124,6 @@ fn torn_log_tail_is_truncated_on_recovery() {
     let store = DurableDcTree::open(&dir, make_tree, DurabilityConfig::default()).unwrap();
     assert_eq!(store.tree().len(), 25);
     assert_eq!(store.recovery_report().truncated_bytes, 0);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -141,7 +131,7 @@ fn recovery_is_equivalent_to_never_crashing() {
     // Run the same random workload twice: once continuously, once chopped
     // into sessions with crashes (no checkpoint) between them. Final state
     // must match exactly.
-    let dir = fresh_dir("equivalence");
+    let dir = TempDir::new("durable-equivalence");
     let mut rng = StdRng::seed_from_u64(7);
     let ops: Vec<(bool, u64, i64)> = (0..200)
         .map(|_| {
@@ -203,12 +193,11 @@ fn recovery_is_equivalent_to_never_crashing() {
         continuous.range_summary(&q).unwrap()
     );
     store.tree().check_invariants().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn auto_checkpoint_bounds_the_log() {
-    let dir = fresh_dir("autockpt");
+    let dir = TempDir::new("durable-autockpt");
     let config = DurabilityConfig {
         sync: SyncPolicy::EveryN(16),
         checkpoint_every: 10,
@@ -229,12 +218,11 @@ fn auto_checkpoint_bounds_the_log() {
     let report = store.recovery_report();
     assert_eq!(report.checkpoint_lsn, 30);
     assert_eq!(report.replayed_entries, 5, "checkpoint bounds the replay");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn deleting_unknown_records_is_a_replayable_noop() {
-    let dir = fresh_dir("noop");
+    let dir = TempDir::new("durable-noop");
     {
         let mut store = DurableDcTree::open(&dir, make_tree, DurabilityConfig::default()).unwrap();
         store.insert_raw(&paths(1), 5).unwrap();
@@ -243,12 +231,11 @@ fn deleting_unknown_records_is_a_replayable_noop() {
     }
     let store = DurableDcTree::open(&dir, make_tree, DurabilityConfig::default()).unwrap();
     assert_eq!(store.tree().len(), 1);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn group_commit_policy_syncs_on_barrier() {
-    let dir = fresh_dir("groupcommit");
+    let dir = TempDir::new("durable-groupcommit");
     let config = DurabilityConfig {
         // An hour-long cadence: only explicit barriers sync.
         sync: SyncPolicy::GroupCommitMs(3_600_000),
@@ -262,7 +249,6 @@ fn group_commit_policy_syncs_on_barrier() {
     assert!(store.synced_lsn() < 10, "no barrier issued yet");
     store.sync().unwrap();
     assert_eq!(store.synced_lsn(), 10);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -271,7 +257,7 @@ fn rejected_writes_never_reach_the_log() {
     // (wrong dimension count, wrong path depth) must leave the WAL
     // untouched, or recovery replays the rejection and the directory can
     // never be reopened.
-    let dir = fresh_dir("rejected-writes");
+    let dir = TempDir::new("durable-rejected-writes");
     {
         let mut store = DurableDcTree::open(&dir, make_tree, DurabilityConfig::default()).unwrap();
         store.insert_raw(&paths(0), 10).unwrap();
@@ -294,5 +280,4 @@ fn rejected_writes_never_reach_the_log() {
     let store = DurableDcTree::open(&dir, make_tree, DurabilityConfig::default()).unwrap();
     assert_eq!(store.tree().len(), 2);
     assert_eq!(store.recovery_report().replayed_entries, 2);
-    std::fs::remove_dir_all(&dir).ok();
 }

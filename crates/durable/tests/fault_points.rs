@@ -15,7 +15,7 @@
 //! `group`) so CI can run the sweep as a matrix; everything else is fixed
 //! by seed.
 
-use dc_common::DcError;
+use dc_common::{DcError, TempDir};
 use dc_durable::{DurabilityConfig, DurableDcTree, FaultFs, FaultPlan, SyncPolicy};
 use dc_hierarchy::{CubeSchema, HierarchySchema};
 use dc_mds::Mds;
@@ -43,14 +43,6 @@ fn make_tree() -> DcTree {
             ..DcTreeConfig::default()
         },
     )
-}
-
-fn fresh_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join("dc-fault-points")
-        .join(format!("{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -180,7 +172,7 @@ fn check_recovery(
 
 /// Total WAL bytes the full workload writes (dry run, faults disabled).
 fn total_wal_bytes(ops: &[Op], cfg: DurabilityConfig, name: &str) -> u64 {
-    let dir = fresh_dir(name);
+    let dir = TempDir::new(name);
     let fs = FaultFs::new(FaultPlan::default());
     let (attempted, _) = run_until_fault(&dir, ops, &fs, cfg);
     assert_eq!(attempted, ops.len() as u64, "dry run must not fault");
@@ -204,7 +196,7 @@ fn crash_sweep_over_byte_offsets() {
         offsets.extend([base, base + 1, base + stride / 2]);
     }
     for offset in offsets {
-        let dir = fresh_dir(&format!("sweep-{offset}"));
+        let dir = TempDir::new(&format!("fault-sweep-{offset}"));
         let fs = FaultFs::new(FaultPlan {
             crash_after_bytes: Some(offset),
             ..FaultPlan::default()
@@ -212,7 +204,6 @@ fn crash_sweep_over_byte_offsets() {
         let (attempted, synced) = run_until_fault(&dir, &ops, &fs, cfg);
         assert!(fs.crashed(), "offset {offset} must crash mid-workload");
         check_recovery(&dir, &ops, attempted, synced);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -273,7 +264,7 @@ fn crash_sweep_at_batch_boundaries() {
         .collect();
     let cfg = config(0);
     let total = {
-        let dir = fresh_dir("batch-dry");
+        let dir = TempDir::new("fault-batch-dry");
         let fs = FaultFs::new(FaultPlan::default());
         let (attempted, _) = run_batched_until_fault(&dir, &ops, &fs, cfg);
         assert_eq!(attempted, ops.len() as u64, "dry run must not fault");
@@ -289,7 +280,7 @@ fn crash_sweep_at_batch_boundaries() {
         offsets.extend([base, base + 1, base + stride / 2]);
     }
     for offset in offsets {
-        let dir = fresh_dir(&format!("batch-{offset}"));
+        let dir = TempDir::new(&format!("fault-batch-{offset}"));
         let fs = FaultFs::new(FaultPlan {
             crash_after_bytes: Some(offset),
             ..FaultPlan::default()
@@ -297,7 +288,6 @@ fn crash_sweep_at_batch_boundaries() {
         let (attempted, synced) = run_batched_until_fault(&dir, &ops, &fs, cfg);
         assert!(fs.crashed(), "offset {offset} must crash mid-workload");
         check_recovery(&dir, &ops, attempted, synced);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -309,7 +299,7 @@ fn crash_sweep_with_checkpoints_bounds_replay() {
     // Crash points in the back half, where checkpoints have happened.
     for k in 1..8 {
         let offset = total / 2 + k * (total / 16);
-        let dir = fresh_dir(&format!("ckpt-{offset}"));
+        let dir = TempDir::new(&format!("fault-ckpt-{offset}"));
         let fs = FaultFs::new(FaultPlan {
             crash_after_bytes: Some(offset),
             ..FaultPlan::default()
@@ -325,7 +315,6 @@ fn crash_sweep_with_checkpoints_bounds_replay() {
             report.replayed_entries < ops.len() as u64,
             "checkpoint must bound the replay"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -337,7 +326,7 @@ fn failed_fsyncs_never_lose_synced_writes() {
     // the syncs a clean run makes and spread the fault points across that
     // range instead of hard-coding append-based positions.
     let total_syncs = {
-        let dir = fresh_dir("fsync-dry");
+        let dir = TempDir::new("fault-fsync-dry");
         let fs = FaultFs::new(FaultPlan::default());
         let (attempted, _) = run_until_fault(&dir, &ops, &fs, cfg);
         assert_eq!(attempted, ops.len() as u64, "dry run must not fault");
@@ -351,7 +340,7 @@ fn failed_fsyncs_never_lose_synced_writes() {
         .map(|k: u64| 1 + (k - 1) * total_syncs.saturating_sub(1) / 46)
         .collect();
     for nth in nths {
-        let dir = fresh_dir(&format!("fsync-{nth}"));
+        let dir = TempDir::new(&format!("fault-fsync-{nth}"));
         let fs = FaultFs::new(FaultPlan {
             fail_sync: Some(nth),
             ..FaultPlan::default()
@@ -359,7 +348,6 @@ fn failed_fsyncs_never_lose_synced_writes() {
         let (attempted, synced) = run_until_fault(&dir, &ops, &fs, cfg);
         assert!(fs.crashed(), "fsync #{nth} must fire");
         check_recovery(&dir, &ops, attempted, synced);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -370,7 +358,7 @@ fn bit_flips_recover_to_a_clean_prefix() {
     let total = total_wal_bytes(&ops, cfg, "flip-dry");
     for k in 1..10 {
         let offset = k * (total / 10);
-        let dir = fresh_dir(&format!("flip-{offset}"));
+        let dir = TempDir::new(&format!("fault-flip-{offset}"));
         let fs = FaultFs::new(FaultPlan {
             flip_bit: Some((offset, 0x10)),
             ..FaultPlan::default()
@@ -387,6 +375,5 @@ fn bit_flips_recover_to_a_clean_prefix() {
             report.truncated_bytes > 0 || report.tail_lost,
             "offset {offset}: the flip must be detected"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,6 +2,7 @@
 //! never panic, and arbitrary segment *files* recover cleanly through the
 //! full directory scanner.
 
+use dc_common::TempDir;
 use dc_durable::{segment_file_name, wal::scan_raw_frames, StdFs, WalReader};
 use proptest::prelude::*;
 
@@ -21,13 +22,7 @@ proptest! {
     /// scan is clean.
     #[test]
     fn directory_recovery_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let dir = std::env::temp_dir().join(format!(
-            "dc-wal-fuzz-{}-{}",
-            std::process::id(),
-            bytes.len()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("wal-fuzz");
         std::fs::write(dir.join(segment_file_name(1)), &bytes).unwrap();
         let scan = WalReader::recover(&StdFs, &dir).unwrap();
         prop_assert!(scan.truncated_bytes <= bytes.len() as u64);
@@ -36,6 +31,5 @@ proptest! {
         let rescan = WalReader::recover(&StdFs, &dir).unwrap();
         prop_assert_eq!(rescan.truncated_bytes, 0);
         prop_assert_eq!(rescan.entries.len(), entries);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

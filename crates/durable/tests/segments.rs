@@ -5,6 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
+use dc_common::TempDir;
 use dc_durable::{segment_file_name, StdFs, SyncPolicy, WalConfig, WalEntry, WalReader, WalWriter};
 
 fn entry(i: u64) -> WalEntry {
@@ -12,12 +13,6 @@ fn entry(i: u64) -> WalEntry {
         paths: vec![vec![format!("region-{}", i % 3), format!("cust-{i}")]],
         measure: i as i64 * 10,
     }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dc-seg-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn config(segment_bytes: u64) -> WalConfig {
@@ -66,7 +61,7 @@ fn frame_starts(path: &Path) -> Vec<u64> {
 /// next writer skips past its sequence number.
 #[test]
 fn empty_segment_file_is_discarded() {
-    let dir = temp_dir("empty");
+    let dir = TempDir::new("seg-empty");
     append_all(&dir, config(1 << 20), (0..3).map(entry));
     std::fs::write(segment_path(&dir, 2), b"").unwrap();
 
@@ -84,7 +79,6 @@ fn empty_segment_file_is_discarded() {
     let rescan = WalReader::recover(&StdFs, &dir).unwrap();
     assert_eq!(rescan.entries.len(), 4);
     assert_eq!(rescan.truncated_bytes, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A torn write that leaves only part of the 8-byte frame header (the state a
@@ -92,7 +86,7 @@ fn empty_segment_file_is_discarded() {
 /// rotation boundary where the frame would have opened the next segment).
 #[test]
 fn split_frame_header_at_the_tail_is_truncated() {
-    let dir = temp_dir("split");
+    let dir = TempDir::new("seg-split");
     append_all(&dir, config(1 << 20), (0..3).map(entry));
     let full_len = std::fs::metadata(segment_path(&dir, 1)).unwrap().len();
     let third_frame = frame_starts(&segment_path(&dir, 1))[2];
@@ -111,7 +105,6 @@ fn split_frame_header_at_the_tail_is_truncated() {
     let rescan = WalReader::recover(&StdFs, &dir).unwrap();
     assert_eq!(rescan.entries.len(), 2);
     assert_eq!(rescan.truncated_bytes, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A frame whose header (length *and* CRC of the full payload) is intact but
@@ -119,7 +112,7 @@ fn split_frame_header_at_the_tail_is_truncated() {
 /// there, so the scanner must bound-check the length before trusting it.
 #[test]
 fn crc_valid_but_short_payload_is_torn() {
-    let dir = temp_dir("short");
+    let dir = TempDir::new("seg-short");
     append_all(&dir, config(1 << 20), (0..3).map(entry));
     // Chop 3 payload bytes off the third frame, leaving its header claiming
     // more than the file holds.
@@ -131,7 +124,6 @@ fn crc_valid_but_short_payload_is_torn() {
     let rescan = WalReader::recover(&StdFs, &dir).unwrap();
     assert_eq!(rescan.entries.len(), 2);
     assert_eq!(rescan.truncated_bytes, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A live segment deleted out from under the manifest (disk trouble, stray
@@ -140,7 +132,7 @@ fn crc_valid_but_short_payload_is_torn() {
 /// reports the loss via `tail_lost`.
 #[test]
 fn segment_deleted_under_the_manifest_stops_at_the_gap() {
-    let dir = temp_dir("gap");
+    let dir = TempDir::new("seg-gap");
     // Tiny budget so the workload spans several segments.
     append_all(&dir, config(96), (0..12).map(entry));
     let full = WalReader::recover(&StdFs, &dir).unwrap();
@@ -160,14 +152,13 @@ fn segment_deleted_under_the_manifest_stops_at_the_gap() {
     let rescan = WalReader::recover(&StdFs, &dir).unwrap();
     assert_eq!(rescan.entries.len(), scan.entries.len());
     assert!(!rescan.tail_lost);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The degenerate gap: the *first* live segment is gone. Nothing after it can
 /// be trusted, so recovery falls back to the checkpoint alone.
 #[test]
 fn first_live_segment_deleted_recovers_to_the_checkpoint() {
-    let dir = temp_dir("first");
+    let dir = TempDir::new("seg-first");
     append_all(&dir, config(96), (0..12).map(entry));
     let full = WalReader::recover(&StdFs, &dir).unwrap();
     assert!(full.max_seq_seen >= 3);
@@ -183,5 +174,4 @@ fn first_live_segment_deleted_recovers_to_the_checkpoint() {
     let rescan = WalReader::recover(&StdFs, &dir).unwrap();
     assert_eq!(rescan.entries.len(), 2);
     assert!(!rescan.tail_lost);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,8 +17,9 @@
 //!   tag, with fully checked decoding (disk bytes never panic).
 //! * [`OocStore`] — the [`NodeStore`](dc_tree::store::NodeStore) gluing the
 //!   two under `dc_tree::DcTree` — the same tree, and the same algorithms,
-//!   as a resident shard's — page-chain layout shared with the
-//!   single-threaded `ChainStore`.
+//!   as a resident shard's. It is the workspace's one paged store and the
+//!   only code that knows the page-chain layout; a single-threaded tool
+//!   uses `DcTree<OocStore>` directly.
 //! * [`OocDcTree`] — the servable shard: concurrent readers, exclusive
 //!   writers, pool stats and checkpoint flush without the tree lock.
 

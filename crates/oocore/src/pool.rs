@@ -1,8 +1,8 @@
 //! A concurrent, scan-resistant buffer pool over a [`PagedFile`].
 //!
-//! The single-threaded `dc_storage::BufferPool` serializes every page touch
-//! through one owner; a sharded serving engine needs many readers resolving
-//! (possibly cold) pages at once. This pool provides that:
+//! The workspace's one buffer pool: every paged DC-tree, served shard or
+//! single-threaded tool, reaches its pages through it. A sharded serving
+//! engine needs many readers resolving (possibly cold) pages at once:
 //!
 //! * **Latch striping** — the page table is split into stripes, each behind
 //!   its own mutex, hashed by page id. Touches on different stripes never
@@ -170,6 +170,9 @@ pub struct ConcurrentPool {
     /// Protected-segment budget per stripe (≈ ⅔ of the stripe).
     protected_cap: usize,
     page_size: usize,
+    /// The file's page count, mirrored so chain walks can bound themselves
+    /// by it without taking the file lock.
+    num_pages: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -188,6 +191,7 @@ impl ConcurrentPool {
         let stripe_cap = frames.div_ceil(n_stripes);
         ConcurrentPool {
             page_size: file.page_size(),
+            num_pages: AtomicU64::new(file.num_pages()),
             file: Mutex::new(file),
             stripes: (0..n_stripes)
                 .map(|_| Mutex::new(Stripe::default()))
@@ -270,7 +274,10 @@ impl ConcurrentPool {
 
     /// Allocates a fresh (zeroed) page in the backing file.
     pub fn alloc(&self) -> DcResult<PageId> {
-        self.file.lock().alloc()
+        let mut file = self.file.lock();
+        let page = file.alloc();
+        self.num_pages.store(file.num_pages(), Ordering::SeqCst);
+        page
     }
 
     /// Drops the page from the pool (discarding dirty bytes — the caller is
@@ -326,7 +333,7 @@ impl ConcurrentPool {
     /// Pages allocated in the backing file (header included) — the on-disk
     /// footprint used by the records-per-GB benchmark.
     pub fn num_pages(&self) -> u64 {
-        self.file.lock().num_pages()
+        self.num_pages.load(Ordering::SeqCst)
     }
 }
 
@@ -366,23 +373,22 @@ impl Drop for PinnedPage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_common::TempDir;
     use dc_storage::BlockConfig;
 
-    fn pool_with(frames: usize, pages: usize) -> (ConcurrentPool, Vec<PageId>) {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("dc_oocore_pool_{}_{n}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pool.dat");
-        let file = PagedFile::create(&path, BlockConfig::new(512)).unwrap();
+    /// A pool of `frames` frames over a fresh file of `pages` pages; the
+    /// file lives in the returned directory.
+    fn pool_with(frames: usize, pages: usize) -> (ConcurrentPool, Vec<PageId>, TempDir) {
+        let dir = TempDir::new("pool");
+        let file = PagedFile::create(dir.join("pool.dat"), BlockConfig::new(512)).unwrap();
         let pool = ConcurrentPool::new(file, frames);
         let ids = (0..pages).map(|_| pool.alloc().unwrap()).collect();
-        (pool, ids)
+        (pool, ids, dir)
     }
 
     #[test]
     fn hit_miss_and_writeback_counters() {
-        let (pool, ids) = pool_with(8, 4);
+        let (pool, ids, _dir) = pool_with(8, 4);
         pool.with_page_mut(ids[0], |d| d[0] = 7).unwrap();
         pool.with_page(ids[0], |d| assert_eq!(d[0], 7)).unwrap();
         let s = pool.stats();
@@ -397,7 +403,7 @@ mod tests {
 
     #[test]
     fn eviction_writes_back_and_rereads_from_disk() {
-        let (pool, ids) = pool_with(4, 32);
+        let (pool, ids, _dir) = pool_with(4, 32);
         for (i, &id) in ids.iter().enumerate() {
             pool.with_page_mut(id, |d| d[0] = i as u8).unwrap();
         }
@@ -412,7 +418,7 @@ mod tests {
 
     #[test]
     fn scan_does_not_flush_the_hot_set() {
-        let (pool, ids) = pool_with(16, 128);
+        let (pool, ids, _dir) = pool_with(16, 128);
         // Establish a hot set with two touches each: promoted to protected.
         let hot = &ids[0..4];
         for _ in 0..2 {
@@ -438,7 +444,7 @@ mod tests {
 
     #[test]
     fn pinned_frames_survive_eviction_pressure() {
-        let (pool, ids) = pool_with(4, 32);
+        let (pool, ids, _dir) = pool_with(4, 32);
         let pinned = pool.pin(ids[0]).unwrap();
         pinned.data_mut()[0] = 42;
         for &id in &ids[1..] {
@@ -456,7 +462,7 @@ mod tests {
 
     #[test]
     fn free_of_pinned_page_is_refused() {
-        let (pool, ids) = pool_with(8, 2);
+        let (pool, ids, _dir) = pool_with(8, 2);
         let guard = pool.pin(ids[0]).unwrap();
         assert!(matches!(pool.free(ids[0]), Err(DcError::Corrupt(_))));
         drop(guard);
@@ -464,8 +470,76 @@ mod tests {
     }
 
     #[test]
+    fn flush_persists_without_eviction() {
+        let (pool, ids, dir) = pool_with(8, 1);
+        pool.with_page_mut(ids[0], |d| d[..4].copy_from_slice(b"DCDC"))
+            .unwrap();
+        pool.flush().unwrap();
+        assert_eq!(pool.stats().evictions, 0);
+        drop(pool);
+        let mut reopened = PagedFile::open(dir.join("pool.dat"), BlockConfig::new(512)).unwrap();
+        assert_eq!(&reopened.read(ids[0]).unwrap()[..4], b"DCDC");
+    }
+
+    #[test]
+    fn freeing_cached_page_drops_the_frame() {
+        let (pool, ids, _dir) = pool_with(8, 1);
+        pool.with_page_mut(ids[0], |d| d[0] = 1).unwrap();
+        assert_eq!(pool.stats().resident, 1);
+        pool.free(ids[0]).unwrap();
+        assert_eq!(pool.stats().resident, 0);
+        // Reallocating reuses the page; its old cached content is gone.
+        assert_eq!(pool.alloc().unwrap(), ids[0]);
+        pool.with_page(ids[0], |d| assert_eq!(d[0], 0, "stale frame leaked"))
+            .unwrap();
+    }
+
+    /// Every resident page sits in exactly one recency queue, under the
+    /// stamp its page-table entry names.
+    fn assert_stripes_agree(pool: &ConcurrentPool) {
+        for stripe in &pool.stripes {
+            let s = stripe.lock();
+            assert_eq!(s.map.len(), s.probation.len() + s.protected.len());
+            for (page, res) in &s.map {
+                let queue = match res.seg {
+                    Segment::Probation => &s.probation,
+                    Segment::Protected => &s.protected,
+                };
+                assert_eq!(queue.get(&res.stamp), Some(page));
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_lru_survives_interleaved_frees_and_touches() {
+        let (pool, ids, _dir) = pool_with(4, 12);
+        for (i, &id) in ids.iter().enumerate() {
+            pool.with_page_mut(id, |d| d[0] = i as u8 + 1).unwrap();
+        }
+        // Free a resident page (probation) and a promoted one (protected),
+        // re-touching survivors in a scrambled order in between.
+        pool.free(ids[11]).unwrap();
+        assert_stripes_agree(&pool);
+        for &i in &[9, 3, 10, 9, 0, 3] {
+            pool.with_page(ids[i], |_| ()).unwrap();
+            assert_stripes_agree(&pool);
+        }
+        pool.free(ids[9]).unwrap();
+        assert_stripes_agree(&pool);
+        // Every surviving page still round-trips its byte through the
+        // evictions the sweep forces, and the pool stays within budget.
+        for (i, &id) in ids.iter().enumerate().filter(|(i, _)| ![9, 11].contains(i)) {
+            pool.with_page(id, |d| assert_eq!(d[0], i as u8 + 1, "page {i}"))
+                .unwrap();
+            assert_stripes_agree(&pool);
+        }
+        let s = pool.stats();
+        assert_eq!(s.resident, s.capacity);
+    }
+
+    #[test]
     fn concurrent_readers_and_writers_converge() {
-        let (pool, ids) = pool_with(8, 16);
+        let (pool, ids, _dir) = pool_with(8, 16);
         let pool = std::sync::Arc::new(pool);
         let mut handles = Vec::new();
         for t in 0..4 {

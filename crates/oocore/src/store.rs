@@ -1,14 +1,12 @@
 //! [`OocStore`]: the concurrent [`NodeStore`] serving DC-tree nodes from
 //! disk pages through the scan-resistant [`ConcurrentPool`].
 //!
-//! The page layout is byte-identical to `dc_tree::store::ChainStore` —
-//! every node (and the metadata blob) is a chain of pages
-//! `[next: u64][len: u32][payload]`, metadata headed at page 1 — except
-//! that node payloads go through the [`codec`](crate::codec), which
-//! prefixes a format tag. A file written with `compress: false` therefore
-//! differs from a `ChainStore` file only by that one tag byte per node;
-//! either store can be pointed at pages the other wrote as long as both
-//! sides agree on who owns the codec.
+//! This module is the only code that knows how a node is laid out on
+//! pages: every node (and the metadata blob) is a chain of pages
+//! `[next: u64][len: u32][payload]`, metadata headed at page 1, a node's
+//! handle the head page of its chain. Node payloads go through the
+//! [`codec`](crate::codec), which prefixes a format tag, so one file may mix
+//! plain and compressed nodes.
 
 use std::borrow::Cow;
 use std::path::Path;
@@ -17,56 +15,79 @@ use std::sync::Arc;
 use dc_common::{DcError, DcResult};
 use dc_storage::{BlockConfig, PageId, PagedFile};
 use dc_tree::node::{Node, NodeId};
-use dc_tree::store::{
-    node_at, page_of, NodeStore, PersistentStore, CHAIN_NONE, META_PAGE, PAGE_HEADER,
-};
+use dc_tree::store::{NodeStore, PersistentStore};
 
 use crate::codec::{decode_node, encode_node};
 use crate::pool::{ConcurrentPool, OocPoolStats};
 
-// ---------------------------------------------------------------------
-// Chain primitives over the concurrent pool (same layout as ChainStore).
-// ---------------------------------------------------------------------
+/// Sentinel `next` link terminating a page chain.
+const CHAIN_NONE: u64 = u64::MAX;
+/// Per-page chain header: `[next: u64][len: u32]`.
+const PAGE_HEADER: usize = 8 + 4;
+/// The page holding the head of the metadata chain (page 0 is the paged
+/// file's own header).
+const META_PAGE: u64 = 1;
+
+/// The page the node `id` is kept at.
+fn page_of(id: NodeId) -> PageId {
+    PageId(u64::from(id.raw()))
+}
+
+/// The node handle for a freshly allocated `page`; fails once a file has
+/// outgrown the 32-bit handle directory entries persist.
+fn node_at(page: PageId) -> DcResult<NodeId> {
+    u32::try_from(page.0)
+        .map(NodeId::from_raw)
+        .map_err(|_| DcError::Config(format!("page {} exceeds the node-handle width", page.0)))
+}
+
+/// Walks the chain headed at `head`, handing each page and its payload to
+/// `visit`. Links and lengths come from disk, so both are checked: a chain
+/// cannot be longer than the file (a longer walk is a cycle) and a payload
+/// cannot be longer than its page.
+fn walk_chain(
+    pool: &ConcurrentPool,
+    head: PageId,
+    mut visit: impl FnMut(PageId, &[u8]),
+) -> DcResult<()> {
+    let limit = pool.num_pages();
+    let mut page = head.0;
+    let mut steps = 0u64;
+    while page != CHAIN_NONE {
+        steps += 1;
+        if steps > limit {
+            return Err(DcError::Corrupt(format!(
+                "page chain at {} cycles (over {limit} links)",
+                head.0
+            )));
+        }
+        page = pool.with_page(PageId(page), |d| {
+            let next = u64::from_le_bytes(d[0..8].try_into().expect("8 bytes"));
+            let len = u32::from_le_bytes(d[8..12].try_into().expect("4 bytes")) as usize;
+            let payload = d[PAGE_HEADER..].get(..len).ok_or_else(|| {
+                DcError::Corrupt(format!("page {page} claims a {len}-byte payload"))
+            })?;
+            visit(PageId(page), payload);
+            Ok::<u64, DcError>(next)
+        })??;
+    }
+    Ok(())
+}
 
 fn read_chain(pool: &ConcurrentPool, head: PageId) -> DcResult<Vec<u8>> {
     let mut out = Vec::new();
-    let mut page = head.0;
-    let mut guard = 0usize;
-    while page != CHAIN_NONE {
-        let (next, chunk) = pool.with_page(PageId(page), |d| {
-            let next = u64::from_le_bytes(d[0..8].try_into().expect("8 bytes"));
-            let len = u32::from_le_bytes(d[8..12].try_into().expect("4 bytes")) as usize;
-            let len = len.min(d.len() - PAGE_HEADER);
-            (next, d[PAGE_HEADER..PAGE_HEADER + len].to_vec())
-        })?;
-        out.extend_from_slice(&chunk);
-        page = next;
-        guard += 1;
-        if guard > 1 << 22 {
-            return Err(DcError::Corrupt("page chain cycle".into()));
-        }
-    }
+    walk_chain(pool, head, |_, payload| out.extend_from_slice(payload))?;
     Ok(out)
 }
 
 fn chain_pages(pool: &ConcurrentPool, head: PageId) -> DcResult<Vec<PageId>> {
-    let mut pages = vec![head];
-    let mut page = head.0;
-    loop {
-        let next = pool.with_page(PageId(page), |d| {
-            u64::from_le_bytes(d[0..8].try_into().expect("8 bytes"))
-        })?;
-        if next == CHAIN_NONE {
-            return Ok(pages);
-        }
-        pages.push(PageId(next));
-        page = next;
-        if pages.len() > 1 << 22 {
-            return Err(DcError::Corrupt("page chain cycle".into()));
-        }
-    }
+    let mut pages = Vec::new();
+    walk_chain(pool, head, |page, _| pages.push(page))?;
+    Ok(pages)
 }
 
+/// Rewrites the chain headed at `head` (which stays the head) to hold
+/// `bytes`, reusing pages, allocating extras, freeing spares.
 fn write_chain(
     pool: &ConcurrentPool,
     head: PageId,
@@ -108,6 +129,7 @@ fn free_chain(pool: &ConcurrentPool, head: PageId) -> DcResult<()> {
     Ok(())
 }
 
+/// Marks a fresh page as an empty, terminated chain.
 fn init_chain(pool: &ConcurrentPool, head: PageId) -> DcResult<()> {
     pool.with_page_mut(head, |d| {
         d[0..8].copy_from_slice(&CHAIN_NONE.to_le_bytes());
@@ -150,29 +172,25 @@ pub struct OocStore {
 impl OocStore {
     /// Creates a fresh store at `path`, truncating any existing file.
     pub fn create(path: impl AsRef<Path>, opts: OocOptions) -> DcResult<Self> {
-        let file = PagedFile::create(path, opts.block)?;
-        let pool = ConcurrentPool::new(file, opts.frames);
-        let meta = pool.alloc()?;
+        let store = Self::over(PagedFile::create(path, opts.block)?, opts);
+        let meta = store.pool.alloc()?;
         debug_assert_eq!(meta.0, META_PAGE, "metadata occupies page 1");
-        init_chain(&pool, meta)?;
-        Ok(OocStore {
-            pool: Arc::new(pool),
-            payload: opts.block.block_size - PAGE_HEADER,
-            compress: opts.compress,
-            num_dims: 0,
-        })
+        init_chain(&store.pool, meta)?;
+        Ok(store)
     }
 
     /// Opens an existing store.
     pub fn open(path: impl AsRef<Path>, opts: OocOptions) -> DcResult<Self> {
-        let file = PagedFile::open(path, opts.block)?;
-        let pool = ConcurrentPool::new(file, opts.frames);
-        Ok(OocStore {
-            pool: Arc::new(pool),
+        Ok(Self::over(PagedFile::open(path, opts.block)?, opts))
+    }
+
+    fn over(file: PagedFile, opts: OocOptions) -> Self {
+        OocStore {
+            pool: Arc::new(ConcurrentPool::new(file, opts.frames)),
             payload: opts.block.block_size - PAGE_HEADER,
             compress: opts.compress,
             num_dims: 0,
-        })
+        }
     }
 
     /// The shared buffer pool (for stats and checkpoint flushes).
@@ -184,9 +202,7 @@ impl OocStore {
     pub fn pool_stats(&self) -> OocPoolStats {
         self.pool.stats()
     }
-}
 
-impl OocStore {
     fn load(&self, id: NodeId) -> DcResult<Node> {
         let bytes = read_chain(&self.pool, page_of(id))?;
         decode_node(&bytes, self.num_dims)

@@ -6,19 +6,13 @@
 
 use std::sync::Arc;
 
-use dc_common::{AggregateOp, DimensionId};
+use dc_common::{AggregateOp, DimensionId, TempDir};
 use dc_hierarchy::CubeSchema;
 use dc_mds::{DimSet, Mds};
 use dc_oocore::{OocDcTree, OocOptions};
 use dc_storage::BlockConfig;
 use dc_tpcd::{generate, TpcdConfig};
-use dc_tree::{DcTree, DcTreeConfig, DiskDcTree};
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dc_oocore_diff_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+use dc_tree::{DcTree, DcTreeConfig};
 
 fn small_opts() -> OocOptions {
     OocOptions {
@@ -87,7 +81,8 @@ fn assert_equivalent(ram: &DcTree, ooc: &OocDcTree, queries: &[Mds]) {
 #[test]
 fn disk_backed_tree_matches_ram_resident_baseline() {
     let cube = generate(&TpcdConfig::scaled(600, 7));
-    let path = tmp("diff_main.dct");
+    let dir = TempDir::new("ooc-diff");
+    let path = dir.join("diff_main.dct");
     let mut ram = DcTree::new(cube.schema.clone(), DcTreeConfig::default());
     let ooc = OocDcTree::create(
         &path,
@@ -131,9 +126,10 @@ fn disk_backed_tree_matches_ram_resident_baseline() {
 #[test]
 fn uncompressed_pages_give_identical_answers() {
     let cube = generate(&TpcdConfig::scaled(300, 11));
+    let dir = TempDir::new("ooc-diff");
     let mut ram = DcTree::new(cube.schema.clone(), DcTreeConfig::default());
     let ooc = OocDcTree::create(
-        tmp("diff_plain.dct"),
+        dir.join("diff_plain.dct"),
         cube.schema.clone(),
         DcTreeConfig::default(),
         OocOptions {
@@ -152,9 +148,10 @@ fn uncompressed_pages_give_identical_answers() {
 #[test]
 fn concurrent_queries_during_churn_see_consistent_states() {
     let cube = generate(&TpcdConfig::scaled(400, 23));
+    let dir = TempDir::new("ooc-diff");
     let ooc = Arc::new(
         OocDcTree::create(
-            tmp("diff_churn.dct"),
+            dir.join("diff_churn.dct"),
             cube.schema.clone(),
             DcTreeConfig::default(),
             small_opts(),
@@ -206,48 +203,53 @@ fn roomy_opts() -> OocOptions {
 
 /// One algorithm, one tree, whatever the store: the same interned stream —
 /// `insert_batch(256)` with deletes (condensation, supernode shrinking)
-/// between batches — builds the same tree node for node in the arena, in a
-/// `ChainStore` and in an `OocStore`.
+/// between batches — builds the same tree node for node in the arena and
+/// in an `OocStore`, plain pages or compressed.
 #[test]
 fn every_store_builds_the_same_tree() {
     let cube = generate(&TpcdConfig::scaled(5_000, 42));
     let config = DcTreeConfig::default();
+    let dir = TempDir::new("ooc-diff");
     let mut ram = DcTree::new(cube.schema.clone(), config);
-    let mut chain =
-        DiskDcTree::create(tmp("stores_chain.dct"), cube.schema.clone(), config, 256).unwrap();
-    let ooc = OocDcTree::create(
-        tmp("stores_ooc.dct"),
-        cube.schema.clone(),
-        config,
-        roomy_opts(),
-    )
-    .unwrap();
-    let mut ooc = ooc.write();
+    let paged = [false, true].map(|compress| {
+        OocDcTree::create(
+            dir.join(format!("stores_{compress}.dct")),
+            cube.schema.clone(),
+            config,
+            OocOptions {
+                compress,
+                ..roomy_opts()
+            },
+        )
+        .unwrap()
+    });
+    let mut paged = paged.each_ref().map(OocDcTree::write);
 
     for (round, chunk) in cube.records.chunks(256).enumerate() {
         ram.insert_batch(chunk.to_vec()).unwrap();
-        chain.insert_batch(chunk.to_vec()).unwrap();
-        ooc.insert_batch(chunk.to_vec()).unwrap();
+        for tree in &mut paged {
+            tree.insert_batch(chunk.to_vec()).unwrap();
+        }
         if round % 2 == 1 {
             for r in chunk.iter().step_by(2) {
                 assert!(ram.delete(r).unwrap());
-                assert!(chain.delete(r).unwrap());
-                assert!(ooc.delete(r).unwrap());
+                for tree in &mut paged {
+                    assert!(tree.delete(r).unwrap());
+                }
             }
         }
     }
 
-    chain.check_invariants().unwrap();
-    ooc.check_invariants().unwrap();
     let want = ram.structure().unwrap();
-    assert!(
-        chain.structure().unwrap() == want,
-        "ChainStore tree differs"
-    );
-    assert!(ooc.structure().unwrap() == want, "OocStore tree differs");
     let counts = |m: dc_tree::TreeMetrics| (m.splits, m.failed_splits, m.supernode_growths);
-    assert_eq!(counts(chain.metrics()), counts(ram.metrics()));
-    assert_eq!(counts(ooc.metrics()), counts(ram.metrics()));
+    for (tree, compress) in paged.iter().zip([false, true]) {
+        tree.check_invariants().unwrap();
+        assert!(
+            tree.structure().unwrap() == want,
+            "OocStore tree differs (compress: {compress})"
+        );
+        assert_eq!(counts(tree.metrics()), counts(ram.metrics()));
+    }
 }
 
 /// The stream of
@@ -262,9 +264,10 @@ fn every_store_builds_the_same_tree() {
 fn paged_store_builds_the_golden_tree() {
     let cube = generate(&TpcdConfig::scaled(100_000, 42));
     let config = DcTreeConfig::default();
+    let dir = TempDir::new("ooc-diff");
     let mut ram = DcTree::new(cube.schema.clone(), config);
     let ooc = OocDcTree::create(
-        tmp("golden_ooc.dct"),
+        dir.join("golden_ooc.dct"),
         cube.schema.clone(),
         config,
         roomy_opts(),

@@ -20,10 +20,11 @@
 //! The sync policy is `DC_SYNC_POLICY`-selected (`always` | `every4` |
 //! `group`), matching the CI fault matrix.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
+use dc_common::TempDir;
 use dc_durable::{apply, FaultFs, FaultPlan, SyncPolicy, WalEntry};
 use dc_replica::{promote_dir, DirSource, Follower, FollowerConfig};
 use dc_serve::{EngineConfig, ShardedDcTree, StdFs, WalOptions};
@@ -87,11 +88,7 @@ fn oracle(data: &TpcdData, ops: &[WalEntry], prefix: usize) -> DcTree {
     tree
 }
 
-fn config(
-    dir: &PathBuf,
-    fs: Option<Arc<dyn dc_serve::WalFs>>,
-    checkpoint_every: u64,
-) -> EngineConfig {
+fn config(dir: &Path, fs: Option<Arc<dyn dc_serve::WalFs>>, checkpoint_every: u64) -> EngineConfig {
     EngineConfig {
         num_shards: SHARDS,
         wal: Some(WalOptions {
@@ -116,7 +113,7 @@ fn apply_to_engine(engine: &ShardedDcTree, op: &WalEntry) -> dc_common::DcResult
 /// Returns `(attempted, synced)` — the recoverable upper bound (one op of
 /// slack when it died mid-op) and the durable lower bound.
 fn run_primary(
-    dir: &PathBuf,
+    dir: &Path,
     data: &TpcdData,
     ops: &[WalEntry],
     fs: Option<Arc<dyn dc_serve::WalFs>>,
@@ -181,20 +178,13 @@ fn check_promoted(
     p
 }
 
-fn temp_dir(tag: &str, n: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dc-repl-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Segment-file traffic of a fault-free run, used to place the crashes.
 fn total_wal_bytes(data: &TpcdData, ops: &[WalEntry]) -> u64 {
-    let dir = temp_dir("dry", 0);
+    let dir = TempDir::new("repl-dry");
     let fs = FaultFs::new(FaultPlan::default());
     let (attempted, _) = run_primary(&dir, data, ops, Some(Arc::new(fs.clone())), 0);
     assert_eq!(attempted, ops.len() as u64);
     let bytes = fs.written();
-    let _ = std::fs::remove_dir_all(&dir);
     assert!(bytes > 2048, "workload too small to cross segments");
     bytes
 }
@@ -209,8 +199,8 @@ fn primary_crash_mid_send_promotes_follower() {
     let total = total_wal_bytes(&data, &ops);
     for i in [2u64, 4, 6, 8] {
         let offset = total * i / 9;
-        let primary_dir = temp_dir("p1-primary", offset);
-        let follower_dir = temp_dir("p1-follower", offset);
+        let primary_dir = TempDir::new("repl-p1-primary");
+        let follower_dir = TempDir::new("repl-p1-follower");
         let fault = FaultFs::new(FaultPlan {
             crash_after_bytes: Some(offset),
             ..FaultPlan::default()
@@ -223,7 +213,7 @@ fn primary_crash_mid_send_promotes_follower() {
         let follower = Follower::bootstrap(
             DirSource {
                 fs: Arc::new(fault.clone()),
-                dir: primary_dir.clone(),
+                dir: primary_dir.to_path_buf(),
             },
             data.schema.clone(),
             FollowerConfig {
@@ -239,8 +229,6 @@ fn primary_crash_mid_send_promotes_follower() {
         let promoted = follower.promote().expect("promotion must succeed");
         check_promoted(&promoted, &data, &ops, synced, attempted);
         drop(promoted);
-        let _ = std::fs::remove_dir_all(&primary_dir);
-        let _ = std::fs::remove_dir_all(&follower_dir);
     }
 }
 
@@ -254,8 +242,8 @@ fn follower_crash_mid_apply_recovers_clean_prefix() {
     let total = total_wal_bytes(&data, &ops);
     for i in [1u64, 3, 5, 7] {
         let offset = total * i / 9;
-        let primary_dir = temp_dir("p2-primary", offset);
-        let follower_dir = temp_dir("p2-follower", offset);
+        let primary_dir = TempDir::new("repl-p2-primary");
+        let follower_dir = TempDir::new("repl-p2-follower");
         let (attempted, _) = run_primary(&primary_dir, &data, &ops, None, 0);
         assert_eq!(attempted, ops.len() as u64);
         let fault = FaultFs::new(FaultPlan {
@@ -265,7 +253,7 @@ fn follower_crash_mid_apply_recovers_clean_prefix() {
         let follower = Follower::bootstrap(
             DirSource {
                 fs: Arc::new(StdFs),
-                dir: primary_dir.clone(),
+                dir: primary_dir.to_path_buf(),
             },
             data.schema.clone(),
             FollowerConfig {
@@ -297,8 +285,6 @@ fn follower_crash_mid_apply_recovers_clean_prefix() {
         .expect("follower directory must reopen after its crash");
         check_promoted(&promoted, &data, &ops, follower_synced, attempted);
         drop(promoted);
-        let _ = std::fs::remove_dir_all(&primary_dir);
-        let _ = std::fs::remove_dir_all(&follower_dir);
     }
 }
 
@@ -313,8 +299,8 @@ fn torn_frame_in_mirror_seals_on_promotion() {
     let total = total_wal_bytes(&data, &ops);
     for i in [2u64, 5, 7] {
         let offset = total * i / 9;
-        let primary_dir = temp_dir("p3-primary", offset);
-        let follower_dir = temp_dir("p3-follower", offset);
+        let primary_dir = TempDir::new("repl-p3-primary");
+        let follower_dir = TempDir::new("repl-p3-follower");
         let (attempted, _) = run_primary(&primary_dir, &data, &ops, None, 0);
         let fault = FaultFs::new(FaultPlan {
             flip_bit: Some((offset, 0x10)),
@@ -323,7 +309,7 @@ fn torn_frame_in_mirror_seals_on_promotion() {
         let follower = Follower::bootstrap(
             DirSource {
                 fs: Arc::new(StdFs),
-                dir: primary_dir.clone(),
+                dir: primary_dir.to_path_buf(),
             },
             data.schema.clone(),
             FollowerConfig {
@@ -362,8 +348,6 @@ fn torn_frame_in_mirror_seals_on_promotion() {
             "flip at byte {offset} went undetected: promoted all {attempted} ops"
         );
         drop(promoted);
-        let _ = std::fs::remove_dir_all(&primary_dir);
-        let _ = std::fs::remove_dir_all(&follower_dir);
     }
 }
 
@@ -374,8 +358,8 @@ fn torn_frame_in_mirror_seals_on_promotion() {
 fn fsync_failure_during_checkpoint_install_is_retryable() {
     let data = tpcd();
     let ops = workload(&data);
-    let primary_dir = temp_dir("p4-primary", 0);
-    let follower_dir = temp_dir("p4-follower", 0);
+    let primary_dir = TempDir::new("repl-p4-primary");
+    let follower_dir = TempDir::new("repl-p4-follower");
     // Half the workload, a real checkpoint (so the bundle has images),
     // then the rest — the bundle alone is a strict prefix.
     let engine = ShardedDcTree::new(data.schema.clone(), config(&primary_dir, None, 0)).unwrap();
@@ -391,7 +375,7 @@ fn fsync_failure_during_checkpoint_install_is_retryable() {
     let attempted = ops.len() as u64;
     let source = || DirSource {
         fs: Arc::new(StdFs),
-        dir: primary_dir.clone(),
+        dir: primary_dir.to_path_buf(),
     };
     let fault = FaultFs::new(FaultPlan {
         fail_sync: Some(1),
@@ -448,6 +432,4 @@ fn fsync_failure_during_checkpoint_install_is_retryable() {
     assert_eq!(p, attempted, "nothing to lose on a fault-free tail");
     drop(promoted);
     drop(engine);
-    let _ = std::fs::remove_dir_all(&primary_dir);
-    let _ = std::fs::remove_dir_all(&follower_dir);
 }

@@ -14,6 +14,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use dc_common::TempDir;
 use dc_durable::{
     fetch_segments, FetchOutcome, StdFs, SyncPolicy, WalConfig, WalEntry, WalReader, WalWriter,
 };
@@ -102,14 +103,7 @@ proptest! {
     /// crashes, and fetches from arbitrary LSNs.
     #[test]
     fn fetch_never_skips_lsns(script in prop::collection::vec(any::<u16>(), 1..48)) {
-        let dir = std::env::temp_dir().join(format!(
-            "dc-gc-prop-{}-{}-{}",
-            std::process::id(),
-            script.len(),
-            script.first().copied().unwrap_or(0)
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("gc-prop");
         let mut writer = open_writer(&dir);
         let mut tip = 0u64; // highest durable lsn
         let mut checkpoint_lsn = 0u64;
@@ -170,6 +164,5 @@ proptest! {
             check_fetch(&dir, from, checkpoint_lsn, tip);
         }
         drop(writer);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

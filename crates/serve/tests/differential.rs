@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use dc_common::{AggregateOp, DimensionId, MeasureSummary, ValueId};
+use dc_common::{AggregateOp, DimensionId, MeasureSummary, TempDir, ValueId};
 use dc_query::{RangeQueryGen, ValuePick};
 use dc_serve::{EngineConfig, PartitionPolicy, ShardedDcTree, SyncPolicy, WalOptions};
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
@@ -380,8 +380,7 @@ fn deletes_flow_through_shards() {
 #[test]
 fn wal_recovery_restores_the_engine() {
     let data = tpcd();
-    let dir = std::env::temp_dir().join(format!("dc-serve-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("serve-wal");
     let config = EngineConfig {
         num_shards: 4,
         policy: PartitionPolicy::Hash,
@@ -419,7 +418,6 @@ fn wal_recovery_restores_the_engine() {
         );
     }
     drop(engine);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Regression: reopening an engine (even repeatedly, even with a flush
@@ -428,8 +426,7 @@ fn wal_recovery_restores_the_engine() {
 #[test]
 fn double_open_does_not_duplicate_records() {
     let data = tpcd();
-    let dir = std::env::temp_dir().join(format!("dc-serve-dblopen-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("serve-dblopen");
     let config = EngineConfig {
         num_shards: 2,
         wal: Some(WalOptions::new(&dir)),
@@ -458,7 +455,6 @@ fn double_open_does_not_duplicate_records() {
         assert_eq!(engine.total_summary(), expected);
         engine.shutdown();
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Checkpoints bound recovery: after a CHECKPOINT, reopening replays only
@@ -467,8 +463,7 @@ fn double_open_does_not_duplicate_records() {
 #[test]
 fn checkpoint_bounds_replay_on_recovery() {
     let data = tpcd();
-    let dir = std::env::temp_dir().join(format!("dc-serve-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("serve-ckpt");
     let config = EngineConfig {
         num_shards: 4,
         policy: PartitionPolicy::Hash,
@@ -522,15 +517,13 @@ fn checkpoint_bounds_replay_on_recovery() {
         );
     }
     drop(engine);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Auto-checkpoints fire from the ingest path and bound the replay too.
 #[test]
 fn auto_checkpoint_from_ingest_path() {
     let data = tpcd();
-    let dir = std::env::temp_dir().join(format!("dc-serve-autockpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("serve-autockpt");
     let config = EngineConfig {
         num_shards: 2,
         wal: Some(WalOptions {
@@ -558,7 +551,6 @@ fn auto_checkpoint_from_ingest_path() {
     assert!(d.recovery_replayed_entries.load(Relaxed) < 100);
     assert_eq!(engine.len(), n as u64);
     drop(engine);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The aggregate cache must be answer-invisible: a cached engine, an

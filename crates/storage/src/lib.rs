@@ -15,19 +15,18 @@
 //! * [`codec`] — a small, checked binary reader/writer used to persist
 //!   trees and to compute byte-accurate node sizes;
 //! * [`PagedFile`] — a block-aligned file of fixed-size pages with a free
-//!   list, the on-disk substrate of a production deployment;
-//! * [`BufferPool`] — a pinned, write-back LRU cache of fixed frame count
-//!   over a paged file, with hit/miss accounting.
+//!   list, the on-disk substrate of a production deployment (the one
+//!   buffer pool over it is `dc_oocore::ConcurrentPool`);
+//! * [`CacheSim`] — an LRU simulation turning a logical page trace into
+//!   physical reads under a memory budget.
 
 pub mod block;
-pub mod buffer;
 pub mod cachesim;
 pub mod codec;
 pub mod io;
 pub mod paged;
 
 pub use block::BlockConfig;
-pub use buffer::{BufferPool, PinGuard, PoolStats};
 pub use cachesim::{CacheReport, CacheSim};
 pub use codec::{crc32, ByteReader, ByteWriter};
 pub use io::{IoStats, IoTracker};

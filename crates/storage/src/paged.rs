@@ -8,8 +8,8 @@
 //! growing monotonically.
 //!
 //! The paged file itself is deliberately dumb — fixed-size page reads and
-//! writes plus allocation — with all caching delegated to
-//! [`BufferPool`](crate::buffer::BufferPool), mirroring the classic DBMS split.
+//! writes plus allocation — with all caching delegated to the buffer pool
+//! above it (`dc_oocore::ConcurrentPool`), mirroring the classic DBMS split.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -18,7 +18,6 @@ use std::path::Path;
 use dc_common::{DcError, DcResult};
 
 use crate::block::BlockConfig;
-use crate::io::IoTracker;
 
 const MAGIC: u64 = 0x4443_5041_4745_4431; // "DCPAGED1"
 const NO_PAGE: u64 = u64::MAX;
@@ -35,7 +34,6 @@ pub struct PagedFile {
     block: BlockConfig,
     num_pages: u64,
     free_head: u64,
-    io: IoTracker,
 }
 
 impl PagedFile {
@@ -56,7 +54,6 @@ impl PagedFile {
             block,
             num_pages: 1,
             free_head: NO_PAGE,
-            io: IoTracker::new(),
         };
         pf.write_header()?;
         Ok(pf)
@@ -70,7 +67,6 @@ impl PagedFile {
             block,
             num_pages: 0,
             free_head: NO_PAGE,
-            io: IoTracker::new(),
         };
         let header = pf.read_page_raw(0)?;
         let magic = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
@@ -118,11 +114,6 @@ impl PagedFile {
         self.num_pages
     }
 
-    /// Physical I/O counters (header maintenance included).
-    pub fn io_stats(&self) -> crate::io::IoStats {
-        self.io.stats()
-    }
-
     fn write_header(&mut self) -> DcResult<()> {
         let mut page = vec![0u8; self.block.block_size];
         page[0..8].copy_from_slice(&MAGIC.to_le_bytes());
@@ -137,7 +128,6 @@ impl PagedFile {
         self.file
             .seek(SeekFrom::Start(page * self.block.block_size as u64))?;
         self.file.read_exact(&mut buf)?;
-        self.io.read(1);
         Ok(buf)
     }
 
@@ -146,7 +136,6 @@ impl PagedFile {
         self.file
             .seek(SeekFrom::Start(page * self.block.block_size as u64))?;
         self.file.write_all(data)?;
-        self.io.write(1);
         Ok(())
     }
 
@@ -226,16 +215,12 @@ impl PagedFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("dc-storage-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}-{}", std::process::id()))
-    }
+    use dc_common::TempDir;
 
     #[test]
     fn create_alloc_write_read_roundtrip() {
-        let path = tmp("roundtrip");
+        let dir = TempDir::new("paged");
+        let path = dir.join("roundtrip");
         let mut f = PagedFile::create(&path, BlockConfig::new(256)).unwrap();
         let a = f.alloc().unwrap();
         let b = f.alloc().unwrap();
@@ -246,12 +231,12 @@ mod tests {
         f.write(b, &data_b).unwrap();
         assert_eq!(f.read(a).unwrap(), data_a);
         assert_eq!(f.read(b).unwrap(), data_b);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn reopen_preserves_contents_and_freelist() {
-        let path = tmp("reopen");
+        let dir = TempDir::new("paged");
+        let path = dir.join("reopen");
         let (a, b);
         {
             let mut f = PagedFile::create(&path, BlockConfig::new(128)).unwrap();
@@ -268,12 +253,12 @@ mod tests {
         assert_eq!(c, b);
         let d = f.alloc().unwrap();
         assert!(d.0 > c.0);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn wrong_block_size_rejected_on_open() {
-        let path = tmp("blocksize");
+        let dir = TempDir::new("paged");
+        let path = dir.join("blocksize");
         PagedFile::create(&path, BlockConfig::new(128)).unwrap();
         // Larger pages may fail with an I/O error (file shorter than one
         // page) or Corrupt (header mismatch) — either way it must not open.
@@ -282,23 +267,23 @@ mod tests {
             PagedFile::open(&path, BlockConfig::new(64)),
             Err(DcError::Corrupt(_))
         ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn out_of_bounds_and_bad_sizes_are_errors() {
-        let path = tmp("bounds");
+        let dir = TempDir::new("paged");
+        let path = dir.join("bounds");
         let mut f = PagedFile::create(&path, BlockConfig::new(128)).unwrap();
         let a = f.alloc().unwrap();
         assert!(f.read(PageId(0)).is_err(), "header is not readable as data");
         assert!(f.read(PageId(99)).is_err());
         assert!(f.write(a, &[0u8; 64]).is_err(), "short writes rejected");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn free_list_is_lifo_and_reusable() {
-        let path = tmp("freelist");
+        let dir = TempDir::new("paged");
+        let path = dir.join("freelist");
         let mut f = PagedFile::create(&path, BlockConfig::new(128)).unwrap();
         let pages: Vec<PageId> = (0..5).map(|_| f.alloc().unwrap()).collect();
         for &p in &pages {
@@ -309,7 +294,6 @@ mod tests {
             assert_eq!(f.alloc().unwrap(), p);
         }
         assert_eq!(f.num_pages(), 6); // header + 5, never grew past that
-        std::fs::remove_file(&path).ok();
     }
 
     /// Regression test for free-list handling across reopen: a page freed
@@ -317,7 +301,8 @@ mod tests {
     /// of the file growing a new page.
     #[test]
     fn alloc_free_reopen_alloc_reuses_freed_page() {
-        let path = tmp("freelist-reopen");
+        let dir = TempDir::new("paged");
+        let path = dir.join("freelist-reopen");
         let freed;
         let pages_before;
         {
@@ -338,12 +323,12 @@ mod tests {
         );
         // The recycled page comes back zeroed, not carrying its old link.
         assert_eq!(f.read(reused).unwrap(), vec![0u8; 128]);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn corrupt_free_list_links_are_checked_errors() {
-        let path = tmp("freelist-corrupt");
+        let dir = TempDir::new("paged");
+        let path = dir.join("freelist-corrupt");
         {
             let mut f = PagedFile::create(&path, BlockConfig::new(128)).unwrap();
             let a = f.alloc().unwrap();
@@ -362,18 +347,16 @@ mod tests {
             Err(DcError::Corrupt(_))
         ));
         // Out-of-bounds frees are rejected too.
-        let path2 = tmp("freelist-badfree");
+        let path2 = dir.join("freelist-badfree");
         let mut f = PagedFile::create(&path2, BlockConfig::new(128)).unwrap();
         assert!(matches!(f.free(PageId(42)), Err(DcError::Corrupt(_))));
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&path2).ok();
     }
 
     #[test]
     fn garbage_file_rejected() {
-        let path = tmp("garbage");
+        let dir = TempDir::new("paged");
+        let path = dir.join("garbage");
         std::fs::write(&path, vec![0u8; 512]).unwrap();
         assert!(PagedFile::open(&path, BlockConfig::new(128)).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

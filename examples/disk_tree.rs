@@ -1,6 +1,7 @@
-//! The disk-resident DC-tree: nodes live in a paged file behind an LRU
-//! buffer pool, so the paper's I/O story becomes physically measurable —
-//! pool hits, misses and write-backs instead of simulated counters.
+//! The disk-resident DC-tree: nodes live in a paged file behind the
+//! segmented-LRU buffer pool, so the paper's I/O story becomes physically
+//! measurable — pool hits, misses and write-backs instead of simulated
+//! counters.
 //!
 //! Run with:
 //! ```sh
@@ -9,8 +10,9 @@
 
 use std::time::Instant;
 
+use dctree::common::TempDir;
+use dctree::oocore::{OocDcTree, OocOptions};
 use dctree::tpcd::{generate, TpcdConfig};
-use dctree::tree::DiskDcTree;
 use dctree::{AggregateOp, DcTreeConfig, DimSet, DimensionId, Mds};
 
 fn main() -> dctree::DcResult<()> {
@@ -18,16 +20,18 @@ fn main() -> dctree::DcResult<()> {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(20_000);
-    let dir = std::env::temp_dir().join("dctree-disk-example");
-    std::fs::create_dir_all(&dir)?;
+    let dir = TempDir::new("disk-example");
     let path = dir.join("warehouse.dcdisk");
 
     println!("generating {n} TPC-D style records…");
     let data = generate(&TpcdConfig::scaled(n, 11));
 
     for frames in [8usize, 64, 1024] {
-        let mut tree =
-            DiskDcTree::create(&path, data.schema.clone(), DcTreeConfig::default(), frames)?;
+        let opts = OocOptions {
+            frames,
+            ..OocOptions::default()
+        };
+        let tree = OocDcTree::create(&path, data.schema.clone(), DcTreeConfig::default(), opts)?;
         let t0 = Instant::now();
         for r in &data.records {
             tree.insert(r.clone())?;
@@ -72,7 +76,6 @@ fn main() -> dctree::DcResult<()> {
             s.writebacks - after_load.writebacks,
         );
     }
-    std::fs::remove_file(&path).ok();
     println!("\nsmaller pools trade memory for physical reads — the axis the paper's\nevaluation lives on.");
     Ok(())
 }

@@ -8,8 +8,9 @@
 //! cargo run --release --example persistence [num_records]
 //! ```
 
+use dctree::common::TempDir;
+use dctree::oocore::{OocDcTree, OocOptions};
 use dctree::tpcd::{generate, TpcdConfig};
-use dctree::tree::DiskDcTree;
 use dctree::{AggregateOp, DcTree, DcTreeConfig, Mds};
 
 fn main() -> dctree::DcResult<()> {
@@ -17,8 +18,7 @@ fn main() -> dctree::DcResult<()> {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(20_000);
-    let dir = std::env::temp_dir().join("dctree-persistence-example");
-    std::fs::create_dir_all(&dir)?;
+    let dir = TempDir::new("persistence-example");
 
     println!("loading {n} TPC-D style records…");
     let data = generate(&TpcdConfig::scaled(n, 99));
@@ -38,20 +38,24 @@ fn main() -> dctree::DcResult<()> {
     assert_eq!(reloaded.total_summary()?, total_before);
     println!("  reloaded and verified (invariants checked on load)");
 
-    // 2. The same tree with its nodes in a paged file behind an LRU buffer
+    // 2. The same tree with its nodes in a paged file behind a buffer
     //    pool: nothing to snapshot, `flush` makes the file reopenable.
     let paged_path = dir.join("warehouse.pages");
     let config = DcTreeConfig::default();
-    let mut disk = DiskDcTree::create(&paged_path, data.schema.clone(), config, 64)?;
+    let opts = OocOptions {
+        frames: 64,
+        ..OocOptions::default()
+    };
+    let disk = OocDcTree::create(&paged_path, data.schema.clone(), config, opts)?;
     for chunk in data.records.chunks(256) {
-        disk.insert_batch(chunk.to_vec())?;
+        disk.write().insert_batch(chunk.to_vec())?;
     }
     disk.flush()?;
     let pages = std::fs::metadata(&paged_path)?.len() / config.block.block_size as u64;
     println!("\ndisk tree: {paged_path:?} ({pages} × 4 KiB pages)");
     println!("  buffer pool after load: {:?}", disk.pool_stats());
     drop(disk);
-    let mut reloaded = DiskDcTree::open(&paged_path, config, 64)?;
+    let reloaded = OocDcTree::open(&paged_path, config, opts)?;
     assert_eq!(reloaded.total_summary()?, total_before);
 
     // 3. The reopened warehouse stays fully dynamic.
@@ -64,16 +68,13 @@ fn main() -> dctree::DcResult<()> {
         ],
         123_456,
     )?;
-    let all = Mds::all(reloaded.schema());
+    let all = Mds::all(&reloaded.schema());
     println!(
         "\nafter one more insert: COUNT = {:?}, SUM = {:?}",
         reloaded.range_query(&all, AggregateOp::Count)?,
         reloaded.range_query(&all, AggregateOp::Sum)?
     );
-    reloaded.check_invariants()?;
+    reloaded.read().check_invariants()?;
     println!("invariants hold — snapshot / restore / resume complete.");
-
-    std::fs::remove_file(&flat_path).ok();
-    std::fs::remove_file(&paged_path).ok();
     Ok(())
 }

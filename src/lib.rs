@@ -17,7 +17,7 @@
 //! | [`common`] | `dc-common` | IDs, measures, aggregate summaries, errors |
 //! | [`hierarchy`] | `dc-hierarchy` | concept hierarchies, cube schema |
 //! | [`mds`] | `dc-mds` | minimum describing sequences |
-//! | [`storage`] | `dc-storage` | block model, I/O stats, binary codec |
+//! | [`storage`] | `dc-storage` | block model, I/O stats, binary codec, paged file (the buffer pool over it lives in `dc-oocore`) |
 //! | [`tree`] | `dc-tree` | **the DC-tree** |
 //! | [`xtree`] | `dc-xtree` | X-tree baseline |
 //! | [`scan`] | `dc-scan` | sequential-scan baseline |
@@ -30,7 +30,7 @@
 //! | [`durable`] | `dc-durable` | write-ahead log, checkpoints, crash recovery |
 //! | [`cache`] | `dc-cache` | semantic aggregate cache with write-through delta maintenance |
 //! | [`serve`] | `dc-serve` | sharded concurrent serving engine + dc-ql TCP front-end |
-//! | [`oocore`] | `dc-oocore` | out-of-core shards: concurrent scan-resistant buffer pool, compressed node pages |
+//! | [`oocore`] | `dc-oocore` | the one page layer: concurrent scan-resistant buffer pool, node-page codec, `OocStore` (every paged DC-tree is `DcTree<OocStore>`) |
 //! | [`replica`] | `dc-replica` | WAL segment-shipping replication: follower reads, read-your-LSN, promotion |
 
 pub use dc_bitmap as bitmap;

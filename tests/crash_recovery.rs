@@ -18,11 +18,11 @@
 //! this harness covers the full engine path — sharding, the catalog catch-up
 //! barrier, checkpoint images, and recovery through `ShardedDcTree::new`.
 
-use std::path::PathBuf;
-use std::sync::atomic::AtomicU64;
+use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
+use dc_common::TempDir;
 use dc_durable::{apply, FaultFs, FaultPlan, SyncPolicy, WalEntry};
 use dc_query::{RangeQueryGen, ValuePick};
 use dc_serve::{EngineConfig, ShardedDcTree, WalOptions};
@@ -79,11 +79,7 @@ fn oracle(data: &TpcdData, ops: &[WalEntry], prefix: usize) -> DcTree {
     tree
 }
 
-fn config(
-    dir: &PathBuf,
-    fs: Option<Arc<dyn dc_serve::WalFs>>,
-    checkpoint_every: u64,
-) -> EngineConfig {
+fn config(dir: &Path, fs: Option<Arc<dyn dc_serve::WalFs>>, checkpoint_every: u64) -> EngineConfig {
     EngineConfig {
         num_shards: SHARDS,
         wal: Some(WalOptions {
@@ -108,7 +104,7 @@ fn apply_to_engine(engine: &ShardedDcTree, op: &WalEntry) -> dc_common::DcResult
 /// out). Returns `(attempted, synced)`: an upper bound on recoverable ops and
 /// the durable lower bound read from the engine's gauges.
 fn run_until_fault(
-    dir: &PathBuf,
+    dir: &Path,
     data: &TpcdData,
     ops: &[WalEntry],
     fs: &FaultFs,
@@ -142,7 +138,7 @@ fn run_until_fault(
 /// Reopens `dir` on the real filesystem and differentially checks the
 /// recovered engine against the oracle prefix. Returns the prefix `P`.
 fn check_recovery(
-    dir: &PathBuf,
+    dir: &Path,
     data: &TpcdData,
     ops: &[WalEntry],
     attempted: u64,
@@ -178,24 +174,14 @@ fn check_recovery(
     p
 }
 
-/// A directory no other call gets: the tests of this binary run on parallel
-/// threads and several of them ask for the same `(tag, n)`.
-fn temp_dir(tag: &str, n: u64) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, Relaxed);
-    std::env::temp_dir().join(format!("dc-crash-{tag}-{}-{n}-{seq}", std::process::id()))
-}
-
 /// Total segment-file traffic for a fault-free run, used to place crashes.
 fn total_wal_bytes(data: &TpcdData, ops: &[WalEntry]) -> u64 {
-    let dir = temp_dir("dry", 0);
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("crash-dry");
     let fs = FaultFs::new(FaultPlan::default());
     let (attempted, synced) = run_until_fault(&dir, data, ops, &fs, 0);
     assert_eq!(attempted, ops.len() as u64);
     assert_eq!(synced, ops.len() as u64);
     let bytes = fs.written();
-    let _ = std::fs::remove_dir_all(&dir);
     assert!(bytes > 2048, "workload too small to exercise rotation");
     bytes
 }
@@ -207,8 +193,7 @@ fn engine_crash_sweep_over_byte_offsets() {
     let total = total_wal_bytes(&data, &ops);
     for i in 1..=8u64 {
         let offset = total * i / 9 + i % 3; // stride plus a little phase jitter
-        let dir = temp_dir("sweep", offset);
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("crash-sweep");
         let fs = FaultFs::new(FaultPlan {
             crash_after_bytes: Some(offset),
             ..FaultPlan::default()
@@ -216,7 +201,6 @@ fn engine_crash_sweep_over_byte_offsets() {
         let (attempted, synced) = run_until_fault(&dir, &data, &ops, &fs, 0);
         assert!(fs.crashed(), "crash at byte {offset} never fired");
         check_recovery(&dir, &data, &ops, attempted, synced);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -227,8 +211,7 @@ fn engine_crash_sweep_with_checkpoints_bounds_replay() {
     let total = total_wal_bytes(&data, &ops);
     for i in 5..=8u64 {
         let offset = total * i / 9;
-        let dir = temp_dir("ckpt", offset);
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("crash-ckpt");
         let fs = FaultFs::new(FaultPlan {
             crash_after_bytes: Some(offset),
             ..FaultPlan::default()
@@ -243,7 +226,6 @@ fn engine_crash_sweep_with_checkpoints_bounds_replay() {
         assert!(d.recovery_replayed_entries.load(Relaxed) < attempted);
         drop(engine);
         check_recovery(&dir, &data, &ops, attempted, synced);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -252,8 +234,7 @@ fn engine_failed_fsyncs_never_lose_synced_writes() {
     let data = tpcd();
     let ops = workload(&data);
     for nth in [1u64, 3, 7, 40] {
-        let dir = temp_dir("fsync", nth);
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("crash-fsync");
         let fs = FaultFs::new(FaultPlan {
             fail_sync: Some(nth),
             ..FaultPlan::default()
@@ -261,7 +242,6 @@ fn engine_failed_fsyncs_never_lose_synced_writes() {
         let (attempted, synced) = run_until_fault(&dir, &data, &ops, &fs, 0);
         assert!(fs.crashed(), "fsync fault #{nth} never fired");
         check_recovery(&dir, &data, &ops, attempted, synced);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -272,8 +252,7 @@ fn engine_bit_flips_recover_to_a_clean_prefix() {
     let total = total_wal_bytes(&data, &ops);
     for i in [2u64, 4, 6] {
         let offset = total * i / 9;
-        let dir = temp_dir("flip", offset);
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("crash-flip");
         let fs = FaultFs::new(FaultPlan {
             flip_bit: Some((offset, 0x10)),
             ..FaultPlan::default()
@@ -290,7 +269,6 @@ fn engine_bit_flips_recover_to_a_clean_prefix() {
             p < attempted,
             "flip at byte {offset} went undetected: recovered all {attempted} ops"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -301,8 +279,7 @@ fn rejected_writes_never_poison_the_wal() {
     // and recovery replays the log verbatim — a logged rejection would turn
     // one bad client request into a directory that can never be reopened.
     let data = tpcd();
-    let dir = temp_dir("reject", 0);
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("crash-reject");
 
     let good: Vec<_> = data.records[..40]
         .iter()
@@ -337,5 +314,4 @@ fn rejected_writes_never_poison_the_wal() {
         .expect("recovery failed: a rejected write reached the WAL");
     assert_eq!(reopened.len(), good.len() as u64);
     assert_eq!(reopened.total_summary(), expected_total);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,10 +7,9 @@
 //! summaries internally consistent), and the final answers must match the
 //! record-at-a-time engine on every query.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use dctree::common::{AggregateOp, DimensionId};
+use dctree::common::{AggregateOp, DimensionId, TempDir};
 use dctree::query::{RangeQueryGen, ValuePick};
 use dctree::serve::{
     DiskOptions, EngineConfig, OocOptions, PartitionPolicy, ShardedDcTree, StorageMode,
@@ -19,18 +18,9 @@ use dctree::storage::BlockConfig;
 use dctree::tpcd::{generate, TpcdConfig, TpcdData};
 use dctree::{DcTree, DcTreeConfig, Mds};
 
-static SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("dc-ingdiff-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn tiny_disk(tag: &str) -> StorageMode {
+fn tiny_disk(dir: &TempDir) -> StorageMode {
     StorageMode::Disk(DiskOptions {
-        dir: temp_dir(tag),
+        dir: dir.to_path_buf(),
         ooc: OocOptions {
             block: BlockConfig::new(512),
             frames: 16,
@@ -167,10 +157,11 @@ fn resident_batched_ingest_matches_looped_inserts() {
 #[test]
 fn disk_batched_ingest_matches_looped_inserts() {
     let data = generate(&TpcdConfig::scaled(1200, 83));
-    let batched = engine(&data, tiny_disk("batch"));
+    let dirs = [TempDir::new("ingdiff-batch"), TempDir::new("ingdiff-loop")];
+    let batched = engine(&data, tiny_disk(&dirs[0]));
     batched_ingest_under_readers(&batched, &data);
 
-    let looped = engine(&data, tiny_disk("loop"));
+    let looped = engine(&data, tiny_disk(&dirs[1]));
     for r in &data.records {
         looped.insert_raw(&data.paths_for(r), r.measure).unwrap();
     }

@@ -315,9 +315,6 @@ fn transports_agree_resident() {
 
 #[test]
 fn transports_agree_disk() {
-    let dir = std::env::temp_dir().join(format!("dc-net-diff-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dctree::common::TempDir::new("net-diff");
     run_mode(StorageMode::Disk(DiskOptions::new(&dir)), "disk");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,10 +7,9 @@
 //! planned `execute`/`explain` entry points, and across a WAL
 //! checkpoint → restart → recovery cycle.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-use dctree::common::{AggregateOp, DimensionId};
+use dctree::common::{AggregateOp, DimensionId, TempDir};
 use dctree::plan::Backend;
 use dctree::ql::ParsedStatement;
 use dctree::query::{RangeQueryGen, ValuePick};
@@ -22,21 +21,12 @@ use dctree::storage::BlockConfig;
 use dctree::tpcd::{generate, TpcdConfig, TpcdData};
 use dctree::Mds;
 
-static SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("dc-oocdiff-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Disk storage with a deliberately tiny per-shard frame budget: the
 /// working set cannot stay resident, so the equivalence below is served
 /// through real faults, evictions, and write-backs.
-fn tiny_disk(tag: &str) -> StorageMode {
+fn tiny_disk(dir: &TempDir) -> StorageMode {
     StorageMode::Disk(DiskOptions {
-        dir: temp_dir(tag),
+        dir: dir.to_path_buf(),
         ooc: OocOptions {
             block: BlockConfig::new(512),
             frames: 16,
@@ -120,7 +110,8 @@ fn json_u64(json: &str, key: &str) -> u64 {
 #[test]
 fn disk_engine_matches_resident_engine_through_churn() {
     let data = generate(&TpcdConfig::scaled(2000, 17));
-    let disk = build(&data, tiny_disk("churn"));
+    let dir = TempDir::new("oocdiff-churn");
+    let disk = build(&data, tiny_disk(&dir));
     let ram = build(&data, StorageMode::Resident);
     assert!(disk.is_disk() && !ram.is_disk());
     assert_engines_agree(&disk, &ram, &data);
@@ -161,11 +152,12 @@ fn disk_engine_matches_resident_engine_through_churn() {
 #[test]
 fn idle_flush_of_disk_shards_neither_publishes_nor_touches_pages() {
     let data = generate(&TpcdConfig::scaled(800, 61));
+    let dir = TempDir::new("oocdiff-idle");
     let disk = ShardedDcTree::new(
         data.schema.clone(),
         EngineConfig {
             cache: Some(CacheConfig::default()),
-            ..config(tiny_disk("idle"))
+            ..config(tiny_disk(&dir))
         },
     )
     .unwrap();
@@ -210,7 +202,8 @@ fn published_at(engine: &ShardedDcTree) -> u64 {
 #[test]
 fn planned_queries_agree_and_explain_prices_pool_touches() {
     let data = generate(&TpcdConfig::scaled(1200, 29));
-    let disk = build(&data, tiny_disk("plan"));
+    let dir = TempDir::new("oocdiff-plan");
+    let disk = build(&data, tiny_disk(&dir));
     let ram = build(&data, StorageMode::Resident);
 
     let mut gen = RangeQueryGen::new(0.1, ValuePick::Scattered, 41);
@@ -247,11 +240,12 @@ fn planned_queries_agree_and_explain_prices_pool_touches() {
 #[test]
 fn disk_mode_rejects_planner_engines() {
     let data = generate(&TpcdConfig::scaled(50, 1));
+    let dir = TempDir::new("oocdiff-reject");
     let err = ShardedDcTree::new(
         data.schema,
         EngineConfig {
             planner: Some(PlannerOptions::default()),
-            ..config(tiny_disk("reject"))
+            ..config(tiny_disk(&dir))
         },
     );
     assert!(err.is_err());
@@ -260,11 +254,11 @@ fn disk_mode_rejects_planner_engines() {
 #[test]
 fn disk_engine_recovers_from_checkpoint_and_wal_tail() {
     let data = generate(&TpcdConfig::scaled(900, 53));
-    let wal_dir = temp_dir("wal");
-    let disk_dir = temp_dir("waldisk");
+    let wal_dir = TempDir::new("oocdiff-wal");
+    let disk_dir = TempDir::new("oocdiff-waldisk");
     let storage = || {
         StorageMode::Disk(DiskOptions {
-            dir: disk_dir.clone(),
+            dir: disk_dir.to_path_buf(),
             ooc: OocOptions {
                 block: BlockConfig::new(512),
                 frames: 16,

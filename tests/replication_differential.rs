@@ -21,7 +21,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dctree::common::DimensionId;
+use dctree::common::{DimensionId, TempDir};
 use dctree::durable::WalEntry;
 use dctree::hierarchy::CubeSchema;
 use dctree::replica::{EngineSource, Follower, FollowerConfig};
@@ -165,12 +165,6 @@ fn await_follower(follower: &Follower, lsn: u64) -> Arc<ShardedDcTree> {
     panic!("follower never reached lsn {lsn}");
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dc-repl-diff-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Runs the full churn + quiesce differential for one storage mode.
 fn run_differential(disk: bool) {
     let (records, ops_total) = if disk { (500, 160) } else { (1200, 360) };
@@ -179,10 +173,8 @@ fn run_differential(disk: bool) {
     let queries = query_matrix(&data.schema);
 
     let tag = if disk { "disk" } else { "mem" };
-    let primary_wal = temp_dir(&format!("{tag}-pwal"));
-    let follower_wal = temp_dir(&format!("{tag}-fwal"));
-    let primary_storage = temp_dir(&format!("{tag}-pstore"));
-    let follower_storage = temp_dir(&format!("{tag}-fstore"));
+    let [primary_wal, follower_wal, primary_storage, follower_storage] =
+        ["pwal", "fwal", "pstore", "fstore"].map(|d| TempDir::new(&format!("repl-diff-{tag}-{d}")));
 
     let storage = |dir: &std::path::Path| {
         if disk {
@@ -281,9 +273,6 @@ fn run_differential(disk: bool) {
     follower.stop_tailing();
     primary.shutdown();
     oracle.shutdown();
-    for dir in [primary_wal, follower_wal, primary_storage, follower_storage] {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 #[test]
