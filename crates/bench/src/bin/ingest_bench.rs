@@ -3,7 +3,9 @@
 //! bottom-up `bulk_load` builder, plus the serving engine's `INSERT_BATCH`
 //! writer path end to end. Reports records/sec, time-to-queryable and the
 //! time the two dynamic paths spent in the split machinery, verifies all
-//! paths produce query-identical trees, and fails (exit 1) if bulk load is
+//! paths produce query-identical trees, times one `INSERT` + `FLUSH` on the
+//! loaded engine (what a record costs to become visible, publish included),
+//! and fails (exit 1) if bulk load is
 //! slower than batched inserts — a ratio against the dynamic path would fail
 //! whenever that path gets faster; per-record regressions are `bench_gate`'s
 //! job. Emits a JSON report to `results/ingest_bench.json`.
@@ -144,6 +146,24 @@ fn main() {
         one_by_one.range_summary(&all).unwrap(),
         "engine total mismatch"
     );
+    // One record, then the barrier, on the fully loaded engine: the apply,
+    // the publish and the ack. Snapshots share the tree's nodes, so this
+    // must not grow with the cube.
+    let mut trickle: Vec<Duration> = data
+        .records
+        .iter()
+        .take(64)
+        .map(|r| {
+            let t0 = Instant::now();
+            engine
+                .insert_raw(&data.paths_for(r), r.measure)
+                .expect("engine insert");
+            engine.flush();
+            t0.elapsed()
+        })
+        .collect();
+    trickle.sort_unstable();
+    let flush_after_one_insert_us = trickle[trickle.len() / 2].as_secs_f64() * 1e6;
     engine.shutdown();
 
     let runs = [&single, &batched, &bulk, &engine_batched];
@@ -165,6 +185,10 @@ fn main() {
          split time: {:.0} ms record-at-a-time, {:.0} ms batched",
         split_ms(&one_by_one),
         split_ms(&batched_tree)
+    );
+    println!(
+        "INSERT + FLUSH on the loaded engine: {flush_after_one_insert_us:.0} µs (median of {})",
+        trickle.len()
     );
 
     // JSON report (gated keys are the per-record latencies: lower is
@@ -194,6 +218,9 @@ fn main() {
     json.push_str(&format!(
         "  \"engine_batched_us_per_record\": {:.4},\n",
         engine_batched.us_per_record
+    ));
+    json.push_str(&format!(
+        "  \"flush_after_one_insert_us\": {flush_after_one_insert_us:.1},\n"
     ));
     json.push_str(&format!(
         "  \"record_at_a_time_split_ms\": {:.2},\n",

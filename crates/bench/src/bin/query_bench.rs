@@ -6,6 +6,12 @@
 //! at 1 and 4 shards on the sequential path, and the bench exits non-zero
 //! if the count grows with the number of visited shards.
 //!
+//! It also reports `in_place_over_compacted`: the same queries on a tree
+//! grown by `insert_batch` and on `from_bytes(to_bytes(tree))`, the same
+//! tree laid out afresh. Snapshots share the writer's nodes, so readers are
+//! served the layout incremental growth leaves behind; the ratio drifting
+//! above 1 says a change re-fragmented it.
+//!
 //! Emits a JSON report to `results/query_bench.json` (consumed by
 //! `bench_gate`).
 //!
@@ -21,6 +27,7 @@ use dc_common::DimensionId;
 use dc_query::{RangeQueryGen, ValuePick};
 use dc_serve::{EngineConfig, PartitionPolicy, ShardedDcTree};
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
+use dc_tree::{DcTree, DcTreeConfig};
 
 /// Counts every heap acquisition (alloc, alloc_zeroed, realloc) on every
 /// thread. Frees are not counted: the steady-state claim is about taking
@@ -139,6 +146,49 @@ fn bench_engine(data: &TpcdData, shards: usize, workers: usize, queries: usize) 
     cells
 }
 
+/// Mean query time on a tree built in place by `insert_batch` over the mean
+/// on its freshly decoded image — same nodes, same queries, same answers.
+/// Each side's figure is the median over alternating rounds.
+fn in_place_over_compacted(data: &TpcdData, queries: usize) -> f64 {
+    const ROUNDS: usize = 7;
+    let mut built = DcTree::new(data.schema.clone(), DcTreeConfig::default());
+    for chunk in data.records.chunks(512) {
+        built.insert_batch(chunk.to_vec()).expect("batch");
+    }
+    let compacted = DcTree::from_bytes(&built.to_bytes()).expect("image round-trip");
+    let qs: Vec<_> = SELECTIVITIES
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &sel)| {
+            let mut gen = RangeQueryGen::new(sel, ValuePick::ContiguousRun, 7 + i as u64);
+            (0..queries)
+                .map(|_| gen.generate(&data.schema))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    for q in &qs {
+        assert_eq!(
+            built.range_summary(q).expect("query"),
+            compacted.range_summary(q).expect("query"),
+        );
+    }
+    let round = |tree: &DcTree| {
+        let t0 = Instant::now();
+        for q in &qs {
+            std::hint::black_box(tree.range_summary(q).expect("query"));
+        }
+        t0.elapsed()
+    };
+    let (mut in_place, mut fresh) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        in_place.push(round(&built));
+        fresh.push(round(&compacted));
+    }
+    in_place.sort_unstable();
+    fresh.sort_unstable();
+    in_place[ROUNDS / 2].as_secs_f64() / fresh[ROUNDS / 2].as_secs_f64()
+}
+
 /// Mean `allocs_per_query` / `fanout` across the sequential (workers = 0)
 /// cells at a given shard count.
 fn sequential_profile(cells: &[Cell], shards: usize) -> (f64, f64) {
@@ -237,11 +287,20 @@ fn main() {
         println!("PASS: steady-state range queries allocate nothing per shard visit ({slope})");
     }
 
+    let layout_ratio = in_place_over_compacted(&data, queries);
+    println!(
+        "in-place over compacted: {layout_ratio:.3} (mean query time, tree grown by insert_batch \
+         ÷ the same tree decoded from its image)"
+    );
+
     // JSON report.
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"records\": {records},\n"));
     json.push_str(&format!("  \"queries_per_cell\": {queries},\n"));
     json.push_str(&format!("  \"cores\": {cores},\n"));
+    json.push_str(&format!(
+        "  \"in_place_over_compacted\": {layout_ratio:.3},\n"
+    ));
     json.push_str("  \"selectivities\": [0.01, 0.05, 0.25],\n");
     json.push_str("  \"partitioning\": \"ByDimension(Customer.Region)\",\n");
     json.push_str("  \"cache\": false,\n");

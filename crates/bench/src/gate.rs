@@ -64,6 +64,7 @@ pub const GATED_REPORTS: &[GateSpec] = &[
             "batched_us_per_record",
             "bulk_us_per_record",
             "engine_batched_us_per_record",
+            "flush_after_one_insert_us",
         ],
     },
 ];

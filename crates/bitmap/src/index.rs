@@ -13,6 +13,7 @@
 //! scatter across its pages.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dc_common::{AggregateOp, DcError, DcResult, DimensionId, Measure, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, Record};
@@ -23,10 +24,15 @@ use crate::wah::CompressedBitmap;
 
 /// A compressed bitmap index over the cube's dimensions and hierarchy
 /// levels, with a measure column.
+///
+/// Every value's bitmap sits behind its own `Arc`, so a `clone` shares all
+/// of them and an insert into the clone (or the original) copies the one
+/// bitmap per (dimension, level) it appends to — a snapshot costs the maps
+/// and the measure column, not the bitmaps.
 #[derive(Clone, Debug)]
 pub struct BitmapIndex {
     /// `bitmaps[dim][level]` maps a value's per-level index to its bitmap.
-    bitmaps: Vec<Vec<HashMap<u32, CompressedBitmap>>>,
+    bitmaps: Vec<Vec<HashMap<u32, Arc<CompressedBitmap>>>>,
     measures: Vec<Measure>,
     /// Records logically deleted (bitmap indices handle deletion by
     /// masking, not by rewriting every bitmap).
@@ -81,7 +87,7 @@ impl BitmapIndex {
             .iter()
             .flatten()
             .flat_map(HashMap::values)
-            .map(CompressedBitmap::size_in_bytes)
+            .map(|bm| bm.size_in_bytes())
             .sum()
     }
 
@@ -96,7 +102,7 @@ impl BitmapIndex {
                 let bm = self.bitmaps[d][level as usize]
                     .entry(value.index())
                     .or_default();
-                bm.set(rid);
+                Arc::make_mut(bm).set(rid);
                 // Each append dirties (at worst) the bitmap's last block.
                 self.io.write(1);
             }
@@ -113,15 +119,15 @@ impl BitmapIndex {
         schema.validate_record(record)?;
         // Find candidates by intersecting the leaf-level bitmaps.
         let mut acc: Option<CompressedBitmap> = None;
+        let empty = CompressedBitmap::new();
         for (d, _) in schema.dims().enumerate() {
             let bm = self.bitmaps[d][0]
                 .get(&record.dims[d].index())
-                .cloned()
-                .unwrap_or_default();
-            self.charge_bitmap_read(&bm);
+                .map_or(&empty, |bm| &**bm);
+            self.charge_bitmap_read(bm);
             acc = Some(match acc {
-                None => bm,
-                Some(a) => a.and(&bm),
+                None => bm.clone(),
+                Some(a) => a.and(bm),
             });
         }
         let Some(candidates) = acc else {
@@ -263,7 +269,7 @@ impl BitmapIndex {
             let bm = &level_bitmaps[&key];
             self.charge_bitmap_read(bm);
             let selected = match &acc {
-                None => bm.clone(),
+                None => CompressedBitmap::clone(bm),
                 Some(a) => a.and(bm),
             };
             let mut summary = MeasureSummary::empty();
@@ -302,6 +308,7 @@ impl BitmapIndex {
             .get(dim.as_usize())?
             .get(value.level() as usize)?
             .get(&value.index())
+            .map(|bm| &**bm)
     }
 }
 
@@ -348,6 +355,37 @@ mod tests {
         // Unconstrained query returns the total.
         let all = Mds::all(&schema);
         assert_eq!(idx.range_summary(&schema, &all).unwrap().count, 4);
+    }
+
+    #[test]
+    fn an_insert_into_a_clone_copies_only_the_bitmaps_it_appends_to() {
+        let (mut schema, snap, _) = setup();
+        let mut idx = snap.clone();
+        let rec = schema
+            .intern_record(&[vec!["AS", "JP"], vec!["1998", "01"]], 7)
+            .unwrap();
+        idx.insert(&schema, &rec).unwrap();
+
+        let h = schema.dim(DimensionId(0));
+        let shared = |path: &[&str]| {
+            let v = h.lookup_path(path).unwrap();
+            std::ptr::eq(
+                idx.bitmap_for(DimensionId(0), v).unwrap(),
+                snap.bitmap_for(DimensionId(0), v).unwrap(),
+            )
+        };
+        assert!(shared(&["EU"]) && shared(&["EU", "DE"]) && shared(&["EU", "FR"]));
+        assert!(!shared(&["AS"]) && !shared(&["AS", "JP"]));
+
+        let all = Mds::all(&schema);
+        assert_eq!(idx.range_summary(&schema, &all).unwrap().count, 5);
+        assert_eq!(snap.range_summary(&schema, &all).unwrap().count, 4);
+        let asia = Mds::new(vec![
+            DimSet::singleton(h.lookup_path(&["AS"]).unwrap()),
+            DimSet::singleton(schema.dim(DimensionId(1)).all()),
+        ]);
+        assert_eq!(idx.range_summary(&schema, &asia).unwrap().sum, 407);
+        assert_eq!(snap.range_summary(&schema, &asia).unwrap().sum, 400);
     }
 
     #[test]

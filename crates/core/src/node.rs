@@ -194,6 +194,14 @@ mod tests {
     }
 
     #[test]
+    fn members_are_inline_and_their_size_is_pinned() {
+        // What a node's one big allocation is a run of: a later field must
+        // not silently re-bloat every leaf and directory node.
+        assert_eq!(std::mem::size_of::<StoredRecord>(), 40);
+        assert_eq!(std::mem::size_of::<DirEntry>(), 408);
+    }
+
+    #[test]
     #[should_panic(expected = "data node")]
     fn entries_on_data_node_panics() {
         let n = Node::new_data(dummy_mds());

@@ -312,14 +312,13 @@ pub fn read_node(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
             let mut records = Vec::with_capacity(n);
             for _ in 0..n {
                 let id = RecordId(r.get_u64()?);
-                let mut dims = Vec::with_capacity(num_dims);
-                for _ in 0..num_dims {
-                    dims.push(ValueId::from_raw(r.get_u32()?));
-                }
+                let dims = (0..num_dims)
+                    .map(|_| r.get_u32().map(ValueId::from_raw))
+                    .collect::<DcResult<_>>()?;
                 let measure = r.get_i64()?;
                 records.push(StoredRecord {
                     id,
-                    record: Record::new(dims, measure),
+                    record: Record { dims, measure },
                 });
             }
             NodeKind::Data(records)

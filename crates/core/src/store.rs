@@ -13,8 +13,26 @@
 //! index; for a paged store it is whatever locates the node there (the head
 //! page of its chain), and directory entries persist it through
 //! [`NodeId::raw`].
+//!
+//! # Snapshots share nodes
+//!
+//! Every [`Arena`] slot is an `Arc<Node>`, so cloning an arena — which is
+//! what `DcTree::clone` does, and what the serving engine publishes after
+//! each writer batch — copies one pointer per node and no node. The clone
+//! and the original then *share* every node until one of them mutates it:
+//! [`NodeStore::update`] goes through [`Arc::make_mut`], which mutates in
+//! place when the slot holds the only reference and otherwise copies that
+//! one node first. An insert therefore copies, once per snapshot taken, the
+//! nodes on its root-to-leaf path plus what a split creates — never the
+//! tree — and a node no snapshot references is mutated in place at no cost
+//! beyond the reference-count check. [`NodeStore::get`] stays a plain
+//! borrow: a shared node is immutable by construction (nobody holds a
+//! `&mut` to it without passing `make_mut`), so readers of a snapshot need
+//! neither a lock nor a copy, and dropping the last snapshot that
+//! references a superseded node is what frees it.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use dc_common::DcResult;
 
@@ -75,10 +93,12 @@ pub trait PersistentStore: NodeStore {
 // ----------------------------------------------------------------------
 
 /// The resident [`NodeStore`]: a slab with a free list recycling the slots
-/// deletion releases.
+/// deletion releases. Slots are reference-counted, so `clone` is a
+/// snapshot that shares every node with the original (see the
+/// [module docs](self)).
 #[derive(Clone, Debug, Default)]
 pub struct Arena {
-    slots: Vec<Option<Node>>,
+    slots: Vec<Option<Arc<Node>>>,
     free: Vec<u32>,
 }
 
@@ -88,7 +108,7 @@ impl Arena {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|n| (NodeId(i as u32), n)))
+            .filter_map(|(i, slot)| slot.as_deref().map(|n| (NodeId(i as u32), n)))
     }
 
     /// Number of live nodes.
@@ -98,8 +118,8 @@ impl Arena {
 
     /// All slots including holes — used by the persistence codec so that
     /// `NodeId`s survive a save/load round-trip unchanged.
-    pub(crate) fn slots(&self) -> &[Option<Node>] {
-        &self.slots
+    pub(crate) fn slots(&self) -> impl ExactSizeIterator<Item = Option<&Node>> {
+        self.slots.iter().map(Option::as_deref)
     }
 
     /// Rebuilds an arena from raw slots (persistence load path).
@@ -109,7 +129,29 @@ impl Arena {
             .enumerate()
             .filter_map(|(i, s)| s.is_none().then_some(i as u32))
             .collect();
+        let slots = slots.into_iter().map(|s| s.map(Arc::new)).collect();
         Arena { slots, free }
+    }
+
+    /// Number of slots whose node this arena does **not** share with
+    /// `other` (a live slot on either side holding a different allocation,
+    /// or live on one side only) — i.e. what mutation since a `clone` has
+    /// copied or created.
+    #[cfg(test)]
+    pub(crate) fn slots_not_shared_with(&self, other: &Arena) -> usize {
+        let n = self.slots.len().max(other.slots.len());
+        (0..n)
+            .filter(|&i| {
+                match (
+                    self.slots.get(i).and_then(Option::as_ref),
+                    other.slots.get(i).and_then(Option::as_ref),
+                ) {
+                    (Some(a), Some(b)) => !Arc::ptr_eq(a, b),
+                    (None, None) => false,
+                    _ => true,
+                }
+            })
+            .count()
     }
 }
 
@@ -117,41 +159,55 @@ impl NodeStore for Arena {
     #[inline]
     fn get(&self, id: NodeId) -> DcResult<Cow<'_, Node>> {
         Ok(Cow::Borrowed(
-            self.slots[id.index()].as_ref().expect("dangling NodeId"),
+            self.slots[id.index()].as_deref().expect("dangling NodeId"),
         ))
     }
 
+    /// In place when this arena holds the node's only reference; a node
+    /// shared with a snapshot is copied first (once — the copy is unshared).
     #[inline]
     fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R> {
-        f(self.slots[id.index()].as_mut().expect("dangling NodeId"))
+        f(Arc::make_mut(
+            self.slots[id.index()].as_mut().expect("dangling NodeId"),
+        ))
     }
 
     fn alloc(&mut self, node: Node) -> DcResult<NodeId> {
+        let node = Some(Arc::new(node));
         Ok(if let Some(idx) = self.free.pop() {
-            self.slots[idx as usize] = Some(node);
+            self.slots[idx as usize] = node;
             NodeId(idx)
         } else {
-            self.slots.push(Some(node));
+            self.slots.push(node);
             NodeId((self.slots.len() - 1) as u32)
         })
     }
 
+    /// Hands back the node itself when unshared, a copy when a snapshot
+    /// still references it (the snapshot keeps the original).
     fn free(&mut self, id: NodeId) -> DcResult<Node> {
         let node = self.slots[id.index()].take().expect("double free");
         self.free.push(id.0);
-        Ok(node)
+        Ok(Arc::try_unwrap(node).unwrap_or_else(|shared| (*shared).clone()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DcTree, DcTreeConfig};
     use dc_common::ValueId;
+    use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
     use dc_mds::{DimSet, Mds};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn node() -> Node {
+        Node::new_data(Mds::new(vec![DimSet::singleton(ValueId::new(1, 0))]))
+    }
 
     #[test]
     fn arena_alloc_get_free_recycles() {
-        let node = || Node::new_data(Mds::new(vec![DimSet::singleton(ValueId::new(1, 0))]));
         let mut a = Arena::default();
         let n1 = a.alloc(node()).unwrap();
         let n2 = a.alloc(node()).unwrap();
@@ -163,5 +219,113 @@ mod tests {
         assert_eq!(n3, n1); // slot reused
         assert_eq!(a.len(), 2);
         assert_eq!(a.iter().count(), 2);
+    }
+
+    #[test]
+    fn a_clone_shares_nodes_until_one_side_mutates_them() {
+        let mut a = Arena::default();
+        let (kept, changed, freed) = (
+            a.alloc(node()).unwrap(),
+            a.alloc(node()).unwrap(),
+            a.alloc(node()).unwrap(),
+        );
+        let snap = a.clone();
+        assert_eq!(a.slots_not_shared_with(&snap), 0);
+
+        // The first update of a shared node copies it; the second finds the
+        // copy unshared and mutates it where it is.
+        a.update(changed, |n| {
+            n.blocks = 7;
+            Ok(())
+        })
+        .unwrap();
+        let copy = Arc::as_ptr(a.slots[changed.index()].as_ref().unwrap());
+        a.update(changed, |n| {
+            n.blocks = 8;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            Arc::as_ptr(a.slots[changed.index()].as_ref().unwrap()),
+            copy
+        );
+        assert_eq!(a.get(changed).unwrap().blocks, 8);
+        assert_eq!(snap.get(changed).unwrap().blocks, 1);
+
+        // Freeing a shared node hands out a copy; the snapshot keeps its
+        // own, also once the writer has recycled the slot.
+        let mut replacement = node();
+        replacement.blocks = 3;
+        assert_eq!(a.free(freed).unwrap(), node());
+        assert_eq!(a.alloc(replacement).unwrap(), freed);
+        assert_eq!(a.get(freed).unwrap().blocks, 3);
+        assert_eq!(*snap.get(freed).unwrap(), node());
+
+        assert_eq!(a.slots_not_shared_with(&snap), 2);
+        assert!(Arc::ptr_eq(
+            a.slots[kept.index()].as_ref().unwrap(),
+            snap.slots[kept.index()].as_ref().unwrap()
+        ));
+    }
+
+    #[test]
+    fn an_insert_after_a_snapshot_copies_its_path_not_the_tree() {
+        let schema = CubeSchema::new(
+            vec![
+                HierarchySchema::new("D0", vec!["A".into(), "B".into(), "C".into()]),
+                HierarchySchema::new("D1", vec!["Y".into(), "M".into()]),
+                HierarchySchema::new("D2", vec!["P".into()]),
+            ],
+            "m",
+        );
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut paths = || {
+            let (a, b, c) = (
+                rng.gen_range(0..8),
+                rng.gen_range(0..8),
+                rng.gen_range(0..40),
+            );
+            let (y, m, p) = (
+                rng.gen_range(0..6),
+                rng.gen_range(0..12),
+                rng.gen_range(0..300),
+            );
+            [
+                vec![
+                    format!("a{a}"),
+                    format!("a{a}b{b}"),
+                    format!("a{a}b{b}c{c}"),
+                ],
+                vec![format!("y{y}"), format!("y{y}m{m}")],
+                vec![format!("p{p}")],
+            ]
+        };
+        let mut tree = DcTree::new(schema, DcTreeConfig::default());
+        for _ in 0..20 {
+            let batch = (0..500)
+                .map(|i| Record::new(tree.intern_paths(&paths()).unwrap(), i))
+                .collect();
+            tree.insert_batch(batch).unwrap();
+        }
+        assert_eq!(tree.len(), 10_000);
+
+        let snap = tree.clone();
+        let frozen = snap.structure().unwrap();
+        assert_eq!(tree.store.slots_not_shared_with(&snap.store), 0);
+        let nodes_before = tree.num_nodes();
+        assert!(nodes_before > 20 * tree.height());
+
+        tree.insert_raw(&paths(), 1).unwrap();
+        let created = tree.num_nodes() - nodes_before;
+        let copied = tree.store.slots_not_shared_with(&snap.store);
+        assert!(
+            (1..=tree.height() + created).contains(&copied),
+            "{copied} slots diverged; height {}, {created} created",
+            tree.height()
+        );
+        assert_eq!(snap.len(), 10_000);
+        assert!(snap.structure().unwrap() == frozen);
+        snap.check_invariants().unwrap();
+        tree.check_invariants().unwrap();
     }
 }

@@ -4,11 +4,12 @@
 //! run over the in-memory [`Arena`] and over disk pages.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dc_common::{
     AggregateOp, DcError, DcResult, DimensionId, Measure, MeasureSummary, RecordId, ValueId,
 };
-use dc_hierarchy::{CubeSchema, Record};
+use dc_hierarchy::{CubeSchema, Dims, Record};
 use dc_mds::Mds;
 use dc_storage::{ByteReader, ByteWriter, IoStats, IoTracker};
 
@@ -71,9 +72,15 @@ impl Clone for QueryCounters {
 ///
 /// See the [crate-level documentation](crate) for an overview and a usage
 /// example.
+///
+/// `clone` on the default store is the snapshot operation: it copies one
+/// pointer per node plus the schema pointer, and the two trees share every
+/// node until one of them mutates it (see [`crate::store`]). The schema is
+/// shared the same way and copied on the first intern that follows a
+/// clone.
 #[derive(Clone, Debug)]
 pub struct DcTree<S = Arena> {
-    schema: CubeSchema,
+    schema: Arc<CubeSchema>,
     config: DcTreeConfig,
     pub(crate) store: S,
     pub(crate) root: NodeId,
@@ -112,7 +119,7 @@ impl DcTree {
             .into_iter()
             .map(|(_, i)| slots[i].take().expect("each record index exactly once"))
             .collect();
-        let mut fresh = DcTree::new(self.schema.clone(), self.config);
+        let mut fresh = DcTree::new(CubeSchema::clone(&self.schema), self.config);
         fresh.len = sorted.len() as u64;
         fresh.next_record_id = self.next_record_id;
         if !sorted.is_empty() {
@@ -184,7 +191,7 @@ impl<S: NodeStore> DcTree<S> {
         config.validate();
         let root = store.alloc(Node::new_data(Mds::all(&schema)))?;
         Ok(DcTree {
-            schema,
+            schema: Arc::new(schema),
             config,
             store,
             root,
@@ -212,7 +219,7 @@ impl<S: NodeStore> DcTree<S> {
     ) -> DcResult<Self> {
         config.validate();
         let mut tree = DcTree {
-            schema,
+            schema: Arc::new(schema),
             config,
             store,
             root,
@@ -353,7 +360,7 @@ impl<S: NodeStore> DcTree<S> {
         paths: &[Vec<T>],
         measure: Measure,
     ) -> DcResult<RecordId> {
-        let record = self.schema.intern_record(paths, measure)?;
+        let record = Arc::make_mut(&mut self.schema).intern_record(paths, measure)?;
         self.insert(record)
     }
 
@@ -366,7 +373,8 @@ impl<S: NodeStore> DcTree<S> {
     /// replays the global intern log through this method before applying
     /// the records routed to it).
     pub fn intern_paths<T: AsRef<str>>(&mut self, paths: &[Vec<T>]) -> DcResult<Vec<ValueId>> {
-        Ok(self.schema.intern_record(paths, 0)?.dims)
+        let record = Arc::make_mut(&mut self.schema).intern_record(paths, 0)?;
+        Ok(record.dims.to_vec())
     }
 
     /// Inserts a pre-interned record (its leaf IDs must come from this
@@ -466,7 +474,7 @@ impl<S: NodeStore> DcTree<S> {
         self.next_record_id += n as u64;
         self.len += n as u64;
         let mut runs: Vec<Vec<StoredRecord>> = Vec::new();
-        let mut by_dims: HashMap<Vec<ValueId>, usize> = HashMap::new();
+        let mut by_dims: HashMap<Dims, usize> = HashMap::new();
         for (i, record) in records.into_iter().enumerate() {
             let slot = *by_dims.entry(record.dims.clone()).or_insert_with(|| {
                 runs.push(Vec::new());

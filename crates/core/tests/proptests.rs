@@ -5,6 +5,7 @@
 use dc_common::{AggregateOp, DimensionId, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
 use dc_mds::{DimSet, Mds};
+use dc_tree::node::Node;
 use dc_tree::{DcTree, DcTreeConfig};
 use proptest::prelude::*;
 
@@ -104,6 +105,82 @@ fn queries_for(tree: &DcTree, salt: u64) -> Vec<Mds> {
         }
     }
     out
+}
+
+/// What the writer does after a snapshot was taken.
+#[derive(Clone, Debug)]
+enum WriterStep {
+    Insert(RawRec),
+    /// `n` records on one coordinate in one batch: no hierarchy split
+    /// separates them, so the leaf grows into a supernode.
+    Duplicates(RawRec, u8),
+    Batch(Vec<RawRec>),
+    /// Delete the live record at `index % live` — with capacities of 3 this
+    /// condenses nodes, frees their slots, and later splits reuse them.
+    Delete(u16),
+    /// Intern names no record carries (`raw_rec` never draws `a ≥ 4`).
+    Intern(u8),
+    /// Take one more snapshot of the writer as it is now.
+    Snapshot,
+    /// Hand the held snapshot at `index % held` to the reader thread, which
+    /// checks it once more beside the running writer and drops it there.
+    Release(u16),
+}
+
+fn writer_step() -> impl Strategy<Value = WriterStep> {
+    prop_oneof![
+        6 => raw_rec().prop_map(WriterStep::Insert),
+        1 => (raw_rec(), 4u8..9).prop_map(|(r, n)| WriterStep::Duplicates(r, n)),
+        1 => prop::collection::vec(raw_rec(), 1..12).prop_map(WriterStep::Batch),
+        5 => any::<u16>().prop_map(WriterStep::Delete),
+        1 => (4u8..8).prop_map(WriterStep::Intern),
+        1 => Just(WriterStep::Snapshot),
+        1 => any::<u16>().prop_map(WriterStep::Release),
+    ]
+}
+
+/// Interns `r`'s paths and returns the record, without inserting it.
+fn interned(tree: &mut DcTree, r: &RawRec) -> Record {
+    Record::new(tree.intern_paths(&paths_of(r)).unwrap(), r.measure as i64)
+}
+
+/// A snapshot with everything it must keep answering, frozen at `take`.
+struct Snap {
+    tree: DcTree,
+    frozen: Vec<(usize, Node)>,
+    values: Vec<usize>,
+    queries: Vec<Mds>,
+    answers: Vec<MeasureSummary>,
+}
+
+impl Snap {
+    fn take(writer: &DcTree, salt: u64) -> Snap {
+        let tree = writer.clone();
+        let queries = queries_for(&tree, salt);
+        Snap {
+            frozen: tree.structure().unwrap(),
+            values: tree.schema().dims().map(|h| h.num_values()).collect(),
+            answers: queries
+                .iter()
+                .map(|q| tree.range_summary(q).unwrap())
+                .collect(),
+            queries,
+            tree,
+        }
+    }
+
+    fn verify(&self) {
+        assert!(
+            self.tree.structure().unwrap() == self.frozen,
+            "snapshot moved"
+        );
+        self.tree.check_invariants().unwrap();
+        let values: Vec<usize> = self.tree.schema().dims().map(|h| h.num_values()).collect();
+        assert_eq!(values, self.values, "snapshot schema grew");
+        for (q, want) in self.queries.iter().zip(&self.answers) {
+            assert_eq!(&self.tree.range_summary(q).unwrap(), want, "query {q:?}");
+        }
+    }
 }
 
 fn oracle(schema: &CubeSchema, records: &[Record], q: &Mds) -> MeasureSummary {
@@ -295,5 +372,91 @@ proptest! {
             forward.range_summary(&all).unwrap(),
             shuffled.range_summary(&Mds::all(shuffled.schema())).unwrap()
         );
+    }
+
+    /// A clone shares every node (and the schema) with the tree it was
+    /// taken from, so this is what keeps a published snapshot a snapshot:
+    /// whatever the writer does afterwards — splits, supernode growth,
+    /// condensing deletes that free slots, reuse of those slots, new
+    /// hierarchy values — no held snapshot's structure, schema, invariants
+    /// or answers move, while snapshots are dropped in arbitrary order and
+    /// some are still being read on a second thread.
+    #[test]
+    fn snapshots_are_isolated_from_the_writer(
+        initial in prop::collection::vec(raw_rec(), 1..60),
+        steps in prop::collection::vec(writer_step(), 1..70),
+        salt in 0u64..7,
+    ) {
+        use std::sync::mpsc::channel;
+
+        let config = DcTreeConfig { dir_capacity: 3, data_capacity: 3, ..DcTreeConfig::default() };
+        let mut writer = DcTree::new(schema(), config);
+        let mut live: Vec<Record> = initial.iter().map(|r| interned(&mut writer, r)).collect();
+        writer.insert_batch(live.clone()).unwrap();
+        let mut held = vec![Snap::take(&writer, salt)];
+
+        std::thread::scope(|scope| {
+            let (to_reader, released) = channel::<Snap>();
+            let (started, reader_started) = channel::<()>();
+            let reader = scope.spawn(move || {
+                for snap in released {
+                    // The writer resumes once it knows this check is under
+                    // way, so the two overlap.
+                    started.send(()).unwrap();
+                    snap.verify();
+                }
+            });
+            for step in &steps {
+                match step {
+                    WriterStep::Insert(r) => live.push(insert_raw(&mut writer, r)),
+                    WriterStep::Duplicates(r, n) => {
+                        let record = interned(&mut writer, r);
+                        let batch = vec![record; *n as usize];
+                        live.extend(batch.iter().cloned());
+                        writer.insert_batch(batch).unwrap();
+                    }
+                    WriterStep::Batch(rs) => {
+                        let batch: Vec<Record> =
+                            rs.iter().map(|r| interned(&mut writer, r)).collect();
+                        live.extend(batch.iter().cloned());
+                        writer.insert_batch(batch).unwrap();
+                    }
+                    WriterStep::Delete(i) => {
+                        if !live.is_empty() {
+                            let victim = live.swap_remove(*i as usize % live.len());
+                            assert!(writer.delete(&victim).unwrap());
+                        }
+                    }
+                    WriterStep::Intern(a) => {
+                        let fresh = RawRec { a: *a, b: 0, c: 0, y: 0, m: 0, measure: 0 };
+                        interned(&mut writer, &fresh);
+                    }
+                    WriterStep::Snapshot => held.push(Snap::take(&writer, salt)),
+                    WriterStep::Release(i) => {
+                        if !held.is_empty() {
+                            let snap = held.swap_remove(*i as usize % held.len());
+                            to_reader.send(snap).unwrap();
+                            reader_started.recv().unwrap();
+                        }
+                    }
+                }
+                for snap in &held {
+                    snap.verify();
+                }
+            }
+            drop(to_reader);
+            reader.join().expect("a released snapshot moved under the reader");
+        });
+
+        // Sharing must not cost the writer anything either.
+        writer.check_invariants().unwrap();
+        prop_assert_eq!(writer.len() as usize, live.len());
+        for q in queries_for(&writer, salt) {
+            prop_assert_eq!(
+                writer.range_summary(&q).unwrap(),
+                oracle(writer.schema(), &live, &q),
+                "query {:?}", q
+            );
+        }
     }
 }

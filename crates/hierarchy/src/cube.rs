@@ -2,6 +2,7 @@
 
 use dc_common::{DcError, DcResult, DimensionId, Level, Measure, ValueId};
 
+use crate::dims::Dims;
 use crate::hierarchy::{ConceptHierarchy, HierarchySchema};
 
 /// A data record of the cube (Definition 2): one leaf-level attribute value
@@ -11,10 +12,14 @@ use crate::hierarchy::{ConceptHierarchy, HierarchySchema};
 /// [`CubeSchema`], never stored — mirroring the paper, where each record
 /// carries one value per functional attribute and the DC-tree keeps the
 /// is-a relationships in its dictionaries.
+///
+/// A record is pointer-free for cubes of up to [`Dims::INLINE`] dimensions
+/// (see [`Dims`]): the records of a data node are one contiguous block, as
+/// in the paper's disk page, not one heap fragment each.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Record {
     /// Leaf-level value per dimension (`dims[i].level() == 0`).
-    pub dims: Vec<ValueId>,
+    pub dims: Dims,
     /// The measure (fixed-point, e.g. extended price in cents).
     pub measure: Measure,
 }
@@ -22,7 +27,10 @@ pub struct Record {
 impl Record {
     /// Convenience constructor.
     pub fn new(dims: Vec<ValueId>, measure: Measure) -> Self {
-        Record { dims, measure }
+        Record {
+            dims: dims.into(),
+            measure,
+        }
     }
 }
 
@@ -89,10 +97,12 @@ impl CubeSchema {
                 got: paths.len(),
             });
         }
-        let mut dims = Vec::with_capacity(paths.len());
-        for (h, path) in self.dimensions.iter_mut().zip(paths) {
-            dims.push(h.intern_path(path)?);
-        }
+        let dims = self
+            .dimensions
+            .iter_mut()
+            .zip(paths)
+            .map(|(h, path)| h.intern_path(path))
+            .collect::<DcResult<Dims>>()?;
         Ok(Record { dims, measure })
     }
 

@@ -18,7 +18,9 @@
 //! total order used to drive the X-tree baseline (§5.2).
 
 pub mod cube;
+pub mod dims;
 pub mod hierarchy;
 
 pub use cube::{CubeSchema, Record};
+pub use dims::{Dims, IdVec};
 pub use hierarchy::{ConceptHierarchy, HierarchySchema};

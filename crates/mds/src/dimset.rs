@@ -1,21 +1,31 @@
 //! One dimension's component of an MDS: a level and a sorted value set.
 
 use dc_common::{DcResult, Level, ValueId};
-use dc_hierarchy::ConceptHierarchy;
+use dc_hierarchy::{ConceptHierarchy, IdVec};
 
 /// The entry `M_i = (d_i, l_i)` of an MDS (Definition 3): a set of attribute
 /// values `d_i ⊆ D_i` that all belong to the relevant level `l_i` of the
 /// dimension's concept hierarchy.
 ///
 /// Values are kept sorted and deduplicated, so set operations run in linear
-/// time and the on-disk encoding is canonical.
+/// time and the on-disk encoding is canonical. Sets of up to
+/// [`DimSet::INLINE`] values — nine in ten of a TPC-D tree's directory
+/// sets — are held inline ([`IdVec`]), so a directory entry's MDS is the
+/// entry itself rather than five heap fragments.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DimSet {
     level: Level,
-    values: Vec<ValueId>,
+    values: IdVec<{ DimSet::INLINE }>,
 }
 
 impl DimSet {
+    /// Values stored without a heap allocation. Measured on directory
+    /// entries of TPC-D trees (median set 5 values, 76 % ≤ 7, 90 % ≤ 15,
+    /// max 62): with 7 inline a narrow query still ran 14 % slower on a
+    /// tree grown in place than on its compacted copy, with 15 it runs
+    /// within 3 %.
+    pub const INLINE: usize = 15;
+
     /// Builds a dimension set from arbitrary values.
     ///
     /// # Panics
@@ -30,14 +40,25 @@ impl DimSet {
         );
         values.sort_unstable();
         values.dedup();
-        DimSet { level, values }
+        DimSet {
+            level,
+            values: values.into(),
+        }
+    }
+
+    /// What an MDS's unused inline cells hold: no values, no allocation.
+    pub(crate) fn blank() -> Self {
+        DimSet {
+            level: 0,
+            values: [][..].into(),
+        }
     }
 
     /// A singleton set.
     pub fn singleton(value: ValueId) -> Self {
         DimSet {
             level: value.level(),
-            values: vec![value],
+            values: [value][..].into(),
         }
     }
 
@@ -105,7 +126,10 @@ impl DimSet {
         }
         values.sort_unstable();
         values.dedup();
-        Ok(DimSet { level, values })
+        Ok(DimSet {
+            level,
+            values: values.into(),
+        })
     }
 
     /// `|d_i ∩ e_i|` for two sets on the same level.
@@ -148,7 +172,7 @@ impl DimSet {
         }
         merged.extend_from_slice(&self.values[i..]);
         merged.extend_from_slice(&other.values[j..]);
-        self.values = merged;
+        self.values = merged.into();
     }
 
     /// `d_i \ e_i` for two sets on the same level: the values of `self`
@@ -177,7 +201,7 @@ impl DimSet {
         }
         DimSet {
             level: self.level,
-            values,
+            values: values.into(),
         }
     }
 
@@ -353,6 +377,34 @@ mod tests {
         assert_eq!(a.difference(&a).len(), 0);
         let empty = a.difference(&a);
         assert_eq!(a.difference(&empty).values(), a.values());
+    }
+
+    #[test]
+    fn sets_behave_alike_on_both_sides_of_the_inline_capacity() {
+        let ids = |r: std::ops::Range<u32>| r.map(|i| ValueId::new(0, i)).collect::<Vec<_>>();
+        let n = DimSet::INLINE as u32 + 5;
+        // Grown one insert at a time, out of order, through the boundary.
+        let mut grown = DimSet::new(0, vec![]);
+        for i in (0..n).rev() {
+            assert!(grown.insert(ValueId::new(0, i)));
+            assert!(!grown.insert(ValueId::new(0, i)));
+        }
+        let built = DimSet::new(0, ids(0..n));
+        assert_eq!(grown, built);
+        assert_eq!(grown.values(), &ids(0..n)[..]);
+        // Set algebra between an inline and a spilled operand.
+        let small = DimSet::new(0, ids(4..9));
+        assert!(small.len() <= DimSet::INLINE && built.len() > DimSet::INLINE);
+        assert_eq!(small.intersection_len(&built), 5);
+        assert!(small.is_subset_of(&built));
+        assert_eq!(
+            built.difference(&small).values(),
+            &[ids(0..4), ids(9..n)].concat()[..]
+        );
+        let mut union = small;
+        union.union_with(&DimSet::new(0, ids(7..n)));
+        assert_eq!(union.values(), &ids(4..n)[..]);
+        assert_eq!(union.clone(), union);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The MDS proper: a sequence of per-dimension sets, plus Definition 4's
 //! algebra and the adaptation rules shared by the split and query paths.
 
+use std::ops::{Deref, DerefMut};
+
 use dc_common::{DcResult, Level};
-use dc_hierarchy::{CubeSchema, Record};
+use dc_hierarchy::{CubeSchema, Dims, Record};
 
 use crate::dimset::DimSet;
 
@@ -13,15 +15,100 @@ use crate::dimset::DimSet;
 /// * one [`DimSet`] per cube dimension, in dimension order;
 /// * within a dimension all values are on the set's relevant level;
 /// * sets are sorted and deduplicated.
+///
+/// The sets of a cube of up to [`Dims::INLINE`] dimensions are held inside
+/// the value (and each set holds its values inline up to
+/// [`DimSet::INLINE`]), so a directory node's entries are one contiguous
+/// run a query walks front to back, as in the paper's disk block — not a
+/// pointer per entry to a pointer per dimension.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Mds {
-    dims: Vec<DimSet>,
+    dims: DimSets,
+}
+
+/// The per-dimension sets of one MDS; a slice of [`DimSet`]s to everything
+/// but its storage.
+// The large variant is the point: the sets live in the value.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone)]
+enum DimSets {
+    Inline {
+        len: u8,
+        sets: [DimSet; Dims::INLINE],
+    },
+    Spilled(Box<[DimSet]>),
+}
+
+impl Deref for DimSets {
+    type Target = [DimSet];
+
+    #[inline]
+    fn deref(&self) -> &[DimSet] {
+        match self {
+            DimSets::Inline { len, sets } => &sets[..usize::from(*len)],
+            DimSets::Spilled(sets) => sets,
+        }
+    }
+}
+
+impl DerefMut for DimSets {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [DimSet] {
+        match self {
+            DimSets::Inline { len, sets } => &mut sets[..usize::from(*len)],
+            DimSets::Spilled(sets) => sets,
+        }
+    }
+}
+
+impl FromIterator<DimSet> for DimSets {
+    fn from_iter<I: IntoIterator<Item = DimSet>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let mut sets: [DimSet; Dims::INLINE] = std::array::from_fn(|_| DimSet::blank());
+        let mut len = 0;
+        while let Some(set) = iter.next() {
+            if len == sets.len() {
+                let mut spilled = Vec::from(sets);
+                spilled.push(set);
+                spilled.extend(iter);
+                return DimSets::Spilled(spilled.into_boxed_slice());
+            }
+            sets[len] = set;
+            len += 1;
+        }
+        DimSets::Inline {
+            len: len as u8,
+            sets,
+        }
+    }
+}
+
+impl PartialEq for DimSets {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for DimSets {}
+
+impl std::hash::Hash for DimSets {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl std::fmt::Debug for DimSets {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 impl Mds {
     /// Builds an MDS from per-dimension sets (one per cube dimension).
     pub fn new(dims: Vec<DimSet>) -> Self {
-        Mds { dims }
+        Mds {
+            dims: dims.into_iter().collect(),
+        }
     }
 
     /// The initial MDS of a fresh DC-tree: `(ALL, …, ALL)` — "the relevant
@@ -88,7 +175,7 @@ impl Mds {
     pub fn overlap(&self, other: &Mds) -> u128 {
         self.dims
             .iter()
-            .zip(&other.dims)
+            .zip(other.dims.iter())
             .fold(1u128, |acc, (a, b)| {
                 acc.saturating_mul(a.intersection_len(b) as u128)
             })
@@ -99,7 +186,7 @@ impl Mds {
     pub fn extension(&self, other: &Mds) -> u128 {
         self.dims
             .iter()
-            .zip(&other.dims)
+            .zip(other.dims.iter())
             .fold(1u128, |acc, (a, b)| {
                 acc.saturating_mul(a.union_len(b) as u128)
             })
@@ -108,10 +195,13 @@ impl Mds {
     /// Adapts this MDS to the given target levels (all ≥ current levels).
     pub fn adapt_to_levels(&self, schema: &CubeSchema, levels: &[Level]) -> DcResult<Mds> {
         debug_assert_eq!(levels.len(), self.dims.len());
-        let mut dims = Vec::with_capacity(self.dims.len());
-        for ((d, h), &lvl) in self.dims.iter().zip(schema.dims()).zip(levels) {
-            dims.push(d.adapt_to(h, lvl)?);
-        }
+        let dims = self
+            .dims
+            .iter()
+            .zip(schema.dims())
+            .zip(levels)
+            .map(|((d, h), &lvl)| d.adapt_to(h, lvl))
+            .collect::<DcResult<_>>()?;
         Ok(Mds { dims })
     }
 
@@ -123,7 +213,7 @@ impl Mds {
         let levels: Vec<Level> = self
             .dims
             .iter()
-            .zip(&other.dims)
+            .zip(other.dims.iter())
             .map(|(a, b)| a.level().max(b.level()))
             .collect();
         Ok((
@@ -140,7 +230,7 @@ impl Mds {
     /// shortcut: when it returns `true`, every leaf cell reachable under
     /// `self` is selected by `other`.
     pub fn contained_in(&self, other: &Mds, schema: &CubeSchema) -> DcResult<bool> {
-        for ((a, b), h) in self.dims.iter().zip(&other.dims).zip(schema.dims()) {
+        for ((a, b), h) in self.dims.iter().zip(other.dims.iter()).zip(schema.dims()) {
             if !a.dominated_by(b, h)? {
                 return Ok(false);
             }
@@ -151,7 +241,7 @@ impl Mds {
     /// `true` iff the two MDSs overlap in every dimension after adaptation.
     /// Used to prune irrelevant directory entries (Fig. 7).
     pub fn overlaps(&self, other: &Mds, schema: &CubeSchema) -> DcResult<bool> {
-        for ((a, b), h) in self.dims.iter().zip(&other.dims).zip(schema.dims()) {
+        for ((a, b), h) in self.dims.iter().zip(other.dims.iter()).zip(schema.dims()) {
             if !a.overlaps(b, h)? {
                 return Ok(false);
             }
@@ -170,7 +260,7 @@ impl Mds {
             "union_aligned requires equal levels"
         );
         let mut out = self.clone();
-        for (da, db) in out.dims.iter_mut().zip(&other.dims) {
+        for (da, db) in out.dims.iter_mut().zip(other.dims.iter()) {
             da.union_with(db);
         }
         out
@@ -182,7 +272,7 @@ impl Mds {
     /// pair of MDSs") and to recompute node MDSs.
     pub fn cover(&self, other: &Mds, schema: &CubeSchema) -> DcResult<Mds> {
         let (mut a, b) = self.adapted_pair(other, schema)?;
-        for (da, db) in a.dims.iter_mut().zip(&b.dims) {
+        for (da, db) in a.dims.iter_mut().zip(b.dims.iter()) {
             da.union_with(db);
         }
         Ok(a)
@@ -288,6 +378,35 @@ mod tests {
         h.values_at(1)
             .find(|&v| h.name(v).unwrap() == name)
             .unwrap()
+    }
+
+    /// Definition 4 runs on a cube wider than the inline capacity as it
+    /// does on a narrow one, and an MDS stays a fixed, pinned size.
+    #[test]
+    fn wide_cubes_spill_and_the_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<DimSet>(), 72);
+        assert_eq!(std::mem::size_of::<Mds>(), 368);
+        for d in [1, Dims::INLINE, Dims::INLINE + 1, Dims::INLINE + 4] {
+            let sets = |shift: u32| -> Vec<DimSet> {
+                (0..d as u32)
+                    .map(|i| DimSet::new(0, vec![ValueId::new(0, i), ValueId::new(0, i + shift)]))
+                    .collect()
+            };
+            let (a, b) = (Mds::new(sets(1)), Mds::new(sets(2)));
+            assert_eq!(a.num_dims(), d);
+            assert_eq!(a.dims().count(), d);
+            assert_eq!(a.size(), 2 * d);
+            assert_eq!(a.volume(), 1u128 << d);
+            assert_eq!(a.overlap(&b), 1);
+            assert_eq!(a.union_aligned(&b).size(), 3 * d);
+            assert_eq!(a, a.clone());
+            assert_ne!(a, b);
+            assert_eq!(a.dim(d - 1), &sets(1)[d - 1]);
+            let mut c = a.clone();
+            c.dim_mut(d - 1).insert(ValueId::new(0, 900));
+            assert_eq!(c.size(), 2 * d + 1);
+            assert_eq!(a.size(), 2 * d);
+        }
     }
 
     /// The paper's §3.2 example: records (Germany, North America, 1996) and

@@ -49,7 +49,9 @@ fn mds(schema: &CubeSchema) -> impl Strategy<Value = Mds> {
             let top = h.top_level();
             (0..=top as usize).prop_flat_map(move |level| {
                 let level = level as Level;
-                (Just(level), prop::collection::btree_set(0u32..64, 1..6))
+                // Up to 23 picks: sets on both sides of `DimSet::INLINE`
+                // where the level has that many values.
+                (Just(level), prop::collection::btree_set(0u32..64, 1..24))
             })
         })
         .collect();

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 
 use dc_common::{DcError, DcResult, DimensionId, Level, MeasureSummary, ValueId};
-use dc_hierarchy::{CubeSchema, Record};
+use dc_hierarchy::{CubeSchema, Dims, Record};
 use dc_mds::Mds;
 
 /// One lattice node: the hierarchy level to pre-aggregate at, per dimension
@@ -77,7 +77,10 @@ impl ViewSpec {
 #[derive(Clone, Debug)]
 pub struct MaterializedView {
     spec: ViewSpec,
-    cells: HashMap<Vec<ValueId>, MeasureSummary>,
+    /// Keyed by one value per dimension — a record's coordinates lifted to
+    /// the spec's levels, held inline like the record's own ([`Dims`]), so
+    /// copying a view allocates the table and nothing per cell.
+    cells: HashMap<Dims, MeasureSummary>,
 }
 
 impl MaterializedView {
@@ -99,7 +102,7 @@ impl MaterializedView {
         self.cells.len()
     }
 
-    fn key_for(&self, schema: &CubeSchema, record: &Record) -> DcResult<Vec<ValueId>> {
+    fn key_for(&self, schema: &CubeSchema, record: &Record) -> DcResult<Dims> {
         schema
             .dims()
             .zip(&record.dims)

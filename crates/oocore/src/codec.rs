@@ -356,17 +356,18 @@ fn decode_compressed(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
             for _ in 0..n {
                 let id = prev_id.wrapping_add(get_zigzag(r)?);
                 prev_id = id;
-                let mut dims = Vec::with_capacity(num_dims);
-                for _ in 0..num_dims {
-                    let raw = get_varint(r)?;
-                    let raw = u32::try_from(raw)
-                        .map_err(|_| DcError::Corrupt(format!("value id {raw} overflows")))?;
-                    dims.push(ValueId::from_raw(raw));
-                }
+                let dims = (0..num_dims)
+                    .map(|_| {
+                        let raw = get_varint(r)?;
+                        u32::try_from(raw)
+                            .map(ValueId::from_raw)
+                            .map_err(|_| DcError::Corrupt(format!("value id {raw} overflows")))
+                    })
+                    .collect::<DcResult<_>>()?;
                 let measure = get_zigzag(r)?;
                 records.push(StoredRecord {
                     id: RecordId(id as u64),
-                    record: Record::new(dims, measure),
+                    record: Record { dims, measure },
                 });
             }
             NodeKind::Data(records)

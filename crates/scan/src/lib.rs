@@ -9,6 +9,14 @@
 //! The table is a flat file of fixed-size records; logical I/O is charged
 //! per block of `records_per_block` records, so experiments can compare page
 //! accesses as well as wall time.
+//!
+//! The file is held in those blocks, each behind its own `Arc`: a `clone`
+//! copies one pointer per block and shares the records, and a mutation
+//! copies only the block it lands in (the last one for an append). That is
+//! what lets the serving engine publish a table snapshot per writer batch
+//! without copying the table.
+
+use std::sync::Arc;
 
 use dc_common::{AggregateOp, DcError, DcResult, DimensionId, Level, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, Record};
@@ -18,7 +26,10 @@ use dc_storage::{BlockConfig, IoStats, IoTracker};
 /// A flat record table scanned in full by every query.
 #[derive(Clone, Debug)]
 pub struct FlatTable {
-    records: Vec<Record>,
+    /// Insertion order, in blocks of at most `records_per_block` records;
+    /// none is empty, and only a delete leaves one short of full.
+    blocks: Vec<Arc<Vec<Record>>>,
+    len: usize,
     records_per_block: usize,
     io: IoTracker,
 }
@@ -29,7 +40,8 @@ impl FlatTable {
     pub fn new(block: BlockConfig, record_bytes: usize) -> Self {
         let records_per_block = (block.block_size / record_bytes.max(1)).max(1);
         FlatTable {
-            records: Vec::new(),
+            blocks: Vec::new(),
+            len: 0,
             records_per_block,
             io: IoTracker::new(),
         }
@@ -44,18 +56,26 @@ impl FlatTable {
     /// Appends a record (the "insert file" of the evaluation is
     /// append-only).
     pub fn insert(&mut self, record: Record) {
-        self.records.push(record);
+        match self.blocks.last_mut() {
+            Some(last) if last.len() < self.records_per_block => Arc::make_mut(last).push(record),
+            _ => {
+                let mut block = Vec::with_capacity(self.records_per_block);
+                block.push(record);
+                self.blocks.push(Arc::new(block));
+            }
+        }
+        self.len += 1;
         self.io.write(1);
     }
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// `true` iff empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Records per simulated block.
@@ -92,12 +112,12 @@ impl FlatTable {
             });
         }
         // A sequential scan reads every block, selected or not.
-        let blocks = self.records.len().div_ceil(self.records_per_block) as u32;
+        let blocks = self.len.div_ceil(self.records_per_block) as u32;
         for b in 0..blocks.max(1) as u64 {
             self.io.read_keyed(b, 1);
         }
         let mut acc = MeasureSummary::empty();
-        for r in &self.records {
+        for r in self.iter() {
             if range.contains_record(schema, r)? {
                 acc.add(r.measure);
             }
@@ -110,21 +130,25 @@ impl FlatTable {
     /// rewrites the tail of the flat file — the scan baseline has no
     /// cheaper option.
     pub fn delete(&mut self, record: &Record) -> bool {
-        match self
-            .records
-            .iter()
-            .position(|r| r.dims == record.dims && r.measure == record.measure)
-        {
-            Some(i) => {
-                self.records.remove(i);
-                // Every block from the hole to the end is rewritten.
-                let from = i / self.records_per_block;
-                let to = self.records.len().div_ceil(self.records_per_block);
-                self.io.write((to.saturating_sub(from) as u32).max(1));
-                true
+        let mut before = 0;
+        for b in 0..self.blocks.len() {
+            let Some(pos) = self.blocks[b].iter().position(|r| r == record) else {
+                before += self.blocks[b].len();
+                continue;
+            };
+            if self.blocks[b].len() == 1 {
+                self.blocks.remove(b);
+            } else {
+                Arc::make_mut(&mut self.blocks[b]).remove(pos);
             }
-            None => false,
+            self.len -= 1;
+            // Every block from the hole to the end is rewritten.
+            let from = (before + pos) / self.records_per_block;
+            let to = self.len.div_ceil(self.records_per_block);
+            self.io.write((to.saturating_sub(from) as u32).max(1));
+            return true;
         }
+        false
     }
 
     /// Full-scan group-by: one pass over every block, each selected record
@@ -143,13 +167,13 @@ impl FlatTable {
                 got: range.num_dims(),
             });
         }
-        let blocks = self.records.len().div_ceil(self.records_per_block) as u32;
+        let blocks = self.len.div_ceil(self.records_per_block) as u32;
         for b in 0..blocks.max(1) as u64 {
             self.io.read_keyed(b, 1);
         }
         let h = schema.dim(dim);
         let mut groups: std::collections::BTreeMap<ValueId, MeasureSummary> = Default::default();
-        for r in &self.records {
+        for r in self.iter() {
             if range.contains_record(schema, r)? {
                 let key = h.ancestor_at(r.dims[dim.as_usize()], level)?;
                 groups.entry(key).or_default().add(r.measure);
@@ -170,7 +194,7 @@ impl FlatTable {
 
     /// Iterates the stored records in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.records.iter()
+        self.blocks.iter().flat_map(|block| block.iter())
     }
 }
 
@@ -259,6 +283,59 @@ mod tests {
         assert!(table.delete(&dup));
         assert_eq!(table.len(), 2);
         assert!(!table.delete(&dup), "both copies are gone");
+    }
+
+    #[test]
+    fn a_clone_shares_blocks_and_only_touched_ones_are_copied() {
+        let (mut schema, _) = setup();
+        // 1 KiB records: four to a block.
+        let mut table = FlatTable::new(BlockConfig::DEFAULT, 1024);
+        assert_eq!(table.records_per_block(), 4);
+        let records: Vec<Record> = (0..11)
+            .map(|i| {
+                schema
+                    .intern_record(&[vec!["Europe", "Germany"], vec!["1996", "01"]], i)
+                    .unwrap()
+            })
+            .collect();
+        for r in &records[..10] {
+            table.insert(r.clone());
+        }
+        let snap = table.clone();
+        let shared = |a: &FlatTable, b: &FlatTable| -> Vec<bool> {
+            a.blocks
+                .iter()
+                .zip(&b.blocks)
+                .map(|(x, y)| Arc::ptr_eq(x, y))
+                .collect()
+        };
+        assert_eq!(shared(&table, &snap), [true, true, true]);
+
+        // An append lands in the short last block; a delete in the block
+        // holding the record. The snapshot sees neither.
+        table.insert(records[10].clone());
+        assert_eq!(shared(&table, &snap), [true, true, false]);
+        assert!(table.delete(&records[5]));
+        assert_eq!(shared(&table, &snap), [true, false, false]);
+        assert_eq!(snap.len(), 10);
+        assert!(snap.iter().eq(&records[..10]));
+        assert_eq!(table.len(), 10);
+        let want: Vec<&Record> = records.iter().filter(|r| r.measure != 5).collect();
+        assert!(table.iter().eq(want));
+
+        // A block that loses its last record goes away; order holds and
+        // appends keep filling the (new) last block.
+        for r in &records[8..] {
+            assert!(table.delete(r));
+        }
+        assert_eq!(table.blocks.len(), 2);
+        table.insert(records[9].clone());
+        assert_eq!(table.blocks.len(), 2, "the short block takes the append");
+        let measures: Vec<i64> = table.iter().map(|r| r.measure).collect();
+        assert_eq!(measures, [0, 1, 2, 3, 4, 6, 7, 9]);
+        let all = Mds::all(&schema);
+        assert_eq!(table.range_summary(&schema, &all).unwrap().count, 8);
+        assert_eq!(snap.range_summary(&schema, &all).unwrap().count, 10);
     }
 
     #[test]

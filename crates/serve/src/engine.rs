@@ -1,6 +1,23 @@
 //! The sharded engine: hash- or dimension-partitioned `DcTree` shards, one
 //! writer thread per shard fed by an MPSC queue, epoch-published snapshots
 //! for lock-free reads, and scatter-gather query merging.
+//!
+//! # What a publish costs
+//!
+//! A resident shard's writer owns its tree and, after every batch that
+//! changed it, publishes `Arc::new(tree.clone())`. That clone is a snapshot
+//! by *path copying*, not a copy of the shard: the arena's nodes and the
+//! schema are reference-counted (`dc_tree::store`), so the clone copies one
+//! pointer per node, and the writer's next batch copies only the nodes it
+//! mutates — a root-to-leaf path per insert, plus what a split creates —
+//! the first time it touches them after the publish. The planner's
+//! auxiliary engines are published the same way (`AuxEngines`). Readers
+//! hold the snapshot's `Arc` for the length of a query; a superseded node
+//! is freed when the last snapshot referencing it drops. One copy of the
+//! cube is in memory, a `FLUSH` costs the barrier and not the shard, and a
+//! batch that changed nothing (an idle `FLUSH`, a `DELETE` of an absent
+//! record) publishes nothing. What is still copied whole: a shard's
+//! `CubeSchema`, once per batch that interns a new value into it.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -110,7 +127,9 @@ impl WalOptions {
 #[derive(Clone, Debug, Default)]
 pub enum StorageMode {
     /// Every shard is a RAM-resident [`DcTree`]; queries run against
-    /// copy-on-publish snapshots. The default, and the fastest when the
+    /// published snapshots that share their nodes with the writer's tree
+    /// (the writer copies a node on its first mutation after a publish —
+    /// see the [module docs](self)). The default, and the fastest when the
     /// cube fits in memory.
     #[default]
     Resident,
@@ -312,14 +331,21 @@ struct PlanState {
     stats: PartitionStats,
 }
 
-/// The writer-side mutable auxiliary engines (see [`PlannerOptions`]).
+/// The writer-side auxiliary engines (see [`PlannerOptions`]). Each sits
+/// behind the `Arc` the last publish handed to readers: the writer mutates
+/// through [`Arc::make_mut`], which copies an engine on its first mutation
+/// after a publish and not again until the next. For the two append-mostly
+/// engines that copy is shallow — the table shares its record blocks and
+/// the bitmap index its per-value bitmaps with the published state, so one
+/// `INSERT` copies the block and the bitmaps it touches, not the index; the
+/// roll-up views are small (one cell per occupied value) and copied whole.
 struct AuxEngines {
-    bitmap: Option<BitmapIndex>,
-    views: Option<Vec<MaterializedView>>,
+    bitmap: Option<Arc<BitmapIndex>>,
+    views: Option<Arc<Vec<MaterializedView>>>,
     /// Set by deletes (summaries cannot subtract min/max); the views are
     /// rebuilt from the shard tree at the next publish.
     views_stale: bool,
-    table: Option<FlatTable>,
+    table: Option<Arc<FlatTable>>,
 }
 
 impl AuxEngines {
@@ -330,12 +356,12 @@ impl AuxEngines {
         let mut aux = AuxEngines {
             bitmap: opts
                 .bitmap
-                .then(|| BitmapIndex::new(schema, BlockConfig::DEFAULT)),
-            views: opts.views.then(|| fresh_views(schema)),
+                .then(|| Arc::new(BitmapIndex::new(schema, BlockConfig::DEFAULT))),
+            views: opts.views.then(|| Arc::new(fresh_views(schema))),
             views_stale: false,
             table: opts
                 .table
-                .then(|| FlatTable::for_schema(BlockConfig::DEFAULT, schema)),
+                .then(|| Arc::new(FlatTable::for_schema(BlockConfig::DEFAULT, schema))),
         };
         for stored in tree.iter_records() {
             aux.insert(schema, &stored.record);
@@ -345,16 +371,16 @@ impl AuxEngines {
 
     fn insert(&mut self, schema: &CubeSchema, record: &Record) {
         if let Some(bitmap) = &mut self.bitmap {
-            bitmap
+            Arc::make_mut(bitmap)
                 .insert(schema, record)
                 .expect("catalog-backed insert cannot fail");
         }
         if let Some(table) = &mut self.table {
-            table.insert(record.clone());
+            Arc::make_mut(table).insert(record.clone());
         }
         if !self.views_stale {
             if let Some(views) = &mut self.views {
-                for v in views {
+                for v in Arc::make_mut(views) {
                     v.apply(schema, record)
                         .expect("catalog-backed insert cannot fail");
                 }
@@ -365,10 +391,10 @@ impl AuxEngines {
     /// Registers a tree-confirmed deletion.
     fn delete(&mut self, schema: &CubeSchema, record: &Record) {
         if let Some(bitmap) = &mut self.bitmap {
-            let _ = bitmap.delete(schema, record);
+            let _ = Arc::make_mut(bitmap).delete(schema, record);
         }
         if let Some(table) = &mut self.table {
-            table.delete(record);
+            Arc::make_mut(table).delete(record);
         }
         if self.views.is_some() {
             self.views_stale = true;
@@ -385,15 +411,18 @@ fn fresh_views(schema: &CubeSchema) -> Vec<MaterializedView> {
 }
 
 /// Captures a publish-time [`PlanState`] from the shard tree and its aux
-/// engines (cloned — published state must be immutable).
+/// engines. Published state must be immutable, and is without a copy: the
+/// engines are handed out by pointer, and the writer's next mutation of
+/// one goes through [`Arc::make_mut`], which leaves the published value
+/// alone (see [`AuxEngines`]).
 fn capture_plan_state(
     tree: &DcTree,
     snap: Arc<DcTree>,
     aux: Option<&AuxEngines>,
 ) -> Arc<PlanState> {
-    let bitmap = aux.and_then(|a| a.bitmap.clone()).map(Arc::new);
-    let views = aux.and_then(|a| a.views.clone()).map(Arc::new);
-    let table = aux.and_then(|a| a.table.clone()).map(Arc::new);
+    let bitmap = aux.and_then(|a| a.bitmap.clone());
+    let views = aux.and_then(|a| a.views.clone());
+    let table = aux.and_then(|a| a.table.clone());
     let records_per_block = table
         .as_ref()
         .map(|t| t.records_per_block())
@@ -2323,7 +2352,8 @@ fn apply<S: NodeStore>(
             metrics.apply_latency.record(t0.elapsed());
             shard_metrics.queue_depth.fetch_sub(1, Relaxed);
             shard_metrics.applied.fetch_add(1, Relaxed);
-            *mutated = true;
+            // A delete that removed nothing leaves what readers see exact.
+            *mutated |= removed;
         }
         Cmd::Flush(ack) => pending_flushes.push(ack),
         Cmd::Catchup { epoch } => {
@@ -2387,7 +2417,7 @@ fn publish(
                             .expect("tree records resolve in their own schema");
                     }
                 }
-                *views = fresh;
+                *views = Arc::new(fresh);
             }
             aux.views_stale = false;
         }

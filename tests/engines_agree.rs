@@ -225,3 +225,108 @@ fn bulk_loaded_tree_agrees_with_all_engines() {
         );
     }
 }
+
+/// More dimensions than a record keeps inline (`Dims::INLINE`), so every
+/// record here carries a spilled coordinate list — through the
+/// batched insert path with splits on every level, deletes, the flat image
+/// and both page codecs, with the sequential scan as the oracle.
+#[test]
+fn a_cube_wider_than_the_inline_record_agrees_with_the_scan() {
+    use dctree::common::TempDir;
+    use dctree::hierarchy::Dims;
+    use dctree::oocore::{OocOptions, OocStore};
+    use dctree::{CubeSchema, HierarchySchema, Record};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const DIMS: usize = Dims::INLINE + 2;
+    let schema = CubeSchema::new(
+        (0..DIMS)
+            .map(|d| HierarchySchema::new(format!("D{d}"), vec!["Group".into(), "Leaf".into()]))
+            .collect(),
+        "m",
+    );
+    let config = DcTreeConfig {
+        dir_capacity: 6,
+        data_capacity: 8,
+        ..DcTreeConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(77);
+    let mut dc = DcTree::new(schema, config);
+    let batches: Vec<Vec<Record>> = (0..12)
+        .map(|_| {
+            (0..100)
+                .map(|_| {
+                    let paths: Vec<Vec<String>> = (0..DIMS)
+                        .map(|d| {
+                            let g = rng.gen_range(0..3 + d);
+                            let l = rng.gen_range(0..4);
+                            vec![format!("g{g}"), format!("g{g}l{l}")]
+                        })
+                        .collect();
+                    let dims = dc.intern_paths(&paths).unwrap();
+                    assert_eq!(dims.len(), DIMS);
+                    Record::new(dims, rng.gen_range(-500..500))
+                })
+                .collect()
+        })
+        .collect();
+    let schema = dc.schema().clone();
+
+    let dir = TempDir::new("wide-cube");
+    let mut paged: Vec<DcTree<OocStore>> = [false, true]
+        .into_iter()
+        .map(|compress| {
+            let opts = OocOptions {
+                block: config.block,
+                frames: 24,
+                compress,
+            };
+            let store = OocStore::create(dir.join(format!("wide-{compress}.dct")), opts).unwrap();
+            DcTree::create_in(store, schema.clone(), config).unwrap()
+        })
+        .collect();
+    let mut scan = FlatTable::for_schema(BlockConfig::DEFAULT, &schema);
+    for batch in &batches {
+        dc.insert_batch(batch.clone()).unwrap();
+        for tree in &mut paged {
+            tree.insert_batch(batch.clone()).unwrap();
+        }
+        for r in batch {
+            scan.insert(r.clone());
+        }
+    }
+    assert!(dc.metrics().splits > 50 && dc.height() >= 3);
+    for (i, r) in batches.iter().flatten().enumerate() {
+        if i % 3 == 0 {
+            assert!(dc.delete(r).unwrap());
+            for tree in &mut paged {
+                assert!(tree.delete(r).unwrap());
+            }
+            assert!(scan.delete(r));
+        }
+    }
+    dc.check_invariants().unwrap();
+    assert_eq!(dc.len() as usize, scan.len());
+
+    let image = dc.to_bytes();
+    let reloaded = DcTree::from_bytes(&image).unwrap();
+    assert_eq!(reloaded.to_bytes(), image);
+    assert!(reloaded.structure().unwrap() == dc.structure().unwrap());
+    for tree in &mut paged {
+        tree.check_invariants().unwrap();
+        assert!(tree.structure().unwrap() == dc.structure().unwrap());
+        tree.flush().unwrap();
+    }
+
+    let mut gen = RangeQueryGen::new(0.25, ValuePick::Scattered, 5);
+    for _ in 0..40 {
+        let q = gen.generate(&schema);
+        let want = scan.range_summary(&schema, &q).unwrap();
+        assert_eq!(dc.range_summary(&q).unwrap(), want);
+        assert_eq!(reloaded.range_summary(&q).unwrap(), want);
+        for tree in &paged {
+            assert_eq!(tree.range_summary(&q).unwrap(), want);
+        }
+    }
+}

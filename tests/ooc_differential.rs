@@ -188,6 +188,60 @@ fn idle_flush_of_disk_shards_neither_publishes_nor_touches_pages() {
     disk.check_invariants().unwrap();
 }
 
+/// A `DELETE` the shard tree answers with "no such record" changed nothing
+/// a reader could see, so the barrier after it holds without a publish:
+/// every shard keeps serving the very snapshot it served before, and what
+/// the cache held still answers.
+#[test]
+fn a_delete_that_removes_nothing_does_not_republish() {
+    let data = generate(&TpcdConfig::scaled(800, 62));
+    let engine = ShardedDcTree::new(
+        data.schema.clone(),
+        EngineConfig {
+            cache: Some(CacheConfig::default()),
+            ..config(StorageMode::Resident)
+        },
+    )
+    .unwrap();
+    for r in &data.records {
+        engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
+    }
+    engine.flush();
+
+    let q = Mds::all(&data.schema);
+    let first = engine.range_summary(&q).unwrap();
+    let before: Vec<_> = (0..engine.num_shards())
+        .map(|s| engine.shard_snapshot(s))
+        .collect();
+    let published = published_at(&engine);
+
+    // Known coordinates, a measure no record carries.
+    let absent = &data.records[0];
+    engine
+        .delete_raw(&data.paths_for(absent), i64::MAX / 2)
+        .unwrap();
+    engine.flush();
+
+    for (s, snap) in before.iter().enumerate() {
+        assert!(
+            std::sync::Arc::ptr_eq(snap, &engine.shard_snapshot(s)),
+            "shard {s} republished after a no-op DELETE"
+        );
+    }
+    assert!(
+        published_at(&engine) > published,
+        "the barrier still refreshes snapshot_published_at"
+    );
+    let hits = engine.metrics().cache.hits.load(Ordering::Relaxed);
+    assert_eq!(engine.range_summary(&q).unwrap(), first);
+    assert_eq!(
+        engine.metrics().cache.hits.load(Ordering::Relaxed),
+        hits + 1
+    );
+    assert_eq!(engine.len(), data.records.len() as u64);
+    engine.check_invariants().unwrap();
+}
+
 /// The oldest `snapshot_published_at` over the engine's shards.
 fn published_at(engine: &ShardedDcTree) -> u64 {
     engine
