@@ -1,9 +1,15 @@
 //! Out-of-core serving bench (`dc-oocore`): what does it cost to serve a
 //! DC-tree cube from disk through the concurrent buffer pool, and what
-//! does the compressed node codec buy? Three sections:
+//! does the compressed node codec buy? Four sections:
 //!
 //! * **density** — the same cube written as compressed and plain pages:
 //!   file bytes, records per GB, and the codec's compression ratio.
+//! * **write path** — `insert_batch(512)` of the same records into one
+//!   disk tree (frames a tenth of its pages, final flush included) and one
+//!   resident tree: µs per record each, and the node decodes + encodes the
+//!   disk tree paid per record — a count, so it repeats exactly. The store
+//!   keeps the nodes a batch mutates decoded; without that the count is
+//!   about 2 × height.
 //! * **serving** — the disk-backed engine with a frame budget ≥10× below
 //!   the dataset's page count vs. the RAM-resident engine, same query
 //!   stream (cache off on both, so every query descends): mean latency
@@ -13,8 +19,9 @@
 //!   with full-cube scans: the segmented LRU must keep the hot set's hit
 //!   rate from collapsing when scans sweep the pool.
 //!
-//! Emits `results/oocore_bench.json` (gated key: `mean_query_us`, two
-//! occurrences — disk then resident).
+//! Emits `results/oocore_bench.json` (gated keys: `mean_query_us` and
+//! `insert_us_per_record`, two occurrences each — disk then resident — and
+//! `node_codec_ops_per_record`).
 //!
 //! ```sh
 //! cargo run --release -p dc-bench --bin oocore_bench [records] [queries]
@@ -29,7 +36,7 @@ use dc_query::{RangeQueryGen, ValuePick};
 use dc_serve::{DiskOptions, EngineConfig, PartitionPolicy, ShardedDcTree, StorageMode};
 use dc_storage::BlockConfig;
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
-use dc_tree::DcTreeConfig;
+use dc_tree::{DcTree, DcTreeConfig};
 
 const BLOCK: usize = 1024;
 const SHARDS: usize = 2;
@@ -137,9 +144,52 @@ fn main() {
     println!("{:>12}: {ratio:.2}x", "codec ratio");
 
     // ------------------------------------------------------------------
-    // Serving: disk at ≥10× the frame budget vs. RAM-resident.
+    // Write path: insert_batch into disk pages vs. the arena.
     // ------------------------------------------------------------------
     let total_pages = density[0].1 / BLOCK as u64;
+    let write_frames = ((total_pages / 10) as usize).max(8);
+    let disk_tree = OocDcTree::create(
+        dir.join("write_path.dct"),
+        data.schema.clone(),
+        DcTreeConfig::default(),
+        OocOptions {
+            block: BlockConfig::new(BLOCK),
+            frames: write_frames,
+            compress: true,
+        },
+    )
+    .expect("create shard");
+    let t0 = Instant::now();
+    for chunk in data.records.chunks(512) {
+        disk_tree
+            .write()
+            .insert_batch(chunk.to_vec())
+            .expect("insert_batch");
+    }
+    disk_tree.flush().expect("flush");
+    let disk_insert_us = t0.elapsed().as_secs_f64() * 1e6 / records as f64;
+    let mut resident_tree = DcTree::new(data.schema.clone(), DcTreeConfig::default());
+    let t0 = Instant::now();
+    for chunk in data.records.chunks(512) {
+        resident_tree
+            .insert_batch(chunk.to_vec())
+            .expect("insert_batch");
+    }
+    let resident_insert_us = t0.elapsed().as_secs_f64() * 1e6 / records as f64;
+    assert_eq!(disk_tree.read().num_nodes(), resident_tree.num_nodes());
+    let codec = disk_tree.pool_stats();
+    let codec_ops = (codec.node_decodes + codec.node_encodes) as f64 / records as f64;
+    println!(
+        "\nwrite path ({write_frames} frames, height {}): disk {disk_insert_us:.1} µs/record, \
+         resident {resident_insert_us:.1} µs/record, {codec_ops:.3} node decodes + encodes per record",
+        resident_tree.height()
+    );
+    let write_rows = [("disk", disk_insert_us), ("resident", resident_insert_us)];
+    drop((disk_tree, resident_tree));
+
+    // ------------------------------------------------------------------
+    // Serving: disk at ≥10× the frame budget vs. RAM-resident.
+    // ------------------------------------------------------------------
     let frames = ((total_pages / (10 * SHARDS as u64)) as usize).max(8);
     let over_budget = total_pages as f64 / (frames * SHARDS) as f64;
     println!(
@@ -242,6 +292,17 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!("  \"codec_ratio\": {ratio:.3},\n"));
+    json.push_str("  \"write_path\": [\n");
+    for (i, (mode, us)) in write_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"mode\": \"{mode}\", \"insert_us_per_record\": {us:.2}}}{}\n",
+            if i + 1 < write_rows.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"node_codec_ops_per_record\": {codec_ops:.3},\n"
+    ));
     json.push_str(&format!("  \"frames_per_shard\": {frames},\n"));
     json.push_str(&format!("  \"dataset_over_budget_x\": {over_budget:.1},\n"));
     json.push_str("  \"serving\": [\n");

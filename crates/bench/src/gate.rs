@@ -14,7 +14,8 @@
 pub struct GateSpec {
     /// Report file name, relative to both the baseline and current dirs.
     pub file: &'static str,
-    /// Latency keys (µs or ms — unit-agnostic, ratios only).
+    /// Latency keys (µs or ms — unit-agnostic, ratios only), or counts of
+    /// work per operation: bigger is worse either way.
     pub keys: &'static [&'static str],
 }
 
@@ -43,7 +44,11 @@ pub const GATED_REPORTS: &[GateSpec] = &[
     },
     GateSpec {
         file: "oocore_bench.json",
-        keys: &["mean_query_us"],
+        keys: &[
+            "mean_query_us",
+            "insert_us_per_record",
+            "node_codec_ops_per_record",
+        ],
     },
     GateSpec {
         file: "replication_bench.json",

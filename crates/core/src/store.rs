@@ -7,7 +7,8 @@
 //! every resident shard uses) and over `dc_oocore::OocStore` (node pages
 //! behind the concurrent, scan-resistant buffer pool) without duplicating
 //! any tree logic. This crate knows neither pages nor pools: how a node is
-//! laid out on disk is the paged store's business alone.
+//! laid out on disk, and how long a mutated node stays decoded before it is
+//! written back, is the paged store's business alone.
 //!
 //! A store hands out [`NodeId`] handles. For the arena a handle is a slot
 //! index; for a paged store it is whatever locates the node there (the head
@@ -42,23 +43,31 @@ use crate::node::{Node, NodeId};
 ///
 /// The tree touches a node in exactly two ways: it *reads* it ([`get`]) or
 /// it runs *one mutation step* on it ([`update`]). For the arena these are
-/// a borrow and a mutable borrow; for a paged store a read is a load +
-/// decode and an update is load → mutate → store, so every step of an
-/// algorithm costs a paged store one load and at most one store.
+/// a borrow and a mutable borrow. A paged store decodes a node it reads
+/// from its pages, but it need not pay the codec per step: the paged store
+/// keeps the nodes it has mutated decoded (a bounded set, written back
+/// when it fills and when the store syncs), so the steps an insertion
+/// takes on one node cost one decode and one encode between them, and a
+/// read of such a node is a borrow there too.
 ///
 /// [`get`]: NodeStore::get
 /// [`update`]: NodeStore::update
 pub trait NodeStore {
-    /// Reads the node at `id`: borrowed from a resident store, decoded
-    /// (owned) from a paged one.
+    /// Reads the node at `id`: borrowed from a resident store; from a paged
+    /// one decoded (owned), or borrowed when the store holds it decoded.
     fn get(&self, id: NodeId) -> DcResult<Cow<'_, Node>>;
 
     /// Runs one mutation step on the node at `id`. When `f` fails the
-    /// node's stored state is unspecified for resident stores (the step
-    /// may have been half applied) and unchanged for paged ones.
+    /// node's state is unspecified (the step may have been half applied) on
+    /// a resident store and for a node a paged store already held decoded
+    /// and dirty; a node a paged store had to load for the step keeps its
+    /// stored state. No caller retries a failed step: the tree propagates
+    /// the error. On a paged store the call may first write other nodes
+    /// back to make room, and an I/O error from that is returned here.
     fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R>;
 
-    /// Stores a fresh node and returns its handle.
+    /// Stores a fresh node and returns its handle. May write other nodes
+    /// back first, as [`update`](Self::update) does.
     fn alloc(&mut self, node: Node) -> DcResult<NodeId>;
 
     /// Releases the node at `id`, handing back its last content.
@@ -84,7 +93,8 @@ pub trait PersistentStore: NodeStore {
     /// Rewrites the metadata blob.
     fn write_meta(&mut self, bytes: &[u8]) -> DcResult<()>;
 
-    /// Forces every buffered write down to durable storage.
+    /// Forces every buffered write — nodes held decoded included — down
+    /// to durable storage.
     fn sync(&mut self) -> DcResult<()>;
 }
 

@@ -19,7 +19,9 @@
 //!   two under `dc_tree::DcTree` — the same tree, and the same algorithms,
 //!   as a resident shard's. It is the workspace's one paged store and the
 //!   only code that knows the page-chain layout; a single-threaded tool
-//!   uses `DcTree<OocStore>` directly.
+//!   uses `DcTree<OocStore>` directly. Nodes the tree mutates stay decoded
+//!   in a write-back set bounded by the frame budget, so a batch pays the
+//!   codec once per node, not once per algorithm step.
 //! * [`OocDcTree`] — the servable shard: concurrent readers, exclusive
 //!   writers, pool stats and checkpoint flush without the tree lock.
 

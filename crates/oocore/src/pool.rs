@@ -158,6 +158,38 @@ pub struct OocPoolStats {
     pub resident: u64,
     /// Total frame budget.
     pub capacity: u64,
+    /// Nodes decoded from their pages by the store above the pool.
+    pub node_decodes: u64,
+    /// Nodes encoded into their pages by the store above the pool.
+    pub node_encodes: u64,
+    /// Node accesses the store served from its decoded write-back set —
+    /// node reads that touched no page, so absent from `hits` and `misses`.
+    pub decoded_hits: u64,
+    /// Nodes currently in the store's decoded write-back set.
+    pub decoded_nodes: u64,
+}
+
+impl OocPoolStats {
+    /// Share of node reads that went to disk: page misses over page touches
+    /// plus the reads the decoded set absorbed (which would have been hits
+    /// on the hottest pages); `None` before the first read.
+    pub fn miss_rate(&self) -> Option<f64> {
+        let reads = self.hits + self.misses + self.decoded_hits;
+        (reads > 0).then(|| self.misses as f64 / reads as f64)
+    }
+}
+
+/// Node-level counters, kept here so that one [`ConcurrentPool::stats`] call
+/// — which needs no tree lock — reports a shard's whole read path. The
+/// store above the pool is what updates them.
+#[derive(Debug, Default)]
+pub(crate) struct NodeCounters {
+    pub(crate) decodes: AtomicU64,
+    pub(crate) encodes: AtomicU64,
+    /// Accesses served from the decoded write-back set.
+    pub(crate) served: AtomicU64,
+    /// Current size of the decoded write-back set.
+    pub(crate) held: AtomicU64,
 }
 
 /// The concurrent, scan-resistant buffer pool. See the module docs.
@@ -177,6 +209,7 @@ pub struct ConcurrentPool {
     misses: AtomicU64,
     evictions: AtomicU64,
     writebacks: AtomicU64,
+    pub(crate) nodes: NodeCounters,
 }
 
 impl ConcurrentPool {
@@ -202,6 +235,7 @@ impl ConcurrentPool {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             writebacks: AtomicU64::new(0),
+            nodes: NodeCounters::default(),
         }
     }
 
@@ -322,6 +356,10 @@ impl ConcurrentPool {
             writebacks: self.writebacks.load(Ordering::Relaxed),
             resident: self.stripes.iter().map(|s| s.lock().map.len() as u64).sum(),
             capacity: (self.stripe_cap * self.stripes.len()) as u64,
+            node_decodes: self.nodes.decodes.load(Ordering::Relaxed),
+            node_encodes: self.nodes.encodes.load(Ordering::Relaxed),
+            decoded_hits: self.nodes.served.load(Ordering::Relaxed),
+            decoded_nodes: self.nodes.held.load(Ordering::Relaxed),
         }
     }
 

@@ -233,17 +233,20 @@ fn disk_tree_deletes_like_memory_tree() {
 
 #[test]
 fn buffer_pool_pressure_still_answers_correctly() {
-    // A tiny pool (4 frames) forces constant eviction and reload.
-    for compress in [false, true] {
+    // A tiny pool (its floor of 4 frames) forces constant eviction and
+    // reload; the store's decoded set is bounded by the same option, so at
+    // 1 and 2 it gives a node up between the steps of one insertion.
+    for (frames, compress) in [(1, false), (2, true), (4, false), (4, true)] {
         let dir = TempDir::new("disk-pressure");
         let mut mem = DcTree::new(schema(), config(4));
-        let mut disk = create(&dir.join("tree.dct"), config(4), 4, compress);
+        let mut disk = create(&dir.join("tree.dct"), config(4), frames, compress);
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..300 {
             let paths = random_paths(&mut rng);
             let m = rng.gen_range(0..100);
             mem.insert_raw(&paths, m).unwrap();
             disk.insert_raw(&paths, m).unwrap();
+            assert!(disk.store().pool_stats().decoded_nodes <= frames as u64);
         }
         let stats = disk.store().pool_stats();
         assert!(stats.evictions > 0, "4 frames must thrash: {stats:?}");
@@ -416,11 +419,13 @@ proptest! {
     /// One algorithm, one tree, whatever the store: the same interned
     /// stream — inserts batched, deletes interleaved — builds the same tree
     /// node for node in the arena and on disk pages, plain and compressed,
-    /// under buffer-pool pressure.
+    /// under buffer-pool pressure — and, at 1, 2 and 4 frames, with the
+    /// store writing decoded nodes back between the steps of a split, a
+    /// supernode growth and a condensing delete.
     #[test]
     fn disk_tree_matches_memory_tree(
         steps in prop::collection::vec(step(), 1..60),
-        frames in 3usize..24,
+        frames in prop::sample::select(vec![1usize, 2, 4, 9, 23]),
         batch in 1usize..6,
     ) {
         let dir = TempDir::new("disk-proptest");

@@ -851,6 +851,10 @@ impl ShardedDcTree {
                 agg.writebacks += s.writebacks;
                 agg.resident += s.resident;
                 agg.capacity += s.capacity;
+                agg.node_decodes += s.node_decodes;
+                agg.node_encodes += s.node_encodes;
+                agg.decoded_hits += s.decoded_hits;
+                agg.decoded_nodes += s.decoded_nodes;
                 any = true;
             }
         }
@@ -865,6 +869,10 @@ impl ShardedDcTree {
         bp.writebacks.store(agg.writebacks, Relaxed);
         bp.resident.store(agg.resident, Relaxed);
         bp.capacity.store(agg.capacity, Relaxed);
+        bp.node_decodes.store(agg.node_decodes, Relaxed);
+        bp.node_encodes.store(agg.node_encodes, Relaxed);
+        bp.decoded_hits.store(agg.decoded_hits, Relaxed);
+        bp.decoded_nodes.store(agg.decoded_nodes, Relaxed);
     }
 
     /// Number of shards.
@@ -2499,8 +2507,6 @@ fn publish_ooc(
 /// cold-fetch multiplier. A pool with no history prices fully cold — the
 /// conservative prior for freshly opened shards.
 fn capture_ooc_stats(tree: &DcTree<OocStore>, pool: &dc_oocore::ConcurrentPool) -> PartitionStats {
-    let p = pool.stats();
-    let touches = p.hits + p.misses;
     PartitionStats {
         records: tree.len(),
         tree_nodes: tree.num_nodes(),
@@ -2508,11 +2514,7 @@ fn capture_ooc_stats(tree: &DcTree<OocStore>, pool: &dc_oocore::ConcurrentPool) 
         records_per_block: FlatTable::for_schema(BlockConfig::DEFAULT, tree.schema())
             .records_per_block(),
         disk_resident: true,
-        pool_miss_rate: if touches == 0 {
-            1.0
-        } else {
-            p.misses as f64 / touches as f64
-        },
+        pool_miss_rate: pool.stats().miss_rate().unwrap_or(1.0),
         ..PartitionStats::default()
     }
 }

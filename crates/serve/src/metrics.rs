@@ -211,6 +211,15 @@ pub struct BufferPoolMetrics {
     pub resident: AtomicU64,
     /// Total frame budget, summed over shards (gauge).
     pub capacity: AtomicU64,
+    /// Nodes decoded from their pages.
+    pub node_decodes: AtomicU64,
+    /// Nodes encoded into their pages.
+    pub node_encodes: AtomicU64,
+    /// Node accesses served from a store's decoded write-back set (they
+    /// touch no page, so `hits`/`misses` do not see them).
+    pub decoded_hits: AtomicU64,
+    /// Nodes currently held decoded, summed over shards (gauge).
+    pub decoded_nodes: AtomicU64,
 }
 
 /// A log₂-bucketed histogram over dimensionless counts (pipeline depths),
@@ -688,8 +697,16 @@ impl EngineMetrics {
             "pool_resident",
             &b.resident.load(Relaxed).to_string(),
         );
-        s.push_str("\"pool_capacity\":");
-        s.push_str(&b.capacity.load(Relaxed).to_string());
+        for (key, counter) in [
+            ("pool_capacity", &b.capacity),
+            ("node_decodes", &b.node_decodes),
+            ("node_encodes", &b.node_encodes),
+            ("decoded_hits", &b.decoded_hits),
+        ] {
+            push_kv(&mut s, key, &counter.load(Relaxed).to_string());
+        }
+        s.push_str("\"decoded_nodes\":");
+        s.push_str(&b.decoded_nodes.load(Relaxed).to_string());
         s.push('}');
         s
     }
@@ -985,11 +1002,14 @@ mod tests {
         m.buffer_pool.misses.store(10, Relaxed);
         m.buffer_pool.evictions.store(4, Relaxed);
         m.buffer_pool.capacity.store(64, Relaxed);
+        m.buffer_pool.node_encodes.store(7, Relaxed);
+        m.buffer_pool.decoded_nodes.store(3, Relaxed);
         let json = m.to_json();
         assert!(json.contains("\"buffer_pool\":{\"pool_hits\":30"));
         assert!(json.contains("\"pool_hit_rate\":0.750"));
         assert!(json.contains("\"pool_evictions\":4"));
-        assert!(json.contains("\"pool_capacity\":64"));
+        assert!(json.contains("\"pool_capacity\":64,\"node_decodes\":0,\"node_encodes\":7"));
+        assert!(json.contains("\"decoded_hits\":0,\"decoded_nodes\":3}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -120,7 +120,9 @@ fn main() -> std::io::Result<()> {
     // replication role, applied frontier, and segment-shipping counters.
     print_section(&stats, "replication", "replication");
     // Only present when the server runs disk-backed shards
-    // (StorageMode::Disk); resident servers skip it silently.
+    // (StorageMode::Disk); resident servers skip it silently. Pool
+    // counters, then the store's: node decodes and encodes, and how many
+    // node accesses its decoded write-back set served.
     print_section(&stats, "buffer_pool", "buffer pool");
     // Only present once a network front-end (threaded or reactor) serves
     // the engine: connections, request/byte counters, pipeline depth,

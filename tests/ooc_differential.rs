@@ -10,7 +10,7 @@
 use std::sync::atomic::Ordering;
 
 use dctree::common::{AggregateOp, DimensionId, TempDir};
-use dctree::plan::Backend;
+use dctree::plan::{Backend, COLD_FETCH_PENALTY};
 use dctree::ql::ParsedStatement;
 use dctree::query::{RangeQueryGen, ValuePick};
 use dctree::serve::{
@@ -19,7 +19,7 @@ use dctree::serve::{
 };
 use dctree::storage::BlockConfig;
 use dctree::tpcd::{generate, TpcdConfig, TpcdData};
-use dctree::Mds;
+use dctree::{Mds, Record};
 
 /// Disk storage with a deliberately tiny per-shard frame budget: the
 /// working set cannot stay resident, so the equivalence below is served
@@ -260,6 +260,20 @@ fn planned_queries_agree_and_explain_prices_pool_touches() {
     let disk = build(&data, tiny_disk(&dir));
     let ram = build(&data, StorageMode::Resident);
 
+    // Nothing has read a page since the writers' last publish, so the live
+    // counters are the ones the shards priced their pools with. A node read
+    // the store served decoded touched no page and did not go to disk: it
+    // counts as a read that did not miss.
+    let stats = disk.stats_json();
+    let [hits, misses, absorbed] =
+        ["pool_hits", "pool_misses", "decoded_hits"].map(|key| json_u64(&stats, key));
+    assert!(absorbed > 0, "the load mutates nodes in the decoded set");
+    let miss_rate = misses as f64 / (hits + misses + absorbed) as f64;
+    // Per shard, the miss rate EXPLAIN priced with: a resident shard holds
+    // the same tree and prices it warm, so the ratio of the two estimates
+    // is the cold factor, 1 + rate × (penalty − 1).
+    let mut priced_rates: Vec<f64> = Vec::new();
+
     let mut gen = RangeQueryGen::new(0.1, ValuePick::Scattered, 41);
     for i in 0..8 {
         let filter = gen.generate(&data.schema);
@@ -283,12 +297,31 @@ fn planned_queries_agree_and_explain_prices_pool_touches() {
             explain.est_pages > 0.0,
             "cold-priced descent estimate must be positive"
         );
+        let (_, warm) = ram.explain(&stmt).unwrap();
+        for (cold, warm) in explain.shards.iter().zip(&warm.shards) {
+            assert_eq!(cold.shard, warm.shard);
+            if cold.actual_pages.is_some() && warm.actual_pages.is_some() {
+                let factor = cold.est_pages / warm.est_pages;
+                priced_rates.push((factor - 1.0) / (COLD_FETCH_PENALTY - 1.0));
+            }
+        }
         // Disk shards maintain no other backend to force.
         assert!(disk.execute_forced(&stmt, Backend::Scan).is_err());
         let cmp = disk.compare_backends(&stmt).unwrap();
         assert_eq!(cmp.outputs.len(), 1);
         assert_eq!(cmp.chosen, out);
     }
+
+    // The engine-wide rate is the shards' rates pooled, so it lies between
+    // the lowest and the highest of them — provided the decoded reads sit
+    // in the denominator the shards used.
+    let lowest = priced_rates.iter().copied().fold(f64::INFINITY, f64::min);
+    let highest = priced_rates.iter().copied().fold(0.0, f64::max);
+    assert!(
+        (lowest - 1e-9..=highest + 1e-9).contains(&miss_rate),
+        "EXPLAIN priced miss rates {lowest:.4}..{highest:.4}, STATS says {miss_rate:.4} \
+         ({misses} misses, {hits} hits, {absorbed} served decoded)"
+    );
 }
 
 #[test]
@@ -307,6 +340,18 @@ fn disk_mode_rejects_planner_engines() {
 
 #[test]
 fn disk_engine_recovers_from_checkpoint_and_wal_tail() {
+    recovers_from_checkpoint_and_wal_tail(false);
+}
+
+/// The checkpoint lands right behind `INSERT_BATCH` groups nobody waited
+/// for: the shard writers still hold the nodes those batches mutated
+/// decoded and unwritten, and the image must carry them all the same.
+#[test]
+fn disk_checkpoint_behind_an_unflushed_batch_recovers() {
+    recovers_from_checkpoint_and_wal_tail(true);
+}
+
+fn recovers_from_checkpoint_and_wal_tail(batched: bool) {
     let data = generate(&TpcdConfig::scaled(900, 53));
     let wal_dir = TempDir::new("oocdiff-wal");
     let disk_dir = TempDir::new("oocdiff-waldisk");
@@ -327,27 +372,48 @@ fn disk_engine_recovers_from_checkpoint_and_wal_tail() {
         }),
         ..config(storage())
     };
+    // Record at a time with a barrier before the checkpoint, or in groups
+    // of 64 with none.
+    let insert = |engine: &ShardedDcTree, records: &[Record]| {
+        if batched {
+            for chunk in records.chunks(64) {
+                let group: Vec<_> = chunk
+                    .iter()
+                    .map(|r| (data.paths_for(r), r.measure))
+                    .collect();
+                engine.insert_batch_raw(&group).unwrap();
+            }
+        } else {
+            for r in records {
+                engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
+            }
+        }
+    };
 
     let half = data.records.len() / 2;
     {
         let engine = ShardedDcTree::new(data.schema.clone(), cfg()).unwrap();
-        for r in &data.records[..half] {
-            engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
-        }
+        insert(&engine, &data.records[..half]);
         // A little pre-checkpoint churn so images carry delete effects.
         for r in data.records[..half].iter().step_by(5) {
             engine.delete_raw(&data.paths_for(r), r.measure).unwrap();
         }
-        engine.flush();
+        if batched {
+            insert(&engine, &data.records[half..half + 64]);
+        } else {
+            engine.flush();
+        }
         engine.checkpoint().unwrap();
         // Tail beyond the checkpoint, replayed from segments on reopen.
-        for r in &data.records[half..] {
-            engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
-        }
+        let tail = if batched { half + 64 } else { half };
+        insert(&engine, &data.records[tail..]);
         engine.flush();
     }
 
     let reopened = ShardedDcTree::new(data.schema.clone(), cfg()).unwrap();
+    let durability = &reopened.metrics().durability;
+    assert!(durability.recovery_checkpoint_lsn.load(Ordering::Relaxed) > 0);
+    assert!(durability.recovery_replayed_entries.load(Ordering::Relaxed) > 0);
     let ram = ShardedDcTree::new(data.schema.clone(), config(StorageMode::Resident)).unwrap();
     for r in &data.records[..half] {
         ram.insert_raw(&data.paths_for(r), r.measure).unwrap();
