@@ -36,9 +36,11 @@ pub struct PartitionStats {
     /// `true` when the partition's tree is served out-of-core through a
     /// buffer pool (dc-oocore): a visited page is a *possibly cold* page.
     pub disk_resident: bool,
-    /// Observed fraction of buffer-pool page touches that went to disk
-    /// (`misses / (hits + misses)` at publish time). Only meaningful when
-    /// [`disk_resident`](Self::disk_resident); a cold pool reports `1.0`.
+    /// Observed fraction of the shard's node reads that went to disk at
+    /// publish time: `misses / (hits + misses + decoded_hits)`, the reads
+    /// its decoded write-back set absorbed counting as hot. Only meaningful
+    /// when [`disk_resident`](Self::disk_resident); a pool with no reads
+    /// yet reports `1.0`.
     pub pool_miss_rate: f64,
 }
 

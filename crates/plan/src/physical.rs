@@ -8,7 +8,7 @@ use dc_common::{DcError, DcResult, MeasureSummary, ValueId};
 use dc_hierarchy::CubeSchema;
 use dc_mview::MaterializedView;
 use dc_scan::FlatTable;
-use dc_tree::{DcTree, PreparedRange};
+use dc_tree::{Arena, DcTree, NodeStore, PreparedRange};
 
 use crate::logical::LogicalPlan;
 
@@ -86,11 +86,12 @@ impl QueryOutput {
     }
 }
 
-/// Borrowed handles to one partition's engines. The tree is always there;
-/// the auxiliary engines only when the partition maintains them.
-pub struct BackendRefs<'a> {
+/// Borrowed handles to one partition's engines. The tree is always there,
+/// in whichever store holds its nodes; the auxiliary engines only when the
+/// partition maintains them.
+pub struct BackendRefs<'a, S: NodeStore = Arena> {
     /// The authoritative DC-tree.
-    pub tree: &'a DcTree,
+    pub tree: &'a DcTree<S>,
     /// WAH bitmap index, if maintained.
     pub bitmap: Option<&'a BitmapIndex>,
     /// Materialized roll-up views, if maintained (callers must not pass
@@ -108,11 +109,11 @@ pub struct BackendRefs<'a> {
 /// from each engine's own `IoTracker` delta — concurrent queries on the
 /// same snapshot can inflate one another's deltas, which is the same
 /// accounting the serve layer already accepts for its cost gauges.
-pub fn execute(
+pub fn execute<S: NodeStore>(
     schema: &CubeSchema,
     plan: &LogicalPlan,
     backend: Backend,
-    refs: &BackendRefs<'_>,
+    refs: &BackendRefs<'_, S>,
     prepared: Option<&PreparedRange>,
 ) -> DcResult<(QueryOutput, u64)> {
     match backend {

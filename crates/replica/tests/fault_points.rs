@@ -162,7 +162,10 @@ fn check_promoted(
     );
     let mono = oracle(data, ops, p as usize);
     assert_eq!(promoted.len(), mono.len(), "len mismatch at prefix {p}");
-    assert_eq!(promoted.total_summary(), mono.total_summary().unwrap());
+    assert_eq!(
+        promoted.total_summary().unwrap(),
+        mono.total_summary().unwrap()
+    );
     // Writable and LSN-continuous: the first post-promotion write must
     // land at exactly P + 1 — no gap, no reuse.
     let r = &data.records[0];

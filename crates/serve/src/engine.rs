@@ -1,6 +1,6 @@
 //! The sharded engine: hash- or dimension-partitioned `DcTree` shards, one
-//! writer thread per shard fed by an MPSC queue, epoch-published snapshots
-//! for lock-free reads, and scatter-gather query merging.
+//! writer thread per shard fed by an MPSC queue, one published state per
+//! shard that every reader starts from, and scatter-gather query merging.
 //!
 //! # What a publish costs
 //!
@@ -126,19 +126,20 @@ impl WalOptions {
 /// Where shard trees live.
 #[derive(Clone, Debug, Default)]
 pub enum StorageMode {
-    /// Every shard is a RAM-resident [`DcTree`]; queries run against
-    /// published snapshots that share their nodes with the writer's tree
-    /// (the writer copies a node on its first mutation after a publish —
-    /// see the [module docs](self)). The default, and the fastest when the
-    /// cube fits in memory.
+    /// Every shard is a RAM-resident [`DcTree`]; a shard publishes
+    /// snapshots that share their nodes with the writer's tree (the writer
+    /// copies a node on its first mutation after a publish — see the
+    /// [module docs](self)). The default, and the fastest when the cube
+    /// fits in memory.
     #[default]
     Resident,
     /// Every shard is a disk file of compressed node pages served through
     /// `dc-oocore`'s concurrent, scan-resistant buffer pool — the cube may
-    /// exceed RAM by an order of magnitude. Queries take a shard read lock
-    /// instead of a snapshot, the planner prices possibly-cold page
-    /// fetches via the observed pool miss rate, and STATS grows a
-    /// `buffer_pool` section.
+    /// exceed RAM by an order of magnitude. A shard publishes its pooled
+    /// tree, which a query reads under the shard's read lock for the length
+    /// of its descent there; the planner prices possibly-cold page fetches
+    /// via the observed pool miss rate, and STATS grows a `buffer_pool`
+    /// section.
     Disk(DiskOptions),
 }
 
@@ -209,10 +210,12 @@ pub struct EngineConfig {
     /// `dc-durable`'s framed WAL); recovery replays it on construction.
     pub wal: Option<WalOptions>,
     /// Evaluate multi-shard queries on the persistent work-stealing query
-    /// pool instead of sequentially on the calling thread. Snapshots are
-    /// immutable, so the two paths return identical answers; the pooled one
-    /// wins wall-clock only when spare cores exist, which is why the
-    /// default follows [`std::thread::available_parallelism`].
+    /// pool instead of sequentially on the calling thread, in either
+    /// storage mode. Each shard is read from the state it has published —
+    /// one batch boundary per shard, whichever thread evaluates it — so the
+    /// two paths answer alike; the pooled one wins wall-clock only when
+    /// spare cores exist, which is why the default follows
+    /// [`std::thread::available_parallelism`].
     pub parallel_queries: bool,
     /// Worker threads in the query pool (`None` = size by
     /// [`std::thread::available_parallelism`]). `Some(0)` disables the pool
@@ -233,8 +236,9 @@ pub struct EngineConfig {
     /// descent is the only candidate.
     pub planner: Option<PlannerOptions>,
     /// Where the shard trees live: RAM-resident (default) or disk-backed
-    /// through `dc-oocore`'s buffer pool. Disk mode maintains only the
-    /// DC-tree backend, so it rejects [`EngineConfig::planner`] engines.
+    /// through `dc-oocore`'s buffer pool. Queries, the planner and the
+    /// cache run the same code over both; a disk shard maintains only the
+    /// DC-tree backend, so disk mode rejects [`EngineConfig::planner`].
     pub storage: StorageMode,
     /// Writable primary (default) or read-only replication follower.
     pub role: EngineRole,
@@ -317,18 +321,67 @@ enum CheckpointImage {
     Disk(Vec<u8>),
 }
 
-/// One shard's atomically published planning state: the tree snapshot, the
-/// auxiliary engines built from exactly the same applied prefix, and the
-/// publish-time statistics the cost model prices against. A single `Arc`
-/// swap publishes all of it, so a query that plans *and* executes from one
-/// `PlanState` read sees every backend at the same logical point in time —
-/// the property the mid-churn differential tests pin.
+/// The tree a shard publishes to its readers.
+enum ShardTree {
+    /// A resident shard: an immutable snapshot sharing its nodes with the
+    /// writer's tree (see the [module docs](self)).
+    Snapshot(Arc<DcTree>),
+    /// A disk shard: the pooled tree itself. A reader takes its read lock
+    /// for one evaluation; the writer holds its write lock across a whole
+    /// batch *and* the publish that follows, so readers observe pre- or
+    /// post-batch state only — the all-or-nothing visibility the snapshot
+    /// swap gives a resident shard.
+    Disk(Arc<OocDcTree>),
+}
+
+/// Evaluates `$read` with `$tree` bound to `$state`'s tree — the snapshot,
+/// or the disk tree under its read lock for the length of `$read` — and
+/// pairs the value with the pages the evaluation read: the snapshot's
+/// logical page reads, or the disk shard's buffer-pool touches (hot or
+/// cold — the currency the cost model prices a disk descent in). Both are
+/// deltas of counters other queries share, so under concurrency the count
+/// is a heuristic, not an exact cost.
+///
+/// A macro because `$read` is generic over the node store, which a closure
+/// cannot be. This is the only place the read side asks where a shard's
+/// nodes live.
+macro_rules! read_tree {
+    ($state:expr, |$tree:ident| $read:expr) => {
+        match &$state.tree {
+            ShardTree::Snapshot(snap) => {
+                let $tree: &DcTree = snap;
+                let before = $tree.io_stats().reads;
+                let value = $read;
+                (value, $tree.io_stats().reads.saturating_sub(before))
+            }
+            ShardTree::Disk(ooc) => {
+                let guard = ooc.read();
+                let $tree: &DcTree<OocStore> = &guard;
+                let before = ooc.pool_stats();
+                let value = $read;
+                let after = ooc.pool_stats();
+                let touches =
+                    (after.hits + after.misses).saturating_sub(before.hits + before.misses);
+                (value, touches)
+            }
+        }
+    };
+}
+
+/// One shard's atomically published state: the tree as readers may use it,
+/// the auxiliary engines built from exactly the same applied prefix, and
+/// the publish-time statistics the cost model prices against. A single
+/// `Arc` swap publishes all of it, so a query that plans *and* executes
+/// from one `PlanState` read sees every backend at the same logical point
+/// in time — the property the mid-churn differential tests pin.
 struct PlanState {
-    tree: Arc<DcTree>,
+    tree: ShardTree,
     bitmap: Option<Arc<BitmapIndex>>,
     views: Option<Arc<Vec<MaterializedView>>>,
     table: Option<Arc<FlatTable>>,
     stats: PartitionStats,
+    /// [`schema_total_values`] of the shard's schema at publish.
+    schema_values: usize,
 }
 
 /// The writer-side auxiliary engines (see [`PlannerOptions`]). Each sits
@@ -388,6 +441,26 @@ impl AuxEngines {
         }
     }
 
+    /// Deletes cannot be subtracted from roll-up cells: before a publish,
+    /// rebuilds a stale lattice from the authoritative tree.
+    fn rebuild_stale_views(&mut self, tree: &DcTree) {
+        if !self.views_stale {
+            return;
+        }
+        if let Some(views) = &mut self.views {
+            let schema = tree.schema();
+            let mut fresh = fresh_views(schema);
+            for stored in tree.iter_records() {
+                for v in &mut fresh {
+                    v.apply(schema, &stored.record)
+                        .expect("tree records resolve in their own schema");
+                }
+            }
+            *views = Arc::new(fresh);
+        }
+        self.views_stale = false;
+    }
+
     /// Registers a tree-confirmed deletion.
     fn delete(&mut self, schema: &CubeSchema, record: &Record) {
         if let Some(bitmap) = &mut self.bitmap {
@@ -410,14 +483,17 @@ fn fresh_views(schema: &CubeSchema) -> Vec<MaterializedView> {
         .collect()
 }
 
-/// Captures a publish-time [`PlanState`] from the shard tree and its aux
-/// engines. Published state must be immutable, and is without a copy: the
-/// engines are handed out by pointer, and the writer's next mutation of
-/// one goes through [`Arc::make_mut`], which leaves the published value
-/// alone (see [`AuxEngines`]).
-fn capture_plan_state(
-    tree: &DcTree,
-    snap: Arc<DcTree>,
+/// Captures a publish-time [`PlanState`] from the shard tree (`published`
+/// is that tree as readers get it) and its aux engines. The engines are
+/// handed out by pointer, and stay immutable without a copy: the writer's
+/// next mutation of one goes through [`Arc::make_mut`], which leaves the
+/// published value alone (see [`AuxEngines`]). A disk shard's statistics
+/// carry the pool's observed miss rate, which the cost model converts into
+/// a cold-fetch multiplier; a pool with no reads yet prices fully cold —
+/// the conservative prior for a freshly opened shard.
+fn capture_plan_state<S: NodeStore>(
+    tree: &DcTree<S>,
+    published: ShardTree,
     aux: Option<&AuxEngines>,
 ) -> Arc<PlanState> {
     let bitmap = aux.and_then(|a| a.bitmap.clone());
@@ -446,25 +522,90 @@ fn capture_plan_state(
             })
             .unwrap_or_default(),
         views_stale: aux.map(|a| a.views_stale).unwrap_or(false),
-        disk_resident: false,
-        pool_miss_rate: 0.0,
+        disk_resident: matches!(published, ShardTree::Disk(_)),
+        pool_miss_rate: match &published {
+            ShardTree::Snapshot(_) => 0.0,
+            ShardTree::Disk(ooc) => ooc.pool_stats().miss_rate().unwrap_or(1.0),
+        },
     };
     Arc::new(PlanState {
-        tree: snap,
+        tree: published,
         bitmap,
         views,
         table,
         stats,
+        schema_values: schema_total_values(tree.schema()),
     })
 }
 
-/// Borrowed handles into a published [`PlanState`], in `dc-plan`'s shape.
-fn backend_refs(state: &PlanState) -> BackendRefs<'_> {
-    BackendRefs {
-        tree: &state.tree,
-        bitmap: state.bitmap.as_deref(),
-        views: state.views.as_ref().map(|v| &v[..]),
-        table: state.table.as_deref(),
+/// §4.3's range query from a prepared range — grouped at `(dim, level)`
+/// when `group_by` is set — on a shard tree in either store.
+fn descend_tree<S: NodeStore>(
+    tree: &DcTree<S>,
+    group_by: Option<(DimensionId, Level)>,
+    prepared: &PreparedRange,
+) -> DcResult<QueryOutput> {
+    Ok(match group_by {
+        None => QueryOutput::Scalar(tree.range_summary_prepared(prepared)?),
+        Some((dim, level)) => QueryOutput::Grouped(tree.group_by_prepared(dim, level, prepared)?),
+    })
+}
+
+impl PlanState {
+    /// `true` iff this shard can contribute to `range`. A shard whose
+    /// schema is complete (same value total as the catalog — shard schemas
+    /// are catalog prefixes) covers every valid query by construction,
+    /// without a look at its tree; a lagging one is asked per value (see
+    /// [`shard_covers`]).
+    fn covers(&self, range: &Mds, catalog_values: usize) -> bool {
+        self.schema_values == catalog_values
+            || read_tree!(self, |tree| shard_covers(range, tree.schema())).0
+    }
+
+    /// This shard's share of a descent, with the pages it read.
+    fn descend(
+        &self,
+        group_by: Option<(DimensionId, Level)>,
+        prepared: &PreparedRange,
+    ) -> DcResult<(QueryOutput, u64)> {
+        let (out, pages) = read_tree!(self, |tree| descend_tree(tree, group_by, prepared));
+        Ok((out?, pages))
+    }
+
+    /// `true` iff the shard keeps the engine behind `backend`.
+    fn maintains(&self, backend: Backend) -> bool {
+        match backend {
+            Backend::Descend => true,
+            Backend::Bitmap => self.bitmap.is_some(),
+            Backend::Mview => self.views.is_some(),
+            Backend::Scan => self.table.is_some(),
+        }
+    }
+
+    /// This shard's share of `plan` on `backend`, with the pages it read: a
+    /// descent's as [`read_tree!`] counts them, an auxiliary engine's from
+    /// its own I/O tracker.
+    fn execute(
+        &self,
+        plan: &LogicalPlan,
+        backend: Backend,
+        prepared: &PreparedRange,
+    ) -> DcResult<(QueryOutput, u64)> {
+        let descent = backend == Backend::Descend;
+        let (ran, tree_pages) = read_tree!(self, |tree| dc_plan::execute(
+            tree.schema(),
+            plan,
+            backend,
+            &BackendRefs {
+                tree,
+                bitmap: self.bitmap.as_deref(),
+                views: self.views.as_ref().map(|v| &v[..]),
+                table: self.table.as_deref(),
+            },
+            descent.then_some(prepared),
+        ));
+        let (out, engine_pages) = ran?;
+        Ok((out, if descent { tree_pages } else { engine_pages }))
     }
 }
 
@@ -480,36 +621,27 @@ pub struct BackendComparison {
     pub chosen: QueryOutput,
 }
 
-/// One disk-backed shard: the pooled tree, its backing file, and the
-/// publish-time planner statistics (swapped by the writer in place of a
-/// snapshot — readers lock the tree itself, so there is nothing to swap).
-struct OocShardState {
-    tree: Arc<OocDcTree>,
-    /// The shard's paged file (the checkpointer copies it after a flush).
-    path: PathBuf,
-    stats: RwLock<PartitionStats>,
-}
-
 struct Shard {
     tx: Mutex<Option<Sender<Cmd>>>,
-    snapshot: Arc<RwLock<Arc<DcTree>>>,
-    /// The planner's published state (same cadence as `snapshot`; the tree
-    /// inside is the same `Arc`).
-    plan: Arc<RwLock<Arc<PlanState>>>,
-    /// `Some` in [`StorageMode::Disk`]; `snapshot` and `plan` then hold a
-    /// shared empty placeholder and are never consulted.
-    ooc: Option<Arc<OocShardState>>,
+    /// The one slot readers start from: the writer swaps a new
+    /// [`PlanState`] in after every batch that changed the shard, and a
+    /// reader clones the `Arc` out and works without the writer.
+    published: Arc<RwLock<Arc<PlanState>>>,
+    /// A disk shard's paged file (the checkpointer copies it after a
+    /// flush); `None` for a resident shard.
+    file: Option<PathBuf>,
     writer: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// A sharded, concurrent DC-tree serving engine.
 ///
-/// Records are partitioned over `N` shards, each an owned [`DcTree`]
-/// mutated only by its writer thread; ingest is an MPSC queue per shard.
-/// Writers publish `Arc<DcTree>` snapshots after each applied batch, so
-/// queries never block on writers: they scatter over the relevant shards'
-/// snapshots and merge the per-shard [`MeasureSummary`]s (see the
-/// [crate docs](crate) for why that merge is exact).
+/// Records are partitioned over `N` shards, each a [`DcTree`] mutated only
+/// by its writer thread; ingest is an MPSC queue per shard. A writer
+/// publishes its shard's state after each applied batch, and queries
+/// scatter over the relevant shards' published states and merge the
+/// per-shard [`MeasureSummary`]s (see the [crate docs](crate) for why that
+/// merge is exact). A query never waits on a resident shard's writer; on a
+/// disk shard it waits out the batch being applied.
 pub struct ShardedDcTree {
     catalog: Arc<SchemaCatalog>,
     shards: Vec<Shard>,
@@ -517,9 +649,12 @@ pub struct ShardedDcTree {
     policy: PartitionPolicy,
     /// The persistent work-stealing executor (`None` = evaluate multi-shard
     /// queries sequentially on the calling thread). Outlives `shutdown` —
-    /// queries keep working against the final snapshots — and is joined
-    /// when the engine drops.
+    /// queries keep working against the final published states — and is
+    /// joined when the engine drops.
     pool: Option<QueryPool>,
+    /// What [`Self::shard_snapshot`] answers for a disk shard, which has
+    /// no snapshot: one empty tree (`None` in resident mode).
+    no_snapshot: Option<Arc<DcTree>>,
     /// `DcTreeConfig::use_paper_fig7_containment`, hoisted so the engine
     /// can prepare ranges once against the catalog with the same
     /// containment mode every shard tree would use.
@@ -597,20 +732,26 @@ impl ShardedDcTree {
         // trees; disk images *are* the paged shard-file format and are laid
         // down under the storage directory, then opened through the buffer
         // pool. (A WAL directory's images are therefore tied to the storage
-        // mode they were taken under.)
-        let resident_trees: Option<Vec<DcTree>> = match (&disk_opts, &images) {
-            (None, Some(raw)) => Some(
-                raw.iter()
-                    .map(|b| DcTree::from_bytes(b))
-                    .collect::<DcResult<Vec<_>>>()?,
-            ),
-            _ => None,
+        // mode they were taken under.) Aux engines are rebuilt from the
+        // (possibly recovered) tree: checkpoint images restore trees,
+        // never derived indexes.
+        let with_aux = |tree: DcTree| {
+            let aux = config.planner.map(|opts| AuxEngines::build(&tree, opts));
+            (WriterBacking::Resident { tree, aux }, None)
         };
-        let ooc_trees: Option<Vec<(Arc<OocDcTree>, PathBuf)>> = match &disk_opts {
-            None => None,
-            Some(opts) => {
+        let mut backings: Vec<(WriterBacking, Option<PathBuf>)> =
+            Vec::with_capacity(config.num_shards);
+        match (&disk_opts, &images) {
+            (None, Some(raw)) => {
+                for bytes in raw {
+                    backings.push(with_aux(DcTree::from_bytes(bytes)?));
+                }
+            }
+            (None, None) => backings.extend(
+                (0..config.num_shards).map(|_| with_aux(DcTree::new(schema.clone(), config.tree))),
+            ),
+            (Some(opts), _) => {
                 std::fs::create_dir_all(&opts.dir)?;
-                let mut out = Vec::with_capacity(config.num_shards);
                 for i in 0..config.num_shards {
                     let path = opts.dir.join(format!("shard-{i}.dct"));
                     let tree = match &images {
@@ -620,22 +761,17 @@ impl ShardedDcTree {
                         }
                         None => OocDcTree::create(&path, schema.clone(), config.tree, opts.ooc)?,
                     };
-                    out.push((Arc::new(tree), path));
+                    backings.push((WriterBacking::Disk(Arc::new(tree)), Some(path)));
                 }
-                Some(out)
             }
-        };
+        }
         // Before imaging, the checkpoint path catches every shard up to the
         // full catalog epoch, so every image carries the complete master
         // schema — shard 0's restores the catalog exactly.
-        let schema = if let Some(trees) = &resident_trees {
-            trees[0].schema().clone()
-        } else if images.is_some() {
-            ooc_trees.as_ref().expect("disk images imply disk shards")[0]
-                .0
-                .schema()
-        } else {
-            schema
+        let schema = match &backings[0].0 {
+            WriterBacking::Resident { tree, .. } if images.is_some() => tree.schema().clone(),
+            WriterBacking::Disk(tree) if images.is_some() => tree.schema(),
+            _ => schema,
         };
         if let PartitionPolicy::ByDimension { dim, level } = config.policy {
             let h = schema.dim(dim);
@@ -698,86 +834,41 @@ impl ShardedDcTree {
             r.applied_lsn.store(recovered_lsn, Relaxed);
         }
         let mut shards = Vec::with_capacity(config.num_shards);
-        if let Some(ooc_trees) = ooc_trees {
-            // Disk mode: queries lock the pooled tree directly, so the
-            // resident snapshot/plan slots hold one shared empty
-            // placeholder and are never consulted.
-            let placeholder = Arc::new(DcTree::new(schema, config.tree));
-            for (shard_id, (tree, path)) in ooc_trees.into_iter().enumerate() {
-                let snapshot = Arc::new(RwLock::new(Arc::clone(&placeholder)));
-                let plan = Arc::new(RwLock::new(capture_plan_state(
-                    &placeholder,
-                    Arc::clone(&placeholder),
-                    None,
-                )));
-                let stats = capture_ooc_stats(&tree.read(), tree.pool());
-                let state = Arc::new(OocShardState {
+        for (shard_id, (backing, file)) in backings.into_iter().enumerate() {
+            let state = match &backing {
+                WriterBacking::Resident { tree, aux } => capture_plan_state(
                     tree,
-                    path,
-                    stats: RwLock::new(stats),
-                });
-                let (tx, rx) = channel();
-                let writer = spawn_writer(
-                    shard_id,
-                    WriterBacking::Disk(Arc::clone(&state)),
-                    rx,
-                    Arc::clone(&catalog),
-                    Arc::clone(&metrics),
-                    config.batch_size,
-                    cache.clone(),
-                    wal.clone(),
-                );
-                shards.push(Shard {
-                    tx: Mutex::new(Some(tx)),
-                    snapshot,
-                    plan,
-                    ooc: Some(state),
-                    writer: Mutex::new(Some(writer)),
-                });
-            }
-        } else {
-            let mut shard_trees: Vec<DcTree> = match resident_trees {
-                Some(trees) => trees,
-                None => (0..config.num_shards)
-                    .map(|_| DcTree::new(schema.clone(), config.tree))
-                    .collect(),
+                    ShardTree::Snapshot(Arc::new(tree.clone())),
+                    aux.as_ref(),
+                ),
+                WriterBacking::Disk(tree) => {
+                    capture_plan_state(&tree.read(), ShardTree::Disk(Arc::clone(tree)), None)
+                }
             };
-            for (shard_id, tree) in shard_trees.drain(..).enumerate() {
-                // Aux engines are rebuilt from the (possibly recovered) tree:
-                // checkpoint images restore trees, never derived indexes.
-                let aux = config.planner.map(|opts| AuxEngines::build(&tree, opts));
-                let snap = Arc::new(tree.clone());
-                let snapshot = Arc::new(RwLock::new(Arc::clone(&snap)));
-                let plan = Arc::new(RwLock::new(capture_plan_state(&tree, snap, aux.as_ref())));
-                let (tx, rx) = channel();
-                let writer = spawn_writer(
-                    shard_id,
-                    WriterBacking::Resident {
-                        tree,
-                        snapshot: Arc::clone(&snapshot),
-                        plan: Arc::clone(&plan),
-                        aux,
-                    },
-                    rx,
-                    Arc::clone(&catalog),
-                    Arc::clone(&metrics),
-                    config.batch_size,
-                    cache.clone(),
-                    wal.clone(),
-                );
-                shards.push(Shard {
-                    tx: Mutex::new(Some(tx)),
-                    snapshot,
-                    plan,
-                    ooc: None,
-                    writer: Mutex::new(Some(writer)),
-                });
-            }
+            let published = Arc::new(RwLock::new(state));
+            let (tx, rx) = channel();
+            let writer = spawn_writer(
+                shard_id,
+                backing,
+                Arc::clone(&published),
+                rx,
+                Arc::clone(&catalog),
+                Arc::clone(&metrics),
+                config.batch_size,
+                cache.clone(),
+                wal.clone(),
+            );
+            shards.push(Shard {
+                tx: Mutex::new(Some(tx)),
+                published,
+                file,
+                writer: Mutex::new(Some(writer)),
+            });
         }
-        // Disk-mode queries evaluate sequentially under the shard read
-        // locks (the work-stealing pool scatters over owned snapshots,
-        // which disk shards do not publish), so the pool is not started.
-        let pool = if disk_opts.is_none() && config.parallel_queries && config.num_shards > 1 {
+        let no_snapshot = disk_opts
+            .is_some()
+            .then(|| Arc::new(DcTree::new(schema, config.tree)));
+        let pool = if config.parallel_queries && config.num_shards > 1 {
             let workers = config.pool_workers.unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|p| p.get())
@@ -793,6 +884,7 @@ impl ShardedDcTree {
             metrics,
             policy: config.policy,
             pool,
+            no_snapshot,
             paper_mode: config.tree.use_paper_fig7_containment,
             cache,
             wal,
@@ -827,7 +919,7 @@ impl ShardedDcTree {
 
     /// `true` when the shards are disk-backed ([`StorageMode::Disk`]).
     pub fn is_disk(&self) -> bool {
-        self.shards.first().is_some_and(|s| s.ooc.is_some())
+        self.shards.first().is_some_and(|s| s.file.is_some())
     }
 
     /// Serializes the STATS payload, refreshing the `buffer_pool` gauges
@@ -843,8 +935,8 @@ impl ShardedDcTree {
         let mut agg = OocPoolStats::default();
         let mut any = false;
         for shard in &self.shards {
-            if let Some(state) = &shard.ooc {
-                let s = state.tree.pool_stats();
+            if let ShardTree::Disk(ooc) = &shard.published.read().tree {
+                let s = ooc.pool_stats();
                 agg.hits += s.hits;
                 agg.misses += s.misses;
                 agg.evictions += s.evictions;
@@ -1144,18 +1236,19 @@ impl ShardedDcTree {
             }
             self.flush();
             let mut snaps: Vec<CheckpointImage> = Vec::with_capacity(self.shards.len());
-            for (i, shard) in self.shards.iter().enumerate() {
-                match &shard.ooc {
-                    None => snaps.push(CheckpointImage::Resident(self.shard_snapshot(i))),
-                    Some(state) => {
+            for (s, shard) in self.shards.iter().enumerate() {
+                snaps.push(match &self.published(s).tree {
+                    ShardTree::Snapshot(snap) => CheckpointImage::Resident(Arc::clone(snap)),
+                    ShardTree::Disk(ooc) => {
                         // Write back every dirty frame and fsync, then copy
                         // the complete paged file as the image. Ingest is
                         // gated and the flush barrier above drained the
                         // writer, so the file cannot move underneath.
-                        state.tree.flush()?;
-                        snaps.push(CheckpointImage::Disk(std::fs::read(&state.path)?));
+                        ooc.flush()?;
+                        let file = shard.file.as_ref().expect("a disk shard has a file");
+                        CheckpointImage::Disk(std::fs::read(file)?)
                     }
-                }
+                });
             }
             (lsn, start_seq, snaps)
         };
@@ -1278,8 +1371,8 @@ impl ShardedDcTree {
         // Disk shards: leave a complete on-disk image behind (writers are
         // joined, so nothing mutates underneath the flush).
         for shard in &self.shards {
-            if let Some(state) = &shard.ooc {
-                let _ = state.tree.flush();
+            if let ShardTree::Disk(ooc) = &shard.published.read().tree {
+                let _ = ooc.flush();
             }
         }
     }
@@ -1397,42 +1490,45 @@ impl ShardedDcTree {
         Ok(bundle)
     }
 
-    /// The published snapshot of one shard (primarily for tests and
-    /// tools). Disk-backed shards publish no snapshots — this returns
-    /// their empty placeholder; query through the engine instead.
-    pub fn shard_snapshot(&self, shard: usize) -> Arc<DcTree> {
-        Arc::clone(&self.shards[shard].snapshot.read())
+    /// What shard `s` has published, cloned out of its slot.
+    fn published(&self, s: usize) -> Arc<PlanState> {
+        Arc::clone(&self.shards[s].published.read())
     }
 
-    /// Total records across the shards (published snapshots, or the live
-    /// disk trees in disk mode).
+    /// The published snapshot of one resident shard (primarily for tests
+    /// and tools). A disk-backed shard publishes its pooled tree, not a
+    /// snapshot: this answers with an empty tree — query through the
+    /// engine instead.
+    pub fn shard_snapshot(&self, shard: usize) -> Arc<DcTree> {
+        match &self.published(shard).tree {
+            ShardTree::Snapshot(snap) => Arc::clone(snap),
+            ShardTree::Disk(_) => Arc::clone(self.no_snapshot.as_ref().expect("set in disk mode")),
+        }
+    }
+
+    /// Total records across the shards, as of each shard's last publish
+    /// (takes no tree lock, so it never queues behind a writer's batch).
     pub fn len(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| match &s.ooc {
-                Some(state) => state.tree.len(),
-                None => s.snapshot.read().len(),
-            })
+            .map(|s| s.published.read().stats.records)
             .sum()
     }
 
-    /// `true` when no published snapshot holds any record.
+    /// `true` when no shard has published any record.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Runs the DC-tree's structural invariant checker over every shard as
-    /// readers see it: the published snapshot, or the disk tree under its
-    /// read lock.
+    /// readers see it.
     pub fn check_invariants(&self) -> DcResult<()> {
-        self.shards.iter().try_for_each(|s| match &s.ooc {
-            Some(state) => state.tree.read().check_invariants(),
-            None => s.snapshot.read().check_invariants(),
-        })
+        (0..self.shards.len())
+            .try_for_each(|s| read_tree!(self.published(s), |tree| tree.check_invariants()).0)
     }
 
     // ------------------------------------------------------------------
-    // Queries (scatter-gather over snapshots)
+    // Queries (scatter-gather over published shard states)
     // ------------------------------------------------------------------
 
     /// The merged summary of all records inside `range`, across shards —
@@ -1507,24 +1603,17 @@ impl ShardedDcTree {
         }
     }
 
-    /// Scatter-gathers `range` over the shard snapshots, returning the
-    /// merged summary and the logical pages read by the descent (the
-    /// benefit a future cache hit reaps; measured from the shared snapshot
-    /// I/O counters, so concurrent queries make it a heuristic, not an
-    /// exact cost).
+    /// Scatter-gathers `range` over the shards, returning the merged
+    /// summary and the pages the descents read (the benefit a future cache
+    /// hit reaps; see [`read_tree!`] for what a page is per storage mode).
     fn descend(&self, range: &Mds) -> DcResult<(MeasureSummary, u64)> {
-        if self.is_disk() {
-            return self.descend_ooc(range);
-        }
-        let parts = self.eval_shards(range, self.paper_mode, |snap, q| {
-            let r0 = snap.io_stats().reads;
-            let summary = snap.range_summary_prepared(q)?;
-            Ok((summary, snap.io_stats().reads.saturating_sub(r0)))
-        })?;
         let mut total = MeasureSummary::empty();
         let mut pages = 0;
-        for (part, p) in &parts {
-            total.merge(part);
+        for (part, p) in self.eval_shards(range, self.paper_mode, None)? {
+            let QueryOutput::Scalar(part) = part else {
+                unreachable!("an ungrouped descent answers with a scalar")
+            };
+            total.merge(&part);
             pages += p;
         }
         Ok((total, pages))
@@ -1548,9 +1637,10 @@ impl ShardedDcTree {
         cm.entries.store(stats.entries, Relaxed);
     }
 
-    /// Evaluates `eval` against every relevant shard's snapshot — on the
-    /// persistent query pool when one is configured and more than one shard
-    /// is visited, sequentially on the calling thread otherwise.
+    /// Descends every relevant shard's published tree — on the persistent
+    /// query pool when one is configured and more than one shard is
+    /// visited, sequentially on the calling thread otherwise — and returns
+    /// each shard's answer with the pages it read.
     ///
     /// The range is prepared **once** against the global catalog (with the
     /// given containment mode) and shared by every shard evaluation: shard
@@ -1559,88 +1649,42 @@ impl ShardedDcTree {
     /// only ever probes shard-known values against the prepared bitsets.
     /// Shards that cannot contribute (no query value interned in some
     /// dimension) are skipped *before* counting a visit.
-    fn eval_shards<R: Send + 'static>(
+    fn eval_shards(
         &self,
         range: &Mds,
         paper_mode: bool,
-        eval: impl Fn(&DcTree, &PreparedRange) -> DcResult<R> + Send + Sync + 'static,
-    ) -> DcResult<Vec<R>> {
+        group_by: Option<(DimensionId, Level)>,
+    ) -> DcResult<Vec<(QueryOutput, u64)>> {
         let prepared = self
             .catalog
             .with_schema(|schema| PreparedRange::with_mode(schema, range, paper_mode))?;
         let catalog_values = self.catalog.with_schema(schema_total_values);
         // Pre-sized once: per-query allocation count must not grow with the
         // number of visited shards (asserted by `query_bench`).
-        let mut snaps: Vec<(usize, Arc<DcTree>)> = Vec::with_capacity(self.shards.len());
+        let mut units: Vec<(usize, Arc<PlanState>)> = Vec::with_capacity(self.shards.len());
         for s in self.relevant_shards(range)? {
-            let snap = self.shard_snapshot(s);
-            if !shard_covers(range, snap.schema(), catalog_values) {
+            let state = self.published(s);
+            if !state.covers(range, catalog_values) {
                 continue;
             }
             self.metrics.shard_visits.fetch_add(1, Relaxed);
-            snaps.push((s, snap));
+            units.push((s, state));
         }
         match &self.pool {
-            Some(pool) if snaps.len() > 1 => pool.scatter_eval(snaps, prepared, eval),
+            Some(pool) if units.len() > 1 => {
+                pool.scatter_eval(units, prepared, move |state, q| state.descend(group_by, q))
+            }
             _ => {
                 // Explicit loop rather than `collect::<DcResult<Vec<_>>>`:
                 // the Result shunt drops the exact size hint, and the
                 // resulting growth reallocations would scale with visits.
-                let mut out = Vec::with_capacity(snaps.len());
-                for (_, snap) in &snaps {
-                    out.push(eval(snap, &prepared)?);
+                let mut out = Vec::with_capacity(units.len());
+                for (_, state) in &units {
+                    out.push(state.descend(group_by, &prepared)?);
                 }
                 Ok(out)
             }
         }
-    }
-
-    /// The disk-mode twin of [`Self::descend`]: merges the shard answers
-    /// and the buffer-pool page *touches* the descents cost (hot or cold —
-    /// the currency the cost model estimates in).
-    fn descend_ooc(&self, range: &Mds) -> DcResult<(MeasureSummary, u64)> {
-        let parts = self.eval_shards_ooc(range, self.paper_mode, |tree, q| {
-            tree.range_summary_prepared(q)
-        })?;
-        let mut total = MeasureSummary::empty();
-        let mut pages = 0;
-        for (part, p) in &parts {
-            total.merge(part);
-            pages += p;
-        }
-        Ok((total, pages))
-    }
-
-    /// Evaluates `eval` against every relevant disk shard, sequentially,
-    /// under each shard's read lock (the pooled store is internally
-    /// concurrent; the lock only orders a query against whole writer
-    /// batches). Returns each shard's result plus its pool-touch delta —
-    /// heuristic under concurrent queries, same as the resident counters.
-    fn eval_shards_ooc<R>(
-        &self,
-        range: &Mds,
-        paper_mode: bool,
-        mut eval: impl FnMut(&DcTree<OocStore>, &PreparedRange) -> DcResult<R>,
-    ) -> DcResult<Vec<(R, u64)>> {
-        let prepared = self
-            .catalog
-            .with_schema(|schema| PreparedRange::with_mode(schema, range, paper_mode))?;
-        let catalog_values = self.catalog.with_schema(schema_total_values);
-        let mut out = Vec::with_capacity(self.shards.len());
-        for s in self.relevant_shards(range)? {
-            let state = self.shards[s].ooc.as_ref().expect("disk-mode shard");
-            let tree = state.tree.read();
-            if !shard_covers(range, tree.schema(), catalog_values) {
-                continue;
-            }
-            self.metrics.shard_visits.fetch_add(1, Relaxed);
-            let p0 = state.tree.pool_stats();
-            let r = eval(&tree, &prepared)?;
-            let p1 = state.tree.pool_stats();
-            let pages = (p1.hits + p1.misses).saturating_sub(p0.hits + p0.misses);
-            out.push((r, pages));
-        }
-        Ok(out)
     }
 
     /// One aggregate over `range` (`None` when the op is undefined on an
@@ -1667,20 +1711,11 @@ impl ShardedDcTree {
         let t0 = Instant::now();
         // `DcTree::group_by` always prepares in the sound containment mode,
         // so the shared preparation does too.
-        let parts: Vec<Vec<(ValueId, MeasureSummary)>> = if self.is_disk() {
-            self.eval_shards_ooc(filter, false, |tree, q| {
-                tree.group_by_prepared(dim, level, q)
-            })?
-            .into_iter()
-            .map(|(groups, _)| groups)
-            .collect()
-        } else {
-            self.eval_shards(filter, false, move |snap, q| {
-                snap.group_by_prepared(dim, level, q)
-            })?
-        };
         let mut merged: BTreeMap<ValueId, MeasureSummary> = BTreeMap::new();
-        for groups in parts {
+        for (part, _) in self.eval_shards(filter, false, Some((dim, level)))? {
+            let QueryOutput::Grouped(groups) = part else {
+                unreachable!("a grouped descent answers with groups")
+            };
             for (value, summary) in groups {
                 merged
                     .entry(value)
@@ -1742,8 +1777,9 @@ impl ShardedDcTree {
 
     /// Plans and executes with the backend choice overridden on every
     /// shard — the "always-X" baseline benches and tests compare the
-    /// planner against. Does not touch the planner counters. Errors when a
-    /// visited shard does not maintain `backend`.
+    /// planner against. Does not touch the planner counters. Fails with
+    /// [`DcError::Config`] naming the backend when a shard the query would
+    /// visit does not maintain it, in either storage mode.
     pub fn execute_forced(
         &self,
         stmt: &ParsedStatement,
@@ -1755,21 +1791,16 @@ impl ShardedDcTree {
 
     /// Evaluates `stmt` on **every** backend the visited shards all
     /// maintain, plus the planner's per-shard choice, from one atomically
-    /// acquired [`PlanState`] per shard — so even under concurrent
-    /// ingest/delete churn every returned output describes the same
-    /// published data and must agree. This is the differential suite's
-    /// hook; it bypasses the cache and the planner counters.
+    /// acquired [`PlanState`] per shard — so on resident shards, even under
+    /// concurrent ingest/delete churn, every returned output describes the
+    /// same published data and must agree. (A disk shard's state is its
+    /// live tree, locked once per evaluation: its outputs agree between
+    /// writer batches. It maintains descent only, so the comparison there
+    /// is descent against the planner's choice of descent.) This is the
+    /// differential suite's hook; it bypasses the cache and the planner
+    /// counters.
     pub fn compare_backends(&self, stmt: &ParsedStatement) -> DcResult<BackendComparison> {
         let plan = LogicalPlan::from_statement(stmt);
-        if self.is_disk() {
-            // Descent is the only backend disk shards maintain; the
-            // comparison degenerates to one execution.
-            let (out, _) = self.run_planned_ooc(&plan, None)?;
-            return Ok(BackendComparison {
-                outputs: vec![(Backend::Descend, out.clone())],
-                chosen: out,
-            });
-        }
         // Sound containment mode: every backend must agree bit-for-bit.
         let prepared = self
             .catalog
@@ -1777,37 +1808,22 @@ impl ShardedDcTree {
         let catalog_values = self.catalog.with_schema(schema_total_values);
         let mut states = Vec::new();
         for s in self.relevant_shards(&plan.filter)? {
-            let state = Arc::clone(&self.shards[s].plan.read());
-            if shard_covers(&plan.filter, state.tree.schema(), catalog_values) {
+            let state = self.published(s);
+            if state.covers(&plan.filter, catalog_values) {
                 states.push(state);
             }
         }
-        let mut backends = vec![Backend::Descend];
-        if states.iter().all(|st| st.bitmap.is_some()) {
-            backends.push(Backend::Bitmap);
-        }
-        if states
-            .iter()
-            .all(|st| st.views.is_some() && !st.stats.views_stale)
-        {
-            backends.push(Backend::Mview);
-        }
-        if states.iter().all(|st| st.table.is_some()) {
-            backends.push(Backend::Scan);
-        }
+        let comparable = |b: Backend| {
+            states
+                .iter()
+                .all(|st| st.maintains(b) && !(b == Backend::Mview && st.stats.views_stale))
+        };
         let grouped = plan.group_by.is_some();
         let mut outputs = Vec::new();
-        'backends: for &backend in &backends {
+        'backends: for backend in Backend::ALL.into_iter().filter(|&b| comparable(b)) {
             let mut out = QueryOutput::empty(grouped);
             for st in &states {
-                let prepared_ref = (backend == Backend::Descend).then_some(&prepared);
-                match dc_plan::execute(
-                    st.tree.schema(),
-                    &plan,
-                    backend,
-                    &backend_refs(st),
-                    prepared_ref,
-                ) {
+                match st.execute(&plan, backend, &prepared) {
                     Ok((part, _)) => out.merge(&part),
                     // No lattice view answers this query shape on this
                     // shard — the backend is simply not comparable here.
@@ -1824,38 +1840,22 @@ impl ShardedDcTree {
             let backend = self
                 .catalog
                 .with_schema(|schema| choose(schema, &plan, &st.stats).backend);
-            let prepared_ref = (backend == Backend::Descend).then_some(&prepared);
-            let (part, _) = dc_plan::execute(
-                st.tree.schema(),
-                &plan,
-                backend,
-                &backend_refs(st),
-                prepared_ref,
-            )?;
-            chosen.merge(&part);
+            chosen.merge(&st.execute(&plan, backend, &prepared)?.0);
         }
         Ok(BackendComparison { outputs, chosen })
     }
 
-    /// One shard's current planner statistics, whichever storage mode
-    /// published them.
-    fn shard_stats(&self, s: usize) -> PartitionStats {
-        match &self.shards[s].ooc {
-            Some(state) => state.stats.read().clone(),
-            None => self.shards[s].plan.read().stats.clone(),
-        }
-    }
-
     /// `true` when the cost model picks descent on every relevant shard
     /// (the cheap pre-check behind [`Self::execute`]'s cache delegation).
-    /// Trivially true in disk mode: descent is the only backend there, so
-    /// scalar planned queries keep flowing through the aggregate cache.
+    /// Always true of shards that maintain descent only — disk shards, or
+    /// the planner off — so their scalar planned queries keep flowing
+    /// through the aggregate cache.
     fn all_shards_pick_descend(&self, plan: &LogicalPlan) -> DcResult<bool> {
         for s in self.relevant_shards(&plan.filter)? {
-            let stats = self.shard_stats(s);
+            let state = self.published(s);
             let picked = self
                 .catalog
-                .with_schema(|schema| choose(schema, plan, &stats).backend);
+                .with_schema(|schema| choose(schema, plan, &state.stats).backend);
             if picked != Backend::Descend {
                 return Ok(false);
             }
@@ -1865,15 +1865,16 @@ impl ShardedDcTree {
 
     /// The planned scatter-gather: reads each visited shard's [`PlanState`]
     /// once, prices the backends, executes the chosen (or forced) one, and
-    /// assembles the per-shard explain fragments.
+    /// assembles the per-shard explain fragments. On shards that maintain
+    /// descent only the value of planning is the estimate itself — a disk
+    /// shard's is priced with the observed buffer-pool miss rate (see
+    /// `dc_plan::cold_factor`) and reported beside the measured pool
+    /// touches.
     fn run_planned(
         &self,
         plan: &LogicalPlan,
         force: Option<Backend>,
     ) -> DcResult<(QueryOutput, Explain)> {
-        if self.is_disk() {
-            return self.run_planned_ooc(plan, force);
-        }
         // `group_by` decomposes containment per group, which the paper-mode
         // shortcut does not model — grouped plans always prepare soundly.
         let paper = self.paper_mode && plan.group_by.is_none();
@@ -1884,8 +1885,13 @@ impl ShardedDcTree {
         let mut out = QueryOutput::empty(plan.group_by.is_some());
         let mut frags = Vec::new();
         for s in self.relevant_shards(&plan.filter)? {
-            let state = Arc::clone(&self.shards[s].plan.read());
-            if !shard_covers(&plan.filter, state.tree.schema(), catalog_values) {
+            let state = self.published(s);
+            if let Some(b) = force.filter(|&b| !state.maintains(b)) {
+                return Err(DcError::Config(format!(
+                    "shard {s} does not maintain the {b} backend it was forced onto"
+                )));
+            }
+            if !state.covers(&plan.filter, catalog_values) {
                 frags.push(ShardExplain {
                     shard: s,
                     backend: Backend::Descend,
@@ -1910,77 +1916,11 @@ impl ShardedDcTree {
                     ),
                 }
             });
-            let prepared_ref = (backend == Backend::Descend).then_some(&prepared);
-            let (part, pages) = dc_plan::execute(
-                state.tree.schema(),
-                plan,
-                backend,
-                &backend_refs(&state),
-                prepared_ref,
-            )?;
+            let (part, pages) = state.execute(plan, backend, &prepared)?;
             out.merge(&part);
             frags.push(ShardExplain {
                 shard: s,
                 backend,
-                est_pages,
-                actual_pages: Some(pages),
-            });
-        }
-        Ok((out, Explain::from_shards(frags)))
-    }
-
-    /// The disk-mode planned path. Disk shards maintain only the DC-tree,
-    /// so every shard runs descent; the value of planning here is the
-    /// estimate itself — `choose` prices the descent with the observed
-    /// buffer-pool miss rate (see `dc_plan::cold_factor`), and EXPLAIN
-    /// reports estimated vs. measured pool touches per shard.
-    fn run_planned_ooc(
-        &self,
-        plan: &LogicalPlan,
-        force: Option<Backend>,
-    ) -> DcResult<(QueryOutput, Explain)> {
-        if force.is_some_and(|b| b != Backend::Descend) {
-            return Err(DcError::Config(
-                "disk-backed shards only maintain the DC-tree descent backend".into(),
-            ));
-        }
-        let paper = self.paper_mode && plan.group_by.is_none();
-        let prepared = self
-            .catalog
-            .with_schema(|s| PreparedRange::with_mode(s, &plan.filter, paper))?;
-        let catalog_values = self.catalog.with_schema(schema_total_values);
-        let mut out = QueryOutput::empty(plan.group_by.is_some());
-        let mut frags = Vec::new();
-        for s in self.relevant_shards(&plan.filter)? {
-            let state = self.shards[s].ooc.as_ref().expect("disk-mode shard");
-            let tree = state.tree.read();
-            if !shard_covers(&plan.filter, tree.schema(), catalog_values) {
-                frags.push(ShardExplain {
-                    shard: s,
-                    backend: Backend::Descend,
-                    est_pages: 0.0,
-                    actual_pages: None,
-                });
-                continue;
-            }
-            self.metrics.shard_visits.fetch_add(1, Relaxed);
-            let stats = state.stats.read().clone();
-            let est_pages = self
-                .catalog
-                .with_schema(|schema| choose(schema, plan, &stats).est_pages);
-            let p0 = state.tree.pool_stats();
-            let part = match plan.group_by {
-                None => QueryOutput::Scalar(tree.range_summary_prepared(&prepared)?),
-                Some((dim, level)) => {
-                    QueryOutput::Grouped(tree.group_by_prepared(dim, level, &prepared)?)
-                }
-            };
-            let p1 = state.tree.pool_stats();
-            let pages = (p1.hits + p1.misses).saturating_sub(p0.hits + p0.misses);
-            out.merge(&part);
-            frags.push(ShardExplain {
-                shard: s,
-                backend: Backend::Descend,
                 est_pages,
                 actual_pages: Some(pages),
             });
@@ -2002,17 +1942,14 @@ impl ShardedDcTree {
         }
     }
 
-    /// The summary of the whole cube (merged shard totals).
-    pub fn total_summary(&self) -> MeasureSummary {
+    /// The summary of the whole cube (merged shard totals). Fails when a
+    /// disk shard's root page cannot be read.
+    pub fn total_summary(&self) -> DcResult<MeasureSummary> {
         let mut total = MeasureSummary::empty();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard_total = match &shard.ooc {
-                Some(state) => state.tree.total_summary(),
-                None => self.shard_snapshot(i).total_summary(),
-            };
-            total.merge(&shard_total.expect("shard root read failed"));
+        for s in 0..self.shards.len() {
+            total.merge(&read_tree!(self.published(s), |tree| tree.total_summary()).0?);
         }
-        total
+        Ok(total)
     }
 
     /// The shards a query must visit. Under `Hash` that is all of them;
@@ -2089,16 +2026,9 @@ fn schema_total_values(schema: &CubeSchema) -> usize {
 /// dimension, at least one query value is interned in the shard's schema.
 /// A shard that lags the catalog cannot hold records under values it never
 /// interned, so a dimension with no known value proves the shard's answer
-/// empty — the query skips it without a snapshot descent (and without a
+/// empty — the query skips it without a descent (and without a
 /// `shard_visits` tick).
-///
-/// Fast path: a shard whose schema is complete (same value total as the
-/// catalog — shard schemas are catalog prefixes) covers every valid query
-/// by construction, with no per-value checks.
-fn shard_covers(range: &Mds, schema: &CubeSchema, catalog_values: usize) -> bool {
-    if schema_total_values(schema) == catalog_values {
-        return true;
-    }
+fn shard_covers(range: &Mds, schema: &CubeSchema) -> bool {
     range.dims().enumerate().all(|(d, set)| {
         let h: &ConceptHierarchy = schema.dim(DimensionId(d as u16));
         set.values().iter().any(|&v| h.contains(v))
@@ -2111,25 +2041,22 @@ fn shard_covers(range: &Mds, schema: &CubeSchema, catalog_values: usize) -> bool
 // One value per writer thread, moved once at spawn: not worth a `Box`.
 #[allow(clippy::large_enum_variant)]
 enum WriterBacking {
-    /// The writer owns the tree; readers see `Arc` snapshots that
-    /// [`publish`] swaps in after each batch.
+    /// The writer owns the tree (and the planner's engines beside it);
+    /// after each batch it publishes a snapshot of both.
     Resident {
         tree: DcTree,
-        snapshot: Arc<RwLock<Arc<DcTree>>>,
-        plan: Arc<RwLock<Arc<PlanState>>>,
         aux: Option<AuxEngines>,
     },
-    /// There is no snapshot to swap: readers take the pooled tree's read
-    /// lock per query, so the writer holds its **write lock across the
-    /// whole batch and [`publish_ooc`]** and readers observe pre- or
-    /// post-batch state only — the same all-or-nothing visibility the
-    /// snapshot swap gives resident shards.
-    Disk(Arc<OocShardState>),
+    /// Readers share the pooled tree ([`ShardTree::Disk`]), so the writer
+    /// holds its **write lock across the whole batch and [`publish`]**.
+    Disk(Arc<OocDcTree>),
 }
 
 /// One writer thread's loop state: what every command it applies needs.
 struct Writer {
     shard_id: usize,
+    /// The shard's slot (see [`Shard::published`]).
+    published: Arc<RwLock<Arc<PlanState>>>,
     catalog: Arc<SchemaCatalog>,
     metrics: Arc<EngineMetrics>,
     cache: Option<Arc<SharedCache>>,
@@ -2154,6 +2081,7 @@ struct Writer {
 fn spawn_writer(
     shard_id: usize,
     mut backing: WriterBacking,
+    published: Arc<RwLock<Arc<PlanState>>>,
     rx: Receiver<Cmd>,
     catalog: Arc<SchemaCatalog>,
     metrics: Arc<EngineMetrics>,
@@ -2166,6 +2094,7 @@ fn spawn_writer(
         .spawn(move || {
             let mut w = Writer {
                 shard_id,
+                published,
                 catalog,
                 metrics,
                 cache,
@@ -2186,38 +2115,21 @@ fn spawn_writer(
                     }
                 }
                 match &mut backing {
-                    WriterBacking::Resident {
-                        tree,
-                        snapshot,
-                        plan,
-                        aux,
-                    } => {
+                    WriterBacking::Resident { tree, aux } => {
                         apply_batch(&mut w, batch, &rx, tree, aux.as_mut());
                         if w.mutated {
-                            publish(
-                                tree,
-                                snapshot,
-                                plan,
-                                aux,
-                                &w.metrics,
-                                shard_id,
-                                w.cache.as_deref(),
-                                &mut w.deltas,
-                            );
+                            if let Some(aux) = aux.as_mut() {
+                                aux.rebuild_stale_views(tree);
+                            }
+                            let snap = ShardTree::Snapshot(Arc::new(tree.clone()));
+                            publish(&mut w, tree, snap, aux.as_ref());
                         }
                     }
-                    WriterBacking::Disk(state) => {
-                        let mut tree = state.tree.write();
+                    WriterBacking::Disk(ooc) => {
+                        let mut tree = ooc.write();
                         apply_batch(&mut w, batch, &rx, &mut tree, None);
                         if w.mutated {
-                            publish_ooc(
-                                &tree,
-                                state,
-                                &w.metrics,
-                                shard_id,
-                                w.cache.as_deref(),
-                                &mut w.deltas,
-                            );
+                            publish(&mut w, &tree, ShardTree::Disk(Arc::clone(ooc)), None);
                         }
                         // The write lock drops here: the batch and its cache
                         // version bump become visible together.
@@ -2294,6 +2206,7 @@ fn apply<S: NodeStore>(
         pending_flushes,
         deltas,
         shutting_down,
+        ..
     } = w;
     let shard_metrics = &metrics.shards[*shard_id];
     let deltas = cache.is_some().then_some(deltas);
@@ -2394,61 +2307,48 @@ fn replay_catalog<S: NodeStore>(
     *replayed = epoch;
 }
 
-/// Publishes a fresh snapshot of the shard tree and updates its gauges.
-/// With a cache configured, the batch's deltas are applied to cached
-/// summaries and the snapshot is swapped *under the cache lock* (one
-/// version bump covers both), so a cached answer always corresponds to
-/// some published state a bypassing query could have seen. The planner's
-/// [`PlanState`] is swapped inside the same closure, so the tree snapshot
-/// and the aux engines can never be observed at different batch points.
-#[allow(clippy::too_many_arguments)]
-fn publish(
-    tree: &DcTree,
-    snapshot: &RwLock<Arc<DcTree>>,
-    plan: &RwLock<Arc<PlanState>>,
-    aux: &mut Option<AuxEngines>,
-    metrics: &EngineMetrics,
-    shard_id: usize,
-    cache: Option<&SharedCache>,
-    deltas: &mut Vec<CacheDelta>,
+/// Publishes the shard as the batch just applied left it — `tree`, which
+/// readers get as `published` — and updates its gauges. With a cache
+/// configured, the batch's deltas are applied to cached summaries and the
+/// slot is swapped *under the cache lock* (one version bump covers both),
+/// so a cached answer always corresponds to some published state a
+/// bypassing query could have seen; and the tree and the aux engines sit
+/// in the one [`PlanState`] swapped, so they can never be observed at
+/// different batch points. On a disk shard the caller still holds the
+/// tree's write lock: no reader is inside the tree, so none can pair a
+/// pre-batch answer with the post-batch cache version, or the reverse.
+fn publish<S: NodeStore>(
+    w: &mut Writer,
+    tree: &DcTree<S>,
+    published: ShardTree,
+    aux: Option<&AuxEngines>,
 ) {
-    if let Some(aux) = aux.as_mut() {
-        if aux.views_stale {
-            // Deletes cannot be subtracted from roll-up cells; rebuild the
-            // lattice from the authoritative tree before publishing.
-            if let Some(views) = &mut aux.views {
-                let schema = tree.schema();
-                let mut fresh = fresh_views(schema);
-                for stored in tree.iter_records() {
-                    for v in &mut fresh {
-                        v.apply(schema, &stored.record)
-                            .expect("tree records resolve in their own schema");
-                    }
-                }
-                *views = Arc::new(fresh);
-            }
-            aux.views_stale = false;
+    let state = capture_plan_state(tree, published, aux);
+    let (reads, writes) = match &state.tree {
+        ShardTree::Snapshot(snap) => {
+            let io = snap.io_stats();
+            (io.reads, io.writes)
         }
-    }
-    let snap = Arc::new(tree.clone());
-    let plan_state = capture_plan_state(tree, Arc::clone(&snap), aux.as_ref());
-    let io = snap.io_stats();
-    let shard_metrics = &metrics.shards[shard_id];
-    shard_metrics.snapshot_records.store(snap.len(), Relaxed);
-    shard_metrics.io_reads.store(io.reads, Relaxed);
-    shard_metrics.io_writes.store(io.writes, Relaxed);
+        ShardTree::Disk(ooc) => {
+            let pool = ooc.pool_stats();
+            (pool.hits + pool.misses, pool.writebacks)
+        }
+    };
+    let metrics = &w.metrics;
+    let shard_metrics = &metrics.shards[w.shard_id];
+    shard_metrics.snapshot_records.store(tree.len(), Relaxed);
+    shard_metrics.io_reads.store(reads, Relaxed);
+    shard_metrics.io_writes.store(writes, Relaxed);
     shard_metrics
         .snapshot_published_at
         .store(metrics.now_nanos().max(1), Relaxed);
-    let swap = move || {
-        *snapshot.write() = snap;
-        *plan.write() = plan_state;
-    };
-    match cache {
+    let slot = &w.published;
+    let swap = move || *slot.write() = state;
+    match &w.cache {
         Some(cache) => {
             // The shard tree has replayed the catalog through every epoch
             // in this batch, so its schema resolves all delta values.
-            let (stats, ()) = cache.publish(tree.schema(), deltas, swap);
+            let (stats, ()) = cache.publish(tree.schema(), &w.deltas, swap);
             metrics.cache.patches.fetch_add(stats.patches, Relaxed);
             metrics
                 .cache
@@ -2457,64 +2357,5 @@ fn publish(
         }
         None => swap(),
     }
-    deltas.clear();
-}
-
-/// The disk-mode publish: refreshes the shard's planner statistics and
-/// gauges, and (with a cache) applies the batch's deltas under the cache
-/// lock. The caller still holds the shard write lock, so the cache version
-/// bump and the batch become visible to readers atomically — a reader that
-/// observed the pre-batch tree can never pair its answer with the
-/// post-batch cache version, and vice versa.
-fn publish_ooc(
-    tree: &DcTree<OocStore>,
-    state: &OocShardState,
-    metrics: &EngineMetrics,
-    shard_id: usize,
-    cache: Option<&SharedCache>,
-    deltas: &mut Vec<CacheDelta>,
-) {
-    let stats = capture_ooc_stats(tree, state.tree.pool());
-    let pool = state.tree.pool_stats();
-    let shard_metrics = &metrics.shards[shard_id];
-    shard_metrics.snapshot_records.store(tree.len(), Relaxed);
-    shard_metrics
-        .io_reads
-        .store(pool.hits + pool.misses, Relaxed);
-    shard_metrics.io_writes.store(pool.writebacks, Relaxed);
-    shard_metrics
-        .snapshot_published_at
-        .store(metrics.now_nanos().max(1), Relaxed);
-    let swap = move || {
-        *state.stats.write() = stats;
-    };
-    match cache {
-        Some(cache) => {
-            let (cstats, ()) = cache.publish(tree.schema(), deltas, swap);
-            metrics.cache.patches.fetch_add(cstats.patches, Relaxed);
-            metrics
-                .cache
-                .invalidations
-                .fetch_add(cstats.invalidations, Relaxed);
-        }
-        None => swap(),
-    }
-    deltas.clear();
-}
-
-/// Publish-time [`PartitionStats`] for a disk-backed shard: tree shape
-/// plus the observed buffer-pool miss rate the cost model converts into a
-/// cold-fetch multiplier. A pool with no history prices fully cold — the
-/// conservative prior for freshly opened shards.
-fn capture_ooc_stats(tree: &DcTree<OocStore>, pool: &dc_oocore::ConcurrentPool) -> PartitionStats {
-    PartitionStats {
-        records: tree.len(),
-        tree_nodes: tree.num_nodes(),
-        tree_height: tree.height(),
-        records_per_block: FlatTable::for_schema(BlockConfig::DEFAULT, tree.schema())
-            .records_per_block(),
-        disk_resident: true,
-        pool_miss_rate: pool.stats().miss_rate().unwrap_or(1.0),
-        ..PartitionStats::default()
-    }
+    w.deltas.clear();
 }

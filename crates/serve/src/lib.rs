@@ -8,9 +8,11 @@
 //! crate takes the next systems step and turns that single-writer index
 //! into a serving engine:
 //!
-//! * [`ShardedDcTree`] partitions records across `N` shards (each an owned
-//!   [`dc_tree::DcTree`]), one MPSC ingest queue + writer thread per shard,
-//!   with `Arc`-published snapshots so queries never block on writers;
+//! * [`ShardedDcTree`] partitions records across `N` shards (each a
+//!   [`dc_tree::DcTree`], in memory or paged through `dc-oocore`), one MPSC
+//!   ingest queue + writer thread per shard, and one `Arc`-published state
+//!   per shard that every query starts from — a snapshot of a resident
+//!   shard, so queries never block on its writer;
 //! * [`serve`](server::serve) exposes the engine over TCP, speaking dc-ql
 //!   (`SUM WHERE … GROUP BY …`) plus `INSERT`/`DELETE`/`STATS`/`FLUSH`
 //!   verbs — see [`protocol`] for the wire format;
@@ -56,11 +58,14 @@
 //! ## The query executor
 //!
 //! Multi-shard queries run on a persistent work-stealing pool (sized by
-//! `available_parallelism`, see [`EngineConfig::pool_workers`]): per-shard
-//! tasks carry a shard-affinity hint, idle workers steal the oldest queued
-//! task, the submitting thread executes unclaimed tasks of its own query
-//! inline, and independent connections pipeline their scatters through the
-//! same workers instead of spawning threads per query. Pool gauges (queue
+//! `available_parallelism`, see [`EngineConfig::pool_workers`]), over
+//! resident and disk shards alike: a per-shard task is that shard's
+//! published state (a disk shard's is read under its lock, for the task's
+//! own descent only) and carries a shard-affinity hint, idle workers steal
+//! the oldest queued task, the submitting thread executes unclaimed tasks
+//! of its own query inline, and independent connections pipeline their
+//! scatters through the same workers instead of spawning threads per
+//! query. Pool gauges (queue
 //! depth, busy workers, steals, task latency) are served under `"pool"` in
 //! `STATS`.
 //!

@@ -6,9 +6,12 @@
 //! replaces that with long-lived workers (sized by
 //! `available_parallelism`) fed from one injector queue:
 //!
-//! * a query is submitted as a [`Job`] of per-shard **units**; every unit
-//!   carries a shard-affinity hint (`shard_id % workers`), so repeated
-//!   queries keep a shard's tree hot in the same worker's cache;
+//! * a query is submitted as a [`Job`] of per-shard **units**, each one
+//!   shard's published state (the pool never learns what is inside; a unit
+//!   over a disk shard holds that shard's read lock while it runs, and for
+//!   no longer); every unit carries a shard-affinity hint
+//!   (`shard_id % workers`), so repeated queries keep a shard's tree hot in
+//!   the same worker's cache;
 //! * an idle worker prefers units with its own affinity and otherwise
 //!   **steals** the oldest queued unit, so no worker idles while work
 //!   exists — the crossbeam-deque discipline, built on the std primitives
@@ -29,7 +32,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dc_common::DcResult;
-use dc_tree::{DcTree, PreparedRange};
+use dc_tree::PreparedRange;
 use parking_lot::{Condvar, Mutex};
 
 use crate::metrics::EngineMetrics;
@@ -105,25 +108,26 @@ impl QueryPool {
         }
     }
 
-    /// Evaluates `eval` on every snapshot against the shared prepared
-    /// range, distributing per-shard units over the pool (with the
-    /// submitting thread participating) and gathering the results in shard
-    /// order. The first unit error wins, matching sequential evaluation.
-    pub(crate) fn scatter_eval<R: Send + 'static>(
+    /// Evaluates `eval` on every unit — `(shard id, published shard state)`
+    /// — against the shared prepared range, distributing the units over
+    /// the pool (with the submitting thread participating) and gathering
+    /// the results in shard order. The first unit error wins, matching
+    /// sequential evaluation.
+    pub(crate) fn scatter_eval<U: Send + Sync + 'static, R: Send + 'static>(
         &self,
-        snaps: Vec<(usize, Arc<DcTree>)>,
+        units: Vec<(usize, Arc<U>)>,
         prepared: PreparedRange,
-        eval: impl Fn(&DcTree, &PreparedRange) -> DcResult<R> + Send + Sync + 'static,
+        eval: impl Fn(&U, &PreparedRange) -> DcResult<R> + Send + Sync + 'static,
     ) -> DcResult<Vec<R>> {
-        let n = snaps.len();
-        let affinity = snaps.iter().map(|(s, _)| s % self.workers.len()).collect();
+        let n = units.len();
+        let affinity = units.iter().map(|(s, _)| s % self.workers.len()).collect();
         let results: Arc<Mutex<Vec<Option<DcResult<R>>>>> =
             Arc::new(Mutex::new((0..n).map(|_| None).collect()));
         let job = Arc::new(Job {
             run: {
                 let results = Arc::clone(&results);
                 Box::new(move |i| {
-                    let r = eval(&snaps[i].1, &prepared);
+                    let r = eval(&units[i].1, &prepared);
                     results.lock()[i] = Some(r);
                 })
             },

@@ -72,7 +72,10 @@ fn queries(data: &TpcdData) -> Vec<dc_mds::Mds> {
 
 fn assert_engine_matches_monolith(engine: &ShardedDcTree, mono: &DcTree, data: &TpcdData) {
     assert_eq!(engine.len(), mono.len());
-    assert_eq!(engine.total_summary(), mono.total_summary().unwrap());
+    assert_eq!(
+        engine.total_summary().unwrap(),
+        mono.total_summary().unwrap()
+    );
     for q in queries(data) {
         assert_eq!(
             engine.range_summary(&q).unwrap(),
@@ -366,7 +369,10 @@ fn deletes_flow_through_shards() {
     }
     engine.flush();
     assert_eq!(engine.len(), mono.len());
-    assert_eq!(engine.total_summary(), mono.total_summary().unwrap());
+    assert_eq!(
+        engine.total_summary().unwrap(),
+        mono.total_summary().unwrap()
+    );
     let mut gen = RangeQueryGen::new(0.25, ValuePick::Scattered, 13);
     for _ in 0..30 {
         let q = gen.generate(&data.schema);
@@ -408,7 +414,10 @@ fn wal_recovery_restores_the_engine() {
     engine.flush();
     let mono = monolith(&data);
     assert_eq!(engine.len(), mono.len());
-    assert_eq!(engine.total_summary(), mono.total_summary().unwrap());
+    assert_eq!(
+        engine.total_summary().unwrap(),
+        mono.total_summary().unwrap()
+    );
     let mut gen = RangeQueryGen::new(0.05, ValuePick::Scattered, 17);
     for _ in 0..30 {
         let q = gen.generate(&data.schema);
@@ -439,7 +448,7 @@ fn double_open_does_not_duplicate_records() {
             engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
         }
         engine.flush();
-        let total = engine.total_summary();
+        let total = engine.total_summary().unwrap();
         engine.shutdown();
         total
     };
@@ -452,7 +461,7 @@ fn double_open_does_not_duplicate_records() {
             n as u64,
             "reopen #{reopen} duplicated records"
         );
-        assert_eq!(engine.total_summary(), expected);
+        assert_eq!(engine.total_summary().unwrap(), expected);
         engine.shutdown();
     }
 }
@@ -507,7 +516,10 @@ fn checkpoint_bounds_replay_on_recovery() {
         mono.insert_raw(&data.paths_for(r), r.measure).unwrap();
     }
     assert_eq!(engine.len(), mono.len());
-    assert_eq!(engine.total_summary(), mono.total_summary().unwrap());
+    assert_eq!(
+        engine.total_summary().unwrap(),
+        mono.total_summary().unwrap()
+    );
     let mut gen = RangeQueryGen::new(0.05, ValuePick::Scattered, 23);
     for _ in 0..30 {
         let q = gen.generate(&data.schema);

@@ -160,7 +160,10 @@ fn check_recovery(
     );
     let mono = oracle(data, ops, p as usize);
     assert_eq!(engine.len(), mono.len(), "len mismatch at prefix {p}");
-    assert_eq!(engine.total_summary(), mono.total_summary().unwrap());
+    assert_eq!(
+        engine.total_summary().unwrap(),
+        mono.total_summary().unwrap()
+    );
     let mut gen = RangeQueryGen::new(0.1, ValuePick::Scattered, 29);
     for _ in 0..15 {
         let q = gen.generate(&data.schema);
@@ -306,12 +309,12 @@ fn rejected_writes_never_poison_the_wal() {
         engine.insert_batch_raw(&good[20..]).unwrap();
         engine.flush();
         assert_eq!(engine.len(), good.len() as u64);
-        expected_total = engine.total_summary();
+        expected_total = engine.total_summary().unwrap();
     }
 
     // Reopen: recovery must replay only the accepted writes.
     let reopened = ShardedDcTree::new(data.schema, config(&dir, None, 0))
         .expect("recovery failed: a rejected write reached the WAL");
     assert_eq!(reopened.len(), good.len() as u64);
-    assert_eq!(reopened.total_summary(), expected_total);
+    assert_eq!(reopened.total_summary().unwrap(), expected_total);
 }

@@ -52,7 +52,10 @@ fn queries(data: &TpcdData) -> Vec<Mds> {
 
 fn assert_engines_agree(batched: &ShardedDcTree, looped: &ShardedDcTree, data: &TpcdData) {
     assert_eq!(batched.len(), looped.len());
-    assert_eq!(batched.total_summary(), looped.total_summary());
+    assert_eq!(
+        batched.total_summary().unwrap(),
+        looped.total_summary().unwrap()
+    );
     for (qi, q) in queries(data).iter().enumerate() {
         assert_eq!(
             batched.range_summary(q).unwrap(),

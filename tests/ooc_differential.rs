@@ -45,7 +45,11 @@ fn config(storage: StorageMode) -> EngineConfig {
 }
 
 fn build(data: &TpcdData, storage: StorageMode) -> ShardedDcTree {
-    let engine = ShardedDcTree::new(data.schema.clone(), config(storage)).unwrap();
+    build_with(data, config(storage))
+}
+
+fn build_with(data: &TpcdData, config: EngineConfig) -> ShardedDcTree {
+    let engine = ShardedDcTree::new(data.schema.clone(), config).unwrap();
     for r in &data.records {
         engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
     }
@@ -68,7 +72,7 @@ fn queries(data: &TpcdData) -> Vec<Mds> {
 fn assert_engines_agree(disk: &ShardedDcTree, ram: &ShardedDcTree, data: &TpcdData) {
     disk.check_invariants().unwrap();
     assert_eq!(disk.len(), ram.len());
-    assert_eq!(disk.total_summary(), ram.total_summary());
+    assert_eq!(disk.total_summary().unwrap(), ram.total_summary().unwrap());
     for (qi, q) in queries(data).iter().enumerate() {
         assert_eq!(
             disk.range_summary(q).unwrap(),
@@ -111,7 +115,16 @@ fn json_u64(json: &str, key: &str) -> u64 {
 fn disk_engine_matches_resident_engine_through_churn() {
     let data = generate(&TpcdConfig::scaled(2000, 17));
     let dir = TempDir::new("oocdiff-churn");
-    let disk = build(&data, tiny_disk(&dir));
+    // An explicit pool, so the disk shards are scattered over it on a
+    // one-core host too.
+    let disk = build_with(
+        &data,
+        EngineConfig {
+            parallel_queries: true,
+            pool_workers: Some(2),
+            ..config(tiny_disk(&dir))
+        },
+    );
     let ram = build(&data, StorageMode::Resident);
     assert!(disk.is_disk() && !ram.is_disk());
     assert_engines_agree(&disk, &ram, &data);
@@ -144,6 +157,12 @@ fn disk_engine_matches_resident_engine_through_churn() {
     disk.flush();
     ram.flush();
     assert_engines_agree(&disk, &ram, &data);
+
+    let pool = &disk.metrics().pool;
+    assert!(
+        pool.tasks.load(Ordering::Relaxed) + pool.inline_tasks.load(Ordering::Relaxed) > 0,
+        "disk shards never ran on the query pool"
+    );
 }
 
 /// A `FLUSH` of disk shards nothing has touched since their last publish

@@ -10,12 +10,16 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use dctree::common::AggregateOp;
+use dctree::common::{AggregateOp, DcError, TempDir};
 use dctree::mds::Mds;
 use dctree::plan::Backend;
 use dctree::ql::ParsedStatement;
 use dctree::query::{QueryShape, RangeQueryGen, ValuePick, ZipfQueryMix};
-use dctree::serve::{EngineConfig, PartitionPolicy, PlannerOptions, ShardedDcTree};
+use dctree::serve::{
+    DiskOptions, EngineConfig, OocOptions, PartitionPolicy, PlannerOptions, ShardedDcTree,
+    StorageMode,
+};
+use dctree::storage::BlockConfig;
 use dctree::tpcd::{generate, TpcdConfig, TpcdData};
 
 fn stmt(shape: &QueryShape) -> ParsedStatement {
@@ -197,4 +201,54 @@ fn backends_agree_under_concurrent_churn() {
     let cmp = engine.compare_backends(&s).unwrap();
     assert_eq!(&engine.execute(&s).unwrap(), &cmp.chosen);
     engine.shutdown();
+}
+
+/// Forcing a backend the shards do not maintain is the caller's mistake,
+/// reported as such — `Config`, naming the backend — whether the shards are
+/// resident with the planner's engines off or on disk (descent only).
+#[test]
+fn forcing_an_unmaintained_backend_is_a_config_error_in_both_storage_modes() {
+    let data = generate(&TpcdConfig::scaled(400, 35));
+    let dir = TempDir::new("plandiff-forced");
+    let disk = StorageMode::Disk(DiskOptions {
+        dir: dir.to_path_buf(),
+        ooc: OocOptions {
+            block: BlockConfig::new(512),
+            frames: 16,
+            compress: true,
+        },
+    });
+    let s = stmt(&QueryShape {
+        filter: Mds::all(&data.schema),
+        group_by: None,
+        ops: vec![AggregateOp::Sum],
+    });
+    for storage in [StorageMode::Resident, disk] {
+        let engine = ShardedDcTree::new(
+            data.schema.clone(),
+            EngineConfig {
+                num_shards: 2,
+                planner: None,
+                storage: storage.clone(),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for r in &data.records {
+            engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
+        }
+        engine.flush();
+        let (descended, _) = engine.execute_forced(&s, Backend::Descend).unwrap();
+        assert_eq!(descended, engine.execute(&s).unwrap());
+        for backend in [Backend::Bitmap, Backend::Mview, Backend::Scan] {
+            match engine.execute_forced(&s, backend) {
+                Err(DcError::Config(msg)) => assert!(
+                    msg.contains(backend.name()),
+                    "{msg:?} does not name {backend} under {storage:?}"
+                ),
+                other => panic!("forced {backend} under {storage:?}: {other:?}"),
+            }
+        }
+        engine.shutdown();
+    }
 }

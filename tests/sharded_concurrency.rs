@@ -1,14 +1,19 @@
 //! The streaming-updates scenario, promoted from `examples/streaming_updates`
 //! into a checked integration test and pointed at the sharded engine:
 //! several writer threads firehose trades into a [`ShardedDcTree`] while
-//! reader threads continuously query the live snapshots; afterwards the
-//! engine must hold exactly what a sequential replay into a plain [`DcTree`]
-//! holds.
+//! reader threads continuously query what the shards have published;
+//! afterwards the engine must hold exactly what a sequential replay into a
+//! plain [`DcTree`] holds. Each race runs over resident shards and over
+//! disk shards on a buffer pool far below the working set, both with the
+//! query pool on, so readers scatter over the shards from several threads
+//! while the writers publish.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dctree::serve::{EngineConfig, PartitionPolicy};
+use dctree::common::TempDir;
+use dctree::serve::{DiskOptions, EngineConfig, OocOptions, PartitionPolicy, StorageMode};
+use dctree::storage::BlockConfig;
 use dctree::{
     AggregateOp, CubeSchema, DcTree, DcTreeConfig, DimSet, DimensionId, HierarchySchema, Mds,
     ShardedDcTree,
@@ -48,13 +53,49 @@ fn trade(rng: &mut StdRng) -> (Vec<Vec<String>>, i64) {
     )
 }
 
+/// The engine a race runs on: resident shards, or (`disk`) shards paged
+/// through `ooc_differential`'s tiny pool — 512-byte blocks, 16 frames —
+/// so queries and writer batches fault and evict against each other. The
+/// query pool is set explicitly: a one-core host would default it off.
+fn config(policy: PartitionPolicy, disk: Option<&TempDir>) -> EngineConfig {
+    EngineConfig {
+        policy,
+        parallel_queries: true,
+        pool_workers: Some(2),
+        storage: match disk {
+            None => StorageMode::Resident,
+            Some(dir) => StorageMode::Disk(DiskOptions {
+                dir: dir.to_path_buf(),
+                ooc: OocOptions {
+                    block: BlockConfig::new(512),
+                    frames: 16,
+                    compress: true,
+                },
+            }),
+        },
+        ..EngineConfig::default()
+    }
+}
+
 #[test]
 fn writers_and_readers_race_then_agree_with_sequential_replay() {
+    writers_and_readers_race(false);
+}
+
+#[test]
+fn writers_and_readers_race_on_disk_shards_then_agree_with_sequential_replay() {
+    writers_and_readers_race(true);
+}
+
+fn writers_and_readers_race(disk: bool) {
     const WRITERS: usize = 4;
     const READERS: usize = 2;
     const TRADES_PER_WRITER: usize = 1_500;
 
-    let engine = Arc::new(ShardedDcTree::new(ticker_schema(), EngineConfig::default()).unwrap());
+    let dir = disk.then(|| TempDir::new("race-ingest"));
+    let engine = Arc::new(
+        ShardedDcTree::new(ticker_schema(), config(PartitionPolicy::Hash, dir.as_ref())).unwrap(),
+    );
     let stop = Arc::new(AtomicBool::new(false));
     let queries_run = Arc::new(AtomicU64::new(0));
 
@@ -128,7 +169,10 @@ fn writers_and_readers_race_then_agree_with_sequential_replay() {
     // every aggregate agrees too.
     assert_eq!(engine.len(), (WRITERS * TRADES_PER_WRITER) as u64);
     assert_eq!(engine.len(), replay.len());
-    assert_eq!(engine.total_summary(), replay.total_summary().unwrap());
+    assert_eq!(
+        engine.total_summary().unwrap(),
+        replay.total_summary().unwrap()
+    );
     let q = Mds::all(&replay.schema().clone());
     assert_eq!(
         engine.range_query(&q, AggregateOp::Sum).unwrap(),
@@ -138,12 +182,7 @@ fn writers_and_readers_race_then_agree_with_sequential_replay() {
     // concurrent writers interleave at the catalog, so intern order — and
     // therefore IDs — can differ from the sequential replay's. The
     // differential tests in dc-serve cover value-level equality.)
-    for shard in 0..engine.num_shards() {
-        engine
-            .shard_snapshot(shard)
-            .check_invariants()
-            .expect("shard invariants");
-    }
+    engine.check_invariants().expect("shard invariants");
     engine.shutdown();
 }
 
@@ -155,6 +194,15 @@ fn writers_and_readers_race_then_agree_with_sequential_replay() {
 /// during the run.
 #[test]
 fn cached_rollups_race_writers_and_deleters_then_agree() {
+    cached_rollups_race(false);
+}
+
+#[test]
+fn cached_rollups_race_writers_and_deleters_on_disk_shards_then_agree() {
+    cached_rollups_race(true);
+}
+
+fn cached_rollups_race(disk: bool) {
     const WRITERS: usize = 3;
     const TRADES_PER_WRITER: usize = 1_200;
 
@@ -166,16 +214,9 @@ fn cached_rollups_race_writers_and_deleters_then_agree() {
             level: 1,
         },
     ] {
-        let engine = Arc::new(
-            ShardedDcTree::new(
-                ticker_schema(),
-                EngineConfig {
-                    policy,
-                    ..EngineConfig::default()
-                },
-            )
-            .unwrap(),
-        );
+        let dir = disk.then(|| TempDir::new("race-rollups"));
+        let engine =
+            Arc::new(ShardedDcTree::new(ticker_schema(), config(policy, dir.as_ref())).unwrap());
         let stop = Arc::new(AtomicBool::new(false));
         let queries_run = Arc::new(AtomicU64::new(0));
 
@@ -281,7 +322,7 @@ fn cached_rollups_race_writers_and_deleters_then_agree() {
 
         assert_eq!(engine.len(), replay.len(), "under {policy:?}");
         assert_eq!(
-            engine.total_summary(),
+            engine.total_summary().unwrap(),
             replay.total_summary().unwrap(),
             "under {policy:?}"
         );
@@ -319,6 +360,7 @@ fn cached_rollups_race_writers_and_deleters_then_agree() {
             cm.patches.load(Ordering::Relaxed) + cm.invalidations.load(Ordering::Relaxed) > 0,
             "writes never reached the cache"
         );
+        engine.check_invariants().expect("shard invariants");
         engine.shutdown();
     }
 }
