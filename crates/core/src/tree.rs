@@ -583,9 +583,12 @@ impl<S: NodeStore> DcTree<S> {
         Ok(())
     }
 
-    /// Recursive batched insert: one choose-subtree, one MDS extension and
-    /// one summary pass per level for the whole run. Returns every new
-    /// sibling the overflow resolution produced at this level.
+    /// Recursive insert (Fig. 4) of a run of identical-coordinate records:
+    /// update the measure and the MDS, then append (data node) or choose
+    /// the subtree to descend into (directory node) — one choose-subtree,
+    /// one MDS extension and one summary pass per level for the whole run.
+    /// Returns every new sibling the overflow resolution produced at this
+    /// level.
     fn insert_run_rec(&mut self, id: NodeId, run: &[StoredRecord]) -> DcResult<Vec<NodeId>> {
         let first = &run[0].record;
         let (child, overflow) = self.store.update(id, |node| {
@@ -640,8 +643,8 @@ impl<S: NodeStore> DcTree<S> {
 
     /// Resolves an arbitrary overflow on `id` (a batched append can exceed
     /// capacity by more than one): split while the content exceeds
-    /// `capacity × blocks`, letting failed splits grow the supernode as in
-    /// the record-at-a-time path. Returns the new siblings.
+    /// `capacity × blocks`, letting a failed split grow the supernode.
+    /// Returns the new siblings.
     fn split_overflow(&mut self, id: NodeId) -> DcResult<Vec<NodeId>> {
         let mut siblings = Vec::new();
         let mut work = vec![id];
@@ -657,13 +660,10 @@ impl<S: NodeStore> DcTree<S> {
         Ok(siblings)
     }
 
-    /// Core insertion, shared with delete's re-insertion path (does not
-    /// touch `len` / `next_record_id`).
+    /// Core insertion of one record — the run of one — shared with delete's
+    /// re-insertion path (does not touch `len` / `next_record_id`).
     fn insert_stored(&mut self, stored: StoredRecord) -> DcResult<()> {
-        if let Some(new_sibling) = self.insert_rec(self.root, &stored)? {
-            self.grow_root(&[new_sibling])?;
-        }
-        Ok(())
+        self.insert_run(std::slice::from_ref(&stored))
     }
 
     /// Root split: grows the tree by one level, a new directory root over
@@ -713,47 +713,6 @@ impl<S: NodeStore> DcTree<S> {
             self.io.write(node.blocks);
             Ok(overflows(&self.config, node))
         })
-    }
-
-    /// Recursive insert (Fig. 4). Returns the newly created sibling if this
-    /// node was split.
-    fn insert_rec(&mut self, id: NodeId, stored: &StoredRecord) -> DcResult<Option<NodeId>> {
-        let record = &stored.record;
-        // Update measure and MDS, then either append (data node) or choose
-        // the subtree to descend into (directory node).
-        let (child, mut overflow) = self.store.update(id, |node| {
-            self.io.read(node.blocks);
-            node.summary.add(record.measure);
-            node.mds.extend_to_cover_record(&self.schema, record)?;
-            let child = match &mut node.kind {
-                NodeKind::Data(records) => {
-                    records.push(stored.clone());
-                    None
-                }
-                NodeKind::Dir(entries) => {
-                    let choice = choose_subtree(&self.schema, entries, record)?;
-                    let entry = &mut entries[choice];
-                    entry.summary.add(record.measure);
-                    entry.mds.extend_to_cover_record(&self.schema, record)?;
-                    Some(entry.child)
-                }
-            };
-            self.io.write(node.blocks);
-            Ok((child, child.is_none() && overflows(&self.config, node)))
-        })?;
-        if let Some(child) = child {
-            if let Some(new_sibling) = self.insert_rec(child, stored)? {
-                // The child was split: refresh its entry and add the new son.
-                let refreshed = self.entry_for(child)?;
-                let new_entry = self.entry_for(new_sibling)?;
-                overflow = self.adopt_split_child(id, refreshed, vec![new_entry])?;
-            }
-        }
-        if overflow {
-            self.split_node(id)
-        } else {
-            Ok(None)
-        }
     }
 
     // ------------------------------------------------------------------

@@ -819,3 +819,21 @@ fn range_selection_returns_exactly_the_matching_records() {
         );
     }
 }
+
+/// `insert` is `insert_batch`'s run of one. These are the counts the 100 k
+/// TPC-D stream built record by record through the separate single-record
+/// descent, read before that descent was folded into the run's.
+#[test]
+fn run_of_one_builds_the_record_at_a_time_tree() {
+    let data = dc_tpcd::generate(&dc_tpcd::TpcdConfig::scaled(100_000, 42));
+    let mut tree = DcTree::new(data.schema.clone(), DcTreeConfig::default());
+    for r in &data.records {
+        tree.insert(r.clone()).unwrap();
+    }
+    let m = tree.metrics();
+    assert_eq!(
+        (m.splits, m.failed_splits, m.supernode_growths),
+        (1169, 38, 38)
+    );
+    assert_eq!((tree.num_nodes(), tree.height()), (1172, 3));
+}

@@ -297,8 +297,9 @@ impl DurableDcTree {
     }
 }
 
-/// Applies one WAL entry to a tree (the replay step). Public so the
-/// serving engine's recovery path can share the exact same semantics.
+/// Applies one WAL entry to a tree (the replay step). Public as the replay
+/// oracle: the crash and replication harnesses fold it over a plain tree
+/// and hold the serving engine's recovery to the result.
 pub fn apply(tree: &mut DcTree, entry: &WalEntry) -> DcResult<bool> {
     match entry {
         WalEntry::Insert { paths, measure } => {

@@ -182,13 +182,15 @@ impl Follower {
                 let mut count = 0u64;
                 for seg in &segments {
                     self.mirror_segment(seg.seq, &seg.bytes)?;
+                    let mut fresh = Vec::new();
                     for (lsn, entry) in seg.entries() {
                         if lsn > applied {
-                            engine.apply_replicated(&entry)?;
+                            fresh.push(entry);
                             applied = lsn;
-                            count += 1;
                         }
                     }
+                    engine.apply_replicated(&fresh)?;
+                    count += fresh.len() as u64;
                 }
                 if count == 0 {
                     return Ok(Progress::Idle);

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use dc_common::{DcResult, Measure};
-use dc_hierarchy::{CubeSchema, Record};
+use dc_hierarchy::{CubeSchema, Dims, Record};
 use parking_lot::Mutex;
 
 /// One logged intern: the attribute paths (top → leaf, one per dimension)
@@ -64,6 +64,27 @@ impl SchemaCatalog {
             inner.log.push(Arc::new(owned));
         }
         Ok((record, inner.log.len() as u64))
+    }
+
+    /// Resolves a record's paths against the master schema **without
+    /// interning**: `None` when some path names a value the catalog has
+    /// never seen (no such record can exist), else the record and the epoch
+    /// a shard must have replayed before it may look for it. Malformed
+    /// paths (dimension count, depth) are an error, as in [`Self::intern`].
+    pub fn lookup<S: AsRef<str>>(
+        &self,
+        paths: &[Vec<S>],
+        measure: Measure,
+    ) -> DcResult<Option<(Record, u64)>> {
+        let inner = self.inner.lock();
+        inner.schema.validate_paths(paths)?;
+        let dims: Option<Dims> = inner
+            .schema
+            .dims()
+            .zip(paths)
+            .map(|(h, path)| h.lookup_path(path))
+            .collect();
+        Ok(dims.map(|dims| (Record { dims, measure }, inner.log.len() as u64)))
     }
 
     /// The current log length — the epoch a fully caught-up shard has
@@ -125,6 +146,27 @@ mod tests {
         let (_, e3) = cat.intern(&[vec!["a", "a2"]], 3).unwrap();
         assert_eq!(e3, 2);
         assert_eq!(cat.entries(0, 2).len(), 2);
+    }
+
+    #[test]
+    fn lookup_resolves_without_interning() {
+        let cat = SchemaCatalog::new(schema());
+        let (rec, epoch) = cat.intern(&[vec!["a", "a1"]], 1).unwrap();
+        assert_eq!(
+            cat.lookup(&[vec!["a", "a1"]], 1).unwrap(),
+            Some((rec, epoch))
+        );
+        // Unknown leaf, unknown top: a miss that changes nothing.
+        assert_eq!(cat.lookup(&[vec!["a", "a9"]], 1).unwrap(), None);
+        assert_eq!(cat.lookup(&[vec!["z", "z1"]], 1).unwrap(), None);
+        assert_eq!(cat.epoch(), epoch);
+        assert_eq!(
+            cat.with_schema(|s| s.dims().map(|h| h.num_values()).sum::<usize>()),
+            3
+        );
+        // Malformed paths fail like an intern does.
+        assert!(cat.lookup(&[vec!["a"]], 1).is_err());
+        assert!(cat.lookup::<&str>(&[], 1).is_err());
     }
 
     #[test]

@@ -264,17 +264,24 @@ impl Default for EngineConfig {
     }
 }
 
+/// One mutation as [`ShardedDcTree::submit`] takes it: a record's attribute
+/// paths, its measure, and whether it is a delete.
+type Op<'a, S> = (&'a [Vec<S>], Measure, bool);
+
+/// How many replayed WAL entries go through [`ShardedDcTree::submit`] at a
+/// time — the frame-group size the wire benchmark loads with.
+const REPLAY_CHUNK: usize = 512;
+
 /// One command on a shard's ingest queue.
 enum Cmd {
-    /// Apply a pre-interned record once the shard has replayed the catalog
-    /// log through `epoch`.
-    Insert { record: Record, epoch: u64 },
-    /// Apply a whole pre-interned batch (one `INSERT_BATCH` group's worth
-    /// routed to this shard) once the catalog is replayed through `epoch`.
-    /// The writer feeds it to the tree's amortized batch path.
-    InsertBatch { records: Vec<Record>, epoch: u64 },
-    /// Delete one matching record (same epoch contract).
-    Delete { record: Record, epoch: u64 },
+    /// Apply this shard's share of one submitted batch — `(record, delete)`
+    /// pairs, pre-resolved against the catalog, in submission order — once
+    /// the shard has replayed the catalog log through `epoch`. A single
+    /// `INSERT` or `DELETE` is the batch of one.
+    Apply {
+        ops: Vec<(Record, bool)>,
+        epoch: u64,
+    },
     /// Acknowledge once everything enqueued before this command is applied
     /// and visible in a published snapshot.
     Flush(Sender<()>),
@@ -896,22 +903,11 @@ impl ShardedDcTree {
             },
         };
         // Replay the recovered tail over the checkpoint state. The entries
-        // are already durable in their segments, so they are NOT re-logged
-        // (`log_to_wal = false`) — a double-open must not duplicate them.
-        if let Some(scan) = &recovered_scan {
-            for entry in &scan.entries {
-                match entry {
-                    WalEntry::Insert { paths, measure } => {
-                        engine.ingest(paths, *measure, false)?;
-                    }
-                    WalEntry::Delete { paths, measure } => {
-                        engine.remove(paths, *measure, false)?;
-                    }
-                }
-            }
-            if !scan.entries.is_empty() {
-                engine.flush();
-            }
+        // are already durable in their segments, so they are not logged
+        // again — a double-open must not duplicate them.
+        if let Some(scan) = recovered_scan.filter(|scan| !scan.entries.is_empty()) {
+            engine.apply_replicated(&scan.entries)?;
+            engine.flush();
         }
         engine.refresh_pool_gauges();
         Ok(engine)
@@ -997,14 +993,14 @@ impl ShardedDcTree {
     /// [`flush`](Self::flush) to wait for visibility.
     pub fn insert_raw<S: AsRef<str>>(&self, paths: &[Vec<S>], measure: Measure) -> DcResult<()> {
         self.ensure_writable()?;
-        self.ingest(paths, measure, true)
+        self.submit(&[(paths, measure, false)], true)
     }
 
     /// Asynchronously inserts a whole batch of raw records — the
     /// `INSERT_BATCH` fast path. The batch is logged as **one WAL frame
     /// group** (one buffered write, one fsync decision), interned once
     /// against the catalog, and handed to each destination shard as a
-    /// single batch command whose writer applies it through the tree's
+    /// single command whose writer applies it through the tree's
     /// amortized batch insert. Returns once the group is durably logged
     /// and enqueued; call [`flush`](Self::flush) for visibility.
     pub fn insert_batch_raw<S: AsRef<str>>(
@@ -1015,45 +1011,23 @@ impl ShardedDcTree {
         if batch.is_empty() {
             return Ok(());
         }
-        {
-            let _gate = self.ingest_gate.read();
-            // Intern and route the whole batch before logging any of it:
-            // the group is all-or-nothing at the validation boundary, so a
-            // batch with one malformed record leaves the WAL untouched
-            // instead of poisoning recovery with entries the catalog
-            // rejected.
-            let mut per_shard: Vec<Vec<Record>> = vec![Vec::new(); self.shards.len()];
-            let mut epoch = 0u64;
-            for (paths, measure) in batch {
-                let (record, e) = self.catalog.intern(paths, *measure)?;
-                let shard = self.route(paths, &record)?;
-                epoch = epoch.max(e);
-                per_shard[shard].push(record);
-            }
-            self.append_wal_batch(batch)?;
-            self.metrics.inserts.fetch_add(batch.len() as u64, Relaxed);
-            self.metrics.insert_batches.fetch_add(1, Relaxed);
-            self.metrics
-                .insert_batch_records
-                .fetch_add(batch.len() as u64, Relaxed);
-            for (shard, records) in per_shard.into_iter().enumerate() {
-                if records.is_empty() {
-                    continue;
-                }
-                self.metrics.shards[shard]
-                    .queue_depth
-                    .fetch_add(records.len() as u64, Relaxed);
-                self.send(shard, Cmd::InsertBatch { records, epoch })?;
-            }
-        }
-        self.maybe_auto_checkpoint()
+        let ops: Vec<Op<'_, S>> = batch
+            .iter()
+            .map(|(paths, measure)| (&paths[..], *measure, false))
+            .collect();
+        self.submit(&ops, true)?;
+        self.metrics.insert_batches.fetch_add(1, Relaxed);
+        self.metrics
+            .insert_batch_records
+            .fetch_add(batch.len() as u64, Relaxed);
+        Ok(())
     }
 
     /// Asynchronously deletes one record matching the paths and measure.
     /// A miss is a silent no-op, matching `dc-durable`'s replay contract.
     pub fn delete_raw<S: AsRef<str>>(&self, paths: &[Vec<S>], measure: Measure) -> DcResult<()> {
         self.ensure_writable()?;
-        self.remove(paths, measure, true)
+        self.submit(&[(paths, measure, true)], true)
     }
 
     fn ensure_writable(&self) -> DcResult<()> {
@@ -1065,105 +1039,72 @@ impl ShardedDcTree {
         Ok(())
     }
 
-    fn ingest<S: AsRef<str>>(
-        &self,
-        paths: &[Vec<S>],
-        measure: Measure,
-        log_to_wal: bool,
-    ) -> DcResult<()> {
+    /// The write path: every mutation, live or replayed, enters the engine
+    /// here as part of a batch. Resolves `ops` against the catalog, logs
+    /// them as one WAL frame group (`log`, with a WAL configured), and
+    /// enqueues one [`Cmd::Apply`] per shard they touch.
+    fn submit<S: AsRef<str>>(&self, ops: &[Op<'_, S>], log: bool) -> DcResult<()> {
         {
             let _gate = self.ingest_gate.read();
-            // Intern and route before logging: a record the catalog
-            // rejects must never reach the WAL, or recovery (and every
-            // follower tailing the log) replays the rejection as
-            // corruption. Interning's only side effect on failure-free
-            // paths later is new vocabulary, which is harmless.
-            let (record, epoch) = self.catalog.intern(paths, measure)?;
-            let shard = self.route(paths, &record)?;
-            if log_to_wal {
-                self.append_wal(paths, measure, false)?;
+            // Resolve and route the whole batch before logging any of it:
+            // one malformed op leaves the WAL untouched instead of poisoning
+            // recovery (and every follower tailing the log) with an entry
+            // the catalog rejects. An insert interns its paths; a delete
+            // only looks them up, so it cannot grow the hierarchy — a miss
+            // names no record, is still logged (one LSN per accepted op)
+            // and goes to no shard, as `dc_durable::apply` replays it.
+            let mut per_shard: Vec<Vec<(Record, bool)>> = vec![Vec::new(); self.shards.len()];
+            let mut epoch = 0u64;
+            let mut deletes = 0u64;
+            for &(paths, measure, delete) in ops {
+                deletes += u64::from(delete);
+                let resolved = if delete {
+                    self.catalog.lookup(paths, measure)?
+                } else {
+                    Some(self.catalog.intern(paths, measure)?)
+                };
+                if let Some((record, e)) = resolved {
+                    epoch = epoch.max(e);
+                    per_shard[self.route(paths, &record)?].push((record, delete));
+                }
             }
-            self.metrics.inserts.fetch_add(1, Relaxed);
-            self.metrics.shards[shard].queue_depth.fetch_add(1, Relaxed);
-            self.send(shard, Cmd::Insert { record, epoch })?;
+            if let Some(wal) = self.wal.as_ref().filter(|_| log) {
+                self.append_wal(wal, ops)?;
+            }
+            self.metrics.deletes.fetch_add(deletes, Relaxed);
+            self.metrics
+                .inserts
+                .fetch_add(ops.len() as u64 - deletes, Relaxed);
+            for (shard, ops) in per_shard.into_iter().enumerate() {
+                if ops.is_empty() {
+                    continue;
+                }
+                self.metrics.shards[shard]
+                    .queue_depth
+                    .fetch_add(ops.len() as u64, Relaxed);
+                self.send(shard, Cmd::Apply { ops, epoch })?;
+            }
         }
-        if log_to_wal {
-            self.maybe_auto_checkpoint()?;
-        }
-        Ok(())
+        self.maybe_auto_checkpoint()
     }
 
-    fn remove<S: AsRef<str>>(
-        &self,
-        paths: &[Vec<S>],
-        measure: Measure,
-        log_to_wal: bool,
-    ) -> DcResult<()> {
-        {
-            let _gate = self.ingest_gate.read();
-            // Validate-by-interning before logging, as in `ingest`.
-            let (record, epoch) = self.catalog.intern(paths, measure)?;
-            let shard = self.route(paths, &record)?;
-            if log_to_wal {
-                self.append_wal(paths, measure, true)?;
-            }
-            self.metrics.deletes.fetch_add(1, Relaxed);
-            self.metrics.shards[shard].queue_depth.fetch_add(1, Relaxed);
-            self.send(shard, Cmd::Delete { record, epoch })?;
-        }
-        if log_to_wal {
-            self.maybe_auto_checkpoint()?;
-        }
-        Ok(())
-    }
-
-    fn append_wal<S: AsRef<str>>(
-        &self,
-        paths: &[Vec<S>],
-        measure: Measure,
-        delete: bool,
-    ) -> DcResult<()> {
-        let Some(wal) = &self.wal else { return Ok(()) };
-        let owned: Vec<Vec<String>> = paths
+    /// Logs `ops` as one WAL frame group: the writer lock is taken once and
+    /// the configured sync policy decides once for the group. Every op is
+    /// its own `Insert` or `Delete` frame with its own LSN, so a batch
+    /// replays exactly like the same ops submitted one at a time.
+    fn append_wal<S: AsRef<str>>(&self, wal: &DurableWal, ops: &[Op<'_, S>]) -> DcResult<()> {
+        let entries: Vec<WalEntry> = ops
             .iter()
-            .map(|d| d.iter().map(|s| s.as_ref().to_string()).collect())
-            .collect();
-        let entry = if delete {
-            WalEntry::Delete {
-                paths: owned,
-                measure,
-            }
-        } else {
-            WalEntry::Insert {
-                paths: owned,
-                measure,
-            }
-        };
-        let lsn = {
-            let mut w = wal.writer.lock();
-            let lsn = w.append(&entry)?;
-            self.refresh_wal_gauges(&w);
-            lsn
-        };
-        wal.since_checkpoint.fetch_add(1, Relaxed);
-        self.note_applied(lsn);
-        Ok(())
-    }
-
-    /// Logs a whole insert batch as one WAL frame group: the writer lock is
-    /// taken once and the configured sync policy decides once for the
-    /// group. Entries stay per-record `Insert` frames, so recovery and
-    /// replication replay are byte-identical to a looped `INSERT` stream.
-    fn append_wal_batch<S: AsRef<str>>(&self, batch: &[(Vec<Vec<S>>, Measure)]) -> DcResult<()> {
-        let Some(wal) = &self.wal else { return Ok(()) };
-        let entries: Vec<WalEntry> = batch
-            .iter()
-            .map(|(paths, measure)| WalEntry::Insert {
-                paths: paths
+            .map(|&(paths, measure, delete)| {
+                let paths = paths
                     .iter()
                     .map(|d| d.iter().map(|s| s.as_ref().to_string()).collect())
-                    .collect(),
-                measure: *measure,
+                    .collect();
+                if delete {
+                    WalEntry::Delete { paths, measure }
+                } else {
+                    WalEntry::Insert { paths, measure }
+                }
             })
             .collect();
         let lsn = {
@@ -1174,7 +1115,7 @@ impl ShardedDcTree {
         };
         wal.since_checkpoint
             .fetch_add(entries.len() as u64, Relaxed);
-        self.note_applied(lsn);
+        self.publish_applied(lsn);
         Ok(())
     }
 
@@ -1395,36 +1336,33 @@ impl ShardedDcTree {
         *self.repl.applied.lock()
     }
 
-    /// Advances the applied frontier (monotonic max) and wakes `WAIT_LSN`
-    /// waiters.
-    fn note_applied(&self, lsn: u64) {
+    /// Applies WAL entries that are already durable in a segment — a
+    /// recovered tail, or what a follower just mirrored — through the write
+    /// path, [`REPLAY_CHUNK`] at a time: nothing is logged again, and the
+    /// read-only guard does not apply. The applied frontier does NOT
+    /// advance here: [`flush`](Self::flush), then
+    /// [`publish_applied`](Self::publish_applied) — so `WAIT_LSN n`
+    /// returning means LSN `n` is both applied *and visible* to queries
+    /// (the read-your-LSN contract).
+    pub fn apply_replicated(&self, entries: &[WalEntry]) -> DcResult<()> {
+        for chunk in entries.chunks(REPLAY_CHUNK) {
+            let ops: Vec<Op<'_, String>> = chunk.iter().map(wal_op).collect();
+            self.submit(&ops, false)?;
+        }
+        Ok(())
+    }
+
+    /// Advances the replication frontier to `lsn` (monotonic max) and
+    /// wakes `WAIT_LSN` waiters. A primary's write path calls this with
+    /// each LSN it logs; a follower calls it only once every entry up to
+    /// `lsn` is visible (after [`flush`](Self::flush)).
+    pub fn publish_applied(&self, lsn: u64) {
         let mut applied = self.repl.applied.lock();
         if lsn > *applied {
             *applied = lsn;
             self.metrics.replication.applied_lsn.store(lsn, Relaxed);
             self.repl.caught_up.notify_all();
         }
-    }
-
-    /// Applies one replicated WAL entry (follower ingest path: nothing is
-    /// re-logged, and the read-only guard is bypassed — the entry is
-    /// already durable in the replicated segment). The applied frontier
-    /// does NOT advance here: [`flush`](Self::flush) the batch, then
-    /// [`publish_applied`](Self::publish_applied) — so `WAIT_LSN n`
-    /// returning means LSN `n` is both applied *and visible* to queries
-    /// (the read-your-LSN contract).
-    pub fn apply_replicated(&self, entry: &WalEntry) -> DcResult<()> {
-        match entry {
-            WalEntry::Insert { paths, measure } => self.ingest(paths, *measure, false),
-            WalEntry::Delete { paths, measure } => self.remove(paths, *measure, false),
-        }
-    }
-
-    /// Advances the replication frontier to `lsn` (monotonic max) and
-    /// wakes `WAIT_LSN` waiters. Call only once every entry up to `lsn`
-    /// is visible (after [`flush`](Self::flush)).
-    pub fn publish_applied(&self, lsn: u64) {
-        self.note_applied(lsn);
     }
 
     /// Blocks until [`applied_lsn`](Self::applied_lsn) reaches `lsn` (the
@@ -2013,6 +1951,14 @@ impl std::fmt::Debug for ShardedDcTree {
     }
 }
 
+/// A logged mutation as the write path takes it, borrowing its strings.
+fn wal_op(entry: &WalEntry) -> Op<'_, String> {
+    match entry {
+        WalEntry::Insert { paths, measure } => (paths, *measure, false),
+        WalEntry::Delete { paths, measure } => (paths, *measure, true),
+    }
+}
+
 /// Total interned values across all dimensions of a schema. Shard schemas
 /// replay the catalog's intern log in order, so a shard schema is always a
 /// *prefix* of the catalog's — equal totals mean the schemas are identical.
@@ -2194,7 +2140,7 @@ fn apply<S: NodeStore>(
     w: &mut Writer,
     cmd: Cmd,
     tree: &mut DcTree<S>,
-    aux: Option<&mut AuxEngines>,
+    mut aux: Option<&mut AuxEngines>,
 ) {
     let Writer {
         shard_id,
@@ -2209,72 +2155,56 @@ fn apply<S: NodeStore>(
         ..
     } = w;
     let shard_metrics = &metrics.shards[*shard_id];
-    let deltas = cache.is_some().then_some(deltas);
+    let mut deltas = cache.is_some().then_some(deltas);
     match cmd {
-        Cmd::Insert { record, epoch } => {
+        Cmd::Apply { ops, epoch } => {
             let t0 = Instant::now();
             replay_catalog(tree, catalog, replayed, epoch);
-            if let Some(deltas) = deltas {
-                deltas.push(CacheDelta {
-                    record: record.clone(),
-                    delete: false,
-                });
-            }
-            if let Some(aux) = aux {
-                aux.insert(tree.schema(), &record);
-            }
-            tree.insert(record).expect("shard insert failed");
-            metrics.apply_latency.record(t0.elapsed());
-            shard_metrics.queue_depth.fetch_sub(1, Relaxed);
-            shard_metrics.applied.fetch_add(1, Relaxed);
-            *mutated = true;
-        }
-        Cmd::InsertBatch { records, epoch } => {
-            let t0 = Instant::now();
-            replay_catalog(tree, catalog, replayed, epoch);
-            let n = records.len() as u64;
-            if let Some(deltas) = deltas {
-                for record in &records {
-                    deltas.push(CacheDelta {
-                        record: record.clone(),
-                        delete: false,
-                    });
+            let n = ops.len() as u64;
+            let mut ops = ops.into_iter().peekable();
+            while ops.peek().is_some() {
+                // A maximal run of inserts, possibly empty, is one tree batch…
+                let run: Vec<Record> = std::iter::from_fn(|| ops.next_if(|(_, delete)| !delete))
+                    .map(|(record, _)| record)
+                    .collect();
+                for record in &run {
+                    if let Some(deltas) = deltas.as_deref_mut() {
+                        deltas.push(CacheDelta {
+                            record: record.clone(),
+                            delete: false,
+                        });
+                    }
+                    if let Some(aux) = aux.as_deref_mut() {
+                        aux.insert(tree.schema(), record);
+                    }
+                }
+                *mutated |= !run.is_empty();
+                tree.insert_batch(run).expect("shard insert failed");
+                // …and what ended the run, if anything, is a delete.
+                if let Some((record, _)) = ops.next() {
+                    // `false`: the record never existed on this shard — the
+                    // documented no-op; what readers see stays exact.
+                    if tree.delete(&record).expect("shard delete failed") {
+                        if let Some(aux) = aux.as_deref_mut() {
+                            aux.delete(tree.schema(), &record);
+                        }
+                        if let Some(deltas) = deltas.as_deref_mut() {
+                            deltas.push(CacheDelta {
+                                record,
+                                delete: true,
+                            });
+                        }
+                        *mutated = true;
+                    }
                 }
             }
-            if let Some(aux) = aux {
-                for record in &records {
-                    aux.insert(tree.schema(), record);
-                }
-            }
-            tree.insert_batch(records)
-                .expect("shard batch insert failed");
-            metrics.batch_apply_latency.record(t0.elapsed());
+            let elapsed = t0.elapsed();
+            metrics.batch_apply_latency.record(elapsed);
+            metrics
+                .apply_latency
+                .record(elapsed / u32::try_from(n).unwrap_or(u32::MAX));
             shard_metrics.queue_depth.fetch_sub(n, Relaxed);
             shard_metrics.applied.fetch_add(n, Relaxed);
-            *mutated = true;
-        }
-        Cmd::Delete { record, epoch } => {
-            let t0 = Instant::now();
-            replay_catalog(tree, catalog, replayed, epoch);
-            // `false` means the record never existed on this shard — the
-            // documented no-op.
-            let removed = tree.delete(&record).expect("shard delete failed");
-            if removed {
-                if let Some(aux) = aux {
-                    aux.delete(tree.schema(), &record);
-                }
-                if let Some(deltas) = deltas {
-                    deltas.push(CacheDelta {
-                        record,
-                        delete: true,
-                    });
-                }
-            }
-            metrics.apply_latency.record(t0.elapsed());
-            shard_metrics.queue_depth.fetch_sub(1, Relaxed);
-            shard_metrics.applied.fetch_add(1, Relaxed);
-            // A delete that removed nothing leaves what readers see exact.
-            *mutated |= removed;
         }
         Cmd::Flush(ack) => pending_flushes.push(ack),
         Cmd::Catchup { epoch } => {

@@ -12,7 +12,11 @@
 //!   [`dc_tree::DcTree`], in memory or paged through `dc-oocore`), one MPSC
 //!   ingest queue + writer thread per shard, and one `Arc`-published state
 //!   per shard that every query starts from — a snapshot of a resident
-//!   shard, so queries never block on its writer;
+//!   shard, so queries never block on its writer. Every mutation reaches
+//!   those queues the same way: a single `INSERT` or `DELETE`, an
+//!   `INSERT_BATCH`, a recovered WAL tail and a follower's shipped segment
+//!   are all batches of ops through one write path, applied by each shard
+//!   in submission order;
 //! * [`serve`](server::serve) exposes the engine over TCP, speaking dc-ql
 //!   (`SUM WHERE … GROUP BY …`) plus `INSERT`/`DELETE`/`STATS`/`FLUSH`
 //!   verbs — see [`protocol`] for the wire format;

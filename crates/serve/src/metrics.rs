@@ -383,9 +383,11 @@ pub struct DurabilityMetrics {
 /// gauges.
 pub struct EngineMetrics {
     start: Instant,
-    /// Records accepted by `insert_raw` since start.
+    /// Inserts the write path has accepted since start — single, batched,
+    /// or replayed from the WAL on recovery or replication.
     pub inserts: AtomicU64,
-    /// Deletes accepted since start.
+    /// Deletes accepted since start, on the same terms (one that matched
+    /// no record still counts).
     pub deletes: AtomicU64,
     /// Queries answered since start.
     pub queries: AtomicU64,
@@ -394,15 +396,18 @@ pub struct EngineMetrics {
     pub shard_visits: AtomicU64,
     /// Time from a query's arrival to its merged answer.
     pub query_latency: LatencyHistogram,
-    /// Time spent applying one record inside a writer thread.
+    /// A writer thread's time per mutation: one sample per applied
+    /// command, [`Self::batch_apply_latency`]'s divided by the command's op
+    /// count.
     pub apply_latency: LatencyHistogram,
     /// `INSERT_BATCH` groups accepted by `insert_batch_raw` since start.
     pub insert_batches: AtomicU64,
     /// Records that arrived inside those groups (`insert_batch_records /
     /// insert_batches` is the mean batch size).
     pub insert_batch_records: AtomicU64,
-    /// Time from a writer thread picking up one batch command to the whole
-    /// group being applied to its shard tree.
+    /// Time from a writer thread picking up one command — a shard's share
+    /// of one submitted batch, a single `INSERT` being the batch of one — to
+    /// all of it being applied to the shard tree.
     pub batch_apply_latency: LatencyHistogram,
     /// Aggregate-cache counters (all zero when the cache is disabled).
     pub cache: CacheMetrics,

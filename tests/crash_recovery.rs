@@ -158,8 +158,16 @@ fn check_recovery(
         p <= attempted,
         "recovered more than was attempted: recovered={p} attempted={attempted}"
     );
-    let mono = oracle(data, ops, p as usize);
-    assert_eq!(engine.len(), mono.len(), "len mismatch at prefix {p}");
+    assert_answers(&engine, &oracle(data, ops, p as usize), data);
+    drop(engine);
+    p
+}
+
+/// `engine` holds exactly what `mono` holds: same length, same total, same
+/// answer on a spread of range queries.
+fn assert_answers(engine: &ShardedDcTree, mono: &DcTree, data: &TpcdData) {
+    let p = mono.len();
+    assert_eq!(engine.len(), p, "len mismatch");
     assert_eq!(
         engine.total_summary().unwrap(),
         mono.total_summary().unwrap()
@@ -170,11 +178,9 @@ fn check_recovery(
         assert_eq!(
             engine.range_summary(&q).unwrap(),
             mono.range_summary(&q).unwrap(),
-            "answer mismatch at prefix {p} for {q:?}"
+            "answer mismatch at {p} records for {q:?}"
         );
     }
-    drop(engine);
-    p
 }
 
 /// Total segment-file traffic for a fault-free run, used to place crashes.
@@ -317,4 +323,152 @@ fn rejected_writes_never_poison_the_wal() {
         .expect("recovery failed: a rejected write reached the WAL");
     assert_eq!(reopened.len(), good.len() as u64);
     assert_eq!(reopened.total_summary().unwrap(), expected_total);
+}
+
+fn entry(data: &TpcdData, idx: usize, delete: bool) -> WalEntry {
+    let r = &data.records[idx];
+    let (paths, measure) = (data.paths_for(r), r.measure);
+    if delete {
+        WalEntry::Delete { paths, measure }
+    } else {
+        WalEntry::Insert { paths, measure }
+    }
+}
+
+/// A delete of paths no insert ever named: every name gets a prefix the
+/// generator does not produce.
+fn ghost_delete(data: &TpcdData, idx: usize) -> WalEntry {
+    let r = &data.records[idx];
+    let paths = data
+        .paths_for(r)
+        .into_iter()
+        .map(|dim| dim.into_iter().map(|n| format!("ghost-{n}")).collect())
+        .collect();
+    WalEntry::Delete {
+        paths,
+        measure: r.measure,
+    }
+}
+
+fn catalog_values(engine: &ShardedDcTree) -> usize {
+    engine.with_schema(|s| s.dims().map(|h| h.num_values()).sum())
+}
+
+#[test]
+fn deleting_unseen_paths_never_grows_the_hierarchy() {
+    // A delete resolves its paths by lookup, as the replay oracle does: one
+    // that names values the catalog has never seen is accepted and logged
+    // (one LSN per accepted op) but interns nothing and reaches no shard.
+    let data = tpcd();
+    let dir = TempDir::new("crash-ghost");
+    let mut ops: Vec<WalEntry> = (0..40).map(|i| entry(&data, i, false)).collect();
+    let inserts = ops.len();
+    // Unseen from the top; unseen leaf under a seen parent; a plain hit.
+    ops.push(ghost_delete(&data, 0));
+    let mut half_seen = data.paths_for(&data.records[1]);
+    *half_seen[0].last_mut().unwrap() = "ghost-leaf".to_string();
+    ops.push(WalEntry::Delete {
+        paths: half_seen,
+        measure: data.records[1].measure,
+    });
+    ops.push(entry(&data, 2, true));
+    let mono = oracle(&data, &ops, ops.len());
+
+    let values;
+    {
+        let engine = ShardedDcTree::new(data.schema.clone(), config(&dir, None, 0)).unwrap();
+        for op in &ops[..inserts] {
+            apply_to_engine(&engine, op).unwrap();
+        }
+        engine.flush();
+        values = catalog_values(&engine);
+        let d = &engine.metrics().durability;
+        assert_eq!(d.wal_last_lsn.load(Relaxed), inserts as u64);
+        for op in &ops[inserts..] {
+            apply_to_engine(&engine, op).unwrap();
+        }
+        engine.flush();
+        assert_eq!(catalog_values(&engine), values, "a delete interned values");
+        assert_eq!(d.wal_last_lsn.load(Relaxed), ops.len() as u64);
+        assert_answers(&engine, &mono, &data);
+    }
+
+    // The logged misses replay as no-ops.
+    let reopened = ShardedDcTree::new(data.schema.clone(), config(&dir, None, 0)).unwrap();
+    let d = &reopened.metrics().durability;
+    assert_eq!(d.recovery_replayed_entries.load(Relaxed), ops.len() as u64);
+    assert_eq!(catalog_values(&reopened), values);
+    assert_answers(&reopened, &mono, &data);
+}
+
+#[test]
+fn a_replay_chunk_applies_in_submission_order() {
+    // One replay chunk, so each shard gets all of its ops in one command:
+    // hoisting the inserts ahead of the deletes would lose `s`, hoisting the
+    // deletes ahead would keep a third `r`.
+    let data = tpcd();
+    let dir = TempDir::new("crash-order");
+    let (r, r2, s) = (3, 4, 5);
+    let ops = vec![
+        entry(&data, r, false),
+        entry(&data, r, true),
+        entry(&data, r, false),
+        entry(&data, r2, false),
+        ghost_delete(&data, 6),
+        entry(&data, s, true),
+        entry(&data, s, false),
+        entry(&data, r, false),
+    ];
+    let mono = oracle(&data, &ops, ops.len());
+    assert_eq!(mono.len(), 4);
+    {
+        let engine = ShardedDcTree::new(data.schema.clone(), config(&dir, None, 0)).unwrap();
+        for op in &ops {
+            apply_to_engine(&engine, op).unwrap();
+        }
+        engine.flush();
+        assert_answers(&engine, &mono, &data);
+    }
+    let reopened = ShardedDcTree::new(data.schema.clone(), config(&dir, None, 0)).unwrap();
+    let d = &reopened.metrics().durability;
+    assert_eq!(d.recovery_replayed_entries.load(Relaxed), ops.len() as u64);
+    assert_answers(&reopened, &mono, &data);
+}
+
+#[test]
+fn a_recovered_tail_is_replayed_in_batches() {
+    // 2 000 logged inserts come back as at most one command per shard per
+    // 512-entry replay chunk, not as 2 000 commands.
+    const TAIL: usize = 2000;
+    let data = generate(&TpcdConfig::scaled(TAIL, 11));
+    let dir = TempDir::new("crash-batched-replay");
+    let mut cfg = config(&dir, None, 0);
+    cfg.wal.as_mut().unwrap().segment_bytes = 1 << 20;
+    let batch: Vec<_> = data
+        .records
+        .iter()
+        .map(|r| (data.paths_for(r), r.measure))
+        .collect();
+    let expected_total;
+    {
+        let engine = ShardedDcTree::new(data.schema.clone(), cfg.clone()).unwrap();
+        for group in batch.chunks(100) {
+            engine.insert_batch_raw(group).unwrap();
+        }
+        engine.flush();
+        expected_total = engine.total_summary().unwrap();
+    }
+    let reopened = ShardedDcTree::new(data.schema, cfg).unwrap();
+    let m = reopened.metrics();
+    assert_eq!(
+        m.durability.recovery_replayed_entries.load(Relaxed),
+        TAIL as u64
+    );
+    assert_eq!(reopened.len(), TAIL as u64);
+    assert_eq!(reopened.total_summary().unwrap(), expected_total);
+    let commands = m.apply_latency.count();
+    assert!(
+        commands <= (SHARDS * TAIL.div_ceil(512)) as u64,
+        "{commands} commands replayed a {TAIL}-entry tail"
+    );
 }

@@ -5,12 +5,14 @@
 //! mid-ingest. Queries during ingest see epoch-consistent snapshots —
 //! every partial answer must be a plausible prefix (0 ≤ count ≤ total,
 //! summaries internally consistent), and the final answers must match the
-//! record-at-a-time engine on every query.
+//! record-at-a-time engine — and a scan of the same records — on every
+//! query.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use dctree::common::{AggregateOp, DimensionId, TempDir};
 use dctree::query::{RangeQueryGen, ValuePick};
+use dctree::scan::FlatTable;
 use dctree::serve::{
     DiskOptions, EngineConfig, OocOptions, PartitionPolicy, ShardedDcTree, StorageMode,
 };
@@ -50,8 +52,26 @@ fn queries(data: &TpcdData) -> Vec<Mds> {
     out
 }
 
-fn assert_engines_agree(batched: &ShardedDcTree, looped: &ShardedDcTree, data: &TpcdData) {
+/// The independent side: the records that should be live, in a flat table
+/// that answers by scanning them. The two engines share every line of the
+/// write path below their public calls, so agreeing with each other is not
+/// enough.
+fn scan_of(data: &TpcdData) -> FlatTable {
+    let mut scan = FlatTable::for_schema(BlockConfig::DEFAULT, &data.schema);
+    for r in &data.records {
+        scan.insert(r.clone());
+    }
+    scan
+}
+
+fn assert_engines_agree(
+    batched: &ShardedDcTree,
+    looped: &ShardedDcTree,
+    data: &TpcdData,
+    scan: &FlatTable,
+) {
     assert_eq!(batched.len(), looped.len());
+    assert_eq!(batched.len(), scan.len() as u64);
     assert_eq!(
         batched.total_summary().unwrap(),
         looped.total_summary().unwrap()
@@ -61,6 +81,11 @@ fn assert_engines_agree(batched: &ShardedDcTree, looped: &ShardedDcTree, data: &
             batched.range_summary(q).unwrap(),
             looped.range_summary(q).unwrap(),
             "summary mismatch on query {qi}"
+        );
+        assert_eq!(
+            batched.range_summary(q).unwrap(),
+            scan.range_summary(&data.schema, q).unwrap(),
+            "summary differs from the scan on query {qi}"
         );
         for op in [AggregateOp::Sum, AggregateOp::Avg, AggregateOp::Min] {
             assert_eq!(
@@ -75,6 +100,11 @@ fn assert_engines_agree(batched: &ShardedDcTree, looped: &ShardedDcTree, data: &
                 batched.group_by(dim, 1, q).unwrap(),
                 looped.group_by(dim, 1, q).unwrap(),
                 "group-by dim {d} mismatch on query {qi}"
+            );
+            assert_eq!(
+                batched.group_by(dim, 1, q).unwrap(),
+                scan.group_by(&data.schema, dim, 1, q).unwrap(),
+                "group-by dim {d} differs from the scan on query {qi}"
             );
         }
     }
@@ -146,7 +176,7 @@ fn resident_batched_ingest_matches_looped_inserts() {
     }
     looped.flush();
 
-    assert_engines_agree(&batched, &looped, &data);
+    assert_engines_agree(&batched, &looped, &data, &scan_of(&data));
 
     // The batched path must actually have been exercised, and STATS must
     // account for every record exactly once.
@@ -170,7 +200,7 @@ fn disk_batched_ingest_matches_looped_inserts() {
     }
     looped.flush();
 
-    assert_engines_agree(&batched, &looped, &data);
+    assert_engines_agree(&batched, &looped, &data, &scan_of(&data));
 
     // Both shard sets really served from disk pages.
     let stats = batched.stats_json();
@@ -216,7 +246,11 @@ fn batched_ingest_interleaves_with_deletes_and_single_inserts() {
     }
     looped.flush();
 
-    assert_engines_agree(&mixed, &looped, &data);
+    let mut scan = scan_of(&data);
+    for r in data.records[..third].iter().step_by(4) {
+        assert!(scan.delete(r));
+    }
+    assert_engines_agree(&mixed, &looped, &data, &scan);
 }
 
 /// The hierarchy split decides the shape of the tree a stream builds, and

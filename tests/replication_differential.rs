@@ -24,7 +24,7 @@ use std::time::Duration;
 use dctree::common::{DimensionId, TempDir};
 use dctree::durable::WalEntry;
 use dctree::hierarchy::CubeSchema;
-use dctree::replica::{EngineSource, Follower, FollowerConfig};
+use dctree::replica::{EngineSource, Follower, FollowerConfig, Progress};
 use dctree::serve::protocol::handle_line;
 use dctree::serve::{
     DiskOptions, EngineConfig, ShardedDcTree, StorageMode, SyncPolicy, WalOptions,
@@ -283,4 +283,73 @@ fn replication_differential_memory() {
 #[test]
 fn replication_differential_disk() {
     run_differential(true);
+}
+
+/// One poll ships one segment's worth of entries into one replay chunk, so
+/// each follower shard gets all of its ops in one command: it must apply
+/// them in the order the primary logged them. Hoisting the inserts ahead of
+/// the deletes would lose `s`; hoisting the deletes would keep a third `r`.
+#[test]
+fn a_polled_chunk_applies_in_submission_order() {
+    let data = generate(&TpcdConfig::scaled(600, 7));
+    let op = |idx: usize, delete: bool| {
+        let r = &data.records[idx];
+        let (paths, measure) = (data.paths_for(r), r.measure);
+        if delete {
+            WalEntry::Delete { paths, measure }
+        } else {
+            WalEntry::Insert { paths, measure }
+        }
+    };
+    let (r, r2, s) = (3, 4, 5);
+    let mut miss = op(6, true);
+    if let WalEntry::Delete { paths, .. } = &mut miss {
+        paths[0][0] = "no-such-value".to_string();
+    }
+    let ops = [
+        op(r, false),
+        op(r, true),
+        op(r, false),
+        op(r2, false),
+        miss,
+        op(s, true),
+        op(s, false),
+        op(r, false),
+    ];
+    let queries = query_matrix(&data.schema);
+    let [primary_wal, follower_wal] =
+        ["pwal", "fwal"].map(|d| TempDir::new(&format!("repl-order-{d}")));
+    let wal_config = |dir: &std::path::Path| {
+        let mut cfg = engine_config(StorageMode::Resident, SHARDS, Some(dir));
+        cfg.wal.as_mut().unwrap().segment_bytes = 1 << 20;
+        cfg
+    };
+    let primary =
+        Arc::new(ShardedDcTree::new(data.schema.clone(), wal_config(&primary_wal)).unwrap());
+    let follower = Follower::bootstrap(
+        EngineSource(Arc::clone(&primary)),
+        data.schema.clone(),
+        FollowerConfig {
+            engine: engine_config(StorageMode::Resident, SHARDS, None),
+            ..FollowerConfig::new(&follower_wal)
+        },
+    )
+    .unwrap();
+    for op in &ops {
+        apply_op(&primary, op);
+    }
+    primary.flush();
+    assert_eq!(primary.len(), 4);
+    assert_eq!(
+        follower.poll_once().unwrap(),
+        Progress::Applied(ops.len() as u64)
+    );
+    let replica = follower.engine();
+    assert_eq!(replica.applied_lsn(), ops.len() as u64);
+    assert_eq!(replica.len(), primary.len());
+    for q in &queries {
+        let (p, _) = handle_line(&primary, q);
+        let (f, _) = handle_line(&replica, q);
+        assert_eq!(p, f, "follower diverged on: {q}");
+    }
 }
