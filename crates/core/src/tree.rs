@@ -390,22 +390,6 @@ impl<S: NodeStore> DcTree<S> {
         Ok(id)
     }
 
-    /// Inserts a batch of pre-interned records.
-    ///
-    /// The DC-tree's point is that it does *not* need bulk windows — but
-    /// when a load arrives as a batch anyway there is no reason to pay the
-    /// record-at-a-time price: an empty tree is built **bottom-up**
-    /// ([`Self::bulk_load`]) and a populated tree takes the amortized
-    /// batched descent ([`Self::insert_batch`]). Returns the assigned ids
-    /// in the order of the *input* slice.
-    pub fn bulk_insert(&mut self, records: Vec<Record>) -> DcResult<Vec<RecordId>> {
-        if self.is_empty() {
-            self.bulk_load(records)
-        } else {
-            self.insert_batch(records)
-        }
-    }
-
     /// Builds the tree **bottom-up** from a record set: sort along the
     /// hierarchy paths (dimension-major, coarse levels first), pack data
     /// nodes to the fill factor, then build each directory level upward
@@ -1400,37 +1384,6 @@ impl<S: NodeStore> DcTree<S> {
             }
         }
         Ok(())
-    }
-
-    /// Answers a batch of range queries on `threads` worker threads —
-    /// queries take `&self`, so read parallelism is free (the
-    /// `ConcurrentDcTree` wrapper serves the mixed read/write case).
-    pub fn range_summaries_parallel(
-        &self,
-        queries: &[Mds],
-        threads: usize,
-    ) -> DcResult<Vec<MeasureSummary>>
-    where
-        S: Sync,
-    {
-        let threads = threads.clamp(1, queries.len().max(1));
-        let mut results = vec![MeasureSummary::empty(); queries.len()];
-        let chunk = queries.len().div_ceil(threads).max(1);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (qs, rs) in queries.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                handles.push(scope.spawn(move || -> DcResult<()> {
-                    for (q, r) in qs.iter().zip(rs.iter_mut()) {
-                        *r = self.range_summary(q)?;
-                    }
-                    Ok(())
-                }));
-            }
-            handles
-                .into_iter()
-                .try_for_each(|h| h.join().expect("query worker panicked"))
-        })?;
-        Ok(results)
     }
 
     // ------------------------------------------------------------------

@@ -558,9 +558,9 @@ fn bulk_insert_equals_incremental_semantics() {
         ..DcTreeConfig::default()
     };
     let (incremental, oracle) = build(400, 91, config);
-    // Same records via bulk_insert into a fresh tree sharing the schema.
+    // Same records via bulk_load into a fresh tree sharing the schema.
     let mut bulk = DcTree::new(incremental.schema().clone(), config);
-    let ids = bulk.bulk_insert(oracle.clone()).unwrap();
+    let ids = bulk.bulk_load(oracle.clone()).unwrap();
     assert_eq!(ids.len(), oracle.len());
     bulk.check_invariants().unwrap();
     assert_eq!(
@@ -765,30 +765,6 @@ fn rebuild_compacts_without_changing_answers() {
     )
     .unwrap();
     tree.check_invariants().unwrap();
-}
-
-#[test]
-fn parallel_queries_match_sequential() {
-    let config = DcTreeConfig {
-        dir_capacity: 6,
-        data_capacity: 8,
-        ..DcTreeConfig::default()
-    };
-    let (tree, _) = build(600, 161, config);
-    let mut rng = StdRng::seed_from_u64(162);
-    let queries: Vec<Mds> = (0..37)
-        .map(|_| random_query(tree.schema(), &mut rng))
-        .collect();
-    let sequential: Vec<MeasureSummary> = queries
-        .iter()
-        .map(|q| tree.range_summary(q).unwrap())
-        .collect();
-    for threads in [1, 2, 4, 64] {
-        let parallel = tree.range_summaries_parallel(&queries, threads).unwrap();
-        assert_eq!(parallel, sequential, "threads = {threads}");
-    }
-    // Degenerate inputs.
-    assert!(tree.range_summaries_parallel(&[], 4).unwrap().is_empty());
 }
 
 #[test]

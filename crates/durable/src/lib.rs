@@ -1,29 +1,34 @@
 //! # dc-durable
 //!
-//! Durability for the DC-tree: a checksummed, **segmented write-ahead
-//! log**, **checkpoints**, **crash recovery**, and a deterministic
-//! **fault-injection** shim to prove all three.
+//! The durability layer under the serving engine: a checksummed,
+//! **segmented write-ahead log**, the **directory protocol** that ties it
+//! to checkpoint images, and a deterministic **fault-injection** shim to
+//! prove both.
 //!
 //! The paper's pitch is a warehouse that never needs a maintenance window —
 //! which only holds in practice if the index also survives process death
-//! without a nightly rebuild. [`DurableDcTree`] wraps a [`DcTree`] with the
-//! classic recipe:
+//! without a nightly rebuild. The recipe is the engine's
+//! (`dc_serve::ShardedDcTree`: log, then apply; checkpoint; recover on
+//! open); this crate is the parts it is made of:
 //!
-//! 1. every mutation is appended to the current WAL segment
-//!    (`wal.000017.log`; length + CRC-32 framed, carrying the *raw
-//!    attribute paths*, so replay re-interns values in the original order
-//!    and reproduces identical IDs) **before** it is applied to the
-//!    in-memory tree; segments rotate at a byte budget and frames never
-//!    span a rotation;
-//! 2. [`checkpoint`](DurableDcTree::checkpoint) serializes the tree (with
-//!    its interning state) as an LSN-versioned image, atomically commits
-//!    the `wal.manifest` pointing at it, and deletes the superseded
-//!    segments — two-phase, so a crash in between recovers through the
-//!    *old* checkpoint without double-applying;
-//! 3. [`open`](DurableDcTree::open) recovers by loading the manifest's
-//!    checkpoint image and replaying only the tail segments, stopping
-//!    cleanly at a torn or corrupted frame (the partial write of a crash)
-//!    and repairing the directory.
+//! 1. **The log** ([`WalWriter`] / [`WalReader`]). Every mutation is
+//!    appended to the current segment (`wal.000017.log`; length + CRC-32
+//!    framed, carrying the *raw attribute paths*, so replay re-interns
+//!    values in the original order and reproduces identical IDs) before it
+//!    is applied; segments rotate at a byte budget and frames never span a
+//!    rotation. [`WalReader::recover`] returns the clean entries past the
+//!    manifest's checkpoint, stopping at a torn or corrupted frame (the
+//!    partial write of a crash) and repairing the directory.
+//! 2. **The directory protocol** ([`segment`]). A checkpoint is one image
+//!    per shard, `checkpoint.<lsn>.shard<i>.dct`, named by the LSN it
+//!    covers; [`WalWriter::prepare_checkpoint`] /
+//!    [`commit_checkpoint`](WalWriter::commit_checkpoint) bracket the
+//!    caller's image writes and atomically swing `wal.manifest` to the new
+//!    set before deleting superseded segments — two-phase, so a crash in
+//!    between recovers through the *old* checkpoint without
+//!    double-applying.
+//! 3. **The replay oracle** ([`apply`]): what one logged entry does to a
+//!    plain `DcTree`, for harnesses to hold the engine's recovery to.
 //!
 //! Sync behaviour is a [`SyncPolicy`]: `Always` fsyncs per mutation,
 //! `EveryN` amortizes over batches, `GroupCommitMs` lets batch appliers
@@ -33,9 +38,6 @@
 //! Production uses [`StdFs`]; with the `fault-injection` feature, `FaultFs`
 //! deterministically tears writes, flips bits, or fails fsyncs so the
 //! crash-recovery harnesses can kill the store at every interesting offset.
-//!
-//! [`DcTree`]: dc_tree::DcTree
-
 //!
 //! The [`ship`] module is the read side of replication: it serves a WAL
 //! directory's live segments (clean prefixes only, LSN-continuous or a
@@ -58,5 +60,5 @@ pub use segment::{
     Manifest, MANIFEST_FILE, SEGMENT_HEADER_LEN,
 };
 pub use ship::{fetch_checkpoint, fetch_segments, CheckpointBundle, FetchOutcome, SegmentShipment};
-pub use tree::{apply, DurabilityConfig, DurableDcTree, RecoveryReport};
+pub use tree::apply;
 pub use wal::{SyncPolicy, WalConfig, WalEntry, WalReader, WalWriter, WalWriterStats};

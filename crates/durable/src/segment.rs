@@ -7,8 +7,8 @@
 //! wal.manifest               checkpoint LSN + first live segment + shards
 //! wal.000004.log             [header][frame][frame]…
 //! wal.000005.log
-//! checkpoint.00000000000000000217.dct          (unsharded image at LSN 217)
-//! checkpoint.00000000000000000217.shard0.dct   (sharded images)
+//! checkpoint.00000000000000000217.shard0.dct   one image per shard, at LSN 217
+//! checkpoint.00000000000000000217.shard1.dct
 //! ```
 //!
 //! A segment starts with a 28-byte header — magic, its own sequence
@@ -47,25 +47,19 @@ pub fn parse_segment_file_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The checkpoint image name for `lsn`, either unsharded (`shard: None`)
-/// or one shard of a sharded engine.
-pub fn checkpoint_file_name(lsn: u64, shard: Option<u32>) -> String {
-    match shard {
-        None => format!("checkpoint.{lsn:020}.dct"),
-        Some(s) => format!("checkpoint.{lsn:020}.shard{s}.dct"),
-    }
+/// The checkpoint image name of shard `shard` at `lsn`.
+pub fn checkpoint_file_name(lsn: u64, shard: u32) -> String {
+    format!("checkpoint.{lsn:020}.shard{shard}.dct")
 }
 
 /// Parses a checkpoint image name to `(lsn, shard)`.
-pub fn parse_checkpoint_file_name(name: &str) -> Option<(u64, Option<u32>)> {
+pub fn parse_checkpoint_file_name(name: &str) -> Option<(u64, u32)> {
     let rest = name.strip_prefix("checkpoint.")?.strip_suffix(".dct")?;
-    match rest.split_once('.') {
-        None => Some((rest.parse().ok()?, None)),
-        Some((lsn, shard)) => Some((
-            lsn.parse().ok()?,
-            Some(shard.strip_prefix("shard")?.parse().ok()?),
-        )),
-    }
+    let (lsn, shard) = rest.split_once('.')?;
+    Some((
+        lsn.parse().ok()?,
+        shard.strip_prefix("shard")?.parse().ok()?,
+    ))
 }
 
 /// Encodes a segment header.
@@ -92,7 +86,7 @@ pub fn decode_segment_header(bytes: &[u8]) -> Option<(u64, u64)> {
 
 /// The durable root of a WAL directory: which LSN the newest checkpoint
 /// covers, which segment holds the first frame past it, and how many
-/// shard images make up the checkpoint (`0` = one unsharded image).
+/// shard images make up the checkpoint.
 ///
 /// Replaced atomically (temp + sync + rename), so recovery always sees
 /// either the old or the new manifest, never a half-written one.
@@ -103,13 +97,33 @@ pub struct Manifest {
     pub checkpoint_lsn: u64,
     /// The first segment recovery must scan.
     pub start_seq: u64,
-    /// Shard images in the checkpoint (`0` for a [`DurableDcTree`]).
-    ///
-    /// [`DurableDcTree`]: crate::DurableDcTree
+    /// Shard images in the checkpoint: `checkpoint.<lsn>.shard<i>.dct` for
+    /// `i < shards`. A bare [`WalWriter`](crate::WalWriter) that keeps no
+    /// images of its own records `0`.
     pub shards: u32,
 }
 
 impl Manifest {
+    /// The file names of the committed checkpoint's images, in shard order;
+    /// empty before the first checkpoint. A committed checkpoint without
+    /// shard images is one this repository no longer writes or reads (a
+    /// single `checkpoint.<lsn>.dct`), so whoever is about to load images
+    /// gets [`DcError::Corrupt`] rather than a directory that half-opens.
+    pub fn image_names(&self) -> DcResult<Vec<String>> {
+        if self.checkpoint_lsn == 0 {
+            return Ok(Vec::new());
+        }
+        if self.shards == 0 {
+            return Err(DcError::Corrupt(format!(
+                "WAL manifest commits an unsharded checkpoint at LSN {}: no shard images to load",
+                self.checkpoint_lsn
+            )));
+        }
+        Ok((0..self.shards)
+            .map(|s| checkpoint_file_name(self.checkpoint_lsn, s))
+            .collect())
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(32);
         for &b in MANIFEST_MAGIC {
@@ -179,10 +193,14 @@ mod tests {
 
     #[test]
     fn checkpoint_names_round_trip() {
-        let plain = checkpoint_file_name(217, None);
-        assert_eq!(parse_checkpoint_file_name(&plain), Some((217, None)));
-        let sharded = checkpoint_file_name(217, Some(3));
-        assert_eq!(parse_checkpoint_file_name(&sharded), Some((217, Some(3))));
+        let name = checkpoint_file_name(217, 3);
+        assert_eq!(name, "checkpoint.00000000000000000217.shard3.dct");
+        assert_eq!(parse_checkpoint_file_name(&name), Some((217, 3)));
+        // The pre-engine single-image name is not a checkpoint image.
+        assert_eq!(
+            parse_checkpoint_file_name("checkpoint.00000000000000000217.dct"),
+            None
+        );
         assert_eq!(parse_checkpoint_file_name("checkpoint.tmp"), None);
         assert_eq!(parse_checkpoint_file_name("wal.000001.log"), None);
     }

@@ -26,10 +26,7 @@ use std::path::Path;
 use dc_common::{DcError, DcResult};
 
 use crate::fs::WalFs;
-use crate::segment::{
-    checkpoint_file_name, decode_segment_header, parse_segment_file_name, segment_file_name,
-    Manifest,
-};
+use crate::segment::{decode_segment_header, parse_segment_file_name, segment_file_name, Manifest};
 use crate::wal::{scan_frames, WalEntry};
 
 /// One shipped segment: its sequence number, the LSN of its first frame,
@@ -91,9 +88,8 @@ pub enum FetchOutcome {
 pub struct CheckpointBundle {
     /// The manifest in effect (defaults when the primary has none yet).
     pub manifest: Manifest,
-    /// `(shard, image bytes)` per image; `None` for the unsharded image of
-    /// a [`DurableDcTree`](crate::DurableDcTree).
-    pub images: Vec<(Option<u32>, Vec<u8>)>,
+    /// Image bytes per shard: `images[i]` is shard `i`'s.
+    pub images: Vec<Vec<u8>>,
 }
 
 /// Fetches the live segments holding LSNs `>= from_lsn` from the WAL
@@ -176,30 +172,15 @@ pub fn fetch_checkpoint(fs: &dyn WalFs, dir: &Path) -> DcResult<CheckpointBundle
             start_seq: 1,
             shards: 0,
         });
-        if manifest.checkpoint_lsn == 0 {
-            return Ok(CheckpointBundle {
-                manifest,
-                images: Vec::new(),
-            });
-        }
-        let shard_ids: Vec<Option<u32>> = if manifest.shards == 0 {
-            vec![None]
-        } else {
-            (0..manifest.shards).map(Some).collect()
-        };
-        let mut images = Vec::with_capacity(shard_ids.len());
-        let mut vanished = false;
-        for sid in shard_ids {
-            let name = checkpoint_file_name(manifest.checkpoint_lsn, sid);
-            match fs.read(&dir.join(&name))? {
-                Some(bytes) => images.push((sid, bytes)),
-                None => {
-                    vanished = true;
-                    break;
-                }
+        let names = manifest.image_names()?;
+        let mut images = Vec::with_capacity(names.len());
+        for name in &names {
+            match fs.read(&dir.join(name))? {
+                Some(bytes) => images.push(bytes),
+                None => break, // vanished: a newer checkpoint replaced the set
             }
         }
-        if !vanished {
+        if images.len() == names.len() {
             return Ok(CheckpointBundle { manifest, images });
         }
     }
@@ -213,6 +194,7 @@ pub fn fetch_checkpoint(fs: &dyn WalFs, dir: &Path) -> DcResult<CheckpointBundle
 mod tests {
     use super::*;
     use crate::fs::StdFs;
+    use crate::segment::checkpoint_file_name;
     use crate::wal::{SyncPolicy, WalConfig, WalReader, WalWriter};
     use dc_common::TempDir;
     use std::sync::Arc;
@@ -340,18 +322,19 @@ mod tests {
         let b = fetch_checkpoint(&StdFs, &dir).unwrap();
         assert_eq!(b.manifest.checkpoint_lsn, 0);
         assert!(b.images.is_empty());
-        // Committed checkpoint with one unsharded image.
+        // Committed checkpoint with two shard images.
         let mut w = open_writer(&dir, 1 << 20);
         for i in 0..4 {
             w.append(&sample(i)).unwrap();
         }
         let (lsn, start_seq) = w.prepare_checkpoint().unwrap();
-        StdFs
-            .write_atomic(&dir.join(checkpoint_file_name(lsn, None)), b"image-bytes")
-            .unwrap();
-        w.commit_checkpoint(lsn, start_seq, 0).unwrap();
+        for (shard, image) in [b"image-0", b"image-1"].into_iter().enumerate() {
+            let name = checkpoint_file_name(lsn, shard as u32);
+            StdFs.write_atomic(&dir.join(name), image).unwrap();
+        }
+        w.commit_checkpoint(lsn, start_seq, 2).unwrap();
         let b = fetch_checkpoint(&StdFs, &dir).unwrap();
         assert_eq!(b.manifest.checkpoint_lsn, 4);
-        assert_eq!(b.images, vec![(None, b"image-bytes".to_vec())]);
+        assert_eq!(b.images, vec![b"image-0".to_vec(), b"image-1".to_vec()]);
     }
 }

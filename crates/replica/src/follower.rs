@@ -329,8 +329,8 @@ pub fn promote_dir(
 fn install_bundle(fs: &dyn WalFs, dir: &Path, bundle: &CheckpointBundle) -> DcResult<()> {
     let lsn = bundle.manifest.checkpoint_lsn;
     if lsn > 0 {
-        for (shard, bytes) in &bundle.images {
-            let path = dir.join(checkpoint_file_name(lsn, *shard));
+        for (shard, bytes) in bundle.images.iter().enumerate() {
+            let path = dir.join(checkpoint_file_name(lsn, shard as u32));
             if fs.read(&path)?.is_some() {
                 fs.remove(&path)?;
             }

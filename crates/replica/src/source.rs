@@ -110,14 +110,10 @@ impl LogSource for TcpSource {
             start_seq,
             shards,
         };
-        let mut images = Vec::new();
-        for (i, tok) in parts.enumerate() {
-            let bytes = hex_decode(tok).ok_or_else(|| bad_reply("FETCH_CHECKPOINT", &reply))?;
-            // Image ids are positional on the wire: the single unsharded
-            // image when `shards == 0`, else shard 0..shards in order.
-            let id = (shards > 0).then_some(i as u32);
-            images.push((id, bytes));
-        }
+        // One hex token per shard image, in shard order.
+        let images = parts
+            .map(|tok| hex_decode(tok).ok_or_else(|| bad_reply("FETCH_CHECKPOINT", &reply)))
+            .collect::<DcResult<Vec<_>>>()?;
         Ok(CheckpointBundle { manifest, images })
     }
 

@@ -697,25 +697,25 @@ impl ShardedDcTree {
                 let fs: Arc<dyn WalFs> = opts.fs.clone().unwrap_or_else(|| Arc::new(StdFs));
                 fs.create_dir_all(&opts.dir)?;
                 let scan = WalReader::recover(&*fs, &opts.dir)?;
-                let images = if scan.manifest.checkpoint_lsn > 0 {
-                    if scan.manifest.shards as usize != config.num_shards {
+                let names = scan.manifest.image_names()?;
+                let images = if names.is_empty() {
+                    None
+                } else {
+                    if names.len() != config.num_shards {
                         return Err(DcError::Config(format!(
                             "checkpoint was taken with {} shards, engine configured with {}",
-                            scan.manifest.shards, config.num_shards
+                            names.len(),
+                            config.num_shards
                         )));
                     }
-                    let mut raw = Vec::with_capacity(config.num_shards);
-                    for i in 0..config.num_shards {
-                        let name =
-                            checkpoint_file_name(scan.manifest.checkpoint_lsn, Some(i as u32));
-                        let bytes = fs.read(&opts.dir.join(&name))?.ok_or_else(|| {
+                    let mut raw = Vec::with_capacity(names.len());
+                    for name in &names {
+                        let bytes = fs.read(&opts.dir.join(name))?.ok_or_else(|| {
                             DcError::Corrupt(format!("missing checkpoint image {name}"))
                         })?;
                         raw.push(bytes);
                     }
                     Some(raw)
-                } else {
-                    None
                 };
                 Some((fs, scan, images))
             }
@@ -799,6 +799,8 @@ impl ShardedDcTree {
                     .store(scan.entries.len() as u64, Relaxed);
                 d.recovery_truncated_bytes
                     .store(scan.truncated_bytes, Relaxed);
+                d.recovery_tail_lost
+                    .store(u64::from(scan.tail_lost), Relaxed);
                 if config.role == EngineRole::Follower {
                     // A follower only recovers from the replicated
                     // directory; it appends nothing, so it opens no writer
@@ -1201,10 +1203,8 @@ impl ShardedDcTree {
                 CheckpointImage::Resident(tree) => tree.to_bytes(),
                 CheckpointImage::Disk(bytes) => bytes,
             };
-            wal.fs.write_atomic(
-                &wal.dir.join(checkpoint_file_name(lsn, Some(i as u32))),
-                &bytes,
-            )?;
+            wal.fs
+                .write_atomic(&wal.dir.join(checkpoint_file_name(lsn, i as u32)), &bytes)?;
         }
         {
             let mut w = wal.writer.lock();
@@ -1272,8 +1272,17 @@ impl ShardedDcTree {
     /// Blocks until everything enqueued before this call is applied and
     /// visible in published snapshots, on every shard. Also a durability
     /// barrier: with a WAL configured, everything logged before this call
-    /// is synced when it returns.
+    /// is synced when it returns — unless the sync failed, which only
+    /// [`Self::try_flush`] reports.
     pub fn flush(&self) {
+        let _ = self.try_flush();
+    }
+
+    /// [`Self::flush`] for a caller that can act on a failed barrier: `Err`
+    /// means everything is applied and visible but the log's fsync failed,
+    /// so `wal_synced_lsn` stays behind `wal_last_lsn` (a later barrier
+    /// retries: the writer stays dirty until a sync succeeds).
+    pub fn try_flush(&self) -> DcResult<()> {
         let mut acks = Vec::with_capacity(self.shards.len());
         for i in 0..self.shards.len() {
             let (tx, rx) = channel();
@@ -1284,11 +1293,11 @@ impl ShardedDcTree {
         for rx in acks {
             let _ = rx.recv();
         }
-        if let Some(wal) = &self.wal {
-            let mut w = wal.writer.lock();
-            let _ = w.sync();
-            self.refresh_wal_gauges(&w);
-        }
+        let Some(wal) = &self.wal else { return Ok(()) };
+        let mut w = wal.writer.lock();
+        let synced = w.sync();
+        self.refresh_wal_gauges(&w);
+        synced
     }
 
     /// Stops the engine: writers drain their queues, publish a final

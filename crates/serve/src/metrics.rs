@@ -377,6 +377,9 @@ pub struct DurabilityMetrics {
     pub recovery_replayed_entries: AtomicU64,
     /// Bytes discarded (torn tails, unreadable segments) at construction.
     pub recovery_truncated_bytes: AtomicU64,
+    /// `1` when construction dropped whole segments past the damage, not
+    /// just a torn tail (`WalReader::tail_lost`).
+    pub recovery_tail_lost: AtomicU64,
 }
 
 /// Engine-wide metrics: totals, rates, latency histograms, per-shard
@@ -878,8 +881,13 @@ impl EngineMetrics {
             "recovery_replayed_entries",
             &d.recovery_replayed_entries.load(Relaxed).to_string(),
         );
-        s.push_str("\"recovery_truncated_bytes\":");
-        s.push_str(&d.recovery_truncated_bytes.load(Relaxed).to_string());
+        push_kv(
+            &mut s,
+            "recovery_truncated_bytes",
+            &d.recovery_truncated_bytes.load(Relaxed).to_string(),
+        );
+        s.push_str("\"recovery_tail_lost\":");
+        s.push_str(&d.recovery_tail_lost.load(Relaxed).to_string());
         s.push('}');
         s
     }
@@ -989,11 +997,13 @@ mod tests {
         m.durability.wal_appends.store(11, Relaxed);
         m.durability.checkpoints.store(2, Relaxed);
         m.durability.recovery_replayed_entries.store(4, Relaxed);
+        m.durability.recovery_tail_lost.store(1, Relaxed);
         let json = m.to_json();
         assert!(json.contains("\"durability\":{\"wal_appends\":11"));
         assert!(json.contains("\"checkpoints\":2"));
         assert!(json.contains("\"recovery_replayed_entries\":4"));
         assert!(json.contains("\"recovery_truncated_bytes\":0"));
+        assert!(json.contains("\"recovery_tail_lost\":1}"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! HELLO <tenant>                         → OK HELLO <tenant> (declares the admission tenant)
 //! PING                                   → OK PONG
 //! STATS                                  → OK {"uptime_secs":…}
-//! FLUSH                                  → OK FLUSHED
+//! FLUSH                                  → OK FLUSHED       (ERR when the WAL fsync failed)
 //! CHECKPOINT                             → OK CHECKPOINTED <lsn>
 //! SHUTDOWN                               → OK BYE            (server stops)
 //! INSERT <measure> <p>/<p>|<p>/<p>|…     → OK INSERTED       (async; FLUSH for visibility)
@@ -251,10 +251,13 @@ pub fn execute(engine: &ShardedDcTree, req: &Request) -> (String, Control) {
         Request::Hello { tenant } => (format!("OK HELLO {tenant}"), Control::Continue),
         Request::Ping => ("OK PONG".into(), Control::Continue),
         Request::Stats => (format!("OK {}", engine.stats_json()), Control::Continue),
-        Request::Flush => {
-            engine.flush();
-            ("OK FLUSHED".into(), Control::Continue)
-        }
+        Request::Flush => (
+            match engine.try_flush() {
+                Ok(()) => "OK FLUSHED".into(),
+                Err(e) => format!("ERR {e}"),
+            },
+            Control::Continue,
+        ),
         Request::Checkpoint => (
             match engine.checkpoint() {
                 Ok(lsn) => format!("OK CHECKPOINTED {lsn}"),
@@ -358,9 +361,8 @@ fn handle_fetch_checkpoint(engine: &ShardedDcTree) -> String {
                 "OK CHECKPOINT {} {} {}",
                 m.checkpoint_lsn, m.start_seq, m.shards
             );
-            // Image order is the manifest's: the single unsharded image, or
-            // shard 0..shards — the id is implicit in the position.
-            for (_, bytes) in &bundle.images {
+            // One token per shard image, in shard order.
+            for bytes in &bundle.images {
                 out.push(' ');
                 out.push_str(&hex_encode(bytes));
             }

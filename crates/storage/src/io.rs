@@ -43,8 +43,9 @@ impl fmt::Display for IoStats {
 /// Interior-mutable I/O counter, so `&self` query paths can account reads.
 ///
 /// Counters are relaxed atomics: the index structures themselves are
-/// single-writer, but read-only queries may run from several threads (the
-/// `ConcurrentDcTree` wrapper), and counting must not un-`Sync` the trees.
+/// single-writer, but read-only queries run from several threads (a
+/// serving engine's published snapshots), and counting must not un-`Sync`
+/// the trees.
 #[derive(Default, Debug)]
 pub struct IoTracker {
     reads: AtomicU64,

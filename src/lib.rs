@@ -5,10 +5,11 @@
 //! (Ester, Kohlhammer, Kriegel; ICDE 2000).
 //!
 //! Re-exports the public API of every workspace crate under stable module
-//! names, and adds [`ConcurrentDcTree`], a thread-safe wrapper for the
-//! always-online deployment scenario that motivates the paper ("global
+//! names. The always-online deployment that motivates the paper ("global
 //! companies … will more and more want to have their data warehouse
-//! available 24 hours a day").
+//! available 24 hours a day") is [`ShardedDcTree`]: writers stream records
+//! in while readers query published snapshots, with an optional WAL and
+//! checkpoints underneath. See the `streaming_updates` example.
 //!
 //! ## Crate map
 //!
@@ -27,7 +28,7 @@
 //! | [`ql`] | `dc-ql` | the small aggregate-query language (`SUM WHERE … GROUP BY …`) |
 //! | [`mview`] | `dc-mview` | materialized group-by views (the static §2 baseline) |
 //! | [`plan`] | `dc-plan` | cost-based planner choosing between the four engines, with `EXPLAIN` |
-//! | [`durable`] | `dc-durable` | write-ahead log, checkpoints, crash recovery |
+//! | [`durable`] | `dc-durable` | segmented write-ahead log, checkpoint directory protocol, fault-injection shim |
 //! | [`cache`] | `dc-cache` | semantic aggregate cache with write-through delta maintenance |
 //! | [`serve`] | `dc-serve` | sharded concurrent serving engine + dc-ql TCP front-end |
 //! | [`oocore`] | `dc-oocore` | the one page layer: concurrent scan-resistant buffer pool, node-page codec, `OocStore` (every paged DC-tree is `DcTree<OocStore>`) |
@@ -62,102 +63,3 @@ pub use dc_serve::{
     DiskOptions, EngineConfig, PartitionPolicy, ShardedDcTree, StorageMode, SyncPolicy, WalOptions,
 };
 pub use dc_tree::{DcTree, DcTreeConfig};
-
-use parking_lot::RwLock;
-
-/// A thread-safe DC-tree: many concurrent readers or one writer.
-///
-/// The paper motivates the DC-tree with warehouses that stay online while
-/// updates stream in; this wrapper provides the minimal concurrency story
-/// for that deployment — cheap single-record writes (≈ tens of
-/// microseconds) interleaved with analytical reads. See the
-/// `streaming_updates` example for a full producer/consumer setup.
-pub struct ConcurrentDcTree {
-    inner: RwLock<DcTree>,
-}
-
-impl ConcurrentDcTree {
-    /// Wraps a tree.
-    pub fn new(tree: DcTree) -> Self {
-        ConcurrentDcTree {
-            inner: RwLock::new(tree),
-        }
-    }
-
-    /// Inserts a raw record under the write lock.
-    pub fn insert_raw<S: AsRef<str>>(
-        &self,
-        paths: &[Vec<S>],
-        measure: Measure,
-    ) -> DcResult<RecordId> {
-        self.inner.write().insert_raw(paths, measure)
-    }
-
-    /// Inserts a pre-interned record under the write lock.
-    pub fn insert(&self, record: Record) -> DcResult<RecordId> {
-        self.inner.write().insert(record)
-    }
-
-    /// Deletes a record under the write lock.
-    pub fn delete(&self, record: &Record) -> DcResult<bool> {
-        self.inner.write().delete(record)
-    }
-
-    /// Runs a range query under a read lock (concurrent with other readers).
-    pub fn range_query(&self, range: &Mds, op: AggregateOp) -> DcResult<Option<f64>> {
-        self.inner.read().range_query(range, op)
-    }
-
-    /// Runs a range query returning the full summary.
-    pub fn range_summary(&self, range: &Mds) -> DcResult<MeasureSummary> {
-        self.inner.read().range_summary(range)
-    }
-
-    /// Number of records stored.
-    pub fn len(&self) -> u64 {
-        self.inner.read().len()
-    }
-
-    /// `true` iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
-    }
-
-    /// Runs `f` with shared access to the underlying tree.
-    pub fn with_read<R>(&self, f: impl FnOnce(&DcTree) -> R) -> R {
-        f(&self.inner.read())
-    }
-
-    /// Runs `f` with exclusive access to the underlying tree.
-    pub fn with_write<R>(&self, f: impl FnOnce(&mut DcTree) -> R) -> R {
-        f(&mut self.inner.write())
-    }
-
-    /// Unwraps the inner tree.
-    pub fn into_inner(self) -> DcTree {
-        self.inner.into_inner()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn concurrent_wrapper_basics() {
-        let schema = CubeSchema::new(
-            vec![HierarchySchema::new("D", vec!["A".into(), "B".into()])],
-            "M",
-        );
-        let tree = ConcurrentDcTree::new(DcTree::new(schema, DcTreeConfig::default()));
-        assert!(tree.is_empty());
-        tree.insert_raw(&[vec!["a1", "b1"]], 10).unwrap();
-        tree.insert_raw(&[vec!["a1", "b2"]], 20).unwrap();
-        assert_eq!(tree.len(), 2);
-        let q = tree.with_read(|t| Mds::all(t.schema()));
-        assert_eq!(tree.range_query(&q, AggregateOp::Sum).unwrap(), Some(30.0));
-        let rec = tree.with_read(|t| t.iter_records().next().unwrap().record.clone());
-        assert!(tree.delete(&rec).unwrap());
-        assert_eq!(tree.len(), 1);
-    }
-}

@@ -214,7 +214,7 @@ fn bulk_loaded_tree_agrees_with_all_engines() {
             ..DcTreeConfig::default()
         },
     );
-    bulk.bulk_insert(e.data.records.clone()).unwrap();
+    bulk.bulk_load(e.data.records.clone()).unwrap();
     bulk.check_invariants().unwrap();
     let mut gen = RangeQueryGen::new(0.05, ValuePick::ContiguousRun, 15);
     for _ in 0..30 {

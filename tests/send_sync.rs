@@ -3,7 +3,7 @@
 //! across connection threads. If a future change smuggles an `Rc`/`RefCell`
 //! into the tree, this file stops compiling — long before any runtime race.
 
-use dctree::{ConcurrentDcTree, DcTree, ShardedDcTree};
+use dctree::{DcTree, ShardedDcTree};
 
 fn assert_send<T: Send>() {}
 fn assert_sync<T: Sync>() {}
@@ -17,6 +17,4 @@ fn tree_and_engine_are_thread_safe() {
     // The engine itself is shared across connection handler threads.
     assert_send::<ShardedDcTree>();
     assert_sync::<ShardedDcTree>();
-    assert_send::<ConcurrentDcTree>();
-    assert_sync::<ConcurrentDcTree>();
 }
