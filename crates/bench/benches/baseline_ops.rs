@@ -63,6 +63,36 @@ fn bench_bitmap_index(c: &mut Criterion) {
     g.finish();
 }
 
+/// `BitmapIndex::insert` over one shard's load stream (every other record
+/// of a 200 k-record TPC-D load, as one of two hash-partitioned shards sees
+/// it) in 256-record batches, with the index cloned every `k` batches — the
+/// snapshot a serving shard publishes, kept alive until the next one. Each
+/// sample is one whole load; divide by 100 000 for µs/record.
+fn bench_bitmap_index_load(c: &mut Criterion) {
+    let data = generate(&TpcdConfig::scaled(200_000, 1));
+    let stream: Vec<_> = data.records.iter().step_by(2).collect();
+    let mut g = c.benchmark_group("bitmap_index_load");
+    g.sample_size(5);
+    for (name, every) in [("never", None), ("1", Some(1)), ("2", Some(2))] {
+        g.bench_function(format!("insert_100k/clone_every_{name}_batches"), |bch| {
+            bch.iter(|| {
+                let mut idx = BitmapIndex::new(&data.schema, BlockConfig::DEFAULT);
+                let mut published = None;
+                for (i, batch) in stream.chunks(256).enumerate() {
+                    for r in batch {
+                        idx.insert(&data.schema, r).unwrap();
+                    }
+                    if every.is_some_and(|k| (i + 1) % k == 0) {
+                        published = Some(idx.clone());
+                    }
+                }
+                (idx.len(), published.map(|p| p.len()))
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_storage(c: &mut Criterion) {
     let dir = TempDir::new("bench-storage");
     let file = PagedFile::create(dir.join("pages"), BlockConfig::DEFAULT).unwrap();
@@ -95,6 +125,6 @@ fn bench_storage(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_wah, bench_bitmap_index, bench_storage
+    targets = bench_wah, bench_bitmap_index, bench_bitmap_index_load, bench_storage
 }
 criterion_main!(benches);

@@ -12,7 +12,6 @@
 //! cube — and the measure column is unclustered, so selected records
 //! scatter across its pages.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dc_common::{AggregateOp, DcError, DcResult, DimensionId, Measure, MeasureSummary, ValueId};
@@ -20,24 +19,44 @@ use dc_hierarchy::{CubeSchema, Record};
 use dc_mds::Mds;
 use dc_storage::{BlockConfig, IoStats, IoTracker};
 
+use crate::blocks::Blocks;
 use crate::wah::CompressedBitmap;
+
+/// Bitmap slots per shared block of a level's slot vector.
+const SLOT_BLOCK: usize = 64;
+/// Measures per shared block of the measure column.
+const MEASURE_BLOCK: usize = 512;
+/// Words (of 64 record ids each) per shared block of the deleted mask.
+const MASK_BLOCK: usize = 64;
+
+/// One level's bitmaps, indexed by the value's per-level index (value ids
+/// are dense per level; a value with no record here has no bitmap).
+type Slots = Blocks<Option<Arc<CompressedBitmap>>, SLOT_BLOCK>;
 
 /// A compressed bitmap index over the cube's dimensions and hierarchy
 /// levels, with a measure column.
 ///
-/// Every value's bitmap sits behind its own `Arc`, so a `clone` shares all
-/// of them and an insert into the clone (or the original) copies the one
-/// bitmap per (dimension, level) it appends to — a snapshot costs the maps
-/// and the measure column, not the bitmaps.
+/// Everything a writer appends to is shared at a fine grain, so a `clone`
+/// (a published snapshot) copies pointers, and the first insert after it
+/// copies O(touched tails), never O(index):
+/// * each value's bitmap sits behind its own `Arc`, and keeps its words in
+///   sealed `Arc` chunks plus a short open part ([`CompressedBitmap`]) —
+///   an append copies the open part and the chunk pointers;
+/// * each level's bitmap slots, the measure column and the deleted mask are
+///   held in `Arc`'d fixed-size blocks — an insert copies the last measure
+///   block and one slot block per (dimension, level).
 #[derive(Clone, Debug)]
 pub struct BitmapIndex {
-    /// `bitmaps[dim][level]` maps a value's per-level index to its bitmap.
-    bitmaps: Vec<Vec<HashMap<u32, Arc<CompressedBitmap>>>>,
-    measures: Vec<Measure>,
-    /// Records logically deleted (bitmap indices handle deletion by
-    /// masking, not by rewriting every bitmap).
-    deleted: CompressedBitmap,
+    /// `bitmaps[dim][level]` holds each value's bitmap at its index.
+    bitmaps: Vec<Vec<Slots>>,
+    /// Measures by record id.
+    measures: Blocks<Measure, MEASURE_BLOCK>,
+    /// Records logically deleted, one bit per record id (bitmap indices
+    /// handle deletion by masking, not by rewriting every bitmap).
+    deleted: Blocks<u64, MASK_BLOCK>,
     deleted_count: u64,
+    /// Running [`Self::bitmap_bytes`] total.
+    bitmap_bytes: usize,
     records_per_block: usize,
     io: IoTracker,
 }
@@ -47,14 +66,15 @@ impl BitmapIndex {
     pub fn new(schema: &CubeSchema, block: BlockConfig) -> Self {
         let bitmaps = schema
             .dims()
-            .map(|h| (0..h.top_level()).map(|_| HashMap::new()).collect())
+            .map(|h| (0..h.top_level()).map(|_| Slots::new()).collect())
             .collect();
         let record_bytes = schema.num_dims() * 4 + 8;
         BitmapIndex {
             bitmaps,
-            measures: Vec::new(),
-            deleted: CompressedBitmap::new(),
+            measures: Blocks::new(),
+            deleted: Blocks::new(),
             deleted_count: 0,
+            bitmap_bytes: 0,
             records_per_block: (block.block_size / record_bytes.max(1)).max(1),
             io: IoTracker::new(),
         }
@@ -81,14 +101,10 @@ impl BitmapIndex {
         self.io.reset();
     }
 
-    /// Total compressed size of all bitmaps, in bytes.
+    /// Total compressed size of all bitmaps, in bytes. O(1): kept as a
+    /// running total by [`Self::insert`].
     pub fn bitmap_bytes(&self) -> usize {
-        self.bitmaps
-            .iter()
-            .flatten()
-            .flat_map(HashMap::values)
-            .map(|bm| bm.size_in_bytes())
-            .sum()
+        self.bitmap_bytes
     }
 
     /// Inserts a record — the expensive path the paper criticizes: one
@@ -96,19 +112,24 @@ impl BitmapIndex {
     pub fn insert(&mut self, schema: &CubeSchema, record: &Record) -> DcResult<()> {
         schema.validate_record(record)?;
         let rid = self.measures.len() as u64;
+        let mut appends = 0;
         for (d, h) in schema.dims().enumerate() {
             for level in 0..h.top_level() {
-                let value = h.ancestor_at(record.dims[d], level)?;
-                let bm = self.bitmaps[d][level as usize]
-                    .entry(value.index())
-                    .or_default();
-                Arc::make_mut(bm).set(rid);
-                // Each append dirties (at worst) the bitmap's last block.
-                self.io.write(1);
+                let i = h.ancestor_at(record.dims[d], level)?.index() as usize;
+                let slots = &mut self.bitmaps[d][level as usize];
+                slots.grow_to(i + 1, None);
+                let slot = slots.get_mut(i).expect("slots grown past the index");
+                let before = slot.as_ref().map_or(0, |bm| bm.size_in_bytes());
+                let bm = Arc::make_mut(slot.get_or_insert_with(Default::default));
+                bm.set(rid);
+                self.bitmap_bytes += bm.size_in_bytes() - before;
+                appends += 1;
             }
         }
         self.measures.push(record.measure);
-        self.io.write(1);
+        // Each append dirties (at worst) the bitmap's last block, and the
+        // measure lands in the column's last block.
+        self.io.write(appends + 1);
         Ok(())
     }
 
@@ -121,9 +142,9 @@ impl BitmapIndex {
         let mut acc: Option<CompressedBitmap> = None;
         let empty = CompressedBitmap::new();
         for (d, _) in schema.dims().enumerate() {
-            let bm = self.bitmaps[d][0]
-                .get(&record.dims[d].index())
-                .map_or(&empty, |bm| &**bm);
+            let bm = self
+                .bitmap_at(d, 0, record.dims[d].index())
+                .unwrap_or(&empty);
             self.charge_bitmap_read(bm);
             acc = Some(match acc {
                 None => bm.clone(),
@@ -133,21 +154,36 @@ impl BitmapIndex {
         let Some(candidates) = acc else {
             return Ok(false);
         };
-        let deleted: Vec<u64> = self.deleted.iter_ones().collect();
-        for rid in candidates.iter_ones() {
-            if self.measures[rid as usize] == record.measure && deleted.binary_search(&rid).is_err()
-            {
-                // Rebuild the deleted mask with the new bit (append-only
-                // bitmaps cannot set an interior bit directly).
-                let mut single = CompressedBitmap::new();
-                single.set(rid);
-                self.deleted = self.deleted.or(&single);
-                self.deleted_count += 1;
-                self.io.write(1);
-                return Ok(true);
-            }
+        let hit = candidates
+            .iter_ones()
+            .find(|&rid| self.measures[rid as usize] == record.measure && !self.is_deleted(rid));
+        let Some(rid) = hit else {
+            return Ok(false);
+        };
+        let word = (rid / 64) as usize;
+        self.deleted.grow_to(word + 1, 0);
+        if let Some(w) = self.deleted.get_mut(word) {
+            *w |= 1 << (rid % 64);
         }
-        Ok(false)
+        self.deleted_count += 1;
+        self.io.write(1);
+        Ok(true)
+    }
+
+    fn is_deleted(&self, rid: u64) -> bool {
+        self.deleted_count != 0
+            && self
+                .deleted
+                .get((rid / 64) as usize)
+                .is_some_and(|w| w & (1 << (rid % 64)) != 0)
+    }
+
+    fn bitmap_at(&self, dim: usize, level: usize, index: u32) -> Option<&CompressedBitmap> {
+        self.bitmaps
+            .get(dim)?
+            .get(level)?
+            .get(index as usize)?
+            .as_deref()
     }
 
     fn charge_bitmap_read(&self, bm: &CompressedBitmap) {
@@ -155,9 +191,9 @@ impl BitmapIndex {
         self.io.read(blocks as u32);
     }
 
-    /// Evaluates a range MDS: OR within dimensions, AND across, then gather
-    /// measures.
-    pub fn range_summary(&self, schema: &CubeSchema, range: &Mds) -> DcResult<MeasureSummary> {
+    /// The filter bitmap of `range` — OR within dimensions, AND across —
+    /// or `None` when every dimension is unconstrained.
+    fn filter(&self, schema: &CubeSchema, range: &Mds) -> DcResult<Option<CompressedBitmap>> {
         if range.num_dims() != schema.num_dims() {
             return Err(DcError::DimensionMismatch {
                 expected: schema.num_dims(),
@@ -169,10 +205,9 @@ impl BitmapIndex {
             if set.level() >= h.top_level() {
                 continue; // ALL — unconstrained
             }
-            let level = &self.bitmaps[d][set.level() as usize];
             let mut dim_or = CompressedBitmap::new();
             for &v in set.values() {
-                if let Some(bm) = level.get(&v.index()) {
+                if let Some(bm) = self.bitmap_at(d, set.level() as usize, v.index()) {
                     self.charge_bitmap_read(bm);
                     dim_or = dim_or.or(bm);
                 }
@@ -182,39 +217,44 @@ impl BitmapIndex {
                 Some(a) => a.and(&dim_or),
             });
         }
+        Ok(acc)
+    }
 
+    /// Sums the live records among `rids` (increasing). The measure column
+    /// is unclustered: each record costs a block read unless it shares the
+    /// previous one.
+    fn gather(&self, rids: impl Iterator<Item = u64>) -> MeasureSummary {
         let mut summary = MeasureSummary::empty();
-        match acc {
+        let mut last_block = u64::MAX;
+        for rid in rids.filter(|&rid| !self.is_deleted(rid)) {
+            let block = rid / self.records_per_block as u64;
+            if block != last_block {
+                self.io.read(1);
+                last_block = block;
+            }
+            summary.add(self.measures[rid as usize]);
+        }
+        summary
+    }
+
+    /// Evaluates a range MDS: OR within dimensions, AND across, then gather
+    /// measures.
+    pub fn range_summary(&self, schema: &CubeSchema, range: &Mds) -> DcResult<MeasureSummary> {
+        Ok(match self.filter(schema, range)? {
             None => {
                 // Fully unconstrained: every live record qualifies.
-                let deleted: Vec<u64> = self.deleted.iter_ones().collect();
                 let blocks = self.measures.len().div_ceil(self.records_per_block).max(1);
                 self.io.read(blocks as u32);
+                let mut summary = MeasureSummary::empty();
                 for (rid, &m) in self.measures.iter().enumerate() {
-                    if deleted.binary_search(&(rid as u64)).is_err() {
+                    if !self.is_deleted(rid as u64) {
                         summary.add(m);
                     }
                 }
+                summary
             }
-            Some(selected) => {
-                let deleted: Vec<u64> = self.deleted.iter_ones().collect();
-                // The measure column is unclustered: each selected record
-                // costs a block read unless it shares the previous one.
-                let mut last_block = u64::MAX;
-                for rid in selected.iter_ones() {
-                    if deleted.binary_search(&rid).is_ok() {
-                        continue;
-                    }
-                    let block = rid / self.records_per_block as u64;
-                    if block != last_block {
-                        self.io.read(1);
-                        last_block = block;
-                    }
-                    summary.add(self.measures[rid as usize]);
-                }
-            }
-        }
-        Ok(summary)
+            Some(selected) => self.gather(selected.iter_ones()),
+        })
     }
 
     /// Groups the records selected by `range` on `(dim, level)` with pure
@@ -242,51 +282,21 @@ impl BitmapIndex {
                 requested: level,
             });
         }
-        let mut acc: Option<CompressedBitmap> = None;
-        for ((d, set), h) in range.dims().enumerate().zip(schema.dims()) {
-            if set.level() >= h.top_level() {
-                continue; // ALL — unconstrained
-            }
-            let per_value = &self.bitmaps[d][set.level() as usize];
-            let mut dim_or = CompressedBitmap::new();
-            for &v in set.values() {
-                if let Some(bm) = per_value.get(&v.index()) {
-                    self.charge_bitmap_read(bm);
-                    dim_or = dim_or.or(bm);
-                }
-            }
-            acc = Some(match acc {
-                None => dim_or,
-                Some(a) => a.and(&dim_or),
-            });
-        }
-        let deleted: Vec<u64> = self.deleted.iter_ones().collect();
-        let level_bitmaps = &self.bitmaps[dim.as_usize()][level as usize];
-        let mut keys: Vec<u32> = level_bitmaps.keys().copied().collect();
-        keys.sort_unstable();
+        let acc = self.filter(schema, range)?;
         let mut groups = Vec::new();
-        for key in keys {
-            let bm = &level_bitmaps[&key];
+        // Slots are in value-id order, so the groups come out sorted.
+        for (index, slot) in self.bitmaps[dim.as_usize()][level as usize]
+            .iter()
+            .enumerate()
+        {
+            let Some(bm) = slot else { continue };
             self.charge_bitmap_read(bm);
-            let selected = match &acc {
-                None => CompressedBitmap::clone(bm),
-                Some(a) => a.and(bm),
+            let summary = match &acc {
+                None => self.gather(bm.iter_ones()),
+                Some(a) => self.gather(a.and(bm).iter_ones()),
             };
-            let mut summary = MeasureSummary::empty();
-            let mut last_block = u64::MAX;
-            for rid in selected.iter_ones() {
-                if deleted.binary_search(&rid).is_ok() {
-                    continue;
-                }
-                let block = rid / self.records_per_block as u64;
-                if block != last_block {
-                    self.io.read(1);
-                    last_block = block;
-                }
-                summary.add(self.measures[rid as usize]);
-            }
             if summary.count > 0 {
-                groups.push((ValueId::new(level, key), summary));
+                groups.push((ValueId::new(level, index as u32), summary));
             }
         }
         Ok(groups)
@@ -304,11 +314,7 @@ impl BitmapIndex {
 
     /// Direct access to one value's bitmap (diagnostics).
     pub fn bitmap_for(&self, dim: DimensionId, value: ValueId) -> Option<&CompressedBitmap> {
-        self.bitmaps
-            .get(dim.as_usize())?
-            .get(value.level() as usize)?
-            .get(&value.index())
-            .map(|bm| &**bm)
+        self.bitmap_at(dim.as_usize(), value.level() as usize, value.index())
     }
 }
 
@@ -386,6 +392,68 @@ mod tests {
         ]);
         assert_eq!(idx.range_summary(&schema, &asia).unwrap().sum, 407);
         assert_eq!(snap.range_summary(&schema, &asia).unwrap().sum, 400);
+    }
+
+    #[test]
+    fn an_insert_after_a_clone_copies_a_bounded_tail_of_a_large_index() {
+        use crate::wah::CHUNK_WORDS;
+        let data = dc_tpcd::generate(&dc_tpcd::TpcdConfig::scaled(100_000, 3));
+        let schema = &data.schema;
+        let (last, load) = data.records.split_last().unwrap();
+        let mut idx = BitmapIndex::new(schema, BlockConfig::DEFAULT);
+        for r in load {
+            idx.insert(schema, r).unwrap();
+        }
+        let snap = idx.clone();
+        idx.insert(schema, last).unwrap();
+
+        let (mut levels, mut total_words, mut unshared_words, mut unshared_slot_blocks) =
+            (0, 0, 0, 0);
+        for (new_dim, old_dim) in idx.bitmaps.iter().zip(&snap.bitmaps) {
+            for (new, old) in new_dim.iter().zip(old_dim) {
+                levels += 1;
+                unshared_slot_blocks += new.blocks().len()
+                    - new
+                        .blocks()
+                        .iter()
+                        .zip(old.blocks())
+                        .filter(|(a, b)| Arc::ptr_eq(a, b))
+                        .count();
+                for (i, slot) in new.iter().enumerate() {
+                    let Some(bm) = slot else { continue };
+                    total_words += (bm.size_in_bytes() - 24) / 8;
+                    match old.get(i).and_then(Option::as_ref) {
+                        Some(prev) if Arc::ptr_eq(bm, prev) => {}
+                        prev => unshared_words += bm.unshared_words(prev.map(|p| &**p)),
+                    }
+                }
+            }
+        }
+        let measure_blocks = idx.measures.blocks();
+        let unshared_measures: usize = measure_blocks
+            .iter()
+            .enumerate()
+            .filter(|(i, b)| {
+                snap.measures
+                    .blocks()
+                    .get(*i)
+                    .is_none_or(|old| !Arc::ptr_eq(b, old))
+            })
+            .map(|(_, b)| b.len())
+            .sum();
+
+        let bound = levels * 2 * CHUNK_WORDS + MEASURE_BLOCK;
+        assert_eq!(levels, 13);
+        assert!(
+            unshared_words + unshared_measures <= bound,
+            "{unshared_words} words + {unshared_measures} measures unshared, bound {bound}"
+        );
+        assert!(
+            unshared_slot_blocks <= levels,
+            "{unshared_slot_blocks} slot blocks"
+        );
+        // The bound is a sliver of what a whole copy would cost.
+        assert!(total_words + load.len() > 50 * bound, "{total_words} words");
     }
 
     #[test]

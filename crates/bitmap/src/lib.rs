@@ -20,8 +20,14 @@
 //! appends to O(levels × dimensions) bitmaps.
 //!
 //! Used by the benchmark harness as an additional baseline alongside the
-//! X-tree and the sequential scan.
+//! X-tree and the sequential scan, and by the serving engine's planner as
+//! an auxiliary backend that every shard publishes after each writer batch.
+//! For that, a clone shares everything a writer appends to: bitmaps keep
+//! their words in sealed `Arc` chunks plus a short open tail, and the slot
+//! vectors, measure column and deleted mask sit in `Arc`'d blocks, so an
+//! insert after a publish copies O(touched tails), never the index.
 
+mod blocks;
 pub mod index;
 pub mod wah;
 

@@ -12,26 +12,73 @@
 //! index needs: OR (within a dimension) and AND (across dimensions), plus
 //! iteration over set bits.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 const GROUP: u64 = 63;
 const FILL_FLAG: u64 = 1 << 63;
 const FILL_BIT: u64 = 1 << 62;
 const COUNT_MASK: u64 = (1 << 62) - 1;
+/// Words per sealed chunk.
+pub(crate) const CHUNK_WORDS: usize = 64;
 
 /// A WAH-style compressed bitmap.
 ///
-/// The derived equality is **structural** (same encoding); logically equal
-/// bitmaps with different flush states compare unequal — compare
-/// `iter_ones()` streams for logical equality.
-#[derive(Clone, PartialEq, Eq, Default, Debug)]
+/// The encoded words are held as sealed chunks of [`CHUNK_WORDS`] words,
+/// each behind its own `Arc` and listed in one shared `Arc` slice,
+/// followed by an owned open part: a `clone` copies one pointer plus the
+/// open part, and an append writes only the open part (sealing a chunk
+/// relists the chunk pointers, once per [`CHUNK_WORDS`] words). [`Self::set`] seals a chunk once the open
+/// part holds two of them, so the open part of an appended-to bitmap stays
+/// under two chunks, the last word — the one fill coalescing rewrites — is
+/// always open, and the word sequence is exactly the one a flat encoder
+/// would produce. Merge results and decoded parts, which are read rather
+/// than appended to, keep all their words open until their next `set`.
+///
+/// Equality compares that word sequence (and the tail and length), not the
+/// chunk layout; logically equal bitmaps with different flush states
+/// compare unequal — compare `iter_ones()` streams for logical equality.
+#[derive(Default, Debug)]
 pub struct CompressedBitmap {
-    words: Vec<u64>,
-    /// Number of 63-bit groups encoded in `words`.
+    /// Immutable full chunks, shared by every clone (and the list of them
+    /// too, until the next seal).
+    sealed: Arc<[Arc<[u64]>]>,
+    /// The words after the sealed chunks.
+    open: Vec<u64>,
+    /// Number of 63-bit groups encoded in the words.
     groups: u64,
     /// Pending (not yet flushed) literal group.
     tail: u64,
     /// Number of bits in the logical bitmap (set via `set`/`push_group`).
     len: u64,
 }
+
+impl Clone for CompressedBitmap {
+    /// Shares the sealed chunks and copies the open part, with room for
+    /// the word or two the next `set` appends (a bitmap is cloned to be
+    /// written to: `Arc::make_mut` after a publish).
+    fn clone(&self) -> Self {
+        let mut open = Vec::with_capacity(self.open.len() + 2);
+        open.extend_from_slice(&self.open);
+        CompressedBitmap {
+            sealed: self.sealed.clone(),
+            open,
+            groups: self.groups,
+            tail: self.tail,
+            len: self.len,
+        }
+    }
+}
+
+impl PartialEq for CompressedBitmap {
+    fn eq(&self, other: &Self) -> bool {
+        (self.groups, self.tail, self.len) == (other.groups, other.tail, other.len)
+            && self.num_words() == other.num_words()
+            && self.words().eq(other.words())
+    }
+}
+
+impl Eq for CompressedBitmap {}
 
 impl CompressedBitmap {
     /// An empty bitmap.
@@ -52,7 +99,45 @@ impl CompressedBitmap {
 
     /// Heap footprint of the compressed representation, in bytes.
     pub fn size_in_bytes(&self) -> usize {
-        self.words.len() * 8 + 8 * 3
+        self.num_words() * 8 + 8 * 3
+    }
+
+    fn num_words(&self) -> usize {
+        self.sealed.len() * CHUNK_WORDS + self.open.len()
+    }
+
+    /// The encoded words in order: sealed chunks, then the open part.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.sealed
+            .iter()
+            .flat_map(|c| c.iter())
+            .chain(&self.open)
+            .copied()
+    }
+
+    /// Chunk `i` of the word sequence; index `sealed.len()` is the open
+    /// part.
+    fn chunk(&self, i: usize) -> Option<&[u64]> {
+        match self.sealed.get(i) {
+            Some(c) => Some(c),
+            None => (i == self.sealed.len()).then_some(&self.open[..]),
+        }
+    }
+
+    /// Seals leading chunks of the open part until it holds under two.
+    fn seal(&mut self) {
+        let full = self.open.len().saturating_sub(CHUNK_WORDS) / CHUNK_WORDS;
+        if full > 0 {
+            let words = full * CHUNK_WORDS;
+            let chunks = self.open[..words].chunks_exact(CHUNK_WORDS);
+            self.sealed = self
+                .sealed
+                .iter()
+                .cloned()
+                .chain(chunks.map(Arc::from))
+                .collect();
+            self.open.drain(..words);
+        }
     }
 
     fn push_fill(&mut self, bit: bool, count: u64) {
@@ -60,7 +145,7 @@ impl CompressedBitmap {
             return;
         }
         // Coalesce with a preceding fill of the same bit.
-        if let Some(last) = self.words.last_mut() {
+        if let Some(last) = self.open.last_mut() {
             let same = *last & FILL_FLAG != 0
                 && ((*last & FILL_BIT != 0) == bit)
                 && (*last & COUNT_MASK) + count <= COUNT_MASK;
@@ -74,7 +159,7 @@ impl CompressedBitmap {
         if bit {
             w |= FILL_BIT;
         }
-        self.words.push(w);
+        self.open.push(w);
         self.groups += count;
     }
 
@@ -85,7 +170,7 @@ impl CompressedBitmap {
         } else if payload == (1 << GROUP) - 1 {
             self.push_fill(true, 1);
         } else {
-            self.words.push(payload);
+            self.open.push(payload);
             self.groups += 1;
         }
     }
@@ -119,6 +204,7 @@ impl CompressedBitmap {
                 let skipped = group - self.groups;
                 self.push_fill(false, skipped);
             }
+            self.seal();
         }
         debug_assert_eq!(group, self.groups, "tail now accumulates this group");
         self.tail |= 1 << (pos % GROUP);
@@ -155,8 +241,15 @@ impl CompressedBitmap {
 
     /// The raw encoded parts `(words, tail, len)` for persistence. Feed
     /// them back through [`Self::from_parts`] to reconstruct the bitmap.
-    pub fn to_parts(&self) -> (&[u64], u64, u64) {
-        (&self.words, self.tail, self.len)
+    /// The words are borrowed while they all sit in the open part and
+    /// concatenated otherwise.
+    pub fn to_parts(&self) -> (Cow<'_, [u64]>, u64, u64) {
+        let words = if self.sealed.is_empty() {
+            Cow::Borrowed(&self.open[..])
+        } else {
+            Cow::Owned(self.words().collect())
+        };
+        (words, self.tail, self.len)
     }
 
     /// Reassembles a bitmap from persisted parts, validating the encoding
@@ -189,17 +282,32 @@ impl CompressedBitmap {
             return None; // a tail the cursor would never surface
         }
         Some(CompressedBitmap {
-            words,
+            sealed: Arc::default(),
+            open: words,
             groups,
             tail,
             len,
         })
     }
 
+    /// Words of `self` that `other` (an earlier clone, if any) does not
+    /// share: the open part plus every sealed chunk not pointer-equal to
+    /// `other`'s.
+    #[cfg(test)]
+    pub(crate) fn unshared_words(&self, other: Option<&Self>) -> usize {
+        let shared = |i: usize| {
+            other
+                .and_then(|o| o.sealed.get(i))
+                .is_some_and(|c| Arc::ptr_eq(c, &self.sealed[i]))
+        };
+        let sealed = (0..self.sealed.len()).filter(|&i| !shared(i)).count();
+        sealed * CHUNK_WORDS + self.open.len()
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> u64 {
         let mut n = 0;
-        for &w in &self.words {
+        for w in self.words() {
             if w & FILL_FLAG != 0 {
                 if w & FILL_BIT != 0 {
                     n += (w & COUNT_MASK) * GROUP;
@@ -215,7 +323,9 @@ impl CompressedBitmap {
 /// Decodes a bitmap group by group (63-bit payloads).
 struct GroupCursor<'a> {
     bitmap: &'a CompressedBitmap,
-    word_idx: usize,
+    /// The chunk being read and the index of the next one.
+    words: &'a [u64],
+    next_chunk: usize,
     /// Groups remaining in the current fill word.
     fill_left: u64,
     fill_payload: u64,
@@ -226,10 +336,22 @@ impl<'a> GroupCursor<'a> {
     fn new(bitmap: &'a CompressedBitmap) -> Self {
         GroupCursor {
             bitmap,
-            word_idx: 0,
+            words: &[],
+            next_chunk: 0,
             fill_left: 0,
             fill_payload: 0,
             tail_done: false,
+        }
+    }
+
+    fn next_word(&mut self) -> Option<u64> {
+        loop {
+            if let Some((&w, rest)) = self.words.split_first() {
+                self.words = rest;
+                return Some(w);
+            }
+            self.words = self.bitmap.chunk(self.next_chunk)?;
+            self.next_chunk += 1;
         }
     }
 
@@ -240,8 +362,7 @@ impl<'a> GroupCursor<'a> {
             self.fill_left -= 1;
             return Some(self.fill_payload);
         }
-        if let Some(&w) = self.bitmap.words.get(self.word_idx) {
-            self.word_idx += 1;
+        if let Some(w) = self.next_word() {
             if w & FILL_FLAG != 0 {
                 let payload = if w & FILL_BIT != 0 {
                     (1 << GROUP) - 1

@@ -1,7 +1,9 @@
 //! A single dimension's concept hierarchy with its dynamic dictionary.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use dc_common::{DcError, DcResult, DimensionId, Level, ValueId};
 
@@ -55,6 +57,45 @@ impl HierarchySchema {
         self.attributes.get(depth).map(String::as_str)
     }
 }
+
+/// A dictionary key `(parent, name)` seen through a borrowed name, so a
+/// probe with a `&str` finds the owned `(ValueId, String)` entry without
+/// building a `String`. Both forms hash and compare as `(ValueId, &str)`.
+trait DictKey {
+    fn key(&self) -> (ValueId, &str);
+}
+
+impl DictKey for (ValueId, String) {
+    fn key(&self) -> (ValueId, &str) {
+        (self.0, &self.1)
+    }
+}
+
+impl DictKey for (ValueId, &str) {
+    fn key(&self) -> (ValueId, &str) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn DictKey + 'a> for (ValueId, String) {
+    fn borrow(&self) -> &(dyn DictKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn DictKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for dyn DictKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn DictKey + '_ {}
 
 #[derive(Clone, Debug)]
 struct ValueInfo {
@@ -264,7 +305,7 @@ impl ConceptHierarchy {
     pub fn lookup_path<S: AsRef<str>>(&self, path: &[S]) -> Option<ValueId> {
         let mut parent = self.all();
         for name in path {
-            parent = *self.dict.get(&(parent, name.as_ref().to_string()))?;
+            parent = self.child(parent, name.as_ref())?;
         }
         Some(parent)
     }
@@ -288,8 +329,13 @@ impl ConceptHierarchy {
         self.intern_child(parent, parent.level() - 1, name)
     }
 
+    /// The known child of `parent` named `name`; allocates nothing.
+    fn child(&self, parent: ValueId, name: &str) -> Option<ValueId> {
+        self.dict.get(&(parent, name) as &dyn DictKey).copied()
+    }
+
     fn intern_child(&mut self, parent: ValueId, level: Level, name: &str) -> DcResult<ValueId> {
-        if let Some(&id) = self.dict.get(&(parent, name.to_string())) {
+        if let Some(id) = self.child(parent, name) {
             return Ok(id);
         }
         let table = &mut self.tables[level as usize];

@@ -134,7 +134,7 @@ fn encode_dimset(out: &mut Vec<u8>, set: &DimSet) {
     if wah_size < delta.len() {
         out.push(SET_WAH);
         put_varint(out, words.len() as u64);
-        for &w in words {
+        for &w in words.iter() {
             out.extend_from_slice(&w.to_le_bytes());
         }
         out.extend_from_slice(&tail.to_le_bytes());

@@ -395,10 +395,13 @@ struct PlanState {
 /// behind the `Arc` the last publish handed to readers: the writer mutates
 /// through [`Arc::make_mut`], which copies an engine on its first mutation
 /// after a publish and not again until the next. For the two append-mostly
-/// engines that copy is shallow — the table shares its record blocks and
-/// the bitmap index its per-value bitmaps with the published state, so one
-/// `INSERT` copies the block and the bitmaps it touches, not the index; the
-/// roll-up views are small (one cell per occupied value) and copied whole.
+/// engines that copy is pointers, and the first `INSERT` after it copies
+/// tails, not the engine: the table shares its record blocks (the insert
+/// copies the last one); the bitmap index shares its slot, measure and
+/// deleted-mask blocks and every bitmap's sealed word chunks (the insert
+/// copies one slot block and one bitmap's open tail per dimension and
+/// level, plus the last measure block). The roll-up views are small (one
+/// cell per occupied value) and copied whole.
 struct AuxEngines {
     bitmap: Option<Arc<BitmapIndex>>,
     views: Option<Arc<Vec<MaterializedView>>>,
