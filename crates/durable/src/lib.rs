@@ -16,9 +16,16 @@
 //!    framed, carrying the *raw attribute paths*, so replay re-interns
 //!    values in the original order and reproduces identical IDs) before it
 //!    is applied; segments rotate at a byte budget and frames never span a
-//!    rotation. [`WalReader::recover`] returns the clean entries past the
-//!    manifest's checkpoint, stopping at a torn or corrupted frame (the
-//!    partial write of a crash) and repairing the directory.
+//!    rotation. One [`FrameCursor`] reads frames for every consumer: it
+//!    yields `(lsn, entry)` pairs and stops at the first torn, CRC-failing
+//!    or undecodable frame (the partial write of a crash).
+//!    [`WalReader::replay`] streams the live segments through it, one
+//!    segment in memory at a time, hands each entry past the manifest's
+//!    checkpoint to its caller as it is validated — the engine replays
+//!    them in chunks — and repairs the directory; it keeps no entry, so
+//!    recovery costs one segment plus what the caller buffers, not the
+//!    length of the log. Appends encode each frame straight into the
+//!    group's buffer ([`encode_frame`]) from borrowed paths.
 //! 2. **The directory protocol** ([`segment`]). A checkpoint is one image
 //!    per shard, `checkpoint.<lsn>.shard<i>.dct`, named by the LSN it
 //!    covers; [`WalWriter::prepare_checkpoint`] /
@@ -61,4 +68,7 @@ pub use segment::{
 };
 pub use ship::{fetch_checkpoint, fetch_segments, CheckpointBundle, FetchOutcome, SegmentShipment};
 pub use tree::apply;
-pub use wal::{SyncPolicy, WalConfig, WalEntry, WalReader, WalWriter, WalWriterStats};
+pub use wal::{
+    encode_frame, FrameCursor, SyncPolicy, WalConfig, WalEntry, WalOp, WalReader, WalWriter,
+    WalWriterStats,
+};

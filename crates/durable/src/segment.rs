@@ -104,6 +104,14 @@ pub struct Manifest {
 }
 
 impl Manifest {
+    /// What a directory without a manifest recovers as: no checkpoint, the
+    /// chain starting at segment 1, no shard images.
+    pub const EMPTY: Manifest = Manifest {
+        checkpoint_lsn: 0,
+        start_seq: 1,
+        shards: 0,
+    };
+
     /// The file names of the committed checkpoint's images, in shard order;
     /// empty before the first checkpoint. A committed checkpoint without
     /// shard images is one this repository no longer writes or reads (a

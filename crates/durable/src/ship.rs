@@ -27,7 +27,7 @@ use dc_common::{DcError, DcResult};
 
 use crate::fs::WalFs;
 use crate::segment::{decode_segment_header, parse_segment_file_name, segment_file_name, Manifest};
-use crate::wal::{scan_frames, WalEntry};
+use crate::wal::FrameCursor;
 
 /// One shipped segment: its sequence number, the LSN of its first frame,
 /// and the clean (CRC-valid, fully framed) prefix of its bytes — header
@@ -44,22 +44,10 @@ pub struct SegmentShipment {
 }
 
 impl SegmentShipment {
-    /// Decodes the shipped frames as `(lsn, entry)` pairs, in LSN order.
-    pub fn entries(&self) -> Vec<(u64, WalEntry)> {
-        let mut entries = Vec::new();
-        scan_frames(&self.bytes, self.first_lsn, 0, &mut entries);
-        entries
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| (self.first_lsn + i as u64, e))
-            .collect()
-    }
-
-    /// The LSN the frame *after* this shipment would get.
-    pub fn next_lsn(&self) -> u64 {
-        let mut scratch = Vec::new();
-        let (_, _, next) = scan_frames(&self.bytes, self.first_lsn, u64::MAX, &mut scratch);
-        next
+    /// Streams the shipped frames as `(lsn, entry)` pairs, in LSN order,
+    /// decoding one frame at a time.
+    pub fn entries(&self) -> FrameCursor<'_> {
+        FrameCursor::segment(&self.bytes, self.first_lsn)
     }
 }
 
@@ -96,11 +84,7 @@ pub struct CheckpointBundle {
 /// directory at `dir`. See the module docs for the concurrency contract.
 pub fn fetch_segments(fs: &dyn WalFs, dir: &Path, from_lsn: u64) -> DcResult<FetchOutcome> {
     let from_lsn = from_lsn.max(1);
-    let manifest = Manifest::load(fs, dir)?.unwrap_or(Manifest {
-        checkpoint_lsn: 0,
-        start_seq: 1,
-        shards: 0,
-    });
+    let manifest = Manifest::load(fs, dir)?.unwrap_or(Manifest::EMPTY);
     if from_lsn <= manifest.checkpoint_lsn {
         return Ok(FetchOutcome::NeedCheckpoint {
             checkpoint_lsn: manifest.checkpoint_lsn,
@@ -121,7 +105,6 @@ pub fn fetch_segments(fs: &dyn WalFs, dir: &Path, from_lsn: u64) -> DcResult<Fet
     // shorter run, never a gapped one.
     let mut next_lsn = manifest.checkpoint_lsn + 1;
     let mut out = Vec::new();
-    let mut scratch = Vec::new();
     for &seq in &seqs {
         let Some(mut bytes) = fs.read(&dir.join(segment_file_name(seq)))? else {
             // Vanished between list and read: a concurrent checkpoint
@@ -138,10 +121,10 @@ pub fn fetch_segments(fs: &dyn WalFs, dir: &Path, from_lsn: u64) -> DcResult<Fet
         if hseq != seq || first_lsn > next_lsn {
             break; // mislabeled file or an LSN gap
         }
-        scratch.clear();
-        // `checkpoint_lsn = MAX` keeps the scratch empty: this pass only
-        // needs the clean length and the next LSN, not decoded entries.
-        let (_, clean_len, next) = scan_frames(&bytes, first_lsn, u64::MAX, &mut scratch);
+        // This pass keeps no entry: it only needs the clean length and the
+        // next LSN.
+        let frames = FrameCursor::segment(&bytes, first_lsn).exhaust();
+        let (clean_len, next) = (frames.clean_len(), frames.next_lsn());
         let torn = clean_len < bytes.len();
         if next > from_lsn {
             bytes.truncate(clean_len);
@@ -167,11 +150,7 @@ pub fn fetch_segments(fs: &dyn WalFs, dir: &Path, from_lsn: u64) -> DcResult<Fet
 pub fn fetch_checkpoint(fs: &dyn WalFs, dir: &Path) -> DcResult<CheckpointBundle> {
     const ATTEMPTS: usize = 8;
     for _ in 0..ATTEMPTS {
-        let manifest = Manifest::load(fs, dir)?.unwrap_or(Manifest {
-            checkpoint_lsn: 0,
-            start_seq: 1,
-            shards: 0,
-        });
+        let manifest = Manifest::load(fs, dir)?.unwrap_or(Manifest::EMPTY);
         let names = manifest.image_names()?;
         let mut images = Vec::with_capacity(names.len());
         for name in &names {
@@ -195,7 +174,7 @@ mod tests {
     use super::*;
     use crate::fs::StdFs;
     use crate::segment::checkpoint_file_name;
-    use crate::wal::{SyncPolicy, WalConfig, WalReader, WalWriter};
+    use crate::wal::{SyncPolicy, WalConfig, WalEntry, WalReader, WalWriter};
     use dc_common::TempDir;
     use std::sync::Arc;
 

@@ -4,23 +4,28 @@
 //!
 //! Frame layout inside a segment (after the 28-byte segment header, see
 //! [`crate::segment`]): `[payload_len: u32][crc32(payload): u32][payload]`.
-//! The payload encodes the mutation with the checked codec of `dc-storage`.
+//! The payload is the mutation in the layout of `dc-storage`'s checked codec
+//! (little-endian integers, length-prefixed strings), written by
+//! [`encode_frame`] and read back through `ByteReader`.
 //! Every frame has a log sequence number (LSN, 1-based, global across
 //! segments); a segment's header records the LSN of its first frame.
 //!
-//! Recovery ([`WalReader::recover`]) reads the manifest, scans the live
-//! segments in order, and stops at the first torn or corrupt frame —
-//! exactly the state a crash mid-append leaves behind. The torn tail is
-//! truncated and any segments past the stop point are deleted, so the next
-//! scan sees a clean chain. Appending resumes in a *fresh* segment, never
-//! on top of a repaired one.
+//! Every reader of the log walks frames with one [`FrameCursor`]: it
+//! yields `(lsn, entry)` pairs, decoding each frame once, and stops at the
+//! first torn, CRC-failing or undecodable frame — exactly the state a crash
+//! mid-append leaves behind. Recovery ([`WalReader::replay`]) reads the
+//! manifest and streams the live segments through the cursor one segment at
+//! a time, handing each entry past the checkpoint to its caller as it is
+//! validated; it keeps no entry. The torn tail is truncated and any segments
+//! past the stop point are deleted, so the next scan sees a clean chain.
+//! Appending resumes in a *fresh* segment, never on top of a repaired one.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use dc_common::{DcError, DcResult, Measure};
-use dc_storage::{crc32, ByteReader, ByteWriter};
+use dc_storage::{crc32, ByteReader};
 
 use crate::fs::{WalFile, WalFs};
 use crate::segment::{
@@ -48,23 +53,17 @@ pub enum WalEntry {
     },
 }
 
+/// One mutation as the frame writer takes it, borrowing its attribute
+/// paths: `(paths, measure, delete)`.
+pub type WalOp<'a, S> = (&'a [Vec<S>], Measure, bool);
+
 impl WalEntry {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        let (tag, paths, measure) = match self {
-            WalEntry::Insert { paths, measure } => (0u8, paths, measure),
-            WalEntry::Delete { paths, measure } => (1u8, paths, measure),
-        };
-        w.put_u8(tag);
-        w.put_i64(*measure);
-        w.put_u16(paths.len() as u16);
-        for dim in paths {
-            w.put_u16(dim.len() as u16);
-            for name in dim {
-                w.put_str(name);
-            }
+    /// This entry as a borrowed [`WalOp`].
+    pub fn as_op(&self) -> WalOp<'_, String> {
+        match self {
+            WalEntry::Insert { paths, measure } => (paths, *measure, false),
+            WalEntry::Delete { paths, measure } => (paths, *measure, true),
         }
-        w.into_vec()
     }
 
     fn decode(payload: &[u8]) -> DcResult<WalEntry> {
@@ -89,6 +88,95 @@ impl WalEntry {
         }
     }
 }
+
+/// Appends one frame — `[payload_len][crc32(payload)][payload]` — for `op`
+/// to `buf`. The payload is encoded in place (tag, measure, then each
+/// dimension's names, length-prefixed) and the CRC is taken over the
+/// written slice, so a frame costs no buffer of its own.
+pub fn encode_frame<S: AsRef<str>>(buf: &mut Vec<u8>, (paths, measure, delete): WalOp<'_, S>) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    buf.push(u8::from(delete));
+    buf.extend_from_slice(&measure.to_le_bytes());
+    buf.extend_from_slice(&(paths.len() as u16).to_le_bytes());
+    for dim in paths {
+        buf.extend_from_slice(&(dim.len() as u16).to_le_bytes());
+        for name in dim {
+            let name = name.as_ref().as_bytes();
+            buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            buf.extend_from_slice(name);
+        }
+    }
+    let payload = &buf[start + 8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Streams the frames of one segment as `(lsn, entry)` pairs, in LSN order,
+/// decoding each frame once. It stops at the first torn, CRC-failing or
+/// undecodable frame (and stays stopped); from then on
+/// [`clean_len`](Self::clean_len) is the byte length of the valid prefix
+/// and [`next_lsn`](Self::next_lsn) the LSN the next frame would get.
+#[derive(Clone, Debug)]
+pub struct FrameCursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    lsn: u64,
+}
+
+impl<'a> FrameCursor<'a> {
+    /// A cursor over a segment file's bytes, header included: the frames
+    /// start after the header, and the first has LSN `first_lsn`.
+    pub fn segment(bytes: &'a [u8], first_lsn: u64) -> Self {
+        FrameCursor {
+            bytes,
+            pos: SEGMENT_HEADER_LEN.min(bytes.len()),
+            lsn: first_lsn,
+        }
+    }
+
+    /// Bytes consumed by the header and the frames yielded so far — the
+    /// clean prefix once stopped.
+    pub fn clean_len(&self) -> usize {
+        self.pos
+    }
+
+    /// The LSN of the next frame.
+    pub fn next_lsn(&self) -> u64 {
+        self.lsn
+    }
+
+    /// Runs the cursor to its stop without keeping any entry.
+    pub fn exhaust(mut self) -> Self {
+        self.by_ref().for_each(drop);
+        self
+    }
+}
+
+impl Iterator for FrameCursor<'_> {
+    type Item = (u64, WalEntry);
+
+    fn next(&mut self) -> Option<(u64, WalEntry)> {
+        let rest = &self.bytes[self.pos..];
+        if rest.len() < 8 {
+            return None; // the end, or a torn frame header
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
+        let payload = rest[8..].get(..len)?; // a torn payload
+        if crc32(payload) != crc {
+            return None; // a corrupted payload
+        }
+        let entry = WalEntry::decode(payload).ok()?; // well-framed garbage
+        let lsn = self.lsn;
+        self.lsn += 1;
+        self.pos += 8 + len;
+        Some((lsn, entry))
+    }
+}
+
+impl std::iter::FusedIterator for FrameCursor<'_> {}
 
 /// When appended frames are fsynced.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -216,28 +304,35 @@ impl WalWriter {
     /// segments (the rotation budget is checked between groups, like
     /// between single appends).
     pub fn append_batch(&mut self, entries: &[WalEntry]) -> DcResult<u64> {
-        if entries.is_empty() {
+        self.append_ops(entries.iter().map(WalEntry::as_op))
+    }
+
+    /// [`Self::append_batch`] over borrowed ops: each frame is encoded
+    /// straight into the group's one buffer by [`encode_frame`].
+    pub fn append_ops<'a, S: AsRef<str> + 'a>(
+        &mut self,
+        ops: impl IntoIterator<Item = WalOp<'a, S>>,
+    ) -> DcResult<u64> {
+        let mut frames = Vec::new();
+        let mut count = 0u64;
+        for op in ops {
+            encode_frame(&mut frames, op);
+            count += 1;
+        }
+        if count == 0 {
             return Ok(self.lsn());
         }
         if self.segment_len >= self.config.segment_bytes {
             self.rotate()?;
         }
-        let mut frames = Vec::new();
-        for entry in entries {
-            let payload = entry.encode();
-            frames.reserve(8 + payload.len());
-            frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frames.extend_from_slice(&crc32(&payload).to_le_bytes());
-            frames.extend_from_slice(&payload);
-        }
         self.file.write_all(&frames)?;
-        let last_lsn = self.next_lsn + entries.len() as u64 - 1;
-        self.next_lsn += entries.len() as u64;
+        let last_lsn = self.next_lsn + count - 1;
+        self.next_lsn += count;
         self.segment_len += frames.len() as u64;
-        self.stats.appends += entries.len() as u64;
+        self.stats.appends += count;
         self.stats.appended_bytes += frames.len() as u64;
         self.dirty = true;
-        self.unsynced = self.unsynced.saturating_add(entries.len() as u32);
+        self.unsynced = self.unsynced.saturating_add(count as u32);
         match self.config.sync {
             SyncPolicy::Always => self.sync()?,
             SyncPolicy::EveryN(n) => {
@@ -347,10 +442,12 @@ impl WalWriter {
     }
 }
 
-/// Result of recovering a WAL directory: the manifest, the clean entries
-/// past the checkpoint, and what (if anything) had to be discarded.
+/// Result of recovering a WAL directory: the manifest, how many entries
+/// past the checkpoint were replayed, and what (if anything) had to be
+/// discarded. It holds no entry: [`WalReader::replay`] hands each one to
+/// its caller as the scan validates it.
 ///
-/// `recover` also *repairs*: the torn tail of the segment it stopped in is
+/// Recovery also *repairs*: the torn tail of the segment it stopped in is
 /// truncated, and any segments past the stop point are deleted, so the
 /// surviving chain is clean for the next scan. Entries are only dropped
 /// when they were never durable (a crash's torn tail) or physically
@@ -362,8 +459,8 @@ pub struct WalReader {
     pub manifest: Manifest,
     /// Whether a manifest file was present.
     pub manifest_found: bool,
-    /// Entries with `lsn > manifest.checkpoint_lsn`, in LSN order.
-    pub entries: Vec<WalEntry>,
+    /// Entries with `lsn > manifest.checkpoint_lsn` that were replayed.
+    pub replayed: u64,
     /// The LSN the next appended entry must get.
     pub next_lsn: u64,
     /// Highest segment sequence number present before repair.
@@ -378,17 +475,26 @@ pub struct WalReader {
 }
 
 impl WalReader {
-    /// Scans and repairs the WAL directory at `dir`. A fresh or missing
-    /// directory recovers as empty.
+    /// Scans and repairs the WAL directory at `dir`, keeping no entry. A
+    /// fresh or missing directory recovers as empty.
     pub fn recover(fs: &dyn WalFs, dir: impl AsRef<Path>) -> DcResult<WalReader> {
+        Self::replay(fs, dir, |_| Ok(()))
+    }
+
+    /// [`Self::recover`], handing every entry past the checkpoint to
+    /// `apply` in LSN order as its frame is validated — one pass over the
+    /// log, one segment's bytes in memory at a time. An error from `apply`
+    /// stops the scan and is returned; segments not reached yet are left
+    /// unrepaired for the next recovery.
+    pub fn replay(
+        fs: &dyn WalFs,
+        dir: impl AsRef<Path>,
+        mut apply: impl FnMut(WalEntry) -> DcResult<()>,
+    ) -> DcResult<WalReader> {
         let dir = dir.as_ref();
         let manifest = Manifest::load(fs, dir)?;
         let manifest_found = manifest.is_some();
-        let manifest = manifest.unwrap_or(Manifest {
-            checkpoint_lsn: 0,
-            start_seq: 1,
-            shards: 0,
-        });
+        let manifest = manifest.unwrap_or(Manifest::EMPTY);
         // A missing directory (not created yet) lists as empty.
         let names = fs.list(dir).unwrap_or_default();
         let mut seqs: Vec<u64> = names
@@ -401,7 +507,7 @@ impl WalReader {
         let mut out = WalReader {
             manifest,
             manifest_found,
-            entries: Vec::new(),
+            replayed: 0,
             next_lsn: manifest.checkpoint_lsn + 1,
             max_seq_seen,
             truncated_bytes: 0,
@@ -445,78 +551,31 @@ impl WalReader {
                 fs.remove(&path)?;
                 continue;
             };
-            let (_, clean_len, next) =
-                scan_frames(&bytes, first_lsn, manifest.checkpoint_lsn, &mut out.entries);
+            let mut frames = FrameCursor::segment(&bytes, first_lsn);
+            for (lsn, entry) in frames.by_ref() {
+                // Frames the checkpoint already covers are skipped.
+                if lsn > manifest.checkpoint_lsn {
+                    apply(entry)?;
+                    out.replayed += 1;
+                }
+            }
+            let clean_len = frames.clean_len();
             if clean_len < bytes.len() {
                 out.truncated_bytes += (bytes.len() - clean_len) as u64;
                 fs.set_len(&path, clean_len as u64)?;
                 stopped = true;
             }
             out.segments_scanned += 1;
-            out.next_lsn = next.max(out.next_lsn);
+            out.next_lsn = frames.next_lsn().max(out.next_lsn);
         }
         Ok(out)
     }
 
-    /// `checkpoint_lsn + replayable entries` — how many mutations of the
+    /// `checkpoint_lsn + replayed entries` — how many mutations of the
     /// original stream survive.
     pub fn recovered_through(&self) -> u64 {
-        self.manifest.checkpoint_lsn + self.entries.len() as u64
+        self.manifest.checkpoint_lsn + self.replayed
     }
-}
-
-/// Scans the frames of one segment body. Frames with `lsn <=
-/// checkpoint_lsn` are skipped (already baked into the checkpoint); the
-/// rest are appended to `entries`. Returns `(frames_kept, clean_len,
-/// next_lsn)`, where `clean_len` is the byte length of the valid prefix.
-pub(crate) fn scan_frames(
-    bytes: &[u8],
-    first_lsn: u64,
-    checkpoint_lsn: u64,
-    entries: &mut Vec<WalEntry>,
-) -> (u64, usize, u64) {
-    let mut pos = SEGMENT_HEADER_LEN.min(bytes.len());
-    let mut lsn = first_lsn;
-    let mut kept = 0u64;
-    loop {
-        if pos == bytes.len() {
-            return (kept, pos, lsn);
-        }
-        if bytes.len() - pos < 8 {
-            return (kept, pos, lsn); // torn frame header
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if bytes.len() - pos - 8 < len {
-            return (kept, pos, lsn); // torn payload
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            return (kept, pos, lsn); // corrupted payload
-        }
-        match WalEntry::decode(payload) {
-            Ok(e) => {
-                if lsn > checkpoint_lsn {
-                    entries.push(e);
-                    kept += 1;
-                }
-            }
-            Err(_) => return (kept, pos, lsn), // well-framed garbage
-        }
-        lsn += 1;
-        pos += 8 + len;
-    }
-}
-
-/// Scans a raw segment *body* (fuzzing/test helper): frames start at byte
-/// 0, no header. Returns the decoded entries and the clean prefix length.
-pub fn scan_raw_frames(bytes: &[u8]) -> (Vec<WalEntry>, usize) {
-    let mut entries = Vec::new();
-    // Offset scanning by faking a header-sized prefix.
-    let mut padded = vec![0u8; SEGMENT_HEADER_LEN];
-    padded.extend_from_slice(bytes);
-    let (_, clean, _) = scan_frames(&padded, 1, 0, &mut entries);
-    (entries, clean - SEGMENT_HEADER_LEN)
 }
 
 #[cfg(test)]
@@ -533,6 +592,18 @@ mod tests {
             ],
             measure: i,
         }
+    }
+
+    /// Recovers `dir`, collecting the replayed entries.
+    fn recover_entries(dir: &Path) -> (WalReader, Vec<WalEntry>) {
+        let mut entries = Vec::new();
+        let scan = WalReader::replay(&StdFs, dir, |e| {
+            entries.push(e);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(scan.replayed, entries.len() as u64);
+        (scan, entries)
     }
 
     fn open_writer(dir: &Path, config: WalConfig) -> WalWriter {
@@ -563,8 +634,8 @@ mod tests {
         w.sync().unwrap();
         assert_eq!(w.synced_lsn(), 20);
         drop(w);
-        let scan = WalReader::recover(&StdFs, &dir).unwrap();
-        assert_eq!(scan.entries, entries);
+        let (scan, recovered) = recover_entries(&dir);
+        assert_eq!(recovered, entries);
         assert_eq!(scan.next_lsn, 21);
         assert!(!scan.tail_lost);
         assert_eq!(scan.truncated_bytes, 0);
@@ -592,13 +663,12 @@ mod tests {
             if parse_segment_file_name(&name).is_some() {
                 let bytes = std::fs::read(dir.join(&name)).unwrap();
                 let (_, first_lsn) = decode_segment_header(&bytes).expect("valid header");
-                let mut entries = Vec::new();
-                let (_, clean, _) = scan_frames(&bytes, first_lsn, 0, &mut entries);
-                assert_eq!(clean, bytes.len(), "{name} has a torn frame");
+                let frames = FrameCursor::segment(&bytes, first_lsn).exhaust();
+                assert_eq!(frames.clean_len(), bytes.len(), "{name} has a torn frame");
             }
         }
-        let scan = WalReader::recover(&StdFs, &dir).unwrap();
-        assert_eq!(scan.entries.len(), 12);
+        let (scan, entries) = recover_entries(&dir);
+        assert_eq!(entries.len(), 12);
         assert!(scan.segments_scanned >= 10);
     }
 
@@ -622,8 +692,8 @@ mod tests {
                 .unwrap();
             f.write_all(&[0x21, 0x00, 0x00]).unwrap();
         }
-        let scan = WalReader::recover(&StdFs, &dir).unwrap();
-        assert_eq!(scan.entries.len(), 5);
+        let (scan, entries) = recover_entries(&dir);
+        assert_eq!(entries.len(), 5);
         assert_eq!(scan.truncated_bytes, 3);
         assert!(!scan.tail_lost);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), clean);
@@ -632,8 +702,8 @@ mod tests {
         let mut w = WalWriter::open(fs, &dir, WalConfig::default(), &scan, 0).unwrap();
         assert_eq!(w.append(&sample(99)).unwrap(), 6);
         drop(w);
-        let scan = WalReader::recover(&StdFs, &dir).unwrap();
-        assert_eq!(scan.entries.len(), 6);
+        let (scan, entries) = recover_entries(&dir);
+        assert_eq!(entries.len(), 6);
         assert_eq!(scan.truncated_bytes, 0);
     }
 
@@ -651,16 +721,16 @@ mod tests {
         let target = SEGMENT_HEADER_LEN + (bytes.len() - SEGMENT_HEADER_LEN) / 2;
         bytes[target] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let scan = WalReader::recover(&StdFs, &dir).unwrap();
-        assert!(scan.entries.len() < 8, "entries after the flip discarded");
+        let (scan, entries) = recover_entries(&dir);
+        assert!(entries.len() < 8, "entries after the flip discarded");
         assert!(scan.truncated_bytes > 0);
     }
 
     #[test]
     fn missing_directory_recovers_empty() {
         let dir = TempDir::new("wal-missing").join("never-created-dir");
-        let scan = WalReader::recover(&StdFs, &dir).unwrap();
-        assert!(scan.entries.is_empty());
+        let (scan, entries) = recover_entries(&dir);
+        assert!(entries.is_empty());
         assert_eq!(scan.next_lsn, 1);
         assert!(!scan.manifest_found);
     }
@@ -687,9 +757,9 @@ mod tests {
         assert_eq!(w.stats().syncs, syncs_after_batch);
         assert_eq!(w.append(&sample(99)).unwrap(), 8);
         drop(w);
-        let scan = WalReader::recover(&StdFs, &dir).unwrap();
-        assert_eq!(scan.entries.len(), 8);
-        assert_eq!(scan.entries[..7], entries);
+        let (scan, recovered) = recover_entries(&dir);
+        assert_eq!(recovered.len(), 8);
+        assert_eq!(recovered[..7], entries);
         assert_eq!(scan.next_lsn, 9);
     }
 
@@ -707,9 +777,9 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         let cut = SEGMENT_HEADER_LEN + (bytes.len() - SEGMENT_HEADER_LEN) * 3 / 5;
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let scan = WalReader::recover(&StdFs, &dir).unwrap();
-        assert!(scan.entries.len() < 5);
-        assert_eq!(scan.entries[..], entries[..scan.entries.len()]);
+        let (_, recovered) = recover_entries(&dir);
+        assert!(recovered.len() < 5);
+        assert_eq!(recovered[..], entries[..recovered.len()]);
     }
 
     #[test]

@@ -22,6 +22,18 @@ fn config(segment_bytes: u64) -> WalConfig {
     }
 }
 
+/// Recovers `dir`, collecting the replayed entries.
+fn recover_entries(dir: &Path) -> (WalReader, Vec<WalEntry>) {
+    let mut entries = Vec::new();
+    let scan = WalReader::replay(&StdFs, dir, |e| {
+        entries.push(e);
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(scan.replayed, entries.len() as u64);
+    (scan, entries)
+}
+
 /// Opens a writer over whatever is in `dir` and appends `entries`.
 fn append_all(dir: &Path, cfg: WalConfig, entries: impl Iterator<Item = WalEntry>) {
     let scan = WalReader::recover(&StdFs, dir).unwrap();
@@ -65,8 +77,8 @@ fn empty_segment_file_is_discarded() {
     append_all(&dir, config(1 << 20), (0..3).map(entry));
     std::fs::write(segment_path(&dir, 2), b"").unwrap();
 
-    let scan = WalReader::recover(&StdFs, &dir).unwrap();
-    assert_eq!(scan.entries.len(), 3);
+    let (scan, scan_entries) = recover_entries(&dir);
+    assert_eq!(scan_entries.len(), 3);
     assert_eq!(scan.max_seq_seen, 2);
     assert!(!segment_path(&dir, 2).exists(), "empty segment not retired");
 
@@ -76,8 +88,8 @@ fn empty_segment_file_is_discarded() {
     w.append(&entry(3)).unwrap();
     drop(w);
     assert!(segment_path(&dir, 3).exists());
-    let rescan = WalReader::recover(&StdFs, &dir).unwrap();
-    assert_eq!(rescan.entries.len(), 4);
+    let (rescan, rescan_entries) = recover_entries(&dir);
+    assert_eq!(rescan_entries.len(), 4);
     assert_eq!(rescan.truncated_bytes, 0);
 }
 
@@ -94,16 +106,16 @@ fn split_frame_header_at_the_tail_is_truncated() {
                                  // Keep 5 of the third frame's 8 header bytes: len field + one crc byte.
     truncate_tail(&segment_path(&dir, 1), full_len - third_frame - 5);
 
-    let scan = WalReader::recover(&StdFs, &dir).unwrap();
-    assert_eq!(scan.entries.len(), 2);
+    let (scan, scan_entries) = recover_entries(&dir);
+    assert_eq!(scan_entries.len(), 2);
     assert_eq!(scan.truncated_bytes, 5);
     assert_eq!(
         std::fs::metadata(segment_path(&dir, 1)).unwrap().len(),
         clean_len,
         "repair must cut back to the last complete frame"
     );
-    let rescan = WalReader::recover(&StdFs, &dir).unwrap();
-    assert_eq!(rescan.entries.len(), 2);
+    let (rescan, rescan_entries) = recover_entries(&dir);
+    assert_eq!(rescan_entries.len(), 2);
     assert_eq!(rescan.truncated_bytes, 0);
 }
 
@@ -118,11 +130,11 @@ fn crc_valid_but_short_payload_is_torn() {
     // more than the file holds.
     truncate_tail(&segment_path(&dir, 1), 3);
 
-    let scan = WalReader::recover(&StdFs, &dir).unwrap();
-    assert_eq!(scan.entries.len(), 2, "short frame must not be replayed");
+    let (scan, scan_entries) = recover_entries(&dir);
+    assert_eq!(scan_entries.len(), 2, "short frame must not be replayed");
     assert!(scan.truncated_bytes > 0);
-    let rescan = WalReader::recover(&StdFs, &dir).unwrap();
-    assert_eq!(rescan.entries.len(), 2);
+    let (rescan, rescan_entries) = recover_entries(&dir);
+    assert_eq!(rescan_entries.len(), 2);
     assert_eq!(rescan.truncated_bytes, 0);
 }
 
@@ -135,22 +147,22 @@ fn segment_deleted_under_the_manifest_stops_at_the_gap() {
     let dir = TempDir::new("seg-gap");
     // Tiny budget so the workload spans several segments.
     append_all(&dir, config(96), (0..12).map(entry));
-    let full = WalReader::recover(&StdFs, &dir).unwrap();
+    let (full, full_entries) = recover_entries(&dir);
     assert!(full.max_seq_seen >= 3, "workload must span >= 3 segments");
-    assert_eq!(full.entries.len(), 12);
+    assert_eq!(full_entries.len(), 12);
 
     std::fs::remove_file(segment_path(&dir, 2)).unwrap();
-    let scan = WalReader::recover(&StdFs, &dir).unwrap();
+    let (scan, scan_entries) = recover_entries(&dir);
     assert!(scan.tail_lost);
-    assert!(scan.entries.len() < 12);
+    assert!(scan_entries.len() < 12);
     for seq in 3..=full.max_seq_seen {
         assert!(
             !segment_path(&dir, seq).exists(),
             "segment {seq} survived past the gap"
         );
     }
-    let rescan = WalReader::recover(&StdFs, &dir).unwrap();
-    assert_eq!(rescan.entries.len(), scan.entries.len());
+    let (rescan, rescan_entries) = recover_entries(&dir);
+    assert_eq!(rescan_entries.len(), scan_entries.len());
     assert!(!rescan.tail_lost);
 }
 
@@ -164,14 +176,14 @@ fn first_live_segment_deleted_recovers_to_the_checkpoint() {
     assert!(full.max_seq_seen >= 3);
 
     std::fs::remove_file(segment_path(&dir, 1)).unwrap();
-    let scan = WalReader::recover(&StdFs, &dir).unwrap();
+    let (scan, scan_entries) = recover_entries(&dir);
     assert!(scan.tail_lost);
-    assert_eq!(scan.entries.len(), 0);
+    assert_eq!(scan_entries.len(), 0);
     assert_eq!(scan.recovered_through(), 0);
 
     // A fresh writer starts over past every burned sequence number.
     append_all(&dir, config(96), (0..2).map(entry));
-    let rescan = WalReader::recover(&StdFs, &dir).unwrap();
-    assert_eq!(rescan.entries.len(), 2);
+    let (rescan, rescan_entries) = recover_entries(&dir);
+    assert_eq!(rescan_entries.len(), 2);
     assert!(!rescan.tail_lost);
 }

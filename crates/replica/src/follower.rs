@@ -182,15 +182,16 @@ impl Follower {
                 let mut count = 0u64;
                 for seg in &segments {
                     self.mirror_segment(seg.seq, &seg.bytes)?;
-                    let mut fresh = Vec::new();
-                    for (lsn, entry) in seg.entries() {
-                        if lsn > applied {
-                            fresh.push(entry);
+                    // Streamed: the engine pulls one replay chunk of the
+                    // segment's unapplied frames at a time.
+                    let fresh = seg.entries().filter_map(|(lsn, entry)| {
+                        (lsn > applied).then(|| {
                             applied = lsn;
-                        }
-                    }
-                    engine.apply_replicated(&fresh)?;
-                    count += fresh.len() as u64;
+                            count += 1;
+                            entry
+                        })
+                    });
+                    engine.apply_replicated(fresh)?;
                 }
                 if count == 0 {
                     return Ok(Progress::Idle);

@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use dc_common::TempDir;
 use dc_durable::{
-    fetch_segments, FetchOutcome, StdFs, SyncPolicy, WalConfig, WalEntry, WalReader, WalWriter,
+    fetch_segments, FetchOutcome, SegmentShipment, StdFs, SyncPolicy, WalConfig, WalEntry,
+    WalReader, WalWriter,
 };
 use proptest::prelude::*;
 
@@ -42,6 +43,11 @@ fn open_writer(dir: &Path) -> WalWriter {
         0,
     )
     .unwrap()
+}
+
+/// The `(lsn, entry)` pairs a shipment's frame cursor yields.
+fn shipped(seg: &SegmentShipment) -> Vec<(u64, WalEntry)> {
+    seg.entries().collect()
 }
 
 /// Checks the fetch contract at `from` against a directory whose durable
@@ -72,7 +78,7 @@ fn check_fetch(dir: &Path, from: u64, checkpoint_lsn: u64, tip: u64) {
                         "silent gap between shipped segments"
                     );
                 }
-                next_lsn = Some(seg.first_lsn + seg.entries().len() as u64);
+                next_lsn = Some(seg.first_lsn + shipped(seg).len() as u64);
             }
             if let Some(first) = segs.first() {
                 assert!(

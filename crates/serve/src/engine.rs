@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,8 +33,8 @@ use dc_common::{
     AggregateOp, DcError, DcResult, DimensionId, Level, Measure, MeasureSummary, ValueId,
 };
 use dc_durable::{
-    checkpoint_file_name, parse_checkpoint_file_name, ship, CheckpointBundle, FetchOutcome, StdFs,
-    SyncPolicy, WalConfig, WalEntry, WalFs, WalReader, WalWriter,
+    checkpoint_file_name, parse_checkpoint_file_name, ship, CheckpointBundle, FetchOutcome,
+    Manifest, StdFs, SyncPolicy, WalConfig, WalEntry, WalFs, WalOp, WalReader, WalWriter,
 };
 use dc_hierarchy::{ConceptHierarchy, CubeSchema, Record};
 use dc_mds::Mds;
@@ -264,10 +264,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// One mutation as [`ShardedDcTree::submit`] takes it: a record's attribute
-/// paths, its measure, and whether it is a delete.
-type Op<'a, S> = (&'a [Vec<S>], Measure, bool);
-
 /// How many replayed WAL entries go through [`ShardedDcTree::submit`] at a
 /// time — the frame-group size the wire benchmark loads with.
 const REPLAY_CHUNK: usize = 512;
@@ -295,7 +291,8 @@ enum Cmd {
 }
 
 /// The engine side of a configured WAL: the shared writer plus everything
-/// checkpoints need (the filesystem, the directory, the cadence).
+/// checkpoints need (the filesystem, the directory, the cadence). Attached
+/// once recovery has replayed the log; a follower never attaches one.
 struct DurableWal {
     writer: Mutex<WalWriter>,
     fs: Arc<dyn WalFs>,
@@ -670,7 +667,8 @@ pub struct ShardedDcTree {
     /// containment mode every shard tree would use.
     paper_mode: bool,
     cache: Option<Arc<SharedCache>>,
-    wal: Option<Arc<DurableWal>>,
+    /// The log, shared with the shard writers (see [`DurableWal`]).
+    wal: Arc<OnceLock<DurableWal>>,
     /// Ingest holds this for read around {WAL append → enqueue}; the
     /// checkpoint path holds it for write, so its LSN capture sees no
     /// half-enqueued mutation.
@@ -692,40 +690,38 @@ impl ShardedDcTree {
                 "a follower recovers from a replicated WAL directory; set EngineConfig::wal".into(),
             ));
         }
-        // Recover the WAL directory before anything is built: checkpoint
-        // images decide the starting state of the catalog and the shards.
-        let recovered = match &config.wal {
-            None => None,
-            Some(opts) => {
-                let fs: Arc<dyn WalFs> = opts.fs.clone().unwrap_or_else(|| Arc::new(StdFs));
+        // The checkpoint the manifest names decides the starting state of
+        // the catalog and the shards; the log past it is replayed once the
+        // engine runs (`recover_log`).
+        let wal_fs: Option<Arc<dyn WalFs>> = config
+            .wal
+            .as_ref()
+            .map(|opts| opts.fs.clone().unwrap_or_else(|| Arc::new(StdFs)));
+        let images: Vec<PathBuf> = match (&config.wal, &wal_fs) {
+            (Some(opts), Some(fs)) => {
                 fs.create_dir_all(&opts.dir)?;
-                let scan = WalReader::recover(&*fs, &opts.dir)?;
-                let names = scan.manifest.image_names()?;
-                let images = if names.is_empty() {
-                    None
-                } else {
-                    if names.len() != config.num_shards {
-                        return Err(DcError::Config(format!(
-                            "checkpoint was taken with {} shards, engine configured with {}",
-                            names.len(),
-                            config.num_shards
-                        )));
-                    }
-                    let mut raw = Vec::with_capacity(names.len());
-                    for name in &names {
-                        let bytes = fs.read(&opts.dir.join(name))?.ok_or_else(|| {
-                            DcError::Corrupt(format!("missing checkpoint image {name}"))
-                        })?;
-                        raw.push(bytes);
-                    }
-                    Some(raw)
-                };
-                Some((fs, scan, images))
+                let manifest = Manifest::load(&**fs, &opts.dir)?.unwrap_or(Manifest::EMPTY);
+                let names = manifest.image_names()?;
+                if !names.is_empty() && names.len() != config.num_shards {
+                    return Err(DcError::Config(format!(
+                        "checkpoint was taken with {} shards, engine configured with {}",
+                        names.len(),
+                        config.num_shards
+                    )));
+                }
+                names.iter().map(|name| opts.dir.join(name)).collect()
             }
+            _ => Vec::new(),
         };
-        let (recovered_fs, recovered_scan, images) = match recovered {
-            Some((fs, scan, images)) => (Some(fs), Some(scan), images),
-            None => (None, None, None),
+        // Reads one shard's image; its bytes are dropped as soon as that
+        // shard's tree is built, so recovery holds one image at a time.
+        let read_image = |i: usize| -> DcResult<Vec<u8>> {
+            let fs = wal_fs
+                .as_deref()
+                .expect("checkpoint images come from a WAL");
+            fs.read(&images[i])?.ok_or_else(|| {
+                DcError::Corrupt(format!("missing checkpoint image {}", images[i].display()))
+            })
         };
         let disk_opts = match &config.storage {
             StorageMode::Resident => None,
@@ -751,25 +747,24 @@ impl ShardedDcTree {
         };
         let mut backings: Vec<(WriterBacking, Option<PathBuf>)> =
             Vec::with_capacity(config.num_shards);
-        match (&disk_opts, &images) {
-            (None, Some(raw)) => {
-                for bytes in raw {
-                    backings.push(with_aux(DcTree::from_bytes(bytes)?));
+        match &disk_opts {
+            None if !images.is_empty() => {
+                for i in 0..config.num_shards {
+                    backings.push(with_aux(DcTree::from_bytes(&read_image(i)?)?));
                 }
             }
-            (None, None) => backings.extend(
+            None => backings.extend(
                 (0..config.num_shards).map(|_| with_aux(DcTree::new(schema.clone(), config.tree))),
             ),
-            (Some(opts), _) => {
+            Some(opts) => {
                 std::fs::create_dir_all(&opts.dir)?;
                 for i in 0..config.num_shards {
                     let path = opts.dir.join(format!("shard-{i}.dct"));
-                    let tree = match &images {
-                        Some(raw) => {
-                            std::fs::write(&path, &raw[i])?;
-                            OocDcTree::open(&path, config.tree, opts.ooc)?
-                        }
-                        None => OocDcTree::create(&path, schema.clone(), config.tree, opts.ooc)?,
+                    let tree = if images.is_empty() {
+                        OocDcTree::create(&path, schema.clone(), config.tree, opts.ooc)?
+                    } else {
+                        std::fs::write(&path, read_image(i)?)?;
+                        OocDcTree::open(&path, config.tree, opts.ooc)?
                     };
                     backings.push((WriterBacking::Disk(Arc::new(tree)), Some(path)));
                 }
@@ -779,9 +774,9 @@ impl ShardedDcTree {
         // full catalog epoch, so every image carries the complete master
         // schema — shard 0's restores the catalog exactly.
         let schema = match &backings[0].0 {
-            WriterBacking::Resident { tree, .. } if images.is_some() => tree.schema().clone(),
-            WriterBacking::Disk(tree) if images.is_some() => tree.schema(),
-            _ => schema,
+            _ if images.is_empty() => schema,
+            WriterBacking::Resident { tree, .. } => tree.schema().clone(),
+            WriterBacking::Disk(tree) => tree.schema(),
         };
         if let PartitionPolicy::ByDimension { dim, level } = config.policy {
             let h = schema.dim(dim);
@@ -793,57 +788,16 @@ impl ShardedDcTree {
         let catalog = Arc::new(SchemaCatalog::new(schema.clone()));
         let metrics = Arc::new(EngineMetrics::new(config.num_shards));
         let cache = config.cache.map(|c| Arc::new(SharedCache::new(c)));
-        let wal = match (&config.wal, &recovered_fs, &recovered_scan) {
-            (Some(opts), Some(fs), Some(scan)) => {
-                let d = &metrics.durability;
-                d.recovery_checkpoint_lsn
-                    .store(scan.manifest.checkpoint_lsn, Relaxed);
-                d.recovery_replayed_entries
-                    .store(scan.entries.len() as u64, Relaxed);
-                d.recovery_truncated_bytes
-                    .store(scan.truncated_bytes, Relaxed);
-                d.recovery_tail_lost
-                    .store(u64::from(scan.tail_lost), Relaxed);
-                if config.role == EngineRole::Follower {
-                    // A follower only recovers from the replicated
-                    // directory; it appends nothing, so it opens no writer
-                    // (and must not: a local fresh segment would collide
-                    // with the next segment shipped from the primary).
-                    None
-                } else {
-                    let writer = WalWriter::open(
-                        Arc::clone(fs),
-                        &opts.dir,
-                        WalConfig {
-                            segment_bytes: opts.segment_bytes,
-                            sync: opts.sync,
-                        },
-                        scan,
-                        config.num_shards as u32,
-                    )?;
-                    Some(Arc::new(DurableWal {
-                        writer: Mutex::new(writer),
-                        fs: Arc::clone(fs),
-                        dir: opts.dir.clone(),
-                        checkpoint_every: opts.checkpoint_every,
-                        group_commit: matches!(opts.sync, SyncPolicy::GroupCommitMs(_)),
-                        since_checkpoint: AtomicU64::new(0),
-                        checkpoint_lock: Mutex::new(()),
-                    }))
-                }
-            }
-            _ => None,
-        };
-        // The replication frontier starts at the recovered tip; the STATS
-        // section is gated on actually participating in replication (any
-        // WAL-backed engine can serve fetches; followers always count).
-        let recovered_lsn = recovered_scan.as_ref().map_or(0, |s| s.next_lsn - 1);
+        // The log the writers group-commit to is attached after recovery
+        // has replayed it; until then the engine logs nothing.
+        let wal: Arc<OnceLock<DurableWal>> = Arc::new(OnceLock::new());
         if config.wal.is_some() {
+            // The STATS section is gated on participating in replication
+            // (any WAL-backed engine can serve fetches; followers count).
             let r = &metrics.replication;
             r.enabled.store(1, Relaxed);
             r.follower
                 .store((config.role == EngineRole::Follower) as u64, Relaxed);
-            r.applied_lsn.store(recovered_lsn, Relaxed);
         }
         let mut shards = Vec::with_capacity(config.num_shards);
         for (shard_id, (backing, file)) in backings.into_iter().enumerate() {
@@ -868,7 +822,7 @@ impl ShardedDcTree {
                 Arc::clone(&metrics),
                 config.batch_size,
                 cache.clone(),
-                wal.clone(),
+                Arc::clone(&wal),
             );
             shards.push(Shard {
                 tx: Mutex::new(Some(tx)),
@@ -903,19 +857,76 @@ impl ShardedDcTree {
             ingest_gate: RwLock::new(()),
             repl: ReplState {
                 role: config.role,
-                applied: Mutex::new(recovered_lsn),
+                applied: Mutex::new(0),
                 caught_up: Condvar::new(),
             },
         };
-        // Replay the recovered tail over the checkpoint state. The entries
-        // are already durable in their segments, so they are not logged
-        // again — a double-open must not duplicate them.
-        if let Some(scan) = recovered_scan.filter(|scan| !scan.entries.is_empty()) {
-            engine.apply_replicated(&scan.entries)?;
-            engine.flush();
+        if let (Some(opts), Some(fs)) = (&config.wal, wal_fs) {
+            engine.recover_log(opts, fs, config.role)?;
         }
         engine.refresh_pool_gauges();
         Ok(engine)
+    }
+
+    /// Replays the WAL past the checkpoint over the running engine in one
+    /// pass — each frame is validated, decoded and handed to
+    /// [`Self::apply_replicated`] as the scan reaches it, [`REPLAY_CHUNK`]
+    /// entries at a time, while the scan repairs any torn tail — then, on
+    /// a primary, opens the log for appending at the next LSN and attaches
+    /// it. Recovery holds one segment's bytes and one chunk, never the
+    /// tail. The entries are already durable in their segments, so they
+    /// are not logged again — a double-open must not duplicate them.
+    fn recover_log(&self, opts: &WalOptions, fs: Arc<dyn WalFs>, role: EngineRole) -> DcResult<()> {
+        let mut chunk = Vec::with_capacity(REPLAY_CHUNK);
+        let scan = WalReader::replay(&*fs, &opts.dir, |entry| {
+            chunk.push(entry);
+            if chunk.len() < REPLAY_CHUNK {
+                return Ok(());
+            }
+            self.apply_replicated(chunk.drain(..))
+        })?;
+        self.apply_replicated(chunk)?;
+        if scan.replayed > 0 {
+            self.flush();
+        }
+        let d = &self.metrics.durability;
+        d.recovery_checkpoint_lsn
+            .store(scan.manifest.checkpoint_lsn, Relaxed);
+        d.recovery_replayed_entries.store(scan.replayed, Relaxed);
+        d.recovery_truncated_bytes
+            .store(scan.truncated_bytes, Relaxed);
+        d.recovery_tail_lost
+            .store(u64::from(scan.tail_lost), Relaxed);
+        // The replication frontier starts at the recovered tip.
+        self.publish_applied(scan.next_lsn - 1);
+        if role == EngineRole::Follower {
+            // A follower only recovers from the replicated directory; it
+            // appends nothing, so it opens no writer (and must not: a local
+            // fresh segment would collide with the next segment shipped
+            // from the primary).
+            return Ok(());
+        }
+        let writer = WalWriter::open(
+            Arc::clone(&fs),
+            &opts.dir,
+            WalConfig {
+                segment_bytes: opts.segment_bytes,
+                sync: opts.sync,
+            },
+            &scan,
+            self.shards.len() as u32,
+        )?;
+        let attached = self.wal.set(DurableWal {
+            writer: Mutex::new(writer),
+            fs,
+            dir: opts.dir.clone(),
+            checkpoint_every: opts.checkpoint_every,
+            group_commit: matches!(opts.sync, SyncPolicy::GroupCommitMs(_)),
+            since_checkpoint: AtomicU64::new(0),
+            checkpoint_lock: Mutex::new(()),
+        });
+        assert!(attached.is_ok(), "the log is attached once");
+        Ok(())
     }
 
     /// `true` when the shards are disk-backed ([`StorageMode::Disk`]).
@@ -1016,7 +1027,7 @@ impl ShardedDcTree {
         if batch.is_empty() {
             return Ok(());
         }
-        let ops: Vec<Op<'_, S>> = batch
+        let ops: Vec<WalOp<'_, S>> = batch
             .iter()
             .map(|(paths, measure)| (&paths[..], *measure, false))
             .collect();
@@ -1048,7 +1059,7 @@ impl ShardedDcTree {
     /// here as part of a batch. Resolves `ops` against the catalog, logs
     /// them as one WAL frame group (`log`, with a WAL configured), and
     /// enqueues one [`Cmd::Apply`] per shard they touch.
-    fn submit<S: AsRef<str>>(&self, ops: &[Op<'_, S>], log: bool) -> DcResult<()> {
+    fn submit<S: AsRef<str>>(&self, ops: &[WalOp<'_, S>], log: bool) -> DcResult<()> {
         {
             let _gate = self.ingest_gate.read();
             // Resolve and route the whole batch before logging any of it:
@@ -1073,7 +1084,7 @@ impl ShardedDcTree {
                     per_shard[self.route(paths, &record)?].push((record, delete));
                 }
             }
-            if let Some(wal) = self.wal.as_ref().filter(|_| log) {
+            if let Some(wal) = self.wal.get().filter(|_| log) {
                 self.append_wal(wal, ops)?;
             }
             self.metrics.deletes.fetch_add(deletes, Relaxed);
@@ -1097,29 +1108,14 @@ impl ShardedDcTree {
     /// the configured sync policy decides once for the group. Every op is
     /// its own `Insert` or `Delete` frame with its own LSN, so a batch
     /// replays exactly like the same ops submitted one at a time.
-    fn append_wal<S: AsRef<str>>(&self, wal: &DurableWal, ops: &[Op<'_, S>]) -> DcResult<()> {
-        let entries: Vec<WalEntry> = ops
-            .iter()
-            .map(|&(paths, measure, delete)| {
-                let paths = paths
-                    .iter()
-                    .map(|d| d.iter().map(|s| s.as_ref().to_string()).collect())
-                    .collect();
-                if delete {
-                    WalEntry::Delete { paths, measure }
-                } else {
-                    WalEntry::Insert { paths, measure }
-                }
-            })
-            .collect();
+    fn append_wal<S: AsRef<str>>(&self, wal: &DurableWal, ops: &[WalOp<'_, S>]) -> DcResult<()> {
         let lsn = {
             let mut w = wal.writer.lock();
-            let lsn = w.append_batch(&entries)?;
+            let lsn = w.append_ops(ops.iter().copied())?;
             self.refresh_wal_gauges(&w);
             lsn
         };
-        wal.since_checkpoint
-            .fetch_add(entries.len() as u64, Relaxed);
+        wal.since_checkpoint.fetch_add(ops.len() as u64, Relaxed);
         self.publish_applied(lsn);
         Ok(())
     }
@@ -1138,7 +1134,9 @@ impl ShardedDcTree {
     }
 
     fn maybe_auto_checkpoint(&self) -> DcResult<()> {
-        let Some(wal) = &self.wal else { return Ok(()) };
+        let Some(wal) = self.wal.get() else {
+            return Ok(());
+        };
         if wal.checkpoint_every == 0 || wal.since_checkpoint.load(Relaxed) < wal.checkpoint_every {
             return Ok(());
         }
@@ -1156,7 +1154,7 @@ impl ShardedDcTree {
     /// Returns the checkpoint LSN. Fails with [`DcError::Config`] when the
     /// engine has no WAL.
     pub fn checkpoint(&self) -> DcResult<u64> {
-        let Some(wal) = &self.wal else {
+        let Some(wal) = self.wal.get() else {
             return Err(DcError::Config("engine has no WAL configured".into()));
         };
         let _one_at_a_time = wal.checkpoint_lock.lock();
@@ -1296,7 +1294,9 @@ impl ShardedDcTree {
         for rx in acks {
             let _ = rx.recv();
         }
-        let Some(wal) = &self.wal else { return Ok(()) };
+        let Some(wal) = self.wal.get() else {
+            return Ok(());
+        };
         let mut w = wal.writer.lock();
         let synced = w.sync();
         self.refresh_wal_gauges(&w);
@@ -1318,7 +1318,7 @@ impl ShardedDcTree {
                 let _ = writer.join();
             }
         }
-        if let Some(wal) = &self.wal {
+        if let Some(wal) = self.wal.get() {
             let _ = wal.writer.lock().sync();
         }
         // Disk shards: leave a complete on-disk image behind (writers are
@@ -1350,18 +1350,26 @@ impl ShardedDcTree {
 
     /// Applies WAL entries that are already durable in a segment — a
     /// recovered tail, or what a follower just mirrored — through the write
-    /// path, [`REPLAY_CHUNK`] at a time: nothing is logged again, and the
-    /// read-only guard does not apply. The applied frontier does NOT
+    /// path, pulling [`REPLAY_CHUNK`] entries from `entries` at a time, so
+    /// a streamed source is never held whole: nothing is logged again, and
+    /// the read-only guard does not apply. The applied frontier does NOT
     /// advance here: [`flush`](Self::flush), then
     /// [`publish_applied`](Self::publish_applied) — so `WAIT_LSN n`
     /// returning means LSN `n` is both applied *and visible* to queries
     /// (the read-your-LSN contract).
-    pub fn apply_replicated(&self, entries: &[WalEntry]) -> DcResult<()> {
-        for chunk in entries.chunks(REPLAY_CHUNK) {
-            let ops: Vec<Op<'_, String>> = chunk.iter().map(wal_op).collect();
+    pub fn apply_replicated(&self, entries: impl IntoIterator<Item = WalEntry>) -> DcResult<()> {
+        let mut entries = entries.into_iter();
+        let mut chunk = Vec::with_capacity(REPLAY_CHUNK);
+        loop {
+            chunk.extend(entries.by_ref().take(REPLAY_CHUNK));
+            if chunk.is_empty() {
+                return Ok(());
+            }
+            let ops: Vec<WalOp<'_, String>> = chunk.iter().map(WalEntry::as_op).collect();
             self.submit(&ops, false)?;
+            drop(ops);
+            chunk.clear();
         }
-        Ok(())
     }
 
     /// Advances the replication frontier to `lsn` (monotonic max) and
@@ -1403,7 +1411,7 @@ impl ShardedDcTree {
     /// `NeedCheckpoint` redirect when `from_lsn` predates the oldest
     /// retained segment. Requires a WAL (primary side of replication).
     pub fn fetch_segments(&self, from_lsn: u64) -> DcResult<FetchOutcome> {
-        let Some(wal) = &self.wal else {
+        let Some(wal) = self.wal.get() else {
             return Err(DcError::Config(
                 "engine has no WAL to replicate from; configure EngineConfig::wal".into(),
             ));
@@ -1427,7 +1435,7 @@ impl ShardedDcTree {
     /// Serves the latest committed checkpoint bundle (manifest + shard
     /// images) for a follower bootstrap. Requires a WAL.
     pub fn fetch_checkpoint(&self) -> DcResult<CheckpointBundle> {
-        let Some(wal) = &self.wal else {
+        let Some(wal) = self.wal.get() else {
             return Err(DcError::Config(
                 "engine has no WAL to replicate from; configure EngineConfig::wal".into(),
             ));
@@ -1963,14 +1971,6 @@ impl std::fmt::Debug for ShardedDcTree {
     }
 }
 
-/// A logged mutation as the write path takes it, borrowing its strings.
-fn wal_op(entry: &WalEntry) -> Op<'_, String> {
-    match entry {
-        WalEntry::Insert { paths, measure } => (paths, *measure, false),
-        WalEntry::Delete { paths, measure } => (paths, *measure, true),
-    }
-}
-
 /// Total interned values across all dimensions of a schema. Shard schemas
 /// replay the catalog's intern log in order, so a shard schema is always a
 /// *prefix* of the catalog's — equal totals mean the schemas are identical.
@@ -2045,7 +2045,7 @@ fn spawn_writer(
     metrics: Arc<EngineMetrics>,
     batch_size: usize,
     cache: Option<Arc<SharedCache>>,
-    wal: Option<Arc<DurableWal>>,
+    wal: Arc<OnceLock<DurableWal>>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("dc-shard-{shard_id}"))
@@ -2104,7 +2104,7 @@ fn spawn_writer(
                 // Group commit: under `GroupCommitMs` this writer syncs the
                 // shared WAL after publishing its batch, before any flush is
                 // acknowledged — an acked FLUSH is both visible and durable.
-                if let Some(wal) = wal.as_ref().filter(|w| w.group_commit) {
+                if let Some(wal) = wal.get().filter(|w| w.group_commit) {
                     if w.mutated || !w.pending_flushes.is_empty() {
                         let _ = wal.writer.lock().group_commit();
                     }

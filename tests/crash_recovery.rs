@@ -821,16 +821,16 @@ fn a_replay_chunk_applies_in_submission_order() {
     assert_answers(&reopened, &mono, &data);
 }
 
-#[test]
-fn a_recovered_tail_is_replayed_in_batches() {
-    // 2 000 logged inserts come back as at most one command per shard per
-    // 512-entry replay chunk, not as 2 000 commands.
-    const TAIL: usize = 2000;
+/// Writes `tail` inserts in groups of 100 into `segment_bytes` segments,
+/// reopens the directory, and checks the replay: the same `len` and
+/// `total_summary`, and at most one command per shard per 512-entry replay
+/// chunk rather than one per entry.
+fn tail_replays_in_batches(tail: usize, segment_bytes: u64) {
     const SHARDS: usize = 2;
-    let data = generate(&TpcdConfig::scaled(TAIL, 11));
+    let data = generate(&TpcdConfig::scaled(tail, 11));
     let dir = TempDir::new("crash-batched-replay");
     let mut cfg = config(&dir, None, SHARDS, 0);
-    cfg.wal.as_mut().unwrap().segment_bytes = 1 << 20;
+    cfg.wal.as_mut().unwrap().segment_bytes = segment_bytes;
     let batch: Vec<_> = data
         .records
         .iter()
@@ -849,13 +849,25 @@ fn a_recovered_tail_is_replayed_in_batches() {
     let m = reopened.metrics();
     assert_eq!(
         m.durability.recovery_replayed_entries.load(Relaxed),
-        TAIL as u64
+        tail as u64
     );
-    assert_eq!(reopened.len(), TAIL as u64);
+    assert_eq!(reopened.len(), tail as u64);
     assert_eq!(reopened.total_summary().unwrap(), expected_total);
     let commands = m.apply_latency.count();
     assert!(
-        commands <= (SHARDS * TAIL.div_ceil(512)) as u64,
-        "{commands} commands replayed a {TAIL}-entry tail"
+        commands <= (SHARDS * tail.div_ceil(512)) as u64,
+        "{commands} commands replayed a {tail}-entry tail over {segment_bytes}-byte segments"
     );
+}
+
+#[test]
+fn a_recovered_tail_is_replayed_in_batches() {
+    // Tails just under, at, just over and well past one replay chunk, in
+    // one segment and over 8 KiB segments (a group of 100 per segment), so
+    // replay chunks span segment boundaries.
+    for segment_bytes in [1 << 20, 8 << 10] {
+        for tail in [511, 512, 513, 2000] {
+            tail_replays_in_batches(tail, segment_bytes);
+        }
+    }
 }
