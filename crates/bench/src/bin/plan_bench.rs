@@ -1,6 +1,6 @@
 //! Cost-based-planner bench: the same statement stream executed twice —
-//! once through the planner (`execute`, free to pick descent / bitmap /
-//! materialized view / scan per shard) and once pinned to always-descend
+//! once through the planner (`execute`, free to pick descent or a
+//! materialized view per shard) and once pinned to always-descend
 //! (the engine's only strategy before `dc-plan`). Three workloads:
 //!
 //! * `coarse_rollups` — unfiltered `GROUP BY` at the coarsest functional
@@ -81,7 +81,7 @@ fn main() {
         EngineConfig {
             num_shards: 2,
             policy: PartitionPolicy::Hash,
-            planner: Some(PlannerOptions::default()),
+            planner: Some(PlannerOptions),
             // The cache would answer repeats before the planner runs; this
             // bench measures backend choice, not caching.
             cache: None,

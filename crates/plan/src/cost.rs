@@ -5,6 +5,7 @@
 use dc_common::Level;
 use dc_hierarchy::CubeSchema;
 use dc_mview::ViewSpec;
+use dc_storage::BlockConfig;
 
 use crate::logical::LogicalPlan;
 use crate::physical::Backend;
@@ -19,14 +20,6 @@ pub struct PartitionStats {
     pub tree_nodes: usize,
     /// DC-tree height.
     pub tree_height: usize,
-    /// Records per simulated disk block (from the block config).
-    pub records_per_block: usize,
-    /// Total compressed bitmap bytes; 0 when the bitmap index is absent.
-    pub bitmap_bytes: usize,
-    /// `true` when a bitmap index is maintained.
-    pub has_bitmap: bool,
-    /// `true` when a flat table is maintained.
-    pub has_table: bool,
     /// Per materialized view: its lattice levels and occupied cell count.
     /// Empty when views are absent.
     pub view_cells: Vec<(Vec<Level>, usize)>,
@@ -49,6 +42,15 @@ pub struct PartitionStats {
 /// Decompression plus a read syscall against a warm OS page cache is tens
 /// of microseconds vs. ~a microsecond for a resident frame.
 pub const COLD_FETCH_PENALTY: f64 = 24.0;
+
+/// Records of `schema` per simulated disk block: a record laid out flat is
+/// 4 bytes per leaf ID plus an 8-byte measure, in [`BlockConfig::DEFAULT`]
+/// blocks (170 for the TPC-D cube). A view lookup sweeps its occupied cells
+/// priced at this density — [`price`] estimates with it and
+/// [`execute`](crate::execute) charges with it.
+pub fn records_per_block(schema: &CubeSchema) -> usize {
+    (BlockConfig::DEFAULT.block_size / (schema.num_dims() * 4 + 8)).max(1)
+}
 
 /// The multiplier a partition's descent estimate carries for out-of-core
 /// service: hot touches cost 1, the observed miss fraction costs
@@ -81,15 +83,12 @@ pub struct PartitionPlan {
 }
 
 /// Prices every available backend for `plan` over a partition described by
-/// `stats`, cheapest first. DC-tree descent is always available; the other
-/// engines only when the partition maintains them.
+/// `stats`, cheapest first. DC-tree descent is always available; a view
+/// lookup only when the partition maintains fresh views and one of them
+/// answers the query.
 pub fn price(schema: &CubeSchema, plan: &LogicalPlan, stats: &PartitionStats) -> Vec<CostEstimate> {
     let sel = plan.selectivity(schema);
-    let records = stats.records as f64;
-    let rpb = stats.records_per_block.max(1) as f64;
-    let blocks = (records / rpb).ceil().max(1.0);
-
-    let mut out = Vec::with_capacity(4);
+    let mut out = Vec::with_capacity(2);
 
     // DC-tree descent: one root-to-leaf spine plus the overlapping
     // fringe. A grouped descent decomposes fewer containments (a node
@@ -106,39 +105,6 @@ pub fn price(schema: &CubeSchema, plan: &LogicalPlan, stats: &PartitionStats) ->
         backend: Backend::Descend,
         pages: (stats.tree_height.max(1) as f64 + fringe * nodes) * cold_factor(stats),
     });
-
-    if stats.has_bitmap {
-        // Bytes per bitmap, averaged over every (dim, level, value) slot
-        // the schema defines — compressed WAH bitmaps are near-uniform on
-        // the uniform workloads the estimate targets.
-        let slots: usize = schema
-            .dims()
-            .map(|h| {
-                (0..h.top_level())
-                    .map(|l| h.num_values_at(l))
-                    .sum::<usize>()
-            })
-            .sum();
-        let per_bitmap_blocks =
-            ((stats.bitmap_bytes as f64 / slots.max(1) as f64) / 4096.0).max(1.0);
-        let mut pages = 0.0;
-        for (set, h) in plan.filter.dims().zip(schema.dims()) {
-            if set.level() >= h.top_level() {
-                continue;
-            }
-            pages += set.len() as f64 * per_bitmap_blocks;
-        }
-        if let Some((dim, level)) = plan.group_by {
-            pages += schema.dim(dim).num_values_at(level) as f64 * per_bitmap_blocks;
-        }
-        // The unclustered measure gather: one page per selected record,
-        // capped by the column size.
-        pages += (sel * records).min(blocks);
-        out.push(CostEstimate {
-            backend: Backend::Bitmap,
-            pages,
-        });
-    }
 
     if !stats.view_cells.is_empty() && !stats.views_stale {
         let query_levels = plan.filter.levels();
@@ -160,16 +126,11 @@ pub fn price(schema: &CubeSchema, plan: &LogicalPlan, stats: &PartitionStats) ->
         if let Some(cells) = best {
             out.push(CostEstimate {
                 backend: Backend::Mview,
-                pages: (cells as f64 / rpb).ceil().max(1.0),
+                pages: (cells as f64 / records_per_block(schema) as f64)
+                    .ceil()
+                    .max(1.0),
             });
         }
-    }
-
-    if stats.has_table {
-        out.push(CostEstimate {
-            backend: Backend::Scan,
-            pages: blocks,
-        });
     }
 
     out.sort_by(|a, b| a.pages.total_cmp(&b.pages));

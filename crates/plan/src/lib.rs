@@ -1,11 +1,15 @@
 //! # dc-plan
 //!
-//! The cost-based query planner that turns this repository's collection of
-//! baselines into one engine. The DC-tree paper evaluates its index against
-//! a sequential scan and static alternatives; the surrounding crates grew
-//! all of them — DC-tree descent, dc-bitmap WAH algebra, dc-mview lattice
-//! lookups, dc-scan — and this crate is the component that *chooses*
-//! between them per query.
+//! The cost-based query planner. The DC-tree paper argues that a fully
+//! dynamic index beats static structures that charge every insert an
+//! update cost; the one static structure a serving engine keeps beside its
+//! DC-tree is the small roll-up lattice of dc-mview, and this crate decides
+//! per query and per shard whether a lookup in those views or a DC-tree
+//! descent answers it more cheaply.
+//!
+//! The dc-bitmap index and the dc-scan table are not plan backends: they
+//! stay as the Fig. 12 baselines. No measured workload ever chose them, so
+//! the engine no longer maintains them on its write path.
 //!
 //! The pipeline has three layers:
 //!
@@ -15,16 +19,17 @@
 //!   aggregates, and an optional group-by level.
 //! * **Cost** ([`price`], [`choose`], [`PartitionStats`]): page-read
 //!   estimates per backend from statistics captured when a shard publishes
-//!   a snapshot — tree height and node count for descent, compressed bitmap
-//!   bytes for the set algebra, per-view cell counts for the lattice, block
-//!   counts for the scan. All O(1) at plan time.
+//!   a snapshot — tree height and node count for descent, per-view cell
+//!   counts for the lattice, both in the flat-record density of
+//!   [`records_per_block`]. All O(1) at plan time.
 //! * **Physical** ([`execute`], [`Backend`], [`BackendRefs`]): runs the
 //!   chosen operator against the engines that hold the partition's data and
 //!   reports the *actual* page reads, so `EXPLAIN` (and the misprediction
 //!   counters) can show estimated vs. measured cost side by side.
 //!
-//! Every backend answers every query identically (the differential suite
-//! pins this, including under churn); the planner only changes *cost*.
+//! Both backends answer every query a view can answer identically (the
+//! differential suite pins this, including under churn); the planner only
+//! changes *cost*.
 
 pub mod cost;
 pub mod explain;
@@ -32,7 +37,8 @@ pub mod logical;
 pub mod physical;
 
 pub use cost::{
-    choose, cold_factor, price, CostEstimate, PartitionPlan, PartitionStats, COLD_FETCH_PENALTY,
+    choose, cold_factor, price, records_per_block, CostEstimate, PartitionPlan, PartitionStats,
+    COLD_FETCH_PENALTY,
 };
 pub use explain::{Explain, ShardExplain};
 pub use logical::LogicalPlan;
@@ -40,47 +46,34 @@ pub use physical::{execute, Backend, BackendRefs, QueryOutput};
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use dc_bitmap::BitmapIndex;
-    use dc_common::{AggregateOp, DimensionId};
+    use dc_common::{AggregateOp, DcError, DimensionId, MeasureSummary};
     use dc_mview::{rollup_lattice, MaterializedView};
-    use dc_scan::FlatTable;
-    use dc_storage::BlockConfig;
     use dc_tpcd::{generate, TpcdConfig};
     use dc_tree::{DcTree, DcTreeConfig};
 
     struct Partition {
         data: dc_tpcd::TpcdData,
         tree: DcTree,
-        bitmap: BitmapIndex,
         views: Vec<MaterializedView>,
-        table: FlatTable,
     }
 
     fn build(lineitems: usize, seed: u64) -> Partition {
         let data = generate(&TpcdConfig::scaled(lineitems, seed));
         let mut tree = DcTree::new(data.schema.clone(), DcTreeConfig::default());
-        let mut bitmap = BitmapIndex::new(&data.schema, BlockConfig::DEFAULT);
         let mut views: Vec<MaterializedView> = rollup_lattice(&data.schema)
             .into_iter()
             .map(MaterializedView::new)
             .collect();
-        let mut table = FlatTable::for_schema(BlockConfig::DEFAULT, &data.schema);
         for r in &data.records {
             tree.insert(r.clone()).unwrap();
-            bitmap.insert(&data.schema, r).unwrap();
             for v in &mut views {
                 v.apply(&data.schema, r).unwrap();
             }
-            table.insert(r.clone());
         }
-        Partition {
-            data,
-            tree,
-            bitmap,
-            views,
-            table,
-        }
+        Partition { data, tree, views }
     }
 
     fn stats(p: &Partition) -> PartitionStats {
@@ -88,10 +81,6 @@ mod tests {
             records: p.tree.len(),
             tree_nodes: p.tree.num_nodes(),
             tree_height: p.tree.height(),
-            records_per_block: p.table.records_per_block(),
-            bitmap_bytes: p.bitmap.bitmap_bytes(),
-            has_bitmap: true,
-            has_table: true,
             view_cells: p
                 .views
                 .iter()
@@ -105,9 +94,30 @@ mod tests {
     fn refs(p: &Partition) -> BackendRefs<'_> {
         BackendRefs {
             tree: &p.tree,
-            bitmap: Some(&p.bitmap),
             views: Some(&p.views),
-            table: Some(&p.table),
+        }
+    }
+
+    /// `plan` answered by folding every record the filter holds — an
+    /// oracle that shares nothing with either backend.
+    fn oracle(p: &Partition, plan: &LogicalPlan) -> QueryOutput {
+        let schema = &p.data.schema;
+        let held = p
+            .data
+            .records
+            .iter()
+            .filter(|r| plan.filter.contains_record(schema, r).unwrap());
+        match plan.group_by {
+            None => QueryOutput::Scalar(held.map(|r| r.measure).collect()),
+            Some((dim, level)) => {
+                let h = schema.dim(dim);
+                let mut groups = BTreeMap::<_, MeasureSummary>::new();
+                for r in held {
+                    let key = h.ancestor_at(r.dims[dim.as_usize()], level).unwrap();
+                    groups.entry(key).or_default().add(r.measure);
+                }
+                QueryOutput::Grouped(groups.into_iter().collect())
+            }
         }
     }
 
@@ -115,18 +125,43 @@ mod tests {
     fn all_backends_agree_on_random_ranges() {
         use dc_query::{RangeQueryGen, ValuePick};
         let p = build(2000, 7);
+        let schema = &p.data.schema;
         for (sel, seed) in [(0.02, 1u64), (0.25, 2)] {
             let mut gen = RangeQueryGen::new(sel, ValuePick::ContiguousRun, seed);
             for _ in 0..20 {
-                let q = gen.generate(&p.data.schema);
-                let plan = LogicalPlan::scalar(AggregateOp::Sum, q);
-                let want = p.table.range_summary(&p.data.schema, &plan.filter).unwrap();
-                for backend in [Backend::Descend, Backend::Bitmap, Backend::Scan] {
-                    let (out, pages) =
-                        execute(&p.data.schema, &plan, backend, &refs(&p), None).unwrap();
-                    assert_eq!(out, QueryOutput::Scalar(want), "{backend}");
-                    assert!(pages > 0, "{backend} must charge I/O");
+                let q = gen.generate(schema);
+                // The range itself restricts every dimension, which no
+                // single-dimension view covers; each one-dimension slice of
+                // it is a roll-up both backends answer.
+                let mut plans = vec![LogicalPlan::scalar(AggregateOp::Sum, q.clone())];
+                for (d, set) in q.dims().enumerate() {
+                    let mut dims: Vec<dc_mds::DimSet> = schema
+                        .dims()
+                        .map(|h| dc_mds::DimSet::singleton(h.all()))
+                        .collect();
+                    dims[d] = set.clone();
+                    plans.push(LogicalPlan::scalar(
+                        AggregateOp::Sum,
+                        dc_mds::Mds::new(dims),
+                    ));
                 }
+                for (i, plan) in plans.iter().enumerate() {
+                    let want = oracle(&p, plan);
+                    let backends: &[Backend] = if i == 0 {
+                        &[Backend::Descend]
+                    } else {
+                        &Backend::ALL
+                    };
+                    for &backend in backends {
+                        let (out, pages) = execute(schema, plan, backend, &refs(&p), None).unwrap();
+                        assert_eq!(out, want, "{backend}");
+                        assert!(pages > 0, "{backend} must charge I/O");
+                    }
+                }
+                assert!(matches!(
+                    execute(schema, &plans[0], Backend::Mview, &refs(&p), None),
+                    Err(DcError::IncomparableMds(_))
+                ));
             }
         }
     }
@@ -145,9 +180,8 @@ mod tests {
             .collect();
         dims[0] = dc_mds::DimSet::singleton(region);
         let plan = LogicalPlan::scalar(AggregateOp::Sum, dc_mds::Mds::new(dims));
-        let want = p.table.range_summary(&p.data.schema, &plan.filter).unwrap();
         let (out, pages) = execute(&p.data.schema, &plan, Backend::Mview, &refs(&p), None).unwrap();
-        assert_eq!(out, QueryOutput::Scalar(want));
+        assert_eq!(out, oracle(&p, &plan));
         assert!(pages >= 1);
     }
 
@@ -158,10 +192,34 @@ mod tests {
         let top = p.data.schema.dim(dim).top_level();
         let mut plan = LogicalPlan::scalar(AggregateOp::Sum, dc_mds::Mds::all(&p.data.schema));
         plan.group_by = Some((dim, top - 1));
-        let (want, _) = execute(&p.data.schema, &plan, Backend::Scan, &refs(&p), None).unwrap();
-        for backend in [Backend::Descend, Backend::Bitmap, Backend::Mview] {
+        let want = oracle(&p, &plan);
+        for backend in Backend::ALL {
             let (out, _) = execute(&p.data.schema, &plan, backend, &refs(&p), None).unwrap();
             assert_eq!(out, want, "{backend}");
+        }
+    }
+
+    #[test]
+    fn view_lookups_are_priced_and_charged_at_one_density() {
+        let p = build(4000, 43);
+        let s = stats(&p);
+        let rpb = records_per_block(&p.data.schema);
+        // Four dimensions: 4 × 4-byte leaf IDs + an 8-byte measure.
+        assert_eq!(rpb, 4096 / 24);
+        for d in 0..p.data.schema.num_dims() {
+            let dim = DimensionId(d as u16);
+            for level in 0..p.data.schema.dim(dim).top_level() {
+                let mut plan =
+                    LogicalPlan::scalar(AggregateOp::Sum, dc_mds::Mds::all(&p.data.schema));
+                plan.group_by = Some((dim, level));
+                let est = price(&p.data.schema, &plan, &s)
+                    .into_iter()
+                    .find(|c| c.backend == Backend::Mview)
+                    .expect("the lattice answers every whole-cube roll-up");
+                let (_, charged) =
+                    execute(&p.data.schema, &plan, Backend::Mview, &refs(&p), None).unwrap();
+                assert_eq!(est.pages, charged as f64, "GROUP BY ({d}, {level})");
+            }
         }
     }
 
@@ -176,29 +234,22 @@ mod tests {
         rollup.group_by = Some((dim, top - 1));
         let choice = choose(&p.data.schema, &rollup, &s);
         assert_eq!(choice.backend, Backend::Mview, "{:?}", choice.candidates);
-        // Selective point-ish query: descent beats a full scan.
-        let h = p.data.schema.dim(dim);
-        let leaf = h.values_at(0).next().unwrap();
+        // Selective point-ish query over two dimensions: no single-dimension
+        // view answers it, so descent is the plan.
         let mut dims: Vec<dc_mds::DimSet> = p
             .data
             .schema
             .dims()
             .map(|h| dc_mds::DimSet::singleton(h.all()))
             .collect();
-        dims[0] = dc_mds::DimSet::singleton(leaf);
+        for (d, set) in dims.iter_mut().enumerate().take(2) {
+            let leaf = p.data.schema.dim(DimensionId(d as u16)).values_at(0).next();
+            *set = dc_mds::DimSet::singleton(leaf.unwrap());
+        }
         let narrow = LogicalPlan::scalar(AggregateOp::Sum, dc_mds::Mds::new(dims));
         let choice = choose(&p.data.schema, &narrow, &s);
-        let descend = choice
-            .candidates
-            .iter()
-            .find(|c| c.backend == Backend::Descend)
-            .unwrap();
-        let scan = choice
-            .candidates
-            .iter()
-            .find(|c| c.backend == Backend::Scan)
-            .unwrap();
-        assert!(descend.pages < scan.pages, "{:?}", choice.candidates);
+        assert_eq!(choice.backend, Backend::Descend, "{:?}", choice.candidates);
+        assert_eq!(choice.candidates.len(), 1, "{:?}", choice.candidates);
     }
 
     #[test]
@@ -242,10 +293,9 @@ mod tests {
         half.pool_miss_rate = 0.5;
         assert!(descend_pages(&half) > base && descend_pages(&half) < descend_pages(&cold));
 
-        // Disk residency can flip the choice toward an aux engine: with a
-        // cold pool, a scan of a table it *also* holds in RAM... is not the
-        // scenario dc-serve builds (disk mode maintains no aux engines), but
-        // the model must stay monotone: pricier descent never *gains* rank.
+        // Disk residency can flip the choice toward the views: dc-serve
+        // keeps none on disk shards, but the model must stay monotone —
+        // pricier descent never *gains* rank.
         let ram_rank = price(&p.data.schema, &plan, &ram)
             .iter()
             .position(|c| c.backend == Backend::Descend)

@@ -3,13 +3,12 @@
 
 use std::collections::BTreeMap;
 
-use dc_bitmap::BitmapIndex;
 use dc_common::{DcError, DcResult, MeasureSummary, ValueId};
 use dc_hierarchy::CubeSchema;
 use dc_mview::MaterializedView;
-use dc_scan::FlatTable;
 use dc_tree::{Arena, DcTree, NodeStore, PreparedRange};
 
+use crate::cost::records_per_block;
 use crate::logical::LogicalPlan;
 
 /// The execution engines a plan can bind to.
@@ -17,12 +16,8 @@ use crate::logical::LogicalPlan;
 pub enum Backend {
     /// DC-tree descent (always available).
     Descend,
-    /// dc-bitmap WAH set algebra.
-    Bitmap,
     /// dc-mview lattice lookup.
     Mview,
-    /// dc-scan full-table fallback.
-    Scan,
 }
 
 impl Backend {
@@ -30,19 +25,12 @@ impl Backend {
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Descend => "descend",
-            Backend::Bitmap => "bitmap",
             Backend::Mview => "mview",
-            Backend::Scan => "scan",
         }
     }
 
     /// Every backend, in preference order on cost ties.
-    pub const ALL: [Backend; 4] = [
-        Backend::Descend,
-        Backend::Bitmap,
-        Backend::Mview,
-        Backend::Scan,
-    ];
+    pub const ALL: [Backend; 2] = [Backend::Descend, Backend::Mview];
 }
 
 impl std::fmt::Display for Backend {
@@ -87,28 +75,24 @@ impl QueryOutput {
 }
 
 /// Borrowed handles to one partition's engines. The tree is always there,
-/// in whichever store holds its nodes; the auxiliary engines only when the
+/// in whichever store holds its nodes; the roll-up views only when the
 /// partition maintains them.
 pub struct BackendRefs<'a, S: NodeStore = Arena> {
     /// The authoritative DC-tree.
     pub tree: &'a DcTree<S>,
-    /// WAH bitmap index, if maintained.
-    pub bitmap: Option<&'a BitmapIndex>,
     /// Materialized roll-up views, if maintained (callers must not pass
     /// stale views — staleness is tracked upstream).
     pub views: Option<&'a [MaterializedView]>,
-    /// Flat table, if maintained.
-    pub table: Option<&'a FlatTable>,
 }
 
 /// Runs `plan` on `backend` against one partition and returns the output
 /// plus the **actual** logical page reads the run charged.
 ///
 /// Descent takes an optional pre-prepared range (shared across shards by
-/// dc-serve); the other engines evaluate the raw MDS. The page counts come
-/// from each engine's own `IoTracker` delta — concurrent queries on the
-/// same snapshot can inflate one another's deltas, which is the same
-/// accounting the serve layer already accepts for its cost gauges.
+/// dc-serve); a view lookup evaluates the raw MDS. Descent's page count is
+/// the tree's `IoTracker` delta — concurrent queries on the same snapshot
+/// can inflate one another's deltas, which is the same accounting the serve
+/// layer already accepts for its cost gauges.
 pub fn execute<S: NodeStore>(
     schema: &CubeSchema,
     plan: &LogicalPlan,
@@ -130,17 +114,6 @@ pub fn execute<S: NodeStore>(
                 }),
             };
             Ok((out, refs.tree.io_stats().reads - before))
-        }
-        Backend::Bitmap => {
-            let idx = refs.bitmap.ok_or_else(no_backend)?;
-            let before = idx.io_stats().reads;
-            let out = match plan.group_by {
-                None => QueryOutput::Scalar(idx.range_summary(schema, &plan.filter)?),
-                Some((dim, level)) => {
-                    QueryOutput::Grouped(idx.group_by(schema, dim, level, &plan.filter)?)
-                }
-            };
-            Ok((out, idx.io_stats().reads - before))
         }
         Backend::Mview => {
             let views = refs.views.ok_or_else(no_backend)?;
@@ -166,23 +139,8 @@ pub fn execute<S: NodeStore>(
             };
             // Views have no block store of their own: a lookup sweeps the
             // occupied cells once, priced like records in the flat layout.
-            let rpb = refs
-                .table
-                .map(FlatTable::records_per_block)
-                .unwrap_or(256)
-                .max(1);
-            Ok((out, (view.num_cells().div_ceil(rpb)).max(1) as u64))
-        }
-        Backend::Scan => {
-            let table = refs.table.ok_or_else(no_backend)?;
-            let before = table.io_stats().reads;
-            let out = match plan.group_by {
-                None => QueryOutput::Scalar(table.range_summary(schema, &plan.filter)?),
-                Some((dim, level)) => {
-                    QueryOutput::Grouped(table.group_by(schema, dim, level, &plan.filter)?)
-                }
-            };
-            Ok((out, table.io_stats().reads - before))
+            let pages = view.num_cells().div_ceil(records_per_block(schema)).max(1);
+            Ok((out, pages as u64))
         }
     }
 }

@@ -10,8 +10,8 @@
 //! schema are reference-counted (`dc_tree::store`), so the clone copies one
 //! pointer per node, and the writer's next batch copies only the nodes it
 //! mutates — a root-to-leaf path per insert, plus what a split creates —
-//! the first time it touches them after the publish. The planner's
-//! auxiliary engines are published the same way (`AuxEngines`). Readers
+//! the first time it touches them after the publish. The planner's roll-up
+//! views are published beside the tree (`RollupViews`). Readers
 //! hold the snapshot's `Arc` for the length of a query; a superseded node
 //! is freed when the last snapshot referencing it drops. One copy of the
 //! cube is in memory, a `FLUSH` costs the barrier and not the shard, and a
@@ -27,7 +27,6 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dc_bitmap::BitmapIndex;
 use dc_cache::{CacheConfig, CacheDelta, Lookup, SharedCache};
 use dc_common::{
     AggregateOp, DcError, DcResult, DimensionId, Level, Measure, MeasureSummary, ValueId,
@@ -44,8 +43,6 @@ use dc_plan::{
     choose, Backend, BackendRefs, Explain, LogicalPlan, PartitionStats, QueryOutput, ShardExplain,
 };
 use dc_ql::ParsedStatement;
-use dc_scan::FlatTable;
-use dc_storage::BlockConfig;
 use dc_tree::{DcTree, DcTreeConfig, NodeStore, PreparedRange};
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -165,35 +162,18 @@ impl DiskOptions {
     }
 }
 
-/// Which auxiliary query engines the shard writers maintain for the
-/// cost-based planner (`dc-plan`). DC-tree descent is always available;
-/// each engine enabled here is kept in sync by the owning writer thread
-/// and published atomically with the tree snapshot, giving the planner a
-/// real alternative to price. Maintenance is paid on the write path (one
-/// bitmap append per level, one flat-table append, one lattice-cell merge
-/// per view), which is exactly the static-index update cost the paper
-/// criticizes — so the engines default off and benches opt in.
-#[derive(Clone, Copy, Debug)]
-pub struct PlannerOptions {
-    /// Maintain a `dc-bitmap` WAH index per shard.
-    pub bitmap: bool,
-    /// Maintain the `dc-mview` single-dimension roll-up lattice per shard.
-    /// Deletes mark the views stale; the writer rebuilds them from the
-    /// shard tree at the next snapshot publish.
-    pub views: bool,
-    /// Maintain a `dc-scan` flat table per shard.
-    pub table: bool,
-}
-
-impl Default for PlannerOptions {
-    fn default() -> Self {
-        PlannerOptions {
-            bitmap: true,
-            views: true,
-            table: true,
-        }
-    }
-}
+/// Turns on the roll-up views the cost-based planner (`dc-plan`) can answer
+/// from instead of descending the shard tree: each shard writer keeps the
+/// `dc-mview` single-dimension roll-up lattice (one view per dimension and
+/// level, plus the grand total) in step with its tree and publishes it
+/// atomically with the tree snapshot. An insert merges one cell per view; a
+/// delete marks the lattice stale, and the writer rebuilds it from the tree
+/// at the next publish. That maintenance is the static-index update cost
+/// the paper criticizes, so the views default off. The struct has no
+/// fields because there is nothing else to select: the planner's other
+/// backend, DC-tree descent, is always there.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PlannerOptions;
 
 /// Engine construction knobs.
 #[derive(Clone, Debug)]
@@ -228,12 +208,11 @@ pub struct EngineConfig {
     /// in place as part of snapshot publication. `None` disables caching —
     /// every query descends the shards (the uncached baseline).
     pub cache: Option<CacheConfig>,
-    /// `Some` makes each shard writer maintain the selected auxiliary
-    /// engines (bitmap index, roll-up views, flat table) alongside its
-    /// tree, so the cost-based planner ([`ShardedDcTree::execute`]) has
-    /// alternatives to DC-tree descent to choose from. `None` (the
-    /// default) keeps the write path lean: the planner still runs, but
-    /// descent is the only candidate.
+    /// `Some` makes each shard writer maintain the roll-up views (see
+    /// [`PlannerOptions`]) alongside its tree, so the cost-based planner
+    /// ([`ShardedDcTree::execute`]) can answer a roll-up from a view
+    /// instead of descending. `None` (the default) keeps the write path
+    /// lean: the planner still runs, but descent is the only candidate.
     pub planner: Option<PlannerOptions>,
     /// Where the shard trees live: RAM-resident (default) or disk-backed
     /// through `dc-oocore`'s buffer pool. Queries, the planner and the
@@ -373,162 +352,108 @@ macro_rules! read_tree {
 }
 
 /// One shard's atomically published state: the tree as readers may use it,
-/// the auxiliary engines built from exactly the same applied prefix, and
-/// the publish-time statistics the cost model prices against. A single
-/// `Arc` swap publishes all of it, so a query that plans *and* executes
-/// from one `PlanState` read sees every backend at the same logical point
-/// in time — the property the mid-churn differential tests pin.
+/// the roll-up views built from exactly the same applied prefix, and the
+/// publish-time statistics the cost model prices against. A single `Arc`
+/// swap publishes all of it, so a query that plans *and* executes from one
+/// `PlanState` read sees both backends at the same logical point in time —
+/// the property the mid-churn differential tests pin.
 struct PlanState {
     tree: ShardTree,
-    bitmap: Option<Arc<BitmapIndex>>,
     views: Option<Arc<Vec<MaterializedView>>>,
-    table: Option<Arc<FlatTable>>,
     stats: PartitionStats,
     /// [`schema_total_values`] of the shard's schema at publish.
     schema_values: usize,
 }
 
-/// The writer-side auxiliary engines (see [`PlannerOptions`]). Each sits
-/// behind the `Arc` the last publish handed to readers: the writer mutates
-/// through [`Arc::make_mut`], which copies an engine on its first mutation
-/// after a publish and not again until the next. For the two append-mostly
-/// engines that copy is pointers, and the first `INSERT` after it copies
-/// tails, not the engine: the table shares its record blocks (the insert
-/// copies the last one); the bitmap index shares its slot, measure and
-/// deleted-mask blocks and every bitmap's sealed word chunks (the insert
-/// copies one slot block and one bitmap's open tail per dimension and
-/// level, plus the last measure block). The roll-up views are small (one
-/// cell per occupied value) and copied whole.
-struct AuxEngines {
-    bitmap: Option<Arc<BitmapIndex>>,
-    views: Option<Arc<Vec<MaterializedView>>>,
+/// The writer-side roll-up views (see [`PlannerOptions`]). They sit behind
+/// the `Arc` the last publish handed to readers: the writer mutates through
+/// [`Arc::make_mut`], which copies the lattice whole — it is small, one cell
+/// per occupied value — on its first mutation after a publish and not again
+/// until the next.
+struct RollupViews {
+    views: Arc<Vec<MaterializedView>>,
     /// Set by deletes (summaries cannot subtract min/max); the views are
     /// rebuilt from the shard tree at the next publish.
-    views_stale: bool,
-    table: Option<Arc<FlatTable>>,
+    stale: bool,
 }
 
-impl AuxEngines {
-    /// Builds the enabled engines and loads the tree's current records
-    /// (the recovery path: checkpoint images restore trees, not indexes).
-    fn build(tree: &DcTree, opts: PlannerOptions) -> Self {
-        let schema = tree.schema();
-        let mut aux = AuxEngines {
-            bitmap: opts
-                .bitmap
-                .then(|| Arc::new(BitmapIndex::new(schema, BlockConfig::DEFAULT))),
-            views: opts.views.then(|| Arc::new(fresh_views(schema))),
-            views_stale: false,
-            table: opts
-                .table
-                .then(|| Arc::new(FlatTable::for_schema(BlockConfig::DEFAULT, schema))),
-        };
-        for stored in tree.iter_records() {
-            aux.insert(schema, &stored.record);
+impl RollupViews {
+    /// The lattice over the tree's current records (the recovery path:
+    /// checkpoint images restore trees, never derived views).
+    fn build(tree: &DcTree) -> Self {
+        RollupViews {
+            views: Arc::new(lattice_of(tree)),
+            stale: false,
         }
-        aux
     }
 
     fn insert(&mut self, schema: &CubeSchema, record: &Record) {
-        if let Some(bitmap) = &mut self.bitmap {
-            Arc::make_mut(bitmap)
-                .insert(schema, record)
-                .expect("catalog-backed insert cannot fail");
-        }
-        if let Some(table) = &mut self.table {
-            Arc::make_mut(table).insert(record.clone());
-        }
-        if !self.views_stale {
-            if let Some(views) = &mut self.views {
-                for v in Arc::make_mut(views) {
-                    v.apply(schema, record)
-                        .expect("catalog-backed insert cannot fail");
-                }
+        if !self.stale {
+            for v in Arc::make_mut(&mut self.views) {
+                v.apply(schema, record)
+                    .expect("catalog-backed insert cannot fail");
             }
         }
+    }
+
+    /// Registers a tree-confirmed deletion.
+    fn delete(&mut self) {
+        self.stale = true;
     }
 
     /// Deletes cannot be subtracted from roll-up cells: before a publish,
     /// rebuilds a stale lattice from the authoritative tree.
-    fn rebuild_stale_views(&mut self, tree: &DcTree) {
-        if !self.views_stale {
-            return;
-        }
-        if let Some(views) = &mut self.views {
-            let schema = tree.schema();
-            let mut fresh = fresh_views(schema);
-            for stored in tree.iter_records() {
-                for v in &mut fresh {
-                    v.apply(schema, &stored.record)
-                        .expect("tree records resolve in their own schema");
-                }
-            }
-            *views = Arc::new(fresh);
-        }
-        self.views_stale = false;
-    }
-
-    /// Registers a tree-confirmed deletion.
-    fn delete(&mut self, schema: &CubeSchema, record: &Record) {
-        if let Some(bitmap) = &mut self.bitmap {
-            let _ = Arc::make_mut(bitmap).delete(schema, record);
-        }
-        if let Some(table) = &mut self.table {
-            Arc::make_mut(table).delete(record);
-        }
-        if self.views.is_some() {
-            self.views_stale = true;
+    fn rebuild_if_stale(&mut self, tree: &DcTree) {
+        if self.stale {
+            self.views = Arc::new(lattice_of(tree));
+            self.stale = false;
         }
     }
 }
 
-/// The single-dimension roll-up lattice plus the grand total.
-fn fresh_views(schema: &CubeSchema) -> Vec<MaterializedView> {
-    rollup_lattice(schema)
+/// The single-dimension roll-up lattice plus the grand total, over every
+/// record of `tree`.
+fn lattice_of(tree: &DcTree) -> Vec<MaterializedView> {
+    let schema = tree.schema();
+    let mut views: Vec<MaterializedView> = rollup_lattice(schema)
         .into_iter()
         .map(MaterializedView::new)
-        .collect()
+        .collect();
+    for stored in tree.iter_records() {
+        for v in &mut views {
+            v.apply(schema, &stored.record)
+                .expect("tree records resolve in their own schema");
+        }
+    }
+    views
 }
 
 /// Captures a publish-time [`PlanState`] from the shard tree (`published`
-/// is that tree as readers get it) and its aux engines. The engines are
+/// is that tree as readers get it) and its roll-up views. The views are
 /// handed out by pointer, and stay immutable without a copy: the writer's
-/// next mutation of one goes through [`Arc::make_mut`], which leaves the
-/// published value alone (see [`AuxEngines`]). A disk shard's statistics
-/// carry the pool's observed miss rate, which the cost model converts into
-/// a cold-fetch multiplier; a pool with no reads yet prices fully cold —
-/// the conservative prior for a freshly opened shard.
+/// next mutation goes through [`Arc::make_mut`], which leaves the published
+/// value alone (see [`RollupViews`]). A disk shard's statistics carry the
+/// pool's observed miss rate, which the cost model converts into a
+/// cold-fetch multiplier; a pool with no reads yet prices fully cold — the
+/// conservative prior for a freshly opened shard.
 fn capture_plan_state<S: NodeStore>(
     tree: &DcTree<S>,
     published: ShardTree,
-    aux: Option<&AuxEngines>,
+    views: Option<&RollupViews>,
 ) -> Arc<PlanState> {
-    let bitmap = aux.and_then(|a| a.bitmap.clone());
-    let views = aux.and_then(|a| a.views.clone());
-    let table = aux.and_then(|a| a.table.clone());
-    let records_per_block = table
-        .as_ref()
-        .map(|t| t.records_per_block())
-        .unwrap_or_else(|| {
-            FlatTable::for_schema(BlockConfig::DEFAULT, tree.schema()).records_per_block()
-        });
     let stats = PartitionStats {
         records: tree.len(),
         tree_nodes: tree.num_nodes(),
         tree_height: tree.height(),
-        records_per_block,
-        bitmap_bytes: bitmap.as_ref().map(|b| b.bitmap_bytes()).unwrap_or(0),
-        has_bitmap: bitmap.is_some(),
-        has_table: table.is_some(),
         view_cells: views
-            .as_ref()
-            .map(|vs| {
-                vs.iter()
+            .map(|r| {
+                r.views
+                    .iter()
                     .map(|v| (v.spec().levels.clone(), v.num_cells()))
                     .collect()
             })
             .unwrap_or_default(),
-        views_stale: aux.map(|a| a.views_stale).unwrap_or(false),
+        views_stale: views.is_some_and(|r| r.stale),
         disk_resident: matches!(published, ShardTree::Disk(_)),
         pool_miss_rate: match &published {
             ShardTree::Snapshot(_) => 0.0,
@@ -537,9 +462,7 @@ fn capture_plan_state<S: NodeStore>(
     };
     Arc::new(PlanState {
         tree: published,
-        bitmap,
-        views,
-        table,
+        views: views.map(|r| Arc::clone(&r.views)),
         stats,
         schema_values: schema_total_values(tree.schema()),
     })
@@ -583,15 +506,13 @@ impl PlanState {
     fn maintains(&self, backend: Backend) -> bool {
         match backend {
             Backend::Descend => true,
-            Backend::Bitmap => self.bitmap.is_some(),
             Backend::Mview => self.views.is_some(),
-            Backend::Scan => self.table.is_some(),
         }
     }
 
     /// This shard's share of `plan` on `backend`, with the pages it read: a
-    /// descent's as [`read_tree!`] counts them, an auxiliary engine's from
-    /// its own I/O tracker.
+    /// descent's as [`read_tree!`] counts them, a view lookup's as
+    /// `dc_plan::execute` charges it.
     fn execute(
         &self,
         plan: &LogicalPlan,
@@ -605,9 +526,7 @@ impl PlanState {
             backend,
             &BackendRefs {
                 tree,
-                bitmap: self.bitmap.as_deref(),
                 views: self.views.as_ref().map(|v| &v[..]),
-                table: self.table.as_deref(),
             },
             descent.then_some(prepared),
         ));
@@ -730,7 +649,7 @@ impl ShardedDcTree {
         if disk_opts.is_some() && config.planner.is_some() {
             return Err(DcError::Config(
                 "disk-backed storage maintains only the DC-tree descent backend; \
-                 disable the planner engines"
+                 disable the planner's roll-up views"
                     .into(),
             ));
         }
@@ -738,23 +657,24 @@ impl ShardedDcTree {
         // trees; disk images *are* the paged shard-file format and are laid
         // down under the storage directory, then opened through the buffer
         // pool. (A WAL directory's images are therefore tied to the storage
-        // mode they were taken under.) Aux engines are rebuilt from the
+        // mode they were taken under.) Roll-up views are rebuilt from the
         // (possibly recovered) tree: checkpoint images restore trees,
-        // never derived indexes.
-        let with_aux = |tree: DcTree| {
-            let aux = config.planner.map(|opts| AuxEngines::build(&tree, opts));
-            (WriterBacking::Resident { tree, aux }, None)
+        // never derived views.
+        let with_views = |tree: DcTree| {
+            let views = config.planner.map(|_| RollupViews::build(&tree));
+            (WriterBacking::Resident { tree, views }, None)
         };
         let mut backings: Vec<(WriterBacking, Option<PathBuf>)> =
             Vec::with_capacity(config.num_shards);
         match &disk_opts {
             None if !images.is_empty() => {
                 for i in 0..config.num_shards {
-                    backings.push(with_aux(DcTree::from_bytes(&read_image(i)?)?));
+                    backings.push(with_views(DcTree::from_bytes(&read_image(i)?)?));
                 }
             }
             None => backings.extend(
-                (0..config.num_shards).map(|_| with_aux(DcTree::new(schema.clone(), config.tree))),
+                (0..config.num_shards)
+                    .map(|_| with_views(DcTree::new(schema.clone(), config.tree))),
             ),
             Some(opts) => {
                 std::fs::create_dir_all(&opts.dir)?;
@@ -802,10 +722,10 @@ impl ShardedDcTree {
         let mut shards = Vec::with_capacity(config.num_shards);
         for (shard_id, (backing, file)) in backings.into_iter().enumerate() {
             let state = match &backing {
-                WriterBacking::Resident { tree, aux } => capture_plan_state(
+                WriterBacking::Resident { tree, views } => capture_plan_state(
                     tree,
                     ShardTree::Snapshot(Arc::new(tree.clone())),
-                    aux.as_ref(),
+                    views.as_ref(),
                 ),
                 WriterBacking::Disk(tree) => {
                     capture_plan_state(&tree.read(), ShardTree::Disk(Arc::clone(tree)), None)
@@ -1999,11 +1919,11 @@ fn shard_covers(range: &Mds, schema: &CubeSchema) -> bool {
 // One value per writer thread, moved once at spawn: not worth a `Box`.
 #[allow(clippy::large_enum_variant)]
 enum WriterBacking {
-    /// The writer owns the tree (and the planner's engines beside it);
-    /// after each batch it publishes a snapshot of both.
+    /// The writer owns the tree (and the planner's roll-up views beside
+    /// it); after each batch it publishes a snapshot of both.
     Resident {
         tree: DcTree,
-        aux: Option<AuxEngines>,
+        views: Option<RollupViews>,
     },
     /// Readers share the pooled tree ([`ShardTree::Disk`]), so the writer
     /// holds its **write lock across the whole batch and [`publish`]**.
@@ -2073,14 +1993,14 @@ fn spawn_writer(
                     }
                 }
                 match &mut backing {
-                    WriterBacking::Resident { tree, aux } => {
-                        apply_batch(&mut w, batch, &rx, tree, aux.as_mut());
+                    WriterBacking::Resident { tree, views } => {
+                        apply_batch(&mut w, batch, &rx, tree, views.as_mut());
                         if w.mutated {
-                            if let Some(aux) = aux.as_mut() {
-                                aux.rebuild_stale_views(tree);
+                            if let Some(views) = views.as_mut() {
+                                views.rebuild_if_stale(tree);
                             }
                             let snap = ShardTree::Snapshot(Arc::new(tree.clone()));
-                            publish(&mut w, tree, snap, aux.as_ref());
+                            publish(&mut w, tree, snap, views.as_ref());
                         }
                     }
                     WriterBacking::Disk(ooc) => {
@@ -2129,22 +2049,23 @@ fn apply_batch<S: NodeStore>(
     batch: Vec<Cmd>,
     rx: &Receiver<Cmd>,
     tree: &mut DcTree<S>,
-    mut aux: Option<&mut AuxEngines>,
+    mut views: Option<&mut RollupViews>,
 ) {
     w.mutated = false;
     for cmd in batch {
-        apply(w, cmd, tree, aux.as_deref_mut());
+        apply(w, cmd, tree, views.as_deref_mut());
     }
     if w.shutting_down {
         // Drain whatever is still queued before exiting.
         while let Ok(cmd) = rx.try_recv() {
-            apply(w, cmd, tree, aux.as_deref_mut());
+            apply(w, cmd, tree, views.as_deref_mut());
         }
     }
 }
 
-/// Applies one command to the shard tree, wherever its nodes live (`aux` is
-/// the resident planner's engines; disk shards maintain descent only). The
+/// Applies one command to the shard tree, wherever its nodes live (`views`
+/// are the resident planner's roll-up views; disk shards maintain descent
+/// only). The
 /// schema is catalog-backed, so a failing mutation is store I/O failure on
 /// a disk shard and a bug on a resident one: either way the writer panics,
 /// poisoning the shard.
@@ -2152,7 +2073,7 @@ fn apply<S: NodeStore>(
     w: &mut Writer,
     cmd: Cmd,
     tree: &mut DcTree<S>,
-    mut aux: Option<&mut AuxEngines>,
+    mut views: Option<&mut RollupViews>,
 ) {
     let Writer {
         shard_id,
@@ -2186,8 +2107,8 @@ fn apply<S: NodeStore>(
                             delete: false,
                         });
                     }
-                    if let Some(aux) = aux.as_deref_mut() {
-                        aux.insert(tree.schema(), record);
+                    if let Some(views) = views.as_deref_mut() {
+                        views.insert(tree.schema(), record);
                     }
                 }
                 *mutated |= !run.is_empty();
@@ -2197,8 +2118,8 @@ fn apply<S: NodeStore>(
                     // `false`: the record never existed on this shard — the
                     // documented no-op; what readers see stays exact.
                     if tree.delete(&record).expect("shard delete failed") {
-                        if let Some(aux) = aux.as_deref_mut() {
-                            aux.delete(tree.schema(), &record);
+                        if let Some(views) = views.as_deref_mut() {
+                            views.delete();
                         }
                         if let Some(deltas) = deltas.as_deref_mut() {
                             deltas.push(CacheDelta {
@@ -2254,7 +2175,7 @@ fn replay_catalog<S: NodeStore>(
 /// configured, the batch's deltas are applied to cached summaries and the
 /// slot is swapped *under the cache lock* (one version bump covers both),
 /// so a cached answer always corresponds to some published state a
-/// bypassing query could have seen; and the tree and the aux engines sit
+/// bypassing query could have seen; and the tree and the roll-up views sit
 /// in the one [`PlanState`] swapped, so they can never be observed at
 /// different batch points. On a disk shard the caller still holds the
 /// tree's write lock: no reader is inside the tree, so none can pair a
@@ -2263,9 +2184,9 @@ fn publish<S: NodeStore>(
     w: &mut Writer,
     tree: &DcTree<S>,
     published: ShardTree,
-    aux: Option<&AuxEngines>,
+    views: Option<&RollupViews>,
 ) {
-    let state = capture_plan_state(tree, published, aux);
+    let state = capture_plan_state(tree, published, views);
     let (reads, writes) = match &state.tree {
         ShardTree::Snapshot(snap) => {
             let io = snap.io_stats();

@@ -154,7 +154,7 @@ pub struct PoolMetrics {
 /// Cost-based planner observability (`dc-plan`): how often each backend
 /// wins and how well the page-read estimates track measured cost. Updated
 /// by the planned-query path ([`crate::ShardedDcTree::execute`] /
-/// `explain`).
+/// `explain`). The STATS `chose` object has one key per [`Backend`].
 #[derive(Default)]
 pub struct PlanMetrics {
     /// Statements routed through the planner.
@@ -163,11 +163,13 @@ pub struct PlanMetrics {
     pub explains: AtomicU64,
     /// Queries whose (dominant) chosen backend was DC-tree descent.
     pub chose_descend: AtomicU64,
-    /// … the WAH bitmap index.
+    /// Always 0: the bitmap index is no longer a plan backend. Kept for
+    /// readers that still load it (the wire benchmark's `plan.chose_bitmap`).
     pub chose_bitmap: AtomicU64,
     /// … a materialized roll-up view.
     pub chose_mview: AtomicU64,
-    /// … the sequential scan.
+    /// Always 0: the sequential scan is no longer a plan backend. Kept for
+    /// readers that still load it (the wire benchmark's `plan.chose_scan`).
     pub chose_scan: AtomicU64,
     /// Planned queries whose measured page reads missed the estimate by
     /// more than 2× in either direction.
@@ -183,9 +185,7 @@ impl PlanMetrics {
     pub fn chosen(&self, backend: Backend) -> &AtomicU64 {
         match backend {
             Backend::Descend => &self.chose_descend,
-            Backend::Bitmap => &self.chose_bitmap,
             Backend::Mview => &self.chose_mview,
-            Backend::Scan => &self.chose_scan,
         }
     }
 }
@@ -972,7 +972,7 @@ mod tests {
         m.plan.mispredictions.store(1, Relaxed);
         let json = m.to_json();
         assert!(json.contains("\"plan\":{\"plans\":9"));
-        assert!(json.contains("\"chose\":{\"descend\":0,\"bitmap\":0,\"mview\":4,\"scan\":0}"));
+        assert!(json.contains("\"chose\":{\"descend\":0,\"mview\":4}"));
         assert!(json.contains("\"mispredictions\":1"));
         assert!(json.contains("\"actual_pages\":0"));
     }

@@ -152,7 +152,7 @@ fn select_and_explain_over_tcp() {
             EngineConfig {
                 num_shards: 2,
                 policy: PartitionPolicy::Hash,
-                planner: Some(dc_serve::PlannerOptions::default()),
+                planner: Some(dc_serve::PlannerOptions),
                 ..Default::default()
             },
         )

@@ -35,7 +35,7 @@ fn main() -> std::io::Result<()> {
                 ShardedDcTree::new(
                     data.schema.clone(),
                     EngineConfig {
-                        planner: Some(PlannerOptions::default()),
+                        planner: Some(PlannerOptions),
                         wal: Some(WalOptions {
                             sync: SyncPolicy::GroupCommitMs(2),
                             ..WalOptions::new(&wal_dir)

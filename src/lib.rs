@@ -27,7 +27,7 @@
 //! | [`bitmap`] | `dc-bitmap` | compressed bitmap-index baseline (§2 related work) |
 //! | [`ql`] | `dc-ql` | the small aggregate-query language (`SUM WHERE … GROUP BY …`) |
 //! | [`mview`] | `dc-mview` | materialized group-by views (the static §2 baseline) |
-//! | [`plan`] | `dc-plan` | cost-based planner choosing between the four engines, with `EXPLAIN` |
+//! | [`plan`] | `dc-plan` | cost-based planner choosing between DC-tree descent and a roll-up view, with `EXPLAIN` |
 //! | [`durable`] | `dc-durable` | segmented write-ahead log, checkpoint directory protocol, fault-injection shim |
 //! | [`cache`] | `dc-cache` | semantic aggregate cache with write-through delta maintenance |
 //! | [`serve`] | `dc-serve` | sharded concurrent serving engine + dc-ql TCP front-end |

@@ -1,14 +1,16 @@
 //! Cross-engine integration tests: on identical TPC-D-style workloads the
-//! DC-tree, the X-tree (via the MDS→MBR conversion) and the sequential scan
-//! must produce *identical* answers — the property that makes the paper's
-//! head-to-head timings meaningful.
+//! DC-tree, the X-tree (via the MDS→MBR conversion), the WAH bitmap index
+//! and the sequential scan must produce *identical* answers — the property
+//! that makes the paper's head-to-head timings meaningful.
 
+use dctree::bitmap::BitmapIndex;
+use dctree::common::Level;
 use dctree::query::{mds_to_mbr, RangeQueryGen, ValuePick};
 use dctree::scan::FlatTable;
 use dctree::storage::BlockConfig;
-use dctree::tpcd::{generate, TpcdConfig};
+use dctree::tpcd::{generate, TpcdConfig, TpcdData};
 use dctree::xtree::{XTree, XTreeConfig};
-use dctree::{AggregateOp, DcTree, DcTreeConfig, MeasureSummary};
+use dctree::{AggregateOp, DcTree, DcTreeConfig, DimensionId, Mds, MeasureSummary};
 
 struct Engines {
     data: dctree::tpcd::TpcdData,
@@ -62,6 +64,90 @@ fn three_engines_agree_across_selectivities() {
     }
 }
 
+/// The two Fig. 12 baselines beside the tree: a WAH bitmap index and a
+/// flat table over the same records.
+struct Baselines {
+    dc: DcTree,
+    bitmap: BitmapIndex,
+    scan: FlatTable,
+}
+
+fn build_baselines(data: &TpcdData) -> Baselines {
+    let mut dc = DcTree::new(data.schema.clone(), DcTreeConfig::default());
+    let mut bitmap = BitmapIndex::new(&data.schema, BlockConfig::DEFAULT);
+    let mut scan = FlatTable::for_schema(BlockConfig::DEFAULT, &data.schema);
+    for r in &data.records {
+        dc.insert(r.clone()).unwrap();
+        bitmap.insert(&data.schema, r).unwrap();
+        scan.insert(r.clone());
+    }
+    Baselines { dc, bitmap, scan }
+}
+
+impl Baselines {
+    /// Asserts the bitmap index and the scan answer `filter` as the tree
+    /// does: its summary, and its groups at `(dim, level)`.
+    fn agree(&self, data: &TpcdData, filter: &Mds, group_by: Option<(DimensionId, Level)>) {
+        let schema = &data.schema;
+        match group_by {
+            None => {
+                let want = self.dc.range_summary(filter).unwrap();
+                assert_eq!(self.bitmap.range_summary(schema, filter).unwrap(), want);
+                assert_eq!(self.scan.range_summary(schema, filter).unwrap(), want);
+            }
+            Some((dim, level)) => {
+                let want = self.dc.group_by(dim, level, filter).unwrap();
+                let at = format!("GROUP BY ({}, {level})", dim.0);
+                let bitmap = self.bitmap.group_by(schema, dim, level, filter).unwrap();
+                assert_eq!(bitmap, want, "bitmap {at}");
+                let scan = self.scan.group_by(schema, dim, level, filter).unwrap();
+                assert_eq!(scan, want, "scan {at}");
+            }
+        }
+    }
+}
+
+/// The planner differential's selectivity × group-by-level matrix, with
+/// the bitmap index and the scan checked against the tree: scalar probes at
+/// three selectivities, and every level of every dimension grouped, under a
+/// selective filter and over the whole cube.
+#[test]
+fn bitmap_and_scan_agree_with_the_tree_across_selectivity_and_level_matrix() {
+    let data = generate(&TpcdConfig::scaled(2500, 31));
+    let b = build_baselines(&data);
+    for (sel, qseed) in [(0.02, 1u64), (0.1, 2), (0.5, 3)] {
+        let mut gen = RangeQueryGen::new(sel, ValuePick::Scattered, qseed);
+        for _ in 0..8 {
+            b.agree(&data, &gen.generate(&data.schema), None);
+        }
+        for d in 0..data.schema.num_dims() {
+            let dim = DimensionId(d as u16);
+            for level in 0..data.schema.dim(dim).top_level() {
+                for filter in [gen.generate(&data.schema), Mds::all(&data.schema)] {
+                    b.agree(&data, &filter, Some((dim, level)));
+                }
+            }
+        }
+    }
+}
+
+/// Contiguous ranges at 2 % and 25 % selectivity, and the whole cube
+/// grouped by its coarsest customer level, on both baselines.
+#[test]
+fn bitmap_and_scan_agree_with_the_tree_on_contiguous_ranges_and_rollups() {
+    let data = generate(&TpcdConfig::scaled(2000, 7));
+    let b = build_baselines(&data);
+    for (sel, seed) in [(0.02, 1u64), (0.25, 2)] {
+        let mut gen = RangeQueryGen::new(sel, ValuePick::ContiguousRun, seed);
+        for _ in 0..20 {
+            b.agree(&data, &gen.generate(&data.schema), None);
+        }
+    }
+    let dim = DimensionId(0);
+    let top = data.schema.dim(dim).top_level();
+    b.agree(&data, &Mds::all(&data.schema), Some((dim, top - 1)));
+}
+
 #[test]
 fn scattered_queries_agree_between_dc_and_scan() {
     // Scattered value sets cannot be converted losslessly to MBRs, but the
@@ -82,7 +168,7 @@ fn totals_agree() {
     let e = build_engines(1500, 17);
     let want: MeasureSummary = e.data.records.iter().map(|r| r.measure).collect();
     assert_eq!(e.dc.total_summary().unwrap(), want);
-    let all = dctree::Mds::all(&e.data.schema);
+    let all = Mds::all(&e.data.schema);
     assert_eq!(e.scan.range_summary(&e.data.schema, &all).unwrap(), want);
     assert_eq!(e.x.range_summary(&dctree::xtree::Mbr::universe(13)), want);
 }
@@ -177,7 +263,6 @@ fn deletion_keeps_engines_in_agreement() {
 
 #[test]
 fn group_by_agrees_with_scan_groups() {
-    use dctree::DimensionId;
     let e = build_engines(1500, 37);
     let mut gen = RangeQueryGen::new(0.25, ValuePick::ContiguousRun, 14);
     for _ in 0..10 {

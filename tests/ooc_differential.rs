@@ -325,7 +325,7 @@ fn planned_queries_agree_and_explain_prices_pool_touches() {
             }
         }
         // Disk shards maintain no other backend to force.
-        assert!(disk.execute_forced(&stmt, Backend::Scan).is_err());
+        assert!(disk.execute_forced(&stmt, Backend::Mview).is_err());
         let cmp = disk.compare_backends(&stmt).unwrap();
         assert_eq!(cmp.outputs.len(), 1);
         assert_eq!(cmp.chosen, out);
@@ -350,7 +350,7 @@ fn disk_mode_rejects_planner_engines() {
     let err = ShardedDcTree::new(
         data.schema,
         EngineConfig {
-            planner: Some(PlannerOptions::default()),
+            planner: Some(PlannerOptions),
             ..config(tiny_disk(&dir))
         },
     );

@@ -1,11 +1,12 @@
-//! Planner differential: every physical backend the cost model can pick —
-//! DC-tree descent, WAH bitmap algebra, materialized-view lattice lookup,
-//! sequential scan — must return *identical* answers on the same data, and
-//! the planner's per-shard choice must match them all. Pinned over a
+//! Planner differential: both physical backends the cost model can pick —
+//! DC-tree descent and materialized-view lattice lookup — must return
+//! *identical* answers on the same data wherever a view answers the query,
+//! and the planner's per-shard choice must match them. Pinned over a
 //! selectivity × group-by-level matrix and, crucially, while concurrent
 //! ingest/delete churn is rewriting the shards: the engine publishes each
-//! shard's tree + auxiliary engines as one atomic snapshot, so a divergence
-//! here means a real consistency bug, not test flakiness.
+//! shard's tree + roll-up views as one atomic snapshot, so a divergence
+//! here means a real consistency bug, not test flakiness. (The bitmap and
+//! scan baselines are checked against the tree in `engines_agree.rs`.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,7 +39,7 @@ fn planner_engine(data: &TpcdData, num_shards: usize) -> ShardedDcTree {
         EngineConfig {
             num_shards,
             policy: PartitionPolicy::Hash,
-            planner: Some(PlannerOptions::default()),
+            planner: Some(PlannerOptions),
             ..Default::default()
         },
     )
@@ -78,18 +79,26 @@ fn all_backends_agree_across_selectivity_and_level_matrix() {
             check_all_agree(&engine, &shape, sel, &mut chosen_backends);
         }
         // Grouped probes: every level of every dimension, both under the
-        // selective filter (descent/bitmap territory) and unfiltered (the
+        // selective filter (descent territory) and unfiltered (the
         // whole-cube roll-ups the view lattice answers from its cells).
         for d in 0..data.schema.num_dims() {
             let dim = dctree::common::DimensionId(d as u16);
             for level in 0..data.schema.dim(dim).top_level() {
                 for filter in [gen.generate(&data.schema), Mds::all(&data.schema)] {
+                    let rollup = filter == Mds::all(&data.schema);
                     let shape = QueryShape {
                         filter,
                         group_by: Some((dim, level)),
                         ops: ops.clone(),
                     };
-                    check_all_agree(&engine, &shape, sel, &mut chosen_backends);
+                    let compared = check_all_agree(&engine, &shape, sel, &mut chosen_backends);
+                    if rollup {
+                        assert!(
+                            compared.contains(&Backend::Mview),
+                            "the lattice holds a view for every whole-cube roll-up, \
+                             got {compared:?} on {shape:?}"
+                        );
+                    }
                 }
             }
         }
@@ -103,18 +112,21 @@ fn all_backends_agree_across_selectivity_and_level_matrix() {
     engine.shutdown();
 }
 
+/// Compares every backend on `shape` and returns the backends compared:
+/// descent always, a view lookup where a view answers the shape.
 fn check_all_agree(
     engine: &ShardedDcTree,
     shape: &QueryShape,
     sel: f64,
     chosen: &mut std::collections::BTreeSet<&'static str>,
-) {
+) -> Vec<Backend> {
     let s = stmt(shape);
     let cmp = engine.compare_backends(&s).unwrap();
-    assert!(
-        cmp.outputs.len() >= 2,
-        "expected several backends, got {:?}",
-        cmp.outputs.iter().map(|(b, _)| *b).collect::<Vec<_>>()
+    let compared: Vec<Backend> = cmp.outputs.iter().map(|(b, _)| *b).collect();
+    assert_eq!(
+        compared[0],
+        Backend::Descend,
+        "descent is always comparable"
     );
     let (first_backend, reference) = &cmp.outputs[0];
     for (backend, out) in &cmp.outputs[1..] {
@@ -139,7 +151,7 @@ fn check_all_agree(
         let (forced, _) = engine.execute_forced(&s, *b).unwrap();
         assert_eq!(&forced, reference, "forced {b} diverged at sel {sel}");
     }
-    let _ = Backend::ALL; // matrix covers every declared backend via ALL order
+    compared
 }
 
 /// Mid-churn differential: writer threads continuously insert and delete
@@ -205,7 +217,7 @@ fn backends_agree_under_concurrent_churn() {
 
 /// Forcing a backend the shards do not maintain is the caller's mistake,
 /// reported as such — `Config`, naming the backend — whether the shards are
-/// resident with the planner's engines off or on disk (descent only).
+/// resident with the planner's views off or on disk (descent only).
 #[test]
 fn forcing_an_unmaintained_backend_is_a_config_error_in_both_storage_modes() {
     let data = generate(&TpcdConfig::scaled(400, 35));
@@ -240,14 +252,12 @@ fn forcing_an_unmaintained_backend_is_a_config_error_in_both_storage_modes() {
         engine.flush();
         let (descended, _) = engine.execute_forced(&s, Backend::Descend).unwrap();
         assert_eq!(descended, engine.execute(&s).unwrap());
-        for backend in [Backend::Bitmap, Backend::Mview, Backend::Scan] {
-            match engine.execute_forced(&s, backend) {
-                Err(DcError::Config(msg)) => assert!(
-                    msg.contains(backend.name()),
-                    "{msg:?} does not name {backend} under {storage:?}"
-                ),
-                other => panic!("forced {backend} under {storage:?}: {other:?}"),
-            }
+        match engine.execute_forced(&s, Backend::Mview) {
+            Err(DcError::Config(msg)) => assert!(
+                msg.contains(Backend::Mview.name()),
+                "{msg:?} does not name mview under {storage:?}"
+            ),
+            other => panic!("forced mview under {storage:?}: {other:?}"),
         }
         engine.shutdown();
     }

@@ -9,7 +9,7 @@
 //! while the writers publish.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use dctree::common::TempDir;
 use dctree::serve::{DiskOptions, EngineConfig, OocOptions, PartitionPolicy, StorageMode};
@@ -191,7 +191,8 @@ fn writers_and_readers_race(disk: bool) {
 /// sector roll-ups (so the cache serves repeats) while writers insert and
 /// then deleters remove a deterministic subset; the end state must match a
 /// sequential replay, per sector, with every value dynamically interned
-/// during the run.
+/// during the run. Each phase pauses its writers halfway (see
+/// [`race_phase`]) so the cache provably both serves and absorbs.
 #[test]
 fn cached_rollups_race_writers_and_deleters_then_agree() {
     cached_rollups_race(false);
@@ -202,10 +203,59 @@ fn cached_rollups_race_writers_and_deleters_on_disk_shards_then_agree() {
     cached_rollups_race(true);
 }
 
-fn cached_rollups_race(disk: bool) {
-    const WRITERS: usize = 3;
-    const TRADES_PER_WRITER: usize = 1_200;
+const WRITERS: usize = 3;
+const TRADES_PER_WRITER: usize = 1_200;
+const READERS: usize = 2;
+/// Queries every reader poses while a phase's writers are paused. A miss is
+/// cached only if no publish lands while it runs, and readers choose among
+/// five sector roll-ups, so twelve queries in a quiet engine hold a repeat
+/// of a cached entry even if the first was in flight across the pause.
+const QUIET_QUERIES: u64 = 12;
 
+/// Runs one phase of the cached race: every writer streams its own
+/// deterministic trade sequence into `op`. Halfway through, the writers
+/// stop at a barrier; one of them flushes the engine and waits until every
+/// reader has posed [`QUIET_QUERIES`] queries since, then all resume. The
+/// readers' queries in that window run while the writers are live but no
+/// publish lands, so their misses are cached and their repeats hit; the
+/// second half's publishes then reach those entries (patches or
+/// invalidations). Without the pause both are left to the scheduler.
+fn race_phase(
+    engine: &ShardedDcTree,
+    posed: &[AtomicU64],
+    op: impl Fn(&ShardedDcTree, usize, &[Vec<String>], i64) + Sync,
+) {
+    let halfway = Barrier::new(WRITERS);
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (halfway, op) = (&halfway, &op);
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(w as u64);
+                for i in 0..TRADES_PER_WRITER {
+                    if i == TRADES_PER_WRITER / 2 {
+                        if halfway.wait().is_leader() {
+                            engine.flush();
+                            let from: Vec<u64> =
+                                posed.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+                            while posed
+                                .iter()
+                                .zip(&from)
+                                .any(|(n, &f)| n.load(Ordering::Relaxed) < f + QUIET_QUERIES)
+                            {
+                                std::thread::yield_now();
+                            }
+                        }
+                        halfway.wait();
+                    }
+                    let (paths, value) = trade(&mut rng);
+                    op(engine, i, &paths, value);
+                }
+            });
+        }
+    });
+}
+
+fn cached_rollups_race(disk: bool) {
     for policy in [
         PartitionPolicy::Hash,
         // Route by Instrument.Sector (level 1 of dimension 0).
@@ -218,16 +268,17 @@ fn cached_rollups_race(disk: bool) {
         let engine =
             Arc::new(ShardedDcTree::new(ticker_schema(), config(policy, dir.as_ref())).unwrap());
         let stop = Arc::new(AtomicBool::new(false));
-        let queries_run = Arc::new(AtomicU64::new(0));
+        let posed: Arc<Vec<AtomicU64>> =
+            Arc::new((0..READERS).map(|_| AtomicU64::new(0)).collect());
 
         // Readers: the dashboard shape — a small set of per-sector
         // roll-ups, asked over and over, so repeats are served (and kept
         // fresh) by the cache while the write stream mutates the cube.
-        let readers: Vec<_> = (0..2)
+        let readers: Vec<_> = (0..READERS)
             .map(|r| {
                 let engine = Arc::clone(&engine);
                 let stop = Arc::clone(&stop);
-                let queries_run = Arc::clone(&queries_run);
+                let posed = Arc::clone(&posed);
                 std::thread::spawn(move || {
                     let mut rng = StdRng::seed_from_u64(2000 + r as u64);
                     while !stop.load(Ordering::Relaxed) {
@@ -251,7 +302,7 @@ fn cached_rollups_race(disk: bool) {
                             assert!(summary.min <= summary.max);
                             assert!(summary.sum >= summary.count as i64 * 1_000);
                         }
-                        queries_run.fetch_add(1, Ordering::Relaxed);
+                        posed[r].fetch_add(1, Ordering::Relaxed);
                     }
                 })
             })
@@ -259,34 +310,16 @@ fn cached_rollups_race(disk: bool) {
 
         // Phase 1: writers race (dynamic interning — the schema starts
         // with no values at all).
-        std::thread::scope(|s| {
-            for w in 0..WRITERS {
-                let engine = Arc::clone(&engine);
-                s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(w as u64);
-                    for _ in 0..TRADES_PER_WRITER {
-                        let (paths, value) = trade(&mut rng);
-                        engine.insert_raw(&paths, value).expect("insert");
-                    }
-                });
-            }
+        race_phase(&engine, &posed, |engine, _, paths, value| {
+            engine.insert_raw(paths, value).expect("insert");
         });
         engine.flush();
 
         // Phase 2: deleters race the readers, removing every 3rd trade of
         // each writer's stream (all present after the flush above).
-        std::thread::scope(|s| {
-            for w in 0..WRITERS {
-                let engine = Arc::clone(&engine);
-                s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(w as u64);
-                    for i in 0..TRADES_PER_WRITER {
-                        let (paths, value) = trade(&mut rng);
-                        if i % 3 == 0 {
-                            engine.delete_raw(&paths, value).expect("delete");
-                        }
-                    }
-                });
+        race_phase(&engine, &posed, |engine, i, paths, value| {
+            if i % 3 == 0 {
+                engine.delete_raw(paths, value).expect("delete");
             }
         });
         engine.flush();
@@ -294,7 +327,8 @@ fn cached_rollups_race(disk: bool) {
         for r in readers {
             r.join().expect("reader");
         }
-        assert!(queries_run.load(Ordering::Relaxed) > 0, "readers never ran");
+        let queries_run: u64 = posed.iter().map(|n| n.load(Ordering::Relaxed)).sum();
+        assert!(queries_run > 0, "readers never ran");
 
         // Sequential replay of the same stream.
         let mut replay = DcTree::new(ticker_schema(), DcTreeConfig::default());
