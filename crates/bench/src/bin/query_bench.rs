@@ -7,10 +7,10 @@
 //! if the count grows with the number of visited shards.
 //!
 //! It also reports `in_place_over_compacted`: the same queries on a tree
-//! grown by `insert_batch` and on `from_bytes(to_bytes(tree))`, the same
-//! tree laid out afresh. Snapshots share the writer's nodes, so readers are
-//! served the layout incremental growth leaves behind; the ratio drifting
-//! above 1 says a change re-fragmented it.
+//! grown by `insert_batch` and on `tree.copy_to(Arena::default())`, the
+//! same tree copied into a fresh arena. Snapshots share the writer's
+//! nodes, so readers are served the layout incremental growth leaves
+//! behind; the ratio drifting above 1 says a change re-fragmented it.
 //!
 //! Emits a JSON report to `results/query_bench.json` (consumed by
 //! `bench_gate`).
@@ -27,7 +27,7 @@ use dc_common::DimensionId;
 use dc_query::{RangeQueryGen, ValuePick};
 use dc_serve::{EngineConfig, PartitionPolicy, ShardedDcTree};
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
-use dc_tree::{DcTree, DcTreeConfig};
+use dc_tree::{Arena, DcTree, DcTreeConfig};
 
 /// Counts every heap acquisition (alloc, alloc_zeroed, realloc) on every
 /// thread. Frees are not counted: the steady-state claim is about taking
@@ -147,7 +147,7 @@ fn bench_engine(data: &TpcdData, shards: usize, workers: usize, queries: usize) 
 }
 
 /// Mean query time on a tree built in place by `insert_batch` over the mean
-/// on its freshly decoded image — same nodes, same queries, same answers.
+/// on its copy in a fresh arena — same nodes, same queries, same answers.
 /// Each side's figure is the median over alternating rounds.
 fn in_place_over_compacted(data: &TpcdData, queries: usize) -> f64 {
     const ROUNDS: usize = 7;
@@ -155,7 +155,7 @@ fn in_place_over_compacted(data: &TpcdData, queries: usize) -> f64 {
     for chunk in data.records.chunks(512) {
         built.insert_batch(chunk.to_vec()).expect("batch");
     }
-    let compacted = DcTree::from_bytes(&built.to_bytes()).expect("image round-trip");
+    let compacted = built.copy_to(Arena::default()).expect("copy");
     let qs: Vec<_> = SELECTIVITIES
         .iter()
         .enumerate()
@@ -290,7 +290,7 @@ fn main() {
     let layout_ratio = in_place_over_compacted(&data, queries);
     println!(
         "in-place over compacted: {layout_ratio:.3} (mean query time, tree grown by insert_batch \
-         ÷ the same tree decoded from its image)"
+         ÷ the same tree copied into a fresh arena)"
     );
 
     // JSON report.

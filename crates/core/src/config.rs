@@ -65,24 +65,6 @@ pub struct DcTreeConfig {
 }
 
 impl DcTreeConfig {
-    /// Non-panicking validation, used when a configuration arrives from
-    /// untrusted input (the persistence load path).
-    pub(crate) fn validate_checked(&self) -> Result<(), String> {
-        if self.dir_capacity < 2 || self.data_capacity < 2 {
-            return Err("node capacities must be at least 2".into());
-        }
-        if !(0.0..=0.5).contains(&self.min_fill) {
-            return Err(format!("min_fill {} outside [0, 0.5]", self.min_fill));
-        }
-        if !(0.0..=1.0).contains(&self.max_overlap) {
-            return Err(format!("max_overlap {} outside [0, 1]", self.max_overlap));
-        }
-        if self.max_supernode_blocks == 0 {
-            return Err("max_supernode_blocks must be at least 1".into());
-        }
-        Ok(())
-    }
-
     /// Validates the configuration, panicking on nonsensical values.
     /// Called by `DcTree::new`.
     pub(crate) fn validate(&self) {

@@ -1,151 +1,15 @@
-//! Tree persistence: a versioned, checked binary image of a whole DC-tree —
-//! configuration, concept hierarchies (with their dynamically assigned IDs),
-//! node arena, and counters.
-//!
-//! IDs are preserved exactly across a round-trip: hierarchies are replayed
-//! in per-level insertion order (which is what assigns IDs), and arena slots
-//! are stored positionally, holes included, so `NodeId`s stay valid.
-//!
-//! All reads go through the checked [`ByteReader`], so a corrupt or
-//! truncated image produces [`DcError::Corrupt`] rather than a panic.
-
-use std::path::Path;
+//! Byte codecs of the paged store's on-disk form: the cube schema the tree
+//! metadata carries (IDs survive exactly: values are replayed in per-level
+//! insertion order, which is what assigns them) and the plain node layout.
+//! Reads go through the checked [`ByteReader`]: corrupt bytes are
+//! [`DcError::Corrupt`], never a panic.
 
 use dc_common::{DcError, DcResult, DimensionId, MeasureSummary, RecordId, ValueId};
 use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
 use dc_mds::{DimSet, Mds};
-use dc_storage::{BlockConfig, ByteReader, ByteWriter};
+use dc_storage::{ByteReader, ByteWriter};
 
-use crate::config::DcTreeConfig;
 use crate::node::{DirEntry, Node, NodeId, NodeKind, StoredRecord};
-use crate::store::Arena;
-use crate::tree::DcTree;
-
-const MAGIC: &[u8; 8] = b"DCTREE01";
-
-impl DcTree {
-    /// Serializes the whole tree into a byte image.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(1 << 16);
-        for &b in MAGIC {
-            w.put_u8(b);
-        }
-        write_config(&mut w, self.config());
-        write_schema(&mut w, self.schema());
-
-        let slots = self.store.slots();
-        w.put_u32(slots.len() as u32);
-        for slot in slots {
-            match slot {
-                None => w.put_u8(0),
-                Some(node) => {
-                    w.put_u8(1);
-                    write_node(&mut w, node);
-                }
-            }
-        }
-        w.put_u32(self.root.0);
-        w.put_u64(self.next_record_id_for_persist());
-        w.put_u64(self.len());
-        w.into_vec()
-    }
-
-    /// Reconstructs a tree from a byte image produced by [`Self::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> DcResult<DcTree> {
-        let mut r = ByteReader::new(bytes);
-        for &expected in MAGIC {
-            if r.get_u8()? != expected {
-                return Err(DcError::Corrupt("bad magic — not a DC-tree image".into()));
-            }
-        }
-        let config = read_config(&mut r)?;
-        let schema = read_schema(&mut r)?;
-        let num_dims = schema.num_dims();
-
-        let num_slots = r.get_count(1)?;
-        let mut slots = Vec::with_capacity(num_slots);
-        for _ in 0..num_slots {
-            match r.get_u8()? {
-                0 => slots.push(None),
-                1 => slots.push(Some(read_node(&mut r, num_dims)?)),
-                tag => return Err(DcError::Corrupt(format!("bad slot tag {tag}"))),
-            }
-        }
-        let root = NodeId(r.get_u32()?);
-        if root.index() >= slots.len() || slots[root.index()].is_none() {
-            return Err(DcError::Corrupt("root points at a missing slot".into()));
-        }
-        // Child pointers must resolve before any traversal may follow them.
-        for slot in slots.iter().flatten() {
-            if let NodeKind::Dir(entries) = &slot.kind {
-                for e in entries {
-                    if e.child.index() >= slots.len() || slots[e.child.index()].is_none() {
-                        return Err(DcError::Corrupt(format!(
-                            "entry references missing child {:?}",
-                            e.child
-                        )));
-                    }
-                }
-            }
-        }
-        let next_record_id = r.get_u64()?;
-        let len = r.get_u64()?;
-        r.expect_end()?;
-
-        let arena = Arena::from_slots(slots);
-        let nodes = arena.len();
-        let tree = DcTree::from_stored(schema, config, arena, root, next_record_id, len, nodes)?;
-        // A loaded image is untrusted input: validate before use.
-        tree.check_invariants()?;
-        Ok(tree)
-    }
-
-    /// Saves the tree image to a file.
-    pub fn save_to(&self, path: impl AsRef<Path>) -> DcResult<()> {
-        std::fs::write(path, self.to_bytes())?;
-        Ok(())
-    }
-
-    /// Loads a tree image from a file.
-    pub fn load_from(path: impl AsRef<Path>) -> DcResult<DcTree> {
-        let bytes = std::fs::read(path)?;
-        DcTree::from_bytes(&bytes)
-    }
-}
-
-fn write_config(w: &mut ByteWriter, c: &DcTreeConfig) {
-    w.put_u64(c.block.block_size as u64);
-    w.put_u64(c.dir_capacity as u64);
-    w.put_u64(c.data_capacity as u64);
-    w.put_u64(c.min_fill.to_bits());
-    w.put_u64(c.max_overlap.to_bits());
-    w.put_u8(u8::from(c.allow_supernodes));
-    w.put_u32(c.max_supernode_blocks);
-    w.put_u8(u8::from(c.use_materialized_aggregates));
-    w.put_u8(u8::from(c.use_paper_fig7_containment));
-}
-
-fn read_config(r: &mut ByteReader) -> DcResult<DcTreeConfig> {
-    let block_size = r.get_u64()? as usize;
-    if block_size == 0 {
-        return Err(DcError::Corrupt("zero block size".into()));
-    }
-    let config = DcTreeConfig {
-        block: BlockConfig::new(block_size),
-        dir_capacity: r.get_u64()? as usize,
-        data_capacity: r.get_u64()? as usize,
-        min_fill: f64::from_bits(r.get_u64()?),
-        max_overlap: f64::from_bits(r.get_u64()?),
-        allow_supernodes: r.get_u8()? != 0,
-        max_supernode_blocks: r.get_u32()?,
-        use_materialized_aggregates: r.get_u8()? != 0,
-        use_paper_fig7_containment: r.get_u8()? != 0,
-    };
-    config
-        .validate_checked()
-        .map_err(|msg| DcError::Corrupt(format!("invalid persisted config: {msg}")))?;
-    Ok(config)
-}
 
 pub fn write_schema(w: &mut ByteWriter, schema: &CubeSchema) {
     w.put_u16(schema.num_dims() as u16);

@@ -121,28 +121,6 @@ impl Arena {
             .filter_map(|(i, slot)| slot.as_deref().map(|n| (NodeId(i as u32), n)))
     }
 
-    /// Number of live nodes.
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// All slots including holes — used by the persistence codec so that
-    /// `NodeId`s survive a save/load round-trip unchanged.
-    pub(crate) fn slots(&self) -> impl ExactSizeIterator<Item = Option<&Node>> {
-        self.slots.iter().map(Option::as_deref)
-    }
-
-    /// Rebuilds an arena from raw slots (persistence load path).
-    pub(crate) fn from_slots(slots: Vec<Option<Node>>) -> Self {
-        let free = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i as u32))
-            .collect();
-        let slots = slots.into_iter().map(|s| s.map(Arc::new)).collect();
-        Arena { slots, free }
-    }
-
     /// Number of slots whose node this arena does **not** share with
     /// `other` (a live slot on either side holding a different allocation,
     /// or live on one side only) — i.e. what mutation since a `clone` has
@@ -222,12 +200,12 @@ mod tests {
         let n1 = a.alloc(node()).unwrap();
         let n2 = a.alloc(node()).unwrap();
         assert_ne!(n1, n2);
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.iter().count(), 2);
         a.free(n1).unwrap();
-        assert_eq!(a.len(), 1);
+        assert_eq!(a.iter().count(), 1);
         let n3 = a.alloc(node()).unwrap();
         assert_eq!(n3, n1); // slot reused
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.iter().count(), 2);
         assert_eq!(a.iter().count(), 2);
     }
 

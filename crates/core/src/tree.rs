@@ -165,7 +165,7 @@ impl<S: PersistentStore> DcTree<S> {
         let next_record_id = r.get_u64()?;
         let len = r.get_u64()?;
         let nodes = r.get_u64()? as usize;
-        let schema = crate::persist::read_schema(&mut r)?;
+        let schema = Arc::new(crate::persist::read_schema(&mut r)?);
         r.expect_end()?;
         store.set_num_dims(schema.num_dims());
         Self::from_stored(schema, config, store, root, next_record_id, len, nodes)
@@ -205,11 +205,11 @@ impl<S: NodeStore> DcTree<S> {
         })
     }
 
-    /// A tree over nodes `store` already holds (the load paths of
-    /// [`open_in`](Self::open_in) and [`crate::persist`]); the height is
-    /// read off the leftmost path.
-    pub(crate) fn from_stored(
-        schema: CubeSchema,
+    /// A tree over nodes `store` already holds (what [`open_in`](Self::open_in)
+    /// and [`copy_to`](Self::copy_to) end with); the height is read off the
+    /// leftmost path.
+    fn from_stored(
+        schema: Arc<CubeSchema>,
         config: DcTreeConfig,
         store: S,
         root: NodeId,
@@ -219,7 +219,7 @@ impl<S: NodeStore> DcTree<S> {
     ) -> DcResult<Self> {
         config.validate();
         let mut tree = DcTree {
-            schema: Arc::new(schema),
+            schema,
             config,
             store,
             root,
@@ -245,9 +245,47 @@ impl<S: NodeStore> DcTree<S> {
         Ok(tree)
     }
 
-    /// The record-id counter, exposed for the persistence codec.
-    pub(crate) fn next_record_id_for_persist(&self) -> u64 {
-        self.next_record_id
+    /// Copies the tree into `store` node for node — the same MDSs, entries
+    /// in order, summaries and block counts; only the handles are new. The
+    /// walk is post-order, a node allocated once its children are. Walking
+    /// below the tree's height or to other than its node count (a cycle or
+    /// an orphan in an untrusted image) is [`DcError::Corrupt`]. A
+    /// persistent target must know the dimensionality first.
+    pub fn copy_to<T: NodeStore>(&self, mut store: T) -> DcResult<DcTree<T>> {
+        let corrupt = || DcError::Corrupt(format!("not a tree of {} nodes", self.nodes));
+        // The path being copied: each node with its children's new handles.
+        let mut path = vec![(self.store.get(self.root)?, Vec::new())];
+        let mut reached = 1;
+        let root = loop {
+            let (node, copied) = path.last().expect("the root is on the path");
+            if let NodeKind::Dir(entries) = &node.kind {
+                if let Some(child) = entries.get(copied.len()).map(|e| e.child) {
+                    reached += 1;
+                    if reached > self.nodes || path.len() >= self.height {
+                        return Err(corrupt());
+                    }
+                    path.push((self.store.get(child)?, Vec::new()));
+                    continue;
+                }
+            }
+            let (node, copied) = path.pop().expect("checked above");
+            let mut node = node.into_owned();
+            if let NodeKind::Dir(entries) = &mut node.kind {
+                for (e, id) in entries.iter_mut().zip(copied) {
+                    e.child = id;
+                }
+            }
+            let id = store.alloc(node)?;
+            match path.last_mut() {
+                Some((_, siblings)) => siblings.push(id),
+                None => break id,
+            }
+        };
+        if reached != self.nodes {
+            return Err(corrupt());
+        }
+        let (schema, next_id) = (Arc::clone(&self.schema), self.next_record_id);
+        DcTree::from_stored(schema, self.config, store, root, next_id, self.len, reached)
     }
 
     /// The backing store.

@@ -231,30 +231,6 @@ proptest! {
         }
     }
 
-    /// Persistence round-trips arbitrary trees exactly.
-    #[test]
-    fn persistence_roundtrip(recs in prop::collection::vec(raw_rec(), 1..80)) {
-        let config = DcTreeConfig {
-            dir_capacity: 3,
-            data_capacity: 4,
-            ..DcTreeConfig::default()
-        };
-        let mut tree = DcTree::new(schema(), config);
-        for r in &recs {
-            insert_raw(&mut tree, r);
-        }
-        let bytes = tree.to_bytes();
-        let loaded = DcTree::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(loaded.to_bytes(), bytes);
-        prop_assert_eq!(loaded.total_summary().unwrap(), tree.total_summary().unwrap());
-        for q in queries_for(&tree, 3) {
-            prop_assert_eq!(
-                loaded.range_summary(&q).unwrap(),
-                tree.range_summary(&q).unwrap()
-            );
-        }
-    }
-
     /// The materialization flag changes I/O, never answers.
     #[test]
     fn materialization_is_transparent(recs in prop::collection::vec(raw_rec(), 1..80)) {

@@ -5,7 +5,7 @@
 use dc_common::{AggregateOp, DimensionId, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
 use dc_mds::{DimSet, Mds};
-use dc_tree::{DcTree, DcTreeConfig};
+use dc_tree::{Arena, DcTree, DcTreeConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -725,6 +725,36 @@ fn pivot_matches_nested_group_by() {
             cells.into_iter().collect();
         assert_eq!(got, expected);
     }
+}
+
+#[test]
+fn a_copy_into_a_fresh_arena_is_the_same_tree() {
+    let config = DcTreeConfig {
+        dir_capacity: 4,
+        data_capacity: 4,
+        ..DcTreeConfig::default()
+    };
+    let (mut tree, mut oracle) = build(600, 161, config);
+    // Deletes leave recycled slots behind; the copy does not care.
+    let mut rng = StdRng::seed_from_u64(162);
+    for _ in 0..200 {
+        let victim = oracle.swap_remove(rng.gen_range(0..oracle.len()));
+        assert!(tree.delete(&victim).unwrap());
+    }
+    let mut copy = tree.copy_to(Arena::default()).unwrap();
+    copy.check_invariants().unwrap();
+    assert!(copy.structure().unwrap() == tree.structure().unwrap());
+    assert_eq!(
+        (copy.len(), copy.num_nodes(), copy.height()),
+        (tree.len(), tree.num_nodes(), tree.height())
+    );
+    assert_eq!(copy.config().dir_capacity, 4);
+    // The copy stays fully dynamic and numbers records on from where the
+    // original stopped.
+    let id = copy.insert_raw(&random_paths(&mut rng), 7).unwrap();
+    assert_eq!(id.0, 600);
+    copy.check_invariants().unwrap();
+    assert_eq!(tree.len(), 400, "the original is untouched");
 }
 
 #[test]

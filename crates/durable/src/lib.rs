@@ -63,8 +63,9 @@ pub mod wal;
 pub use fault::{FaultFs, FaultPlan};
 pub use fs::{StdFs, WalFile, WalFs};
 pub use segment::{
-    checkpoint_file_name, parse_checkpoint_file_name, parse_segment_file_name, segment_file_name,
-    Manifest, MANIFEST_FILE, SEGMENT_HEADER_LEN,
+    checkpoint_file_name, is_scratch_image_name, parse_checkpoint_file_name,
+    parse_segment_file_name, scratch_image_name, segment_file_name, Manifest, MANIFEST_FILE,
+    SEGMENT_HEADER_LEN,
 };
 pub use ship::{fetch_checkpoint, fetch_segments, CheckpointBundle, FetchOutcome, SegmentShipment};
 pub use tree::apply;

@@ -9,7 +9,11 @@
 //! wal.000005.log
 //! checkpoint.00000000000000000217.shard0.dct   one image per shard, at LSN 217
 //! checkpoint.00000000000000000217.shard1.dct
+//! checkpoint.shard0.scratch                     an image being assembled
 //! ```
+//!
+//! Images are paged shard files, opaque here. A scratch image is never a
+//! checkpoint; one a crash leaves is removed by a checkpoint or recovery.
 //!
 //! A segment starts with a 28-byte header — magic, its own sequence
 //! number, the LSN of its first frame, and a CRC over both — so recovery
@@ -60,6 +64,17 @@ pub fn parse_checkpoint_file_name(name: &str) -> Option<(u64, u32)> {
         lsn.parse().ok()?,
         shard.strip_prefix("shard")?.parse().ok()?,
     ))
+}
+
+/// The scratch image name of shard `shard` — one that
+/// [`parse_checkpoint_file_name`] rejects.
+pub fn scratch_image_name(shard: u32) -> String {
+    format!("checkpoint.shard{shard}.scratch")
+}
+
+/// Whether `name` is a scratch image (see [`scratch_image_name`]).
+pub fn is_scratch_image_name(name: &str) -> bool {
+    name.starts_with("checkpoint.shard") && name.ends_with(".scratch")
 }
 
 /// Encodes a segment header.
@@ -210,6 +225,10 @@ mod tests {
             None
         );
         assert_eq!(parse_checkpoint_file_name("checkpoint.tmp"), None);
+        let scratch = scratch_image_name(3);
+        assert!(is_scratch_image_name(&scratch));
+        assert_eq!(parse_checkpoint_file_name(&scratch), None);
+        assert!(!is_scratch_image_name(&name));
         assert_eq!(parse_checkpoint_file_name("wal.000001.log"), None);
     }
 

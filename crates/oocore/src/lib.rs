@@ -24,12 +24,16 @@
 //!   codec once per node, not once per algorithm step.
 //! * [`OocDcTree`] — the servable shard: concurrent readers, exclusive
 //!   writers, pool stats and checkpoint flush without the tree lock.
+//! * [`image`] — a tree's checkpoint image is a shard file: any tree is
+//!   written into one and read back into an arena by the same copy.
 
 pub mod codec;
+pub mod image;
 pub mod pool;
 pub mod shard;
 pub mod store;
 
+pub use image::{read_image, write_image};
 pub use pool::{ConcurrentPool, OocPoolStats, PinnedPage};
 pub use shard::OocDcTree;
 pub use store::{OocOptions, OocStore};

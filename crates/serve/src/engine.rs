@@ -32,8 +32,8 @@ use dc_common::{
     AggregateOp, DcError, DcResult, DimensionId, Level, Measure, MeasureSummary, ValueId,
 };
 use dc_durable::{
-    checkpoint_file_name, parse_checkpoint_file_name, ship, CheckpointBundle, FetchOutcome,
-    Manifest, StdFs, SyncPolicy, WalConfig, WalEntry, WalFs, WalOp, WalReader, WalWriter,
+    ship, CheckpointBundle, FetchOutcome, StdFs, SyncPolicy, WalConfig, WalEntry, WalFs, WalOp,
+    WalWriter,
 };
 use dc_hierarchy::{ConceptHierarchy, CubeSchema, Record};
 use dc_mds::Mds;
@@ -47,6 +47,7 @@ use dc_tree::{DcTree, DcTreeConfig, NodeStore, PreparedRange};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::catalog::SchemaCatalog;
+use crate::checkpoint;
 use crate::metrics::EngineMetrics;
 use crate::pool::QueryPool;
 
@@ -182,7 +183,7 @@ pub struct EngineConfig {
     pub num_shards: usize,
     /// Record → shard mapping.
     pub policy: PartitionPolicy,
-    /// Configuration of each shard's `DcTree`.
+    /// Configuration of each shard's `DcTree`, recovered ones included.
     pub tree: DcTreeConfig,
     /// Maximum commands a writer applies before publishing a snapshot.
     pub batch_size: usize,
@@ -245,10 +246,10 @@ impl Default for EngineConfig {
 
 /// How many replayed WAL entries go through [`ShardedDcTree::submit`] at a
 /// time — the frame-group size the wire benchmark loads with.
-const REPLAY_CHUNK: usize = 512;
+pub(crate) const REPLAY_CHUNK: usize = 512;
 
 /// One command on a shard's ingest queue.
-enum Cmd {
+pub(crate) enum Cmd {
     /// Apply this shard's share of one submitted batch — `(record, delete)`
     /// pairs, pre-resolved against the catalog, in submission order — once
     /// the shard has replayed the catalog log through `epoch`. A single
@@ -272,19 +273,19 @@ enum Cmd {
 /// The engine side of a configured WAL: the shared writer plus everything
 /// checkpoints need (the filesystem, the directory, the cadence). Attached
 /// once recovery has replayed the log; a follower never attaches one.
-struct DurableWal {
-    writer: Mutex<WalWriter>,
-    fs: Arc<dyn WalFs>,
-    dir: PathBuf,
-    checkpoint_every: u64,
+pub(crate) struct DurableWal {
+    pub(crate) writer: Mutex<WalWriter>,
+    pub(crate) fs: Arc<dyn WalFs>,
+    pub(crate) dir: PathBuf,
+    pub(crate) checkpoint_every: u64,
     /// Writers issue a group commit after each published batch (the
     /// [`SyncPolicy::GroupCommitMs`] contract).
-    group_commit: bool,
+    pub(crate) group_commit: bool,
     /// Mutations logged since the last checkpoint (drives auto-checkpoints).
-    since_checkpoint: AtomicU64,
+    pub(crate) since_checkpoint: AtomicU64,
     /// Serializes checkpoints; `try_lock` makes concurrent auto-checkpoint
     /// attempts cheap no-ops.
-    checkpoint_lock: Mutex<()>,
+    pub(crate) checkpoint_lock: Mutex<()>,
 }
 
 /// The engine's replication frontier: its role and the highest LSN it has
@@ -296,16 +297,8 @@ struct ReplState {
     caught_up: Condvar,
 }
 
-/// What the checkpointer captured for one shard in phase 1: a resident
-/// snapshot still to be serialized, or the raw paged-file bytes a
-/// disk-backed shard was flushed down to.
-enum CheckpointImage {
-    Resident(Arc<DcTree>),
-    Disk(Vec<u8>),
-}
-
 /// The tree a shard publishes to its readers.
-enum ShardTree {
+pub(crate) enum ShardTree {
     /// A resident shard: an immutable snapshot sharing its nodes with the
     /// writer's tree (see the [module docs](self)).
     Snapshot(Arc<DcTree>),
@@ -357,8 +350,8 @@ macro_rules! read_tree {
 /// swap publishes all of it, so a query that plans *and* executes from one
 /// `PlanState` read sees both backends at the same logical point in time —
 /// the property the mid-churn differential tests pin.
-struct PlanState {
-    tree: ShardTree,
+pub(crate) struct PlanState {
+    pub(crate) tree: ShardTree,
     views: Option<Arc<Vec<MaterializedView>>>,
     stats: PartitionStats,
     /// [`schema_total_values`] of the shard's schema at publish.
@@ -370,7 +363,7 @@ struct PlanState {
 /// [`Arc::make_mut`], which copies the lattice whole — it is small, one cell
 /// per occupied value — on its first mutation after a publish and not again
 /// until the next.
-struct RollupViews {
+pub(crate) struct RollupViews {
     views: Arc<Vec<MaterializedView>>,
     /// Set by deletes (summaries cannot subtract min/max); the views are
     /// rebuilt from the shard tree at the next publish.
@@ -380,7 +373,7 @@ struct RollupViews {
 impl RollupViews {
     /// The lattice over the tree's current records (the recovery path:
     /// checkpoint images restore trees, never derived views).
-    fn build(tree: &DcTree) -> Self {
+    pub(crate) fn build(tree: &DcTree) -> Self {
         RollupViews {
             views: Arc::new(lattice_of(tree)),
             stale: false,
@@ -547,7 +540,7 @@ pub struct BackendComparison {
     pub chosen: QueryOutput,
 }
 
-struct Shard {
+pub(crate) struct Shard {
     tx: Mutex<Option<Sender<Cmd>>>,
     /// The one slot readers start from: the writer swaps a new
     /// [`PlanState`] in after every batch that changed the shard, and a
@@ -555,7 +548,7 @@ struct Shard {
     published: Arc<RwLock<Arc<PlanState>>>,
     /// A disk shard's paged file (the checkpointer copies it after a
     /// flush); `None` for a resident shard.
-    file: Option<PathBuf>,
+    pub(crate) file: Option<PathBuf>,
     writer: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -569,9 +562,9 @@ struct Shard {
 /// merge is exact). A query never waits on a resident shard's writer; on a
 /// disk shard it waits out the batch being applied.
 pub struct ShardedDcTree {
-    catalog: Arc<SchemaCatalog>,
-    shards: Vec<Shard>,
-    metrics: Arc<EngineMetrics>,
+    pub(crate) catalog: Arc<SchemaCatalog>,
+    pub(crate) shards: Vec<Shard>,
+    pub(crate) metrics: Arc<EngineMetrics>,
     policy: PartitionPolicy,
     /// The persistent work-stealing executor (`None` = evaluate multi-shard
     /// queries sequentially on the calling thread). Outlives `shutdown` —
@@ -587,11 +580,11 @@ pub struct ShardedDcTree {
     paper_mode: bool,
     cache: Option<Arc<SharedCache>>,
     /// The log, shared with the shard writers (see [`DurableWal`]).
-    wal: Arc<OnceLock<DurableWal>>,
+    pub(crate) wal: Arc<OnceLock<DurableWal>>,
     /// Ingest holds this for read around {WAL append → enqueue}; the
     /// checkpoint path holds it for write, so its LSN capture sees no
     /// half-enqueued mutation.
-    ingest_gate: RwLock<()>,
+    pub(crate) ingest_gate: RwLock<()>,
     /// Role and applied-LSN frontier (see [`ReplState`]).
     repl: ReplState,
 }
@@ -609,95 +602,20 @@ impl ShardedDcTree {
                 "a follower recovers from a replicated WAL directory; set EngineConfig::wal".into(),
             ));
         }
-        // The checkpoint the manifest names decides the starting state of
-        // the catalog and the shards; the log past it is replayed once the
-        // engine runs (`recover_log`).
-        let wal_fs: Option<Arc<dyn WalFs>> = config
-            .wal
-            .as_ref()
-            .map(|opts| opts.fs.clone().unwrap_or_else(|| Arc::new(StdFs)));
-        let images: Vec<PathBuf> = match (&config.wal, &wal_fs) {
-            (Some(opts), Some(fs)) => {
-                fs.create_dir_all(&opts.dir)?;
-                let manifest = Manifest::load(&**fs, &opts.dir)?.unwrap_or(Manifest::EMPTY);
-                let names = manifest.image_names()?;
-                if !names.is_empty() && names.len() != config.num_shards {
-                    return Err(DcError::Config(format!(
-                        "checkpoint was taken with {} shards, engine configured with {}",
-                        names.len(),
-                        config.num_shards
-                    )));
-                }
-                names.iter().map(|name| opts.dir.join(name)).collect()
-            }
-            _ => Vec::new(),
-        };
-        // Reads one shard's image; its bytes are dropped as soon as that
-        // shard's tree is built, so recovery holds one image at a time.
-        let read_image = |i: usize| -> DcResult<Vec<u8>> {
-            let fs = wal_fs
-                .as_deref()
-                .expect("checkpoint images come from a WAL");
-            fs.read(&images[i])?.ok_or_else(|| {
-                DcError::Corrupt(format!("missing checkpoint image {}", images[i].display()))
-            })
-        };
-        let disk_opts = match &config.storage {
-            StorageMode::Resident => None,
-            StorageMode::Disk(opts) => Some(opts.clone()),
-        };
-        if disk_opts.is_some() && config.planner.is_some() {
+        if matches!(config.storage, StorageMode::Disk(_)) && config.planner.is_some() {
             return Err(DcError::Config(
                 "disk-backed storage maintains only the DC-tree descent backend; \
                  disable the planner's roll-up views"
                     .into(),
             ));
         }
-        // Materialize the shard backing. Resident images parse back into
-        // trees; disk images *are* the paged shard-file format and are laid
-        // down under the storage directory, then opened through the buffer
-        // pool. (A WAL directory's images are therefore tied to the storage
-        // mode they were taken under.) Roll-up views are rebuilt from the
-        // (possibly recovered) tree: checkpoint images restore trees,
-        // never derived views.
-        let with_views = |tree: DcTree| {
-            let views = config.planner.map(|_| RollupViews::build(&tree));
-            (WriterBacking::Resident { tree, views }, None)
-        };
-        let mut backings: Vec<(WriterBacking, Option<PathBuf>)> =
-            Vec::with_capacity(config.num_shards);
-        match &disk_opts {
-            None if !images.is_empty() => {
-                for i in 0..config.num_shards {
-                    backings.push(with_views(DcTree::from_bytes(&read_image(i)?)?));
-                }
-            }
-            None => backings.extend(
-                (0..config.num_shards)
-                    .map(|_| with_views(DcTree::new(schema.clone(), config.tree))),
-            ),
-            Some(opts) => {
-                std::fs::create_dir_all(&opts.dir)?;
-                for i in 0..config.num_shards {
-                    let path = opts.dir.join(format!("shard-{i}.dct"));
-                    let tree = if images.is_empty() {
-                        OocDcTree::create(&path, schema.clone(), config.tree, opts.ooc)?
-                    } else {
-                        std::fs::write(&path, read_image(i)?)?;
-                        OocDcTree::open(&path, config.tree, opts.ooc)?
-                    };
-                    backings.push((WriterBacking::Disk(Arc::new(tree)), Some(path)));
-                }
-            }
-        }
-        // Before imaging, the checkpoint path catches every shard up to the
-        // full catalog epoch, so every image carries the complete master
-        // schema — shard 0's restores the catalog exactly.
-        let schema = match &backings[0].0 {
-            _ if images.is_empty() => schema,
-            WriterBacking::Resident { tree, .. } => tree.schema().clone(),
-            WriterBacking::Disk(tree) => tree.schema(),
-        };
+        // Shards and catalog start from the committed checkpoint; the log
+        // past it is replayed once the engine runs (`recover_log`).
+        let wal_fs: Option<Arc<dyn WalFs>> = config
+            .wal
+            .as_ref()
+            .map(|opts| opts.fs.clone().unwrap_or_else(|| Arc::new(StdFs)));
+        let (backings, schema) = checkpoint::open_shards(schema, &config, wal_fs.as_deref())?;
         if let PartitionPolicy::ByDimension { dim, level } = config.policy {
             let h = schema.dim(dim);
             assert!(
@@ -751,8 +669,7 @@ impl ShardedDcTree {
                 writer: Mutex::new(Some(writer)),
             });
         }
-        let no_snapshot = disk_opts
-            .is_some()
+        let no_snapshot = matches!(config.storage, StorageMode::Disk(_))
             .then(|| Arc::new(DcTree::new(schema, config.tree)));
         let pool = if config.parallel_queries && config.num_shards > 1 {
             let workers = config.pool_workers.unwrap_or_else(|| {
@@ -786,67 +703,6 @@ impl ShardedDcTree {
         }
         engine.refresh_pool_gauges();
         Ok(engine)
-    }
-
-    /// Replays the WAL past the checkpoint over the running engine in one
-    /// pass — each frame is validated, decoded and handed to
-    /// [`Self::apply_replicated`] as the scan reaches it, [`REPLAY_CHUNK`]
-    /// entries at a time, while the scan repairs any torn tail — then, on
-    /// a primary, opens the log for appending at the next LSN and attaches
-    /// it. Recovery holds one segment's bytes and one chunk, never the
-    /// tail. The entries are already durable in their segments, so they
-    /// are not logged again — a double-open must not duplicate them.
-    fn recover_log(&self, opts: &WalOptions, fs: Arc<dyn WalFs>, role: EngineRole) -> DcResult<()> {
-        let mut chunk = Vec::with_capacity(REPLAY_CHUNK);
-        let scan = WalReader::replay(&*fs, &opts.dir, |entry| {
-            chunk.push(entry);
-            if chunk.len() < REPLAY_CHUNK {
-                return Ok(());
-            }
-            self.apply_replicated(chunk.drain(..))
-        })?;
-        self.apply_replicated(chunk)?;
-        if scan.replayed > 0 {
-            self.flush();
-        }
-        let d = &self.metrics.durability;
-        d.recovery_checkpoint_lsn
-            .store(scan.manifest.checkpoint_lsn, Relaxed);
-        d.recovery_replayed_entries.store(scan.replayed, Relaxed);
-        d.recovery_truncated_bytes
-            .store(scan.truncated_bytes, Relaxed);
-        d.recovery_tail_lost
-            .store(u64::from(scan.tail_lost), Relaxed);
-        // The replication frontier starts at the recovered tip.
-        self.publish_applied(scan.next_lsn - 1);
-        if role == EngineRole::Follower {
-            // A follower only recovers from the replicated directory; it
-            // appends nothing, so it opens no writer (and must not: a local
-            // fresh segment would collide with the next segment shipped
-            // from the primary).
-            return Ok(());
-        }
-        let writer = WalWriter::open(
-            Arc::clone(&fs),
-            &opts.dir,
-            WalConfig {
-                segment_bytes: opts.segment_bytes,
-                sync: opts.sync,
-            },
-            &scan,
-            self.shards.len() as u32,
-        )?;
-        let attached = self.wal.set(DurableWal {
-            writer: Mutex::new(writer),
-            fs,
-            dir: opts.dir.clone(),
-            checkpoint_every: opts.checkpoint_every,
-            group_commit: matches!(opts.sync, SyncPolicy::GroupCommitMs(_)),
-            since_checkpoint: AtomicU64::new(0),
-            checkpoint_lock: Mutex::new(()),
-        });
-        assert!(attached.is_ok(), "the log is attached once");
-        Ok(())
     }
 
     /// `true` when the shards are disk-backed ([`StorageMode::Disk`]).
@@ -1042,7 +898,7 @@ impl ShardedDcTree {
 
     /// Copies the WAL writer's counters into the STATS gauges (called with
     /// the writer lock held).
-    fn refresh_wal_gauges(&self, w: &WalWriter) {
+    pub(crate) fn refresh_wal_gauges(&self, w: &WalWriter) {
         let stats = w.stats();
         let d = &self.metrics.durability;
         d.wal_appends.store(stats.appends, Relaxed);
@@ -1053,100 +909,7 @@ impl ShardedDcTree {
         d.wal_synced_lsn.store(w.synced_lsn(), Relaxed);
     }
 
-    fn maybe_auto_checkpoint(&self) -> DcResult<()> {
-        let Some(wal) = self.wal.get() else {
-            return Ok(());
-        };
-        if wal.checkpoint_every == 0 || wal.since_checkpoint.load(Relaxed) < wal.checkpoint_every {
-            return Ok(());
-        }
-        // Someone else checkpointing right now already covers these
-        // mutations; skipping keeps the ingest path non-blocking.
-        if let Some(_one_at_a_time) = wal.checkpoint_lock.try_lock() {
-            self.checkpoint_locked(wal)?;
-        }
-        Ok(())
-    }
-
-    /// Takes a checkpoint: quiesces ingest, catches every shard up to the
-    /// full catalog epoch, images each shard at the captured LSN, then
-    /// commits the manifest and deletes superseded segments and images.
-    /// Returns the checkpoint LSN. Fails with [`DcError::Config`] when the
-    /// engine has no WAL.
-    pub fn checkpoint(&self) -> DcResult<u64> {
-        let Some(wal) = self.wal.get() else {
-            return Err(DcError::Config("engine has no WAL configured".into()));
-        };
-        let _one_at_a_time = wal.checkpoint_lock.lock();
-        self.checkpoint_locked(wal)
-    }
-
-    /// The checkpoint body (caller holds [`DurableWal::checkpoint_lock`]).
-    fn checkpoint_locked(&self, wal: &DurableWal) -> DcResult<u64> {
-        // Phase 1 (under the ingest gate): capture an LSN no in-flight
-        // mutation straddles, rotate past it, and snapshot every shard at
-        // exactly that point.
-        let (lsn, start_seq, snaps) = {
-            let _gate = self.ingest_gate.write();
-            let (lsn, start_seq) = {
-                let mut w = wal.writer.lock();
-                let r = w.prepare_checkpoint()?;
-                self.refresh_wal_gauges(&w);
-                r
-            };
-            let epoch = self.catalog.epoch();
-            for i in 0..self.shards.len() {
-                self.send(i, Cmd::Catchup { epoch })?;
-            }
-            self.flush();
-            let mut snaps: Vec<CheckpointImage> = Vec::with_capacity(self.shards.len());
-            for (s, shard) in self.shards.iter().enumerate() {
-                snaps.push(match &self.published(s).tree {
-                    ShardTree::Snapshot(snap) => CheckpointImage::Resident(Arc::clone(snap)),
-                    ShardTree::Disk(ooc) => {
-                        // Write back every dirty frame and fsync, then copy
-                        // the complete paged file as the image. Ingest is
-                        // gated and the flush barrier above drained the
-                        // writer, so the file cannot move underneath.
-                        ooc.flush()?;
-                        let file = shard.file.as_ref().expect("a disk shard has a file");
-                        CheckpointImage::Disk(std::fs::read(file)?)
-                    }
-                });
-            }
-            (lsn, start_seq, snaps)
-        };
-        // Phase 2 (ingest running again): serialize the images, then commit.
-        // A crash anywhere in here recovers through the *previous*
-        // checkpoint — the old manifest and segments are still intact.
-        for (i, snap) in snaps.into_iter().enumerate() {
-            let bytes = match snap {
-                CheckpointImage::Resident(tree) => tree.to_bytes(),
-                CheckpointImage::Disk(bytes) => bytes,
-            };
-            wal.fs
-                .write_atomic(&wal.dir.join(checkpoint_file_name(lsn, i as u32)), &bytes)?;
-        }
-        {
-            let mut w = wal.writer.lock();
-            w.commit_checkpoint(lsn, start_seq, self.shards.len() as u32)?;
-            self.refresh_wal_gauges(&w);
-        }
-        for name in wal.fs.list(&wal.dir)? {
-            if let Some((image_lsn, _)) = parse_checkpoint_file_name(&name) {
-                if image_lsn != lsn {
-                    wal.fs.remove(&wal.dir.join(&name))?;
-                }
-            }
-        }
-        wal.since_checkpoint.store(0, Relaxed);
-        let d = &self.metrics.durability;
-        d.checkpoints.fetch_add(1, Relaxed);
-        d.checkpoint_last_lsn.store(lsn, Relaxed);
-        Ok(lsn)
-    }
-
-    fn send(&self, shard: usize, cmd: Cmd) -> DcResult<()> {
+    pub(crate) fn send(&self, shard: usize, cmd: Cmd) -> DcResult<()> {
         let guard = self.shards[shard].tx.lock();
         let Some(tx) = guard.as_ref() else {
             return Err(DcError::Corrupt("engine is shut down".into()));
@@ -1369,7 +1132,7 @@ impl ShardedDcTree {
     }
 
     /// What shard `s` has published, cloned out of its slot.
-    fn published(&self, s: usize) -> Arc<PlanState> {
+    pub(crate) fn published(&self, s: usize) -> Arc<PlanState> {
         Arc::clone(&self.shards[s].published.read())
     }
 
@@ -1918,7 +1681,7 @@ fn shard_covers(range: &Mds, schema: &CubeSchema) -> bool {
 /// loop is the same.
 // One value per writer thread, moved once at spawn: not worth a `Box`.
 #[allow(clippy::large_enum_variant)]
-enum WriterBacking {
+pub(crate) enum WriterBacking {
     /// The writer owns the tree (and the planner's roll-up views beside
     /// it); after each batch it publishes a snapshot of both.
     Resident {

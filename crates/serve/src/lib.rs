@@ -85,6 +85,7 @@
 
 pub mod admission;
 pub mod catalog;
+mod checkpoint;
 pub mod codec;
 pub mod engine;
 pub mod metrics;

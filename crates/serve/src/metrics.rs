@@ -371,6 +371,8 @@ pub struct DurabilityMetrics {
     pub checkpoints: AtomicU64,
     /// LSN of the newest committed checkpoint.
     pub checkpoint_last_lsn: AtomicU64,
+    /// Image bytes the newest checkpoint wrote, over all shards.
+    pub checkpoint_last_bytes: AtomicU64,
     /// Checkpoint LSN recovery started from at engine construction.
     pub recovery_checkpoint_lsn: AtomicU64,
     /// WAL tail entries replayed at engine construction.
@@ -873,6 +875,11 @@ impl EngineMetrics {
         );
         push_kv(
             &mut s,
+            "checkpoint_last_bytes",
+            &d.checkpoint_last_bytes.load(Relaxed).to_string(),
+        );
+        push_kv(
+            &mut s,
             "recovery_checkpoint_lsn",
             &d.recovery_checkpoint_lsn.load(Relaxed).to_string(),
         );
@@ -996,11 +1003,13 @@ mod tests {
         let m = EngineMetrics::new(1);
         m.durability.wal_appends.store(11, Relaxed);
         m.durability.checkpoints.store(2, Relaxed);
+        m.durability.checkpoint_last_bytes.store(9_000, Relaxed);
         m.durability.recovery_replayed_entries.store(4, Relaxed);
         m.durability.recovery_tail_lost.store(1, Relaxed);
         let json = m.to_json();
         assert!(json.contains("\"durability\":{\"wal_appends\":11"));
         assert!(json.contains("\"checkpoints\":2"));
+        assert!(json.contains("\"checkpoint_last_bytes\":9000"));
         assert!(json.contains("\"recovery_replayed_entries\":4"));
         assert!(json.contains("\"recovery_truncated_bytes\":0"));
         assert!(json.contains("\"recovery_tail_lost\":1}"));

@@ -59,6 +59,20 @@ impl PagedFile {
         Ok(pf)
     }
 
+    /// The block size the file at `path` was created with, read from its
+    /// header: the one [`open`](Self::open) accepts.
+    pub fn block_of(path: impl AsRef<Path>) -> DcResult<BlockConfig> {
+        let mut header = [0u8; 16];
+        File::open(path)?.read_exact(&mut header)?;
+        if u64::from_le_bytes(header[0..8].try_into().expect("8 bytes")) != MAGIC {
+            return Err(DcError::Corrupt("not a DC paged file".into()));
+        }
+        match u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")) {
+            size @ 32..=0x100_0000 => Ok(BlockConfig::new(size as usize)),
+            size => Err(DcError::Corrupt(format!("header claims {size}-byte pages"))),
+        }
+    }
+
     /// Opens an existing paged file, validating its header.
     pub fn open(path: impl AsRef<Path>, block: BlockConfig) -> DcResult<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
@@ -267,6 +281,7 @@ mod tests {
             PagedFile::open(&path, BlockConfig::new(64)),
             Err(DcError::Corrupt(_))
         ));
+        assert_eq!(PagedFile::block_of(&path).unwrap().block_size, 128);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Persistence: snapshot a loaded warehouse to disk as a flat image, and
-//! keep the same warehouse as a live disk tree whose nodes are pages of a
-//! block-structured file — then reopen and keep inserting (the fully
-//! dynamic lifecycle survives restarts either way).
+//! Persistence: a tree's image is a shard file — the paged format a disk
+//! shard is served from. Load a warehouse in memory, write its image,
+//! reopen that image as a live disk tree and keep inserting there, then
+//! read the disk tree's file back into memory (the fully dynamic lifecycle
+//! survives the trip either way).
 //!
 //! Run with:
 //! ```sh
@@ -9,7 +10,7 @@
 //! ```
 
 use dctree::common::TempDir;
-use dctree::oocore::{OocDcTree, OocOptions};
+use dctree::oocore::{read_image, write_image, OocDcTree, OocOptions};
 use dctree::tpcd::{generate, TpcdConfig};
 use dctree::{AggregateOp, DcTree, DcTreeConfig, Mds};
 
@@ -22,44 +23,34 @@ fn main() -> dctree::DcResult<()> {
 
     println!("loading {n} TPC-D style records…");
     let data = generate(&TpcdConfig::scaled(n, 99));
-    let mut tree = DcTree::new(data.schema.clone(), DcTreeConfig::default());
-    for r in &data.records {
-        tree.insert(r.clone())?;
+    let config = DcTreeConfig::default();
+    let mut tree = DcTree::new(data.schema.clone(), config);
+    for chunk in data.records.chunks(256) {
+        tree.insert_batch(chunk.to_vec())?;
     }
     let total_before = tree.total_summary()?;
     println!("  {} records, total {} cents", tree.len(), total_before.sum);
 
-    // 1. Flat image.
-    let flat_path = dir.join("warehouse.dct");
-    tree.save_to(&flat_path)?;
-    let flat_size = std::fs::metadata(&flat_path)?.len();
-    println!("\nflat image: {flat_path:?} ({flat_size} bytes)");
-    let reloaded = DcTree::load_from(&flat_path)?;
-    assert_eq!(reloaded.total_summary()?, total_before);
-    println!("  reloaded and verified (invariants checked on load)");
+    // 1. The resident tree's image: a shard file, one chain of pages per
+    //    node, written by copying the tree node for node.
+    let path = dir.join("warehouse.dct");
+    write_image(&tree, &path)?;
+    let pages = std::fs::metadata(&path)?.len() / config.block.block_size as u64;
+    println!("\nimage: {path:?} ({pages} × 4 KiB pages)");
 
-    // 2. The same tree with its nodes in a paged file behind a buffer
-    //    pool: nothing to snapshot, `flush` makes the file reopenable.
-    let paged_path = dir.join("warehouse.pages");
-    let config = DcTreeConfig::default();
+    // 2. The image *is* a disk tree: open it behind a buffer pool and
+    //    serve it from its pages.
     let opts = OocOptions {
         frames: 64,
         ..OocOptions::default()
     };
-    let disk = OocDcTree::create(&paged_path, data.schema.clone(), config, opts)?;
-    for chunk in data.records.chunks(256) {
-        disk.write().insert_batch(chunk.to_vec())?;
-    }
-    disk.flush()?;
-    let pages = std::fs::metadata(&paged_path)?.len() / config.block.block_size as u64;
-    println!("\ndisk tree: {paged_path:?} ({pages} × 4 KiB pages)");
-    println!("  buffer pool after load: {:?}", disk.pool_stats());
-    drop(disk);
-    let reloaded = OocDcTree::open(&paged_path, config, opts)?;
-    assert_eq!(reloaded.total_summary()?, total_before);
+    let disk = OocDcTree::open(&path, config, opts)?;
+    assert_eq!(disk.total_summary()?, total_before);
+    assert_eq!(disk.len(), tree.len());
+    println!("  opened as a disk tree, totals verified");
 
-    // 3. The reopened warehouse stays fully dynamic.
-    reloaded.insert_raw(
+    // 3. The disk tree stays fully dynamic.
+    disk.insert_raw(
         &[
             vec!["EUROPE", "GERMANY", "MACHINERY", "Customer#999999999"],
             vec!["EUROPE", "GERMANY", "Supplier#999999999"],
@@ -68,13 +59,26 @@ fn main() -> dctree::DcResult<()> {
         ],
         123_456,
     )?;
-    let all = Mds::all(&reloaded.schema());
+    let all = Mds::all(&disk.schema());
     println!(
-        "\nafter one more insert: COUNT = {:?}, SUM = {:?}",
-        reloaded.range_query(&all, AggregateOp::Count)?,
-        reloaded.range_query(&all, AggregateOp::Sum)?
+        "\nafter one more insert on disk: COUNT = {:?}, SUM = {:?}",
+        disk.range_query(&all, AggregateOp::Count)?,
+        disk.range_query(&all, AggregateOp::Sum)?
     );
-    reloaded.read().check_invariants()?;
-    println!("invariants hold — snapshot / restore / resume complete.");
+    println!("  buffer pool: {:?}", disk.pool_stats());
+    disk.flush()?;
+    drop(disk);
+
+    // 4. And back: the flushed file read into memory, invariants checked
+    //    on the way in.
+    let reloaded = read_image(&path, config)?;
+    assert_eq!(reloaded.len(), tree.len() + 1);
+    println!(
+        "\nread back into memory: {} records, {} nodes, height {}",
+        reloaded.len(),
+        reloaded.num_nodes(),
+        reloaded.height()
+    );
+    println!("invariants hold — image / serve / resume / restore complete.");
     Ok(())
 }

@@ -27,11 +27,15 @@ use std::sync::Arc;
 
 use dc_common::{DcError, TempDir};
 use dc_durable::{
-    apply, fetch_checkpoint, parse_segment_file_name, segment_file_name, FaultFs, FaultPlan,
-    Manifest, StdFs, SyncPolicy, WalEntry,
+    apply, fetch_checkpoint, is_scratch_image_name, parse_segment_file_name, scratch_image_name,
+    segment_file_name, FaultFs, FaultPlan, Manifest, StdFs, SyncPolicy, WalEntry,
 };
 use dc_query::{RangeQueryGen, ValuePick};
-use dc_serve::{protocol, EngineConfig, ShardedDcTree, WalOptions};
+use dc_replica::{DirSource, Follower, FollowerConfig};
+use dc_serve::{
+    protocol, DiskOptions, EngineConfig, OocOptions, ShardedDcTree, StorageMode, WalOptions,
+};
+use dc_storage::BlockConfig;
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
 use dc_tree::{DcTree, DcTreeConfig};
 
@@ -642,8 +646,8 @@ fn an_unsharded_checkpoint_is_rejected_not_half_opened() {
         shards: 0,
     };
     manifest.store(&StdFs, &dir).unwrap();
-    let image = DcTree::new(data.schema.clone(), tree_config()).to_bytes();
-    std::fs::write(dir.join(format!("checkpoint.{:020}.dct", 7)), image).unwrap();
+    let image = DcTree::new(data.schema.clone(), tree_config());
+    dc_oocore::write_image(&image, dir.join(format!("checkpoint.{:020}.dct", 7))).unwrap();
     let unsharded = |e: DcError| matches!(e, DcError::Corrupt(msg) if msg.contains("unsharded"));
     assert!(unsharded(fetch_checkpoint(&StdFs, &dir).unwrap_err()));
     for shards in SHARD_COUNTS {
@@ -651,6 +655,154 @@ fn an_unsharded_checkpoint_is_rejected_not_half_opened() {
         assert!(unsharded(
             ShardedDcTree::new(data.schema.clone(), cfg).unwrap_err()
         ));
+    }
+}
+
+/// [`config`] with the log under `dir/wal` and the shards resident or, with
+/// `disk`, shard files of 512-byte pages under `dir/shards` behind an
+/// eight-frame pool.
+fn storage_config(dir: &Path, shards: usize, disk: bool) -> EngineConfig {
+    let mut cfg = config(&dir.join("wal"), None, shards, 0);
+    if disk {
+        cfg.storage = StorageMode::Disk(DiskOptions {
+            dir: dir.join("shards"),
+            ooc: OocOptions {
+                block: BlockConfig::new(512),
+                frames: 8,
+                compress: true,
+            },
+        });
+    }
+    cfg
+}
+
+#[test]
+fn a_checkpoint_reopens_in_the_other_storage_mode() {
+    // Every image is a shard file, so a directory checkpointed by resident
+    // shards reopens on disk and the reverse, and a follower of either
+    // kind installs the bundle either kind of primary serves.
+    let data = tpcd();
+    let ops = workload(&data, OPS);
+    let mono = oracle(&data, &ops, OPS);
+    for shards in SHARD_COUNTS {
+        for disk in [false, true] {
+            let dir = TempDir::new("crash-cross-mode");
+            {
+                let engine =
+                    ShardedDcTree::new(data.schema.clone(), storage_config(&dir, shards, disk))
+                        .unwrap();
+                feed(&engine, &ops[..80]);
+                assert_eq!(engine.checkpoint().unwrap(), 80);
+                feed(&engine, &ops[80..]);
+            }
+            let engine =
+                ShardedDcTree::new(data.schema.clone(), storage_config(&dir, shards, !disk))
+                    .unwrap();
+            assert_eq!(engine.is_disk(), !disk);
+            let r = Recovered::of(&engine);
+            assert_eq!((r.checkpoint_lsn, r.replayed), (80, 40));
+            assert_answers(&engine, &mono, &data);
+            drop(engine);
+
+            for follower_disk in [false, true] {
+                let replica = TempDir::new("crash-cross-mode-follower");
+                let source = DirSource {
+                    fs: Arc::new(StdFs),
+                    dir: dir.join("wal"),
+                };
+                let mut follower_config = FollowerConfig::new(replica.join("wal"));
+                follower_config.engine = storage_config(&replica, shards, follower_disk);
+                let follower =
+                    Follower::bootstrap(source, data.schema.clone(), follower_config).unwrap();
+                assert_eq!(follower.engine().is_disk(), follower_disk);
+                assert_eq!(follower.catch_up().unwrap(), OPS as u64);
+                assert_answers(&follower.engine(), &mono, &data);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_resident_recovery_rebuilds_the_checkpointed_tree() {
+    // A recovered resident shard is the tree its checkpoint imaged, node
+    // for node, built with the configuration the engine is opened with —
+    // the image carries none.
+    let data = tpcd();
+    let ops = workload(&data, OPS);
+    for shards in SHARD_COUNTS {
+        let dir = TempDir::new("crash-same-tree");
+        let imaged: Vec<_> = {
+            let engine = open(&dir, &data, shards);
+            feed(&engine, &ops);
+            engine.checkpoint().unwrap();
+            (0..shards)
+                .map(|s| engine.shard_snapshot(s).structure().unwrap())
+                .collect()
+        };
+        let mut cfg = config(&dir, None, shards, 0);
+        cfg.tree.max_overlap = 0.25;
+        let engine = ShardedDcTree::new(data.schema.clone(), cfg).unwrap();
+        assert_eq!(Recovered::of(&engine).replayed, 0);
+        for (s, want) in imaged.iter().enumerate() {
+            let tree = engine.shard_snapshot(s);
+            assert!(tree.structure().unwrap() == *want, "shard {s} differs");
+            assert_eq!(tree.config().max_overlap, 0.25);
+            assert_eq!(tree.config().dir_capacity, tree_config().dir_capacity);
+            tree.check_invariants().unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_scratch_image_left_by_a_crash_is_never_loaded() {
+    // A crash mid-image leaves a scratch image behind. Recovery must not
+    // take it for a checkpoint, and removes it; so does the next
+    // checkpoint, for one that appears while the engine runs.
+    let data = tpcd();
+    let ops = inserts(&data, 30);
+    let mono = oracle(&data, &ops, 30);
+    let scratch_files = |dir: &Path| {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| is_scratch_image_name(e.as_ref().unwrap().file_name().to_str().unwrap()))
+            .count()
+    };
+    for shards in SHARD_COUNTS {
+        let dir = TempDir::new("crash-scratch");
+        {
+            let engine = open(&dir, &data, shards);
+            feed(&engine, &ops[..20]);
+            engine.checkpoint().unwrap();
+            feed(&engine, &ops[20..]);
+        }
+        for s in 0..shards as u32 {
+            std::fs::write(dir.join(scratch_image_name(s)), b"half an image").unwrap();
+        }
+        let engine = open(&dir, &data, shards);
+        let r = Recovered::of(&engine);
+        assert_eq!((r.checkpoint_lsn, r.replayed), (20, 10));
+        assert_answers(&engine, &mono, &data);
+        assert_eq!(scratch_files(&dir), 0, "recovery removes scratch images");
+
+        std::fs::write(dir.join(scratch_image_name(7)), b"half an image").unwrap();
+        assert_eq!(engine.checkpoint().unwrap(), 30);
+        assert_eq!(
+            scratch_files(&dir),
+            0,
+            "a checkpoint removes scratch images"
+        );
+        let bytes = engine
+            .metrics()
+            .durability
+            .checkpoint_last_bytes
+            .load(Relaxed);
+        let images: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_str().unwrap().ends_with(".dct"))
+            .map(|e| e.metadata().unwrap().len())
+            .sum();
+        assert_eq!(bytes, images, "checkpoint_last_bytes counts the images");
     }
 }
 

@@ -12,6 +12,15 @@ use dctree::tpcd::{generate, TpcdConfig, TpcdData};
 use dctree::xtree::{XTree, XTreeConfig};
 use dctree::{AggregateOp, DcTree, DcTreeConfig, DimensionId, Mds, MeasureSummary};
 
+/// Writes `tree`'s image — a shard file — under `dir` and reads it back
+/// into a resident tree, returning the tree and the image's bytes.
+fn reload(tree: &DcTree, dir: &dctree::common::TempDir, name: &str) -> (DcTree, Vec<u8>) {
+    let path = dir.join(name);
+    dctree::oocore::write_image(tree, &path).unwrap();
+    let loaded = dctree::oocore::read_image(&path, *tree.config()).unwrap();
+    (loaded, std::fs::read(&path).unwrap())
+}
+
 struct Engines {
     data: dctree::tpcd::TpcdData,
     dc: DcTree,
@@ -225,7 +234,8 @@ fn aggregate_operators_agree_everywhere() {
 #[test]
 fn dc_tree_persistence_survives_tpcd_load() {
     let e = build_engines(1200, 29);
-    let loaded = DcTree::from_bytes(&e.dc.to_bytes()).unwrap();
+    let dir = dctree::common::TempDir::new("tpcd-image");
+    let (loaded, _) = reload(&e.dc, &dir, "tree.dct");
     let mut gen = RangeQueryGen::new(0.05, ValuePick::ContiguousRun, 10);
     for _ in 0..20 {
         let q = gen.generate(&e.data.schema);
@@ -394,9 +404,8 @@ fn a_cube_wider_than_the_inline_record_agrees_with_the_scan() {
     dc.check_invariants().unwrap();
     assert_eq!(dc.len() as usize, scan.len());
 
-    let image = dc.to_bytes();
-    let reloaded = DcTree::from_bytes(&image).unwrap();
-    assert_eq!(reloaded.to_bytes(), image);
+    let (reloaded, image) = reload(&dc, &dir, "image.dct");
+    assert!(reload(&reloaded, &dir, "again.dct").1 == image);
     assert!(reloaded.structure().unwrap() == dc.structure().unwrap());
     for tree in &mut paged {
         tree.check_invariants().unwrap();
