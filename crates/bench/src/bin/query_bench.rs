@@ -92,8 +92,7 @@ fn bench_engine(data: &TpcdData, shards: usize, workers: usize, queries: usize) 
         EngineConfig {
             num_shards: shards,
             policy: PartitionPolicy::ByDimension { dim, level },
-            parallel_queries: workers > 0,
-            pool_workers: (workers > 0).then_some(workers),
+            pool_workers: Some(workers),
             // The cache would absorb descents and hide the executor; this
             // bench measures the scatter-gather path itself.
             cache: None,

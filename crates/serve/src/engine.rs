@@ -19,7 +19,6 @@
 //! record) publishes nothing. What is still copied whole: a shard's
 //! `CubeSchema`, once per batch that interns a new value into it.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -190,18 +189,16 @@ pub struct EngineConfig {
     /// `Some` makes ingest durable via a shared write-ahead log (reusing
     /// `dc-durable`'s framed WAL); recovery replays it on construction.
     pub wal: Option<WalOptions>,
-    /// Evaluate multi-shard queries on the persistent work-stealing query
-    /// pool instead of sequentially on the calling thread, in either
-    /// storage mode. Each shard is read from the state it has published —
-    /// one batch boundary per shard, whichever thread evaluates it — so the
-    /// two paths answer alike; the pooled one wins wall-clock only when
-    /// spare cores exist, which is why the default follows
-    /// [`std::thread::available_parallelism`].
-    pub parallel_queries: bool,
-    /// Worker threads in the query pool (`None` = size by
-    /// [`std::thread::available_parallelism`]). `Some(0)` disables the pool
-    /// outright, like `parallel_queries = false`. The submitting thread
-    /// always participates in its own query on top of these workers.
+    /// Worker threads in the persistent work-stealing query pool, which
+    /// evaluates multi-shard queries in either storage mode: `None` sizes
+    /// it by [`std::thread::available_parallelism`] and starts no pool on a
+    /// one-core host, `Some(0)` starts none, `Some(k)` starts `k` workers.
+    /// Without a pool every query runs on the calling thread. Each shard is
+    /// read from the state it has published — one batch boundary per
+    /// shard, whichever thread evaluates it — so both ways answer alike;
+    /// the pooled one wins wall-clock only when spare cores exist. The
+    /// submitting thread always participates in its own query on top of
+    /// these workers.
     pub pool_workers: Option<usize>,
     /// `Some` puts a hierarchy-aware aggregate cache (`dc-cache`) in front
     /// of the scatter-gather path: exact and contained (semantic) hits skip
@@ -232,9 +229,6 @@ impl Default for EngineConfig {
             tree: DcTreeConfig::default(),
             batch_size: 128,
             wal: None,
-            parallel_queries: std::thread::available_parallelism()
-                .map(|p| p.get() > 1)
-                .unwrap_or(false),
             pool_workers: None,
             cache: Some(CacheConfig::default()),
             planner: None,
@@ -461,19 +455,6 @@ fn capture_plan_state<S: NodeStore>(
     })
 }
 
-/// §4.3's range query from a prepared range — grouped at `(dim, level)`
-/// when `group_by` is set — on a shard tree in either store.
-fn descend_tree<S: NodeStore>(
-    tree: &DcTree<S>,
-    group_by: Option<(DimensionId, Level)>,
-    prepared: &PreparedRange,
-) -> DcResult<QueryOutput> {
-    Ok(match group_by {
-        None => QueryOutput::Scalar(tree.range_summary_prepared(prepared)?),
-        Some((dim, level)) => QueryOutput::Grouped(tree.group_by_prepared(dim, level, prepared)?),
-    })
-}
-
 impl PlanState {
     /// `true` iff this shard can contribute to `range`. A shard whose
     /// schema is complete (same value total as the catalog — shard schemas
@@ -483,16 +464,6 @@ impl PlanState {
     fn covers(&self, range: &Mds, catalog_values: usize) -> bool {
         self.schema_values == catalog_values
             || read_tree!(self, |tree| shard_covers(range, tree.schema())).0
-    }
-
-    /// This shard's share of a descent, with the pages it read.
-    fn descend(
-        &self,
-        group_by: Option<(DimensionId, Level)>,
-        prepared: &PreparedRange,
-    ) -> DcResult<(QueryOutput, u64)> {
-        let (out, pages) = read_tree!(self, |tree| descend_tree(tree, group_by, prepared));
-        Ok((out?, pages))
     }
 
     /// `true` iff the shard keeps the engine behind `backend`.
@@ -512,7 +483,6 @@ impl PlanState {
         backend: Backend,
         prepared: &PreparedRange,
     ) -> DcResult<(QueryOutput, u64)> {
-        let descent = backend == Backend::Descend;
         let (ran, tree_pages) = read_tree!(self, |tree| dc_plan::execute(
             tree.schema(),
             plan,
@@ -521,9 +491,10 @@ impl PlanState {
                 tree,
                 views: self.views.as_ref().map(|v| &v[..]),
             },
-            descent.then_some(prepared),
+            prepared,
         ));
         let (out, engine_pages) = ran?;
+        let descent = backend == Backend::Descend;
         Ok((out, if descent { tree_pages } else { engine_pages }))
     }
 }
@@ -538,6 +509,33 @@ pub struct BackendComparison {
     pub outputs: Vec<(Backend, QueryOutput)>,
     /// The planner's per-shard choice, executed on the same snapshots.
     pub chosen: QueryOutput,
+}
+
+/// The shards one query visits, read and priced once by
+/// [`ShardedDcTree::gather`] and evaluated by [`ShardedDcTree::run`].
+#[derive(Clone)]
+struct Gather {
+    /// Prepare with the paper's Fig. 7 containment shortcut.
+    paper: bool,
+    /// One fragment per relevant shard, in shard order: the backend it
+    /// runs and the planner's estimate. A shard the coverage check skipped
+    /// never gets `actual_pages`.
+    frags: Vec<ShardExplain>,
+    /// The units: each visited shard's fragment index and the state it was
+    /// read at.
+    units: Vec<(usize, Arc<PlanState>)>,
+}
+
+/// A plan that only descends `filter`, grouped at `group_by` when set —
+/// what the range-summary, cache-remainder and `group_by` entry points
+/// run. Descent ignores the aggregate list, so it is empty.
+fn descent_plan(filter: Mds, group_by: Option<(DimensionId, Level)>) -> LogicalPlan {
+    LogicalPlan {
+        ops: Vec::new(),
+        filter,
+        group_by,
+        top: None,
+    }
 }
 
 pub(crate) struct Shard {
@@ -671,16 +669,15 @@ impl ShardedDcTree {
         }
         let no_snapshot = matches!(config.storage, StorageMode::Disk(_))
             .then(|| Arc::new(DcTree::new(schema, config.tree)));
-        let pool = if config.parallel_queries && config.num_shards > 1 {
-            let workers = config.pool_workers.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            });
-            (workers >= 1).then(|| QueryPool::new(workers, Arc::clone(&metrics)))
-        } else {
-            None
-        };
+        let workers = config.pool_workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .ok()
+                .filter(|&p| p > 1)
+                .unwrap_or(0)
+        });
+        let pool = (config.num_shards > 1 && workers >= 1)
+            .then(|| QueryPool::new(workers, Arc::clone(&metrics)));
         let engine = ShardedDcTree {
             catalog,
             shards,
@@ -1178,26 +1175,33 @@ impl ShardedDcTree {
         let t0 = Instant::now();
         // A full summary exposes MIN/MAX, so delete-degraded cache entries
         // may not serve it.
-        let total = self.cached_summary(range, true)?;
+        let total = self.cached_summary(&descent_plan(range.clone(), None), true, None)?;
         self.metrics.queries.fetch_add(1, Relaxed);
         self.metrics.query_latency.record(t0.elapsed());
         Ok(total)
     }
 
-    /// Answers `range` through the cache: exact hit → no descent; semantic
-    /// hit → descend only the remainder MDSs and merge onto the cached
-    /// base; miss → full descent. Computed summaries are inserted back
-    /// unless a snapshot publish intervened (the version check in
-    /// `dc-cache` — a summary computed from superseded snapshots must not
-    /// be cached).
+    /// Answers the scalar `plan` through the cache: exact hit → no
+    /// descent; semantic hit → descend only the remainder MDSs and merge
+    /// onto the cached base; miss → full descent. `gathered` is a gather of
+    /// `plan` whose every unit descends; it is run wherever no cache
+    /// version pins the states. Computed summaries are inserted back unless
+    /// a snapshot publish intervened (the version check in `dc-cache` — a
+    /// summary computed from superseded snapshots must not be cached).
     ///
     /// Lock order is catalog → cache here, and writers never hold the
     /// catalog lock while publishing to the cache, so the two paths cannot
     /// deadlock.
-    fn cached_summary(&self, range: &Mds, need_extrema: bool) -> DcResult<MeasureSummary> {
+    fn cached_summary(
+        &self,
+        plan: &LogicalPlan,
+        need_extrema: bool,
+        gathered: Option<Gather>,
+    ) -> DcResult<MeasureSummary> {
         let Some(cache) = &self.cache else {
-            return Ok(self.descend(range)?.0);
+            return Ok(self.descend(plan, gathered)?.0);
         };
+        let range = &plan.filter;
         let t0 = Instant::now();
         let looked = self.catalog.with_schema(|schema| {
             // Partial-width MDSs (fewer dims than the schema) bypass the
@@ -1210,7 +1214,7 @@ impl ShardedDcTree {
         let cm = &self.metrics.cache;
         cm.lookup_latency.record(t0.elapsed());
         match looked {
-            None => Ok(self.descend(range)?.0),
+            None => Ok(self.descend(plan, gathered)?.0),
             Some(Lookup::Hit(summary)) => {
                 cm.hits.fetch_add(1, Relaxed);
                 Ok(summary)
@@ -1224,8 +1228,8 @@ impl ShardedDcTree {
                 cm.semantic_hits.fetch_add(1, Relaxed);
                 let mut total = base;
                 let mut pages = 0;
-                for term in &remainders {
-                    let (part, p) = self.descend(term)?;
+                for term in remainders {
+                    let (part, p) = self.descend(&descent_plan(term, None), None)?;
                     total.merge(&part);
                     pages += p;
                 }
@@ -1237,27 +1241,33 @@ impl ShardedDcTree {
             }
             Some(Lookup::Miss { version }) => {
                 cm.misses.fetch_add(1, Relaxed);
-                let (total, pages) = self.descend(range)?;
+                // `gathered` may hold states older than the version the
+                // lookup pinned; what is cached must be read after it.
+                let (total, pages) = self.descend(plan, None)?;
                 self.note_insert(cache, version, range, total, pages);
                 Ok(total)
             }
         }
     }
 
-    /// Scatter-gathers `range` over the shards, returning the merged
-    /// summary and the pages the descents read (the benefit a future cache
-    /// hit reaps; see [`read_tree!`] for what a page is per storage mode).
-    fn descend(&self, range: &Mds) -> DcResult<(MeasureSummary, u64)> {
-        let mut total = MeasureSummary::empty();
-        let mut pages = 0;
-        for (part, p) in self.eval_shards(range, self.paper_mode, None)? {
-            let QueryOutput::Scalar(part) = part else {
-                unreachable!("an ungrouped descent answers with a scalar")
-            };
-            total.merge(&part);
-            pages += p;
-        }
-        Ok((total, pages))
+    /// Descends `plan` on every shard it visits — `gathered`, or a fresh
+    /// gather — returning the merged summary and the pages the descents
+    /// read (the benefit a future cache hit reaps; see [`read_tree!`] for
+    /// what a page is per storage mode).
+    fn descend(
+        &self,
+        plan: &LogicalPlan,
+        gathered: Option<Gather>,
+    ) -> DcResult<(MeasureSummary, u64)> {
+        let gather = match gathered {
+            Some(gather) => gather,
+            None => self.gather(plan, Some(Backend::Descend))?,
+        };
+        let (out, explain) = self.run(plan, gather)?;
+        let QueryOutput::Scalar(total) = out else {
+            unreachable!("an ungrouped descent answers with a scalar")
+        };
+        Ok((total, explain.actual_pages))
     }
 
     /// Inserts a freshly computed summary, updating the cache metrics.
@@ -1278,54 +1288,111 @@ impl ShardedDcTree {
         cm.entries.store(stats.entries, Relaxed);
     }
 
-    /// Descends every relevant shard's published tree — on the persistent
-    /// query pool when one is configured and more than one shard is
-    /// visited, sequentially on the calling thread otherwise — and returns
-    /// each shard's answer with the pages it read.
-    ///
-    /// The range is prepared **once** against the global catalog (with the
-    /// given containment mode) and shared by every shard evaluation: shard
-    /// schemas replay the catalog's intern log, so they are prefixes of the
-    /// catalog schema — same `ValueId`s, same parents — and the traversal
-    /// only ever probes shard-known values against the prepared bitsets.
-    /// Shards that cannot contribute (no query value interned in some
-    /// dimension) are skipped *before* counting a visit.
-    fn eval_shards(
-        &self,
-        range: &Mds,
-        paper_mode: bool,
-        group_by: Option<(DimensionId, Level)>,
-    ) -> DcResult<Vec<(QueryOutput, u64)>> {
-        let prepared = self
-            .catalog
-            .with_schema(|schema| PreparedRange::with_mode(schema, range, paper_mode))?;
-        let catalog_values = self.catalog.with_schema(schema_total_values);
+    /// Picks the units `plan` visits — the one place a query does. Reads
+    /// each relevant shard's published [`PlanState`] once, fails with
+    /// [`DcError::Config`] naming the backend when a shard does not
+    /// maintain the one the query is `force`d onto, and skips a shard that
+    /// cannot contribute (no query value interned in some dimension) before
+    /// it becomes a unit. Unforced, it prices the backends of every unit
+    /// under one catalog read and keeps the cheapest; a forced gather
+    /// prices nothing, so its fragments carry no estimate.
+    fn gather(&self, plan: &LogicalPlan, force: Option<Backend>) -> DcResult<Gather> {
+        let (catalog_values, shards) = self.catalog.with_schema(|schema| {
+            DcResult::Ok((
+                schema_total_values(schema),
+                self.relevant_shards(schema, &plan.filter)?,
+            ))
+        })?;
         // Pre-sized once: per-query allocation count must not grow with the
         // number of visited shards (asserted by `query_bench`).
-        let mut units: Vec<(usize, Arc<PlanState>)> = Vec::with_capacity(self.shards.len());
-        for s in self.relevant_shards(range)? {
-            let state = self.published(s);
-            if !state.covers(range, catalog_values) {
-                continue;
+        let mut frags = Vec::with_capacity(shards.len());
+        let mut units = Vec::with_capacity(shards.len());
+        for shard in shards {
+            let state = self.published(shard);
+            if let Some(b) = force.filter(|&b| !state.maintains(b)) {
+                return Err(DcError::Config(format!(
+                    "shard {shard} does not maintain the {b} backend it was forced onto"
+                )));
             }
-            self.metrics.shard_visits.fetch_add(1, Relaxed);
-            units.push((s, state));
+            if state.covers(&plan.filter, catalog_values) {
+                units.push((frags.len(), state));
+            }
+            frags.push(ShardExplain {
+                shard,
+                backend: force.unwrap_or(Backend::Descend),
+                est_pages: 0.0,
+                actual_pages: None,
+            });
         }
+        if force.is_none() {
+            self.catalog.with_schema(|schema| {
+                for (i, state) in &units {
+                    let choice = choose(schema, plan, &state.stats);
+                    frags[*i].backend = choice.backend;
+                    frags[*i].est_pages = choice.est_pages;
+                }
+            });
+        }
+        Ok(Gather {
+            // `group_by` decomposes containment per group, which the
+            // paper-mode shortcut does not model — grouped plans always
+            // prepare soundly.
+            paper: self.paper_mode && plan.group_by.is_none(),
+            frags,
+            units,
+        })
+    }
+
+    /// Runs a gather of `plan`: prepares the filter **once** against the
+    /// catalog, evaluates every unit's backend on the state it was read at
+    /// — on the query pool when one exists and more than one unit is left,
+    /// on the calling thread otherwise — and merges the outputs and the
+    /// measured pages in shard order.
+    ///
+    /// One preparation serves every shard: shard schemas replay the
+    /// catalog's intern log, so they are prefixes of the catalog schema —
+    /// same `ValueId`s, same parents — and the traversal only ever probes
+    /// shard-known values against the prepared bitsets.
+    fn run(&self, plan: &LogicalPlan, gather: Gather) -> DcResult<(QueryOutput, Explain)> {
+        let Gather {
+            paper,
+            mut frags,
+            units,
+        } = gather;
+        let prepared = self
+            .catalog
+            .with_schema(|schema| PreparedRange::with_mode(schema, &plan.filter, paper))?;
+        self.metrics
+            .shard_visits
+            .fetch_add(units.len() as u64, Relaxed);
+        let mut out = QueryOutput::empty(plan.group_by.is_some());
         match &self.pool {
             Some(pool) if units.len() > 1 => {
-                pool.scatter_eval(units, prepared, move |state, q| state.descend(group_by, q))
+                let work = units
+                    .into_iter()
+                    .map(|(i, state)| (frags[i].shard, (i, state, frags[i].backend)))
+                    .collect();
+                let ran = pool.scatter_eval(
+                    (prepared, plan.clone()),
+                    work,
+                    |(prepared, plan), (i, state, backend)| {
+                        Ok((*i, state.execute(plan, *backend, prepared)?))
+                    },
+                )?;
+                for (i, (part, pages)) in ran {
+                    out.merge(&part);
+                    frags[i].actual_pages = Some(pages);
+                }
             }
             _ => {
-                // Explicit loop rather than `collect::<DcResult<Vec<_>>>`:
-                // the Result shunt drops the exact size hint, and the
-                // resulting growth reallocations would scale with visits.
-                let mut out = Vec::with_capacity(units.len());
-                for (_, state) in &units {
-                    out.push(state.descend(group_by, &prepared)?);
+                for (i, state) in units {
+                    let (part, pages) = state.execute(plan, frags[i].backend, &prepared)?;
+                    out.merge(&part);
+                    frags[i].actual_pages = Some(pages);
                 }
-                Ok(out)
             }
         }
+        Ok((out, Explain::from_shards(frags)))
     }
 
     /// One aggregate over `range` (`None` when the op is undefined on an
@@ -1333,8 +1400,8 @@ impl ShardedDcTree {
     /// whose extrema were degraded by deletes; MIN/MAX do not.
     pub fn range_query(&self, range: &Mds, op: AggregateOp) -> DcResult<Option<f64>> {
         let t0 = Instant::now();
-        let need_extrema = matches!(op, AggregateOp::Min | AggregateOp::Max);
-        let total = self.cached_summary(range, need_extrema)?;
+        let plan = LogicalPlan::scalar(op, range.clone());
+        let total = self.cached_summary(&plan, plan.needs_extrema(), None)?;
         self.metrics.queries.fetch_add(1, Relaxed);
         self.metrics.query_latency.record(t0.elapsed());
         Ok(total.eval(op))
@@ -1350,23 +1417,14 @@ impl ShardedDcTree {
         filter: &Mds,
     ) -> DcResult<Vec<(ValueId, MeasureSummary)>> {
         let t0 = Instant::now();
-        // `DcTree::group_by` always prepares in the sound containment mode,
-        // so the shared preparation does too.
-        let mut merged: BTreeMap<ValueId, MeasureSummary> = BTreeMap::new();
-        for (part, _) in self.eval_shards(filter, false, Some((dim, level)))? {
-            let QueryOutput::Grouped(groups) = part else {
-                unreachable!("a grouped descent answers with groups")
-            };
-            for (value, summary) in groups {
-                merged
-                    .entry(value)
-                    .or_insert_with(MeasureSummary::empty)
-                    .merge(&summary);
-            }
-        }
+        let plan = descent_plan(filter.clone(), Some((dim, level)));
+        let gather = self.gather(&plan, Some(Backend::Descend))?;
+        let QueryOutput::Grouped(groups) = self.run(&plan, gather)?.0 else {
+            unreachable!("a grouped descent answers with groups")
+        };
         self.metrics.queries.fetch_add(1, Relaxed);
         self.metrics.query_latency.record(t0.elapsed());
-        Ok(merged.into_iter().collect())
+        Ok(groups)
     }
 
     // ------------------------------------------------------------------
@@ -1375,26 +1433,27 @@ impl ShardedDcTree {
 
     /// Executes a resolved dc-ql statement through the cost-based planner:
     /// each visited shard prices the backends it maintains against its
-    /// publish-time [`PartitionStats`] and runs the cheapest one. Scalar
-    /// plans where every shard picks DC-tree descent delegate to the
-    /// cached scatter-gather path, so the aggregate cache keeps serving
-    /// the workloads it already accelerates.
+    /// publish-time [`PartitionStats`] and runs the cheapest one. A scalar
+    /// plan whose every shard picks DC-tree descent takes the cached path
+    /// instead, so the aggregate cache keeps serving the workloads it
+    /// already accelerates.
     pub fn execute(&self, stmt: &ParsedStatement) -> DcResult<QueryOutput> {
         let t0 = Instant::now();
         let plan = LogicalPlan::from_statement(stmt);
         self.metrics.plan.plans.fetch_add(1, Relaxed);
-        if plan.group_by.is_none() && self.all_shards_pick_descend(&plan)? {
+        let gather = self.gather(&plan, None)?;
+        let descends = |(i, _): &(usize, _)| gather.frags[*i].backend == Backend::Descend;
+        let out = if plan.group_by.is_none() && gather.units.iter().all(descends) {
             self.metrics
                 .plan
                 .chosen(Backend::Descend)
                 .fetch_add(1, Relaxed);
-            let total = self.cached_summary(&plan.filter, plan.needs_extrema())?;
-            self.metrics.queries.fetch_add(1, Relaxed);
-            self.metrics.query_latency.record(t0.elapsed());
-            return Ok(QueryOutput::Scalar(total));
-        }
-        let (out, explain) = self.run_planned(&plan, None)?;
-        self.note_plan_metrics(&explain);
+            QueryOutput::Scalar(self.cached_summary(&plan, plan.needs_extrema(), Some(gather))?)
+        } else {
+            let (out, explain) = self.run(&plan, gather)?;
+            self.note_plan_metrics(&explain);
+            out
+        };
         self.metrics.queries.fetch_add(1, Relaxed);
         self.metrics.query_latency.record(t0.elapsed());
         Ok(out)
@@ -1409,16 +1468,17 @@ impl ShardedDcTree {
         let plan = LogicalPlan::from_statement(stmt);
         self.metrics.plan.plans.fetch_add(1, Relaxed);
         self.metrics.plan.explains.fetch_add(1, Relaxed);
-        let (out, explain) = self.run_planned(&plan, None)?;
+        let (out, explain) = self.run(&plan, self.gather(&plan, None)?)?;
         self.note_plan_metrics(&explain);
         self.metrics.queries.fetch_add(1, Relaxed);
         self.metrics.query_latency.record(t0.elapsed());
         Ok((out, explain))
     }
 
-    /// Plans and executes with the backend choice overridden on every
-    /// shard — the "always-X" baseline benches and tests compare the
-    /// planner against. Does not touch the planner counters. Fails with
+    /// Executes with the backend choice overridden on every shard — the
+    /// "always-X" baseline benches and tests compare the planner against.
+    /// Prices nothing, so the explain record carries measured pages only,
+    /// and does not touch the planner counters. Fails with
     /// [`DcError::Config`] naming the backend when a shard the query would
     /// visit does not maintain it, in either storage mode.
     pub fn execute_forced(
@@ -1427,146 +1487,46 @@ impl ShardedDcTree {
         backend: Backend,
     ) -> DcResult<(QueryOutput, Explain)> {
         let plan = LogicalPlan::from_statement(stmt);
-        self.run_planned(&plan, Some(backend))
+        self.run(&plan, self.gather(&plan, Some(backend))?)
     }
 
     /// Evaluates `stmt` on **every** backend the visited shards all
-    /// maintain, plus the planner's per-shard choice, from one atomically
-    /// acquired [`PlanState`] per shard — so on resident shards, even under
-    /// concurrent ingest/delete churn, every returned output describes the
-    /// same published data and must agree. (A disk shard's state is its
-    /// live tree, locked once per evaluation: its outputs agree between
-    /// writer batches. It maintains descent only, so the comparison there
-    /// is descent against the planner's choice of descent.) This is the
-    /// differential suite's hook; it bypasses the cache and the planner
-    /// counters.
+    /// maintain, plus the planner's per-shard choice, from one gather — one
+    /// atomically acquired [`PlanState`] per shard — so on resident shards,
+    /// even under concurrent ingest/delete churn, every returned output
+    /// describes the same published data and must agree. (A disk shard's
+    /// state is its live tree, locked once per evaluation: its outputs
+    /// agree between writer batches. It maintains descent only, so the
+    /// comparison there is descent against the planner's choice of
+    /// descent.) This is the differential suite's hook; it bypasses the
+    /// cache and the planner counters.
     pub fn compare_backends(&self, stmt: &ParsedStatement) -> DcResult<BackendComparison> {
         let plan = LogicalPlan::from_statement(stmt);
+        let mut gather = self.gather(&plan, None)?;
         // Sound containment mode: every backend must agree bit-for-bit.
-        let prepared = self
-            .catalog
-            .with_schema(|s| PreparedRange::with_mode(s, &plan.filter, false))?;
-        let catalog_values = self.catalog.with_schema(schema_total_values);
-        let mut states = Vec::new();
-        for s in self.relevant_shards(&plan.filter)? {
-            let state = self.published(s);
-            if state.covers(&plan.filter, catalog_values) {
-                states.push(state);
-            }
-        }
+        gather.paper = false;
         let comparable = |b: Backend| {
-            states
+            gather
+                .units
                 .iter()
-                .all(|st| st.maintains(b) && !(b == Backend::Mview && st.stats.views_stale))
+                .all(|(_, st)| st.maintains(b) && !(b == Backend::Mview && st.stats.views_stale))
         };
-        let grouped = plan.group_by.is_some();
         let mut outputs = Vec::new();
-        'backends: for backend in Backend::ALL.into_iter().filter(|&b| comparable(b)) {
-            let mut out = QueryOutput::empty(grouped);
-            for st in &states {
-                match st.execute(&plan, backend, &prepared) {
-                    Ok((part, _)) => out.merge(&part),
-                    // No lattice view answers this query shape on this
-                    // shard — the backend is simply not comparable here.
-                    Err(DcError::IncomparableMds(_)) if backend == Backend::Mview => {
-                        continue 'backends;
-                    }
-                    Err(e) => return Err(e),
-                }
+        for backend in Backend::ALL.into_iter().filter(|&b| comparable(b)) {
+            let mut forced = gather.clone();
+            for (i, _) in &forced.units {
+                forced.frags[*i].backend = backend;
             }
-            outputs.push((backend, out));
+            match self.run(&plan, forced) {
+                Ok((out, _)) => outputs.push((backend, out)),
+                // No lattice view answers this query shape on some shard —
+                // the backend is simply not comparable here.
+                Err(DcError::IncomparableMds(_)) if backend == Backend::Mview => {}
+                Err(e) => return Err(e),
+            }
         }
-        let mut chosen = QueryOutput::empty(grouped);
-        for st in &states {
-            let backend = self
-                .catalog
-                .with_schema(|schema| choose(schema, &plan, &st.stats).backend);
-            chosen.merge(&st.execute(&plan, backend, &prepared)?.0);
-        }
+        let chosen = self.run(&plan, gather)?.0;
         Ok(BackendComparison { outputs, chosen })
-    }
-
-    /// `true` when the cost model picks descent on every relevant shard
-    /// (the cheap pre-check behind [`Self::execute`]'s cache delegation).
-    /// Always true of shards that maintain descent only — disk shards, or
-    /// the planner off — so their scalar planned queries keep flowing
-    /// through the aggregate cache.
-    fn all_shards_pick_descend(&self, plan: &LogicalPlan) -> DcResult<bool> {
-        for s in self.relevant_shards(&plan.filter)? {
-            let state = self.published(s);
-            let picked = self
-                .catalog
-                .with_schema(|schema| choose(schema, plan, &state.stats).backend);
-            if picked != Backend::Descend {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// The planned scatter-gather: reads each visited shard's [`PlanState`]
-    /// once, prices the backends, executes the chosen (or forced) one, and
-    /// assembles the per-shard explain fragments. On shards that maintain
-    /// descent only the value of planning is the estimate itself — a disk
-    /// shard's is priced with the observed buffer-pool miss rate (see
-    /// `dc_plan::cold_factor`) and reported beside the measured pool
-    /// touches.
-    fn run_planned(
-        &self,
-        plan: &LogicalPlan,
-        force: Option<Backend>,
-    ) -> DcResult<(QueryOutput, Explain)> {
-        // `group_by` decomposes containment per group, which the paper-mode
-        // shortcut does not model — grouped plans always prepare soundly.
-        let paper = self.paper_mode && plan.group_by.is_none();
-        let prepared = self
-            .catalog
-            .with_schema(|s| PreparedRange::with_mode(s, &plan.filter, paper))?;
-        let catalog_values = self.catalog.with_schema(schema_total_values);
-        let mut out = QueryOutput::empty(plan.group_by.is_some());
-        let mut frags = Vec::new();
-        for s in self.relevant_shards(&plan.filter)? {
-            let state = self.published(s);
-            if let Some(b) = force.filter(|&b| !state.maintains(b)) {
-                return Err(DcError::Config(format!(
-                    "shard {s} does not maintain the {b} backend it was forced onto"
-                )));
-            }
-            if !state.covers(&plan.filter, catalog_values) {
-                frags.push(ShardExplain {
-                    shard: s,
-                    backend: Backend::Descend,
-                    est_pages: 0.0,
-                    actual_pages: None,
-                });
-                continue;
-            }
-            self.metrics.shard_visits.fetch_add(1, Relaxed);
-            let (backend, est_pages) = self.catalog.with_schema(|schema| {
-                let choice = choose(schema, plan, &state.stats);
-                match force {
-                    None => (choice.backend, choice.est_pages),
-                    Some(b) => (
-                        b,
-                        choice
-                            .candidates
-                            .iter()
-                            .find(|c| c.backend == b)
-                            .map(|c| c.pages)
-                            .unwrap_or(0.0),
-                    ),
-                }
-            });
-            let (part, pages) = state.execute(plan, backend, &prepared)?;
-            out.merge(&part);
-            frags.push(ShardExplain {
-                shard: s,
-                backend,
-                est_pages,
-                actual_pages: Some(pages),
-            });
-        }
-        Ok((out, Explain::from_shards(frags)))
     }
 
     /// Folds one planned query's explain record into the `plan` counters.
@@ -1596,7 +1556,7 @@ impl ShardedDcTree {
     /// The shards a query must visit. Under `Hash` that is all of them;
     /// under `ByDimension` the query's constraint on the routing dimension
     /// prunes to the shards owning the matching partition-level ancestors.
-    fn relevant_shards(&self, range: &Mds) -> DcResult<Vec<usize>> {
+    fn relevant_shards(&self, schema: &CubeSchema, range: &Mds) -> DcResult<Vec<usize>> {
         let n = self.shards.len();
         let all = || (0..n).collect::<Vec<_>>();
         let PartitionPolicy::ByDimension { dim, level } = self.policy else {
@@ -1606,35 +1566,33 @@ impl ShardedDcTree {
             return Ok(all());
         }
         let set = range.dim(dim.as_usize());
-        self.catalog.with_schema(|schema| {
-            let h = schema.dim(dim);
-            if set.level() >= h.top_level() {
-                return Ok(all()); // unconstrained (ALL)
+        let h = schema.dim(dim);
+        if set.level() >= h.top_level() {
+            return Ok(all()); // unconstrained (ALL)
+        }
+        let mut mask = vec![false; n];
+        if set.level() <= level {
+            // Query at or below the partition level: each value has one
+            // owning ancestor.
+            for &v in set.values() {
+                mask[h.ancestor_at(v, level)?.index() as usize % n] = true;
             }
-            let mut mask = vec![false; n];
-            if set.level() <= level {
-                // Query at or below the partition level: each value has one
-                // owning ancestor.
-                for &v in set.values() {
-                    mask[h.ancestor_at(v, level)?.index() as usize % n] = true;
-                }
-            } else {
-                // Query coarser than the partition level: a value owns every
-                // partition-level descendant shard.
-                for v in h.values_at(level) {
-                    if set.contains_value(h.ancestor_at(v, set.level())?) {
-                        mask[v.index() as usize % n] = true;
-                    }
+        } else {
+            // Query coarser than the partition level: a value owns every
+            // partition-level descendant shard.
+            for v in h.values_at(level) {
+                if set.contains_value(h.ancestor_at(v, set.level())?) {
+                    mask[v.index() as usize % n] = true;
                 }
             }
-            let mut hits = Vec::with_capacity(n);
-            hits.extend(
-                mask.into_iter()
-                    .enumerate()
-                    .filter_map(|(i, hit)| hit.then_some(i)),
-            );
-            Ok(hits)
-        })
+        }
+        let mut hits = Vec::with_capacity(n);
+        hits.extend(
+            mask.into_iter()
+                .enumerate()
+                .filter_map(|(i, hit)| hit.then_some(i)),
+        );
+        Ok(hits)
     }
 }
 

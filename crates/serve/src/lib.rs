@@ -61,17 +61,20 @@
 //!
 //! ## The query executor
 //!
-//! Multi-shard queries run on a persistent work-stealing pool (sized by
-//! `available_parallelism`, see [`EngineConfig::pool_workers`]), over
-//! resident and disk shards alike: a per-shard task is that shard's
+//! Every query — a range summary, a cache remainder, a `group_by`, a
+//! planned, explained or forced statement — takes one scatter: the engine
+//! gathers the shards it visits once (reading each published state,
+//! skipping shards that cannot contribute, pricing the backends), then
+//! runs them on a persistent work-stealing pool ([`EngineConfig::pool_workers`],
+//! sized by `available_parallelism`) when more than one is left, over
+//! resident and disk shards alike. A per-shard task is that shard's
 //! published state (a disk shard's is read under its lock, for the task's
-//! own descent only) and carries a shard-affinity hint, idle workers steal
-//! the oldest queued task, the submitting thread executes unclaimed tasks
-//! of its own query inline, and independent connections pipeline their
-//! scatters through the same workers instead of spawning threads per
-//! query. Pool gauges (queue
-//! depth, busy workers, steals, task latency) are served under `"pool"` in
-//! `STATS`.
+//! own evaluation only) and carries a shard-affinity hint, idle workers
+//! steal the oldest queued task, the submitting thread executes unclaimed
+//! tasks of its own query inline, and independent connections pipeline
+//! their scatters through the same workers instead of spawning threads
+//! per query. Pool gauges (queue depth, busy workers, steals, task
+//! latency) are served under `"pool"` in `STATS`.
 //!
 //! ## Where the speedup comes from
 //!

@@ -129,8 +129,9 @@ pub struct CacheMetrics {
 }
 
 /// Query-pool observability: the persistent work-stealing executor behind
-/// scatter-gather queries. All zero when the pool is disabled
-/// (`parallel_queries = false` or a single worker makes no sense).
+/// scatter-gather queries. All zero when the engine runs no pool
+/// (`pool_workers: Some(0)`, a one-core host under the default, or a
+/// single shard).
 #[derive(Default)]
 pub struct PoolMetrics {
     /// Configured worker threads (gauge; 0 = pool disabled, queries run on
@@ -140,7 +141,8 @@ pub struct PoolMetrics {
     pub queued_tasks: AtomicU64,
     /// Workers currently executing a task (gauge).
     pub busy_workers: AtomicU64,
-    /// Tasks executed by pool workers since start.
+    /// Tasks executed by pool workers since start (counted as a worker
+    /// claims one, so every task of a query that returned is counted).
     pub tasks: AtomicU64,
     /// Tasks executed inline by the submitting thread (it participates
     /// instead of idling while its query's tasks are queued).

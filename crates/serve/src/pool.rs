@@ -32,7 +32,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dc_common::DcResult;
-use dc_tree::PreparedRange;
 use parking_lot::{Condvar, Mutex};
 
 use crate::metrics::EngineMetrics;
@@ -108,17 +107,22 @@ impl QueryPool {
         }
     }
 
-    /// Evaluates `eval` on every unit — `(shard id, published shard state)`
-    /// — against the shared prepared range, distributing the units over
-    /// the pool (with the submitting thread participating) and gathering
-    /// the results in shard order. The first unit error wins, matching
+    /// Evaluates `eval` on every unit — `(shard id, unit data)` — against
+    /// the query's shared context `ctx`, distributing the units over the
+    /// pool (with the submitting thread participating) and gathering the
+    /// results in unit order. The first unit error wins, matching
     /// sequential evaluation.
-    pub(crate) fn scatter_eval<U: Send + Sync + 'static, R: Send + 'static>(
+    pub(crate) fn scatter_eval<C, U, R>(
         &self,
-        units: Vec<(usize, Arc<U>)>,
-        prepared: PreparedRange,
-        eval: impl Fn(&U, &PreparedRange) -> DcResult<R> + Send + Sync + 'static,
-    ) -> DcResult<Vec<R>> {
+        ctx: C,
+        units: Vec<(usize, U)>,
+        eval: impl Fn(&C, &U) -> DcResult<R> + Send + Sync + 'static,
+    ) -> DcResult<Vec<R>>
+    where
+        C: Send + Sync + 'static,
+        U: Send + Sync + 'static,
+        R: Send + 'static,
+    {
         let n = units.len();
         let affinity = units.iter().map(|(s, _)| s % self.workers.len()).collect();
         let results: Arc<Mutex<Vec<Option<DcResult<R>>>>> =
@@ -127,7 +131,7 @@ impl QueryPool {
             run: {
                 let results = Arc::clone(&results);
                 Box::new(move |i| {
-                    let r = eval(&units[i].1, &prepared);
+                    let r = eval(&ctx, &units[i].1);
                     results.lock()[i] = Some(r);
                 })
             },
@@ -222,14 +226,16 @@ fn worker_loop(worker_id: usize, shared: &Shared) {
             let q = shared.queue.lock();
             pm.queued_tasks.store(q.len() as u64, Relaxed);
         }
-        pm.busy_workers.fetch_add(1, Relaxed);
-        let t0 = Instant::now();
-        unit.job.run_unit(unit.idx);
-        pm.task_latency.record(t0.elapsed());
+        // Counted before the unit can release its query's latch, so a
+        // returned query's units are all in `tasks` + `inline_tasks`.
         pm.tasks.fetch_add(1, Relaxed);
         if stolen {
             pm.steals.fetch_add(1, Relaxed);
         }
+        pm.busy_workers.fetch_add(1, Relaxed);
+        let t0 = Instant::now();
+        unit.job.run_unit(unit.idx);
+        pm.task_latency.record(t0.elapsed());
         pm.busy_workers.fetch_sub(1, Relaxed);
     }
 }

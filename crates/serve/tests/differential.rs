@@ -5,7 +5,11 @@
 
 use std::sync::Arc;
 
+use std::sync::atomic::Ordering::Relaxed;
+
 use dc_common::{AggregateOp, DimensionId, MeasureSummary, TempDir, ValueId};
+use dc_plan::QueryOutput;
+use dc_ql::ParsedStatement;
 use dc_query::{RangeQueryGen, ValuePick};
 use dc_serve::{EngineConfig, PartitionPolicy, ShardedDcTree, SyncPolicy, WalOptions};
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
@@ -55,6 +59,29 @@ fn ingest_concurrently(engine: &ShardedDcTree, data: &TpcdData, producers: usize
         }
     });
     engine.flush();
+}
+
+/// A statement of `ops` over `filter`, grouped at `group_by` when set.
+fn statement(
+    ops: Vec<AggregateOp>,
+    filter: dc_mds::Mds,
+    group_by: Option<(DimensionId, u8)>,
+) -> ParsedStatement {
+    ParsedStatement {
+        ops,
+        filter,
+        group_by,
+        top: None,
+        joins: Vec::new(),
+    }
+}
+
+/// The non-empty groups of a grouped answer. Shards report groups only for
+/// values they interned, so a merged answer may omit empty groups the
+/// monolith reports (or the reverse).
+fn nonempty(mut groups: Vec<(ValueId, MeasureSummary)>) -> Vec<(ValueId, MeasureSummary)> {
+    groups.retain(|(_, s)| s.count > 0);
+    groups
 }
 
 /// 100 random §5.2 queries across the paper's three selectivities.
@@ -145,15 +172,15 @@ fn group_by_merges_across_shards() {
 
 #[test]
 fn parallel_scatter_gather_matches_monolith() {
-    // Same assertions as the sequential tests, but with the per-query
-    // worker threads force-enabled (the default only turns them on when
-    // spare cores exist — correctness must not depend on that).
+    // Same assertions as the sequential tests, but with the query pool
+    // force-enabled (the default only starts it when spare cores exist —
+    // correctness must not depend on that).
     let data = tpcd();
     let mono = monolith(&data);
     let engine = ShardedDcTree::new(
         data.schema.clone(),
         EngineConfig {
-            parallel_queries: true,
+            pool_workers: Some(2),
             ..engine_config(region_policy(&data))
         },
     )
@@ -174,7 +201,6 @@ fn pooled_executor_matches_sequential_and_monolith_under_churn() {
         let pooled = ShardedDcTree::new(
             data.schema.clone(),
             EngineConfig {
-                parallel_queries: true,
                 pool_workers: Some(3),
                 cache: None,
                 ..engine_config(policy)
@@ -184,7 +210,7 @@ fn pooled_executor_matches_sequential_and_monolith_under_churn() {
         let sequential = ShardedDcTree::new(
             data.schema.clone(),
             EngineConfig {
-                parallel_queries: false,
+                pool_workers: Some(0),
                 cache: None,
                 ..engine_config(policy)
             },
@@ -251,14 +277,47 @@ fn pooled_executor_matches_sequential_and_monolith_under_churn() {
                 "sequential mismatch under {policy:?} for {q:?}"
             );
         }
-        // The pooled run must actually have exercised the executor.
-        use std::sync::atomic::Ordering::Relaxed;
+        // Grouped statements go through the planner's scatter, on the
+        // pool and off it, and answer like the monolith's `group_by`.
+        let mut gen = RangeQueryGen::new(0.25, ValuePick::Scattered, 19);
+        for case in 0..12 {
+            let filter = gen.generate(&data.schema);
+            let dim = DimensionId((case % data.schema.num_dims()) as u16);
+            let level = (case as u8 / 4) % data.schema.dim(dim).top_level();
+            let stmt = statement(vec![AggregateOp::Sum], filter.clone(), Some((dim, level)));
+            let want = nonempty(mono.group_by(dim, level, &filter).unwrap());
+            for (name, engine) in [("pooled", &pooled), ("sequential", &sequential)] {
+                let QueryOutput::Grouped(got) = engine.execute(&stmt).unwrap() else {
+                    panic!("a grouped statement answered with a scalar");
+                };
+                assert_eq!(
+                    nonempty(got),
+                    want,
+                    "{name} GROUP BY ({dim:?}, {level}) under {policy:?} for {filter:?}"
+                );
+            }
+        }
+        // The pooled run must actually have exercised the executor — a
+        // grouped statement over several shards included.
         let pm = &pooled.metrics().pool;
         assert_eq!(pm.workers.load(Relaxed), 3);
+        let ran = || pm.tasks.load(Relaxed) + pm.inline_tasks.load(Relaxed);
+        let (tasks, visits) = (ran(), pooled.metrics().shard_visits.load(Relaxed));
+        let whole_cube = pooled.with_schema(dc_mds::Mds::all);
+        pooled
+            .execute(&statement(
+                vec![AggregateOp::Count],
+                whole_cube,
+                Some((DimensionId(0), 1)),
+            ))
+            .unwrap();
+        let visited = pooled.metrics().shard_visits.load(Relaxed) - visits;
+        assert!(visited >= 2, "the whole cube visited {visited} shard(s)");
         assert!(
-            pm.tasks.load(Relaxed) + pm.inline_tasks.load(Relaxed) > 0,
-            "no query ever ran on the pool under {policy:?}"
+            ran() > tasks,
+            "a grouped execute over {visited} shards bypassed the pool under {policy:?}"
         );
+        assert!(tasks > 0, "no query ever ran on the pool under {policy:?}");
         pooled.shutdown();
         sequential.shutdown();
     }
@@ -276,7 +335,7 @@ fn schema_empty_shards_are_skipped_without_visits() {
             num_shards: 2,
             policy: PartitionPolicy::Hash,
             cache: None,
-            parallel_queries: false,
+            pool_workers: Some(0),
             ..Default::default()
         },
     )
@@ -305,7 +364,6 @@ fn schema_empty_shards_are_skipped_without_visits() {
             })
             .collect(),
     );
-    use std::sync::atomic::Ordering::Relaxed;
     for _ in 0..3 {
         let before = engine.metrics().shard_visits.load(Relaxed);
         let sum = engine.range_summary(&q).unwrap();
@@ -497,13 +555,11 @@ fn checkpoint_bounds_replay_on_recovery() {
         }
         engine.flush();
         let m = engine.metrics();
-        use std::sync::atomic::Ordering::Relaxed;
         assert_eq!(m.durability.checkpoints.load(Relaxed), 2);
         assert_eq!(m.durability.checkpoint_last_lsn.load(Relaxed), cut as u64);
         engine.shutdown();
     }
     let engine = ShardedDcTree::new(data.schema.clone(), config).unwrap();
-    use std::sync::atomic::Ordering::Relaxed;
     let d = &engine.metrics().durability;
     assert_eq!(d.recovery_checkpoint_lsn.load(Relaxed), cut as u64);
     assert_eq!(
@@ -552,12 +608,10 @@ fn auto_checkpoint_from_ingest_path() {
             engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
         }
         engine.flush();
-        use std::sync::atomic::Ordering::Relaxed;
         assert!(engine.metrics().durability.checkpoints.load(Relaxed) >= 4);
         engine.shutdown();
     }
     let engine = ShardedDcTree::new(data.schema, config).unwrap();
-    use std::sync::atomic::Ordering::Relaxed;
     let d = &engine.metrics().durability;
     assert!(d.recovery_checkpoint_lsn.load(Relaxed) >= 400);
     assert!(d.recovery_replayed_entries.load(Relaxed) < 100);
@@ -632,7 +686,7 @@ fn cached_engine_matches_uncached_and_monolith_across_writes() {
             }
         }
         let cm = &cached.metrics().cache;
-        let hits = cm.hits.load(std::sync::atomic::Ordering::Relaxed);
+        let hits = cm.hits.load(Relaxed);
         assert!(hits > 0, "repeat pass never hit the cache under {policy:?}");
         cached.shutdown();
         uncached.shutdown();
@@ -641,7 +695,8 @@ fn cached_engine_matches_uncached_and_monolith_across_writes() {
 
 /// Deleting the record that carries a cached range's extremum degrades the
 /// entry's MIN/MAX (an invalidation), but every aggregate stays exact:
-/// SUM/COUNT/AVG keep serving from the patched entry, MIN/MAX recompute.
+/// SUM/COUNT/AVG keep serving from the patched entry — through a planned
+/// statement as through `range_query` — while MIN/MAX recompute.
 #[test]
 fn extremum_deletes_invalidate_minmax_but_stay_exact() {
     let data = tpcd();
@@ -661,6 +716,21 @@ fn extremum_deletes_invalidate_minmax_but_stay_exact() {
     }
     engine.flush();
 
+    // Before any MIN/MAX recomputes the entry: a planned AVG is one hit.
+    let hits = || engine.metrics().cache.hits.load(Relaxed);
+    let before = hits();
+    let QueryOutput::Scalar(avg) = engine
+        .execute(&statement(vec![AggregateOp::Avg], all.clone(), None))
+        .unwrap()
+    else {
+        panic!("a scalar statement answered with groups");
+    };
+    assert_eq!(hits() - before, 1, "AVG skipped the degraded entry");
+    assert_eq!(
+        avg.eval(AggregateOp::Avg),
+        mono.range_query(&all, AggregateOp::Avg).unwrap()
+    );
+
     let want = mono.range_summary(&all).unwrap();
     assert!(want.max < max, "extremum did not move");
     for op in AggregateOp::ALL {
@@ -671,11 +741,7 @@ fn extremum_deletes_invalidate_minmax_but_stay_exact() {
         );
     }
     assert_eq!(engine.range_summary(&all).unwrap(), want);
-    let invalidations = engine
-        .metrics()
-        .cache
-        .invalidations
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let invalidations = engine.metrics().cache.invalidations.load(Relaxed);
     assert!(invalidations > 0, "extremum delete was not counted");
 }
 

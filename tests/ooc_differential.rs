@@ -120,7 +120,6 @@ fn disk_engine_matches_resident_engine_through_churn() {
     let disk = build_with(
         &data,
         EngineConfig {
-            parallel_queries: true,
             pool_workers: Some(2),
             ..config(tiny_disk(&dir))
         },

@@ -71,7 +71,7 @@ fn loaded_bytes(data: &TpcdData, planner: Option<PlannerOptions>) -> usize {
         EngineConfig {
             num_shards: SHARDS,
             cache: None,
-            parallel_queries: false,
+            pool_workers: Some(0),
             planner,
             ..EngineConfig::default()
         },

@@ -60,7 +60,6 @@ fn trade(rng: &mut StdRng) -> (Vec<Vec<String>>, i64) {
 fn config(policy: PartitionPolicy, disk: Option<&TempDir>) -> EngineConfig {
     EngineConfig {
         policy,
-        parallel_queries: true,
         pool_workers: Some(2),
         storage: match disk {
             None => StorageMode::Resident,
