@@ -90,7 +90,7 @@ proptest! {
         for level in 0..h.top_level() {
             let mut from_parents = 0usize;
             for parent in h.values_at(level + 1) {
-                for &child in h.children(parent).unwrap() {
+                for child in h.children(parent).unwrap() {
                     prop_assert_eq!(h.parent(child).unwrap(), Some(parent));
                     prop_assert_eq!(child.level(), level);
                     from_parents += 1;

@@ -27,7 +27,9 @@ use crate::engine::{
 
 /// Builds every shard's writer backing (with a disk shard's file) and the
 /// schema the catalog starts from: the shards the WAL directory's
-/// committed checkpoint holds, or fresh ones over `schema`.
+/// committed checkpoint holds, or fresh ones over `schema`. The engine then
+/// has every shard adopt the catalog's snapshot of that schema, so the
+/// copies the images were read into are dropped.
 #[allow(clippy::type_complexity)]
 pub(crate) fn open_shards(
     schema: CubeSchema,
@@ -105,9 +107,9 @@ pub(crate) fn open_shards(
         };
         backings.push((backing, file));
     }
-    // Before imaging, the checkpoint path catches every shard up to the
-    // full catalog epoch, so every image carries the complete master
-    // schema — shard 0's restores the catalog exactly.
+    // Before imaging, the checkpoint path hands every shard the catalog's
+    // latest snapshot, so every image carries the complete master schema —
+    // shard 0's restores the catalog exactly.
     let schema = match &backings[0].0 {
         _ if images.is_empty() => schema,
         WriterBacking::Resident { tree, .. } => tree.schema().clone(),
@@ -196,8 +198,8 @@ impl ShardedDcTree {
         Ok(())
     }
 
-    /// Takes a checkpoint: quiesces ingest, catches every shard up to the
-    /// full catalog epoch, images each shard at the captured LSN, then
+    /// Takes a checkpoint: quiesces ingest, hands every shard the catalog's
+    /// latest snapshot, images each shard at the captured LSN, then
     /// commits the manifest and deletes superseded segments and images.
     /// Returns the checkpoint LSN. Fails with [`DcError::Config`] when the
     /// engine has no WAL.
@@ -223,9 +225,10 @@ impl ShardedDcTree {
                 self.refresh_wal_gauges(&w);
                 r
             };
-            let epoch = self.catalog.epoch();
+            let schema = self.catalog.snapshot();
             for i in 0..self.shards.len() {
-                self.send(i, Cmd::Catchup { epoch })?;
+                let schema = Arc::clone(&schema);
+                self.send(i, Cmd::Catchup { schema })?;
             }
             self.flush();
             let snapshots = (self.shards.iter().enumerate())

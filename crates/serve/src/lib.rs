@@ -43,16 +43,18 @@
 //! same records (asserted by `tests/differential.rs`). Two details make
 //! the per-shard evaluation well-defined:
 //!
-//! * **One ID space.** Hierarchy `ValueId`s are assigned in intern order,
-//!   so the [`SchemaCatalog`] keeps a globally ordered intern log that
-//!   every shard replays (through [`dc_tree::DcTree::intern_paths`])
-//!   before applying a record routed to it. A `ValueId` therefore denotes
-//!   the same attribute value in every shard — which is what makes merging
-//!   `GROUP BY` rows by key sound.
+//! * **One ID space.** The [`SchemaCatalog`] is the engine's only
+//!   interner. Each submitted batch is interned there, and every shard the
+//!   batch reaches adopts the catalog snapshot taken after it (through
+//!   [`dc_tree::DcTree::adopt_schema`]) before applying its records. A
+//!   `ValueId` therefore denotes the same attribute value in every shard —
+//!   which is what makes merging `GROUP BY` rows by key sound — and the
+//!   shards share one hierarchy instead of keeping copies.
 //! * **Shared range preparation.** The query's level-bitsets are adapted
-//!   **once** against the catalog schema ([`dc_tree::PreparedRange`]) and
-//!   shared by every shard evaluation: a shard schema is a prefix of the
-//!   catalog's (same `ValueId`s, same parents), and the traversal only
+//!   **once** against a catalog snapshot taken after the shards' states
+//!   were read ([`dc_tree::PreparedRange`]) and shared by every shard
+//!   evaluation: a shard schema is an earlier snapshot, so a prefix of
+//!   that one (same `ValueId`s, same parents), and the traversal only
 //!   probes shard-known values against the prepared bitsets, so the shared
 //!   preparation answers exactly like a per-shard one. A shard that lags
 //!   the catalog and knows *none* of a dimension's query values cannot

@@ -379,7 +379,7 @@ fn schema_empty_shards_are_skipped_without_visits() {
 #[test]
 fn dynamic_interning_from_empty_schema_matches_monolith() {
     // Sequential ingest starting from an empty (value-free) schema: the
-    // catalog log and shard replay carry every value. Sequential, so the
+    // catalog's snapshots carry every value to the shards. Sequential, so the
     // monolith's intern order matches the catalog's and IDs are comparable.
     let data = tpcd();
     let schema = dc_tpcd::cube_schema();

@@ -78,7 +78,7 @@ fn main() -> dctree::DcResult<()> {
         .find(|&r| customer.name(r).unwrap() == "EUROPE");
     let y1996 = time.values_at(2).find(|&y| time.name(y).unwrap() == "1996");
     if let (Some(europe), Some(y1996)) = (europe, y1996) {
-        for &nation in customer.children(europe)? {
+        for nation in customer.children(europe)? {
             let q = all_dims(vec![
                 (0, DimSet::singleton(nation)),
                 (3, DimSet::singleton(y1996)),
