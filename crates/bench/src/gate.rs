@@ -3,8 +3,8 @@
 //!
 //! The reports are the flat machine-generated JSON the bench binaries emit
 //! (`results/*.json`); values are extracted textually, in document order, so
-//! a key that appears once per run/config (`mean_query_us`, `avg_query_us`,
-//! `recovery_ms`) is compared position-by-position. Latency semantics:
+//! a key that appears once per run/config (`mean_query_us`,
+//! `planner_mean_us`) is compared position-by-position. Latency semantics:
 //! bigger is worse, and a current value more than `max_regression` above its
 //! baseline fails the gate. Throughput keys are deliberately not gated —
 //! they are noisier on shared CI hosts, and every latency key here is the
@@ -23,20 +23,8 @@ pub struct GateSpec {
 /// run or config); occurrences are matched by position.
 pub const GATED_REPORTS: &[GateSpec] = &[
     GateSpec {
-        file: "cache_bench.json",
-        keys: &["mean_query_us"],
-    },
-    GateSpec {
-        file: "serve_bench.json",
-        keys: &["avg_query_us"],
-    },
-    GateSpec {
         file: "query_bench.json",
         keys: &["mean_query_us"],
-    },
-    GateSpec {
-        file: "recovery_bench.json",
-        keys: &["recovery_ms"],
     },
     GateSpec {
         file: "plan_bench.json",
@@ -49,10 +37,6 @@ pub const GATED_REPORTS: &[GateSpec] = &[
             "insert_us_per_record",
             "node_codec_ops_per_record",
         ],
-    },
-    GateSpec {
-        file: "replication_bench.json",
-        keys: &["catchup_ms", "mean_lag_ms", "promotion_ms"],
     },
     GateSpec {
         file: "saturation_bench.json",
@@ -204,6 +188,23 @@ mod tests {
         let current = r#"{"runs": [{"avg_query_us": 900.0}]}"#;
         assert!(compare_report(BASE, current, &["avg_query_us"], 0.25).is_err());
         assert!(compare_report(BASE, current, &["missing"], 0.25).is_err());
+    }
+
+    /// Every gated report has a committed baseline, and every committed
+    /// baseline is gated: a bin deleted without its row (or its row
+    /// without its bin) leaves one of the two orphaned.
+    #[test]
+    fn gate_rows_and_committed_baselines_match() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut committed: Vec<String> = std::fs::read_dir(&results)
+            .expect("the repo's results/ directory")
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".json"))
+            .collect();
+        committed.sort();
+        let mut gated: Vec<String> = GATED_REPORTS.iter().map(|g| g.file.to_string()).collect();
+        gated.sort();
+        assert_eq!(gated, committed, "GATED_REPORTS vs results/*.json");
     }
 
     #[test]

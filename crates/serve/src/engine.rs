@@ -1944,3 +1944,38 @@ fn publish<S: NodeStore>(
     }
     w.deltas.clear();
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two submits can enqueue their catalog snapshots out of order: a
+    /// writer that already holds the later snapshot must keep it when the
+    /// earlier one arrives, not fail to move back.
+    #[test]
+    fn adopt_skips_a_snapshot_older_than_the_one_held() {
+        let data = dc_tpcd::generate(&dc_tpcd::TpcdConfig::scaled(64, 5));
+        let catalog = SchemaCatalog::new(dc_tpcd::cube_schema());
+        let mut tree = DcTree::new(
+            CubeSchema::clone(&catalog.current()),
+            DcTreeConfig::default(),
+        );
+        let (first, rest) = data.records.split_at(32);
+        let snapshot_after = |records: &[dc_hierarchy::Record]| {
+            for r in records {
+                catalog.intern(&data.paths_for(r), r.measure).unwrap();
+            }
+            catalog.snapshot()
+        };
+        let older = snapshot_after(first);
+        let newer = snapshot_after(rest);
+        assert!(newer.num_values() > older.num_values());
+
+        adopt(&mut tree, Arc::clone(&newer));
+        adopt(&mut tree, older);
+        assert!(
+            std::ptr::eq(tree.schema(), Arc::as_ptr(&newer)),
+            "the writer moved back to the older snapshot"
+        );
+    }
+}

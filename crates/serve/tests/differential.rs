@@ -142,6 +142,39 @@ fn concurrent_ingest_matches_monolith_dimension_partitioning() {
         .filter(|&s| !engine.shard_snapshot(s).is_empty())
         .count();
     assert!(populated >= 2, "regions all hashed to one shard?");
+    // … and prune: a query pinned to one region visits the one shard that
+    // owns it. Asked before any other query, so the cache holds nothing
+    // that could answer part of it.
+    let PartitionPolicy::ByDimension { dim, level } = region_policy(&data) else {
+        unreachable!()
+    };
+    let schema = engine.schema();
+    let regions: Vec<ValueId> = schema.dim(dim).values_at(level).collect();
+    assert!(regions.len() > 1);
+    for region in regions {
+        let q = dc_mds::Mds::new(
+            (0..schema.num_dims())
+                .map(|d| {
+                    let h = schema.dim(DimensionId(d as u16));
+                    if d == dim.as_usize() {
+                        dc_mds::DimSet::new(level, vec![region])
+                    } else {
+                        dc_mds::DimSet::new(h.top_level(), vec![h.all()])
+                    }
+                })
+                .collect(),
+        );
+        let before = engine.metrics().shard_visits.load(Relaxed);
+        assert_eq!(
+            engine.range_summary(&q).unwrap(),
+            mono.range_summary(&q).unwrap()
+        );
+        assert_eq!(
+            engine.metrics().shard_visits.load(Relaxed) - before,
+            1,
+            "a query pinned to region {region:?} was not pruned to one shard"
+        );
+    }
     assert_engine_matches_monolith(&engine, &mono, &data);
 }
 

@@ -64,12 +64,16 @@ const SHARDS: usize = 1;
 const CELL_BYTES: usize = 256;
 
 /// Live bytes an engine holding every record of `data` keeps once loaded.
+/// The writer publishes after every command (`batch_size: 1`): a node the
+/// writer copies after a publish is sized to what it held then, so with
+/// larger batches the two engines' bytes would depend on thread timing.
 fn loaded_bytes(data: &TpcdData, planner: Option<PlannerOptions>) -> usize {
     let before = LIVE.load(Relaxed);
     let engine = ShardedDcTree::new(
         data.schema.clone(),
         EngineConfig {
             num_shards: SHARDS,
+            batch_size: 1,
             cache: None,
             pool_workers: Some(0),
             planner,
