@@ -1,14 +1,13 @@
-//! Saturates the network front-ends and reports where they bend:
+//! Saturates the network front-end and reports where it bends:
 //!
 //! * **Phase A — throughput at 256 connections.** Closed-loop `PING` and
-//!   `COUNT`, against the legacy thread-per-connection text server (one
-//!   request in flight per connection) and against the reactor's
-//!   pipelined `DCB1` binary codec (depth 32). On `PING` — the pure
-//!   front-end figure, free of engine work — the reactor must win by
-//!   `SAT_MIN_SPEEDUP` (default 5×): pipelining amortises the per-request
-//!   syscall + scheduling cost that dominates cheap verbs. The `COUNT`
-//!   speedup is reported alongside to show what survives once both sides
-//!   pay the identical parse/plan/execute path.
+//!   `COUNT` over the reactor, once as newline text with one request in
+//!   flight per connection and once as pipelined `DCB1` binary (depth 32).
+//!   On `PING` — the pure front-end figure, free of engine work — the
+//!   pipelined side must win by `SAT_MIN_SPEEDUP` (default 5×): pipelining
+//!   amortises the per-request syscall + scheduling cost that dominates
+//!   cheap verbs. The `COUNT` speedup is reported alongside to show what
+//!   survives once both sides pay the identical parse/plan/execute path.
 //! * **Phase B — open-loop latency at ≥ 1k connections.** 1088 binary
 //!   connections; requests are injected on a fixed schedule regardless of
 //!   completions (open loop), so queueing delay is charged to latency the
@@ -42,8 +41,7 @@ use std::time::{Duration, Instant};
 use dc_serve::codec::{self, ResponseStep};
 use dc_serve::protocol::Request;
 use dc_serve::{
-    serve, serve_reactor, AdmissionConfig, EngineConfig, PartitionPolicy, ReactorConfig,
-    ServerConfig, ShardedDcTree,
+    serve_reactor, AdmissionConfig, EngineConfig, PartitionPolicy, ReactorConfig, ShardedDcTree,
 };
 use dc_tpcd::{generate, TpcdConfig};
 
@@ -171,10 +169,9 @@ fn connect_all(addr: SocketAddr, n: usize, binary: bool) -> Vec<Conn> {
         .collect()
 }
 
-/// Closed-loop fixed request over the legacy text server: one request in
-/// flight per connection, which is all the newline protocol supports
-/// usefully — its responses carry no sequence numbers and the server
-/// reads line-at-a-time. Returns requests/sec.
+/// Closed-loop fixed request over the newline text protocol: one request
+/// in flight per connection, so every request pays its own round trip.
+/// Returns requests/sec.
 fn phase_a_text(addr: SocketAddr, n: usize, line: &[u8], dur: Duration) -> f64 {
     let mut conns = connect_all(addr, n, false);
     for c in &mut conns {
@@ -388,32 +385,28 @@ fn main() {
     engine.flush();
 
     // ── Phase A ─────────────────────────────────────────────────────────
-    // Two workloads, both servers each. PING isolates front-end request
-    // overhead — transport, framing, dispatch — which is what this PR
-    // changed and what the ≥ 5× assertion holds; on the reactor it is
-    // answered inline on the event loop. COUNT adds the identical
-    // parse/plan/execute engine path on both sides, so it reports how much
-    // of the front-end win survives a real (if minimal) data-plane verb.
-    let legacy =
-        serve(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).expect("legacy server");
-    eprintln!("phase A: 256-conn closed loop, legacy thread-per-connection text …");
-    let legacy_ping_rps = phase_a_text(legacy.local_addr(), 256, b"PING\n", dur);
-    let legacy_count_rps = phase_a_text(legacy.local_addr(), 256, b"COUNT\n", dur);
-    legacy.stop();
-
+    // Two workloads, both transports each, on one reactor. PING isolates
+    // front-end request overhead — transport, framing, dispatch — and is
+    // what the ≥ 5× assertion holds; it is answered inline on the event
+    // loop. COUNT adds the identical parse/plan/execute engine path on
+    // both sides, so it reports how much of the pipelining win survives a
+    // real (if minimal) data-plane verb.
     let reactor = serve_reactor(Arc::clone(&engine), "127.0.0.1:0", ReactorConfig::default())
         .expect("reactor");
+    eprintln!("phase A: 256-conn closed loop, text with one request in flight …");
+    let text_ping_rps = phase_a_text(reactor.local_addr(), 256, b"PING\n", dur);
+    let text_count_rps = phase_a_text(reactor.local_addr(), 256, b"COUNT\n", dur);
     eprintln!("phase A: 256-conn closed loop, reactor pipelined binary (depth {PIPELINE_DEPTH}) …");
     let reactor_ping_rps = phase_a_binary(reactor.local_addr(), 256, &Request::Ping, dur);
     let count_req = Request::Query {
         text: "COUNT".to_string(),
     };
     let reactor_count_rps = phase_a_binary(reactor.local_addr(), 256, &count_req, dur);
-    let speedup = reactor_ping_rps / legacy_ping_rps;
-    let count_speedup = reactor_count_rps / legacy_count_rps;
+    let speedup = reactor_ping_rps / text_ping_rps;
+    let count_speedup = reactor_count_rps / text_count_rps;
     eprintln!(
-        "phase A: PING legacy {legacy_ping_rps:.0} → reactor {reactor_ping_rps:.0} req/s \
-         ({speedup:.1}x); COUNT {legacy_count_rps:.0} → {reactor_count_rps:.0} req/s \
+        "phase A: PING text {text_ping_rps:.0} → pipelined {reactor_ping_rps:.0} req/s \
+         ({speedup:.1}x); COUNT {text_count_rps:.0} → {reactor_count_rps:.0} req/s \
          ({count_speedup:.1}x)"
     );
 
@@ -467,10 +460,10 @@ fn main() {
     json.push_str(&format!("  \"phase_ms\": {phase_ms},\n"));
     json.push_str("  \"throughput_256_conns\": {\n");
     json.push_str(&format!(
-        "    \"ping_legacy_text_rps\": {legacy_ping_rps:.1},\n    \"ping_reactor_pipelined_rps\": {reactor_ping_rps:.1},\n"
+        "    \"ping_reactor_text_rps\": {text_ping_rps:.1},\n    \"ping_reactor_pipelined_rps\": {reactor_ping_rps:.1},\n"
     ));
     json.push_str(&format!(
-        "    \"count_legacy_text_rps\": {legacy_count_rps:.1},\n    \"count_reactor_pipelined_rps\": {reactor_count_rps:.1},\n"
+        "    \"count_reactor_text_rps\": {text_count_rps:.1},\n    \"count_reactor_pipelined_rps\": {reactor_count_rps:.1},\n"
     ));
     json.push_str(&format!(
         "    \"pipeline_depth\": {PIPELINE_DEPTH},\n    \"ping_speedup\": {speedup:.2},\n    \"count_speedup\": {count_speedup:.2}\n  }},\n"
@@ -508,7 +501,7 @@ fn main() {
         failed = true;
     }
     if speedup < min_speedup {
-        eprintln!("FAIL: reactor PING speedup {speedup:.2}x < required {min_speedup:.1}x");
+        eprintln!("FAIL: pipelined PING speedup {speedup:.2}x < required {min_speedup:.1}x");
         failed = true;
     }
     if overload.shed == 0 {

@@ -17,9 +17,10 @@
 //!   `INSERT_BATCH`, a recovered WAL tail and a follower's shipped segment
 //!   are all batches of ops through one write path, applied by each shard
 //!   in submission order;
-//! * [`serve`](server::serve) exposes the engine over TCP, speaking dc-ql
+//! * [`serve_reactor`] exposes the engine over TCP, speaking dc-ql
 //!   (`SUM WHERE … GROUP BY …`) plus `INSERT`/`DELETE`/`STATS`/`FLUSH`
-//!   verbs — see [`protocol`] for the wire format;
+//!   verbs as newline text or pipelined binary frames — see [`protocol`]
+//!   and [`codec`] for the wire formats;
 //! * [`EngineMetrics`] tracks throughput, queue depths, snapshot ages,
 //!   per-shard page I/O and latency percentiles, served via `STATS`.
 //!
@@ -97,7 +98,6 @@ pub mod metrics;
 mod pool;
 pub mod protocol;
 pub mod reactor;
-pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionController, Verdict};
 pub use catalog::SchemaCatalog;
@@ -113,5 +113,4 @@ pub use metrics::{
     BufferPoolMetrics, CacheMetrics, DurabilityMetrics, EngineMetrics, LatencyHistogram,
     PlanMetrics, PoolMetrics, ReplicationMetrics,
 };
-pub use reactor::{serve_reactor, ReactorConfig};
-pub use server::{serve, ServerConfig, ServerHandle};
+pub use reactor::{serve_reactor, ReactorConfig, ServerHandle};

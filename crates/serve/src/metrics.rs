@@ -263,9 +263,9 @@ pub struct TenantNetMetrics {
 
 /// Network front-end observability: connection and byte counters, the
 /// pipelining depth distribution, load-shedding counts, and per-tenant
-/// admit/deny tallies. All zero — and the STATS section absent — until a
-/// front-end (the threaded server or the reactor) registers itself by
-/// setting `enabled`.
+/// admit/deny tallies. All zero — and the STATS section absent — until the
+/// network front-end ([`crate::serve_reactor`]) registers itself by setting
+/// `enabled`.
 #[derive(Default)]
 pub struct NetMetrics {
     /// `1` once a network front-end serves this engine (gates the STATS

@@ -42,12 +42,11 @@
 //! each value with its lowercase op name (scalar) or pipe-join the values
 //! in SELECT-list order (grouped). Errors come back as `ERR <message>`.
 //!
-//! Under the reactor front-end ([`crate::reactor`]), a request refused by
-//! admission control is answered `BUSY <reason>` instead of queueing
-//! unboundedly; the threaded legacy server never sheds. `HELLO` names the
-//! token bucket subsequent requests on that connection draw from (the
-//! unnamed default tenant otherwise); it is connection state, so the
-//! executor only acknowledges it.
+//! The network front-end ([`crate::reactor`]) answers a request refused by
+//! admission control `BUSY <reason>` instead of queueing it unboundedly.
+//! `HELLO` names the token bucket subsequent requests on that connection
+//! draw from (the unnamed default tenant otherwise); it is connection
+//! state, so the executor only acknowledges it.
 
 use std::time::Duration;
 

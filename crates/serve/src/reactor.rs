@@ -1,16 +1,15 @@
-//! The sharded event-loop front-end: a fixed set of reactor threads
-//! driving non-blocking sockets off raw `epoll`, per-connection state
-//! machines with reusable buffers, both wire codecs (auto-detected text
-//! and pipelined `DCB1` binary — see [`crate::codec`]), per-tenant
-//! admission control and load-shedding backpressure
-//! ([`crate::admission`]).
+//! The network front-end: a fixed set of reactor threads driving
+//! non-blocking sockets off POSIX `poll(2)`, per-connection state machines
+//! with reusable buffers, both wire codecs (auto-detected text and
+//! pipelined `DCB1` binary — see [`crate::codec`]), per-tenant admission
+//! control and load-shedding backpressure ([`crate::admission`]).
 //!
 //! ## Thread layout
 //!
 //! ```text
 //! reactor 0 ──► owns the listener; accepted sockets are dealt
 //! reactor 1..R     round-robin across all reactors (handoff via an
-//!                  injection queue + eventfd wake)
+//!                  injection queue + wake-socket byte)
 //! worker 0..W ──► execute decoded requests through protocol::execute;
 //!                  completions return to the owning reactor's queue
 //! supervisor  ──► joins everything; ServerHandle joins the supervisor
@@ -36,20 +35,31 @@
 //! `generation` tag makes a late completion for a closed connection a
 //! no-op instead of a write into whatever connection reused the slot.
 //!
-//! Linux-only (raw `epoll`/`eventfd` via `extern "C"` declarations — the
-//! container has no `mio`/`libc` crates); on other platforms
-//! [`serve_reactor`] returns [`std::io::ErrorKind::Unsupported`] and the
-//! threaded [`crate::server`] remains available.
+//! ## Readiness
+//!
+//! Each reactor keeps one `pollfd` array beside its connection table: the
+//! read end of its wake socket pair, the listener, then one entry per
+//! connection slot (a free slot has fd `-1`, which `poll` skips). Changing
+//! a connection's interest is a store into its entry, not a system call.
+//! `poll` is the one foreign declaration, so the reactor runs on every
+//! Unix from the same code; other platforms get
+//! [`std::io::ErrorKind::Unsupported`]. Each wait hands the kernel the
+//! whole array: well under a microsecond at the handful of connections a
+//! serving client keeps open, tens of microseconds per wake once a reactor
+//! holds hundreds.
 
 use std::io;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use crate::engine::ShardedDcTree;
 
 /// Reactor front-end knobs.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
-    /// Event-loop threads. Each owns an epoll instance and a share of the
+    /// Event-loop threads. Each owns a `poll` set and a share of the
     /// connections; reactor 0 also owns the listener.
     pub reactors: usize,
     /// Worker threads executing engine verbs (must cover the worst-case
@@ -59,9 +69,8 @@ pub struct ReactorConfig {
     /// is closed.
     pub read_timeout: std::time::Duration,
     /// Granularity of stop-flag checks and idle scans when no I/O is
-    /// happening. Unlike the legacy server's 25 ms socket-timeout spin,
-    /// this is the *only* timed wakeup — readiness and completions wake
-    /// the loop directly.
+    /// happening. This is the *only* timed wakeup — readiness and
+    /// completions wake the loop directly.
     pub tick: std::time::Duration,
     /// Admission control (token buckets + overload shedding).
     pub admission: crate::admission::AdmissionConfig,
@@ -79,212 +88,161 @@ impl Default for ReactorConfig {
     }
 }
 
-/// Binds `addr` and serves the engine on the event-loop front-end until
-/// stopped. The returned [`crate::ServerHandle`] behaves exactly like the
-/// threaded server's.
-#[cfg(target_os = "linux")]
+/// A running server. Dropping the handle without calling
+/// [`stop`](Self::stop) leaves the server running detached.
+pub struct ServerHandle {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    supervisor: JoinHandle<()>,
+    /// Kicks the blocked event loops and workers after the stop flag flips.
+    waker: Box<dyn Fn() + Send + Sync>,
+}
+
+impl ServerHandle {
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// `true` once the server has been asked to stop (by [`stop`](Self::stop)
+    /// or a client's `SHUTDOWN`).
+    pub fn is_stopped(&self) -> bool {
+        self.stop.load(SeqCst)
+    }
+
+    /// Stops accepting and waits for every reactor and worker thread to
+    /// exit.
+    pub fn stop(self) {
+        self.stop.store(true, SeqCst);
+        (self.waker)();
+        let _ = self.supervisor.join();
+    }
+
+    /// Blocks until the server stops on its own (e.g. a client sent
+    /// `SHUTDOWN`), joining all threads.
+    pub fn join(self) {
+        let _ = self.supervisor.join();
+    }
+}
+
+/// Binds `addr` (e.g. `"127.0.0.1:0"`) and serves the engine until
+/// stopped.
+#[cfg(unix)]
 pub fn serve_reactor(
     engine: Arc<ShardedDcTree>,
     addr: &str,
     config: ReactorConfig,
-) -> io::Result<crate::server::ServerHandle> {
+) -> io::Result<ServerHandle> {
     imp::serve_reactor(engine, addr, config)
 }
 
-/// Stub for platforms without epoll.
-#[cfg(not(target_os = "linux"))]
+/// Stub for platforms without `poll(2)`.
+#[cfg(not(unix))]
 pub fn serve_reactor(
     _engine: Arc<ShardedDcTree>,
     _addr: &str,
     _config: ReactorConfig,
-) -> io::Result<crate::server::ServerHandle> {
+) -> io::Result<ServerHandle> {
     Err(io::Error::new(
         io::ErrorKind::Unsupported,
-        "the reactor front-end requires epoll (linux); use dc_serve::serve",
+        "the reactor front-end requires poll(2) (unix)",
     ))
 }
 
-/// Thin safe wrappers over the three kernel facilities the reactor needs:
-/// `epoll`, `eventfd`, and `fcntl`-free non-blocking I/O (sockets come
-/// from std, already switchable; the eventfd is created non-blocking).
-/// Declared directly against glibc symbols — std already links libc, so
-/// no external crate is required.
-#[cfg(target_os = "linux")]
+/// The one kernel facility the reactor declares itself: `poll(2)`. Sockets
+/// and the wake pair come from std, already switchable to non-blocking.
+/// Declared directly against the C library std already links, so no
+/// external crate is required.
+#[cfg(unix)]
 mod sys {
     use std::io;
-    use std::os::fd::RawFd;
-    use std::os::raw::{c_int, c_uint, c_void};
+    use std::os::raw::{c_int, c_short};
 
-    // glibc packs epoll_event on x86-64 only.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
+    /// `struct pollfd`. A negative `fd` is skipped by `poll`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
     }
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EFD_NONBLOCK: c_int = 0o4000;
-    const EFD_CLOEXEC: c_int = 0o2000000;
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    fn cvt(ret: c_int) -> io::Result<c_int> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
-
-    /// An epoll instance. Token = the u64 stashed in `epoll_event.data`.
-    pub struct Epoll {
-        fd: RawFd,
-    }
-
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
-            let fd = unsafe { cvt(epoll_create1(EPOLL_CLOEXEC))? };
-            Ok(Epoll { fd })
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-            let mut ev = EpollEvent {
+    impl PollFd {
+        pub fn new(fd: c_int, events: c_short) -> PollFd {
+            PollFd {
+                fd,
                 events,
-                data: token,
-            };
-            unsafe { cvt(epoll_ctl(self.fd, op, fd, &mut ev))? };
-            Ok(())
-        }
-
-        pub fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, events, token)
-        }
-
-        pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, events, token)
-        }
-
-        pub fn del(&self, fd: RawFd) {
-            let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
-        }
-
-        /// Waits up to `timeout_ms` (-1 = forever); fills `out` with up to
-        /// its capacity in events. EINTR retries internally.
-        pub fn wait(&self, out: &mut Vec<EpollEvent>, timeout_ms: i32) -> io::Result<()> {
-            out.clear();
-            let cap = out.capacity().max(64);
-            out.reserve(cap);
-            loop {
-                let n = unsafe { epoll_wait(self.fd, out.as_mut_ptr(), cap as c_int, timeout_ms) };
-                if n >= 0 {
-                    unsafe { out.set_len(n as usize) };
-                    return Ok(());
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
+                revents: 0,
             }
         }
     }
 
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
+    // The same values on Linux, the BSDs, macOS and illumos.
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+    pub const POLLERR: c_short = 0x008;
+    pub const POLLHUP: c_short = 0x010;
+    pub const POLLNVAL: c_short = 0x020;
+
+    #[cfg(any(target_os = "linux", target_os = "illumos", target_os = "solaris"))]
+    type NfdsT = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "illumos", target_os = "solaris")))]
+    type NfdsT = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
     }
 
-    /// A non-blocking eventfd used to wake a reactor from another thread.
-    /// `notify` is safe from any thread; `drain` resets the counter.
-    pub struct EventFd {
-        fd: RawFd,
-    }
-
-    impl EventFd {
-        pub fn new() -> io::Result<EventFd> {
-            let fd = unsafe { cvt(eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC))? };
-            Ok(EventFd { fd })
-        }
-
-        pub fn raw_fd(&self) -> RawFd {
-            self.fd
-        }
-
-        pub fn notify(&self) {
-            let one: u64 = 1;
-            unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
-        }
-
-        pub fn drain(&self) {
-            let mut buf: u64 = 0;
-            unsafe { read(self.fd, (&mut buf as *mut u64).cast(), 8) };
+    /// Waits up to `timeout_ms` for readiness on `fds`, filling every
+    /// entry's `revents`; returns how many entries have some. EINTR
+    /// retries internally.
+    pub fn wait(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<usize> {
+        loop {
+            // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+            // `pollfd` records and `nfds` is its length, so `poll` reads
+            // and writes (only `revents`) inside it.
+            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
+            if n >= 0 {
+                return Ok(n as usize);
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
         }
     }
-
-    impl Drop for EventFd {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-
-    // eventfd reads/writes are thread-safe syscalls on an owned fd.
-    unsafe impl Send for EventFd {}
-    unsafe impl Sync for EventFd {}
 }
 
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 mod imp {
     use std::collections::VecDeque;
     use std::io::{self, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     use parking_lot::{Condvar, Mutex};
 
-    use super::sys::{self, Epoll, EpollEvent, EventFd};
-    use super::ReactorConfig;
+    use super::sys::{self, PollFd};
+    use super::{ReactorConfig, ServerHandle};
     use crate::admission::{AdmissionController, TenantBucket, Verdict, DEFAULT_TENANT};
     use crate::codec::{self, DecodeStep, Protocol};
     use crate::engine::ShardedDcTree;
     use crate::metrics::TenantNetMetrics;
     use crate::protocol::{self, Control, Request};
-    use crate::server::ServerHandle;
 
-    /// epoll token of the listener (reactor 0 only).
-    const TOKEN_LISTENER: u64 = u64::MAX;
-    /// epoll token of the reactor's wake eventfd.
-    const TOKEN_WAKE: u64 = u64::MAX - 1;
+    /// `pollfd` index of the read end of the reactor's wake socket pair.
+    const WAKE: usize = 0;
+    /// `pollfd` index of the listener (fd `-1` on every reactor but 0).
+    const LISTENER: usize = 1;
+    /// `pollfd` index of connection slot 0.
+    const CONN_BASE: usize = 2;
 
     /// Largest batch of one connection's pipelined requests moved to a
     /// worker as a single job. Batching amortises the dispatch handshake
-    /// (jobs lock + condvar + completion lock + eventfd) across the burst —
+    /// (jobs lock + condvar + completion lock + wake byte) across the burst —
     /// per-request that handshake costs more than a cheap verb itself — and
     /// the cap keeps a deep pipeline streaming responses in chunks instead
     /// of buffering the whole window.
@@ -309,8 +267,9 @@ mod imp {
 
     /// Cross-thread mailbox of one reactor.
     struct ReactorShared {
-        wake: EventFd,
-        /// Bounds eventfd writes to one outstanding notify.
+        /// Write end of the reactor's wake socket pair.
+        wake: UnixStream,
+        /// Bounds wake writes to one outstanding byte.
         wake_pending: AtomicBool,
         /// Sockets handed over by the accepting reactor.
         injected: Mutex<Vec<TcpStream>>,
@@ -321,7 +280,9 @@ mod imp {
     impl ReactorShared {
         fn notify(&self) {
             if !self.wake_pending.swap(true, SeqCst) {
-                self.wake.notify();
+                // One byte never fills the pair's buffer; a failed write
+                // would only mean the reactor is gone.
+                let _ = (&self.wake).write(&[1]);
             }
         }
     }
@@ -357,6 +318,9 @@ mod imp {
         generation: u64,
         protocol: Protocol,
         rbuf: Vec<u8>,
+        /// Text protocol: the first `scanned` bytes of `rbuf` hold no
+        /// newline, so each read searches only the bytes it added.
+        scanned: usize,
         wbuf: Vec<u8>,
         /// Bytes of `wbuf` already written.
         wpos: usize,
@@ -381,8 +345,6 @@ mod imp {
         /// per-request admission check never touches the global bucket map.
         bucket: Arc<TenantBucket>,
         last_activity: Instant,
-        /// Currently registered for EPOLLOUT.
-        want_write: bool,
         /// Peer closed its write side; serve out pending work then close.
         read_closed: bool,
         /// Fatal protocol error; close once `wbuf` drains.
@@ -401,6 +363,21 @@ mod imp {
         fn idle_and_drained(&self) -> bool {
             self.slots.is_empty() && self.wpos >= self.wbuf.len()
         }
+
+        /// The `poll` events this connection waits for: input until the
+        /// peer half-closes or the connection is condemned (a closed read
+        /// side stays readable, and waiting on it would spin), output while
+        /// `wbuf` holds unwritten bytes.
+        fn interest(&self) -> i16 {
+            let mut events = 0;
+            if !(self.read_closed || self.closing) {
+                events |= sys::POLLIN;
+            }
+            if self.wpos < self.wbuf.len() {
+                events |= sys::POLLOUT;
+            }
+            events
+        }
     }
 
     pub fn serve_reactor(
@@ -416,9 +393,14 @@ mod imp {
         let num_workers = config.workers.max(1);
 
         let mut reactors = Vec::with_capacity(num_reactors);
+        let mut wake_readers = Vec::with_capacity(num_reactors);
         for _ in 0..num_reactors {
+            let (reader, writer) = UnixStream::pair()?;
+            reader.set_nonblocking(true)?;
+            writer.set_nonblocking(true)?;
+            wake_readers.push(reader);
             reactors.push(ReactorShared {
-                wake: EventFd::new()?,
+                wake: writer,
                 wake_pending: AtomicBool::new(false),
                 injected: Mutex::new(Vec::new()),
                 completions: Mutex::new(Vec::new()),
@@ -437,21 +419,14 @@ mod imp {
         engine.metrics().net.enabled.store(1, Relaxed);
 
         let mut threads = Vec::new();
-        for id in 0..num_reactors {
+        let mut listener = Some(listener);
+        for (id, wake) in wake_readers.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
-            let listener = if id == 0 {
-                Some(listener.try_clone()?)
-            } else {
-                None
-            };
+            let listener = listener.take();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("dc-reactor-{id}"))
-                    .spawn(move || {
-                        if let Ok(mut r) = Reactor::new(id, shared, listener) {
-                            r.run();
-                        }
-                    })?,
+                    .spawn(move || Reactor::new(id, shared, listener, wake).run())?,
             );
         }
         for id in 0..num_workers {
@@ -471,12 +446,12 @@ mod imp {
                 }
                 drop(supervisor_shared);
             })?;
-        Ok(ServerHandle::with_waker(
-            local,
+        Ok(ServerHandle {
+            addr: local,
             stop,
             supervisor,
-            Box::new(move || shared.wake_all()),
-        ))
+            waker: Box::new(move || shared.wake_all()),
+        })
     }
 
     fn worker_loop(shared: &Shared) {
@@ -525,14 +500,16 @@ mod imp {
     struct Reactor {
         id: usize,
         shared: Arc<Shared>,
-        epoll: Epoll,
+        /// Read end of the wake socket pair (`fds[WAKE]`).
+        wake: UnixStream,
         listener: Option<TcpListener>,
+        /// `WAKE`, `LISTENER`, then `fds[CONN_BASE + slot]` for `conns[slot]`.
+        fds: Vec<PollFd>,
         conns: Vec<Option<Conn>>,
         free: Vec<usize>,
         /// Reusable socket-read scratch shared by all connections of this
         /// reactor (data lands in the per-connection `rbuf`).
         scratch: Box<[u8]>,
-        events: Vec<EpollEvent>,
         next_generation: u64,
         /// Round-robin accept target.
         next_rr: usize,
@@ -545,51 +522,55 @@ mod imp {
             id: usize,
             shared: Arc<Shared>,
             listener: Option<TcpListener>,
-        ) -> io::Result<Reactor> {
-            let epoll = Epoll::new()?;
-            if let Some(l) = &listener {
-                epoll.add(l.as_raw_fd(), sys::EPOLLIN, TOKEN_LISTENER)?;
-            }
-            epoll.add(shared.reactors[id].wake.raw_fd(), sys::EPOLLIN, TOKEN_WAKE)?;
-            Ok(Reactor {
+            wake: UnixStream,
+        ) -> Reactor {
+            let listener_fd = listener.as_ref().map_or(-1, |l| l.as_raw_fd());
+            Reactor {
                 id,
                 shared,
-                epoll,
+                fds: vec![
+                    PollFd::new(wake.as_raw_fd(), sys::POLLIN),
+                    PollFd::new(listener_fd, sys::POLLIN),
+                ],
+                wake,
                 listener,
                 conns: Vec::new(),
                 free: Vec::new(),
                 scratch: vec![0u8; 64 * 1024].into_boxed_slice(),
-                events: Vec::with_capacity(256),
                 next_generation: 0,
                 next_rr: 0,
                 last_idle_scan: Instant::now(),
                 jobs_out: Vec::new(),
-            })
+            }
         }
 
-        fn run(&mut self) {
+        fn run(mut self) {
             let tick_ms = self.shared.cfg.tick.as_millis().clamp(1, 60_000) as i32;
             while !self.shared.stop.load(SeqCst) {
-                if self.epoll.wait(&mut self.events, tick_ms).is_err() {
+                let Ok(mut ready) = sys::wait(&mut self.fds, tick_ms) else {
                     break;
+                };
+                if ready > 0 && self.fds[WAKE].revents != 0 {
+                    ready -= 1;
+                    self.drain_wake();
                 }
-                let events = std::mem::take(&mut self.events);
-                for ev in &events {
-                    let (bits, token) = (ev.events, ev.data);
-                    match token {
-                        TOKEN_LISTENER => self.accept_ready(),
-                        TOKEN_WAKE => {
-                            self.shared.reactors[self.id].wake.drain();
-                            self.shared.reactors[self.id]
-                                .wake_pending
-                                .store(false, SeqCst);
-                        }
-                        slot => self.conn_ready(slot as usize, bits),
+                if ready > 0 && self.fds[LISTENER].revents != 0 {
+                    ready -= 1;
+                    self.accept_ready();
+                }
+                // Slots adopted above start with no `revents`; a slot
+                // closed during the scan has its entry cleared.
+                let mut slot = 0;
+                while ready > 0 && slot < self.conns.len() {
+                    let bits = self.fds[CONN_BASE + slot].revents;
+                    if bits != 0 {
+                        ready -= 1;
+                        self.conn_ready(slot, bits);
                     }
+                    slot += 1;
                 }
-                self.events = events;
                 // Mailboxes are drained every iteration (not only on wake
-                // events) so a coalesced eventfd tick never strands work.
+                // events) so a coalesced wake byte never strands work.
                 self.adopt_injected();
                 self.apply_completions();
                 if self.last_idle_scan.elapsed() >= self.shared.cfg.tick {
@@ -599,6 +580,14 @@ mod imp {
             }
             // Unblock everyone else on the way out (idempotent).
             self.shared.wake_all();
+        }
+
+        fn drain_wake(&mut self) {
+            let mut buf = [0u8; 64];
+            while matches!((&self.wake).read(&mut buf), Ok(n) if n > 0) {}
+            self.shared.reactors[self.id]
+                .wake_pending
+                .store(false, SeqCst);
         }
 
         // ---- accept path -------------------------------------------------
@@ -650,6 +639,7 @@ mod imp {
                 generation: self.next_generation,
                 protocol: Protocol::Undecided,
                 rbuf: Vec::new(),
+                scanned: 0,
                 wbuf: Vec::new(),
                 wpos: 0,
                 slots: VecDeque::new(),
@@ -660,37 +650,27 @@ mod imp {
                 tenant: metrics.net.tenant(DEFAULT_TENANT),
                 bucket: self.shared.admission.bucket(DEFAULT_TENANT),
                 last_activity: Instant::now(),
-                want_write: false,
                 read_closed: false,
                 closing: false,
                 stream,
             };
-            let slot = match self.free.pop() {
-                Some(s) => {
-                    self.conns[s] = Some(conn);
-                    s
+            let entry = PollFd::new(conn.stream.as_raw_fd(), sys::POLLIN);
+            match self.free.pop() {
+                Some(slot) => {
+                    self.conns[slot] = Some(conn);
+                    self.fds[CONN_BASE + slot] = entry;
                 }
                 None => {
                     self.conns.push(Some(conn));
-                    self.conns.len() - 1
+                    self.fds.push(entry);
                 }
-            };
-            let fd = self.conns[slot].as_ref().unwrap().stream.as_raw_fd();
-            if self
-                .epoll
-                .add(fd, sys::EPOLLIN | sys::EPOLLRDHUP, slot as u64)
-                .is_err()
-            {
-                self.conns[slot] = None;
-                self.free.push(slot);
-                return;
             }
             metrics.net.active_connections.fetch_add(1, Relaxed);
         }
 
         fn close(&mut self, slot: usize) {
             if let Some(conn) = self.conns[slot].take() {
-                self.epoll.del(conn.stream.as_raw_fd());
+                self.fds[CONN_BASE + slot] = PollFd::new(-1, 0);
                 self.free.push(slot);
                 // Undispatched requests die with the connection; the
                 // backlog gauge must not leak them (the in-flight one, if
@@ -711,18 +691,18 @@ mod imp {
 
         // ---- event dispatch ----------------------------------------------
 
-        fn conn_ready(&mut self, slot: usize, bits: u32) {
-            if self.conns.get(slot).is_none_or(Option::is_none) {
-                return; // stale event for a slot freed earlier this batch
-            }
-            if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
+        fn conn_ready(&mut self, slot: usize, bits: i16) {
+            if bits & (sys::POLLERR | sys::POLLNVAL) != 0 {
                 self.close(slot);
                 return;
             }
-            if bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 {
+            // `POLLHUP` is read like `POLLIN`: some systems raise it for a
+            // half-close, and the read tells an EOF (serve what is pending,
+            // then close) from a reset (close now).
+            if bits & (sys::POLLIN | sys::POLLHUP) != 0 {
                 self.readable(slot);
             }
-            if self.conns[slot].is_some() && bits & sys::EPOLLOUT != 0 {
+            if self.conns[slot].is_some() && bits & sys::POLLOUT != 0 {
                 self.flush_conn(slot);
             }
         }
@@ -769,7 +749,7 @@ mod imp {
             // The read buffer is taken out of the connection for the
             // duration of the pass so decoded requests can be admitted
             // (which mutates the connection) while slices of it are alive.
-            let (protocol, mut rbuf) = {
+            let (protocol, mut rbuf, mut from) = {
                 let conn = self.conns[slot].as_mut().unwrap();
                 if conn.protocol == Protocol::Undecided {
                     conn.protocol = codec::detect_protocol(&conn.rbuf);
@@ -777,19 +757,29 @@ mod imp {
                         conn.rbuf.drain(..codec::MAGIC.len());
                     }
                 }
-                (conn.protocol, std::mem::take(&mut conn.rbuf))
+                (conn.protocol, std::mem::take(&mut conn.rbuf), conn.scanned)
             };
             let mut consumed = 0usize;
             match protocol {
                 Protocol::Undecided => {}
                 Protocol::Text => {
-                    while let Some(nl) = rbuf[consumed..].iter().position(|&b| b == b'\n') {
-                        let parsed = match std::str::from_utf8(&rbuf[consumed..consumed + nl]) {
+                    while let Some(off) = rbuf[from..].iter().position(|&b| b == b'\n') {
+                        let nl = from + off;
+                        let parsed = match std::str::from_utf8(&rbuf[consumed..nl]) {
                             Ok(s) => protocol::parse_request(s),
                             Err(_) => Err("request not UTF-8".to_string()),
                         };
-                        consumed += nl + 1;
+                        consumed = nl + 1;
+                        from = consumed;
                         self.admit(slot, parsed);
+                    }
+                    // Undelimited text is bounded like a binary frame: a
+                    // peer that never sends a newline would otherwise grow
+                    // `rbuf` forever, refreshing `last_activity` as it goes.
+                    if rbuf.len() - consumed > codec::MAX_FRAME {
+                        let msg = format!("request line longer than {} bytes", codec::MAX_FRAME);
+                        self.condemn(slot, msg);
+                        consumed = rbuf.len();
                     }
                 }
                 Protocol::Binary => loop {
@@ -803,9 +793,7 @@ mod imp {
                             self.admit(slot, request.map_err(|e| e.to_string()));
                         }
                         DecodeStep::Fatal(e) => {
-                            let conn = self.conns[slot].as_mut().unwrap();
-                            conn.push_ready(format!("ERR {e}"), Control::Continue);
-                            conn.closing = true;
+                            self.condemn(slot, e.to_string());
                             consumed = rbuf.len();
                             break;
                         }
@@ -815,7 +803,20 @@ mod imp {
             if consumed > 0 {
                 rbuf.drain(..consumed);
             }
-            self.conns[slot].as_mut().unwrap().rbuf = rbuf;
+            let conn = self.conns[slot].as_mut().unwrap();
+            // Only the text decoder reads `scanned`: whatever it leaves in
+            // `rbuf` holds no newline (nor do the magic-prefix bytes an
+            // undecided connection holds).
+            conn.scanned = rbuf.len();
+            conn.rbuf = rbuf;
+        }
+
+        /// Answers `ERR <msg>` after the responses already queued, then
+        /// closes the connection once that is written.
+        fn condemn(&mut self, slot: usize, msg: String) {
+            let conn = self.conns[slot].as_mut().unwrap();
+            conn.push_ready(format!("ERR {msg}"), Control::Continue);
+            conn.closing = true;
         }
 
         /// Runs one decoded (or failed-to-decode) request through admission
@@ -992,8 +993,8 @@ mod imp {
             self.shared.wake_all();
         }
 
-        /// Writes as much of `wbuf` as the socket accepts; manages EPOLLOUT
-        /// interest and end-of-life transitions.
+        /// Writes as much of `wbuf` as the socket accepts; updates the
+        /// connection's `poll` interest and handles end-of-life transitions.
         fn flush_conn(&mut self, slot: usize) {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                 return;
@@ -1035,16 +1036,15 @@ mod imp {
                 conn.wbuf.clear();
                 conn.wpos = 0;
             }
-            let want_write = !drained;
-            if want_write != conn.want_write {
-                conn.want_write = want_write;
-                let mut events = sys::EPOLLIN | sys::EPOLLRDHUP;
-                if want_write {
-                    events |= sys::EPOLLOUT;
-                }
-                let fd = conn.stream.as_raw_fd();
-                let _ = self.epoll.modify(fd, events, slot as u64);
-            }
+            // `POLLHUP` is reported whatever the interest, so a connection
+            // that waits for nothing must not be in the wait at all.
+            let events = conn.interest();
+            let fd = if events == 0 {
+                -1
+            } else {
+                conn.stream.as_raw_fd()
+            };
+            self.fds[CONN_BASE + slot] = PollFd::new(fd, events);
             let finished = self.conns[slot]
                 .as_ref()
                 .is_some_and(|c| (c.closing || c.read_closed) && c.idle_and_drained());
@@ -1070,7 +1070,7 @@ mod imp {
     }
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
     use crate::codec;

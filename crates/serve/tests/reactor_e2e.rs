@@ -1,12 +1,12 @@
 //! End-to-end tests of the event-loop front-end: real sockets against a
 //! TPC-D-loaded engine, covering both codecs on one server, request
 //! pipelining with in-order responses, protocol autodetection (including
-//! a magic split across writes), admission shedding, `net` STATS, and
-//! shutdown semantics.
-#![cfg(target_os = "linux")]
+//! a magic split across writes), admission shedding, `net` STATS, hostile
+//! or half-closing peers, and shutdown semantics.
+#![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -346,6 +346,49 @@ fn tenant_buckets_shed_with_busy_and_control_plane_survives() {
         (codec::STATUS_BUSY, "BUSY tenant over rate".to_string())
     );
 
+    handle.stop();
+    engine.shutdown();
+}
+
+#[test]
+fn half_closed_client_gets_every_answer_then_eof() {
+    let (engine, handle, _) = start(AdmissionConfig::default());
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // PING is answered inline, COUNT on a worker: the read side reaches
+    // EOF while COUNT is still executing.
+    stream.write_all(b"PING\nCOUNT\n").unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut got = String::new();
+    stream.read_to_string(&mut got).unwrap();
+    assert_eq!(got, "OK PONG\nOK 1000.00\n");
+    handle.stop();
+    engine.shutdown();
+}
+
+#[test]
+fn overlong_text_line_is_refused_and_closed() {
+    let (engine, handle, _) = start(AdmissionConfig::default());
+    let mut client = TextClient::connect(handle.local_addr());
+    assert_eq!(client.request("PING"), "OK PONG");
+    // One byte past the binary frame limit, and no newline: the server
+    // must not keep buffering it.
+    client
+        .writer
+        .write_all(&vec![b'A'; codec::MAX_FRAME + 1])
+        .unwrap();
+    let refusal = client.read_response();
+    assert!(
+        refusal.starts_with("ERR request line longer than"),
+        "{refusal}"
+    );
+    let mut rest = Vec::new();
+    assert_eq!(client.reader.read_to_end(&mut rest).unwrap(), 0);
+    // The server itself is unharmed.
+    let mut other = TextClient::connect(handle.local_addr());
+    assert_eq!(other.request("COUNT"), "OK 1000.00");
     handle.stop();
     engine.shutdown();
 }

@@ -1,12 +1,13 @@
 //! End-to-end test of the TCP front-end: a real client over a real socket,
-//! speaking the newline protocol against a TPC-D-loaded engine.
+//! speaking the newline text protocol against a TPC-D-loaded engine.
+#![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dc_serve::{serve, EngineConfig, PartitionPolicy, ServerConfig, ShardedDcTree};
+use dc_serve::{serve_reactor, EngineConfig, PartitionPolicy, ReactorConfig, ShardedDcTree};
 use dc_tpcd::{generate, TpcdConfig};
 
 struct Client {
@@ -53,11 +54,8 @@ fn start_server() -> (Arc<ShardedDcTree>, dc_serve::ServerHandle) {
         engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
     }
     engine.flush();
-    let config = ServerConfig {
-        poll_interval: Duration::from_millis(5),
-        ..Default::default()
-    };
-    let handle = serve(Arc::clone(&engine), "127.0.0.1:0", config).unwrap();
+    let handle =
+        serve_reactor(Arc::clone(&engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     (engine, handle)
 }
 
@@ -141,7 +139,7 @@ fn full_protocol_round_trip() {
 }
 
 /// SELECT / EXPLAIN flow through the planner-enabled engine over a real
-/// socket, answers match the legacy direct path, and STATS grows a `plan`
+/// socket, answers match the engine's direct path, and STATS grows a `plan`
 /// section with the chosen-backend counters.
 #[test]
 fn select_and_explain_over_tcp() {
@@ -162,11 +160,8 @@ fn select_and_explain_over_tcp() {
         engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
     }
     engine.flush();
-    let config = ServerConfig {
-        poll_interval: Duration::from_millis(5),
-        ..Default::default()
-    };
-    let handle = serve(Arc::clone(&engine), "127.0.0.1:0", config).unwrap();
+    let handle =
+        serve_reactor(Arc::clone(&engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let mut client = Client::connect(handle.local_addr());
 
     // Multi-aggregate scalar: labelled values, matching the direct answers.

@@ -14,7 +14,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dctree::serve::{
-    serve, EngineConfig, PlannerOptions, ServerConfig, ShardedDcTree, SyncPolicy, WalOptions,
+    serve_reactor, EngineConfig, PlannerOptions, ReactorConfig, ShardedDcTree, SyncPolicy,
+    WalOptions,
 };
 use dctree::tpcd::{generate, TpcdConfig};
 
@@ -51,7 +52,8 @@ fn main() -> std::io::Result<()> {
                     .expect("load");
             }
             engine.flush();
-            let handle = serve(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())?;
+            let handle =
+                serve_reactor(Arc::clone(&engine), "127.0.0.1:0", ReactorConfig::default())?;
             println!("serving 10 000 TPC-D lineitems on {}", handle.local_addr());
             (
                 handle.local_addr().to_string(),
@@ -124,8 +126,7 @@ fn main() -> std::io::Result<()> {
     // counters, then the store's: node decodes and encodes, and how many
     // node accesses its decoded write-back set served.
     print_section(&stats, "buffer_pool", "buffer pool");
-    // Only present once a network front-end (threaded or reactor) serves
-    // the engine: connections, request/byte counters, pipeline depth,
+    // Only present once the network front-end serves the engine: connections, request/byte counters, pipeline depth,
     // admission shed counts and per-tenant admit/deny tallies.
     print_section(&stats, "net", "network front-end");
 

@@ -2,8 +2,7 @@
 //! **byte-identical** response sequences over every way of reaching the
 //! engine —
 //!
-//! * newline text over the legacy threaded server,
-//! * newline text over the reactor (autodetected compat codec),
+//! * newline text (autodetected),
 //! * `DCB1` binary, one frame per round-trip,
 //! * `DCB1` binary, the whole script pipelined in one write,
 //!
@@ -13,7 +12,7 @@
 //! [`StorageMode::Resident`] and [`StorageMode::Disk`]. Under the default
 //! admission config the whole run must also be BUSY-free: a well-behaved
 //! single-tenant workload never sees backpressure.
-#![cfg(target_os = "linux")]
+#![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -25,8 +24,7 @@ use dctree::hierarchy::CubeSchema;
 use dctree::serve::codec::{self, ResponseStep};
 use dctree::serve::protocol::Request;
 use dctree::serve::{
-    serve, serve_reactor, DiskOptions, EngineConfig, ReactorConfig, ServerConfig, ShardedDcTree,
-    StorageMode,
+    serve_reactor, DiskOptions, EngineConfig, ReactorConfig, ShardedDcTree, StorageMode,
 };
 use dctree::tpcd::{generate, TpcdConfig, TpcdData};
 
@@ -217,21 +215,10 @@ fn run_mode(storage: StorageMode, tag: &str) {
     }
     engine.flush();
 
-    // Both front-ends serve the same engine.
     let reactor =
         serve_reactor(Arc::clone(&engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
-    let legacy = serve(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        ServerConfig {
-            poll_interval: Duration::from_millis(5),
-            ..Default::default()
-        },
-    )
-    .unwrap();
 
-    let mut text_reactor = TextClient::connect(reactor.local_addr());
-    let mut text_legacy = TextClient::connect(legacy.local_addr());
+    let mut text = TextClient::connect(reactor.local_addr());
     let mut bin_single = BinClient::connect(reactor.local_addr());
     let mut bin_pipelined = BinClient::connect(reactor.local_addr());
 
@@ -269,32 +256,26 @@ fn run_mode(storage: StorageMode, tag: &str) {
             assert!(resp.starts_with("OK"), "round {round}: {resp}");
         }
         let text_insert = &burst[50];
-        let resp = text_reactor.request(&format!(
+        let resp = text.request(&format!(
             "INSERT {} {}",
             text_insert.measure,
             paths_line(&data.paths_for(text_insert))
         ));
         assert_eq!(resp, "OK INSERTED");
-        assert_eq!(text_legacy.request("FLUSH"), "OK FLUSHED");
+        assert_eq!(text.request("FLUSH"), "OK FLUSHED");
 
-        // The identical script over all four transports.
-        let a = text_reactor.script(&script);
-        let b = text_legacy.script(&script);
-        let c = bin_single.one_by_one(&frames);
-        let d = bin_pipelined.pipelined(&frames);
+        // The identical script over all three transports.
+        let a = text.script(&script);
+        let b = bin_single.one_by_one(&frames);
+        let c = bin_pipelined.pipelined(&frames);
         for i in 0..script.len() {
             assert_eq!(
                 a[i], b[i],
-                "{tag} round {round}: reactor text vs legacy text on {:?}",
-                script[i]
-            );
-            assert_eq!(
-                a[i], c[i],
                 "{tag} round {round}: text vs binary on {:?}",
                 script[i]
             );
             assert_eq!(
-                a[i], d[i],
+                a[i], c[i],
                 "{tag} round {round}: text vs pipelined binary on {:?}",
                 script[i]
             );
@@ -304,7 +285,6 @@ fn run_mode(storage: StorageMode, tag: &str) {
     }
 
     reactor.stop();
-    legacy.stop();
     engine.shutdown();
 }
 
