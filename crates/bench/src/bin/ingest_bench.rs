@@ -2,10 +2,10 @@
 //! record-at-a-time `insert`, the amortized `insert_batch` descent, and the
 //! bottom-up `bulk_load` builder, plus the serving engine's `INSERT_BATCH`
 //! writer path end to end. Reports records/sec, time-to-queryable and the
-//! time the two dynamic paths spent in the split machinery, verifies all
-//! paths produce query-identical trees, times one `INSERT` + `FLUSH` on the
-//! loaded engine (what a record costs to become visible, publish included),
-//! and fails (exit 1) if bulk load is
+//! time the two dynamic paths spent choosing subtrees and in the split
+//! machinery, verifies all paths produce query-identical trees, times one
+//! `INSERT` + `FLUSH` on the loaded engine (what a record costs to become
+//! visible, publish included), and fails (exit 1) if bulk load is
 //! slower than batched inserts — a ratio against the dynamic path would fail
 //! whenever that path gets faster; per-record regressions are `bench_gate`'s
 //! job. Emits a JSON report to `results/ingest_bench.json`.
@@ -180,11 +180,15 @@ fn main() {
     let bulk_speedup = bulk.records_per_sec / single.records_per_sec;
     let batch_speedup = batched.records_per_sec / single.records_per_sec;
     let split_ms = |tree: &DcTree| tree.metrics().split_nanos as f64 / 1e6;
+    let choose_ms = |tree: &DcTree| tree.metrics().choose_nanos as f64 / 1e6;
     println!(
         "\nbulk load: {bulk_speedup:.2}x record-at-a-time   batched: {batch_speedup:.2}x   \
-         split time: {:.0} ms record-at-a-time, {:.0} ms batched",
+         split time: {:.0} ms record-at-a-time, {:.0} ms batched   \
+         choose time: {:.0} ms record-at-a-time, {:.0} ms batched",
         split_ms(&one_by_one),
-        split_ms(&batched_tree)
+        split_ms(&batched_tree),
+        choose_ms(&one_by_one),
+        choose_ms(&batched_tree)
     );
     println!(
         "INSERT + FLUSH on the loaded engine: {flush_after_one_insert_us:.0} µs (median of {})",
@@ -229,6 +233,14 @@ fn main() {
     json.push_str(&format!(
         "  \"batched_split_ms\": {:.2},\n",
         split_ms(&batched_tree)
+    ));
+    json.push_str(&format!(
+        "  \"record_at_a_time_choose_ms\": {:.2},\n",
+        choose_ms(&one_by_one)
+    ));
+    json.push_str(&format!(
+        "  \"batched_choose_ms\": {:.2},\n",
+        choose_ms(&batched_tree)
     ));
     json.push_str(&format!(
         "  \"bulk_time_to_queryable_ms\": {:.2},\n",

@@ -67,6 +67,7 @@
 //! [concept hierarchies]: dc_hierarchy::ConceptHierarchy
 
 pub mod checker;
+mod choose;
 pub mod config;
 pub mod node;
 pub mod persist;

@@ -121,6 +121,12 @@ impl Arena {
             .filter_map(|(i, slot)| slot.as_deref().map(|n| (NodeId(i as u32), n)))
     }
 
+    /// Slots `free` released that no `alloc` has reused yet.
+    #[cfg(test)]
+    pub(crate) fn free_slots(&self) -> usize {
+        self.free.len()
+    }
+
     /// Number of slots whose node this arena does **not** share with
     /// `other` (a live slot on either side holding a different allocation,
     /// or live on one side only) — i.e. what mutation since a `clone` has

@@ -271,3 +271,51 @@ fn batched_stream_builds_the_golden_tree() {
     );
     assert_eq!((tree.num_nodes(), tree.height()), (1172, 3));
 }
+
+/// The golden tree above is built in generator id order; a served shard
+/// builds its tree in the order the catalog interns and routes records,
+/// one tree batch per writer command. This pins those trees: a two-shard
+/// hash engine loading the same stream as `INSERT_BATCH(512)` with a
+/// `FLUSH` every eight batches. The counts were taken before choose-subtree
+/// ran on a membership index and before the split path skipped attempts
+/// it can prove rejected.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "100 k records: run with --release")]
+fn engine_order_builds_the_golden_trees() {
+    let data = generate(&TpcdConfig::scaled(100_000, 42));
+    let engine = ShardedDcTree::new(
+        data.schema.clone(),
+        EngineConfig {
+            num_shards: 2,
+            policy: PartitionPolicy::Hash,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    for (i, chunk) in data.records.chunks(512).enumerate() {
+        let batch: Vec<_> = chunk
+            .iter()
+            .map(|r| (data.paths_for(r), r.measure))
+            .collect();
+        engine.insert_batch_raw(&batch).unwrap();
+        if i % 8 == 7 {
+            engine.flush();
+        }
+    }
+    engine.flush();
+    let shape = |s: usize| {
+        let tree = engine.shard_snapshot(s);
+        let m = tree.metrics();
+        (
+            tree.num_nodes(),
+            tree.height(),
+            m.splits,
+            m.failed_splits,
+            m.supernode_growths,
+        )
+    };
+    // (nodes, height, splits, failed splits, supernode growths)
+    assert_eq!(shape(0), (597, 3, 594, 24, 24));
+    assert_eq!(shape(1), (600, 3, 597, 26, 26));
+    engine.shutdown();
+}
