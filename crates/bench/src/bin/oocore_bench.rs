@@ -1,9 +1,9 @@
 //! Out-of-core serving bench (`dc-oocore`): what does it cost to serve a
-//! DC-tree cube from disk through the concurrent buffer pool, and what
-//! does the compressed node codec buy? Four sections:
+//! DC-tree cube from disk through the concurrent buffer pool, and how dense
+//! are its node pages? Four sections:
 //!
-//! * **density** — the same cube written as compressed and plain pages:
-//!   file bytes, records per GB, and the codec's compression ratio.
+//! * **density** — the cube written as one standalone shard: file bytes
+//!   (a count, so it repeats exactly) and records per GB.
 //! * **write path** — `insert_batch(512)` of the same records into one
 //!   disk tree (frames a tenth of its pages, final flush included) and one
 //!   resident tree: µs per record each, and the node decodes + encodes the
@@ -20,8 +20,8 @@
 //!   rate from collapsing when scans sweep the pool.
 //!
 //! Emits `results/oocore_bench.json` (gated keys: `mean_query_us` and
-//! `insert_us_per_record`, two occurrences each — disk then resident — and
-//! `node_codec_ops_per_record`).
+//! `insert_us_per_record`, two occurrences each — disk then resident —
+//! `node_codec_ops_per_record` and `file_bytes`).
 //!
 //! ```sh
 //! cargo run --release -p dc-bench --bin oocore_bench [records] [queries]
@@ -110,43 +110,36 @@ fn main() {
     let data = generate(&TpcdConfig::scaled(records, 42));
 
     // ------------------------------------------------------------------
-    // Density: compressed vs. plain pages, one standalone shard each.
+    // Density: one standalone shard.
     // ------------------------------------------------------------------
     let dir = TempDir::new("oocbench-density");
-    let mut density = Vec::new();
-    for (name, compress) in [("compressed", true), ("plain", false)] {
-        let tree = OocDcTree::create(
-            dir.join(format!("{name}.dct")),
-            data.schema.clone(),
-            DcTreeConfig::default(),
-            OocOptions {
-                block: BlockConfig::new(BLOCK),
-                frames: 256,
-                compress,
-            },
-        )
-        .expect("create shard");
-        let t0 = Instant::now();
-        for r in &data.records {
-            tree.insert(r.clone()).expect("insert");
-        }
-        tree.flush().expect("flush");
-        let bytes = tree.file_bytes();
-        let records_per_gb = records as f64 * 1e9 / bytes as f64;
-        println!(
-            "{name:>12}: {bytes:>12} bytes, {records_per_gb:>12.0} records/GB \
-             (ingest {:.2}s)",
-            t0.elapsed().as_secs_f64()
-        );
-        density.push((name, bytes, records_per_gb));
+    let tree = OocDcTree::create(
+        dir.join("density.dct"),
+        data.schema.clone(),
+        DcTreeConfig::default(),
+        OocOptions {
+            block: BlockConfig::new(BLOCK),
+            frames: 256,
+        },
+    )
+    .expect("create shard");
+    let t0 = Instant::now();
+    for r in &data.records {
+        tree.insert(r.clone()).expect("insert");
     }
-    let ratio = density[1].1 as f64 / density[0].1 as f64;
-    println!("{:>12}: {ratio:.2}x", "codec ratio");
+    tree.flush().expect("flush");
+    let file_bytes = tree.file_bytes();
+    let records_per_gb = records as f64 * 1e9 / file_bytes as f64;
+    println!(
+        "density: {file_bytes} bytes, {records_per_gb:.0} records/GB (ingest {:.2}s)",
+        t0.elapsed().as_secs_f64()
+    );
+    drop(tree);
 
     // ------------------------------------------------------------------
     // Write path: insert_batch into disk pages vs. the arena.
     // ------------------------------------------------------------------
-    let total_pages = density[0].1 / BLOCK as u64;
+    let total_pages = file_bytes / BLOCK as u64;
     let write_frames = ((total_pages / 10) as usize).max(8);
     let disk_tree = OocDcTree::create(
         dir.join("write_path.dct"),
@@ -155,7 +148,6 @@ fn main() {
         OocOptions {
             block: BlockConfig::new(BLOCK),
             frames: write_frames,
-            compress: true,
         },
     )
     .expect("create shard");
@@ -223,7 +215,6 @@ fn main() {
         ooc: OocOptions {
             block: BlockConfig::new(BLOCK),
             frames,
-            compress: true,
         },
     }));
     let resident = build(StorageMode::Resident);
@@ -282,16 +273,10 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"records\": {records},\n"));
     json.push_str(&format!("  \"queries\": {num_queries},\n"));
-    json.push_str("  \"density\": [\n");
-    for (i, (name, bytes, rpg)) in density.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"pages\": \"{name}\", \"file_bytes\": {bytes}, \
-             \"records_per_gb\": {rpg:.0}}}{}\n",
-            if i + 1 < density.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"codec_ratio\": {ratio:.3},\n"));
+    json.push_str(&format!(
+        "  \"density\": {{\"file_bytes\": {file_bytes}, \
+         \"records_per_gb\": {records_per_gb:.0}}},\n"
+    ));
     json.push_str("  \"write_path\": [\n");
     for (i, (mode, us)) in write_rows.iter().enumerate() {
         json.push_str(&format!(
@@ -334,10 +319,6 @@ fn main() {
             "FAIL: dataset only {over_budget:.1}x the frame budget — raise [records] \
              so the serving section measures disk, not RAM"
         );
-        std::process::exit(1);
-    }
-    if ratio <= 1.0 {
-        eprintln!("FAIL: compressed pages are no smaller than plain pages");
         std::process::exit(1);
     }
 }

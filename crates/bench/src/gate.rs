@@ -36,6 +36,7 @@ pub const GATED_REPORTS: &[GateSpec] = &[
             "mean_query_us",
             "insert_us_per_record",
             "node_codec_ops_per_record",
+            "file_bytes",
         ],
     },
     GateSpec {
@@ -205,6 +206,23 @@ mod tests {
         let mut gated: Vec<String> = GATED_REPORTS.iter().map(|g| g.file.to_string()).collect();
         gated.sort();
         assert_eq!(gated, committed, "GATED_REPORTS vs results/*.json");
+    }
+
+    /// Every gated key is in its committed baseline, or the gate errs on
+    /// the next run instead of comparing.
+    #[test]
+    fn every_gated_key_is_in_its_baseline() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for spec in GATED_REPORTS {
+            let baseline = std::fs::read_to_string(results.join(spec.file)).unwrap();
+            for key in spec.keys {
+                assert!(
+                    !extract_all(&baseline, key).is_empty(),
+                    "{}: no \"{key}\"",
+                    spec.file
+                );
+            }
+        }
     }
 
     #[test]

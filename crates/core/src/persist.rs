@@ -1,15 +1,12 @@
-//! Byte codecs of the paged store's on-disk form: the cube schema the tree
-//! metadata carries (IDs survive exactly: values are replayed in per-level
-//! insertion order, which is what assigns them) and the plain node layout.
-//! Reads go through the checked [`ByteReader`]: corrupt bytes are
-//! [`DcError::Corrupt`], never a panic.
+//! Byte codec of the cube schema the paged store's tree metadata carries.
+//! IDs survive exactly: values are replayed in per-level insertion order,
+//! which is what assigns them. Reads go through the checked
+//! [`ByteReader`]: corrupt bytes are [`DcError::Corrupt`], never a panic.
+//! Node pages have their own codec, `dc_oocore::codec`.
 
-use dc_common::{DcError, DcResult, DimensionId, MeasureSummary, RecordId, ValueId};
-use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
-use dc_mds::{DimSet, Mds};
+use dc_common::{DcError, DcResult, DimensionId, ValueId};
+use dc_hierarchy::{CubeSchema, HierarchySchema};
 use dc_storage::{ByteReader, ByteWriter};
-
-use crate::node::{DirEntry, Node, NodeId, NodeKind, StoredRecord};
 
 pub fn write_schema(w: &mut ByteWriter, schema: &CubeSchema) {
     w.put_u16(schema.num_dims() as u16);
@@ -72,127 +69,4 @@ pub fn read_schema(r: &mut ByteReader) -> DcResult<CubeSchema> {
         }
     }
     Ok(schema)
-}
-
-pub(crate) fn write_mds(w: &mut ByteWriter, mds: &Mds) {
-    for d in mds.dims() {
-        w.put_u8(d.level());
-        w.put_u32(d.len() as u32);
-        for &v in d.values() {
-            w.put_u32(v.raw());
-        }
-    }
-}
-
-pub(crate) fn read_mds(r: &mut ByteReader, num_dims: usize) -> DcResult<Mds> {
-    let mut dims = Vec::with_capacity(num_dims);
-    for _ in 0..num_dims {
-        let level = r.get_u8()?;
-        let len = r.get_count(4)?;
-        let mut values = Vec::with_capacity(len);
-        for _ in 0..len {
-            let v = ValueId::from_raw(r.get_u32()?);
-            if v.level() != level {
-                return Err(DcError::Corrupt(format!(
-                    "MDS value {v} not on relevant level {level}"
-                )));
-            }
-            values.push(v);
-        }
-        dims.push(DimSet::new(level, values));
-    }
-    Ok(Mds::new(dims))
-}
-
-pub(crate) fn write_summary(w: &mut ByteWriter, s: &MeasureSummary) {
-    w.put_i64(s.sum);
-    w.put_u64(s.count);
-    w.put_i64(s.min);
-    w.put_i64(s.max);
-}
-
-pub(crate) fn read_summary(r: &mut ByteReader) -> DcResult<MeasureSummary> {
-    Ok(MeasureSummary {
-        sum: r.get_i64()?,
-        count: r.get_u64()?,
-        min: r.get_i64()?,
-        max: r.get_i64()?,
-    })
-}
-
-pub fn write_node(w: &mut ByteWriter, node: &Node) {
-    write_mds(w, &node.mds);
-    write_summary(w, &node.summary);
-    w.put_u32(node.blocks);
-    match &node.kind {
-        NodeKind::Dir(entries) => {
-            w.put_u8(0);
-            w.put_u32(entries.len() as u32);
-            for e in entries {
-                write_mds(w, &e.mds);
-                write_summary(w, &e.summary);
-                w.put_u32(e.child.0);
-            }
-        }
-        NodeKind::Data(records) => {
-            w.put_u8(1);
-            w.put_u32(records.len() as u32);
-            for r in records {
-                w.put_u64(r.id.0);
-                for &d in &r.record.dims {
-                    w.put_u32(d.raw());
-                }
-                w.put_i64(r.record.measure);
-            }
-        }
-    }
-}
-
-pub fn read_node(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
-    let mds = read_mds(r, num_dims)?;
-    let summary = read_summary(r)?;
-    let blocks = r.get_u32()?;
-    if blocks == 0 {
-        return Err(DcError::Corrupt("node with zero blocks".into()));
-    }
-    let kind = match r.get_u8()? {
-        0 => {
-            let n = r.get_count(32)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mds = read_mds(r, num_dims)?;
-                let summary = read_summary(r)?;
-                let child = NodeId(r.get_u32()?);
-                entries.push(DirEntry {
-                    mds,
-                    summary,
-                    child,
-                });
-            }
-            NodeKind::Dir(entries)
-        }
-        1 => {
-            let n = r.get_count(16)?;
-            let mut records = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = RecordId(r.get_u64()?);
-                let dims = (0..num_dims)
-                    .map(|_| r.get_u32().map(ValueId::from_raw))
-                    .collect::<DcResult<_>>()?;
-                let measure = r.get_i64()?;
-                records.push(StoredRecord {
-                    id,
-                    record: Record { dims, measure },
-                });
-            }
-            NodeKind::Data(records)
-        }
-        tag => return Err(DcError::Corrupt(format!("bad node kind tag {tag}"))),
-    };
-    Ok(Node {
-        mds,
-        summary,
-        blocks,
-        kind,
-    })
 }

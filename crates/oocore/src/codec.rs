@@ -1,43 +1,42 @@
-//! Compressed node-page codec.
+//! Node-page codec: the one encoding every node page is written in.
 //!
 //! Out-of-core shards are disk-bound, so bytes per node translate directly
-//! into records-per-GB and fault rate. This codec shrinks the plain persist
-//! encoding (fixed-width u32/u64/i64 everywhere) three ways:
+//! into records-per-GB and fault rate. Against a fixed-width layout
+//! (u32/u64/i64 everywhere) the codec saves two ways:
 //!
 //! * **Varints** — counts, ids, child pointers and block counts are LEB128;
 //!   measures and summaries are zigzag varints (small magnitudes, either
 //!   sign, stay short).
-//! * **Per-dimension value-set deltas** — an MDS dimension set is a sorted
-//!   run of same-level [`ValueId`]s; it is stored as a first index plus
-//!   gap varints.
-//! * **WAH bitmap sets** — a dense dimension set compresses better as a
-//!   word-aligned-hybrid bitmap ([`CompressedBitmap`]) over the index
-//!   domain; the encoder builds both forms and keeps the smaller, tagging
-//!   each set with the encoding chosen.
+//! * **First index + gaps** — an MDS dimension set is a sorted run of
+//!   same-level [`ValueId`]s; it is stored as its first index plus one gap
+//!   varint per further value.
 //!
-//! Every page starts with a format tag, so plain and compressed nodes can
-//! coexist in one file and decoding is self-describing. Decoding is fully
-//! checked: any truncation, overflow, out-of-domain level/index, or
-//! inconsistent bitmap yields [`DcError::Corrupt`] — never a panic — because
-//! these bytes come from disk.
+//! Every set carries an encoding tag. Shard files and checkpoint images
+//! written before this was the only set form also hold sets tagged
+//! `SET_WAH`, a word-aligned-hybrid bitmap ([`CompressedBitmap`]) over the
+//! index domain, so that tag still decodes; nothing writes it.
+//!
+//! Every page starts with a format tag. Decoding is fully checked: any
+//! truncation, overflow, out-of-domain level/index, or inconsistent bitmap
+//! yields [`DcError::Corrupt`] — never a panic — because these bytes come
+//! from disk.
 
 use dc_bitmap::CompressedBitmap;
 use dc_common::id::{MAX_INDEX, MAX_LEVEL};
 use dc_common::{DcError, DcResult, RecordId, ValueId};
 use dc_hierarchy::Record;
 use dc_mds::{DimSet, Mds};
-use dc_storage::{ByteReader, ByteWriter};
+use dc_storage::ByteReader;
 use dc_tree::node::{DirEntry, Node, NodeKind, StoredRecord};
-use dc_tree::persist::{read_node, write_node};
 
-/// Format tag: the plain `dc_tree::persist` encoding follows.
-pub const FORMAT_PLAIN: u8 = 0;
-/// Format tag: the compressed encoding of this module follows.
-pub const FORMAT_COMPRESSED: u8 = 1;
+/// Format tag: the node encoding of this module follows.
+pub const FORMAT_NODE: u8 = 1;
 
 const KIND_DIR: u8 = 0;
 const KIND_DATA: u8 = 1;
+/// Set tag: first index plus gap varints.
 const SET_DELTA: u8 = 0;
+/// Set tag: a WAH bitmap over the index domain. Decode-only.
 const SET_WAH: u8 = 1;
 
 // ---------------------------------------------------------------------
@@ -112,36 +111,13 @@ fn encode_dimset(out: &mut Vec<u8>, set: &DimSet) {
     if set.is_empty() {
         return;
     }
-    // Candidate 1: first index + gap varints (values are sorted, deduped).
-    let mut delta = Vec::new();
+    // Values are sorted and deduped, so every gap is ≥ 0.
+    out.push(SET_DELTA);
     let mut prev = 0u64;
     for (i, &v) in set.values().iter().enumerate() {
         let idx = u64::from(v.index());
-        if i == 0 {
-            put_varint(&mut delta, idx);
-        } else {
-            put_varint(&mut delta, idx - prev - 1);
-        }
+        put_varint(out, if i == 0 { idx } else { idx - prev - 1 });
         prev = idx;
-    }
-    // Candidate 2: WAH bitmap over the index domain.
-    let mut bm = CompressedBitmap::new();
-    for &v in set.values() {
-        bm.set(u64::from(v.index()));
-    }
-    let (words, tail, len) = bm.to_parts();
-    let wah_size = 1 + words.len() * 8 + 8 + 10;
-    if wah_size < delta.len() {
-        out.push(SET_WAH);
-        put_varint(out, words.len() as u64);
-        for &w in words.iter() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out.extend_from_slice(&tail.to_le_bytes());
-        put_varint(out, len);
-    } else {
-        out.push(SET_DELTA);
-        out.extend_from_slice(&delta);
     }
 }
 
@@ -259,17 +235,9 @@ fn decode_summary(r: &mut ByteReader) -> DcResult<dc_common::MeasureSummary> {
 // Nodes
 // ---------------------------------------------------------------------
 
-/// Encodes `node` for storage; `compress` selects the format (both decode
-/// through [`decode_node`]).
-pub fn encode_node(node: &Node, compress: bool) -> Vec<u8> {
-    if !compress {
-        let mut w = ByteWriter::new();
-        write_node(&mut w, node);
-        let mut out = vec![FORMAT_PLAIN];
-        out.extend_from_slice(&w.into_vec());
-        return out;
-    }
-    let mut out = vec![FORMAT_COMPRESSED];
+/// Encodes `node` for storage; [`decode_node`] reads it back.
+pub fn encode_node(node: &Node) -> Vec<u8> {
+    let mut out = vec![FORMAT_NODE];
     encode_mds(&mut out, &node.mds);
     encode_summary(&mut out, &node.summary);
     put_varint(&mut out, u64::from(node.blocks));
@@ -308,13 +276,8 @@ pub fn encode_node(node: &Node, compress: bool) -> Vec<u8> {
 pub fn decode_node(bytes: &[u8], num_dims: usize) -> DcResult<Node> {
     let mut r = ByteReader::new(bytes);
     match r.get_u8()? {
-        FORMAT_PLAIN => {
-            let node = read_node(&mut r, num_dims)?;
-            r.expect_end()?;
-            Ok(node)
-        }
-        FORMAT_COMPRESSED => {
-            let node = decode_compressed(&mut r, num_dims)?;
+        FORMAT_NODE => {
+            let node = decode_body(&mut r, num_dims)?;
             r.expect_end()?;
             Ok(node)
         }
@@ -322,7 +285,7 @@ pub fn decode_node(bytes: &[u8], num_dims: usize) -> DcResult<Node> {
     }
 }
 
-fn decode_compressed(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
+fn decode_body(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
     let mds = decode_mds(r, num_dims)?;
     let summary = decode_summary(r)?;
     let blocks = get_varint(r)?;
@@ -414,23 +377,24 @@ mod tests {
     }
 
     #[test]
-    fn dense_sets_pick_the_wah_encoding() {
-        // 2000 consecutive indices: gaps of 0 → delta ≈ 2 KB; WAH collapses
-        // the run into a couple of fill words.
+    fn dense_sets_are_written_as_gaps() {
+        // 2000 consecutive indices: a first index and 1999 one-byte zero
+        // gaps.
         let values: Vec<ValueId> = (0..2000).map(|i| ValueId::new(3, i)).collect();
         let set = DimSet::new(3, values);
         let mut out = Vec::new();
         encode_dimset(&mut out, &set);
-        // level + count varint + tag + a handful of words.
-        assert!(out.len() < 64, "dense set must compress, got {}", out.len());
+        // level + 2-byte count varint + tag + 2000 one-byte varints.
+        assert_eq!(out[3], SET_DELTA);
+        assert_eq!(out.len(), 1 + 2 + 1 + 2000);
         let mut r = ByteReader::new(&out);
         let back = decode_dimset(&mut r).unwrap();
-        assert_eq!(back.values(), set.values());
-        assert_eq!(back.level(), set.level());
+        assert_eq!(back, set);
+        r.expect_end().unwrap();
     }
 
     #[test]
-    fn sparse_sets_pick_the_delta_encoding() {
+    fn sparse_sets_roundtrip() {
         let values: Vec<ValueId> = (0..8).map(|i| ValueId::new(2, i * 1_000_000)).collect();
         let set = DimSet::new(2, values);
         let mut out = Vec::new();

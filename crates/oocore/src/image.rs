@@ -20,7 +20,6 @@ fn options(block: BlockConfig) -> OocOptions {
     OocOptions {
         block,
         frames: IMAGE_FRAMES,
-        compress: true,
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Out-of-core DC-tree serving: shards answered directly from disk pages
 //! through a **concurrent, scan-resistant buffer pool**, with node pages
-//! stored in a **compressed codec**.
+//! stored in one **varint codec**.
 //!
 //! The paper's deployment target is a data warehouse that no longer fits
 //! the batch-rebuild mold — always online, updated record at a time. The
@@ -13,8 +13,8 @@
 //!   LRU eviction (a one-touch range scan cannot flush the hot directory
 //!   levels), lazy dirty write-back, and a [`flush`](ConcurrentPool::flush)
 //!   barrier for the checkpointer.
-//! * [`codec`] — varint/delta/WAH-compressed node pages behind a format
-//!   tag, with fully checked decoding (disk bytes never panic).
+//! * [`codec`] — varint node pages, each dimension set a first index plus
+//!   gaps, with fully checked decoding (disk bytes never panic).
 //! * [`OocStore`] — the [`NodeStore`](dc_tree::store::NodeStore) gluing the
 //!   two under `dc_tree::DcTree` — the same tree, and the same algorithms,
 //!   as a resident shard's. It is the workspace's one paged store and the

@@ -5,8 +5,7 @@
 //! pages: every node (and the metadata blob) is a chain of pages
 //! `[next: u64][len: u32][payload]`, metadata headed at page 1, a node's
 //! handle the head page of its chain. Node payloads go through the
-//! [`codec`](crate::codec), which prefixes a format tag, so one file may mix
-//! plain and compressed nodes.
+//! [`codec`](crate::codec).
 //!
 //! # The decoded write-back set
 //!
@@ -160,9 +159,6 @@ pub struct OocOptions {
     /// Buffer-pool frame budget (resident pages). The decoded write-back
     /// set holds at most as many nodes.
     pub frames: usize,
-    /// Encode node pages with the compressed codec. Decoding is
-    /// self-describing, so this can differ between sessions over one file.
-    pub compress: bool,
 }
 
 impl Default for OocOptions {
@@ -170,18 +166,16 @@ impl Default for OocOptions {
         OocOptions {
             block: BlockConfig::DEFAULT,
             frames: 1024,
-            compress: true,
         }
     }
 }
 
 /// Concurrent chain store over a [`ConcurrentPool`], node payloads encoded
-/// with the (optionally compressed) page codec.
+/// with the page codec.
 #[derive(Debug)]
 pub struct OocStore {
     pool: Arc<ConcurrentPool>,
     payload: usize,
-    compress: bool,
     num_dims: usize,
     /// The decoded write-back set, by raw handle: every node mutated since
     /// it was last written to its chain, and no other. Ordered, so that
@@ -212,7 +206,6 @@ impl OocStore {
         OocStore {
             pool: Arc::new(ConcurrentPool::new(file, opts.frames)),
             payload: opts.block.block_size - PAGE_HEADER,
-            compress: opts.compress,
             num_dims: 0,
             decoded: BTreeMap::new(),
             bound: opts.frames.max(1),
@@ -236,7 +229,7 @@ impl OocStore {
     }
 
     fn store(&self, id: NodeId, node: &Node) -> DcResult<()> {
-        let bytes = encode_node(node, self.compress);
+        let bytes = encode_node(node);
         self.pool.nodes.encodes.fetch_add(1, Relaxed);
         write_chain(&self.pool, page_of(id), &bytes, self.payload)
     }
@@ -371,11 +364,10 @@ mod tests {
     use dc_tpcd::{generate, TpcdConfig};
     use dc_tree::{DcTree, DcTreeConfig};
 
-    fn opts(frames: usize, compress: bool) -> OocOptions {
+    fn opts(frames: usize) -> OocOptions {
         OocOptions {
             block: BlockConfig::new(512),
             frames,
-            compress,
         }
     }
 
@@ -388,17 +380,17 @@ mod tests {
         }
     }
 
-    /// A one-dimensional data node over `values` values — several 512-byte
-    /// pages once `values` reaches the hundreds.
+    /// A one-dimensional data node over `values` values, 1 000 apart so
+    /// each gap takes two bytes — several 512-byte pages at 600 values.
     fn node(values: u32) -> Node {
         Node::new_data(Mds::new(vec![DimSet::new(
             0,
-            (0..values).map(|v| ValueId::new(0, v)).collect(),
+            (0..values).map(|v| ValueId::new(0, v * 1_000)).collect(),
         )]))
     }
 
     fn store_at(dir: &TempDir, frames: usize) -> OocStore {
-        let mut store = OocStore::create(dir.join("store.dct"), opts(frames, false)).unwrap();
+        let mut store = OocStore::create(dir.join("store.dct"), opts(frames)).unwrap();
         store.set_num_dims(1);
         store
     }
@@ -452,8 +444,8 @@ mod tests {
         let mut store = store_at(&dir, 8);
 
         // Allocated and freed between two syncs: never encoded.
-        let id = store.alloc(node(300)).unwrap();
-        assert_eq!(*store.free(id).unwrap().mds.dim(0), *node(300).mds.dim(0));
+        let id = store.alloc(node(600)).unwrap();
+        assert_eq!(*store.free(id).unwrap().mds.dim(0), *node(600).mds.dim(0));
         store.sync().unwrap();
         assert_eq!(store.pool_stats().node_encodes, 0);
         assert_eq!(store.alloc(node(1)).unwrap(), id, "head page recycled");
@@ -461,7 +453,7 @@ mod tests {
 
         // Written once (a chain of several pages), dirtied again, freed: the
         // whole chain is released and the dirty copy never written.
-        let id = store.alloc(node(300)).unwrap();
+        let id = store.alloc(node(600)).unwrap();
         store.sync().unwrap();
         let pages = store.pool().num_pages();
         assert!(pages >= 5, "a multi-page chain: {pages} pages");
@@ -474,7 +466,7 @@ mod tests {
         assert_eq!(store.free(id).unwrap().blocks, 2);
         store.sync().unwrap();
         assert_eq!(store.pool_stats().node_encodes, 1);
-        store.alloc(node(300)).unwrap();
+        store.alloc(node(600)).unwrap();
         store.sync().unwrap();
         assert_eq!(store.pool().num_pages(), pages, "the freed chain is reused");
     }
@@ -494,7 +486,7 @@ mod tests {
         let cube = generate(&TpcdConfig::scaled(2_000, 5));
         for frames in [1, 6] {
             let dir = TempDir::new("ooc-store");
-            let store = OocStore::create(dir.join("tree.dct"), opts(frames, true)).unwrap();
+            let store = OocStore::create(dir.join("tree.dct"), opts(frames)).unwrap();
             let mut tree = DcTree::create_in(store, cube.schema.clone(), config()).unwrap();
             load(&mut tree, &cube.records, frames);
             assert!(tree.num_nodes() > 20 * frames, "{} nodes", tree.num_nodes());
@@ -525,7 +517,7 @@ mod tests {
         let cube = generate(&TpcdConfig::scaled(1_500, 6));
         let dir = TempDir::new("ooc-store");
         let path = dir.join("tree.dct");
-        let store = OocStore::create(&path, opts(6, true)).unwrap();
+        let store = OocStore::create(&path, opts(6)).unwrap();
         let mut tree = DcTree::create_in(store, cube.schema.clone(), config()).unwrap();
         load(&mut tree, &cube.records, 6);
         for r in cube.records.iter().step_by(3) {
@@ -537,7 +529,7 @@ mod tests {
         assert!(tree.structure().unwrap() == want, "flush changed the tree");
         drop(tree);
 
-        let reopened = DcTree::open_in(OocStore::open(&path, opts(6, false)).unwrap(), config());
+        let reopened = DcTree::open_in(OocStore::open(&path, opts(6)).unwrap(), config());
         let reopened = reopened.unwrap();
         reopened.check_invariants().unwrap();
         assert!(reopened.structure().unwrap() == want);
@@ -548,26 +540,24 @@ mod tests {
     #[test]
     fn the_file_is_a_function_of_the_stream() {
         let cube = generate(&TpcdConfig::scaled(4_000, 8));
-        for compress in [false, true] {
-            let dir = TempDir::new("ooc-store");
-            let files = ["a.dct", "b.dct"].map(|name| {
-                let path = dir.join(name);
-                let store = OocStore::create(&path, opts(12, compress)).unwrap();
-                let mut tree = DcTree::create_in(store, cube.schema.clone(), config()).unwrap();
-                for (i, chunk) in cube.records.chunks(100).enumerate() {
-                    tree.insert_batch(chunk.to_vec()).unwrap();
-                    for r in chunk.iter().step_by(7) {
-                        assert!(tree.delete(r).unwrap());
-                    }
-                    if i % 8 == 7 {
-                        tree.flush().unwrap();
-                    }
+        let dir = TempDir::new("ooc-store");
+        let files = ["a.dct", "b.dct"].map(|name| {
+            let path = dir.join(name);
+            let store = OocStore::create(&path, opts(12)).unwrap();
+            let mut tree = DcTree::create_in(store, cube.schema.clone(), config()).unwrap();
+            for (i, chunk) in cube.records.chunks(100).enumerate() {
+                tree.insert_batch(chunk.to_vec()).unwrap();
+                for r in chunk.iter().step_by(7) {
+                    assert!(tree.delete(r).unwrap());
                 }
-                tree.flush().unwrap();
-                drop(tree);
-                std::fs::read(path).unwrap()
-            });
-            assert!(files[0] == files[1], "compress: {compress}");
-        }
+                if i % 8 == 7 {
+                    tree.flush().unwrap();
+                }
+            }
+            tree.flush().unwrap();
+            drop(tree);
+            std::fs::read(path).unwrap()
+        });
+        assert!(files[0] == files[1]);
     }
 }

@@ -1,6 +1,7 @@
-//! Property tests for the compressed node codec: random nodes round-trip
-//! bit-exactly through both formats, and corrupt pages produce *checked*
-//! [`DcError`]s — never a panic — because these bytes come from disk.
+//! Property tests for the node codec: random nodes round-trip exactly, pages
+//! written by the earlier encoder (which stored some dimension sets as WAH
+//! bitmaps) still decode, and corrupt pages produce *checked* [`DcError`]s —
+//! never a panic — because these bytes come from disk.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -8,28 +9,44 @@ use dc_common::{DcError, MeasureSummary, RecordId, ValueId};
 use dc_hierarchy::Record;
 use dc_mds::{DimSet, Mds};
 use dc_oocore::codec::{decode_node, encode_node};
-use dc_storage::ByteWriter;
 use dc_tree::node::{DirEntry, Node, NodeId, NodeKind, StoredRecord};
-use dc_tree::persist::write_node;
 use proptest::prelude::*;
 
 const NUM_DIMS: usize = 3;
 
-/// Canonical byte image of a node under the *plain* persist codec — the
-/// equality oracle (Node has no PartialEq; DimSet ordering is canonical).
-fn plain_image(node: &Node) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_node(&mut w, node);
-    w.into_vec()
+/// The byte count of a fixed-width layout of `node` (u32 ids and counts,
+/// u64 record ids, i64 measures and summaries, one byte per level and
+/// tag): the yardstick the varint codec is held to.
+fn fixed_width_len(node: &Node) -> usize {
+    let mds = |m: &Mds| m.dims().map(|d| 1 + 4 + 4 * d.len()).sum::<usize>();
+    let summary = 4 * 8;
+    let body = match &node.kind {
+        NodeKind::Dir(entries) => entries.iter().map(|e| mds(&e.mds) + summary + 4).sum(),
+        NodeKind::Data(records) => records
+            .iter()
+            .map(|r| 8 + 4 * r.record.dims.len() + 8)
+            .sum::<usize>(),
+    };
+    1 + mds(&node.mds) + summary + 4 + 1 + 4 + body
 }
 
 fn dimset_strategy(level: u8) -> impl Strategy<Value = DimSet> {
-    prop::collection::btree_set(0u32..4_000, 1..40).prop_map(move |idx| {
+    let scattered = prop::collection::btree_set(0u32..4_000, 1..40).prop_map(move |idx| {
         DimSet::new(
             level,
             idx.into_iter().map(|i| ValueId::new(level, i)).collect(),
         )
-    })
+    });
+    // Consecutive runs: the sets the earlier encoder wrote as WAH.
+    let run = (0u32..100_000, 1u32..200).prop_map(move |(first, len)| {
+        DimSet::new(
+            level,
+            (first..first + len)
+                .map(|i| ValueId::new(level, i))
+                .collect(),
+        )
+    });
+    prop_oneof![4 => scattered, 1 => run]
 }
 
 fn mds_strategy() -> impl Strategy<Value = Mds> {
@@ -103,72 +120,207 @@ fn dir_node_strategy() -> impl Strategy<Value = Node> {
         })
 }
 
+fn node_strategy() -> impl Strategy<Value = Node> {
+    prop_oneof![data_node_strategy(), dir_node_strategy()]
+}
+
+/// Every single-byte mutation of `page` by `xor` either decodes to *some*
+/// node or fails with a checked error; returns the first position that
+/// panicked.
+fn first_panicking_flip(page: &[u8], xor: u8) -> Option<usize> {
+    let mut bad = page.to_vec();
+    (0..page.len()).find(|&pos| {
+        bad[pos] ^= xor;
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            let _ = decode_node(&bad, NUM_DIMS);
+        }))
+        .is_err();
+        bad[pos] ^= xor;
+        panicked
+    })
+}
+
+/// Every strict prefix of `page` is a checked `Corrupt` error (counts live
+/// in the prefix, so some field is always left unreadable); returns the
+/// first cut that was not.
+fn first_unchecked_truncation(page: &[u8]) -> Option<usize> {
+    (0..page.len()).find(|&cut| {
+        !matches!(
+            decode_node(&page[..cut], NUM_DIMS),
+            Err(DcError::Corrupt(_))
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Data nodes survive compressed encode → decode bit-exactly.
+    /// Data nodes survive encode → decode exactly.
     #[test]
     fn data_nodes_roundtrip_compressed(node in data_node_strategy()) {
-        let encoded = encode_node(&node, true);
-        let back = decode_node(&encoded, NUM_DIMS).expect("decode own encoding");
-        prop_assert_eq!(plain_image(&back), plain_image(&node));
+        let back = decode_node(&encode_node(&node), NUM_DIMS).expect("decode own encoding");
+        prop_assert_eq!(back, node);
     }
 
-    /// Directory nodes survive compressed encode → decode bit-exactly.
+    /// Directory nodes survive encode → decode exactly.
     #[test]
     fn dir_nodes_roundtrip_compressed(node in dir_node_strategy()) {
-        let encoded = encode_node(&node, true);
-        let back = decode_node(&encoded, NUM_DIMS).expect("decode own encoding");
-        prop_assert_eq!(plain_image(&back), plain_image(&node));
+        let back = decode_node(&encode_node(&node), NUM_DIMS).expect("decode own encoding");
+        prop_assert_eq!(back, node);
     }
 
-    /// The plain format round-trips too (tag + persist codec).
-    #[test]
-    fn nodes_roundtrip_plain(node in data_node_strategy()) {
-        let encoded = encode_node(&node, false);
-        let back = decode_node(&encoded, NUM_DIMS).expect("decode own encoding");
-        prop_assert_eq!(plain_image(&back), plain_image(&node));
-    }
-
-    /// The compressed format earns its keep on realistic nodes.
+    /// The codec earns its keep on realistic nodes. Varints can lose on
+    /// pathological values but must stay in the same ballpark as the
+    /// fixed-width layout; real nodes come out well below 1×.
     #[test]
     fn compressed_is_never_wildly_larger(node in data_node_strategy()) {
-        let plain = encode_node(&node, false);
-        let compressed = encode_node(&node, true);
-        // Varints can lose on pathological values but must stay in the same
-        // ballpark; real nodes compress well below 1×.
-        prop_assert!(compressed.len() <= plain.len() * 2);
+        prop_assert!(encode_node(&node).len() <= fixed_width_len(&node) * 2);
     }
 
-    /// Every single-byte mutation of a valid page either decodes to *some*
-    /// node or fails with a checked error. No input may panic: corrupt disk
-    /// bytes must never take the server down.
+    /// Every single-byte mutation of a valid page, data or directory,
+    /// either decodes to *some* node or fails with a checked error. No
+    /// input may panic: corrupt disk bytes must never take the server down.
     #[test]
-    fn corrupt_bytes_never_panic(node in data_node_strategy(), xor in 1u8..=255) {
-        let encoded = encode_node(&node, true);
-        for pos in 0..encoded.len() {
-            let mut bad = encoded.clone();
-            bad[pos] ^= xor;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let _ = decode_node(&bad, NUM_DIMS);
-            }));
-            prop_assert!(outcome.is_ok(), "decode panicked at byte {}", pos);
-        }
+    fn corrupt_bytes_never_panic(node in node_strategy(), xor in 1u8..=255) {
+        let pos = first_panicking_flip(&encode_node(&node), xor);
+        prop_assert!(pos.is_none(), "decode panicked at byte {:?}", pos);
     }
 
-    /// Truncating a page anywhere yields a checked `DcError`.
+    /// Truncating a page, data or directory, anywhere yields a checked
+    /// `DcError`.
     #[test]
-    fn truncations_are_checked_errors(node in data_node_strategy()) {
-        let encoded = encode_node(&node, true);
-        for cut in 0..encoded.len() {
-            match decode_node(&encoded[..cut], NUM_DIMS) {
-                Err(DcError::Corrupt(_)) => {}
-                Err(e) => prop_assert!(false, "unexpected error kind at cut {}: {e:?}", cut),
-                // Counts live in the prefix, so every strict prefix must
-                // leave some field unreadable.
-                Ok(_) => prop_assert!(false, "truncation at {} decoded Ok", cut),
-            }
+    fn truncations_are_checked_errors(node in node_strategy()) {
+        let bad = first_unchecked_truncation(&encode_node(&node));
+        prop_assert!(bad.is_none(), "truncation at {:?} not a Corrupt error", bad);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Pages written by the earlier encoder. It wrote a dimension set as a WAH
+// bitmap whenever that came out smaller, which long consecutive runs do;
+// every shard file and checkpoint image of a few thousand records holds
+// such sets. The bytes below are that encoder's output for the two nodes
+// built next to them.
+// ----------------------------------------------------------------------
+
+fn run(level: u8, range: std::ops::Range<u32>) -> DimSet {
+    DimSet::new(level, range.map(|i| ValueId::new(level, i)).collect())
+}
+
+fn set(level: u8, idx: &[u32]) -> DimSet {
+    DimSet::new(level, idx.iter().map(|&i| ValueId::new(level, i)).collect())
+}
+
+fn summary(vals: &[i64]) -> MeasureSummary {
+    let mut s = MeasureSummary::empty();
+    for &v in vals {
+        s.add(v);
+    }
+    s
+}
+
+/// A directory node whose first entry holds 2 000 consecutive values.
+fn fixture_dir_node() -> Node {
+    Node {
+        mds: Mds::new(vec![
+            run(1, 100..2_140),
+            set(0, &[7, 4_000]),
+            set(3, &[5, 9, 200]),
+        ]),
+        summary: summary(&[-12, 40_000, 3]),
+        blocks: 2,
+        kind: NodeKind::Dir(vec![
+            DirEntry {
+                mds: Mds::new(vec![run(1, 100..2_100), set(0, &[7]), set(3, &[5, 9])]),
+                summary: summary(&[-12, 40_000]),
+                child: NodeId::from_raw(17),
+            },
+            DirEntry {
+                mds: Mds::new(vec![run(1, 2_100..2_140), set(0, &[4_000]), set(3, &[200])]),
+                summary: summary(&[3]),
+                child: NodeId::from_raw(300),
+            },
+        ]),
+    }
+}
+
+/// A data node whose MDS holds 2 500 consecutive values.
+fn fixture_data_node() -> Node {
+    let rec = |id: u64, dims: [u32; 3], measure: i64| StoredRecord {
+        id: RecordId(id),
+        record: Record::new(dims.iter().map(|&i| ValueId::new(0, i)).collect(), measure),
+    };
+    Node {
+        mds: Mds::new(vec![run(0, 0..2_500), set(0, &[12, 13]), set(0, &[90_000])]),
+        summary: summary(&[5, -7_000_000, 123]),
+        blocks: 1,
+        kind: NodeKind::Data(vec![
+            rec(1_000, [0, 12, 90_000], 5),
+            rec(4, [2_499, 13, 90_000], -7_000_000),
+            rec(1_001, [1_234, 12, 90_000], 123),
+        ]),
+    }
+}
+
+#[rustfmt::skip]
+const WAH_DIR_PAGE: [u8; 159] = [
+    0x01, 0x01, 0xf8, 0x0f, 0x01, 0x03, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0xe0, 0xff, 0xff, 0x7f, 0x1f, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0x1f, 0xdc, 0x10, 0x00, 0x02, 0x00, 0x07, 0x98, 0x1f, 0x03, 0x03,
+    0x00, 0x05, 0x03, 0xbe, 0x01, 0xee, 0xf0, 0x04, 0x03, 0x17, 0x80, 0xf1,
+    0x04, 0x02, 0x00, 0x02, 0x01, 0xd0, 0x0f, 0x01, 0x03, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0xe0, 0xff, 0xff,
+    0x7f, 0x1f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0xff, 0xff, 0x1f,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xb4, 0x10, 0x00, 0x01, 0x00, 0x07, 0x03,
+    0x02, 0x00, 0x05, 0x03, 0xe8, 0xf0, 0x04, 0x02, 0x17, 0x80, 0xf1, 0x04,
+    0x11, 0x01, 0x28, 0x01, 0x01, 0x21, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x80, 0x00, 0x00, 0xe0, 0xff, 0xff, 0xff, 0xff, 0x1f, 0xdc, 0x10, 0x00,
+    0x01, 0x00, 0xa0, 0x1f, 0x03, 0x01, 0x00, 0xc8, 0x01, 0x06, 0x01, 0x06,
+    0x06, 0xac, 0x02,
+];
+
+#[rustfmt::skip]
+const WAH_DATA_PAGE: [u8; 79] = [
+    0x01, 0x00, 0xc4, 0x13, 0x01, 0x01, 0x27, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xc0, 0xff, 0xff, 0xff, 0xff, 0xff, 0x07, 0x00, 0x00, 0xc4, 0x13,
+    0x00, 0x02, 0x00, 0x0c, 0x00, 0x00, 0x01, 0x00, 0x90, 0xbf, 0x05, 0xff,
+    0xbc, 0xd6, 0x06, 0x03, 0xff, 0xbe, 0xd6, 0x06, 0xf6, 0x01, 0x01, 0x01,
+    0x03, 0xd0, 0x0f, 0x00, 0x0c, 0x90, 0xbf, 0x05, 0x0a, 0xc7, 0x0f, 0xc3,
+    0x13, 0x0d, 0x90, 0xbf, 0x05, 0xff, 0xbe, 0xd6, 0x06, 0xca, 0x0f, 0xd2,
+    0x09, 0x0c, 0x90, 0xbf, 0x05, 0xf6, 0x01,
+];
+
+fn fixtures() -> [(&'static [u8], Node); 2] {
+    [
+        (&WAH_DIR_PAGE, fixture_dir_node()),
+        (&WAH_DATA_PAGE, fixture_data_node()),
+    ]
+}
+
+/// Old pages decode to the nodes they were written from; written again,
+/// the same nodes take the one set form and still round-trip.
+#[test]
+fn pages_with_wah_sets_still_decode() {
+    for (page, node) in fixtures() {
+        assert_eq!(decode_node(page, NUM_DIMS).unwrap(), node);
+        let rewritten = encode_node(&node);
+        assert_ne!(rewritten, page, "the encoder no longer writes WAH sets");
+        assert_eq!(decode_node(&rewritten, NUM_DIMS).unwrap(), node);
+    }
+}
+
+/// The decode-only WAH arm is swept like the encoder's output: every
+/// single-bit flip and every inversion of every byte, and every truncation.
+#[test]
+fn corrupt_wah_pages_are_checked_errors() {
+    for (page, _) in fixtures() {
+        for xor in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+            let pos = first_panicking_flip(page, xor);
+            assert!(pos.is_none(), "xor {xor:#04x} panicked at byte {pos:?}");
         }
+        let bad = first_unchecked_truncation(page);
+        assert!(bad.is_none(), "truncation at {bad:?} not a Corrupt error");
     }
 }
 
@@ -191,7 +343,7 @@ fn targeted_corruptions_yield_dc_errors() {
             ),
         }]),
     };
-    let encoded = encode_node(&node, true);
+    let encoded = encode_node(&node);
 
     // Unknown format tag.
     let mut bad = encoded.clone();

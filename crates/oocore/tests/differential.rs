@@ -1,5 +1,5 @@
 //! Differential test: an [`OocDcTree`] running through the concurrent pool
-//! with compressed pages and a deliberately tiny frame budget must answer
+//! with a deliberately tiny frame budget must answer
 //! every query exactly like the RAM-resident [`DcTree`], including after
 //! deletes, a reopen, and under concurrent query load — and, being the same
 //! tree over a different store, must *be* the same tree node for node.
@@ -20,7 +20,6 @@ fn small_opts() -> OocOptions {
         // Tiny budget: the working set cannot stay resident, so every query
         // path exercises faulting and eviction.
         frames: 16,
-        compress: true,
     }
 }
 
@@ -124,28 +123,6 @@ fn disk_backed_tree_matches_ram_resident_baseline() {
 }
 
 #[test]
-fn uncompressed_pages_give_identical_answers() {
-    let cube = generate(&TpcdConfig::scaled(300, 11));
-    let dir = TempDir::new("ooc-diff");
-    let mut ram = DcTree::new(cube.schema.clone(), DcTreeConfig::default());
-    let ooc = OocDcTree::create(
-        dir.join("diff_plain.dct"),
-        cube.schema.clone(),
-        DcTreeConfig::default(),
-        OocOptions {
-            compress: false,
-            ..small_opts()
-        },
-    )
-    .unwrap();
-    for r in &cube.records {
-        ram.insert(r.clone()).unwrap();
-        ooc.insert(r.clone()).unwrap();
-    }
-    assert_equivalent(&ram, &ooc, &probe_queries(&cube.schema));
-}
-
-#[test]
 fn concurrent_queries_during_churn_see_consistent_states() {
     let cube = generate(&TpcdConfig::scaled(400, 23));
     let dir = TempDir::new("ooc-diff");
@@ -204,52 +181,40 @@ fn roomy_opts() -> OocOptions {
 /// One algorithm, one tree, whatever the store: the same interned stream —
 /// `insert_batch(256)` with deletes (condensation, supernode shrinking)
 /// between batches — builds the same tree node for node in the arena and
-/// in an `OocStore`, plain pages or compressed.
+/// in an `OocStore`.
 #[test]
 fn every_store_builds_the_same_tree() {
     let cube = generate(&TpcdConfig::scaled(5_000, 42));
     let config = DcTreeConfig::default();
     let dir = TempDir::new("ooc-diff");
     let mut ram = DcTree::new(cube.schema.clone(), config);
-    let paged = [false, true].map(|compress| {
-        OocDcTree::create(
-            dir.join(format!("stores_{compress}.dct")),
-            cube.schema.clone(),
-            config,
-            OocOptions {
-                compress,
-                ..roomy_opts()
-            },
-        )
-        .unwrap()
-    });
-    let mut paged = paged.each_ref().map(OocDcTree::write);
+    let ooc = OocDcTree::create(
+        dir.join("stores.dct"),
+        cube.schema.clone(),
+        config,
+        roomy_opts(),
+    )
+    .unwrap();
+    let mut paged = ooc.write();
 
     for (round, chunk) in cube.records.chunks(256).enumerate() {
         ram.insert_batch(chunk.to_vec()).unwrap();
-        for tree in &mut paged {
-            tree.insert_batch(chunk.to_vec()).unwrap();
-        }
+        paged.insert_batch(chunk.to_vec()).unwrap();
         if round % 2 == 1 {
             for r in chunk.iter().step_by(2) {
                 assert!(ram.delete(r).unwrap());
-                for tree in &mut paged {
-                    assert!(tree.delete(r).unwrap());
-                }
+                assert!(paged.delete(r).unwrap());
             }
         }
     }
 
-    let want = ram.structure().unwrap();
     let counts = |m: dc_tree::TreeMetrics| (m.splits, m.failed_splits, m.supernode_growths);
-    for (tree, compress) in paged.iter().zip([false, true]) {
-        tree.check_invariants().unwrap();
-        assert!(
-            tree.structure().unwrap() == want,
-            "OocStore tree differs (compress: {compress})"
-        );
-        assert_eq!(counts(tree.metrics()), counts(ram.metrics()));
-    }
+    paged.check_invariants().unwrap();
+    assert!(
+        paged.structure().unwrap() == ram.structure().unwrap(),
+        "OocStore tree differs"
+    );
+    assert_eq!(counts(paged.metrics()), counts(ram.metrics()));
 }
 
 /// The stream of

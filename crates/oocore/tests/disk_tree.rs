@@ -1,8 +1,8 @@
-//! Differential tests: one `DcTree`, whatever the store. Over disk pages —
-//! plain or compressed — it must build the very tree, node for node, that it
-//! builds in the arena, answer identically, survive close/reopen cycles,
-//! exercise the buffer pool for real, and turn a damaged page chain into
-//! `DcError::Corrupt` rather than a panic or an unbounded walk.
+//! Differential tests: one `DcTree`, whatever the store. Over disk pages it
+//! must build the very tree, node for node, that it builds in the arena,
+//! answer identically, survive close/reopen cycles, exercise the buffer pool
+//! for real, and turn a damaged page chain into `DcError::Corrupt` rather
+//! than a panic or an unbounded walk.
 
 use std::path::Path;
 
@@ -43,21 +43,20 @@ fn config(capacity: usize) -> DcTreeConfig {
     }
 }
 
-fn opts(config: &DcTreeConfig, frames: usize, compress: bool) -> OocOptions {
+fn opts(config: &DcTreeConfig, frames: usize) -> OocOptions {
     OocOptions {
         block: config.block,
         frames,
-        compress,
     }
 }
 
-fn create(path: &Path, config: DcTreeConfig, frames: usize, compress: bool) -> DiskTree {
-    let store = OocStore::create(path, opts(&config, frames, compress)).unwrap();
+fn create(path: &Path, config: DcTreeConfig, frames: usize) -> DiskTree {
+    let store = OocStore::create(path, opts(&config, frames)).unwrap();
     DcTree::create_in(store, schema(), config).unwrap()
 }
 
-fn open(path: &Path, config: DcTreeConfig, frames: usize, compress: bool) -> DiskTree {
-    let store = OocStore::open(path, opts(&config, frames, compress)).unwrap();
+fn open(path: &Path, config: DcTreeConfig, frames: usize) -> DiskTree {
+    let store = OocStore::open(path, opts(&config, frames)).unwrap();
     DcTree::open_in(store, config).unwrap()
 }
 
@@ -99,135 +98,128 @@ fn random_query(schema: &CubeSchema, rng: &mut StdRng) -> Mds {
 
 #[test]
 fn disk_tree_matches_in_memory_tree() {
-    for compress in [false, true] {
-        let dir = TempDir::new("disk-differential");
-        let mut mem = DcTree::new(schema(), config(4));
-        let mut disk = create(&dir.join("tree.dct"), config(4), 16, compress);
+    let dir = TempDir::new("disk-differential");
+    let mut mem = DcTree::new(schema(), config(4));
+    let mut disk = create(&dir.join("tree.dct"), config(4), 16);
 
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..400 {
-            let paths = random_paths(&mut rng);
-            let measure = rng.gen_range(-100..1000);
-            mem.insert_raw(&paths, measure).unwrap();
-            disk.insert_raw(&paths, measure).unwrap();
-        }
-        assert_eq!(disk.len(), mem.len());
-        assert_eq!(disk.total_summary().unwrap(), mem.total_summary().unwrap());
-        assert_eq!(disk.height(), mem.height());
-        assert_eq!(disk.num_nodes(), mem.num_nodes());
-        disk.check_invariants().unwrap();
-        assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
+    let mut rng = StdRng::seed_from_u64(1);
+    for _ in 0..400 {
+        let paths = random_paths(&mut rng);
+        let measure = rng.gen_range(-100..1000);
+        mem.insert_raw(&paths, measure).unwrap();
+        disk.insert_raw(&paths, measure).unwrap();
+    }
+    assert_eq!(disk.len(), mem.len());
+    assert_eq!(disk.total_summary().unwrap(), mem.total_summary().unwrap());
+    assert_eq!(disk.height(), mem.height());
+    assert_eq!(disk.num_nodes(), mem.num_nodes());
+    disk.check_invariants().unwrap();
+    assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
 
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..80 {
-            let q = random_query(mem.schema(), &mut rng);
+    let mut rng = StdRng::seed_from_u64(2);
+    for _ in 0..80 {
+        let q = random_query(mem.schema(), &mut rng);
+        assert_eq!(
+            disk.range_summary(&q).unwrap(),
+            mem.range_summary(&q).unwrap(),
+            "query {q:?}"
+        );
+        for op in AggregateOp::ALL {
             assert_eq!(
-                disk.range_summary(&q).unwrap(),
-                mem.range_summary(&q).unwrap(),
-                "query {q:?}"
+                disk.range_query(&q, op).unwrap(),
+                mem.range_query(&q, op).unwrap()
             );
-            for op in AggregateOp::ALL {
-                assert_eq!(
-                    disk.range_query(&q, op).unwrap(),
-                    mem.range_query(&q, op).unwrap()
-                );
-            }
         }
     }
 }
 
 #[test]
 fn disk_tree_survives_reopen() {
-    for compress in [false, true] {
-        let dir = TempDir::new("disk-reopen");
-        let path = dir.join("tree.dct");
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut expected = MeasureSummary::empty();
-        {
-            let mut disk = create(&path, config(4), 16, compress);
-            for _ in 0..200 {
-                let paths = random_paths(&mut rng);
-                let measure = rng.gen_range(0..1000);
-                disk.insert_raw(&paths, measure).unwrap();
-                expected.add(measure);
-            }
-            disk.flush().unwrap();
+    let dir = TempDir::new("disk-reopen");
+    let path = dir.join("tree.dct");
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut expected = MeasureSummary::empty();
+    {
+        let mut disk = create(&path, config(4), 16);
+        for _ in 0..200 {
+            let paths = random_paths(&mut rng);
+            let measure = rng.gen_range(0..1000);
+            disk.insert_raw(&paths, measure).unwrap();
+            expected.add(measure);
         }
-        // The codec is self-describing: either setting reads the file.
-        let mut disk = open(&path, config(4), 16, !compress);
-        assert_eq!(disk.len(), 200);
-        disk.check_invariants().unwrap();
-        assert_eq!(disk.total_summary().unwrap(), expected);
-        // Still fully dynamic after reopen (including schema growth).
-        disk.insert_raw(
-            &[
-                vec!["R9", "R9-N9", "R9-N9-C9"],
-                vec!["T9", "T9-P9"],
-                vec!["2001", "2001-01"],
-            ],
-            123,
-        )
-        .unwrap();
         disk.flush().unwrap();
-        drop(disk);
-        let disk = open(&path, config(4), 16, compress);
-        assert_eq!(disk.len(), 201);
-        disk.check_invariants().unwrap();
-        drop(disk);
-        // A file of 4 KiB pages does not open as one of 512-byte pages.
-        let wrong = OocOptions {
-            block: BlockConfig::new(512),
-            ..opts(&config(4), 16, compress)
-        };
-        assert!(OocDcTree::open(&path, config(4), wrong).is_err());
     }
+    let mut disk = open(&path, config(4), 16);
+    assert_eq!(disk.len(), 200);
+    disk.check_invariants().unwrap();
+    assert_eq!(disk.total_summary().unwrap(), expected);
+    // Still fully dynamic after reopen (including schema growth).
+    disk.insert_raw(
+        &[
+            vec!["R9", "R9-N9", "R9-N9-C9"],
+            vec!["T9", "T9-P9"],
+            vec!["2001", "2001-01"],
+        ],
+        123,
+    )
+    .unwrap();
+    disk.flush().unwrap();
+    drop(disk);
+    let disk = open(&path, config(4), 16);
+    assert_eq!(disk.len(), 201);
+    disk.check_invariants().unwrap();
+    drop(disk);
+    // A file of 4 KiB pages does not open as one of 512-byte pages.
+    let wrong = OocOptions {
+        block: BlockConfig::new(512),
+        ..opts(&config(4), 16)
+    };
+    assert!(OocDcTree::open(&path, config(4), wrong).is_err());
 }
 
 #[test]
 fn disk_tree_deletes_like_memory_tree() {
-    for compress in [false, true] {
-        let dir = TempDir::new("disk-deletes");
-        let mut mem = DcTree::new(schema(), config(4));
-        let mut disk = create(&dir.join("tree.dct"), config(4), 16, compress);
+    let dir = TempDir::new("disk-deletes");
+    let mut mem = DcTree::new(schema(), config(4));
+    let mut disk = create(&dir.join("tree.dct"), config(4), 16);
 
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut records: Vec<Record> = Vec::new();
-        for _ in 0..200 {
-            let paths = random_paths(&mut rng);
-            let measure = rng.gen_range(0..500);
-            mem.insert_raw(&paths, measure).unwrap();
-            disk.insert_raw(&paths, measure).unwrap();
-            let dims: Vec<ValueId> = (0..3)
-                .map(|d| {
-                    mem.schema()
-                        .dim(DimensionId(d as u16))
-                        .lookup_path(&paths[d])
-                        .unwrap()
-                })
-                .collect();
-            records.push(Record::new(dims, measure));
-        }
-        for _ in 0..120 {
-            let idx = rng.gen_range(0..records.len());
-            let victim = records.swap_remove(idx);
-            assert_eq!(
-                disk.delete(&victim).unwrap(),
-                mem.delete(&victim).unwrap(),
-                "delete outcome must agree"
-            );
-        }
-        assert_eq!(disk.len(), mem.len());
-        mem.check_invariants().unwrap();
-        disk.check_invariants().unwrap();
-        assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
-        let mut rng = StdRng::seed_from_u64(6);
-        for _ in 0..40 {
-            let q = random_query(mem.schema(), &mut rng);
-            assert_eq!(
-                disk.range_summary(&q).unwrap(),
-                mem.range_summary(&q).unwrap()
-            );
-        }
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut records: Vec<Record> = Vec::new();
+    for _ in 0..200 {
+        let paths = random_paths(&mut rng);
+        let measure = rng.gen_range(0..500);
+        mem.insert_raw(&paths, measure).unwrap();
+        disk.insert_raw(&paths, measure).unwrap();
+        let dims: Vec<ValueId> = (0..3)
+            .map(|d| {
+                mem.schema()
+                    .dim(DimensionId(d as u16))
+                    .lookup_path(&paths[d])
+                    .unwrap()
+            })
+            .collect();
+        records.push(Record::new(dims, measure));
+    }
+    for _ in 0..120 {
+        let idx = rng.gen_range(0..records.len());
+        let victim = records.swap_remove(idx);
+        assert_eq!(
+            disk.delete(&victim).unwrap(),
+            mem.delete(&victim).unwrap(),
+            "delete outcome must agree"
+        );
+    }
+    assert_eq!(disk.len(), mem.len());
+    mem.check_invariants().unwrap();
+    disk.check_invariants().unwrap();
+    assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
+    let mut rng = StdRng::seed_from_u64(6);
+    for _ in 0..40 {
+        let q = random_query(mem.schema(), &mut rng);
+        assert_eq!(
+            disk.range_summary(&q).unwrap(),
+            mem.range_summary(&q).unwrap()
+        );
     }
 }
 
@@ -236,10 +228,10 @@ fn buffer_pool_pressure_still_answers_correctly() {
     // A tiny pool (its floor of 4 frames) forces constant eviction and
     // reload; the store's decoded set is bounded by the same option, so at
     // 1 and 2 it gives a node up between the steps of one insertion.
-    for (frames, compress) in [(1, false), (2, true), (4, false), (4, true)] {
+    for frames in [1, 2, 4] {
         let dir = TempDir::new("disk-pressure");
         let mut mem = DcTree::new(schema(), config(4));
-        let mut disk = create(&dir.join("tree.dct"), config(4), frames, compress);
+        let mut disk = create(&dir.join("tree.dct"), config(4), frames);
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..300 {
             let paths = random_paths(&mut rng);
@@ -270,7 +262,7 @@ fn opening_garbage_fails_cleanly() {
     let path = dir.join("tree.dct");
     std::fs::write(&path, vec![0u8; 8192]).unwrap();
     let config = DcTreeConfig::default();
-    assert!(OocDcTree::open(&path, config, opts(&config, 8, true)).is_err());
+    assert!(OocDcTree::open(&path, config, opts(&config, 8)).is_err());
 }
 
 // ----------------------------------------------------------------------
@@ -281,18 +273,17 @@ fn opening_garbage_fails_cleanly() {
 
 const PAGE: usize = 512;
 
-fn small_pages(compress: bool) -> OocOptions {
+fn small_pages() -> OocOptions {
     OocOptions {
         block: BlockConfig::new(PAGE),
         frames: 8,
-        compress,
     }
 }
 
 /// Writes a small flushed tree to `path` (pages 1 and 2 are then the
 /// metadata head and the root) and returns the file's page count.
 fn write_small_tree(path: &Path) -> u64 {
-    let tree = OocDcTree::create(path, schema(), config(4), small_pages(false)).unwrap();
+    let tree = OocDcTree::create(path, schema(), config(4), small_pages()).unwrap();
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..40 {
         tree.insert_raw(&random_paths(&mut rng), 1).unwrap();
@@ -329,7 +320,7 @@ fn assert_corrupt<T: std::fmt::Debug>(result: Result<T, DcError>) {
 
 /// Reads node 2 straight from the store at `path`.
 fn get_node_2(path: &Path) -> Result<(), DcError> {
-    let mut store = OocStore::open(path, small_pages(false))?;
+    let mut store = OocStore::open(path, small_pages())?;
     store.set_num_dims(3);
     store.get(NodeId::from_raw(2)).map(|_| ())
 }
@@ -351,13 +342,13 @@ fn a_cyclic_chain_is_corrupt_not_an_endless_walk() {
     // Metadata chain 1 → 2 → 1 → …: the tree does not open.
     patch_header(&path, 1, (2, meta.1));
     patch_header(&path, 2, (1, node.1));
-    assert_corrupt(OocDcTree::open(&path, config(4), small_pages(false)));
+    assert_corrupt(OocDcTree::open(&path, config(4), small_pages()));
 
     // Node chain 2 → 2 → …: the store opens, reading the node does not,
     // nor does rewriting or freeing it follow the cycle.
     patch_header(&path, 1, meta);
     patch_header(&path, 2, (2, node.1));
-    let mut store = OocStore::open(&path, small_pages(false)).unwrap();
+    let mut store = OocStore::open(&path, small_pages()).unwrap();
     store.set_num_dims(3);
     assert_corrupt(store.get(NodeId::from_raw(2)));
     assert_corrupt(store.update(NodeId::from_raw(2), |_| Ok(())));
@@ -369,7 +360,7 @@ fn a_cyclic_chain_is_corrupt_not_an_endless_walk() {
 
     // Undamaged again, the file opens.
     patch_header(&path, 2, node);
-    let tree = OocDcTree::open(&path, config(4), small_pages(true)).unwrap();
+    let tree = OocDcTree::open(&path, config(4), small_pages()).unwrap();
     tree.read().check_invariants().unwrap();
 }
 
@@ -382,7 +373,7 @@ fn an_oversized_payload_length_is_corrupt() {
     let (meta, node) = (header_of(&path, 1), header_of(&path, 2));
     for len in [(PAGE - 12 + 1) as u32, u32::MAX] {
         patch_header(&path, 1, (meta.0, len));
-        assert_corrupt(OocDcTree::open(&path, config(4), small_pages(false)));
+        assert_corrupt(OocDcTree::open(&path, config(4), small_pages()));
         patch_header(&path, 1, meta);
         patch_header(&path, 2, (node.0, len));
         assert_corrupt(get_node_2(&path));
@@ -418,8 +409,8 @@ proptest! {
 
     /// One algorithm, one tree, whatever the store: the same interned
     /// stream — inserts batched, deletes interleaved — builds the same tree
-    /// node for node in the arena and on disk pages, plain and compressed,
-    /// under buffer-pool pressure — and, at 1, 2 and 4 frames, with the
+    /// node for node in the arena and on disk pages, under buffer-pool
+    /// pressure — and, at 1, 2 and 4 frames, with the
     /// store writing decoded nodes back between the steps of a split, a
     /// supernode growth and a condensing delete.
     #[test]
@@ -430,8 +421,7 @@ proptest! {
     ) {
         let dir = TempDir::new("disk-proptest");
         let mut mem = DcTree::new(schema(), config(3));
-        let mut disks = [false, true]
-            .map(|compress| create(&dir.join(format!("{compress}.dct")), config(3), frames, compress));
+        let mut disk = create(&dir.join("tree.dct"), config(3), frames);
         let mut live: Vec<Record> = Vec::new();
         let mut pending: Vec<Record> = Vec::new();
         // `None` is the end of the stream: whatever is pending goes in.
@@ -440,43 +430,35 @@ proptest! {
                 Some(Step::Insert(coords, measure)) => {
                     let paths = paths_of(*coords);
                     let dims = mem.intern_paths(&paths).unwrap();
-                    for disk in &mut disks {
-                        prop_assert_eq!(&disk.intern_paths(&paths).unwrap(), &dims);
-                    }
+                    prop_assert_eq!(&disk.intern_paths(&paths).unwrap(), &dims);
                     pending.push(Record::new(dims, i64::from(*measure)));
                 }
                 Some(Step::Delete(i)) if !live.is_empty() => {
                     let victim = live.swap_remove(*i as usize % live.len());
                     prop_assert!(mem.delete(&victim).unwrap());
-                    for disk in &mut disks {
-                        prop_assert!(disk.delete(&victim).unwrap());
-                    }
+                    prop_assert!(disk.delete(&victim).unwrap());
                 }
                 Some(Step::Delete(_)) | None => {}
             }
             if pending.len() >= batch || s.is_none() {
                 live.extend(pending.iter().cloned());
                 mem.insert_batch(pending.clone()).unwrap();
-                for disk in &mut disks {
-                    disk.insert_batch(pending.clone()).unwrap();
-                }
+                disk.insert_batch(pending.clone()).unwrap();
                 pending.clear();
             }
         }
 
         let mut rng = StdRng::seed_from_u64(2);
         let queries: Vec<Mds> = (0..6).map(|_| random_query(mem.schema(), &mut rng)).collect();
-        for disk in &disks {
-            disk.check_invariants().unwrap();
-            prop_assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
-            prop_assert_eq!(disk.len(), mem.len());
-            prop_assert_eq!((disk.num_nodes(), disk.height()), (mem.num_nodes(), mem.height()));
-            for q in &queries {
-                prop_assert_eq!(
-                    disk.range_summary(q).unwrap(),
-                    mem.range_summary(q).unwrap()
-                );
-            }
+        disk.check_invariants().unwrap();
+        prop_assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
+        prop_assert_eq!(disk.len(), mem.len());
+        prop_assert_eq!((disk.num_nodes(), disk.height()), (mem.num_nodes(), mem.height()));
+        for q in &queries {
+            prop_assert_eq!(
+                disk.range_summary(q).unwrap(),
+                mem.range_summary(q).unwrap()
+            );
         }
     }
 }

@@ -211,7 +211,6 @@ fn a_cycle_in_an_image_is_refused() {
     let opts = OocOptions {
         block: BlockConfig::new(256),
         frames: 8,
-        compress: true,
     };
     let mut store = OocStore::open(&path, opts).unwrap();
     store.set_num_dims(tree.schema().num_dims());

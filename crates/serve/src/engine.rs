@@ -148,8 +148,7 @@ pub struct DiskOptions {
     /// a WAL these files are the only copy of the data; with one they are
     /// working state, rebuilt from checkpoint images on recovery.
     pub dir: PathBuf,
-    /// Buffer-pool and page-codec knobs (frame budget, block size,
-    /// compression).
+    /// Buffer-pool knobs (frame budget, block size).
     pub ooc: OocOptions,
 }
 

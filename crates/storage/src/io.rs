@@ -7,7 +7,7 @@
 //! overlapping subtrees) is discussed.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// A snapshot of I/O counters.
@@ -54,6 +54,10 @@ pub struct IoTracker {
     /// `None` when tracing is off. Uncontended in practice — tracing is a
     /// single-threaded measurement mode.
     trace: Mutex<Option<Vec<u64>>>,
+    /// Whether `trace` is `Some`: keyed reads, charged on every node visit
+    /// by readers sharing one tree, take the lock only while it is set.
+    /// Relaxed: it publishes nothing, the trace is read under the lock.
+    tracing: AtomicBool,
 }
 
 impl IoTracker {
@@ -82,6 +86,9 @@ impl IoTracker {
     #[inline]
     pub fn read_keyed(&self, key: u64, blocks: u32) {
         self.read(blocks);
+        if !self.tracing.load(Ordering::Relaxed) {
+            return;
+        }
         let mut guard = self.trace.lock().expect("trace mutex");
         if let Some(trace) = guard.as_mut() {
             for b in 0..blocks as u64 {
@@ -93,10 +100,12 @@ impl IoTracker {
     /// Starts recording an access trace (clearing any previous one).
     pub fn begin_trace(&self) {
         *self.trace.lock().expect("trace mutex") = Some(Vec::new());
+        self.tracing.store(true, Ordering::Relaxed);
     }
 
     /// Stops recording and returns the trace (empty if tracing was off).
     pub fn end_trace(&self) -> Vec<u64> {
+        self.tracing.store(false, Ordering::Relaxed);
         self.trace
             .lock()
             .expect("trace mutex")

@@ -669,7 +669,6 @@ fn storage_config(dir: &Path, shards: usize, disk: bool) -> EngineConfig {
             ooc: OocOptions {
                 block: BlockConfig::new(512),
                 frames: 8,
-                compress: true,
             },
         });
     }

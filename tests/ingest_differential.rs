@@ -26,7 +26,6 @@ fn tiny_disk(dir: &TempDir) -> StorageMode {
         ooc: OocOptions {
             block: BlockConfig::new(512),
             frames: 16,
-            compress: true,
         },
     })
 }

@@ -30,7 +30,6 @@ fn tiny_disk(dir: &TempDir) -> StorageMode {
         ooc: OocOptions {
             block: BlockConfig::new(512),
             frames: 16,
-            compress: true,
         },
     })
 }
@@ -379,7 +378,6 @@ fn recovers_from_checkpoint_and_wal_tail(batched: bool) {
             ooc: OocOptions {
                 block: BlockConfig::new(512),
                 frames: 16,
-                compress: true,
             },
         })
     };

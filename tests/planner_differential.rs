@@ -227,7 +227,6 @@ fn forcing_an_unmaintained_backend_is_a_config_error_in_both_storage_modes() {
         ooc: OocOptions {
             block: BlockConfig::new(512),
             frames: 16,
-            compress: true,
         },
     });
     let s = stmt(&QueryShape {

@@ -68,7 +68,6 @@ fn config(policy: PartitionPolicy, disk: Option<&TempDir>) -> EngineConfig {
                 ooc: OocOptions {
                     block: BlockConfig::new(512),
                     frames: 16,
-                    compress: true,
                 },
             }),
         },
