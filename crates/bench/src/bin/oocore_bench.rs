@@ -124,8 +124,11 @@ fn main() {
     )
     .expect("create shard");
     let t0 = Instant::now();
-    for r in &data.records {
-        tree.insert(r.clone()).expect("insert");
+    {
+        let mut writer = tree.write();
+        for r in &data.records {
+            writer.insert(r.clone()).expect("insert");
+        }
     }
     tree.flush().expect("flush");
     let file_bytes = tree.file_bytes();

@@ -51,6 +51,17 @@
 //! assert_eq!(sum, Some(2000.0));
 //! ```
 //!
+//! ## One traversal for every read
+//!
+//! The paper has one range-query algorithm (Fig. 7), and the tree runs it
+//! once: [`DcTree::range_summary`], [`DcTree::group_by`], [`DcTree::pivot`],
+//! the selections [`DcTree::for_each_in_range`] / [`DcTree::range_records`]
+//! and the point count [`DcTree::count_matching`] all descend through one
+//! body over a [`PreparedRange`], differing only in what they fold the
+//! selected records and contained entries into (see [`query`]). Scalar
+//! reads prepare with the configured containment mode
+//! (`use_paper_fig7_containment`); grouped reads always prepare soundly.
+//!
 //! ## Where the nodes live
 //!
 //! The paper's nodes are disk blocks. [`DcTree`] is generic over a

@@ -12,12 +12,19 @@
 //! it precomputes, once, the query's value set adapted to **every** level at
 //! or above the query level. Each entry test then degenerates to
 //! parent-pointer walks and O(1) bitset probes against the precomputed sets.
+//!
+//! Every read of the tree — scalar aggregate, `group_by`, `pivot`, range
+//! selection and point count — is the one descent of `DcTree` over a
+//! prepared range, folding what it meets into a [`Visitor`]: [`Cells`]
+//! for the aggregates, [`Select`] for the selections.
 
 use std::cell::RefCell;
 
-use dc_common::{DcResult, Level, ValueId};
+use dc_common::{DcError, DcResult, DimensionId, Level, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, Record};
 use dc_mds::Mds;
+
+use crate::node::{DirEntry, StoredRecord};
 
 /// Upper bound on recycled bitset backing stores kept per thread. Generous
 /// for any realistic query shape (dims × levels) while bounding the pool if
@@ -108,22 +115,13 @@ impl PreparedDim {
 /// Dropping a `PreparedRange` returns its bitset backing stores to the
 /// dropping thread's scratch pool, so a warm query thread re-prepares
 /// without touching the allocator.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct PreparedRange {
     dims: Vec<PreparedDim>,
     /// Reproduce the paper's literal (unsound) Fig. 7 adaptation: when the
     /// entry is coarser than the query, lift the *query* to the entry's
     /// level and test subset there. See `DcTreeConfig::use_paper_fig7_containment`.
     paper_containment: bool,
-}
-
-impl Clone for PreparedRange {
-    fn clone(&self) -> Self {
-        PreparedRange {
-            dims: self.dims.clone(),
-            paper_containment: self.paper_containment,
-        }
-    }
 }
 
 impl Drop for PreparedRange {
@@ -152,7 +150,9 @@ impl PreparedRange {
     }
 
     /// Prepares `range` with an explicit containment mode, reusing the
-    /// calling thread's scratch buffers.
+    /// calling thread's scratch buffers. Fails with
+    /// [`DcError::DimensionMismatch`] when `range` and `schema` differ in
+    /// dimensionality.
     pub fn with_mode(schema: &CubeSchema, range: &Mds, paper_containment: bool) -> DcResult<Self> {
         PREP_SCRATCH.with(|s| {
             Self::with_mode_scratch(schema, range, paper_containment, &mut s.borrow_mut())
@@ -165,6 +165,12 @@ impl PreparedRange {
         paper_containment: bool,
         scratch: &mut PrepScratch,
     ) -> DcResult<Self> {
+        if range.num_dims() != schema.num_dims() {
+            return Err(DcError::DimensionMismatch {
+                expected: schema.num_dims(),
+                got: range.num_dims(),
+            });
+        }
         let mut dims = Vec::with_capacity(range.num_dims());
         for (set, h) in range.dims().zip(schema.dims()) {
             let level = set.level();
@@ -200,12 +206,6 @@ impl PreparedRange {
     /// Number of dimensions the range was prepared over.
     pub fn num_dims(&self) -> usize {
         self.dims.len()
-    }
-
-    /// Whether this range was prepared in the paper's literal Fig. 7
-    /// containment mode (the documented-unsound ablation).
-    pub fn paper_containment(&self) -> bool {
-        self.paper_containment
     }
 
     /// `true` iff `entry` overlaps the range in every dimension — the
@@ -270,6 +270,104 @@ impl PreparedRange {
             }
         }
         Ok(true)
+    }
+}
+
+/// What one read does with what the descent meets: the records the range
+/// selects, and the directory entries it contains.
+pub(crate) trait Visitor {
+    /// Whether [`Self::absorb`] can ever answer an entry; the descent skips
+    /// the containment test for a visitor that cannot.
+    const ABSORBS: bool = false;
+
+    /// A stored record the range selects.
+    fn record(&mut self, r: &StoredRecord) -> DcResult<()>;
+
+    /// A directory entry the range contains: folds its materialized
+    /// summary in and returns `true`, or returns `false` to have the
+    /// descent visit its subtree instead.
+    fn absorb(&mut self, _: &DirEntry) -> DcResult<bool> {
+        Ok(false)
+    }
+}
+
+/// Summaries over `N` = zero, one or two grouping axes, as `(dimension,
+/// level)`, fixed at compile time so a scalar read pays no axis loop:
+/// one cell for a scalar query, one per group value for `group_by`, rows ×
+/// columns for `pivot`. Cell `i` is the axis values' indices in row-major
+/// order. An entry is absorbed when it maps to one value on every axis.
+/// `cells` holds the product of the axes' value counts.
+pub(crate) struct Cells<'a, const N: usize> {
+    pub(crate) schema: &'a CubeSchema,
+    pub(crate) axes: [(DimensionId, Level); N],
+    pub(crate) cells: &'a mut [MeasureSummary],
+}
+
+impl<const N: usize> Cells<'_, N> {
+    /// The cell of the record's ancestors on the axes.
+    fn cell_of_record(&self, record: &Record) -> DcResult<usize> {
+        let mut cell = 0;
+        for (dim, level) in self.axes {
+            let h = self.schema.dim(dim);
+            let key = h.ancestor_at(record.dims[dim.as_usize()], level)?;
+            cell = cell * h.num_values_at(level) + key.index() as usize;
+        }
+        Ok(cell)
+    }
+
+    /// The one cell every record below `mds` falls in, if there is one:
+    /// on each axis, every value of `mds` lies below one single value.
+    fn cell_of_entry(&self, mds: &Mds) -> DcResult<Option<usize>> {
+        let mut cell = 0;
+        for (dim, level) in self.axes {
+            let h = self.schema.dim(dim);
+            let set = mds.dim(dim.as_usize());
+            if set.level() > level {
+                return Ok(None); // coarser than the axis: spans many values
+            }
+            let mut single: Option<ValueId> = None;
+            for &v in set.values() {
+                let key = h.ancestor_at(v, level)?;
+                if single.is_some_and(|s| s != key) {
+                    return Ok(None);
+                }
+                single = Some(key);
+            }
+            let Some(key) = single else { return Ok(None) };
+            cell = cell * h.num_values_at(level) + key.index() as usize;
+        }
+        Ok(Some(cell))
+    }
+}
+
+impl<const N: usize> Visitor for Cells<'_, N> {
+    const ABSORBS: bool = true;
+
+    #[inline]
+    fn record(&mut self, r: &StoredRecord) -> DcResult<()> {
+        let cell = self.cell_of_record(&r.record)?;
+        self.cells[cell].add(r.record.measure);
+        Ok(())
+    }
+
+    #[inline]
+    fn absorb(&mut self, e: &DirEntry) -> DcResult<bool> {
+        let Some(cell) = self.cell_of_entry(&e.mds)? else {
+            return Ok(false);
+        };
+        self.cells[cell].merge(&e.summary);
+        Ok(true)
+    }
+}
+
+/// A selection: hands every selected record to the closure and absorbs no
+/// entry, so contained subtrees are descended to their data pages.
+pub(crate) struct Select<F>(pub(crate) F);
+
+impl<F: FnMut(&StoredRecord)> Visitor for Select<F> {
+    fn record(&mut self, r: &StoredRecord) -> DcResult<()> {
+        (self.0)(r);
+        Ok(())
     }
 }
 

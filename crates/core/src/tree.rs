@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dc_common::{
-    AggregateOp, DcError, DcResult, DimensionId, Measure, MeasureSummary, RecordId, ValueId,
+    AggregateOp, DcError, DcResult, DimensionId, Level, Measure, MeasureSummary, RecordId, ValueId,
 };
 use dc_hierarchy::{CubeSchema, Dims, Record};
 use dc_mds::Mds;
@@ -16,7 +16,7 @@ use dc_storage::{ByteReader, ByteWriter, IoStats, IoTracker};
 use crate::choose::MembershipIndex;
 use crate::config::DcTreeConfig;
 use crate::node::{DirEntry, Node, NodeId, NodeKind, StoredRecord};
-use crate::query::PreparedRange;
+use crate::query::{Cells, PreparedRange, Select, Visitor};
 use crate::split::{align_members, connected, hierarchy_split, SplitOutcome};
 use crate::store::{Arena, NodeStore, PersistentStore};
 
@@ -70,6 +70,13 @@ impl Clone for QueryCounters {
         c.descents.store(self.descents.load(Relaxed), Relaxed);
         c
     }
+}
+
+/// One read's entry decisions, added to [`QueryCounters`] when it ends.
+#[derive(Default)]
+struct Tally {
+    shortcut_hits: u64,
+    descents: u64,
 }
 
 /// The DC-tree: a fully dynamic, MDS-based index over a data cube with
@@ -1154,7 +1161,7 @@ impl<S: NodeStore> DcTree<S> {
     }
 
     // ------------------------------------------------------------------
-    // Range queries (Fig. 7)
+    // Reads (Fig. 7): one descent for every read
     // ------------------------------------------------------------------
 
     /// Runs a range query and evaluates one aggregation operator over the
@@ -1175,19 +1182,14 @@ impl<S: NodeStore> DcTree<S> {
     /// `use_materialized_aggregates` disabled the query always descends —
     /// the ablation isolating the benefit of materialization.
     pub fn range_summary(&self, range: &Mds) -> DcResult<MeasureSummary> {
-        if range.num_dims() != self.schema.num_dims() {
-            return Err(DcError::DimensionMismatch {
-                expected: self.schema.num_dims(),
-                got: range.num_dims(),
-            });
-        }
-        let prepared = self.prepare_range(range)?;
-        self.range_summary_prepared(&prepared)
+        self.range_summary_prepared(&self.prepare_range(range)?)
     }
 
     /// Prepares `range` for repeated evaluation against this tree, honouring
     /// the tree's containment-mode configuration. Pair with
-    /// [`Self::range_summary_prepared`] / [`Self::group_by_prepared`].
+    /// [`Self::range_summary_prepared`]; grouped reads take a range
+    /// prepared soundly ([`PreparedRange::new`]), as [`Self::group_by`]
+    /// does.
     pub fn prepare_range(&self, range: &Mds) -> DcResult<PreparedRange> {
         PreparedRange::with_mode(&self.schema, range, self.config.use_paper_fig7_containment)
     }
@@ -1202,55 +1204,10 @@ impl<S: NodeStore> DcTree<S> {
     /// this tree knows, and their bits are where the preparing schema put
     /// them. The steady-state traversal performs no heap allocation.
     pub fn range_summary_prepared(&self, prepared: &PreparedRange) -> DcResult<MeasureSummary> {
-        if prepared.num_dims() != self.schema.num_dims() {
-            return Err(DcError::DimensionMismatch {
-                expected: self.schema.num_dims(),
-                got: prepared.num_dims(),
-            });
-        }
-        let mut acc = MeasureSummary::empty();
-        self.query_rec(self.root, prepared, &mut acc)?;
+        let mut acc = [MeasureSummary::empty()];
+        self.read_cells(prepared, [], &mut acc)?;
+        let [acc] = acc;
         Ok(acc)
-    }
-
-    fn query_rec(
-        &self,
-        id: NodeId,
-        range: &PreparedRange,
-        acc: &mut MeasureSummary,
-    ) -> DcResult<()> {
-        let node = self.store.get(id)?;
-        self.io.read_keyed(id.0 as u64, node.blocks);
-        match &node.kind {
-            NodeKind::Data(records) => {
-                for r in records {
-                    if range.contains_record(&self.schema, &r.record)? {
-                        acc.add(r.record.measure);
-                    }
-                }
-            }
-            NodeKind::Dir(entries) => {
-                for e in entries {
-                    if !range.overlaps(&self.schema, &e.mds)? {
-                        continue;
-                    }
-                    if self.config.use_materialized_aggregates
-                        && range.contains_entry(&self.schema, &e.mds)?
-                    {
-                        self.query_counters
-                            .shortcut_hits
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        acc.merge(&e.summary);
-                    } else {
-                        self.query_counters
-                            .descents
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        self.query_rec(e.child, range, acc)?;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Range **selection**: invokes `f` for every stored record inside the
@@ -1258,15 +1215,8 @@ impl<S: NodeStore> DcTree<S> {
     /// integrated into a DBMS (the paper's future work) must also produce
     /// the qualifying rows; selection cannot use the materialized shortcut,
     /// so contained subtrees are descended to their data pages.
-    pub fn for_each_in_range(&self, range: &Mds, mut f: impl FnMut(&StoredRecord)) -> DcResult<()> {
-        if range.num_dims() != self.schema.num_dims() {
-            return Err(DcError::DimensionMismatch {
-                expected: self.schema.num_dims(),
-                got: range.num_dims(),
-            });
-        }
-        let prepared = PreparedRange::new(&self.schema, range)?;
-        self.select_rec(self.root, &prepared, &mut f)
+    pub fn for_each_in_range(&self, range: &Mds, f: impl FnMut(&StoredRecord)) -> DcResult<()> {
+        self.read(&PreparedRange::new(&self.schema, range)?, &mut Select(f))
     }
 
     /// Range selection collecting the matching records.
@@ -1276,58 +1226,18 @@ impl<S: NodeStore> DcTree<S> {
         Ok(out)
     }
 
-    fn select_rec(
-        &self,
-        id: NodeId,
-        range: &PreparedRange,
-        f: &mut impl FnMut(&StoredRecord),
-    ) -> DcResult<()> {
-        let node = self.store.get(id)?;
-        self.io.read_keyed(id.0 as u64, node.blocks);
-        match &node.kind {
-            NodeKind::Data(records) => {
-                for r in records {
-                    if range.contains_record(&self.schema, &r.record)? {
-                        f(r);
-                    }
-                }
-            }
-            NodeKind::Dir(entries) => {
-                for e in entries {
-                    if range.overlaps(&self.schema, &e.mds)? {
-                        self.select_rec(e.child, range, f)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Counts the stored records equal to `record` (same leaf IDs and
-    /// measure) — the point-query counterpart of [`Self::range_summary`].
+    /// measure) — the point-query counterpart of [`Self::range_summary`]: a
+    /// selection over the record's leaf point, counting equal measures.
     pub fn count_matching(&self, record: &Record) -> DcResult<u64> {
         self.schema.validate_record(record)?;
+        let point = PreparedRange::new(&self.schema, &Mds::from_record(record))?;
         let mut count = 0;
-        self.count_rec(self.root, record, &mut count)?;
+        self.read(
+            &point,
+            &mut Select(|r: &StoredRecord| count += u64::from(r.record.measure == record.measure)),
+        )?;
         Ok(count)
-    }
-
-    fn count_rec(&self, id: NodeId, record: &Record, count: &mut u64) -> DcResult<()> {
-        let node = self.store.get(id)?;
-        self.io.read(node.blocks);
-        match &node.kind {
-            NodeKind::Data(records) => {
-                *count += records.iter().filter(|r| &r.record == record).count() as u64;
-            }
-            NodeKind::Dir(entries) => {
-                for e in entries {
-                    if e.mds.contains_record(&self.schema, record)? {
-                        self.count_rec(e.child, record, count)?;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Groups a range query's result by the values of one hierarchy level of
@@ -1339,157 +1249,95 @@ impl<S: NodeStore> DcTree<S> {
     /// whose MDS maps to one group value (and is contained in the filter)
     /// contributes its materialized summary to that group directly.
     ///
+    /// The filter is always prepared soundly: the paper-mode shortcut
+    /// (`use_paper_fig7_containment`) applies to scalar queries only.
+    ///
     /// Returns the non-empty groups in ID order.
     pub fn group_by(
         &self,
         group_dim: DimensionId,
-        group_level: dc_common::Level,
+        group_level: Level,
         filter: &Mds,
     ) -> DcResult<Vec<(ValueId, MeasureSummary)>> {
-        if filter.num_dims() != self.schema.num_dims() {
-            return Err(DcError::DimensionMismatch {
-                expected: self.schema.num_dims(),
-                got: filter.num_dims(),
-            });
-        }
-        let h = self.schema.dim(group_dim);
-        if group_level > h.top_level() {
-            return Err(DcError::BadLevel {
-                dim: group_dim,
-                id: h.all(),
-                requested: group_level,
-            });
-        }
         let prepared = PreparedRange::new(&self.schema, filter)?;
         self.group_by_prepared(group_dim, group_level, &prepared)
     }
 
-    /// [`Self::group_by`] from an already-[prepared](Self::prepare_range)
-    /// filter; same cross-schema contract as
-    /// [`Self::range_summary_prepared`].
+    /// [`Self::group_by`] from an already-prepared filter, which should be
+    /// prepared soundly ([`PreparedRange::new`]); same cross-schema
+    /// contract as [`Self::range_summary_prepared`].
     pub fn group_by_prepared(
         &self,
         group_dim: DimensionId,
-        group_level: dc_common::Level,
+        group_level: Level,
         prepared: &PreparedRange,
     ) -> DcResult<Vec<(ValueId, MeasureSummary)>> {
-        if prepared.num_dims() != self.schema.num_dims() {
-            return Err(DcError::DimensionMismatch {
-                expected: self.schema.num_dims(),
-                got: prepared.num_dims(),
-            });
-        }
-        let h = self.schema.dim(group_dim);
-        if group_level > h.top_level() {
-            return Err(DcError::BadLevel {
-                dim: group_dim,
-                id: h.all(),
-                requested: group_level,
-            });
-        }
-        let mut groups: Vec<MeasureSummary> =
-            vec![MeasureSummary::empty(); h.num_values_at(group_level)];
-        self.group_rec(self.root, prepared, group_dim, group_level, &mut groups)?;
+        let groups = self.grouped(prepared, [(group_dim, group_level)])?;
         Ok(groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
             .map(|(i, s)| (ValueId::new(group_level, i as u32), s))
             .collect())
     }
 
-    fn group_rec(
-        &self,
-        id: NodeId,
-        filter: &PreparedRange,
-        group_dim: DimensionId,
-        group_level: dc_common::Level,
-        groups: &mut [MeasureSummary],
-    ) -> DcResult<()> {
-        let node = self.store.get(id)?;
-        self.io.read(node.blocks);
-        let h = self.schema.dim(group_dim);
-        match &node.kind {
-            NodeKind::Data(records) => {
-                for r in records {
-                    if filter.contains_record(&self.schema, &r.record)? {
-                        let key =
-                            h.ancestor_at(r.record.dims[group_dim.as_usize()], group_level)?;
-                        groups[key.index() as usize].add(r.record.measure);
-                    }
-                }
-            }
-            NodeKind::Dir(entries) => {
-                for e in entries {
-                    if !filter.overlaps(&self.schema, &e.mds)? {
-                        continue;
-                    }
-                    // The materialized shortcut applies when the entry lies
-                    // fully inside the filter AND maps to a single group
-                    // value (its group-dim set collapses to one ancestor).
-                    let single_group = self.single_group_of(&e.mds, group_dim, group_level)?;
-                    if self.config.use_materialized_aggregates
-                        && filter.contains_entry(&self.schema, &e.mds)?
-                    {
-                        if let Some(key) = single_group {
-                            groups[key.index() as usize].merge(&e.summary);
-                            continue;
-                        }
-                    }
-                    self.group_rec(e.child, filter, group_dim, group_level, groups)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// If every value of `mds`'s group dimension lies below one single value
-    /// on `group_level`, returns that value.
-    fn single_group_of(
-        &self,
-        mds: &Mds,
-        group_dim: DimensionId,
-        group_level: dc_common::Level,
-    ) -> DcResult<Option<ValueId>> {
-        let h = self.schema.dim(group_dim);
-        let set = mds.dim(group_dim.as_usize());
-        if set.level() > group_level {
-            return Ok(None); // coarser than the grouping level: spans many
-        }
-        let mut single: Option<ValueId> = None;
-        for &v in set.values() {
-            let anc = h.ancestor_at(v, group_level)?;
-            match single {
-                None => single = Some(anc),
-                Some(prev) if prev == anc => {}
-                Some(_) => return Ok(None),
-            }
-        }
-        Ok(single)
-    }
-
     /// Cross-tabulates a range query over two hierarchy levels — the pivot
     /// table of OLAP ("revenue by region × year"). Computed in a single
-    /// traversal like [`Self::group_by`]; a directory entry mapping to one
-    /// cell (single group value on *both* axes, contained in the filter)
-    /// contributes its materialized summary directly.
+    /// traversal like [`Self::group_by`], with the filter prepared soundly
+    /// like it; a directory entry mapping to one cell (single group value
+    /// on *both* axes, contained in the filter) contributes its
+    /// materialized summary directly.
     ///
     /// Returns the non-empty cells as `((row_value, column_value), summary)`
     /// in row-major ID order.
     #[allow(clippy::type_complexity)]
     pub fn pivot(
         &self,
-        row: (DimensionId, dc_common::Level),
-        column: (DimensionId, dc_common::Level),
+        row: (DimensionId, Level),
+        column: (DimensionId, Level),
         filter: &Mds,
     ) -> DcResult<Vec<((ValueId, ValueId), MeasureSummary)>> {
-        if filter.num_dims() != self.schema.num_dims() {
+        let prepared = PreparedRange::new(&self.schema, filter)?;
+        let cells = self.grouped(&prepared, [row, column])?;
+        let cols = self.schema.dim(column.0).num_values_at(column.1);
+        Ok(cells
+            .map(|(i, s)| {
+                let key = (
+                    ValueId::new(row.1, (i / cols) as u32),
+                    ValueId::new(column.1, (i % cols) as u32),
+                );
+                (key, s)
+            })
+            .collect())
+    }
+
+    /// A grouped read over `axes`: the non-empty cells as (cell index,
+    /// summary), in index order.
+    fn grouped<const N: usize>(
+        &self,
+        prepared: &PreparedRange,
+        axes: [(DimensionId, Level); N],
+    ) -> DcResult<impl Iterator<Item = (usize, MeasureSummary)>> {
+        let width =
+            |&(dim, level): &(DimensionId, Level)| self.schema.dim(dim).num_values_at(level);
+        let mut cells = vec![MeasureSummary::empty(); axes.iter().map(width).product()];
+        self.read_cells(prepared, axes, &mut cells)?;
+        Ok(cells.into_iter().enumerate().filter(|(_, s)| !s.is_empty()))
+    }
+
+    /// Checks a read over `axes` against this tree — the range has the
+    /// schema's dimensions, every axis is a level of its hierarchy — and
+    /// folds it into `cells`, one per combination of axis values.
+    fn read_cells<const N: usize>(
+        &self,
+        prepared: &PreparedRange,
+        axes: [(DimensionId, Level); N],
+        cells: &mut [MeasureSummary],
+    ) -> DcResult<()> {
+        if prepared.num_dims() != self.schema.num_dims() {
             return Err(DcError::DimensionMismatch {
                 expected: self.schema.num_dims(),
-                got: filter.num_dims(),
+                got: prepared.num_dims(),
             });
         }
-        for &(dim, level) in [&row, &column] {
+        for (dim, level) in axes {
             let h = self.schema.dim(dim);
             if level > h.top_level() {
                 return Err(DcError::BadLevel {
@@ -1499,69 +1347,67 @@ impl<S: NodeStore> DcTree<S> {
                 });
             }
         }
-        let cols = self.schema.dim(column.0).num_values_at(column.1).max(1);
-        let rows = self.schema.dim(row.0).num_values_at(row.1).max(1);
-        let prepared =
-            PreparedRange::with_mode(&self.schema, filter, self.config.use_paper_fig7_containment)?;
-        let mut cells = vec![MeasureSummary::empty(); rows * cols];
-        self.pivot_rec(self.root, &prepared, row, column, cols, &mut cells)?;
-        Ok(cells
-            .into_iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(i, s)| {
-                (
-                    (
-                        ValueId::new(row.1, (i / cols) as u32),
-                        ValueId::new(column.1, (i % cols) as u32),
-                    ),
-                    s,
-                )
-            })
-            .collect())
+        let schema = &self.schema;
+        self.read(
+            prepared,
+            &mut Cells {
+                schema,
+                axes,
+                cells,
+            },
+        )
     }
 
-    fn pivot_rec(
+    /// Fig. 7, the one descent every read runs: from the root, visit each
+    /// entry whose MDS overlaps the range, let the visitor absorb an entry
+    /// the range contains when materialized aggregates are on, and hand it
+    /// the selected records of every data node reached. The entries
+    /// absorbed and descended are tallied here and added to the tree's
+    /// counters once per read.
+    fn read<V: Visitor>(&self, range: &PreparedRange, visitor: &mut V) -> DcResult<()> {
+        use std::sync::atomic::Ordering::Relaxed;
+        let mut tally = Tally::default();
+        let read = self.descend(self.root, range, visitor, &mut tally);
+        let counters = &self.query_counters;
+        counters
+            .shortcut_hits
+            .fetch_add(tally.shortcut_hits, Relaxed);
+        counters.descents.fetch_add(tally.descents, Relaxed);
+        read
+    }
+
+    fn descend<V: Visitor>(
         &self,
         id: NodeId,
-        filter: &PreparedRange,
-        row: (DimensionId, dc_common::Level),
-        column: (DimensionId, dc_common::Level),
-        cols: usize,
-        cells: &mut [MeasureSummary],
+        range: &PreparedRange,
+        visitor: &mut V,
+        tally: &mut Tally,
     ) -> DcResult<()> {
         let node = self.store.get(id)?;
-        self.io.read(node.blocks);
-        let hr = self.schema.dim(row.0);
-        let hc = self.schema.dim(column.0);
+        self.io.read_keyed(id.0 as u64, node.blocks);
         match &node.kind {
             NodeKind::Data(records) => {
                 for r in records {
-                    if filter.contains_record(&self.schema, &r.record)? {
-                        let rk = hr.ancestor_at(r.record.dims[row.0.as_usize()], row.1)?;
-                        let ck = hc.ancestor_at(r.record.dims[column.0.as_usize()], column.1)?;
-                        cells[rk.index() as usize * cols + ck.index() as usize]
-                            .add(r.record.measure);
+                    if range.contains_record(&self.schema, &r.record)? {
+                        visitor.record(r)?;
                     }
                 }
             }
             NodeKind::Dir(entries) => {
                 for e in entries {
-                    if !filter.overlaps(&self.schema, &e.mds)? {
+                    if !range.overlaps(&self.schema, &e.mds)? {
                         continue;
                     }
-                    if self.config.use_materialized_aggregates
-                        && filter.contains_entry(&self.schema, &e.mds)?
+                    if V::ABSORBS
+                        && self.config.use_materialized_aggregates
+                        && range.contains_entry(&self.schema, &e.mds)?
+                        && visitor.absorb(e)?
                     {
-                        let rk = self.single_group_of(&e.mds, row.0, row.1)?;
-                        let ck = self.single_group_of(&e.mds, column.0, column.1)?;
-                        if let (Some(rk), Some(ck)) = (rk, ck) {
-                            cells[rk.index() as usize * cols + ck.index() as usize]
-                                .merge(&e.summary);
-                            continue;
-                        }
+                        tally.shortcut_hits += 1;
+                    } else {
+                        tally.descents += 1;
+                        self.descend(e.child, range, visitor, tally)?;
                     }
-                    self.pivot_rec(e.child, filter, row, column, cols, cells)?;
                 }
             }
         }

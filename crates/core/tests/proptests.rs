@@ -2,6 +2,8 @@
 //! brute-force oracle, with the structural invariant checker run after
 //! every case.
 
+use std::collections::BTreeMap;
+
 use dc_common::{AggregateOp, DimensionId, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
 use dc_mds::{DimSet, Mds};
@@ -191,43 +193,98 @@ fn oracle(schema: &CubeSchema, records: &[Record], q: &Mds) -> MeasureSummary {
         .collect()
 }
 
+/// Every read of `q` — the summary, a `group_by` on `(dim, level)` and the
+/// selection — against folds over the live records.
+fn reads_match_oracle(tree: &DcTree, live: &[Record], q: &Mds, (dim, level): (DimensionId, u8)) {
+    let schema = tree.schema();
+    let held = || {
+        live.iter()
+            .filter(|r| q.contains_record(schema, r).unwrap())
+    };
+    prop_assert_eq!(
+        tree.range_summary(q).unwrap(),
+        oracle(schema, live, q),
+        "query {:?}",
+        q
+    );
+    let h = schema.dim(dim);
+    let mut want: BTreeMap<ValueId, MeasureSummary> = BTreeMap::new();
+    for r in held() {
+        let key = h.ancestor_at(r.dims[dim.as_usize()], level).unwrap();
+        want.entry(key).or_default().add(r.measure);
+    }
+    let got: BTreeMap<_, _> = tree.group_by(dim, level, q).unwrap().into_iter().collect();
+    prop_assert_eq!(got, want, "group_by {:?} over {:?}", (dim, level), q);
+    let key = |r: &Record| (r.dims.clone(), r.measure);
+    let mut got = tree.range_records(q).unwrap();
+    let mut want: Vec<Record> = held().cloned().collect();
+    got.sort_by_key(key);
+    want.sort_by_key(key);
+    prop_assert_eq!(got, want, "selection {:?}", q);
+}
+
+/// `count_matching(record)` against the number of equal live records.
+fn count_matches_oracle(tree: &DcTree, live: &[Record], record: &Record) {
+    let want = live.iter().filter(|r| *r == record).count() as u64;
+    prop_assert_eq!(tree.count_matching(record).unwrap(), want, "{:?}", record);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random insert/delete workloads: the tree answers every query like
+    /// Random insert/delete workloads: the tree answers every read like
     /// the flat oracle and keeps all invariants, under aggressive
-    /// capacities that force splits and supernodes.
+    /// capacities that force splits and supernodes, with and without the
+    /// materialized shortcut. After each step one query's reads and the
+    /// touched record's count are checked; at the end, every query's and
+    /// every live record's.
     #[test]
     fn workload_matches_oracle(
         steps in prop::collection::vec(step(), 1..120),
         salt in 0u64..7,
+        group in (0u16..2, 0u8..4),
     ) {
-        let config = DcTreeConfig {
-            dir_capacity: 3,
-            data_capacity: 3,
-            ..DcTreeConfig::default()
-        };
-        let mut tree = DcTree::new(schema(), config);
-        let mut live: Vec<Record> = Vec::new();
-        for s in &steps {
-            match s {
-                Step::Insert(r) => {
-                    live.push(insert_raw(&mut tree, r));
-                }
-                Step::Delete(i) => {
-                    if !live.is_empty() {
-                        let victim = live.swap_remove(*i as usize % live.len());
-                        prop_assert!(tree.delete(&victim).unwrap());
+        for materialized in [true, false] {
+            let config = DcTreeConfig {
+                dir_capacity: 3,
+                data_capacity: 3,
+                use_materialized_aggregates: materialized,
+                ..DcTreeConfig::default()
+            };
+            let mut tree = DcTree::new(schema(), config);
+            let dim = DimensionId(group.0);
+            let group = (dim, group.1 % (tree.schema().dim(dim).top_level() + 1));
+            let mut live: Vec<Record> = Vec::new();
+            for (i, s) in steps.iter().enumerate() {
+                let touched = match s {
+                    Step::Insert(r) => {
+                        live.push(insert_raw(&mut tree, r));
+                        live.last().cloned()
                     }
+                    Step::Delete(i) => {
+                        if live.is_empty() {
+                            None
+                        } else {
+                            let victim = live.swap_remove(*i as usize % live.len());
+                            prop_assert!(tree.delete(&victim).unwrap());
+                            Some(victim)
+                        }
+                    }
+                };
+                if let Some(record) = touched {
+                    count_matches_oracle(&tree, &live, &record);
                 }
+                let queries = queries_for(&tree, salt);
+                reads_match_oracle(&tree, &live, &queries[i % queries.len()], group);
             }
-        }
-        tree.check_invariants().unwrap();
-        prop_assert_eq!(tree.len() as usize, live.len());
-        for q in queries_for(&tree, salt) {
-            let got = tree.range_summary(&q).unwrap();
-            let want = oracle(tree.schema(), &live, &q);
-            prop_assert_eq!(got, want, "query {:?}", q);
+            tree.check_invariants().unwrap();
+            prop_assert_eq!(tree.len() as usize, live.len());
+            for q in queries_for(&tree, salt) {
+                reads_match_oracle(&tree, &live, &q, group);
+            }
+            for record in &live {
+                count_matches_oracle(&tree, &live, record);
+            }
         }
     }
 

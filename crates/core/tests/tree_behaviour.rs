@@ -441,6 +441,14 @@ fn io_counters_track_reads_and_writes() {
     let io = tree.io_stats();
     assert!(io.reads >= 1);
     assert_eq!(io.writes, 0, "queries never write");
+    // Grouped reads charge keyed reads like scalar ones: one traced block
+    // per block read.
+    tree.reset_io();
+    tree.begin_trace();
+    let _ = tree.group_by(DimensionId(0), 1, &q).unwrap();
+    let trace = tree.end_trace();
+    assert!(!trace.is_empty(), "a group_by traces the blocks it reads");
+    assert_eq!(trace.len() as u64, tree.io_stats().reads);
     tree.reset_io();
     tree.insert_raw(
         &[
@@ -693,6 +701,12 @@ fn metrics_expose_split_activity() {
         m2.shortcut_hits + m2.descents > m.shortcut_hits + m.descents,
         "queries must account entry decisions"
     );
+    let top = tree.schema().dim(DimensionId(0)).top_level();
+    let _ = tree.group_by(DimensionId(0), top, &q).unwrap();
+    assert!(
+        tree.metrics().shortcut_hits > m2.shortcut_hits,
+        "a group_by over everything answers entries from their summaries"
+    );
 }
 
 #[test]
@@ -702,6 +716,18 @@ fn pivot_matches_nested_group_by() {
         data_capacity: 6,
         ..DcTreeConfig::default()
     };
+    // A pivot prepares its filter soundly like `group_by`, so the paper's
+    // containment switch (which only scalar queries honour) changes nothing.
+    let paper = DcTreeConfig {
+        use_paper_fig7_containment: true,
+        ..config
+    };
+    for config in [config, paper] {
+        pivot_matches_oracle(config);
+    }
+}
+
+fn pivot_matches_oracle(config: DcTreeConfig) {
     let (tree, oracle) = build(500, 141, config);
     let mut rng = StdRng::seed_from_u64(142);
     for _ in 0..10 {

@@ -10,9 +10,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use dc_common::{AggregateOp, DcResult, DimensionId, Level, MeasureSummary, RecordId, ValueId};
-use dc_hierarchy::{CubeSchema, Record};
-use dc_mds::Mds;
+use dc_common::DcResult;
+use dc_hierarchy::CubeSchema;
 use dc_tree::{DcTree, DcTreeConfig};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -88,72 +87,6 @@ impl OocDcTree {
     /// On-disk footprint in bytes (pages × page size).
     pub fn file_bytes(&self) -> u64 {
         self.pool.num_pages() * self.pool.page_size() as u64
-    }
-
-    // -- convenience passthroughs (single read/write lock scope each) --
-
-    /// Records stored.
-    pub fn len(&self) -> u64 {
-        self.inner.read().len()
-    }
-
-    /// `true` iff no records are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clone of the cube schema.
-    pub fn schema(&self) -> CubeSchema {
-        self.inner.read().schema().clone()
-    }
-
-    /// Interns raw paths and inserts the record.
-    pub fn insert_raw<T: AsRef<str>>(
-        &self,
-        paths: &[Vec<T>],
-        measure: dc_common::Measure,
-    ) -> DcResult<RecordId> {
-        self.inner.write().insert_raw(paths, measure)
-    }
-
-    /// Inserts an already-interned record.
-    pub fn insert(&self, record: Record) -> DcResult<RecordId> {
-        self.inner.write().insert(record)
-    }
-
-    /// Deletes one record matching `record`; `true` if one was found.
-    pub fn delete(&self, record: &Record) -> DcResult<bool> {
-        self.inner.write().delete(record)
-    }
-
-    /// Aggregate over `range` under `op`.
-    pub fn range_query(&self, range: &Mds, op: AggregateOp) -> DcResult<Option<f64>> {
-        self.inner.read().range_query(range, op)
-    }
-
-    /// Full measure summary over `range`.
-    pub fn range_summary(&self, range: &Mds) -> DcResult<MeasureSummary> {
-        self.inner.read().range_summary(range)
-    }
-
-    /// Per-group summaries of `group_dim` at `group_level` under `filter`.
-    pub fn group_by(
-        &self,
-        group_dim: DimensionId,
-        group_level: Level,
-        filter: &Mds,
-    ) -> DcResult<Vec<(ValueId, MeasureSummary)>> {
-        self.inner.read().group_by(group_dim, group_level, filter)
-    }
-
-    /// Summary over every record.
-    pub fn total_summary(&self) -> DcResult<MeasureSummary> {
-        self.inner.read().total_summary()
-    }
-
-    /// Tree height (root to leaf).
-    pub fn height(&self) -> usize {
-        self.inner.read().height()
     }
 }
 

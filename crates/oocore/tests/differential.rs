@@ -43,7 +43,8 @@ fn probe_queries(schema: &CubeSchema) -> Vec<Mds> {
 }
 
 fn assert_equivalent(ram: &DcTree, ooc: &OocDcTree, queries: &[Mds]) {
-    ooc.read().check_invariants().unwrap();
+    let ooc = ooc.read();
+    ooc.check_invariants().unwrap();
     assert_eq!(ram.len(), ooc.len());
     let ram_total = ram.total_summary().unwrap();
     let ooc_total = ooc.total_summary().unwrap();
@@ -93,7 +94,7 @@ fn disk_backed_tree_matches_ram_resident_baseline() {
 
     for r in &cube.records {
         ram.insert(r.clone()).unwrap();
-        ooc.insert(r.clone()).unwrap();
+        ooc.write().insert(r.clone()).unwrap();
     }
 
     let queries = probe_queries(&cube.schema);
@@ -111,7 +112,7 @@ fn disk_backed_tree_matches_ram_resident_baseline() {
     // Delete a third of the records from both and re-verify.
     for r in cube.records.iter().step_by(3) {
         assert!(ram.delete(r).unwrap());
-        assert!(ooc.delete(r).unwrap());
+        assert!(ooc.write().delete(r).unwrap());
     }
     assert_equivalent(&ram, &ooc, &queries);
 
@@ -137,7 +138,7 @@ fn concurrent_queries_during_churn_see_consistent_states() {
     );
     let half = cube.records.len() / 2;
     for r in &cube.records[..half] {
-        ooc.insert(r.clone()).unwrap();
+        ooc.write().insert(r.clone()).unwrap();
     }
 
     let all = Mds::all(&cube.schema);
@@ -150,7 +151,7 @@ fn concurrent_queries_during_churn_see_consistent_states() {
         readers.push(std::thread::spawn(move || {
             let mut last_count = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let s = ooc.range_summary(&all).unwrap();
+                let s = ooc.read().range_summary(&all).unwrap();
                 // Writers only insert: the record count a reader observes
                 // must be monotone, and sum/count must come from one
                 // consistent version (count within the insert range).
@@ -161,14 +162,14 @@ fn concurrent_queries_during_churn_see_consistent_states() {
         }));
     }
     for r in &cube.records[half..] {
-        ooc.insert(r.clone()).unwrap();
+        ooc.write().insert(r.clone()).unwrap();
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     for h in readers {
         let final_seen = h.join().unwrap();
         assert!(final_seen <= cube.records.len() as u64);
     }
-    assert_eq!(ooc.len(), cube.records.len() as u64);
+    assert_eq!(ooc.read().len(), cube.records.len() as u64);
 }
 
 fn roomy_opts() -> OocOptions {

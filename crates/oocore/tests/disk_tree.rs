@@ -286,7 +286,7 @@ fn write_small_tree(path: &Path) -> u64 {
     let tree = OocDcTree::create(path, schema(), config(4), small_pages()).unwrap();
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..40 {
-        tree.insert_raw(&random_paths(&mut rng), 1).unwrap();
+        tree.write().insert_raw(&random_paths(&mut rng), 1).unwrap();
     }
     tree.flush().unwrap();
     tree.pool().num_pages()

@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use dc_common::{DcError, DcResult};
@@ -113,7 +114,7 @@ pub(crate) fn open_shards(
     let schema = match &backings[0].0 {
         _ if images.is_empty() => schema,
         WriterBacking::Resident { tree, .. } => tree.schema().clone(),
-        WriterBacking::Disk(tree) => tree.schema(),
+        WriterBacking::Disk(tree) => tree.read().schema().clone(),
     };
     Ok((backings, schema))
 }
@@ -131,13 +132,24 @@ impl ShardedDcTree {
         fs: Arc<dyn WalFs>,
         role: EngineRole,
     ) -> DcResult<()> {
+        // The writers apply a chunk more slowly than the log yields the
+        // next one, so an unpaced replay queues the tail on the shard
+        // channels and holds memory in proportion to its length. Each chunk
+        // is submitted only once the one before it is applied: the reader
+        // stays one chunk ahead of the writers, whatever the tail.
+        let mut applied: Vec<Receiver<()>> = Vec::new();
         let mut chunk = Vec::with_capacity(REPLAY_CHUNK);
         let scan = WalReader::replay(&*fs, &opts.dir, |entry| {
             chunk.push(entry);
             if chunk.len() < REPLAY_CHUNK {
                 return Ok(());
             }
-            self.apply_replicated(chunk.drain(..))
+            for ack in applied.drain(..) {
+                let _ = ack.recv();
+            }
+            self.apply_replicated(chunk.drain(..))?;
+            applied = self.fence();
+            Ok(())
         })?;
         self.apply_replicated(chunk)?;
         if scan.replayed > 0 {

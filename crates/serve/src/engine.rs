@@ -990,15 +990,8 @@ impl ShardedDcTree {
     /// so `wal_synced_lsn` stays behind `wal_last_lsn` (a later barrier
     /// retries: the writer stays dirty until a sync succeeds).
     pub fn try_flush(&self) -> DcResult<()> {
-        let mut acks = Vec::with_capacity(self.shards.len());
-        for i in 0..self.shards.len() {
-            let (tx, rx) = channel();
-            if self.send(i, Cmd::Flush(tx)).is_ok() {
-                acks.push(rx);
-            }
-        }
-        for rx in acks {
-            let _ = rx.recv();
+        for ack in self.fence() {
+            let _ = ack.recv();
         }
         let Some(wal) = self.wal.get() else {
             return Ok(());
@@ -1007,6 +1000,18 @@ impl ShardedDcTree {
         let synced = w.sync();
         self.refresh_wal_gauges(&w);
         synced
+    }
+
+    /// Queues a flush barrier on every shard without waiting for it: each
+    /// receiver answers once its shard has applied and published
+    /// everything enqueued before the barrier.
+    pub(crate) fn fence(&self) -> Vec<Receiver<()>> {
+        (0..self.shards.len())
+            .filter_map(|i| {
+                let (tx, rx) = channel();
+                self.send(i, Cmd::Flush(tx)).is_ok().then_some(rx)
+            })
+            .collect()
     }
 
     /// Stops the engine: writers drain their queues, publish a final

@@ -33,8 +33,11 @@ fn main() -> dctree::DcResult<()> {
         };
         let tree = OocDcTree::create(&path, data.schema.clone(), DcTreeConfig::default(), opts)?;
         let t0 = Instant::now();
-        for r in &data.records {
-            tree.insert(r.clone())?;
+        {
+            let mut writer = tree.write();
+            for r in &data.records {
+                writer.insert(r.clone())?;
+            }
         }
         tree.flush()?;
         let load = t0.elapsed();
@@ -60,11 +63,13 @@ fn main() -> dctree::DcResult<()> {
             .collect();
         let t0 = Instant::now();
         let mut total = 0.0;
+        let reader = tree.read();
         for _ in 0..20 {
             for q in &queries {
-                total += tree.range_query(q, AggregateOp::Sum)?.unwrap_or(0.0);
+                total += reader.range_query(q, AggregateOp::Sum)?.unwrap_or(0.0);
             }
         }
+        drop(reader);
         let qt = t0.elapsed() / (20 * queries.len() as u32);
         let s = tree.pool_stats();
         println!(

@@ -45,12 +45,12 @@ fn main() -> dctree::DcResult<()> {
         ..OocOptions::default()
     };
     let disk = OocDcTree::open(&path, config, opts)?;
-    assert_eq!(disk.total_summary()?, total_before);
-    assert_eq!(disk.len(), tree.len());
+    assert_eq!(disk.read().total_summary()?, total_before);
+    assert_eq!(disk.read().len(), tree.len());
     println!("  opened as a disk tree, totals verified");
 
     // 3. The disk tree stays fully dynamic.
-    disk.insert_raw(
+    disk.write().insert_raw(
         &[
             vec!["EUROPE", "GERMANY", "MACHINERY", "Customer#999999999"],
             vec!["EUROPE", "GERMANY", "Supplier#999999999"],
@@ -59,12 +59,14 @@ fn main() -> dctree::DcResult<()> {
         ],
         123_456,
     )?;
-    let all = Mds::all(&disk.schema());
+    let reader = disk.read();
+    let all = Mds::all(reader.schema());
     println!(
         "\nafter one more insert on disk: COUNT = {:?}, SUM = {:?}",
-        disk.range_query(&all, AggregateOp::Count)?,
-        disk.range_query(&all, AggregateOp::Sum)?
+        reader.range_query(&all, AggregateOp::Count)?,
+        reader.range_query(&all, AggregateOp::Sum)?
     );
+    drop(reader);
     println!("  buffer pool: {:?}", disk.pool_stats());
     disk.flush()?;
     drop(disk);
