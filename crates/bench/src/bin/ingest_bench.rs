@@ -1,7 +1,11 @@
 //! Benchmarks the three ingest paths against each other on the TPC-D cube:
 //! record-at-a-time `insert`, the amortized `insert_batch` descent, and the
 //! bottom-up `bulk_load` builder, plus the serving engine's `INSERT_BATCH`
-//! writer path end to end. Reports records/sec, time-to-queryable and the
+//! writer path end to end. Beside the bare batched path it runs the same
+//! batches the way a resident shard writer does — a snapshot held after
+//! every 333 records, as each publish holds one — and reports its time and
+//! the bytes the tree copied per record because a snapshot shared them
+//! (header and payload). Reports records/sec, time-to-queryable and the
 //! time the two dynamic paths spent choosing subtrees and in the split
 //! machinery, verifies all paths produce query-identical trees, times one
 //! `INSERT` + `FLUSH` on the loaded engine (what a record costs to become
@@ -20,7 +24,12 @@ use dc_mds::Mds;
 use dc_query::{RangeQueryGen, ValuePick};
 use dc_serve::{EngineConfig, PartitionPolicy, ShardedDcTree};
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
-use dc_tree::{DcTree, DcTreeConfig};
+use dc_tree::{CopiedBytes, DcTree, DcTreeConfig};
+
+/// Records per writer batch in the with-publish row: a two-shard engine's
+/// share of a 512-record `INSERT_BATCH`, as the wire benchmark's writers
+/// see it.
+const PUBLISH_BATCH: usize = 333;
 
 struct IngestRun {
     name: &'static str,
@@ -103,6 +112,21 @@ fn main() {
     }
     let batched = run_stats("batched", records, t0.elapsed());
 
+    // Path 2 as a shard writer runs it: a snapshot held after every
+    // batch, so the next batch copies whatever it changes that the
+    // snapshot shares.
+    let mut published_tree = DcTree::new(data.schema.clone(), config);
+    let mut snapshot = None;
+    let t0 = Instant::now();
+    for chunk in data.records.chunks(PUBLISH_BATCH) {
+        published_tree.insert_batch(chunk.to_vec()).expect("batch");
+        snapshot = Some(published_tree.clone());
+    }
+    let with_publish = run_stats("batched_with_publish", records, t0.elapsed());
+    drop(snapshot);
+    let copied: CopiedBytes = published_tree.metrics().copied;
+    let per_record = |bytes: u64| bytes as f64 / records as f64;
+
     // Path 3: bottom-up bulk load — sort once, pack leaves to the fill
     // factor, build directory levels upward with exact aggregates.
     let mut bulk_tree = DcTree::new(data.schema.clone(), config);
@@ -116,6 +140,7 @@ fn main() {
     batched_tree.check_invariants().expect("batch invariants");
     assert_trees_agree(&batched_tree, &one_by_one, &data, "batched");
     assert_trees_agree(&bulk_tree, &one_by_one, &data, "bulk");
+    assert_trees_agree(&published_tree, &one_by_one, &data, "with publish");
 
     // Path 4: the engine's INSERT_BATCH writer path end to end — raw-path
     // interning, shard routing, one command per shard per batch — timed to
@@ -166,7 +191,7 @@ fn main() {
     let flush_after_one_insert_us = trickle[trickle.len() / 2].as_secs_f64() * 1e6;
     engine.shutdown();
 
-    let runs = [&single, &batched, &bulk, &engine_batched];
+    let runs = [&single, &batched, &with_publish, &bulk, &engine_batched];
     println!(
         "\n{:>18} {:>14} {:>12} {:>18}",
         "path", "records/s", "µs/record", "time-to-queryable"
@@ -194,6 +219,16 @@ fn main() {
         "INSERT + FLUSH on the loaded engine: {flush_after_one_insert_us:.0} µs (median of {})",
         trickle.len()
     );
+    println!(
+        "copied per record with a snapshot per {PUBLISH_BATCH} records: {:.0} B header \
+         ({:.0} directory, {:.0} data), {:.0} B payload ({:.0} directory entries, {:.0} records)",
+        per_record(copied.header()),
+        per_record(copied.dir_header),
+        per_record(copied.data_header),
+        per_record(copied.payload()),
+        per_record(copied.dir_payload),
+        per_record(copied.data_payload),
+    );
 
     // JSON report (gated keys are the per-record latencies: lower is
     // better, and they are robust to the CI preset being smaller than the
@@ -214,6 +249,18 @@ fn main() {
     json.push_str(&format!(
         "  \"batched_us_per_record\": {:.4},\n",
         batched.us_per_record
+    ));
+    json.push_str(&format!(
+        "  \"batched_with_publish_us_per_record\": {:.4},\n",
+        with_publish.us_per_record
+    ));
+    json.push_str(&format!(
+        "  \"publish_copied_header_bytes_per_record\": {:.1},\n",
+        per_record(copied.header())
+    ));
+    json.push_str(&format!(
+        "  \"publish_copied_payload_bytes_per_record\": {:.1},\n",
+        per_record(copied.payload())
     ));
     json.push_str(&format!(
         "  \"bulk_us_per_record\": {:.4},\n",

@@ -10,6 +10,9 @@
 //!   disk tree paid per record — a count, so it repeats exactly. The store
 //!   keeps the nodes a batch mutates decoded; without that the count is
 //!   about 2 × height.
+//! * **codec** — every node of the resident tree encoded and decoded
+//!   (decode fills the node's member blocks): mean µs per node, by kind.
+//!   Reported, not gated.
 //! * **serving** — the disk-backed engine with a frame budget ≥10× below
 //!   the dataset's page count vs. the RAM-resident engine, same query
 //!   stream (cache off on both, so every query descends): mean latency
@@ -31,15 +34,42 @@ use std::time::Instant;
 
 use dc_common::{AggregateOp, DimensionId, TempDir};
 use dc_mds::Mds;
+use dc_oocore::codec::{decode_node, encode_node};
 use dc_oocore::{OocDcTree, OocOptions};
 use dc_query::{RangeQueryGen, ValuePick};
 use dc_serve::{DiskOptions, EngineConfig, PartitionPolicy, ShardedDcTree, StorageMode};
 use dc_storage::BlockConfig;
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
+use dc_tree::node::Node;
 use dc_tree::{DcTree, DcTreeConfig};
 
 const BLOCK: usize = 1024;
 const SHARDS: usize = 2;
+/// Passes over the tree's nodes the codec section times.
+const CODEC_PASSES: usize = 5;
+
+/// Mean µs per node to encode and to decode `nodes`, over
+/// [`CODEC_PASSES`] passes.
+fn codec_us(nodes: &[Node], num_dims: usize) -> (f64, f64) {
+    let pages: Vec<Vec<u8>> = nodes.iter().map(encode_node).collect();
+    let t0 = Instant::now();
+    for _ in 0..CODEC_PASSES {
+        for node in nodes {
+            std::hint::black_box(encode_node(node));
+        }
+    }
+    let encode = t0.elapsed();
+    let t0 = Instant::now();
+    for _ in 0..CODEC_PASSES {
+        for page in &pages {
+            std::hint::black_box(decode_node(page, num_dims).expect("decode"));
+        }
+    }
+    let decode = t0.elapsed();
+    let per_node =
+        |d: std::time::Duration| d.as_secs_f64() * 1e6 / (CODEC_PASSES * nodes.len().max(1)) as f64;
+    (per_node(encode), per_node(decode))
+}
 
 /// Extracts the first integer after `"key":` in hand-rolled STATS JSON.
 fn json_u64(json: &str, key: &str) -> u64 {
@@ -180,7 +210,33 @@ fn main() {
         resident_tree.height()
     );
     let write_rows = [("disk", disk_insert_us), ("resident", resident_insert_us)];
-    drop((disk_tree, resident_tree));
+
+    // ------------------------------------------------------------------
+    // Codec: what a page costs to write and to read back, by node kind.
+    // ------------------------------------------------------------------
+    let (mut data_nodes, mut dir_nodes) = (Vec::new(), Vec::new());
+    resident_tree
+        .for_each_node(|_, node| {
+            let kind = if node.is_data() {
+                &mut data_nodes
+            } else {
+                &mut dir_nodes
+            };
+            kind.push(node.clone());
+        })
+        .expect("walk");
+    let num_dims = data.schema.num_dims();
+    let codec_rows = [
+        ("data", data_nodes.len(), codec_us(&data_nodes, num_dims)),
+        ("dir", dir_nodes.len(), codec_us(&dir_nodes, num_dims)),
+    ];
+    println!();
+    for (kind, nodes, (encode, decode)) in codec_rows {
+        println!(
+            "codec, {kind:>4} nodes ({nodes}): decode {decode:.2} µs/node, encode {encode:.2} µs/node"
+        );
+    }
+    drop((disk_tree, resident_tree, data_nodes, dir_nodes));
 
     // ------------------------------------------------------------------
     // Serving: disk at ≥10× the frame budget vs. RAM-resident.
@@ -291,6 +347,15 @@ fn main() {
     json.push_str(&format!(
         "  \"node_codec_ops_per_record\": {codec_ops:.3},\n"
     ));
+    json.push_str("  \"codec\": [\n");
+    for (i, (kind, nodes, (encode, decode))) in codec_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"kind\": \"{kind}\", \"nodes\": {nodes}, \"decode_us_per_node\": {decode:.2}, \
+             \"encode_us_per_node\": {encode:.2}}}{}\n",
+            if i + 1 < codec_rows.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n");
     json.push_str(&format!("  \"frames_per_shard\": {frames},\n"));
     json.push_str(&format!("  \"dataset_over_budget_x\": {over_budget:.1},\n"));
     json.push_str("  \"serving\": [\n");

@@ -55,6 +55,7 @@ pub const GATED_REPORTS: &[GateSpec] = &[
             "bulk_us_per_record",
             "engine_batched_us_per_record",
             "flush_after_one_insert_us",
+            "publish_copied_payload_bytes_per_record",
         ],
     },
 ];

@@ -60,7 +60,7 @@ impl<S: NodeStore> DcTree<S> {
         self.for_each_node(|depth, node| {
             let mut node = node.clone();
             if let NodeKind::Dir(entries) = &mut node.kind {
-                for e in entries {
+                for e in entries.iter_mut() {
                     e.child = NodeId(0);
                 }
             }
@@ -111,7 +111,7 @@ impl<S: NodeStore> DcTree<S> {
                         ));
                     }
                     let mut summary = MeasureSummary::empty();
-                    for r in stored {
+                    for r in stored.iter() {
                         for (depth, mds) in path.iter().enumerate() {
                             if !mds.contains_record(self.schema(), &r.record)? {
                                 return fail(format!(
@@ -132,7 +132,7 @@ impl<S: NodeStore> DcTree<S> {
                         return fail("directory node without entries".into());
                     }
                     let mut summary = MeasureSummary::empty();
-                    for e in entries {
+                    for e in entries.iter() {
                         summary.merge(&e.summary);
                         self.check_node(e.child, Some((&e.mds, &e.summary)), path, seen, records)?;
                     }

@@ -31,7 +31,7 @@ use dc_common::{DcResult, ValueId};
 use dc_hierarchy::{CubeSchema, Record};
 use dc_mds::Mds;
 
-use crate::node::{DirEntry, NodeId};
+use crate::node::{DirEntry, Members, NodeId};
 
 /// Slots per dimension in the record's ancestor table: one per level.
 const LEVELS: usize = MAX_LEVEL as usize + 1;
@@ -75,7 +75,7 @@ impl MembershipIndex {
         &mut self,
         id: NodeId,
         schema: &CubeSchema,
-        entries: &mut [DirEntry],
+        entries: &mut Members<DirEntry>,
         record: &Record,
     ) -> DcResult<usize> {
         debug_assert!(!entries.is_empty(), "directory node without entries");
@@ -177,7 +177,7 @@ struct DimMembers {
 }
 
 impl NodeMembers {
-    fn build(entries: &[DirEntry], num_dims: usize) -> Self {
+    fn build(entries: &Members<DirEntry>, num_dims: usize) -> Self {
         // Room for at least one sibling a child split appends; `widen`
         // makes more.
         let words = entries.len() / 64 + 1;
@@ -296,7 +296,10 @@ fn covering_bits(rows: &[u64], words: usize) -> impl Iterator<Item = usize> + '_
 
 /// Among the `covering` entries (ascending), the one of smallest volume,
 /// then size; ties go to the first.
-fn best_covering(entries: &[DirEntry], covering: impl Iterator<Item = usize>) -> Option<usize> {
+fn best_covering(
+    entries: &Members<DirEntry>,
+    covering: impl Iterator<Item = usize>,
+) -> Option<usize> {
     covering.min_by_key(|&i| (entries[i].mds.volume(), entries[i].mds.size(), i))
 }
 
@@ -311,7 +314,7 @@ fn best_covering(entries: &[DirEntry], covering: impl Iterator<Item = usize>) ->
 /// sibling already holding that value is a newly shared value, i.e.
 /// prospective overlap. It is read off the rows alone, so only the entries
 /// tied on it are read.
-fn least_overlap(entries: &[DirEntry], rows: &[u64], words: usize) -> usize {
+fn least_overlap(entries: &Members<DirEntry>, rows: &[u64], words: usize) -> usize {
     let holders: Vec<usize> = rows
         .chunks(words)
         .map(|row| row.iter().map(|w| w.count_ones() as usize).sum())
@@ -350,7 +353,7 @@ fn least_overlap(entries: &[DirEntry], rows: &[u64], words: usize) -> usize {
 #[cfg(test)]
 pub(crate) fn reference_choose(
     schema: &CubeSchema,
-    entries: &[DirEntry],
+    entries: &Members<DirEntry>,
     record: &Record,
 ) -> DcResult<usize> {
     debug_assert!(!entries.is_empty(), "directory node without entries");

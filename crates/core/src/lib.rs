@@ -80,6 +80,7 @@
 pub mod checker;
 mod choose;
 pub mod config;
+pub mod members;
 pub mod node;
 pub mod persist;
 pub mod query;
@@ -91,5 +92,5 @@ pub mod tree;
 pub use config::DcTreeConfig;
 pub use query::PreparedRange;
 pub use stats::{DeadSpaceReport, LevelStat, TreeStats};
-pub use store::{Arena, NodeStore, PersistentStore};
+pub use store::{Arena, CopiedBytes, NodeStore, PersistentStore};
 pub use tree::{DcTree, TreeMetrics};

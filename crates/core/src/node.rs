@@ -6,10 +6,17 @@
 //! summary of the child they reference so that a range query can apply the
 //! contained-entry shortcut of Fig. 7 *without touching the child's page* —
 //! that duplication is the whole point of the DC-tree's directory layout.
+//!
+//! A node's members sit in [`Members`]: a body and a tail that a snapshot
+//! shares with the writer, so the first write to a node after a publish
+//! copies the node's header and the block it changes — for a leaf taking a
+//! record, its tail.
 
 use dc_common::{MeasureSummary, RecordId};
-use dc_hierarchy::Record;
-use dc_mds::Mds;
+use dc_hierarchy::{Dims, Record};
+use dc_mds::{DimSet, Mds};
+
+pub use crate::members::{Members, TAIL_MEMBERS};
 
 /// Handle of a node inside its store.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -54,13 +61,13 @@ pub struct StoredRecord {
     pub record: Record,
 }
 
-/// Payload of a node: directory entries or data records.
+/// Payload of a node: directory entries or data records, in storage order.
 #[derive(Clone, PartialEq, Debug)]
 pub enum NodeKind {
     /// An internal (directory) node.
-    Dir(Vec<DirEntry>),
+    Dir(Members<DirEntry>),
     /// A data (leaf) node.
-    Data(Vec<StoredRecord>),
+    Data(Members<StoredRecord>),
 }
 
 /// A DC-tree node: MDS, materialized summary, supernode block count, and
@@ -84,14 +91,14 @@ impl Node {
             mds,
             summary: MeasureSummary::empty(),
             blocks: 1,
-            kind: NodeKind::Data(Vec::new()),
+            kind: NodeKind::Data(Members::new()),
         }
     }
 
     /// A fresh directory node.
-    pub fn new_dir(mds: Mds, entries: Vec<DirEntry>) -> Self {
+    pub fn new_dir(mds: Mds, entries: Members<DirEntry>) -> Self {
         let mut summary = MeasureSummary::empty();
-        for e in &entries {
+        for e in entries.iter() {
             summary.merge(&e.summary);
         }
         Node {
@@ -125,8 +132,26 @@ impl Node {
         self.len() == 0
     }
 
+    /// Bytes a copy of this node copies besides its members: the node
+    /// itself and the MDS sets too long to sit inline.
+    pub(crate) fn header_bytes(&self) -> usize {
+        let num_dims = self.mds.num_dims();
+        let spilled_sets = if num_dims > Dims::INLINE {
+            num_dims * std::mem::size_of::<DimSet>()
+        } else {
+            0
+        };
+        let spilled_values: usize = self
+            .mds
+            .dims()
+            .filter(|set| set.len() > DimSet::INLINE)
+            .map(|set| std::mem::size_of_val(set.values()))
+            .sum();
+        std::mem::size_of::<Node>() + spilled_sets + spilled_values
+    }
+
     /// Directory entries; panics on data nodes (internal use).
-    pub fn entries(&self) -> &[DirEntry] {
+    pub fn entries(&self) -> &Members<DirEntry> {
         match &self.kind {
             NodeKind::Dir(entries) => entries,
             NodeKind::Data(_) => panic!("entries() on a data node"),
@@ -134,7 +159,7 @@ impl Node {
     }
 
     /// Mutable directory entries; panics on data nodes (internal use).
-    pub(crate) fn entries_mut(&mut self) -> &mut Vec<DirEntry> {
+    pub(crate) fn entries_mut(&mut self) -> &mut Members<DirEntry> {
         match &mut self.kind {
             NodeKind::Dir(entries) => entries,
             NodeKind::Data(_) => panic!("entries_mut() on a data node"),
@@ -142,7 +167,7 @@ impl Node {
     }
 
     /// Data records; panics on directory nodes (internal use).
-    pub fn records(&self) -> &[StoredRecord] {
+    pub fn records(&self) -> &Members<StoredRecord> {
         match &self.kind {
             NodeKind::Data(records) => records,
             NodeKind::Dir(_) => panic!("records() on a directory node"),
@@ -150,7 +175,7 @@ impl Node {
     }
 
     /// Mutable data records; panics on directory nodes (internal use).
-    pub(crate) fn records_mut(&mut self) -> &mut Vec<StoredRecord> {
+    pub(crate) fn records_mut(&mut self) -> &mut Members<StoredRecord> {
         match &mut self.kind {
             NodeKind::Data(records) => records,
             NodeKind::Dir(_) => panic!("records_mut() on a directory node"),
@@ -171,7 +196,7 @@ mod tests {
     #[test]
     fn new_dir_aggregates_entry_summaries() {
         let (c1, c2) = (NodeId(0), NodeId(1));
-        let entries = vec![
+        let entries = Members::from(vec![
             DirEntry {
                 mds: dummy_mds(),
                 summary: MeasureSummary::of(10),
@@ -182,7 +207,7 @@ mod tests {
                 summary: MeasureSummary::of(-4),
                 child: c2,
             },
-        ];
+        ]);
         let dir = Node::new_dir(dummy_mds(), entries);
         assert_eq!(dir.summary.sum, 6);
         assert_eq!(dir.summary.count, 2);
@@ -195,8 +220,8 @@ mod tests {
 
     #[test]
     fn members_are_inline_and_their_size_is_pinned() {
-        // What a node's one big allocation is a run of: a later field must
-        // not silently re-bloat every leaf and directory node.
+        // What a node's member blocks are runs of: a later field must not
+        // silently re-bloat every leaf and directory node.
         assert_eq!(std::mem::size_of::<StoredRecord>(), 40);
         assert_eq!(std::mem::size_of::<DirEntry>(), 408);
     }

@@ -15,7 +15,7 @@
 //! page of its chain), and directory entries persist it through
 //! [`NodeId::raw`].
 //!
-//! # Snapshots share nodes
+//! # Snapshots share nodes, and nodes share blocks
 //!
 //! Every [`Arena`] slot is an `Arc<Node>`, so cloning an arena — which is
 //! what `DcTree::clone` does, and what the serving engine publishes after
@@ -23,20 +23,31 @@
 //! and the original then *share* every node until one of them mutates it:
 //! [`NodeStore::update`] goes through [`Arc::make_mut`], which mutates in
 //! place when the slot holds the only reference and otherwise copies that
-//! one node first. An insert therefore copies, once per snapshot taken, the
-//! nodes on its root-to-leaf path plus what a split creates — never the
-//! tree — and a node no snapshot references is mutated in place at no cost
-//! beyond the reference-count check. [`NodeStore::get`] stays a plain
-//! borrow: a shared node is immutable by construction (nobody holds a
-//! `&mut` to it without passing `make_mut`), so readers of a snapshot need
-//! neither a lock nor a copy, and dropping the last snapshot that
-//! references a superseded node is what frees it.
+//! one node's *header* first — its MDS, summary and block count, and the
+//! two pointers to its members. The members themselves sit in
+//! [`Members`](crate::node::Members), a shared body and tail, so the header
+//! copy shares both with the snapshot, and the step then copies only the
+//! block it writes: appending a record copies the tail (at most
+//! [`TAIL_MEMBERS`](crate::node::TAIL_MEMBERS) records), extending a
+//! directory entry copies the block holding it, and a split builds its two
+//! halves afresh. An insert therefore copies, once per snapshot taken, the
+//! headers on its root-to-leaf path, the directory blocks it passes and its
+//! leaf's tail — never the tree, and no longer a leaf's records — and a
+//! node no snapshot references is mutated in place at no cost beyond the
+//! reference-count checks. [`NodeStore::get`] stays a
+//! plain borrow: a shared node or block is immutable by construction
+//! (nobody holds a `&mut` to it without passing the copy), so readers of a
+//! snapshot need neither a lock nor a copy, and dropping the last snapshot
+//! that references a superseded node or block is what frees it. The arena
+//! counts what it copies ([`CopiedBytes`], reported in
+//! [`TreeMetrics::copied`](crate::TreeMetrics::copied)).
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use dc_common::DcResult;
 
+use crate::members::copied_on_this_thread;
 use crate::node::{Node, NodeId};
 
 /// Storage for DC-tree nodes, keyed by [`NodeId`].
@@ -72,6 +83,50 @@ pub trait NodeStore {
 
     /// Releases the node at `id`, handing back its last content.
     fn free(&mut self, id: NodeId) -> DcResult<Node>;
+
+    /// Bytes this store has copied so far because a snapshot shared what a
+    /// step changed. Only a store whose clones share nodes copies any.
+    fn copied(&self) -> CopiedBytes {
+        CopiedBytes::default()
+    }
+}
+
+/// Bytes a resident store copied because a snapshot shared what a
+/// mutation changed, by node kind: *header* is the node itself with its
+/// spilled MDS sets, copied by the first step on a shared node and by
+/// freeing one; *payload* is the members of the blocks a step wrote while
+/// a snapshot shared them.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct CopiedBytes {
+    /// Directory-node headers.
+    pub dir_header: u64,
+    /// Directory entries.
+    pub dir_payload: u64,
+    /// Data-node headers.
+    pub data_header: u64,
+    /// Data records.
+    pub data_payload: u64,
+}
+
+impl CopiedBytes {
+    /// Header bytes of both kinds.
+    pub fn header(&self) -> u64 {
+        self.dir_header + self.data_header
+    }
+
+    /// Payload bytes of both kinds.
+    pub fn payload(&self) -> u64 {
+        self.dir_payload + self.data_payload
+    }
+
+    fn add_header(&mut self, node: &Node) {
+        let bytes = node.header_bytes() as u64;
+        if node.is_data() {
+            self.data_header += bytes;
+        } else {
+            self.dir_header += bytes;
+        }
+    }
 }
 
 /// A [`NodeStore`] that outlives the process: besides nodes it keeps one
@@ -110,6 +165,7 @@ pub trait PersistentStore: NodeStore {
 pub struct Arena {
     slots: Vec<Option<Arc<Node>>>,
     free: Vec<u32>,
+    copied: CopiedBytes,
 }
 
 impl Arena {
@@ -158,12 +214,25 @@ impl NodeStore for Arena {
     }
 
     /// In place when this arena holds the node's only reference; a node
-    /// shared with a snapshot is copied first (once — the copy is unshared).
+    /// shared with a snapshot has its header copied first (once — the copy
+    /// is unshared), and `f` copies the shared blocks it writes.
     #[inline]
     fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R> {
-        f(Arc::make_mut(
-            self.slots[id.index()].as_mut().expect("dangling NodeId"),
-        ))
+        let slot = self.slots[id.index()].as_mut().expect("dangling NodeId");
+        if Arc::strong_count(slot) > 1 {
+            self.copied.add_header(slot);
+        }
+        let node = Arc::make_mut(slot);
+        let data = node.is_data();
+        let before = copied_on_this_thread();
+        let result = f(node);
+        let payload = copied_on_this_thread() - before;
+        if data {
+            self.copied.data_payload += payload;
+        } else {
+            self.copied.dir_payload += payload;
+        }
+        result
     }
 
     fn alloc(&mut self, node: Node) -> DcResult<NodeId> {
@@ -177,18 +246,27 @@ impl NodeStore for Arena {
         })
     }
 
-    /// Hands back the node itself when unshared, a copy when a snapshot
-    /// still references it (the snapshot keeps the original).
+    /// Hands back the node itself when unshared, a copy of its header when
+    /// a snapshot still references it (the snapshot keeps the original,
+    /// and the copy shares its blocks).
     fn free(&mut self, id: NodeId) -> DcResult<Node> {
         let node = self.slots[id.index()].take().expect("double free");
         self.free.push(id.0);
-        Ok(Arc::try_unwrap(node).unwrap_or_else(|shared| (*shared).clone()))
+        Ok(Arc::try_unwrap(node).unwrap_or_else(|shared| {
+            self.copied.add_header(&shared);
+            (*shared).clone()
+        }))
+    }
+
+    fn copied(&self) -> CopiedBytes {
+        self.copied
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::DirEntry;
     use crate::{DcTree, DcTreeConfig};
     use dc_common::ValueId;
     use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
@@ -317,6 +395,30 @@ mod tests {
             "{copied} slots diverged; height {}, {created} created",
             tree.height()
         );
+        // And of each node on the path, one header and one block: the
+        // largest directory block of the tree bounds both kinds.
+        assert_eq!(created, 0, "the probe record must not split a node");
+        let header = snap
+            .store
+            .iter()
+            .map(|(_, n)| n.header_bytes())
+            .max()
+            .unwrap();
+        let block = snap
+            .store
+            .iter()
+            .filter(|(_, n)| !n.is_data())
+            .flat_map(|(_, n)| n.entries().blocks())
+            .map(std::mem::size_of_val::<[DirEntry]>)
+            .max()
+            .unwrap();
+        let bytes = tree.metrics().copied;
+        assert!(
+            bytes.header() + bytes.payload() <= (tree.height() * (block + header)) as u64,
+            "{bytes:?} copied; height {}, header {header}, block {block}",
+            tree.height()
+        );
+        assert!(bytes.payload() > 0 && bytes.header() > 0);
         assert_eq!(snap.len(), 10_000);
         assert!(snap.structure().unwrap() == frozen);
         snap.check_invariants().unwrap();

@@ -15,10 +15,10 @@ use dc_storage::{ByteReader, ByteWriter, IoStats, IoTracker};
 
 use crate::choose::MembershipIndex;
 use crate::config::DcTreeConfig;
-use crate::node::{DirEntry, Node, NodeId, NodeKind, StoredRecord};
+use crate::node::{DirEntry, Members, Node, NodeId, NodeKind, StoredRecord};
 use crate::query::{Cells, PreparedRange, Select, Visitor};
 use crate::split::{align_members, connected, hierarchy_split, SplitOutcome};
-use crate::store::{Arena, NodeStore, PersistentStore};
+use crate::store::{Arena, CopiedBytes, NodeStore, PersistentStore};
 
 /// Records of a data child the split path's connectivity test reads for a
 /// member it would otherwise have to refine. Fewer connect fewer attempts,
@@ -52,6 +52,9 @@ pub struct TreeMetrics {
     pub shortcut_hits: u64,
     /// Range-query directory entries that had to be descended.
     pub descents: u64,
+    /// Bytes the store copied because a snapshot shared the nodes and
+    /// blocks mutations changed (see [`crate::store`]).
+    pub copied: CopiedBytes,
 }
 
 /// Interior-mutable query counters (queries take `&self`).
@@ -159,10 +162,13 @@ impl DcTree {
     /// Iterates over every stored record (diagnostics and tests; order is
     /// unspecified).
     pub fn iter_records(&self) -> impl Iterator<Item = &StoredRecord> {
-        self.store.iter().flat_map(|(_, n)| match &n.kind {
-            NodeKind::Data(records) => records.iter(),
-            NodeKind::Dir(_) => [].iter(),
-        })
+        self.store
+            .iter()
+            .filter_map(|(_, n)| match &n.kind {
+                NodeKind::Data(records) => Some(records.iter()),
+                NodeKind::Dir(_) => None,
+            })
+            .flatten()
     }
 }
 
@@ -272,11 +278,12 @@ impl<S: NodeStore> DcTree<S> {
     }
 
     /// Copies the tree into `store` node for node — the same MDSs, entries
-    /// in order, summaries and block counts; only the handles are new. The
-    /// walk is post-order, a node allocated once its children are. Walking
-    /// below the tree's height or to other than its node count (a cycle or
-    /// an orphan in an untrusted image) is [`DcError::Corrupt`]. A
-    /// persistent target must know the dimensionality first.
+    /// in order, summaries and block counts; only the handles, and where
+    /// the members sit in memory, are new. The walk is post-order, a node
+    /// allocated once its children are. Walking below the tree's height or
+    /// to other than its node count (a cycle or an orphan in an untrusted
+    /// image) is [`DcError::Corrupt`]. A persistent target must know the
+    /// dimensionality first.
     pub fn copy_to<T: NodeStore>(&self, mut store: T) -> DcResult<DcTree<T>> {
         let corrupt = || DcError::Corrupt(format!("not a tree of {} nodes", self.nodes));
         // The path being copied: each node with its children's new handles.
@@ -295,12 +302,19 @@ impl<S: NodeStore> DcTree<S> {
                 }
             }
             let (node, copied) = path.pop().expect("checked above");
+            // The copy is laid out afresh, each node's members in one new
+            // block, not sharing the source's.
             let mut node = node.into_owned();
-            if let NodeKind::Dir(entries) = &mut node.kind {
-                for (e, id) in entries.iter_mut().zip(copied) {
-                    e.child = id;
-                }
-            }
+            node.kind = match &node.kind {
+                NodeKind::Dir(entries) => NodeKind::Dir(
+                    entries
+                        .iter()
+                        .zip(copied)
+                        .map(|(e, child)| DirEntry { child, ..e.clone() })
+                        .collect(),
+                ),
+                NodeKind::Data(records) => NodeKind::Data(records.iter().cloned().collect()),
+            };
             let id = store.alloc(node)?;
             match path.last_mut() {
                 Some((_, siblings)) => siblings.push(id),
@@ -408,6 +422,7 @@ impl<S: NodeStore> DcTree<S> {
         let mut m = self.metrics;
         m.shortcut_hits = self.query_counters.shortcut_hits.load(Relaxed);
         m.descents = self.query_counters.descents.load(Relaxed);
+        m.copied = self.store.copied();
         m
     }
 
@@ -566,10 +581,11 @@ impl<S: NodeStore> DcTree<S> {
         let mut level: Vec<DirEntry> = Vec::new();
         let mut iter = sorted.into_iter().peekable();
         while iter.peek().is_some() {
-            let chunk: Vec<StoredRecord> = iter.by_ref().take(self.config.data_capacity).collect();
+            let chunk: Members<StoredRecord> =
+                iter.by_ref().take(self.config.data_capacity).collect();
             let mut dimvals: Vec<Vec<ValueId>> = vec![Vec::new(); d];
             let mut summary = MeasureSummary::empty();
-            for r in &chunk {
+            for r in chunk.iter() {
                 summary.add(r.record.measure);
                 for (dim, &v) in r.record.dims.iter().enumerate() {
                     dimvals[dim].push(v);
@@ -591,10 +607,10 @@ impl<S: NodeStore> DcTree<S> {
             let mut next = Vec::with_capacity(level.len().div_ceil(self.config.dir_capacity));
             let mut below = level.into_iter().peekable();
             while below.peek().is_some() {
-                let entries: Vec<DirEntry> =
+                let entries: Members<DirEntry> =
                     below.by_ref().take(self.config.dir_capacity).collect();
                 let mut mds = entries[0].mds.clone();
-                for e in &entries[1..] {
+                for e in entries.iter().skip(1) {
                     mds = mds.cover(&e.mds, &self.schema)?;
                 }
                 let mds = self.coarsen_mds(mds, max_set)?;
@@ -738,12 +754,13 @@ impl<S: NodeStore> DcTree<S> {
     /// Root split: grows the tree by one level, a new directory root over
     /// the old root and the `siblings` it split off.
     fn grow_root(&mut self, siblings: &[NodeId]) -> DcResult<()> {
-        let mut entries = vec![self.entry_for(self.root)?];
+        let mut entries = Members::new();
+        entries.push(self.entry_for(self.root)?);
         for &s in siblings {
             entries.push(self.entry_for(s)?);
         }
         let mut mds = entries[0].mds.clone();
-        for e in &entries[1..] {
+        for e in entries.iter().skip(1) {
             mds = mds.cover(&e.mds, &self.schema)?;
         }
         let root = Node::new_dir(mds, entries);
@@ -1088,7 +1105,7 @@ impl<S: NodeStore> DcTree<S> {
         match &node.kind {
             NodeKind::Data(records) => {
                 let mut values = Vec::with_capacity(records.len());
-                for r in records {
+                for r in records.iter() {
                     values.push(h.ancestor_at(r.record.dims[d], level)?);
                 }
                 values.sort_unstable();
@@ -1097,7 +1114,7 @@ impl<S: NodeStore> DcTree<S> {
             }
             NodeKind::Dir(entries) => {
                 let mut acc: Option<dc_mds::DimSet> = None;
-                for e in entries {
+                for e in entries.iter() {
                     let part = if e.mds.dim(d).level() <= level {
                         e.mds.dim(d).adapt_to(h, level)?
                     } else {
@@ -1128,7 +1145,7 @@ impl<S: NodeStore> DcTree<S> {
         self.members.forget(id);
         let sibling = self.store.update(id, |node| {
             debug_assert_eq!(group1.len() + group2.len(), node.len());
-            let old_kind = std::mem::replace(&mut node.kind, NodeKind::Data(Vec::new()));
+            let old_kind = std::mem::replace(&mut node.kind, NodeKind::Data(Members::new()));
             let mut sibling = match old_kind {
                 NodeKind::Data(records) => {
                     let (part1, part2) = partition_by_index(records, &group1);
@@ -1387,26 +1404,30 @@ impl<S: NodeStore> DcTree<S> {
         self.io.read_keyed(id.0 as u64, node.blocks);
         match &node.kind {
             NodeKind::Data(records) => {
-                for r in records {
-                    if range.contains_record(&self.schema, &r.record)? {
-                        visitor.record(r)?;
+                for block in records.blocks() {
+                    for r in block {
+                        if range.contains_record(&self.schema, &r.record)? {
+                            visitor.record(r)?;
+                        }
                     }
                 }
             }
             NodeKind::Dir(entries) => {
-                for e in entries {
-                    if !range.overlaps(&self.schema, &e.mds)? {
-                        continue;
-                    }
-                    if V::ABSORBS
-                        && self.config.use_materialized_aggregates
-                        && range.contains_entry(&self.schema, &e.mds)?
-                        && visitor.absorb(e)?
-                    {
-                        tally.shortcut_hits += 1;
-                    } else {
-                        tally.descents += 1;
-                        self.descend(e.child, range, visitor, tally)?;
+                for block in entries.blocks() {
+                    for e in block {
+                        if !range.overlaps(&self.schema, &e.mds)? {
+                            continue;
+                        }
+                        if V::ABSORBS
+                            && self.config.use_materialized_aggregates
+                            && range.contains_entry(&self.schema, &e.mds)?
+                            && visitor.absorb(e)?
+                        {
+                            tally.shortcut_hits += 1;
+                        } else {
+                            tally.descents += 1;
+                            self.descend(e.child, range, visitor, tally)?;
+                        }
                     }
                 }
             }
@@ -1566,9 +1587,9 @@ impl<S: NodeStore> DcTree<S> {
         let node = self.free(id)?;
         self.io.read(node.blocks);
         match node.kind {
-            NodeKind::Data(mut records) => out.append(&mut records),
+            NodeKind::Data(records) => out.append(&mut records.into_vec()),
             NodeKind::Dir(entries) => {
-                for e in entries {
+                for e in entries.iter() {
                     self.collect_subtree(e.child, out)?;
                 }
             }
@@ -1588,7 +1609,7 @@ fn recompute_node(schema: &CubeSchema, node: &mut Node) -> DcResult<()> {
             } else {
                 let mut mds: Option<Mds> = None;
                 let mut summary = MeasureSummary::empty();
-                for r in records {
+                for r in records.iter() {
                     summary.add(r.record.measure);
                     let p = Mds::from_record(&r.record).adapt_to_levels(schema, &levels)?;
                     mds = Some(match mds {
@@ -1614,7 +1635,7 @@ fn recompute_node(schema: &CubeSchema, node: &mut Node) -> DcResult<()> {
                 .collect();
             let mut mds: Option<Mds> = None;
             let mut summary = MeasureSummary::empty();
-            for e in entries {
+            for e in entries.iter() {
                 summary.merge(&e.summary);
                 let p = e.mds.adapt_to_levels(schema, &levels)?;
                 mds = Some(match mds {
@@ -1631,21 +1652,22 @@ fn recompute_node(schema: &CubeSchema, node: &mut Node) -> DcResult<()> {
 }
 
 /// Splits `items` into the members whose index is in `first` and the rest,
-/// each in storage order.
-fn partition_by_index<T>(items: Vec<T>, first: &[usize]) -> (Vec<T>, Vec<T>) {
+/// each in storage order and in fresh blocks.
+fn partition_by_index<T: Clone>(items: Members<T>, first: &[usize]) -> (Members<T>, Members<T>) {
     let mut take1 = vec![false; items.len()];
     for &i in first {
         take1[i] = true;
     }
-    let (mut part1, mut part2) = (Vec::new(), Vec::new());
-    for (i, item) in items.into_iter().enumerate() {
+    let mut part1 = Vec::with_capacity(first.len());
+    let mut part2 = Vec::with_capacity(items.len().saturating_sub(first.len()));
+    for (i, item) in items.into_vec().into_iter().enumerate() {
         if take1[i] {
             part1.push(item);
         } else {
             part2.push(item);
         }
     }
-    (part1, part2)
+    (part1.into(), part2.into())
 }
 
 /// Entries (directory) or records (data) one block of `node` holds.

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use dc_common::{AggregateOp, DimensionId, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
 use dc_mds::{DimSet, Mds};
-use dc_tree::node::Node;
+use dc_tree::node::{Node, StoredRecord, TAIL_MEMBERS};
 use dc_tree::{DcTree, DcTreeConfig};
 use proptest::prelude::*;
 
@@ -408,88 +408,211 @@ proptest! {
     }
 
     /// A clone shares every node (and the schema) with the tree it was
-    /// taken from, so this is what keeps a published snapshot a snapshot:
-    /// whatever the writer does afterwards — splits, supernode growth,
-    /// condensing deletes that free slots, reuse of those slots, new
-    /// hierarchy values — no held snapshot's structure, schema, invariants
-    /// or answers move, while snapshots are dropped in arbitrary order and
-    /// some are still being read on a second thread.
+    /// taken from, and every node's member blocks, so this is what keeps a
+    /// published snapshot a snapshot: whatever the writer does afterwards —
+    /// splits, supernode growth, condensing deletes that free slots, reuse
+    /// of those slots, new hierarchy values — no held snapshot's structure,
+    /// schema, invariants or answers move, while snapshots are dropped in
+    /// arbitrary order and some are still being read on a second thread.
+    /// Capacities of 3 churn the structure.
     #[test]
     fn snapshots_are_isolated_from_the_writer(
         initial in prop::collection::vec(raw_rec(), 1..60),
         steps in prop::collection::vec(writer_step(), 1..70),
         salt in 0u64..7,
     ) {
-        use std::sync::mpsc::channel;
-
         let config = DcTreeConfig { dir_capacity: 3, data_capacity: 3, ..DcTreeConfig::default() };
-        let mut writer = DcTree::new(schema(), config);
-        let mut live: Vec<Record> = initial.iter().map(|r| interned(&mut writer, r)).collect();
-        writer.insert_batch(live.clone()).unwrap();
-        let mut held = vec![Snap::take(&writer, salt)];
+        check_snapshot_isolation(config, &initial, &steps, salt);
+    }
 
-        std::thread::scope(|scope| {
-            let (to_reader, released) = channel::<Snap>();
-            let (started, reader_started) = channel::<()>();
-            let reader = scope.spawn(move || {
-                for snap in released {
-                    // The writer resumes once it knows this check is under
-                    // way, so the two overlap.
-                    started.send(()).unwrap();
-                    snap.verify();
+    /// [`snapshots_are_isolated_from_the_writer`] with one node kind's
+    /// capacity past two tails, so its nodes append into, merge and remove
+    /// across a body and tail that snapshots share (see also
+    /// `snapshots_are_isolated_across_shared_member_blocks`).
+    #[test]
+    fn snapshots_of_wide_nodes_are_isolated_from_the_writer(
+        initial in prop::collection::vec(raw_rec(), 1..60),
+        steps in prop::collection::vec(writer_step(), 1..70),
+        salt in 0u64..7,
+        wide_dirs in any::<bool>(),
+    ) {
+        let wide = 2 * TAIL_MEMBERS + 8;
+        let config = if wide_dirs {
+            DcTreeConfig { dir_capacity: wide, data_capacity: 3, ..DcTreeConfig::default() }
+        } else {
+            DcTreeConfig { dir_capacity: 3, data_capacity: wide, ..DcTreeConfig::default() }
+        };
+        check_snapshot_isolation(config, &initial, &steps, salt);
+    }
+}
+
+/// Runs `steps` on a writer of `config` seeded with `initial`, taking,
+/// holding, releasing and checking snapshots as the steps say (see
+/// `snapshots_are_isolated_from_the_writer`), then checks the writer.
+fn check_snapshot_isolation(
+    config: DcTreeConfig,
+    initial: &[RawRec],
+    steps: &[WriterStep],
+    salt: u64,
+) {
+    use std::sync::mpsc::channel;
+
+    let mut writer = DcTree::new(schema(), config);
+    let mut live: Vec<Record> = initial.iter().map(|r| interned(&mut writer, r)).collect();
+    writer.insert_batch(live.clone()).unwrap();
+    let mut held = vec![Snap::take(&writer, salt)];
+
+    std::thread::scope(|scope| {
+        let (to_reader, released) = channel::<Snap>();
+        let (started, reader_started) = channel::<()>();
+        let reader = scope.spawn(move || {
+            for snap in released {
+                // The writer resumes once it knows this check is under
+                // way, so the two overlap.
+                started.send(()).unwrap();
+                snap.verify();
+            }
+        });
+        for step in steps {
+            match step {
+                WriterStep::Insert(r) => live.push(insert_raw(&mut writer, r)),
+                WriterStep::Duplicates(r, n) => {
+                    let record = interned(&mut writer, r);
+                    let batch = vec![record; *n as usize];
+                    live.extend(batch.iter().cloned());
+                    writer.insert_batch(batch).unwrap();
                 }
-            });
-            for step in &steps {
-                match step {
-                    WriterStep::Insert(r) => live.push(insert_raw(&mut writer, r)),
-                    WriterStep::Duplicates(r, n) => {
-                        let record = interned(&mut writer, r);
-                        let batch = vec![record; *n as usize];
-                        live.extend(batch.iter().cloned());
-                        writer.insert_batch(batch).unwrap();
-                    }
-                    WriterStep::Batch(rs) => {
-                        let batch: Vec<Record> =
-                            rs.iter().map(|r| interned(&mut writer, r)).collect();
-                        live.extend(batch.iter().cloned());
-                        writer.insert_batch(batch).unwrap();
-                    }
-                    WriterStep::Delete(i) => {
-                        if !live.is_empty() {
-                            let victim = live.swap_remove(*i as usize % live.len());
-                            assert!(writer.delete(&victim).unwrap());
-                        }
-                    }
-                    WriterStep::Intern(a) => {
-                        let fresh = RawRec { a: *a, b: 0, c: 0, y: 0, m: 0, measure: 0 };
-                        interned(&mut writer, &fresh);
-                    }
-                    WriterStep::Snapshot => held.push(Snap::take(&writer, salt)),
-                    WriterStep::Release(i) => {
-                        if !held.is_empty() {
-                            let snap = held.swap_remove(*i as usize % held.len());
-                            to_reader.send(snap).unwrap();
-                            reader_started.recv().unwrap();
-                        }
+                WriterStep::Batch(rs) => {
+                    let batch: Vec<Record> = rs.iter().map(|r| interned(&mut writer, r)).collect();
+                    live.extend(batch.iter().cloned());
+                    writer.insert_batch(batch).unwrap();
+                }
+                WriterStep::Delete(i) => {
+                    if !live.is_empty() {
+                        let victim = live.swap_remove(*i as usize % live.len());
+                        assert!(writer.delete(&victim).unwrap());
                     }
                 }
-                for snap in &held {
-                    snap.verify();
+                WriterStep::Intern(a) => {
+                    let fresh = RawRec {
+                        a: *a,
+                        b: 0,
+                        c: 0,
+                        y: 0,
+                        m: 0,
+                        measure: 0,
+                    };
+                    interned(&mut writer, &fresh);
+                }
+                WriterStep::Snapshot => held.push(Snap::take(&writer, salt)),
+                WriterStep::Release(i) => {
+                    if !held.is_empty() {
+                        let snap = held.swap_remove(*i as usize % held.len());
+                        to_reader.send(snap).unwrap();
+                        reader_started.recv().unwrap();
+                    }
                 }
             }
-            drop(to_reader);
-            reader.join().expect("a released snapshot moved under the reader");
-        });
-
-        // Sharing must not cost the writer anything either.
-        writer.check_invariants().unwrap();
-        prop_assert_eq!(writer.len() as usize, live.len());
-        for q in queries_for(&writer, salt) {
-            prop_assert_eq!(
-                writer.range_summary(&q).unwrap(),
-                oracle(writer.schema(), &live, &q),
-                "query {:?}", q
-            );
+            for snap in &held {
+                snap.verify();
+            }
         }
+        drop(to_reader);
+        reader
+            .join()
+            .expect("a released snapshot moved under the reader");
+    });
+
+    // Sharing must not cost the writer anything either.
+    writer.check_invariants().unwrap();
+    assert_eq!(writer.len() as usize, live.len());
+    for q in queries_for(&writer, salt) {
+        assert_eq!(
+            writer.range_summary(&q).unwrap(),
+            oracle(writer.schema(), &live, &q),
+            "query {:?}",
+            q
+        );
+    }
+}
+
+/// The three writes that reach into a shared member block, each on a lone
+/// data node after a snapshot: an append into the shared tail, a delete in
+/// the body that shifts every record of the still shared tail back one
+/// position, and the split of the node. The snapshot keeps its structure and answers; the writer copies
+/// exactly the blocks it writes.
+#[test]
+fn snapshots_are_isolated_across_shared_member_blocks() {
+    const RECORD: u64 = std::mem::size_of::<StoredRecord>() as u64;
+    const T: usize = TAIL_MEMBERS;
+    let config = DcTreeConfig {
+        data_capacity: 2 * T + 8,
+        ..DcTreeConfig::default()
+    };
+    let rec = |i: u8| RawRec {
+        a: i % 4,
+        b: (i / 4) % 4,
+        c: (i / 16) % 5,
+        y: i % 3,
+        m: (i / 3) % 6,
+        measure: i16::from(i),
+    };
+    let grown = |n: usize| {
+        let mut tree = DcTree::new(schema(), config);
+        let live: Vec<Record> = (0..n as u8)
+            .map(|i| insert_raw(&mut tree, &rec(i)))
+            .collect();
+        assert_eq!((tree.height(), tree.num_nodes()), (1, 1));
+        (tree, live)
+    };
+    let payload = |tree: &DcTree| tree.metrics().copied.data_payload;
+
+    // An append: the tail overflowed once into a body of T + 1 records,
+    // and holds 4 since.
+    let (mut writer, mut live) = grown(T + 5);
+    let snap = Snap::take(&writer, 3);
+    live.push(insert_raw(&mut writer, &rec((T + 5) as u8)));
+    assert_eq!(payload(&writer), 4 * RECORD);
+    assert!(writer.metrics().copied.data_header > 0);
+    snap.verify();
+    assert_eq!(
+        writer.range_summary(&Mds::all(writer.schema())).unwrap(),
+        live.iter().map(|r| r.measure).collect()
+    );
+
+    // A delete in the body copies the body alone: the tail stays shared,
+    // its records one position lower.
+    let n = 2 * T + 8;
+    let (mut writer, live) = grown(n);
+    let blocks = |tree: &DcTree| {
+        let mut lens = [0; 2];
+        tree.for_each_node(|_, node| lens = node.records().blocks().map(<[_]>::len))
+            .unwrap();
+        lens
+    };
+    let [body, tail] = blocks(&writer);
+    assert_eq!([body, tail], [n - n % (T + 1), n % (T + 1)]);
+    let snap = Snap::take(&writer, 4);
+    assert!(writer.delete(&live[2]).unwrap());
+    assert_eq!(payload(&writer), body as u64 * RECORD);
+    assert_eq!(blocks(&writer), [body - 1, tail]);
+    snap.verify();
+    writer.check_invariants().unwrap();
+    assert_eq!(writer.len(), n as u64 - 1);
+
+    // One record more than the node holds: the split builds both halves
+    // from the shared blocks, which the snapshot keeps.
+    let (mut writer, mut live) = grown(n);
+    let snap = Snap::take(&writer, 5);
+    live.push(insert_raw(&mut writer, &rec(n as u8)));
+    assert_eq!(writer.height(), 2, "the node split");
+    assert!(payload(&writer) >= n as u64 * RECORD);
+    snap.verify();
+    writer.check_invariants().unwrap();
+    for q in queries_for(&writer, 5) {
+        assert_eq!(
+            writer.range_summary(&q).unwrap(),
+            oracle(writer.schema(), &live, &q)
+        );
     }
 }

@@ -245,7 +245,7 @@ pub fn encode_node(node: &Node) -> Vec<u8> {
         NodeKind::Dir(entries) => {
             out.push(KIND_DIR);
             put_varint(&mut out, entries.len() as u64);
-            for e in entries {
+            for e in entries.iter() {
                 encode_mds(&mut out, &e.mds);
                 encode_summary(&mut out, &e.summary);
                 put_varint(&mut out, u64::from(e.child.raw()));
@@ -255,7 +255,7 @@ pub fn encode_node(node: &Node) -> Vec<u8> {
             out.push(KIND_DATA);
             put_varint(&mut out, records.len() as u64);
             let mut prev_id = 0i64;
-            for rec in records {
+            for rec in records.iter() {
                 // Ids are near-sequential but not sorted after splits move
                 // records around; zigzag deltas handle both directions.
                 let id = rec.id.0 as i64;
@@ -310,7 +310,7 @@ fn decode_body(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
                     child: dc_tree::node::NodeId::from_raw(child),
                 });
             }
-            NodeKind::Dir(entries)
+            NodeKind::Dir(entries.into())
         }
         KIND_DATA => {
             let n = get_bounded_count(r, num_dims.max(1) + 2)?;
@@ -333,7 +333,7 @@ fn decode_body(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
                     record: Record { dims, measure },
                 });
             }
-            NodeKind::Data(records)
+            NodeKind::Data(records.into())
         }
         tag => return Err(DcError::Corrupt(format!("bad node kind tag {tag}"))),
     };

@@ -229,18 +229,21 @@ fn fixture_dir_node() -> Node {
         ]),
         summary: summary(&[-12, 40_000, 3]),
         blocks: 2,
-        kind: NodeKind::Dir(vec![
-            DirEntry {
-                mds: Mds::new(vec![run(1, 100..2_100), set(0, &[7]), set(3, &[5, 9])]),
-                summary: summary(&[-12, 40_000]),
-                child: NodeId::from_raw(17),
-            },
-            DirEntry {
-                mds: Mds::new(vec![run(1, 2_100..2_140), set(0, &[4_000]), set(3, &[200])]),
-                summary: summary(&[3]),
-                child: NodeId::from_raw(300),
-            },
-        ]),
+        kind: NodeKind::Dir(
+            vec![
+                DirEntry {
+                    mds: Mds::new(vec![run(1, 100..2_100), set(0, &[7]), set(3, &[5, 9])]),
+                    summary: summary(&[-12, 40_000]),
+                    child: NodeId::from_raw(17),
+                },
+                DirEntry {
+                    mds: Mds::new(vec![run(1, 2_100..2_140), set(0, &[4_000]), set(3, &[200])]),
+                    summary: summary(&[3]),
+                    child: NodeId::from_raw(300),
+                },
+            ]
+            .into(),
+        ),
     }
 }
 
@@ -254,11 +257,14 @@ fn fixture_data_node() -> Node {
         mds: Mds::new(vec![run(0, 0..2_500), set(0, &[12, 13]), set(0, &[90_000])]),
         summary: summary(&[5, -7_000_000, 123]),
         blocks: 1,
-        kind: NodeKind::Data(vec![
-            rec(1_000, [0, 12, 90_000], 5),
-            rec(4, [2_499, 13, 90_000], -7_000_000),
-            rec(1_001, [1_234, 12, 90_000], 123),
-        ]),
+        kind: NodeKind::Data(
+            vec![
+                rec(1_000, [0, 12, 90_000], 5),
+                rec(4, [2_499, 13, 90_000], -7_000_000),
+                rec(1_001, [1_234, 12, 90_000], 123),
+            ]
+            .into(),
+        ),
     }
 }
 
@@ -335,13 +341,16 @@ fn targeted_corruptions_yield_dc_errors() {
         ]),
         summary: MeasureSummary::of(42),
         blocks: 1,
-        kind: NodeKind::Data(vec![StoredRecord {
-            id: RecordId(9),
-            record: Record::new(
-                vec![ValueId::new(0, 1), ValueId::new(0, 2), ValueId::new(0, 3)],
-                -5,
-            ),
-        }]),
+        kind: NodeKind::Data(
+            vec![StoredRecord {
+                id: RecordId(9),
+                record: Record::new(
+                    vec![ValueId::new(0, 1), ValueId::new(0, 2), ValueId::new(0, 3)],
+                    -5,
+                ),
+            }]
+            .into(),
+        ),
     };
     let encoded = encode_node(&node);
 

@@ -22,8 +22,8 @@ use dc_tree::DcTree;
 use parking_lot::Mutex;
 
 use crate::engine::{
-    Cmd, DurableWal, EngineConfig, EngineRole, RollupViews, ShardTree, ShardedDcTree, StorageMode,
-    WalOptions, WriterBacking, REPLAY_CHUNK,
+    Cmd, DurableWal, EngineConfig, EngineRole, Origin, RollupViews, ShardTree, ShardedDcTree,
+    StorageMode, WalOptions, WriterBacking, REPLAY_CHUNK,
 };
 
 /// Builds every shard's writer backing (with a disk shard's file) and the
@@ -121,11 +121,14 @@ pub(crate) fn open_shards(
 
 impl ShardedDcTree {
     /// Replays the WAL past the checkpoint in one pass — each frame handed
-    /// to [`Self::apply_replicated`] as the scan validates it, in
-    /// [`REPLAY_CHUNK`]s, torn tail repaired — then, on a primary, attaches
-    /// the log for appending. Recovery holds one segment and one chunk,
-    /// never the tail, and logs nothing again (a double-open must not
-    /// duplicate entries).
+    /// to the write path as the scan validates it, in [`REPLAY_CHUNK`]s,
+    /// torn tail repaired — then, on a primary, attaches the log for
+    /// appending. Recovery holds one segment and one chunk, never the tail,
+    /// and logs nothing again (a double-open must not duplicate entries).
+    /// No reader can reach the engine before this returns, so the writers
+    /// publish nothing while the chunks apply: the replay's final flush
+    /// publishes once, and until then each writer mutates its tree in
+    /// place instead of copying what a snapshot would share.
     pub(crate) fn recover_log(
         &self,
         opts: &WalOptions,
@@ -147,11 +150,11 @@ impl ShardedDcTree {
             for ack in applied.drain(..) {
                 let _ = ack.recv();
             }
-            self.apply_replicated(chunk.drain(..))?;
-            applied = self.fence();
+            self.apply_durable(chunk.drain(..), Origin::Recovered)?;
+            applied = self.fence(Cmd::Applied);
             Ok(())
         })?;
-        self.apply_replicated(chunk)?;
+        self.apply_durable(chunk, Origin::Recovered)?;
         if scan.replayed > 0 {
             self.flush();
         }

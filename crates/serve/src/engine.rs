@@ -249,13 +249,21 @@ pub(crate) enum Cmd {
     /// the shard tree has adopted `schema`, the catalog snapshot taken after
     /// the batch was interned. A single `INSERT` or `DELETE` is the batch
     /// of one.
+    ///
+    /// With `publish` false (a recovered tail's chunk) the writer applies
+    /// the ops without publishing for them: the replay's final flush
+    /// publishes once.
     Apply {
         ops: Vec<(Record, bool)>,
         schema: Arc<CubeSchema>,
+        publish: bool,
     },
     /// Acknowledge once everything enqueued before this command is applied
     /// and visible in a published snapshot.
     Flush(Sender<()>),
+    /// Acknowledge once everything enqueued before this command is
+    /// applied, visible or not — recovery's pacing fence.
+    Applied(Sender<()>),
     /// Adopt the catalog snapshot `schema` and publish, even with no record
     /// traffic — the checkpoint path uses this to give every shard the
     /// catalog's full schema before imaging, so any one shard image can
@@ -263,6 +271,19 @@ pub(crate) enum Cmd {
     Catchup { schema: Arc<CubeSchema> },
     /// Drain the queue, publish, exit.
     Shutdown,
+}
+
+/// Where a batch of mutations comes from, which decides whether it is
+/// logged and whether the writers publish it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Origin {
+    /// A client's write: logged, and published with the batch applying it.
+    Client,
+    /// Entries a follower mirrored, already durable: published, not logged.
+    Replicated,
+    /// A recovered tail, replayed before any reader can reach the engine:
+    /// neither logged nor published until the replay's final flush.
+    Recovered,
 }
 
 /// The engine side of a configured WAL: the shared writer plus everything
@@ -802,7 +823,7 @@ impl ShardedDcTree {
     /// [`flush`](Self::flush) to wait for visibility.
     pub fn insert_raw<S: AsRef<str>>(&self, paths: &[Vec<S>], measure: Measure) -> DcResult<()> {
         self.ensure_writable()?;
-        self.submit(&[(paths, measure, false)], true)
+        self.submit(&[(paths, measure, false)], Origin::Client)
     }
 
     /// Asynchronously inserts a whole batch of raw records — the
@@ -824,7 +845,7 @@ impl ShardedDcTree {
             .iter()
             .map(|(paths, measure)| (&paths[..], *measure, false))
             .collect();
-        self.submit(&ops, true)?;
+        self.submit(&ops, Origin::Client)?;
         self.metrics.insert_batches.fetch_add(1, Relaxed);
         self.metrics
             .insert_batch_records
@@ -836,7 +857,7 @@ impl ShardedDcTree {
     /// A miss is a silent no-op, matching `dc-durable`'s replay contract.
     pub fn delete_raw<S: AsRef<str>>(&self, paths: &[Vec<S>], measure: Measure) -> DcResult<()> {
         self.ensure_writable()?;
-        self.submit(&[(paths, measure, true)], true)
+        self.submit(&[(paths, measure, true)], Origin::Client)
     }
 
     fn ensure_writable(&self) -> DcResult<()> {
@@ -850,10 +871,10 @@ impl ShardedDcTree {
 
     /// The write path: every mutation, live or replayed, enters the engine
     /// here as part of a batch. Resolves `ops` against the catalog, logs
-    /// them as one WAL frame group (`log`, with a WAL configured), and
+    /// them as one WAL frame group (a client's, with a WAL configured), and
     /// enqueues one [`Cmd::Apply`] per shard they touch, each carrying the
     /// catalog snapshot taken once the batch was interned.
-    fn submit<S: AsRef<str>>(&self, ops: &[WalOp<'_, S>], log: bool) -> DcResult<()> {
+    fn submit<S: AsRef<str>>(&self, ops: &[WalOp<'_, S>], origin: Origin) -> DcResult<()> {
         {
             let _gate = self.ingest_gate.read();
             // Resolve and route the whole batch before logging any of it:
@@ -879,7 +900,7 @@ impl ShardedDcTree {
             for (paths, record, delete) in resolved {
                 per_shard[self.route(paths, &record, &schema)?].push((record, delete));
             }
-            if let Some(wal) = self.wal.get().filter(|_| log) {
+            if let Some(wal) = self.wal.get().filter(|_| origin == Origin::Client) {
                 self.append_wal(wal, ops)?;
             }
             self.metrics.deletes.fetch_add(deletes, Relaxed);
@@ -894,7 +915,15 @@ impl ShardedDcTree {
                     .queue_depth
                     .fetch_add(ops.len() as u64, Relaxed);
                 let schema = Arc::clone(&schema);
-                self.send(shard, Cmd::Apply { ops, schema })?;
+                let publish = origin != Origin::Recovered;
+                self.send(
+                    shard,
+                    Cmd::Apply {
+                        ops,
+                        schema,
+                        publish,
+                    },
+                )?;
             }
         }
         self.maybe_auto_checkpoint()
@@ -990,7 +1019,7 @@ impl ShardedDcTree {
     /// so `wal_synced_lsn` stays behind `wal_last_lsn` (a later barrier
     /// retries: the writer stays dirty until a sync succeeds).
     pub fn try_flush(&self) -> DcResult<()> {
-        for ack in self.fence() {
+        for ack in self.fence(Cmd::Flush) {
             let _ = ack.recv();
         }
         let Some(wal) = self.wal.get() else {
@@ -1002,14 +1031,15 @@ impl ShardedDcTree {
         synced
     }
 
-    /// Queues a flush barrier on every shard without waiting for it: each
-    /// receiver answers once its shard has applied and published
-    /// everything enqueued before the barrier.
-    pub(crate) fn fence(&self) -> Vec<Receiver<()>> {
+    /// Queues a barrier — [`Cmd::Flush`] or [`Cmd::Applied`] — on every
+    /// shard without waiting for it: each receiver answers once its shard
+    /// has applied (and, for a flush, published) everything enqueued
+    /// before the barrier.
+    pub(crate) fn fence(&self, barrier: fn(Sender<()>) -> Cmd) -> Vec<Receiver<()>> {
         (0..self.shards.len())
             .filter_map(|i| {
                 let (tx, rx) = channel();
-                self.send(i, Cmd::Flush(tx)).is_ok().then_some(rx)
+                self.send(i, barrier(tx)).is_ok().then_some(rx)
             })
             .collect()
     }
@@ -1069,6 +1099,15 @@ impl ShardedDcTree {
     /// returning means LSN `n` is both applied *and visible* to queries
     /// (the read-your-LSN contract).
     pub fn apply_replicated(&self, entries: impl IntoIterator<Item = WalEntry>) -> DcResult<()> {
+        self.apply_durable(entries, Origin::Replicated)
+    }
+
+    /// [`Self::apply_replicated`] for entries of either durable origin.
+    pub(crate) fn apply_durable(
+        &self,
+        entries: impl IntoIterator<Item = WalEntry>,
+        origin: Origin,
+    ) -> DcResult<()> {
         let mut entries = entries.into_iter();
         let mut chunk = Vec::with_capacity(REPLAY_CHUNK);
         loop {
@@ -1077,7 +1116,7 @@ impl ShardedDcTree {
                 return Ok(());
             }
             let ops: Vec<WalOp<'_, String>> = chunk.iter().map(WalEntry::as_op).collect();
-            self.submit(&ops, false)?;
+            self.submit(&ops, origin)?;
             drop(ops);
             chunk.clear();
         }
@@ -1679,8 +1718,11 @@ struct Writer {
     published: Arc<RwLock<Arc<PlanState>>>,
     metrics: Arc<EngineMetrics>,
     cache: Option<Arc<SharedCache>>,
-    /// Whether the current batch changed anything a publish must show.
+    /// Whether the tree changed since the last publish.
     mutated: bool,
+    /// Whether the current batch holds a command whose effect must be
+    /// published: an [`Cmd::Apply`] that asks for it, or a catch-up.
+    publish_asked: bool,
     pending_flushes: Vec<Sender<()>>,
     /// With a cache configured, the record-level changes of the current
     /// batch (deletes only when the shard tree actually held the record — a
@@ -1714,6 +1756,7 @@ fn spawn_writer(
                 metrics,
                 cache,
                 mutated: false,
+                publish_asked: false,
                 pending_flushes: Vec::new(),
                 deltas: Vec::new(),
                 shutting_down: false,
@@ -1728,28 +1771,32 @@ fn spawn_writer(
                         Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
                     }
                 }
-                match &mut backing {
+                let published = match &mut backing {
                     WriterBacking::Resident { tree, views } => {
                         apply_batch(&mut w, batch, &rx, tree, views.as_mut());
-                        if w.mutated {
+                        let due = w.publish_due();
+                        if due {
                             if let Some(views) = views.as_mut() {
                                 views.rebuild_if_stale(tree);
                             }
                             let snap = ShardTree::Snapshot(Arc::new(tree.clone()));
                             publish(&mut w, tree, snap, views.as_ref());
                         }
+                        due
                     }
                     WriterBacking::Disk(ooc) => {
                         let mut tree = ooc.write();
                         apply_batch(&mut w, batch, &rx, &mut tree, None);
-                        if w.mutated {
+                        let due = w.publish_due();
+                        if due {
                             publish(&mut w, &tree, ShardTree::Disk(Arc::clone(ooc)), None);
                         }
                         // The write lock drops here: the batch and its cache
                         // version bump become visible together.
+                        due
                     }
-                }
-                if !w.mutated && !w.pending_flushes.is_empty() {
+                };
+                if !published && !w.pending_flushes.is_empty() {
                     // A flush of a shard nothing has touched since its last
                     // publish: what readers see already is the tree, so the
                     // barrier holds without publishing again.
@@ -1761,7 +1808,7 @@ fn spawn_writer(
                 // shared WAL after publishing its batch, before any flush is
                 // acknowledged — an acked FLUSH is both visible and durable.
                 if let Some(wal) = wal.get().filter(|w| w.group_commit) {
-                    if w.mutated || !w.pending_flushes.is_empty() {
+                    if published || !w.pending_flushes.is_empty() {
                         let _ = wal.writer.lock().group_commit();
                     }
                 }
@@ -1777,9 +1824,20 @@ fn spawn_writer(
         .expect("spawn shard writer")
 }
 
+impl Writer {
+    /// Whether the batch just applied ends in a publish: the tree changed
+    /// since the last one, and the batch asked for it, holds a flush, or
+    /// shuts the writer down.
+    fn publish_due(&self) -> bool {
+        self.mutated
+            && (self.publish_asked || !self.pending_flushes.is_empty() || self.shutting_down)
+    }
+}
+
 /// Applies `batch` to `tree` — and, once it holds a `Shutdown`, whatever is
-/// still queued behind it — leaving in `w.mutated` whether anything needs
-/// publishing.
+/// still queued behind it — leaving in `w.mutated` whether the tree changed
+/// since the last publish and in `w.publish_asked` whether the batch asks
+/// for one.
 fn apply_batch<S: NodeStore>(
     w: &mut Writer,
     batch: Vec<Cmd>,
@@ -1787,7 +1845,7 @@ fn apply_batch<S: NodeStore>(
     tree: &mut DcTree<S>,
     mut views: Option<&mut RollupViews>,
 ) {
-    w.mutated = false;
+    w.publish_asked = false;
     for cmd in batch {
         apply(w, cmd, tree, views.as_deref_mut());
     }
@@ -1816,15 +1874,23 @@ fn apply<S: NodeStore>(
         metrics,
         cache,
         mutated,
+        publish_asked,
         pending_flushes,
         deltas,
         shutting_down,
         ..
     } = w;
     let shard_metrics = &metrics.shards[*shard_id];
-    let mut deltas = cache.is_some().then_some(deltas);
     match cmd {
-        Cmd::Apply { ops, schema } => {
+        Cmd::Apply {
+            ops,
+            schema,
+            publish,
+        } => {
+            *publish_asked |= publish;
+            // A recovered chunk patches no cache: no reader has reached the
+            // engine yet, so nothing is cached.
+            let mut deltas = (cache.is_some() && publish).then_some(deltas);
             let t0 = Instant::now();
             adopt(tree, schema);
             let n = ops.len() as u64;
@@ -1874,12 +1940,18 @@ fn apply<S: NodeStore>(
             shard_metrics.applied.fetch_add(n, Relaxed);
         }
         Cmd::Flush(ack) => pending_flushes.push(ack),
+        // Commands apply in order, so everything queued before this one
+        // has been applied.
+        Cmd::Applied(ack) => {
+            let _ = ack.send(());
+        }
         Cmd::Catchup { schema } => {
             adopt(tree, schema);
             // Force a publish: the checkpoint path images what is published
             // (the resident snapshot; a disk shard's flushed file), which
             // must carry the caught-up schema.
             *mutated = true;
+            *publish_asked = true;
         }
         Cmd::Shutdown => *shutting_down = true,
     }
@@ -1931,6 +2003,7 @@ fn publish<S: NodeStore>(
     shard_metrics
         .snapshot_published_at
         .store(metrics.now_nanos().max(1), Relaxed);
+    shard_metrics.publishes.fetch_add(1, Relaxed);
     let slot = &w.published;
     let swap = move || *slot.write() = state;
     match &w.cache {
@@ -1947,6 +2020,7 @@ fn publish<S: NodeStore>(
         None => swap(),
     }
     w.deltas.clear();
+    w.mutated = false;
 }
 
 #[cfg(test)]

@@ -96,6 +96,8 @@ pub struct ShardMetrics {
     /// Nanoseconds since engine start at which the current snapshot was
     /// published (0 = never).
     pub snapshot_published_at: AtomicU64,
+    /// Snapshots the shard's writer has published since start.
+    pub publishes: AtomicU64,
     /// Logical page reads of the shard tree since start.
     pub io_reads: AtomicU64,
     /// Logical page writes of the shard tree since start.

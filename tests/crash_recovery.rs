@@ -974,8 +974,9 @@ fn a_replay_chunk_applies_in_submission_order() {
 
 /// Writes `tail` inserts in groups of 100 into `segment_bytes` segments,
 /// reopens the directory, and checks the replay: the same `len` and
-/// `total_summary`, and at most one command per shard per 512-entry replay
-/// chunk rather than one per entry.
+/// `total_summary`, at most one command per shard per 512-entry replay
+/// chunk rather than one per entry, and one publish per shard — the
+/// replay's final flush — rather than one per chunk.
 fn tail_replays_in_batches(tail: usize, segment_bytes: u64) {
     const SHARDS: usize = 2;
     let data = generate(&TpcdConfig::scaled(tail, 11));
@@ -1009,6 +1010,13 @@ fn tail_replays_in_batches(tail: usize, segment_bytes: u64) {
         commands <= (SHARDS * tail.div_ceil(512)) as u64,
         "{commands} commands replayed a {tail}-entry tail over {segment_bytes}-byte segments"
     );
+    for (i, shard) in m.shards.iter().enumerate() {
+        assert_eq!(
+            shard.publishes.load(Relaxed),
+            1,
+            "shard {i} published more than once replaying a {tail}-entry tail"
+        );
+    }
 }
 
 #[test]
