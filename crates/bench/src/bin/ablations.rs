@@ -16,17 +16,54 @@
 //! * **A6** memory normalization: replays each engine's block-access trace
 //!   through an LRU cache of a fixed frame budget, making the paper's
 //!   "memory available for the X-tree was restricted to the memory size the
-//!   DC-tree uses" comparison executable (physical reads per query).
+//!   DC-tree uses" comparison executable (physical reads per query). The
+//!   DC-tree's trace comes from the node store it reads through
+//!   ([`Recording`]); the X-tree and the scan record their own.
 //!
 //! ```sh
 //! cargo run --release -p dc-bench --bin ablations [records]
 //! ```
 
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::time::Instant;
 
+use dc_common::DcResult;
 use dc_query::{RangeQueryGen, ValuePick};
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
-use dc_tree::{DcTree, DcTreeConfig};
+use dc_tree::node::{Node, NodeId};
+use dc_tree::{Arena, DcTree, DcTreeConfig, NodeStore};
+
+/// An arena that records every block of every node read through it, keyed
+/// `node * 4096 + block`: the access trace A6 replays through
+/// [`dc_storage::CacheSim`].
+#[derive(Default)]
+struct Recording {
+    nodes: Arena,
+    trace: RefCell<Vec<u64>>,
+}
+
+impl NodeStore for Recording {
+    fn get(&self, id: NodeId) -> DcResult<Cow<'_, Node>> {
+        let node = self.nodes.get(id)?;
+        let key = u64::from(id.raw()) * 4096;
+        let blocks = (0..u64::from(node.blocks)).map(|b| key + b);
+        self.trace.borrow_mut().extend(blocks);
+        Ok(node)
+    }
+
+    fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R> {
+        self.nodes.update(id, f)
+    }
+
+    fn alloc(&mut self, node: Node) -> DcResult<NodeId> {
+        self.nodes.alloc(node)
+    }
+
+    fn free(&mut self, id: NodeId) -> DcResult<Node> {
+        self.nodes.free(id)
+    }
+}
 
 fn load(data: &TpcdData, config: DcTreeConfig) -> (DcTree, std::time::Duration) {
     let mut dc = DcTree::new(data.schema.clone(), config);
@@ -40,14 +77,14 @@ fn load(data: &TpcdData, config: DcTreeConfig) -> (DcTree, std::time::Duration) 
 fn query_batch(data: &TpcdData, dc: &DcTree, sel: f64, n: usize) -> (std::time::Duration, f64) {
     let mut gen = RangeQueryGen::new(sel, ValuePick::ContiguousRun, 7);
     let queries: Vec<_> = (0..n).map(|_| gen.generate(&data.schema)).collect();
-    dc.reset_io();
+    let before = dc.io_stats().reads;
     let t0 = Instant::now();
     for q in &queries {
         let _ = dc.range_summary(q).expect("query");
     }
     (
         t0.elapsed() / n as u32,
-        dc.io_stats().reads as f64 / n as f64,
+        (dc.io_stats().reads - before) as f64 / n as f64,
     )
 }
 
@@ -135,14 +172,13 @@ fn main() {
             ),
         ] {
             let (dc, _) = load(&data, config);
-            dc.reset_io();
-            let before = dc.metrics().shortcut_hits;
+            let (before, reads_before) = (dc.metrics().shortcut_hits, dc.io_stats().reads);
             let t0 = Instant::now();
             for q in &rollups {
                 let _ = dc.range_summary(q).expect("query");
             }
             let t = t0.elapsed() / rollups.len() as u32;
-            let reads = dc.io_stats().reads as f64 / rollups.len() as f64;
+            let reads = (dc.io_stats().reads - reads_before) as f64 / rollups.len() as f64;
             let hits = dc.metrics().shortcut_hits - before;
             println!("{label:>22} {t:>14?} {reads:>10.0} {hits:>10}");
         }
@@ -223,7 +259,7 @@ fn main() {
         use dc_storage::{BlockConfig, CacheSim};
         use dc_xtree::{XTree, XTreeConfig};
 
-        let (dc, _) = load(&data, base);
+        let dc = load(&data, base).0.copy_to(Recording::default()).unwrap();
         let mut x = XTree::new(data.schema.num_flat_axes(), XTreeConfig::default());
         let mut scan = FlatTable::for_schema(BlockConfig::DEFAULT, &data.schema);
         for r in &data.records {
@@ -237,11 +273,11 @@ fn main() {
             .map(|q| mds_to_mbr(&data.schema, q))
             .collect();
 
-        dc.begin_trace();
+        dc.store().trace.take();
         for q in &queries {
             let _ = dc.range_summary(q).expect("query");
         }
-        let dc_trace = dc.end_trace();
+        let dc_trace = dc.store().trace.take();
         x.begin_trace();
         for m in &mbrs {
             let _ = x.range_summary(m);

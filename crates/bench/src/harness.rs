@@ -112,14 +112,14 @@ pub fn run_queries(e: &Engines, selectivity: f64, n: usize, seed: u64) -> BatchR
         .map(|q| mds_to_mbr(&e.data.schema, q))
         .collect();
 
-    e.dc.reset_io();
+    let before = e.dc.io_stats().reads;
     let t0 = Instant::now();
     let dc_answers: Vec<MeasureSummary> = queries
         .iter()
         .map(|q| e.dc.range_summary(q).unwrap())
         .collect();
     let dc_time = t0.elapsed();
-    let dc_reads = e.dc.io_stats().reads;
+    let dc_reads = e.dc.io_stats().reads - before;
 
     e.x.reset_io();
     let t0 = Instant::now();

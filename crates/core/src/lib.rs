@@ -61,14 +61,15 @@
 //! selected records and contained entries into (see [`query`]). Scalar
 //! reads prepare with the configured containment mode
 //! (`use_paper_fig7_containment`); grouped reads always prepare soundly.
+//! Each read counts the blocks it visits, the paper's cost metric, itself;
+//! [`DcTree::read_counted`] returns that count with the answer.
 //!
 //! ## Where the nodes live
 //!
 //! The paper's nodes are disk blocks. [`DcTree`] is generic over a
-//! [`NodeStore`]: the default [`Arena`] keeps them in memory (and charges
-//! logical page I/O), and `dc_oocore::OocStore` — the one paged store —
-//! keeps them as page chains behind a concurrent buffer pool, in one varint
-//! node encoding. Insert, choose-subtree, hierarchy split,
+//! [`NodeStore`]: the default [`Arena`] keeps them in memory, and
+//! `dc_oocore::OocStore` — the one paged store — keeps them as page chains
+//! behind a concurrent buffer pool, in one varint node encoding. Insert, choose-subtree, hierarchy split,
 //! supernode growth, queries, deletion, bulk load, the invariant checker
 //! and the statistics exist once, written against the trait, so every
 //! store builds the same tree node for node
@@ -90,7 +91,7 @@ pub mod store;
 pub mod tree;
 
 pub use config::DcTreeConfig;
-pub use query::PreparedRange;
+pub use query::{PreparedRange, QueryOutput};
 pub use stats::{DeadSpaceReport, LevelStat, TreeStats};
 pub use store::{Arena, CopiedBytes, NodeStore, PersistentStore};
 pub use tree::{DcTree, TreeMetrics};

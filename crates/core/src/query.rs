@@ -19,6 +19,7 @@
 //! for the aggregates, [`Select`] for the selections.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 use dc_common::{DcError, DcResult, DimensionId, Level, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, Record};
@@ -270,6 +271,42 @@ impl PreparedRange {
             }
         }
         Ok(true)
+    }
+}
+
+/// What a read answers with ([`DcTree::read_counted`](crate::DcTree::read_counted)),
+/// and what a partitioned engine merges across partitions.
+#[derive(Clone, PartialEq, Debug)]
+pub enum QueryOutput {
+    /// An ungrouped aggregate.
+    Scalar(MeasureSummary),
+    /// Non-empty groups, sorted by value id.
+    Grouped(Vec<(ValueId, MeasureSummary)>),
+}
+
+impl QueryOutput {
+    /// The empty output matching `grouped`ness.
+    pub fn empty(grouped: bool) -> Self {
+        if grouped {
+            QueryOutput::Grouped(Vec::new())
+        } else {
+            QueryOutput::Scalar(MeasureSummary::empty())
+        }
+    }
+
+    /// Merges another partition's output into this one (scatter-gather).
+    pub fn merge(&mut self, other: &QueryOutput) {
+        match (self, other) {
+            (QueryOutput::Scalar(a), QueryOutput::Scalar(b)) => a.merge(b),
+            (QueryOutput::Grouped(a), QueryOutput::Grouped(b)) => {
+                let mut map: BTreeMap<ValueId, MeasureSummary> = a.drain(..).collect();
+                for (v, s) in b {
+                    map.entry(*v).or_default().merge(s);
+                }
+                *a = map.into_iter().collect();
+            }
+            _ => unreachable!("scalar and grouped outputs never mix in one plan"),
+        }
     }
 }
 

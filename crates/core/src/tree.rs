@@ -11,12 +11,12 @@ use dc_common::{
 };
 use dc_hierarchy::{CubeSchema, Dims, Record};
 use dc_mds::Mds;
-use dc_storage::{ByteReader, ByteWriter, IoStats, IoTracker};
+use dc_storage::{ByteReader, ByteWriter, IoStats};
 
 use crate::choose::MembershipIndex;
 use crate::config::DcTreeConfig;
 use crate::node::{DirEntry, Members, Node, NodeId, NodeKind, StoredRecord};
-use crate::query::{Cells, PreparedRange, Select, Visitor};
+use crate::query::{Cells, PreparedRange, QueryOutput, Select, Visitor};
 use crate::split::{align_members, connected, hierarchy_split, SplitOutcome};
 use crate::store::{Arena, CopiedBytes, NodeStore, PersistentStore};
 
@@ -62,6 +62,7 @@ pub struct TreeMetrics {
 struct QueryCounters {
     shortcut_hits: std::sync::atomic::AtomicU64,
     descents: std::sync::atomic::AtomicU64,
+    pages: std::sync::atomic::AtomicU64,
 }
 
 impl Clone for QueryCounters {
@@ -71,15 +72,18 @@ impl Clone for QueryCounters {
         c.shortcut_hits
             .store(self.shortcut_hits.load(Relaxed), Relaxed);
         c.descents.store(self.descents.load(Relaxed), Relaxed);
+        c.pages.store(self.pages.load(Relaxed), Relaxed);
         c
     }
 }
 
-/// One read's entry decisions, added to [`QueryCounters`] when it ends.
+/// One read's own work — its entry decisions and the blocks of every node
+/// it visited — added to [`QueryCounters`] once when the read ends.
 #[derive(Default)]
 struct Tally {
     shortcut_hits: u64,
     descents: u64,
+    pages: u64,
 }
 
 /// The DC-tree: a fully dynamic, MDS-based index over a data cube with
@@ -108,7 +112,9 @@ pub struct DcTree<S = Arena> {
     config: DcTreeConfig,
     pub(crate) store: S,
     pub(crate) root: NodeId,
-    io: IoTracker,
+    /// The writer's logical page I/O: every block of every node a mutation
+    /// reads or writes. Reads add theirs to [`QueryCounters`].
+    io: IoStats,
     next_record_id: u64,
     len: u64,
     /// Live nodes, maintained across alloc/free.
@@ -152,8 +158,8 @@ impl DcTree {
         if !sorted.is_empty() {
             fresh.build_from_sorted(sorted)?;
         }
-        // Keep the I/O counters (the rebuild itself is accounted there).
-        let io = self.io.clone();
+        // Keep the I/O counters; the rebuild itself is not charged.
+        let io = self.io_stats();
         *self = fresh;
         self.io = io;
         Ok(())
@@ -225,7 +231,7 @@ impl<S: NodeStore> DcTree<S> {
             config,
             store,
             root,
-            io: IoTracker::new(),
+            io: IoStats::default(),
             next_record_id: 0,
             len: 0,
             nodes: 1,
@@ -254,7 +260,7 @@ impl<S: NodeStore> DcTree<S> {
             config,
             store,
             root,
-            io: IoTracker::new(),
+            io: IoStats::default(),
             next_record_id,
             len,
             nodes,
@@ -410,9 +416,14 @@ impl<S: NodeStore> DcTree<S> {
         self.store.free(id)
     }
 
-    /// Logical page-I/O counters charged so far.
+    /// Logical page I/O charged since construction: the writer's, plus
+    /// the pages every read counted (see [`Self::read_counted`]).
     pub fn io_stats(&self) -> IoStats {
-        self.io.stats()
+        use std::sync::atomic::Ordering::Relaxed;
+        IoStats {
+            reads: self.io.reads + self.query_counters.pages.load(Relaxed),
+            writes: self.io.writes,
+        }
     }
 
     /// Internal operation counters (splits, supernode growth, split time,
@@ -424,24 +435,6 @@ impl<S: NodeStore> DcTree<S> {
         m.descents = self.query_counters.descents.load(Relaxed);
         m.copied = self.store.copied();
         m
-    }
-
-    /// Resets the I/O counters.
-    pub fn reset_io(&self) {
-        self.io.reset();
-    }
-
-    /// Starts recording an access trace of the blocks queries touch; end
-    /// with [`Self::end_trace`] and replay it through
-    /// [`dc_storage::CacheSim`] to obtain physical reads under a memory
-    /// budget (the paper's resource normalization, §5.3).
-    pub fn begin_trace(&self) {
-        self.io.begin_trace();
-    }
-
-    /// Stops recording and returns the trace of synthetic block ids.
-    pub fn end_trace(&self) -> Vec<u64> {
-        self.io.end_trace()
     }
 
     // ------------------------------------------------------------------
@@ -626,7 +619,7 @@ impl<S: NodeStore> DcTree<S> {
     /// Allocates `node` (charging its write) and returns the directory
     /// entry that references it.
     fn alloc_entry(&mut self, node: Node) -> DcResult<DirEntry> {
-        self.io.write(node.blocks);
+        self.io.writes += u64::from(node.blocks);
         Ok(DirEntry {
             mds: node.mds.clone(),
             summary: node.summary,
@@ -670,7 +663,7 @@ impl<S: NodeStore> DcTree<S> {
     fn insert_run_rec(&mut self, id: NodeId, run: &[StoredRecord]) -> DcResult<Vec<NodeId>> {
         let first = &run[0].record;
         let (child, overflow) = self.store.update(id, |node| {
-            self.io.read(node.blocks);
+            self.io.reads += u64::from(node.blocks);
             for r in run {
                 node.summary.add(r.record.measure);
             }
@@ -697,7 +690,7 @@ impl<S: NodeStore> DcTree<S> {
                     Some(entry.child)
                 }
             };
-            self.io.write(node.blocks);
+            self.io.writes += u64::from(node.blocks);
             Ok((child, child.is_none() && overflows(&self.config, node)))
         })?;
         let Some(child) = child else {
@@ -764,7 +757,7 @@ impl<S: NodeStore> DcTree<S> {
             mds = mds.cover(&e.mds, &self.schema)?;
         }
         let root = Node::new_dir(mds, entries);
-        self.io.write(root.blocks);
+        self.io.writes += u64::from(root.blocks);
         self.root = self.alloc(root)?;
         self.height += 1;
         Ok(())
@@ -801,7 +794,7 @@ impl<S: NodeStore> DcTree<S> {
                 self.members.append_entry(id, entries.len(), &e.mds);
                 entries.push(e);
             }
-            self.io.write(node.blocks);
+            self.io.writes += u64::from(node.blocks);
             Ok(overflows(&self.config, node))
         })
     }
@@ -1011,7 +1004,7 @@ impl<S: NodeStore> DcTree<S> {
             self.metrics.supernode_growths += 1;
             self.store.update(id, |node| {
                 node.blocks += (node.blocks / 4).max(1);
-                self.io.write(node.blocks);
+                self.io.writes += u64::from(node.blocks);
                 Ok(())
             })?;
             Ok(None)
@@ -1170,10 +1163,10 @@ impl<S: NodeStore> DcTree<S> {
             // Supernodes shrink back to the fewest blocks that hold each part.
             node.blocks = blocks_needed(&self.config, node);
             sibling.blocks = blocks_needed(&self.config, &sibling);
-            self.io.write(node.blocks);
+            self.io.writes += u64::from(node.blocks);
             Ok(sibling)
         })?;
-        self.io.write(sibling.blocks);
+        self.io.writes += u64::from(sibling.blocks);
         self.alloc(sibling)
     }
 
@@ -1221,10 +1214,39 @@ impl<S: NodeStore> DcTree<S> {
     /// this tree knows, and their bits are where the preparing schema put
     /// them. The steady-state traversal performs no heap allocation.
     pub fn range_summary_prepared(&self, prepared: &PreparedRange) -> DcResult<MeasureSummary> {
+        Ok(self.summary_counted(prepared)?.0)
+    }
+
+    /// The one counted read: `prepared` aggregated whole, or grouped by
+    /// the level `group_by` names (with the contract of
+    /// [`Self::range_summary_prepared`] and [`Self::group_by_prepared`]),
+    /// paired with the pages the read visited — every block of every node
+    /// its descent read, a supernode costing all of its blocks (the
+    /// paper's cost metric, §5). The count is the read's own: readers
+    /// sharing the tree on other threads never change it. It is also added
+    /// to [`Self::io_stats`] once, when the read ends.
+    pub fn read_counted(
+        &self,
+        prepared: &PreparedRange,
+        group_by: Option<(DimensionId, Level)>,
+    ) -> DcResult<(QueryOutput, u64)> {
+        Ok(match group_by {
+            None => {
+                let (summary, pages) = self.summary_counted(prepared)?;
+                (QueryOutput::Scalar(summary), pages)
+            }
+            Some((dim, level)) => {
+                let (groups, pages) = self.groups_counted(dim, level, prepared)?;
+                (QueryOutput::Grouped(groups), pages)
+            }
+        })
+    }
+
+    fn summary_counted(&self, prepared: &PreparedRange) -> DcResult<(MeasureSummary, u64)> {
         let mut acc = [MeasureSummary::empty()];
-        self.read_cells(prepared, [], &mut acc)?;
+        let pages = self.read_cells(prepared, [], &mut acc)?;
         let [acc] = acc;
-        Ok(acc)
+        Ok((acc, pages))
     }
 
     /// Range **selection**: invokes `f` for every stored record inside the
@@ -1233,7 +1255,8 @@ impl<S: NodeStore> DcTree<S> {
     /// the qualifying rows; selection cannot use the materialized shortcut,
     /// so contained subtrees are descended to their data pages.
     pub fn for_each_in_range(&self, range: &Mds, f: impl FnMut(&StoredRecord)) -> DcResult<()> {
-        self.read(&PreparedRange::new(&self.schema, range)?, &mut Select(f))
+        self.read(&PreparedRange::new(&self.schema, range)?, &mut Select(f))?;
+        Ok(())
     }
 
     /// Range selection collecting the matching records.
@@ -1289,10 +1312,21 @@ impl<S: NodeStore> DcTree<S> {
         group_level: Level,
         prepared: &PreparedRange,
     ) -> DcResult<Vec<(ValueId, MeasureSummary)>> {
-        let groups = self.grouped(prepared, [(group_dim, group_level)])?;
-        Ok(groups
+        Ok(self.groups_counted(group_dim, group_level, prepared)?.0)
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn groups_counted(
+        &self,
+        group_dim: DimensionId,
+        group_level: Level,
+        prepared: &PreparedRange,
+    ) -> DcResult<(Vec<(ValueId, MeasureSummary)>, u64)> {
+        let (groups, pages) = self.grouped(prepared, [(group_dim, group_level)])?;
+        let groups = groups
             .map(|(i, s)| (ValueId::new(group_level, i as u32), s))
-            .collect())
+            .collect();
+        Ok((groups, pages))
     }
 
     /// Cross-tabulates a range query over two hierarchy levels — the pivot
@@ -1312,7 +1346,7 @@ impl<S: NodeStore> DcTree<S> {
         filter: &Mds,
     ) -> DcResult<Vec<((ValueId, ValueId), MeasureSummary)>> {
         let prepared = PreparedRange::new(&self.schema, filter)?;
-        let cells = self.grouped(&prepared, [row, column])?;
+        let (cells, _) = self.grouped(&prepared, [row, column])?;
         let cols = self.schema.dim(column.0).num_values_at(column.1);
         Ok(cells
             .map(|(i, s)| {
@@ -1326,28 +1360,30 @@ impl<S: NodeStore> DcTree<S> {
     }
 
     /// A grouped read over `axes`: the non-empty cells as (cell index,
-    /// summary), in index order.
+    /// summary), in index order, and the pages the read visited.
     fn grouped<const N: usize>(
         &self,
         prepared: &PreparedRange,
         axes: [(DimensionId, Level); N],
-    ) -> DcResult<impl Iterator<Item = (usize, MeasureSummary)>> {
+    ) -> DcResult<(impl Iterator<Item = (usize, MeasureSummary)>, u64)> {
         let width =
             |&(dim, level): &(DimensionId, Level)| self.schema.dim(dim).num_values_at(level);
         let mut cells = vec![MeasureSummary::empty(); axes.iter().map(width).product()];
-        self.read_cells(prepared, axes, &mut cells)?;
-        Ok(cells.into_iter().enumerate().filter(|(_, s)| !s.is_empty()))
+        let pages = self.read_cells(prepared, axes, &mut cells)?;
+        let cells = cells.into_iter().enumerate().filter(|(_, s)| !s.is_empty());
+        Ok((cells, pages))
     }
 
     /// Checks a read over `axes` against this tree — the range has the
     /// schema's dimensions, every axis is a level of its hierarchy — and
-    /// folds it into `cells`, one per combination of axis values.
+    /// folds it into `cells`, one per combination of axis values. Returns
+    /// the pages the read visited.
     fn read_cells<const N: usize>(
         &self,
         prepared: &PreparedRange,
         axes: [(DimensionId, Level); N],
         cells: &mut [MeasureSummary],
-    ) -> DcResult<()> {
+    ) -> DcResult<u64> {
         if prepared.num_dims() != self.schema.num_dims() {
             return Err(DcError::DimensionMismatch {
                 expected: self.schema.num_dims(),
@@ -1379,9 +1415,10 @@ impl<S: NodeStore> DcTree<S> {
     /// entry whose MDS overlaps the range, let the visitor absorb an entry
     /// the range contains when materialized aggregates are on, and hand it
     /// the selected records of every data node reached. The entries
-    /// absorbed and descended are tallied here and added to the tree's
-    /// counters once per read.
-    fn read<V: Visitor>(&self, range: &PreparedRange, visitor: &mut V) -> DcResult<()> {
+    /// absorbed and descended, and the blocks of the nodes visited, are
+    /// tallied here and added to the tree's counters once per read; the
+    /// blocks are returned as the read's pages.
+    fn read<V: Visitor>(&self, range: &PreparedRange, visitor: &mut V) -> DcResult<u64> {
         use std::sync::atomic::Ordering::Relaxed;
         let mut tally = Tally::default();
         let read = self.descend(self.root, range, visitor, &mut tally);
@@ -1390,7 +1427,8 @@ impl<S: NodeStore> DcTree<S> {
             .shortcut_hits
             .fetch_add(tally.shortcut_hits, Relaxed);
         counters.descents.fetch_add(tally.descents, Relaxed);
-        read
+        counters.pages.fetch_add(tally.pages, Relaxed);
+        read.map(|()| tally.pages)
     }
 
     fn descend<V: Visitor>(
@@ -1401,7 +1439,7 @@ impl<S: NodeStore> DcTree<S> {
         tally: &mut Tally,
     ) -> DcResult<()> {
         let node = self.store.get(id)?;
-        self.io.read_keyed(id.0 as u64, node.blocks);
+        tally.pages += u64::from(node.blocks);
         match &node.kind {
             NodeKind::Data(records) => {
                 for block in records.blocks() {
@@ -1508,7 +1546,7 @@ impl<S: NodeStore> DcTree<S> {
     ) -> DcResult<bool> {
         let candidates: Vec<(usize, NodeId)> = {
             let node = self.store.get(id)?;
-            self.io.read(node.blocks);
+            self.io.reads += u64::from(node.blocks);
             match &node.kind {
                 NodeKind::Data(records) => {
                     let Some(pos) = records.iter().position(|r| &r.record == record) else {
@@ -1518,7 +1556,7 @@ impl<S: NodeStore> DcTree<S> {
                     self.store.update(id, |node| {
                         node.records_mut().remove(pos);
                         recompute_node(&self.schema, node)?;
-                        self.io.write(node.blocks);
+                        self.io.writes += u64::from(node.blocks);
                         Ok(())
                     })?;
                     return Ok(true);
@@ -1574,7 +1612,7 @@ impl<S: NodeStore> DcTree<S> {
                     node.entries_mut()[i] = refreshed;
                 }
                 recompute_node(&self.schema, node)?;
-                self.io.write(node.blocks);
+                self.io.writes += u64::from(node.blocks);
                 Ok(())
             })?;
             return Ok(true);
@@ -1585,7 +1623,7 @@ impl<S: NodeStore> DcTree<S> {
     /// Collects every record below `id` and frees the whole subtree.
     fn collect_subtree(&mut self, id: NodeId, out: &mut Vec<StoredRecord>) -> DcResult<()> {
         let node = self.free(id)?;
-        self.io.read(node.blocks);
+        self.io.reads += u64::from(node.blocks);
         match node.kind {
             NodeKind::Data(records) => out.append(&mut records.into_vec()),
             NodeKind::Dir(entries) => {

@@ -2,10 +2,14 @@
 //! oracle, structural invariants after every mutation batch, supernode
 //! dynamics, and the fully dynamic insert/delete cycle.
 
-use dc_common::{AggregateOp, DimensionId, MeasureSummary, ValueId};
+use std::borrow::Cow;
+use std::cell::RefCell;
+
+use dc_common::{AggregateOp, DcResult, DimensionId, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
 use dc_mds::{DimSet, Mds};
-use dc_tree::{Arena, DcTree, DcTreeConfig};
+use dc_tree::node::{Node, NodeId};
+use dc_tree::{Arena, DcTree, DcTreeConfig, NodeStore, PreparedRange};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -209,13 +213,12 @@ fn materialization_ablation_gives_identical_answers() {
     let mut io_raw = 0u64;
     for _ in 0..60 {
         let q = random_query(tree_mat.schema(), &mut rng);
-        tree_mat.reset_io();
-        tree_raw.reset_io();
+        let (mat_before, raw_before) = (tree_mat.io_stats(), tree_raw.io_stats());
         let a = tree_mat.range_summary(&q).unwrap();
         let b = tree_raw.range_summary(&q).unwrap();
         assert_eq!(a, b);
-        io_mat += tree_mat.io_stats().reads;
-        io_raw += tree_raw.io_stats().reads;
+        io_mat += tree_mat.io_stats().since(&mat_before).reads;
+        io_raw += tree_raw.io_stats().since(&raw_before).reads;
     }
     assert!(
         io_mat < io_raw,
@@ -232,7 +235,7 @@ fn coarse_queries_do_not_touch_data_pages() {
         ..DcTreeConfig::default()
     };
     let (tree, oracle) = build(400, 3, config);
-    tree.reset_io();
+    let before = tree.io_stats();
     let q = Mds::all(tree.schema());
     let got = tree.range_summary(&q).unwrap();
     let want: MeasureSummary = oracle.iter().map(|r| r.measure).collect();
@@ -240,7 +243,7 @@ fn coarse_queries_do_not_touch_data_pages() {
     // Only the root itself is read (it may span several blocks if it grew
     // into a supernode).
     let root_blocks = tree.stats().unwrap().levels[0].avg_blocks as u64;
-    assert_eq!(tree.io_stats().reads, root_blocks);
+    assert_eq!(tree.io_stats().since(&before).reads, root_blocks);
 }
 
 #[test]
@@ -430,26 +433,64 @@ fn stats_reflect_structure() {
     }
 }
 
+/// An arena that records every block of every node read through it,
+/// keyed `node * 4096 + block` as the A6 ablation keys its trace.
+#[derive(Default)]
+struct Recording {
+    nodes: Arena,
+    trace: RefCell<Vec<u64>>,
+}
+
+impl NodeStore for Recording {
+    fn get(&self, id: NodeId) -> DcResult<Cow<'_, Node>> {
+        let node = self.nodes.get(id)?;
+        let key = u64::from(id.raw()) * 4096;
+        let blocks = (0..u64::from(node.blocks)).map(|b| key + b);
+        self.trace.borrow_mut().extend(blocks);
+        Ok(node)
+    }
+
+    fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R> {
+        self.nodes.update(id, f)
+    }
+
+    fn alloc(&mut self, node: Node) -> DcResult<NodeId> {
+        self.nodes.alloc(node)
+    }
+
+    fn free(&mut self, id: NodeId) -> DcResult<Node> {
+        self.nodes.free(id)
+    }
+}
+
 #[test]
 fn io_counters_track_reads_and_writes() {
     let (mut tree, _) = build(100, 23, DcTreeConfig::default());
     let after_build = tree.io_stats();
     assert!(after_build.reads > 0 && after_build.writes > 0);
-    tree.reset_io();
     let q = Mds::all(tree.schema());
-    let _ = tree.range_summary(&q).unwrap();
-    let io = tree.io_stats();
+    let (_, pages) = tree
+        .read_counted(&tree.prepare_range(&q).unwrap(), None)
+        .unwrap();
+    let io = tree.io_stats().since(&after_build);
     assert!(io.reads >= 1);
+    assert_eq!(io.reads, pages, "a read adds the pages it counted");
     assert_eq!(io.writes, 0, "queries never write");
-    // Grouped reads charge keyed reads like scalar ones: one traced block
-    // per block read.
-    tree.reset_io();
-    tree.begin_trace();
-    let _ = tree.group_by(DimensionId(0), 1, &q).unwrap();
-    let trace = tree.end_trace();
+    // Grouped reads count like scalar ones: one page per block the store
+    // was read for.
+    let recorded = tree.copy_to(Recording::default()).unwrap();
+    let grouped = PreparedRange::new(tree.schema(), &q).unwrap();
+    let by_region = Some((DimensionId(0), 1));
+    recorded.store().trace.take();
+    let (groups, pages) = recorded.read_counted(&grouped, by_region).unwrap();
+    let trace = recorded.store().trace.take();
     assert!(!trace.is_empty(), "a group_by traces the blocks it reads");
-    assert_eq!(trace.len() as u64, tree.io_stats().reads);
-    tree.reset_io();
+    assert_eq!(trace.len() as u64, pages);
+    assert_eq!(
+        tree.read_counted(&grouped, by_region).unwrap(),
+        (groups, pages)
+    );
+    let before = tree.io_stats();
     tree.insert_raw(
         &[
             vec!["R0", "R0-N0", "R0-N0-C7"],
@@ -459,7 +500,7 @@ fn io_counters_track_reads_and_writes() {
         1,
     )
     .unwrap();
-    let io = tree.io_stats();
+    let io = tree.io_stats().since(&before);
     assert!(io.writes >= 1, "inserts write the touched path");
 }
 

@@ -169,16 +169,6 @@ pub struct OocPoolStats {
     pub decoded_nodes: u64,
 }
 
-impl OocPoolStats {
-    /// Share of node reads that went to disk: page misses over page touches
-    /// plus the reads the decoded set absorbed (which would have been hits
-    /// on the hottest pages); `None` before the first read.
-    pub fn miss_rate(&self) -> Option<f64> {
-        let reads = self.hits + self.misses + self.decoded_hits;
-        (reads > 0).then(|| self.misses as f64 / reads as f64)
-    }
-}
-
 /// Node-level counters, kept here so that one [`ConcurrentPool::stats`] call
 /// — which needs no tree lock — reports a shard's whole read path. The
 /// store above the pool is what updates them.

@@ -12,7 +12,7 @@ use dc_mds::{DimSet, Mds};
 use dc_oocore::{OocDcTree, OocOptions};
 use dc_storage::BlockConfig;
 use dc_tpcd::{generate, TpcdConfig};
-use dc_tree::{DcTree, DcTreeConfig};
+use dc_tree::{DcTree, DcTreeConfig, PreparedRange};
 
 fn small_opts() -> OocOptions {
     OocOptions {
@@ -216,6 +216,27 @@ fn every_store_builds_the_same_tree() {
         "OocStore tree differs"
     );
     assert_eq!(counts(paged.metrics()), counts(ram.metrics()));
+
+    // One page currency: a read counts the same blocks in either store.
+    let dims = ram.schema().num_dims() as u16;
+    let axes: Vec<_> = std::iter::once(None)
+        .chain((0..dims).map(|d| Some((DimensionId(d), 1))))
+        .collect();
+    for (qi, q) in probe_queries(&cube.schema).iter().enumerate() {
+        for &group_by in &axes {
+            let prepared = match group_by {
+                None => ram.prepare_range(q).unwrap(),
+                Some(_) => PreparedRange::new(ram.schema(), q).unwrap(),
+            };
+            let (out, pages) = ram.read_counted(&prepared, group_by).unwrap();
+            assert!(pages > 0, "a read visits the root at least");
+            assert_eq!(
+                paged.read_counted(&prepared, group_by).unwrap(),
+                (out, pages),
+                "query {qi} grouped by {group_by:?}"
+            );
+        }
+    }
 }
 
 /// The stream of

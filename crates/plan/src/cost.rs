@@ -26,22 +26,7 @@ pub struct PartitionStats {
     /// `true` while the views await a rebuild (deletes since last publish);
     /// stale views are never chosen.
     pub views_stale: bool,
-    /// `true` when the partition's tree is served out-of-core through a
-    /// buffer pool (dc-oocore): a visited page is a *possibly cold* page.
-    pub disk_resident: bool,
-    /// Observed fraction of the shard's node reads that went to disk at
-    /// publish time: `misses / (hits + misses + decoded_hits)`, the reads
-    /// its decoded write-back set absorbed counting as hot. Only meaningful
-    /// when [`disk_resident`](Self::disk_resident); a pool with no reads
-    /// yet reports `1.0`.
-    pub pool_miss_rate: f64,
 }
-
-/// How much a cold (disk) page fetch costs relative to a hot buffer-frame
-/// touch, in the logical-page currency the rest of the model prices in.
-/// Decompression plus a read syscall against a warm OS page cache is tens
-/// of microseconds vs. ~a microsecond for a resident frame.
-pub const COLD_FETCH_PENALTY: f64 = 24.0;
 
 /// Records of `schema` per simulated disk block: a record laid out flat is
 /// 4 bytes per leaf ID plus an 8-byte measure, in [`BlockConfig::DEFAULT`]
@@ -50,16 +35,6 @@ pub const COLD_FETCH_PENALTY: f64 = 24.0;
 /// [`execute`](crate::execute) charges with it.
 pub fn records_per_block(schema: &CubeSchema) -> usize {
     (BlockConfig::DEFAULT.block_size / (schema.num_dims() * 4 + 8)).max(1)
-}
-
-/// The multiplier a partition's descent estimate carries for out-of-core
-/// service: hot touches cost 1, the observed miss fraction costs
-/// [`COLD_FETCH_PENALTY`]. RAM-resident partitions always price at 1.
-pub fn cold_factor(stats: &PartitionStats) -> f64 {
-    if !stats.disk_resident {
-        return 1.0;
-    }
-    1.0 + stats.pool_miss_rate.clamp(0.0, 1.0) * (COLD_FETCH_PENALTY - 1.0)
 }
 
 /// One backend's page-read estimate.
@@ -103,7 +78,7 @@ pub fn price(schema: &CubeSchema, plan: &LogicalPlan, stats: &PartitionStats) ->
     };
     out.push(CostEstimate {
         backend: Backend::Descend,
-        pages: (stats.tree_height.max(1) as f64 + fringe * nodes) * cold_factor(stats),
+        pages: stats.tree_height.max(1) as f64 + fringe * nodes,
     });
 
     if !stats.view_cells.is_empty() && !stats.views_stale {

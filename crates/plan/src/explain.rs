@@ -6,7 +6,7 @@ use std::fmt;
 use crate::physical::Backend;
 
 /// One shard's plan fragment.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ShardExplain {
     /// Shard index.
     pub shard: usize,

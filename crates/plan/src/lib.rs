@@ -36,13 +36,11 @@ pub mod explain;
 pub mod logical;
 pub mod physical;
 
-pub use cost::{
-    choose, cold_factor, price, records_per_block, CostEstimate, PartitionPlan, PartitionStats,
-    COLD_FETCH_PENALTY,
-};
+pub use cost::{choose, price, records_per_block, CostEstimate, PartitionPlan, PartitionStats};
+pub use dc_tree::QueryOutput;
 pub use explain::{Explain, ShardExplain};
 pub use logical::LogicalPlan;
-pub use physical::{execute, Backend, BackendRefs, QueryOutput};
+pub use physical::{execute, Backend, BackendRefs};
 
 #[cfg(test)]
 mod tests {
@@ -87,7 +85,6 @@ mod tests {
                 .map(|v| (v.spec().levels.clone(), v.num_cells()))
                 .collect(),
             views_stale: false,
-            ..PartitionStats::default()
         }
     }
 
@@ -269,48 +266,6 @@ mod tests {
         rollup.group_by = Some((dim, top - 1));
         let priced = price(&p.data.schema, &rollup, &s);
         assert!(priced.iter().all(|c| c.backend != Backend::Mview));
-    }
-
-    #[test]
-    fn disk_residency_inflates_descend_pricing_by_observed_miss_rate() {
-        let p = build(1500, 23);
-        let ram = stats(&p);
-        let plan = LogicalPlan::scalar(AggregateOp::Sum, dc_mds::Mds::all(&p.data.schema));
-        let descend_pages = |s: &PartitionStats| {
-            price(&p.data.schema, &plan, s)
-                .iter()
-                .find(|c| c.backend == Backend::Descend)
-                .unwrap()
-                .pages
-        };
-        let base = descend_pages(&ram);
-
-        // A fully-warm pool (miss rate 0) prices like RAM residency.
-        let mut warm = ram.clone();
-        warm.disk_resident = true;
-        warm.pool_miss_rate = 0.0;
-        assert_eq!(descend_pages(&warm), base);
-
-        // A cold pool pays the full penalty; a half-warm one half of it.
-        let mut cold = warm.clone();
-        cold.pool_miss_rate = 1.0;
-        assert!((descend_pages(&cold) - base * COLD_FETCH_PENALTY).abs() < 1e-9);
-        let mut half = warm;
-        half.pool_miss_rate = 0.5;
-        assert!(descend_pages(&half) > base && descend_pages(&half) < descend_pages(&cold));
-
-        // Disk residency can flip the choice toward the views: dc-serve
-        // keeps none on disk shards, but the model must stay monotone —
-        // pricier descent never *gains* rank.
-        let ram_rank = price(&p.data.schema, &plan, &ram)
-            .iter()
-            .position(|c| c.backend == Backend::Descend)
-            .unwrap();
-        let cold_rank = price(&p.data.schema, &plan, &cold)
-            .iter()
-            .position(|c| c.backend == Backend::Descend)
-            .unwrap();
-        assert!(cold_rank >= ram_rank);
     }
 
     #[test]

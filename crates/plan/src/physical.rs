@@ -1,12 +1,10 @@
 //! Physical execution: binding a chosen backend to the engines that hold
 //! the partition's data, and measuring what the run actually cost.
 
-use std::collections::BTreeMap;
-
-use dc_common::{DcError, DcResult, MeasureSummary, ValueId};
+use dc_common::{DcError, DcResult};
 use dc_hierarchy::CubeSchema;
 use dc_mview::MaterializedView;
-use dc_tree::{Arena, DcTree, NodeStore, PreparedRange};
+use dc_tree::{Arena, DcTree, NodeStore, PreparedRange, QueryOutput};
 
 use crate::cost::records_per_block;
 use crate::logical::LogicalPlan;
@@ -39,41 +37,6 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// The result of one (partition-level or merged) query execution.
-#[derive(Clone, PartialEq, Debug)]
-pub enum QueryOutput {
-    /// An ungrouped aggregate.
-    Scalar(MeasureSummary),
-    /// Non-empty groups, sorted by value id.
-    Grouped(Vec<(ValueId, MeasureSummary)>),
-}
-
-impl QueryOutput {
-    /// The empty output matching `grouped`ness.
-    pub fn empty(grouped: bool) -> Self {
-        if grouped {
-            QueryOutput::Grouped(Vec::new())
-        } else {
-            QueryOutput::Scalar(MeasureSummary::empty())
-        }
-    }
-
-    /// Merges another partition's output into this one (scatter-gather).
-    pub fn merge(&mut self, other: &QueryOutput) {
-        match (self, other) {
-            (QueryOutput::Scalar(a), QueryOutput::Scalar(b)) => a.merge(b),
-            (QueryOutput::Grouped(a), QueryOutput::Grouped(b)) => {
-                let mut map: BTreeMap<ValueId, MeasureSummary> = a.drain(..).collect();
-                for (v, s) in b {
-                    map.entry(*v).or_default().merge(s);
-                }
-                *a = map.into_iter().collect();
-            }
-            _ => unreachable!("scalar and grouped outputs never mix in one plan"),
-        }
-    }
-}
-
 /// Borrowed handles to one partition's engines. The tree is always there,
 /// in whichever store holds its nodes; the roll-up views only when the
 /// partition maintains them.
@@ -91,9 +54,9 @@ pub struct BackendRefs<'a, S: NodeStore = Arena> {
 /// Descent evaluates `prepared`: `plan.filter` prepared against a schema
 /// this partition's is a prefix of (dc-serve prepares once per query and
 /// shares it across shards). A view lookup evaluates the raw MDS.
-/// Descent's page count is the tree's `IoTracker` delta — concurrent
-/// queries on the same snapshot can inflate one another's deltas, which is
-/// the same accounting the serve layer already accepts for its cost gauges.
+/// Descent's page count is the one [`DcTree::read_counted`] returns: the
+/// blocks this run's descent visited, exact whatever other queries read
+/// the same tree at the same time, and the same in every node store.
 pub fn execute<S: NodeStore>(
     schema: &CubeSchema,
     plan: &LogicalPlan,
@@ -102,16 +65,7 @@ pub fn execute<S: NodeStore>(
     prepared: &PreparedRange,
 ) -> DcResult<(QueryOutput, u64)> {
     match backend {
-        Backend::Descend => {
-            let before = refs.tree.io_stats().reads;
-            let out = match plan.group_by {
-                None => QueryOutput::Scalar(refs.tree.range_summary_prepared(prepared)?),
-                Some((dim, level)) => {
-                    QueryOutput::Grouped(refs.tree.group_by_prepared(dim, level, prepared)?)
-                }
-            };
-            Ok((out, refs.tree.io_stats().reads - before))
-        }
+        Backend::Descend => refs.tree.read_counted(prepared, plan.group_by),
         Backend::Mview => {
             let views = refs.views.ok_or_else(no_backend)?;
             let query_levels = plan.filter.levels();

@@ -93,7 +93,7 @@ impl FlatTable {
         self.io.reset();
     }
 
-    /// Starts recording a block-access trace (see `DcTree::begin_trace`).
+    /// Starts recording a block-access trace (see [`IoTracker::begin_trace`]).
     pub fn begin_trace(&self) {
         self.io.begin_trace();
     }

@@ -327,12 +327,9 @@ pub(crate) enum ShardTree {
 }
 
 /// Evaluates `$read` with `$tree` bound to `$state`'s tree — the snapshot,
-/// or the disk tree under its read lock for the length of `$read` — and
-/// pairs the value with the pages the evaluation read: the snapshot's
-/// logical page reads, or the disk shard's buffer-pool touches (hot or
-/// cold — the currency the cost model prices a disk descent in). Both are
-/// deltas of counters other queries share, so under concurrency the count
-/// is a heuristic, not an exact cost.
+/// or the disk tree under its read lock for the length of `$read`. A read
+/// counts its own pages ([`DcTree::read_counted`]), in the same logical
+/// blocks whichever store holds the shard's nodes.
 ///
 /// A macro because `$read` is generic over the node store, which a closure
 /// cannot be. This is the only place the read side asks where a shard's
@@ -342,19 +339,12 @@ macro_rules! read_tree {
         match &$state.tree {
             ShardTree::Snapshot(snap) => {
                 let $tree: &DcTree = snap;
-                let before = $tree.io_stats().reads;
-                let value = $read;
-                (value, $tree.io_stats().reads.saturating_sub(before))
+                $read
             }
             ShardTree::Disk(ooc) => {
                 let guard = ooc.read();
                 let $tree: &DcTree<OocStore> = &guard;
-                let before = ooc.pool_stats();
-                let value = $read;
-                let after = ooc.pool_stats();
-                let touches =
-                    (after.hits + after.misses).saturating_sub(before.hits + before.misses);
-                (value, touches)
+                $read
             }
         }
     };
@@ -441,10 +431,7 @@ fn lattice_of(tree: &DcTree) -> Vec<MaterializedView> {
 /// is that tree as readers get it) and its roll-up views. The views are
 /// handed out by pointer, and stay immutable without a copy: the writer's
 /// next mutation goes through [`Arc::make_mut`], which leaves the published
-/// value alone (see [`RollupViews`]). A disk shard's statistics carry the
-/// pool's observed miss rate, which the cost model converts into a
-/// cold-fetch multiplier; a pool with no reads yet prices fully cold — the
-/// conservative prior for a freshly opened shard.
+/// value alone (see [`RollupViews`]).
 fn capture_plan_state<S: NodeStore>(
     tree: &DcTree<S>,
     published: ShardTree,
@@ -463,11 +450,6 @@ fn capture_plan_state<S: NodeStore>(
             })
             .unwrap_or_default(),
         views_stale: views.is_some_and(|r| r.stale),
-        disk_resident: matches!(published, ShardTree::Disk(_)),
-        pool_miss_rate: match &published {
-            ShardTree::Snapshot(_) => 0.0,
-            ShardTree::Disk(ooc) => ooc.pool_stats().miss_rate().unwrap_or(1.0),
-        },
     };
     Arc::new(PlanState {
         tree: published,
@@ -485,7 +467,7 @@ impl PlanState {
     /// tree; a lagging one is asked per value (see [`shard_covers`]).
     fn covers(&self, range: &Mds, catalog_values: usize) -> bool {
         self.schema_values == catalog_values
-            || read_tree!(self, |tree| shard_covers(range, tree.schema())).0
+            || read_tree!(self, |tree| shard_covers(range, tree.schema()))
     }
 
     /// `true` iff the shard keeps the engine behind `backend`.
@@ -496,16 +478,15 @@ impl PlanState {
         }
     }
 
-    /// This shard's share of `plan` on `backend`, with the pages it read: a
-    /// descent's as [`read_tree!`] counts them, a view lookup's as
-    /// `dc_plan::execute` charges it.
+    /// This shard's share of `plan` on `backend`, with the pages it read as
+    /// `dc_plan::execute` counts them.
     fn execute(
         &self,
         plan: &LogicalPlan,
         backend: Backend,
         prepared: &PreparedRange,
     ) -> DcResult<(QueryOutput, u64)> {
-        let (ran, tree_pages) = read_tree!(self, |tree| dc_plan::execute(
+        read_tree!(self, |tree| dc_plan::execute(
             tree.schema(),
             plan,
             backend,
@@ -514,10 +495,7 @@ impl PlanState {
                 views: self.views.as_ref().map(|v| &v[..]),
             },
             prepared,
-        ));
-        let (out, engine_pages) = ran?;
-        let descent = backend == Backend::Descend;
-        Ok((out, if descent { tree_pages } else { engine_pages }))
+        ))
     }
 }
 
@@ -1232,7 +1210,7 @@ impl ShardedDcTree {
     /// readers see it.
     pub fn check_invariants(&self) -> DcResult<()> {
         (0..self.shards.len())
-            .try_for_each(|s| read_tree!(self.published(s), |tree| tree.check_invariants()).0)
+            .try_for_each(|s| read_tree!(self.published(s), |tree| tree.check_invariants()))
     }
 
     // ------------------------------------------------------------------
@@ -1322,8 +1300,7 @@ impl ShardedDcTree {
 
     /// Descends `plan` on every shard it visits — `gathered`, or a fresh
     /// gather — returning the merged summary and the pages the descents
-    /// read (the benefit a future cache hit reaps; see [`read_tree!`] for
-    /// what a page is per storage mode).
+    /// read (the benefit a future cache hit reaps).
     fn descend(
         &self,
         plan: &LogicalPlan,
@@ -1617,7 +1594,7 @@ impl ShardedDcTree {
     pub fn total_summary(&self) -> DcResult<MeasureSummary> {
         let mut total = MeasureSummary::empty();
         for s in 0..self.shards.len() {
-            total.merge(&read_tree!(self.published(s), |tree| tree.total_summary()).0?);
+            total.merge(&read_tree!(self.published(s), |tree| tree.total_summary())?);
         }
         Ok(total)
     }
@@ -1985,21 +1962,12 @@ fn publish<S: NodeStore>(
     views: Option<&RollupViews>,
 ) {
     let state = capture_plan_state(tree, published, views);
-    let (reads, writes) = match &state.tree {
-        ShardTree::Snapshot(snap) => {
-            let io = snap.io_stats();
-            (io.reads, io.writes)
-        }
-        ShardTree::Disk(ooc) => {
-            let pool = ooc.pool_stats();
-            (pool.hits + pool.misses, pool.writebacks)
-        }
-    };
+    let io = tree.io_stats();
     let metrics = &w.metrics;
     let shard_metrics = &metrics.shards[w.shard_id];
     shard_metrics.snapshot_records.store(tree.len(), Relaxed);
-    shard_metrics.io_reads.store(reads, Relaxed);
-    shard_metrics.io_writes.store(writes, Relaxed);
+    shard_metrics.io_reads.store(io.reads, Relaxed);
+    shard_metrics.io_writes.store(io.writes, Relaxed);
     shard_metrics
         .snapshot_published_at
         .store(metrics.now_nanos().max(1), Relaxed);

@@ -98,9 +98,13 @@ pub struct ShardMetrics {
     pub snapshot_published_at: AtomicU64,
     /// Snapshots the shard's writer has published since start.
     pub publishes: AtomicU64,
-    /// Logical page reads of the shard tree since start.
+    /// Logical page reads of the shard's writer tree since start, as of
+    /// the last publish ([`DcTree::io_stats`](dc_tree::DcTree::io_stats);
+    /// the same blocks in either storage mode — a disk shard's pool
+    /// touches are in the `buffer_pool` block).
     pub io_reads: AtomicU64,
-    /// Logical page writes of the shard tree since start.
+    /// Logical page writes of the shard's writer tree since start, as of
+    /// the last publish.
     pub io_writes: AtomicU64,
 }
 

@@ -38,7 +38,9 @@
 //! engine's live schema and routed through the cost-based planner
 //! (`dc-plan`); `EXPLAIN <query>` executes the query and reports the
 //! chosen backend, estimated vs. measured page reads, and the per-shard
-//! plan fragments on one line. Multi-aggregate `SELECT` responses label
+//! plan fragments on one line. A shard's measured pages are the blocks its
+//! own evaluation visited, in the same logical blocks in either storage
+//! mode and exact whatever else reads the shard at the same time. Multi-aggregate `SELECT` responses label
 //! each value with its lowercase op name (scalar) or pipe-join the values
 //! in SELECT-list order (grouped). Errors come back as `ERR <message>`.
 //!

@@ -2,8 +2,9 @@
 //!
 //! The paper normalizes resources by restricting "the main memory available
 //! for the X-tree … to the memory size that the DC-tree uses". This module
-//! makes that comparison executable: index structures record a trace of
-//! logical block accesses (see [`IoTracker::begin_trace`]), and
+//! makes that comparison executable: the baselines record a trace of
+//! logical block accesses (see [`IoTracker::begin_trace`]), as does the
+//! node store the ablations read a DC-tree through, and
 //! [`CacheSim`] replays a trace against an LRU cache of a fixed frame
 //! budget, yielding the **physical** reads a disk-resident deployment with
 //! that much memory would issue.

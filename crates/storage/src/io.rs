@@ -40,12 +40,11 @@ impl fmt::Display for IoStats {
     }
 }
 
-/// Interior-mutable I/O counter, so `&self` query paths can account reads.
+/// Interior-mutable I/O counter, so the baselines' `&self` query paths can
+/// account reads (the DC-tree counts a read's pages in the read instead).
 ///
-/// Counters are relaxed atomics: the index structures themselves are
-/// single-writer, but read-only queries run from several threads (a
-/// serving engine's published snapshots), and counting must not un-`Sync`
-/// the trees.
+/// Counters are relaxed atomics, so counting does not un-`Sync` the
+/// structures that carry one.
 #[derive(Default, Debug)]
 pub struct IoTracker {
     reads: AtomicU64,

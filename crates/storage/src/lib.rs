@@ -9,9 +9,12 @@
 //!
 //! * [`BlockConfig`] — the block size and the byte↔block arithmetic used
 //!   for node capacities and supernode growth;
-//! * [`IoStats`] / [`IoTracker`] — logical page-access counters charged on
-//!   every node touch, so experiments can report page I/O alongside wall
-//!   time (the machine-independent half of the paper's measurements);
+//! * [`IoStats`] — logical page-access counts, so experiments can report
+//!   page I/O alongside wall time (the machine-independent half of the
+//!   paper's measurements). The DC-tree counts each read's pages in the
+//!   read itself; the X-tree, scan and bitmap baselines charge an
+//!   [`IoTracker`] on every node touch, which can also record the block
+//!   trace [`CacheSim`] replays;
 //! * [`codec`] — a small, checked binary reader/writer used to persist
 //!   trees and to compute byte-accurate node sizes;
 //! * [`PagedFile`] — a block-aligned file of fixed-size pages with a free

@@ -199,12 +199,12 @@ fn dc_tree_reads_fewer_pages_than_scan_on_selective_queries() {
     let mut scan_reads = 0u64;
     for _ in 0..20 {
         let q = gen.generate(&data.schema);
-        dc.reset_io();
+        let dc_before = dc.io_stats().reads;
         scan.reset_io();
         let a = dc.range_summary(&q).unwrap();
         let b = scan.range_summary(&data.schema, &q).unwrap();
         assert_eq!(a, b);
-        dc_reads += dc.io_stats().reads;
+        dc_reads += dc.io_stats().reads - dc_before;
         scan_reads += scan.io_stats().reads;
     }
     assert!(

@@ -7,13 +7,21 @@
 //! disk shards on a buffer pool far below the working set, both with the
 //! query pool on, so readers scatter over the shards from several threads
 //! while the writers publish.
+//!
+//! A read's page count is its own: two threads reading one snapshot at the
+//! same time each count exactly what they count alone, through `EXPLAIN`
+//! and on a bare tree.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use dctree::common::TempDir;
+use dctree::ql::ParsedStatement;
+use dctree::query::{RangeQueryGen, ValuePick};
 use dctree::serve::{DiskOptions, EngineConfig, OocOptions, PartitionPolicy, StorageMode};
 use dctree::storage::BlockConfig;
+use dctree::tpcd::{generate, TpcdConfig, TpcdData};
+use dctree::tree::PreparedRange;
 use dctree::{
     AggregateOp, CubeSchema, DcTree, DcTreeConfig, DimSet, DimensionId, HierarchySchema, Mds,
     ShardedDcTree,
@@ -395,4 +403,87 @@ fn cached_rollups_race(disk: bool) {
         engine.check_invariants().expect("shard invariants");
         engine.shutdown();
     }
+}
+
+/// Times each of two threads reads its own query while the other reads.
+const COUNTED_ROUNDS: usize = 300;
+
+/// Two queries on the TPC-D cube, a scalar and a grouped one, both wide
+/// enough that their descents visit many nodes.
+fn counted_statements(data: &TpcdData) -> [ParsedStatement; 2] {
+    let mut gen = RangeQueryGen::new(0.1, ValuePick::Scattered, 5);
+    [None, Some((DimensionId(0), 1))].map(|group_by| ParsedStatement {
+        ops: vec![AggregateOp::Sum],
+        filter: gen.generate(&data.schema),
+        group_by,
+        top: None,
+        joins: Vec::new(),
+    })
+}
+
+/// Counts queries 0 and 1 alone, then on two threads at once,
+/// [`COUNTED_ROUNDS`] times each: every count taken beside the other
+/// thread's reads must equal the count taken alone.
+fn counts_ignore_a_racing_reader<R>(count: impl Fn(usize) -> R + Sync)
+where
+    R: PartialEq + std::fmt::Debug + Sync,
+{
+    let alone = [count(0), count(1)];
+    let start = Barrier::new(alone.len());
+    std::thread::scope(|s| {
+        for (q, alone) in alone.iter().enumerate() {
+            let (count, start) = (&count, &start);
+            s.spawn(move || {
+                start.wait();
+                for round in 0..COUNTED_ROUNDS {
+                    assert_eq!(&count(q), alone, "query {q}, round {round}");
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn concurrent_reads_count_their_own_pages() {
+    let data = generate(&TpcdConfig::scaled(5_000, 17));
+    let engine = ShardedDcTree::new(
+        data.schema.clone(),
+        EngineConfig {
+            num_shards: 1,
+            pool_workers: Some(0),
+            cache: None,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    for r in &data.records {
+        engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
+    }
+    engine.flush();
+    let statements = counted_statements(&data);
+    counts_ignore_a_racing_reader(|q| {
+        let (_, explain) = engine.explain(&statements[q]).unwrap();
+        let pages: Vec<_> = explain.shards.iter().map(|s| s.actual_pages).collect();
+        assert!(pages.iter().all(|p| p.is_some_and(|p| p > 0)), "{pages:?}");
+        pages
+    });
+    engine.shutdown();
+}
+
+#[test]
+fn concurrent_tree_reads_count_their_own_pages() {
+    let data = generate(&TpcdConfig::scaled(5_000, 17));
+    let mut tree = DcTree::new(data.schema.clone(), DcTreeConfig::default());
+    for r in &data.records {
+        tree.insert(r.clone()).unwrap();
+    }
+    let tree = Arc::new(tree);
+    let statements = counted_statements(&data);
+    let prepared = statements
+        .each_ref()
+        .map(|s| PreparedRange::new(tree.schema(), &s.filter).unwrap());
+    counts_ignore_a_racing_reader(|q| {
+        let read = tree.read_counted(&prepared[q], statements[q].group_by);
+        read.unwrap().1
+    });
 }
