@@ -436,7 +436,6 @@ fn main() {
             tenant_burst: 500.0,
             queue_high_water: 16_384,
         },
-        ..Default::default()
     };
     let throttled = serve_reactor(Arc::clone(&engine), "127.0.0.1:0", tight).expect("reactor");
     eprintln!("phase C: {OVERLOAD_CONNS}-conn flood against a 500 req/s tenant budget …");

@@ -24,11 +24,11 @@ pub(crate) const CHUNK_WORDS: usize = 64;
 
 /// A WAH-style compressed bitmap.
 ///
-/// The encoded words are held as sealed chunks of [`CHUNK_WORDS`] words,
+/// The encoded words are held as sealed chunks of `CHUNK_WORDS` words,
 /// each behind its own `Arc` and listed in one shared `Arc` slice,
 /// followed by an owned open part: a `clone` copies one pointer plus the
 /// open part, and an append writes only the open part (sealing a chunk
-/// relists the chunk pointers, once per [`CHUNK_WORDS`] words). [`Self::set`] seals a chunk once the open
+/// relists the chunk pointers, once per `CHUNK_WORDS` words). [`Self::set`] seals a chunk once the open
 /// part holds two of them, so the open part of an appended-to bitmap stays
 /// under two chunks, the last word — the one fill coalescing rewrites — is
 /// always open, and the word sequence is exactly the one a flat encoder

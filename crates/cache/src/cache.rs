@@ -17,26 +17,21 @@ use crate::semantic::remainder_terms;
 pub struct CacheConfig {
     /// Maximum cached entries; eviction starts above this.
     pub capacity: usize,
-    /// Enable containment-based reuse of non-identical entries.
-    pub semantic_reuse: bool,
-    /// Upper bound on attribute values materialized when expanding a query
-    /// down to a cached entry's levels; candidates needing more are skipped.
-    pub max_remainder_values: usize,
-    /// How many entries a semantic lookup may examine for containment —
-    /// bounds the miss-path cost at large capacities.
-    pub semantic_scan_limit: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            capacity: 4096,
-            semantic_reuse: true,
-            max_remainder_values: 1024,
-            semantic_scan_limit: 128,
-        }
+        CacheConfig { capacity: 4096 }
     }
 }
+
+/// Upper bound on attribute values materialized when expanding a query
+/// down to a cached entry's levels; candidates needing more are skipped.
+const MAX_REMAINDER_VALUES: usize = 1024;
+
+/// How many entries a semantic lookup may examine for containment — bounds
+/// the miss-path cost at large capacities.
+const SEMANTIC_SCAN_LIMIT: usize = 128;
 
 /// One record-level write, queued by a shard writer and applied to the
 /// cache atomically with that shard's snapshot publication.
@@ -191,13 +186,10 @@ impl AggregateCache {
                 return Ok(InnerLookup::Hit(e.summary));
             }
         }
-        if !self.config.semantic_reuse {
-            return Ok(InnerLookup::Miss);
-        }
         // Best contained entry = the one covering the most records: every
         // covered record is a record the remainder descent skips.
         let mut best: Option<(u64, u64)> = None;
-        for (&id, e) in self.entries.iter().take(self.config.semantic_scan_limit) {
+        for (&id, e) in self.entries.iter().take(SEMANTIC_SCAN_LIMIT) {
             if (need_extrema && !e.extrema_valid) || e.summary.is_empty() {
                 continue;
             }
@@ -212,7 +204,7 @@ impl AggregateCache {
             return Ok(InnerLookup::Miss);
         };
         let entry_mds = self.entries[&id].mds.clone();
-        match remainder_terms(schema, query, &entry_mds, self.config.max_remainder_values)? {
+        match remainder_terms(schema, query, &entry_mds, MAX_REMAINDER_VALUES)? {
             None => Ok(InnerLookup::Miss),
             Some(remainders) => {
                 let e = self.entries.get_mut(&id).expect("candidate entry exists");
@@ -621,10 +613,7 @@ mod tests {
     #[test]
     fn eviction_prefers_low_benefit_entries() {
         let s = schema();
-        let mut c = AggregateCache::new(CacheConfig {
-            capacity: 2,
-            ..CacheConfig::default()
-        });
+        let mut c = AggregateCache::new(CacheConfig { capacity: 2 });
         let expensive = eu_96(&s);
         c.insert(expensive.clone(), MeasureSummary::of(1), 1_000);
         let cheap = Mds::new(vec![

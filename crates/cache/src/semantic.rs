@@ -16,8 +16,8 @@
 //! Let the query `Q` constrain dimension `i` at level `l_i^Q` and the cached
 //! entry `E` at level `l_i^E ≤ l_i^Q` (containment guarantees the entry is
 //! at-or-below the query's level in every dimension). Expanding each query
-//! value down to `l_i^E` via [`descendants_at`]
-//! (dc_hierarchy::ConceptHierarchy::descendants_at) yields `D_i` with
+//! value down to `l_i^E` via
+//! [`descendants_at`](dc_hierarchy::ConceptHierarchy::descendants_at) yields `D_i` with
 //! `E_i ⊆ D_i`, and `Q` selects exactly the cells of `D_1 × … × D_d`
 //! (ancestor composition: a record's ancestor at `l_i^Q` is in `Q_i` iff its
 //! ancestor at `l_i^E` is in `D_i`). The classic box difference then splits

@@ -15,8 +15,8 @@
 //!
 //! Every read of the tree — scalar aggregate, `group_by`, `pivot`, range
 //! selection and point count — is the one descent of `DcTree` over a
-//! prepared range, folding what it meets into a [`Visitor`]: [`Cells`]
-//! for the aggregates, [`Select`] for the selections.
+//! prepared range, folding what it meets into a `Visitor`: `Cells` for
+//! the aggregates, `Select` for the selections.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

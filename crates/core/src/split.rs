@@ -339,7 +339,7 @@ fn and_count(a: &[u64], b: &[u64]) -> usize {
 /// caller still *checks* balance and overlap afterwards and rejects
 /// (→ supernode) when the forced assignment spoiled the split.
 ///
-/// All set algebra runs word-parallel on [`Bitsets`] built once per call;
+/// All set algebra runs word-parallel on `Bitsets` built once per call;
 /// the covers are turned back into MDSs at the end.
 pub fn hierarchy_split(
     schema: &CubeSchema,

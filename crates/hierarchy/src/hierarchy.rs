@@ -491,8 +491,8 @@ impl ConceptHierarchy {
     }
 
     /// All descendants of `id` on `level` (in ID order); `id` itself when
-    /// `level == id.level()`. The downward mate of [`ancestor_at`]
-    /// (Self::ancestor_at): `d ∈ descendants_at(v, l)` iff
+    /// `level == id.level()`. The downward mate of
+    /// [`ancestor_at`](Self::ancestor_at): `d ∈ descendants_at(v, l)` iff
     /// `ancestor_at(d, v.level()) == v`. Used by the aggregate cache to
     /// expand a coarse query down to a cached entry's relevant level.
     ///

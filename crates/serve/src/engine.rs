@@ -135,9 +135,9 @@ pub enum StorageMode {
     /// `dc-oocore`'s concurrent, scan-resistant buffer pool — the cube may
     /// exceed RAM by an order of magnitude. A shard publishes its pooled
     /// tree, which a query reads under the shard's read lock for the length
-    /// of its descent there; the planner prices possibly-cold page fetches
-    /// via the observed pool miss rate, and STATS grows a `buffer_pool`
-    /// section.
+    /// of its descent there, and STATS grows a `buffer_pool` section.
+    /// Descent is its only backend: disk mode rejects
+    /// [`EngineConfig::planner`].
     Disk(DiskOptions),
 }
 
@@ -213,9 +213,9 @@ pub struct EngineConfig {
     /// lean: the planner still runs, but descent is the only candidate.
     pub planner: Option<PlannerOptions>,
     /// Where the shard trees live: RAM-resident (default) or disk-backed
-    /// through `dc-oocore`'s buffer pool. Queries, the planner and the
-    /// cache run the same code over both; a disk shard maintains only the
-    /// DC-tree backend, so disk mode rejects [`EngineConfig::planner`].
+    /// through `dc-oocore`'s buffer pool. Queries and the cache run the
+    /// same code over both; a disk shard maintains only the DC-tree
+    /// backend, so disk mode rejects [`EngineConfig::planner`].
     pub storage: StorageMode,
     /// Writable primary (default) or read-only replication follower.
     pub role: EngineRole,
@@ -1069,7 +1069,7 @@ impl ShardedDcTree {
 
     /// Applies WAL entries that are already durable in a segment — a
     /// recovered tail, or what a follower just mirrored — through the write
-    /// path, pulling [`REPLAY_CHUNK`] entries from `entries` at a time, so
+    /// path, pulling `REPLAY_CHUNK` entries from `entries` at a time, so
     /// a streamed source is never held whole: nothing is logged again, and
     /// the read-only guard does not apply. The applied frontier does NOT
     /// advance here: [`flush`](Self::flush), then
@@ -1438,6 +1438,12 @@ impl ShardedDcTree {
                 }
             }
         }
+        let shards = &self.metrics.shards;
+        for frag in &frags {
+            if let Some(pages) = frag.actual_pages {
+                shards[frag.shard].io_reads.fetch_add(pages, Relaxed);
+            }
+        }
         Ok((out, Explain::from_shards(frags)))
     }
 
@@ -1538,7 +1544,7 @@ impl ShardedDcTree {
 
     /// Evaluates `stmt` on **every** backend the visited shards all
     /// maintain, plus the planner's per-shard choice, from one gather — one
-    /// atomically acquired [`PlanState`] per shard — so on resident shards,
+    /// atomically acquired `PlanState` per shard — so on resident shards,
     /// even under concurrent ingest/delete churn, every returned output
     /// describes the same published data and must agree. (A disk shard's
     /// state is its live tree, locked once per evaluation: its outputs
@@ -1823,6 +1829,7 @@ fn apply_batch<S: NodeStore>(
     mut views: Option<&mut RollupViews>,
 ) {
     w.publish_asked = false;
+    let before = tree.io_stats();
     for cmd in batch {
         apply(w, cmd, tree, views.as_deref_mut());
     }
@@ -1832,6 +1839,13 @@ fn apply_batch<S: NodeStore>(
             apply(w, cmd, tree, views.as_deref_mut());
         }
     }
+    // A resident writer's tree has no readers, and a disk shard's wait on
+    // its write lock: the difference is the batch's own I/O.
+    let (io, shard) = (tree.io_stats(), &w.metrics.shards[w.shard_id]);
+    shard.io_reads.fetch_add(io.reads - before.reads, Relaxed);
+    shard
+        .io_writes
+        .fetch_add(io.writes - before.writes, Relaxed);
 }
 
 /// Applies one command to the shard tree, wherever its nodes live (`views`
@@ -1962,12 +1976,9 @@ fn publish<S: NodeStore>(
     views: Option<&RollupViews>,
 ) {
     let state = capture_plan_state(tree, published, views);
-    let io = tree.io_stats();
     let metrics = &w.metrics;
     let shard_metrics = &metrics.shards[w.shard_id];
     shard_metrics.snapshot_records.store(tree.len(), Relaxed);
-    shard_metrics.io_reads.store(io.reads, Relaxed);
-    shard_metrics.io_writes.store(io.writes, Relaxed);
     shard_metrics
         .snapshot_published_at
         .store(metrics.now_nanos().max(1), Relaxed);

@@ -1,8 +1,9 @@
 //! Engine observability: lock-free counters, per-shard gauges, and
-//! log-scaled latency histograms, rendered as one JSON object for the
+//! log-linear latency histograms, rendered as one JSON object for the
 //! `STATS` verb.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,36 +11,37 @@ use std::time::{Duration, Instant};
 use dc_plan::Backend;
 use parking_lot::Mutex;
 
-/// A log₂-bucketed latency histogram. Bucket `i` holds samples whose
-/// nanosecond count has its highest set bit at position `i`, so the range
-/// covers 1 ns .. ~584 years in 64 buckets with bounded (< 2×) relative
-/// error on reported percentiles — plenty for serving-latency telemetry.
+/// Sub-buckets per power of two (a power of two itself).
+const SUB_BUCKETS: usize = 8;
+/// Values below [`SUB_BUCKETS`] get one bucket each; every power of two
+/// from there up to 2⁶³ gets [`SUB_BUCKETS`].
+const BUCKETS: usize = SUB_BUCKETS * (65 - SUB_BUCKETS.trailing_zeros() as usize);
+
+/// A log-linear (HDR-style) latency histogram over nanoseconds: each power
+/// of two is split into 8 equal sub-buckets, so 496 buckets cover 0 ns ..
+/// ~584 years, and a reported quantile — the upper bound of the sub-bucket
+/// holding it — is at most 1/8 above the true sample (exact below 8 ns).
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; 64],
+    buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_nanos: AtomicU64,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    pub fn new() -> Self {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_nanos: AtomicU64::new(0),
         }
     }
+}
 
+impl LatencyHistogram {
     /// Records one sample.
     pub fn record(&self, d: Duration) {
         let nanos = d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let bucket = 63 - nanos.max(1).leading_zeros() as usize;
-        self.buckets[bucket].fetch_add(1, Relaxed);
+        self.buckets[bucket_of(nanos)].fetch_add(1, Relaxed);
         self.count.fetch_add(1, Relaxed);
         self.sum_nanos.fetch_add(nanos, Relaxed);
     }
@@ -58,8 +60,8 @@ impl LatencyHistogram {
         Duration::from_nanos(self.sum_nanos.load(Relaxed) / n)
     }
 
-    /// The latency at quantile `q` in `[0, 1]` (upper bucket bound), or
-    /// zero when empty.
+    /// The latency at quantile `q` in `[0, 1]` (upper bound of the
+    /// sub-bucket holding it), or zero when empty.
     pub fn quantile(&self, q: f64) -> Duration {
         let total = self.count();
         if total == 0 {
@@ -70,17 +72,31 @@ impl LatencyHistogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Relaxed);
             if seen >= rank {
-                // Upper bound of bucket i: 2^(i+1) - 1 nanos.
-                let bound = if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                return Duration::from_nanos(bound);
+                return Duration::from_nanos(bucket_upper_bound(i));
             }
         }
         Duration::from_nanos(u64::MAX)
     }
+}
+
+/// `v`'s bucket: `v` itself below [`SUB_BUCKETS`], else its power of two's
+/// group, indexed by the log₂ [`SUB_BUCKETS`] bits below its top bit.
+fn bucket_of(v: u64) -> usize {
+    if v < SUB_BUCKETS as u64 {
+        return v as usize;
+    }
+    let shift = 63 - v.leading_zeros() - SUB_BUCKETS.trailing_zeros();
+    (shift as usize + 1) * SUB_BUCKETS + (v >> shift) as usize % SUB_BUCKETS
+}
+
+/// The largest value [`bucket_of`] maps to bucket `i`.
+fn bucket_upper_bound(i: usize) -> u64 {
+    if i < SUB_BUCKETS {
+        return i as u64;
+    }
+    let shift = i / SUB_BUCKETS - 1;
+    let next = (SUB_BUCKETS + i % SUB_BUCKETS + 1) as u128;
+    ((next << shift) - 1).min(u128::from(u64::MAX)) as u64
 }
 
 /// Per-shard gauges, updated by that shard's writer thread (and the ingest
@@ -98,13 +114,12 @@ pub struct ShardMetrics {
     pub snapshot_published_at: AtomicU64,
     /// Snapshots the shard's writer has published since start.
     pub publishes: AtomicU64,
-    /// Logical page reads of the shard's writer tree since start, as of
-    /// the last publish ([`DcTree::io_stats`](dc_tree::DcTree::io_stats);
-    /// the same blocks in either storage mode — a disk shard's pool
-    /// touches are in the `buffer_pool` block).
+    /// Logical page reads of the shard since start: the blocks its
+    /// writer's batches read, plus the pages every query read on it (each
+    /// fragment's EXPLAIN `actual_pages`). The same count in either storage
+    /// mode; a disk shard's pool touches are in the `buffer_pool` block.
     pub io_reads: AtomicU64,
-    /// Logical page writes of the shard's writer tree since start, as of
-    /// the last publish.
+    /// Logical page writes of the shard's writer since start.
     pub io_writes: AtomicU64,
 }
 
@@ -199,9 +214,9 @@ impl PlanMetrics {
 }
 
 /// Buffer-pool observability (`dc-oocore`): aggregated over every shard's
-/// pool when the engine runs disk-backed ([`StorageMode::Disk`]
-/// (crate::StorageMode::Disk)). All zero — and the STATS section absent —
-/// in RAM-resident mode. Refreshed from the pools by
+/// pool when the engine runs disk-backed
+/// ([`StorageMode::Disk`](crate::StorageMode::Disk)). All zero — and the
+/// STATS section absent — in RAM-resident mode. Refreshed from the pools by
 /// [`crate::ShardedDcTree::stats_json`] and at each snapshot publish.
 #[derive(Default)]
 pub struct BufferPoolMetrics {
@@ -230,16 +245,16 @@ pub struct BufferPoolMetrics {
     pub decoded_nodes: AtomicU64,
 }
 
-/// A log₂-bucketed histogram over dimensionless counts (pipeline depths),
-/// reusing [`LatencyHistogram`]'s bucket machinery with 1 "nano" = 1 unit.
+/// A log-linear histogram over dimensionless counts (pipeline depths),
+/// reusing [`LatencyHistogram`]'s buckets with 1 "nano" = 1 unit.
 #[derive(Default)]
 pub struct DepthHistogram {
     inner: LatencyHistogram,
 }
 
 impl DepthHistogram {
-    /// Records one observation (clamped up to 1 so depth 0 still lands in
-    /// the first bucket).
+    /// Records one observation, clamped up to 1 (the request being
+    /// admitted is itself in flight).
     pub fn record(&self, depth: u64) {
         self.inner.record(Duration::from_nanos(depth.max(1)));
     }
@@ -252,7 +267,7 @@ impl DepthHistogram {
         self.inner.mean().as_nanos() as f64
     }
 
-    /// Upper bucket bound at quantile `q`, as a plain count.
+    /// The count at quantile `q` (upper bound of its sub-bucket).
     pub fn quantile(&self, q: f64) -> u64 {
         self.inner.quantile(q).as_nanos().min(u128::from(u64::MAX)) as u64
     }
@@ -392,10 +407,20 @@ pub struct DurabilityMetrics {
     pub recovery_tail_lost: AtomicU64,
 }
 
+/// When the metrics were created: what uptime and snapshot ages count from.
+struct Epoch(Instant);
+
+impl Default for Epoch {
+    fn default() -> Self {
+        Epoch(Instant::now())
+    }
+}
+
 /// Engine-wide metrics: totals, rates, latency histograms, per-shard
 /// gauges.
+#[derive(Default)]
 pub struct EngineMetrics {
-    start: Instant,
+    start: Epoch,
     /// Inserts the write path has accepted since start — single, batched,
     /// or replayed from the WAL on recovery or replication.
     pub inserts: AtomicU64,
@@ -444,35 +469,19 @@ pub struct EngineMetrics {
 impl EngineMetrics {
     pub fn new(num_shards: usize) -> Self {
         EngineMetrics {
-            start: Instant::now(),
-            inserts: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            shard_visits: AtomicU64::new(0),
-            query_latency: LatencyHistogram::new(),
-            apply_latency: LatencyHistogram::new(),
-            insert_batches: AtomicU64::new(0),
-            insert_batch_records: AtomicU64::new(0),
-            batch_apply_latency: LatencyHistogram::new(),
-            cache: CacheMetrics::default(),
-            pool: PoolMetrics::default(),
-            plan: PlanMetrics::default(),
-            durability: DurabilityMetrics::default(),
-            buffer_pool: BufferPoolMetrics::default(),
-            replication: ReplicationMetrics::default(),
-            net: NetMetrics::default(),
             shards: (0..num_shards).map(|_| ShardMetrics::default()).collect(),
+            ..Self::default()
         }
     }
 
     /// Nanoseconds since engine start (the clock snapshot gauges use).
     pub fn now_nanos(&self) -> u64 {
-        self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+        self.uptime().as_nanos().min(u128::from(u64::MAX)) as u64
     }
 
     /// Engine uptime.
     pub fn uptime(&self) -> Duration {
-        self.start.elapsed()
+        self.start.0.elapsed()
     }
 
     /// Age of shard `i`'s published snapshot (time since last publish).
@@ -488,443 +497,213 @@ impl EngineMetrics {
     pub fn to_json(&self) -> String {
         let uptime = self.uptime().as_secs_f64().max(1e-9);
         let inserts = self.inserts.load(Relaxed);
-        let deletes = self.deletes.load(Relaxed);
         let queries = self.queries.load(Relaxed);
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        push_kv(&mut s, "uptime_secs", &format!("{uptime:.3}"));
-        push_kv(&mut s, "inserts_total", &inserts.to_string());
-        push_kv(&mut s, "deletes_total", &deletes.to_string());
-        push_kv(&mut s, "queries_total", &queries.to_string());
-        push_kv(
-            &mut s,
-            "inserts_per_sec",
-            &format!("{:.1}", inserts as f64 / uptime),
-        );
-        push_kv(
-            &mut s,
-            "queries_per_sec",
-            &format!("{:.1}", queries as f64 / uptime),
-        );
-        push_kv(
-            &mut s,
-            "avg_shards_per_query",
-            &format!(
-                "{:.2}",
-                self.shard_visits.load(Relaxed) as f64 / (queries.max(1)) as f64
-            ),
-        );
-        push_kv(
-            &mut s,
-            "query_latency_us",
-            &latency_json(&self.query_latency),
-        );
-        push_kv(
-            &mut s,
-            "apply_latency_us",
-            &latency_json(&self.apply_latency),
-        );
-        push_kv(&mut s, "ingest", &self.ingest_json());
-        push_kv(&mut s, "cache", &self.cache_json());
-        push_kv(&mut s, "pool", &self.pool_json());
-        push_kv(&mut s, "plan", &self.plan_json());
-        push_kv(&mut s, "durability", &self.durability_json());
-        if self.buffer_pool.enabled.load(Relaxed) != 0 {
-            push_kv(&mut s, "buffer_pool", &self.buffer_pool_json());
-        }
-        if self.replication.enabled.load(Relaxed) != 0 {
-            push_kv(&mut s, "replication", &self.replication_json());
-        }
-        if self.net.enabled.load(Relaxed) != 0 {
-            push_kv(&mut s, "net", &self.net_json());
-        }
-        s.push_str("\"shards\":[");
-        for (i, sh) in self.shards.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        let visits = self.shard_visits.load(Relaxed);
+        Obj::render(|o| {
+            o.float("uptime_secs", uptime, 3)
+                .int("inserts_total", inserts)
+                .counter("deletes_total", &self.deletes)
+                .int("queries_total", queries)
+                .float("inserts_per_sec", inserts as f64 / uptime, 1)
+                .float("queries_per_sec", queries as f64 / uptime, 1)
+                .ratio("avg_shards_per_query", visits, queries, 2)
+                .latency("query_latency_us", &self.query_latency)
+                .latency("apply_latency_us", &self.apply_latency);
+            o.object("ingest", |o| {
+                let batches = self.insert_batches.load(Relaxed);
+                let records = self.insert_batch_records.load(Relaxed);
+                o.int("batches", batches)
+                    .int("batch_records", records)
+                    .ratio("mean_batch_size", records, batches, 1)
+                    .latency("batch_apply_latency_us", &self.batch_apply_latency);
+            });
+            o.object("cache", |o| {
+                let hits = self.cache.hits.load(Relaxed);
+                let semantic = self.cache.semantic_hits.load(Relaxed);
+                let misses = self.cache.misses.load(Relaxed);
+                o.int("hits", hits)
+                    .int("semantic_hits", semantic)
+                    .int("misses", misses)
+                    .ratio("hit_rate", hits + semantic, hits + semantic + misses, 3)
+                    .counter("patches", &self.cache.patches)
+                    .counter("invalidations", &self.cache.invalidations)
+                    .counter("insertions", &self.cache.insertions)
+                    .counter("evictions", &self.cache.evictions)
+                    .counter("entries", &self.cache.entries)
+                    .latency("lookup_latency_us", &self.cache.lookup_latency);
+            });
+            o.object("pool", |o| {
+                o.counter("workers", &self.pool.workers)
+                    .counter("queued_tasks", &self.pool.queued_tasks)
+                    .counter("busy_workers", &self.pool.busy_workers)
+                    .counter("tasks", &self.pool.tasks)
+                    .counter("inline_tasks", &self.pool.inline_tasks)
+                    .counter("steals", &self.pool.steals)
+                    .latency("task_latency_us", &self.pool.task_latency);
+            });
+            o.object("plan", |o| {
+                o.counter("plans", &self.plan.plans)
+                    .counter("explains", &self.plan.explains)
+                    .object("chose", |o| {
+                        for b in Backend::ALL {
+                            o.counter(b.name(), self.plan.chosen(b));
+                        }
+                    })
+                    .counter("mispredictions", &self.plan.mispredictions)
+                    .counter("est_pages", &self.plan.est_pages)
+                    .counter("actual_pages", &self.plan.actual_pages);
+            });
+            o.object("durability", |o| {
+                let d = &self.durability;
+                o.counter("wal_appends", &d.wal_appends)
+                    .counter("wal_syncs", &d.wal_syncs)
+                    .counter("wal_rotations", &d.wal_rotations)
+                    .counter("wal_segment", &d.wal_segment)
+                    .counter("wal_last_lsn", &d.wal_last_lsn)
+                    .counter("wal_synced_lsn", &d.wal_synced_lsn)
+                    .counter("checkpoints", &d.checkpoints)
+                    .counter("checkpoint_last_lsn", &d.checkpoint_last_lsn)
+                    .counter("checkpoint_last_bytes", &d.checkpoint_last_bytes)
+                    .counter("recovery_checkpoint_lsn", &d.recovery_checkpoint_lsn)
+                    .counter("recovery_replayed_entries", &d.recovery_replayed_entries)
+                    .counter("recovery_truncated_bytes", &d.recovery_truncated_bytes)
+                    .counter("recovery_tail_lost", &d.recovery_tail_lost);
+            });
+            let b = &self.buffer_pool;
+            if b.enabled.load(Relaxed) != 0 {
+                o.object("buffer_pool", |o| {
+                    let hits = b.hits.load(Relaxed);
+                    let misses = b.misses.load(Relaxed);
+                    o.int("pool_hits", hits)
+                        .int("pool_misses", misses)
+                        .ratio("pool_hit_rate", hits, hits + misses, 3)
+                        .counter("pool_evictions", &b.evictions)
+                        .counter("pool_writebacks", &b.writebacks)
+                        .counter("pool_resident", &b.resident)
+                        .counter("pool_capacity", &b.capacity)
+                        .counter("node_decodes", &b.node_decodes)
+                        .counter("node_encodes", &b.node_encodes)
+                        .counter("decoded_hits", &b.decoded_hits)
+                        .counter("decoded_nodes", &b.decoded_nodes);
+                });
             }
-            s.push('{');
-            push_kv(
-                &mut s,
-                "queue_depth",
-                &sh.queue_depth.load(Relaxed).to_string(),
-            );
-            push_kv(&mut s, "applied", &sh.applied.load(Relaxed).to_string());
-            push_kv(
-                &mut s,
-                "snapshot_records",
-                &sh.snapshot_records.load(Relaxed).to_string(),
-            );
-            push_kv(
-                &mut s,
-                "snapshot_age_ms",
-                &format!("{:.1}", self.snapshot_age(i).as_secs_f64() * 1e3),
-            );
-            push_kv(&mut s, "io_reads", &sh.io_reads.load(Relaxed).to_string());
-            s.push_str("\"io_writes\":");
-            s.push_str(&sh.io_writes.load(Relaxed).to_string());
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// The `"ingest"` sub-object of the STATS payload: batched-write
-    /// gauges (all zero while only single-record INSERTs arrive).
-    fn ingest_json(&self) -> String {
-        let batches = self.insert_batches.load(Relaxed);
-        let batch_records = self.insert_batch_records.load(Relaxed);
-        let mut s = String::with_capacity(160);
-        s.push('{');
-        push_kv(&mut s, "batches", &batches.to_string());
-        push_kv(&mut s, "batch_records", &batch_records.to_string());
-        push_kv(
-            &mut s,
-            "mean_batch_size",
-            &format!("{:.1}", batch_records as f64 / batches.max(1) as f64),
-        );
-        s.push_str("\"batch_apply_latency_us\":");
-        s.push_str(&latency_json(&self.batch_apply_latency));
-        s.push('}');
-        s
-    }
-
-    /// The `"cache"` sub-object of the STATS payload.
-    fn cache_json(&self) -> String {
-        let c = &self.cache;
-        let hits = c.hits.load(Relaxed);
-        let semantic = c.semantic_hits.load(Relaxed);
-        let misses = c.misses.load(Relaxed);
-        let lookups = hits + semantic + misses;
-        let mut s = String::with_capacity(256);
-        s.push('{');
-        push_kv(&mut s, "hits", &hits.to_string());
-        push_kv(&mut s, "semantic_hits", &semantic.to_string());
-        push_kv(&mut s, "misses", &misses.to_string());
-        push_kv(
-            &mut s,
-            "hit_rate",
-            &format!("{:.3}", (hits + semantic) as f64 / lookups.max(1) as f64),
-        );
-        push_kv(&mut s, "patches", &c.patches.load(Relaxed).to_string());
-        push_kv(
-            &mut s,
-            "invalidations",
-            &c.invalidations.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "insertions",
-            &c.insertions.load(Relaxed).to_string(),
-        );
-        push_kv(&mut s, "evictions", &c.evictions.load(Relaxed).to_string());
-        push_kv(&mut s, "entries", &c.entries.load(Relaxed).to_string());
-        s.push_str("\"lookup_latency_us\":");
-        s.push_str(&latency_json(&c.lookup_latency));
-        s.push('}');
-        s
-    }
-
-    /// The `"pool"` sub-object of the STATS payload.
-    fn pool_json(&self) -> String {
-        let p = &self.pool;
-        let mut s = String::with_capacity(192);
-        s.push('{');
-        push_kv(&mut s, "workers", &p.workers.load(Relaxed).to_string());
-        push_kv(
-            &mut s,
-            "queued_tasks",
-            &p.queued_tasks.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "busy_workers",
-            &p.busy_workers.load(Relaxed).to_string(),
-        );
-        push_kv(&mut s, "tasks", &p.tasks.load(Relaxed).to_string());
-        push_kv(
-            &mut s,
-            "inline_tasks",
-            &p.inline_tasks.load(Relaxed).to_string(),
-        );
-        push_kv(&mut s, "steals", &p.steals.load(Relaxed).to_string());
-        s.push_str("\"task_latency_us\":");
-        s.push_str(&latency_json(&p.task_latency));
-        s.push('}');
-        s
-    }
-
-    /// The `"plan"` sub-object of the STATS payload.
-    fn plan_json(&self) -> String {
-        let p = &self.plan;
-        let mut s = String::with_capacity(224);
-        s.push('{');
-        push_kv(&mut s, "plans", &p.plans.load(Relaxed).to_string());
-        push_kv(&mut s, "explains", &p.explains.load(Relaxed).to_string());
-        let mut chose = String::with_capacity(96);
-        chose.push('{');
-        for (i, b) in Backend::ALL.iter().enumerate() {
-            if i > 0 {
-                chose.push(',');
+            let r = &self.replication;
+            if r.enabled.load(Relaxed) != 0 {
+                o.object("replication", |o| {
+                    let follower = r.follower.load(Relaxed) != 0;
+                    o.str("role", if follower { "follower" } else { "primary" })
+                        .counter("applied_lsn", &r.applied_lsn)
+                        .counter("segment_fetches", &r.segment_fetches)
+                        .counter("segments_shipped", &r.segments_shipped)
+                        .counter("bytes_shipped", &r.bytes_shipped)
+                        .counter("checkpoint_fetches", &r.checkpoint_fetches)
+                        .counter("checkpoint_redirects", &r.checkpoint_redirects)
+                        .counter("waits", &r.waits)
+                        .counter("wait_timeouts", &r.wait_timeouts);
+                });
             }
-            chose.push('"');
-            chose.push_str(b.name());
-            chose.push_str("\":");
-            chose.push_str(&p.chosen(*b).load(Relaxed).to_string());
-        }
-        chose.push('}');
-        push_kv(&mut s, "chose", &chose);
-        push_kv(
-            &mut s,
-            "mispredictions",
-            &p.mispredictions.load(Relaxed).to_string(),
-        );
-        push_kv(&mut s, "est_pages", &p.est_pages.load(Relaxed).to_string());
-        s.push_str("\"actual_pages\":");
-        s.push_str(&p.actual_pages.load(Relaxed).to_string());
-        s.push('}');
-        s
-    }
-
-    /// The `"buffer_pool"` sub-object of the STATS payload (disk mode only).
-    fn buffer_pool_json(&self) -> String {
-        let b = &self.buffer_pool;
-        let hits = b.hits.load(Relaxed);
-        let misses = b.misses.load(Relaxed);
-        let mut s = String::with_capacity(192);
-        s.push('{');
-        push_kv(&mut s, "pool_hits", &hits.to_string());
-        push_kv(&mut s, "pool_misses", &misses.to_string());
-        push_kv(
-            &mut s,
-            "pool_hit_rate",
-            &format!("{:.3}", hits as f64 / (hits + misses).max(1) as f64),
-        );
-        push_kv(
-            &mut s,
-            "pool_evictions",
-            &b.evictions.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "pool_writebacks",
-            &b.writebacks.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "pool_resident",
-            &b.resident.load(Relaxed).to_string(),
-        );
-        for (key, counter) in [
-            ("pool_capacity", &b.capacity),
-            ("node_decodes", &b.node_decodes),
-            ("node_encodes", &b.node_encodes),
-            ("decoded_hits", &b.decoded_hits),
-        ] {
-            push_kv(&mut s, key, &counter.load(Relaxed).to_string());
-        }
-        s.push_str("\"decoded_nodes\":");
-        s.push_str(&b.decoded_nodes.load(Relaxed).to_string());
-        s.push('}');
-        s
-    }
-
-    /// The `"replication"` sub-object of the STATS payload (replication
-    /// setups only).
-    fn replication_json(&self) -> String {
-        let r = &self.replication;
-        let mut s = String::with_capacity(256);
-        s.push('{');
-        push_kv(
-            &mut s,
-            "role",
-            if r.follower.load(Relaxed) != 0 {
-                "\"follower\""
-            } else {
-                "\"primary\""
-            },
-        );
-        push_kv(
-            &mut s,
-            "applied_lsn",
-            &r.applied_lsn.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "segment_fetches",
-            &r.segment_fetches.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "segments_shipped",
-            &r.segments_shipped.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "bytes_shipped",
-            &r.bytes_shipped.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "checkpoint_fetches",
-            &r.checkpoint_fetches.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "checkpoint_redirects",
-            &r.checkpoint_redirects.load(Relaxed).to_string(),
-        );
-        push_kv(&mut s, "waits", &r.waits.load(Relaxed).to_string());
-        s.push_str("\"wait_timeouts\":");
-        s.push_str(&r.wait_timeouts.load(Relaxed).to_string());
-        s.push('}');
-        s
-    }
-
-    /// The `"net"` sub-object of the STATS payload (served engines only).
-    fn net_json(&self) -> String {
-        let n = &self.net;
-        let mut s = String::with_capacity(320);
-        s.push('{');
-        push_kv(
-            &mut s,
-            "active_connections",
-            &n.active_connections.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "accepted_total",
-            &n.accepted_total.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "requests_total",
-            &n.requests_total.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "shed_total",
-            &n.shed_total.load(Relaxed).to_string(),
-        );
-        push_kv(&mut s, "bytes_in", &n.bytes_in.load(Relaxed).to_string());
-        push_kv(&mut s, "bytes_out", &n.bytes_out.load(Relaxed).to_string());
-        push_kv(
-            &mut s,
-            "pipeline_depth",
-            &format!(
-                "{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{}}}",
-                n.pipeline_depth.count(),
-                n.pipeline_depth.mean(),
-                n.pipeline_depth.quantile(0.50),
-                n.pipeline_depth.quantile(0.99),
-            ),
-        );
-        let mut tenants = String::with_capacity(96);
-        tenants.push('{');
-        for (i, (name, admitted, denied)) in self.net.tenant_counts().iter().enumerate() {
-            if i > 0 {
-                tenants.push(',');
+            let n = &self.net;
+            if n.enabled.load(Relaxed) != 0 {
+                o.object("net", |o| {
+                    let depth = &n.pipeline_depth;
+                    o.counter("active_connections", &n.active_connections)
+                        .counter("accepted_total", &n.accepted_total)
+                        .counter("requests_total", &n.requests_total)
+                        .counter("shed_total", &n.shed_total)
+                        .counter("bytes_in", &n.bytes_in)
+                        .counter("bytes_out", &n.bytes_out)
+                        .object("pipeline_depth", |o| {
+                            o.int("count", depth.count())
+                                .float("mean", depth.mean(), 1)
+                                .int("p50", depth.quantile(0.50))
+                                .int("p99", depth.quantile(0.99));
+                        })
+                        .object("tenants", |o| {
+                            for (name, admitted, denied) in n.tenant_counts() {
+                                o.object(&name, |o| {
+                                    o.int("admitted", admitted).int("denied", denied);
+                                });
+                            }
+                        });
+                });
             }
-            tenants.push('"');
-            tenants.push_str(name);
-            tenants.push_str("\":{\"admitted\":");
-            tenants.push_str(&admitted.to_string());
-            tenants.push_str(",\"denied\":");
-            tenants.push_str(&denied.to_string());
-            tenants.push('}');
-        }
-        tenants.push('}');
-        s.push_str("\"tenants\":");
-        s.push_str(&tenants);
-        s.push('}');
-        s
-    }
-
-    /// The `"durability"` sub-object of the STATS payload.
-    fn durability_json(&self) -> String {
-        let d = &self.durability;
-        let mut s = String::with_capacity(256);
-        s.push('{');
-        push_kv(
-            &mut s,
-            "wal_appends",
-            &d.wal_appends.load(Relaxed).to_string(),
-        );
-        push_kv(&mut s, "wal_syncs", &d.wal_syncs.load(Relaxed).to_string());
-        push_kv(
-            &mut s,
-            "wal_rotations",
-            &d.wal_rotations.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "wal_segment",
-            &d.wal_segment.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "wal_last_lsn",
-            &d.wal_last_lsn.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "wal_synced_lsn",
-            &d.wal_synced_lsn.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "checkpoints",
-            &d.checkpoints.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "checkpoint_last_lsn",
-            &d.checkpoint_last_lsn.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "checkpoint_last_bytes",
-            &d.checkpoint_last_bytes.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "recovery_checkpoint_lsn",
-            &d.recovery_checkpoint_lsn.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "recovery_replayed_entries",
-            &d.recovery_replayed_entries.load(Relaxed).to_string(),
-        );
-        push_kv(
-            &mut s,
-            "recovery_truncated_bytes",
-            &d.recovery_truncated_bytes.load(Relaxed).to_string(),
-        );
-        s.push_str("\"recovery_tail_lost\":");
-        s.push_str(&d.recovery_tail_lost.load(Relaxed).to_string());
-        s.push('}');
-        s
+            o.array("shards", self.shards.len(), |o, i| {
+                let shard = &self.shards[i];
+                let age_ms = self.snapshot_age(i).as_secs_f64() * 1e3;
+                o.counter("queue_depth", &shard.queue_depth)
+                    .counter("applied", &shard.applied)
+                    .counter("snapshot_records", &shard.snapshot_records)
+                    .float("snapshot_age_ms", age_ms, 1)
+                    .counter("io_reads", &shard.io_reads)
+                    .counter("io_writes", &shard.io_writes);
+            });
+        })
     }
 }
 
-fn latency_json(h: &LatencyHistogram) -> String {
-    format!(
-        "{{\"count\":{},\"mean\":{:.1},\"p50\":{:.1},\"p99\":{:.1}}}",
-        h.count(),
-        h.mean().as_secs_f64() * 1e6,
-        h.quantile(0.50).as_secs_f64() * 1e6,
-        h.quantile(0.99).as_secs_f64() * 1e6,
-    )
-}
+/// The STATS JSON writer: one object's members, in call order. Only it
+/// writes quotes, colons, commas, braces and brackets; keys and strings go
+/// out verbatim (names chosen here, or tenant names, which `HELLO` limits
+/// to JSON-safe characters).
+#[derive(Default)]
+struct Obj(String);
 
-/// Appends `"key":value,` — `value` must already be valid JSON.
-fn push_kv(s: &mut String, key: &str, value: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(value);
-    s.push(',');
+impl Obj {
+    /// The object whose members `body` writes.
+    fn render(body: impl FnOnce(&mut Obj)) -> String {
+        let mut o = Obj::default();
+        body(&mut o);
+        format!("{{{}}}", o.0)
+    }
+
+    /// Writes the member `key` with `value`: the one place members are
+    /// separated and keys quoted.
+    fn put(&mut self, key: &str, value: std::fmt::Arguments) -> &mut Self {
+        let sep = if self.0.is_empty() { "" } else { "," };
+        write!(self.0, "{sep}\"{key}\":{value}").expect("a String takes any write");
+        self
+    }
+
+    fn int(&mut self, key: &str, v: u64) -> &mut Self {
+        self.put(key, format_args!("{v}"))
+    }
+
+    fn counter(&mut self, key: &str, c: &AtomicU64) -> &mut Self {
+        self.int(key, c.load(Relaxed))
+    }
+
+    fn float(&mut self, key: &str, v: f64, digits: usize) -> &mut Self {
+        self.put(key, format_args!("{v:.digits$}"))
+    }
+
+    /// `num / den` (`num` when `den` is 0) to `digits` decimal places.
+    fn ratio(&mut self, key: &str, num: u64, den: u64, digits: usize) -> &mut Self {
+        self.float(key, num as f64 / den.max(1) as f64, digits)
+    }
+
+    fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        self.put(key, format_args!("\"{v}\""))
+    }
+
+    fn object(&mut self, key: &str, body: impl FnOnce(&mut Obj)) -> &mut Self {
+        self.put(key, format_args!("{}", Obj::render(body)))
+    }
+
+    /// An array of `len` objects, the `i`th written by `body(o, i)`.
+    fn array(&mut self, key: &str, len: usize, body: impl Fn(&mut Obj, usize)) {
+        let objects: Vec<String> = (0..len).map(|i| Obj::render(|o| body(o, i))).collect();
+        self.put(key, format_args!("[{}]", objects.join(",")));
+    }
+
+    /// A latency histogram's sample count, and its mean and quantiles in µs.
+    fn latency(&mut self, key: &str, h: &LatencyHistogram) -> &mut Self {
+        self.object(key, |o| {
+            o.int("count", h.count())
+                .float("mean", h.mean().as_secs_f64() * 1e6, 1)
+                .float("p50", h.quantile(0.50).as_secs_f64() * 1e6, 1)
+                .float("p99", h.quantile(0.99).as_secs_f64() * 1e6, 1);
+        })
+    }
 }
 
 #[cfg(test)]
@@ -933,7 +712,7 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_bracket_samples() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         for micros in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 1000] {
             h.record(Duration::from_micros(micros));
         }
@@ -946,8 +725,34 @@ mod tests {
     }
 
     #[test]
+    fn quantiles_read_within_an_eighth_of_the_samples() {
+        let h = LatencyHistogram::default();
+        let sample = Duration::from_micros(1_500);
+        for _ in 0..1_000 {
+            h.record(sample);
+        }
+        for q in [0.50, 0.99] {
+            let read = h.quantile(q);
+            assert!(
+                read >= sample && read <= sample + sample / 8,
+                "p{q}: {read:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bucket_reads_as_the_largest_value_it_holds() {
+        // Below 8 every value has its own bucket.
+        for v in (0..64).chain([1_000, 1_500_000, u64::MAX - 1, u64::MAX]) {
+            let upper = bucket_upper_bound(bucket_of(v));
+            assert!(upper >= v && upper - v <= v / 8, "{v}: {upper}");
+            assert_eq!(bucket_of(upper), bucket_of(v));
+        }
+    }
+
+    #[test]
     fn empty_histogram_is_zero() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         assert_eq!(h.quantile(0.99), Duration::ZERO);
         assert_eq!(h.mean(), Duration::ZERO);
     }

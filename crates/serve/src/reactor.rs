@@ -57,35 +57,10 @@ use std::thread::JoinHandle;
 use crate::engine::ShardedDcTree;
 
 /// Reactor front-end knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ReactorConfig {
-    /// Event-loop threads. Each owns a `poll` set and a share of the
-    /// connections; reactor 0 also owns the listener.
-    pub reactors: usize,
-    /// Worker threads executing engine verbs (must cover the worst-case
-    /// number of concurrently *blocking* requests, e.g. `WAIT_LSN`).
-    pub workers: usize,
-    /// A connection idle longer than this (nothing read, nothing pending)
-    /// is closed.
-    pub read_timeout: std::time::Duration,
-    /// Granularity of stop-flag checks and idle scans when no I/O is
-    /// happening. This is the *only* timed wakeup — readiness and
-    /// completions wake the loop directly.
-    pub tick: std::time::Duration,
     /// Admission control (token buckets + overload shedding).
     pub admission: crate::admission::AdmissionConfig,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            reactors: 2,
-            workers: 4,
-            read_timeout: std::time::Duration::from_secs(30),
-            tick: std::time::Duration::from_millis(100),
-            admission: crate::admission::AdmissionConfig::default(),
-        }
-    }
 }
 
 /// A running server. Dropping the handle without calling
@@ -233,6 +208,19 @@ mod imp {
     use crate::metrics::TenantNetMetrics;
     use crate::protocol::{self, Control, Request};
 
+    /// Event-loop threads. Each owns a `poll` set and a share of the
+    /// connections; reactor 0 also owns the listener.
+    const REACTORS: usize = 2;
+    /// Worker threads executing engine verbs (must cover the worst-case
+    /// number of concurrently *blocking* requests, e.g. `WAIT_LSN`).
+    const WORKERS: usize = 4;
+    /// A connection idle longer than this (nothing read, nothing pending) is
+    /// closed.
+    const READ_TIMEOUT: Duration = Duration::from_secs(30);
+    /// Granularity of stop-flag checks and idle scans when no I/O is
+    /// happening. This is the *only* timed wakeup — readiness and completions
+    /// wake the loop directly.
+    const TICK: Duration = Duration::from_millis(100);
     /// `pollfd` index of the read end of the reactor's wake socket pair.
     const WAKE: usize = 0;
     /// `pollfd` index of the listener (fd `-1` on every reactor but 0).
@@ -292,7 +280,6 @@ mod imp {
         engine: Arc<ShardedDcTree>,
         stop: Arc<AtomicBool>,
         admission: AdmissionController,
-        cfg: ReactorConfig,
         jobs: Mutex<VecDeque<Job>>,
         jobs_cv: Condvar,
         /// Jobs decoded and admitted but not yet finished by a worker —
@@ -389,12 +376,9 @@ mod imp {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let num_reactors = config.reactors.max(1);
-        let num_workers = config.workers.max(1);
-
-        let mut reactors = Vec::with_capacity(num_reactors);
-        let mut wake_readers = Vec::with_capacity(num_reactors);
-        for _ in 0..num_reactors {
+        let mut reactors = Vec::with_capacity(REACTORS);
+        let mut wake_readers = Vec::with_capacity(REACTORS);
+        for _ in 0..REACTORS {
             let (reader, writer) = UnixStream::pair()?;
             reader.set_nonblocking(true)?;
             writer.set_nonblocking(true)?;
@@ -407,10 +391,9 @@ mod imp {
             });
         }
         let shared = Arc::new(Shared {
-            admission: AdmissionController::new(config.admission.clone()),
+            admission: AdmissionController::new(config.admission),
             engine: Arc::clone(&engine),
             stop: Arc::clone(&stop),
-            cfg: config,
             jobs: Mutex::new(VecDeque::new()),
             jobs_cv: Condvar::new(),
             jobs_depth: AtomicU64::new(0),
@@ -429,7 +412,7 @@ mod imp {
                     .spawn(move || Reactor::new(id, shared, listener, wake).run())?,
             );
         }
-        for id in 0..num_workers {
+        for id in 0..WORKERS {
             let shared = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
@@ -545,9 +528,8 @@ mod imp {
         }
 
         fn run(mut self) {
-            let tick_ms = self.shared.cfg.tick.as_millis().clamp(1, 60_000) as i32;
             while !self.shared.stop.load(SeqCst) {
-                let Ok(mut ready) = sys::wait(&mut self.fds, tick_ms) else {
+                let Ok(mut ready) = sys::wait(&mut self.fds, TICK.as_millis() as i32) else {
                     break;
                 };
                 if ready > 0 && self.fds[WAKE].revents != 0 {
@@ -573,7 +555,7 @@ mod imp {
                 // events) so a coalesced wake byte never strands work.
                 self.adopt_injected();
                 self.apply_completions();
-                if self.last_idle_scan.elapsed() >= self.shared.cfg.tick {
+                if self.last_idle_scan.elapsed() >= TICK {
                     self.scan_idle();
                     self.last_idle_scan = Instant::now();
                 }
@@ -1054,11 +1036,10 @@ mod imp {
         }
 
         fn scan_idle(&mut self) {
-            let timeout = self.shared.cfg.read_timeout;
             let mut expired = Vec::new();
             for (slot, conn) in self.conns.iter().enumerate() {
                 if let Some(c) = conn {
-                    if c.idle_and_drained() && c.last_activity.elapsed() >= timeout {
+                    if c.idle_and_drained() && c.last_activity.elapsed() >= READ_TIMEOUT {
                         expired.push(slot);
                     }
                 }

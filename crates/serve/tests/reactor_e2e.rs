@@ -130,10 +130,7 @@ fn start(
         engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
     }
     engine.flush();
-    let config = ReactorConfig {
-        admission,
-        ..Default::default()
-    };
+    let config = ReactorConfig { admission };
     let handle = serve_reactor(Arc::clone(&engine), "127.0.0.1:0", config).unwrap();
     (engine, handle, data)
 }

@@ -259,6 +259,35 @@ fn a_delete_that_removes_nothing_does_not_republish() {
     engine.check_invariants().unwrap();
 }
 
+/// A shard's STATS `io_reads` counts the same pages in both storage modes:
+/// its writer's and every query's, although a resident shard's queries
+/// read snapshots that are dropped once the next one is published.
+#[test]
+fn io_reads_count_the_same_pages_in_both_storage_modes() {
+    let data = generate(&TpcdConfig::scaled(5000, 47));
+    let dir = TempDir::new("oocdiff-io-reads");
+    let io_reads = |storage: StorageMode| {
+        let engine = build_with(
+            &data,
+            EngineConfig {
+                num_shards: 1,
+                cache: None,
+                ..config(storage)
+            },
+        );
+        let mut gen = RangeQueryGen::new(0.10, ValuePick::Scattered, 48);
+        for _ in 0..100 {
+            engine.range_summary(&gen.generate(&data.schema)).unwrap();
+        }
+        let r = &data.records[0];
+        engine.insert_raw(&data.paths_for(r), r.measure).unwrap();
+        engine.flush();
+        json_u64(&engine.stats_json(), "io_reads")
+    };
+    let resident = io_reads(StorageMode::Resident);
+    assert_eq!(io_reads(tiny_disk(&dir)), resident);
+}
+
 /// The oldest `snapshot_published_at` over the engine's shards.
 fn published_at(engine: &ShardedDcTree) -> u64 {
     engine
