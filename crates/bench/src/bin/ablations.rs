@@ -36,7 +36,7 @@ use dc_tree::{Arena, DcTree, DcTreeConfig, NodeStore};
 
 /// An arena that records every block of every node read through it, keyed
 /// `node * 4096 + block`: the access trace A6 replays through
-/// [`dc_storage::CacheSim`].
+/// [`dc_bench::cachesim::CacheSim`].
 #[derive(Default)]
 struct Recording {
     nodes: Arena,
@@ -254,9 +254,10 @@ fn main() {
 
     println!("\nA6 — physical reads under an LRU memory budget (5% selectivity)");
     {
+        use dc_bench::cachesim::CacheSim;
         use dc_query::mds_to_mbr;
         use dc_scan::FlatTable;
-        use dc_storage::{BlockConfig, CacheSim};
+        use dc_storage::BlockConfig;
         use dc_xtree::{XTree, XTreeConfig};
 
         let dc = load(&data, base).0.copy_to(Recording::default()).unwrap();

@@ -216,7 +216,7 @@ fn main() {
     // ------------------------------------------------------------------
     let (mut data_nodes, mut dir_nodes) = (Vec::new(), Vec::new());
     resident_tree
-        .for_each_node(|_, node| {
+        .for_each_node(|_, _, node| {
             let kind = if node.is_data() {
                 &mut data_nodes
             } else {

@@ -10,7 +10,7 @@ use std::collections::HashSet;
 use dc_common::{DcError, DcResult, MeasureSummary};
 use dc_mds::Mds;
 
-use crate::node::{Node, NodeId, NodeKind};
+use crate::node::{DirEntry, Node, NodeId, NodeKind};
 use crate::store::NodeStore;
 use crate::tree::{capacity, DcTree};
 
@@ -18,23 +18,23 @@ impl<S: NodeStore> DcTree<S> {
     /// Verifies every structural invariant of the tree:
     ///
     /// 1. **record coverage**: every stored record is contained in the MDS
-    ///    of *every* node on its path from the root (Definition 3's
+    ///    of *every* entry on its path from the root entry (Definition 3's
     ///    coverage — checked at record granularity because lazy split
-    ///    refinement may legitimately leave an inner node's MDS on a finer
-    ///    level than a not-yet-refined entry below it);
-    /// 2. each directory entry's MDS and summary equal the referenced
-    ///    child's own (the duplication that enables Fig. 7's shortcut);
-    /// 3. each node's summary equals the fold of its content (materialized
-    ///    measures are exact);
-    /// 4. node occupancy never exceeds `capacity × blocks`, `blocks ≥ 1`;
-    /// 5. every live node is reachable from the root exactly once, and
+    ///    refinement may legitimately leave an entry's MDS on a finer level
+    ///    than a not-yet-refined entry below it);
+    /// 2. each entry's summary equals the fold of the referenced node's
+    ///    content (materialized measures are exact) — an entry is the only
+    ///    copy of its child's MDS and summary, so there is no second copy
+    ///    to compare;
+    /// 3. node occupancy never exceeds `capacity × blocks`, `blocks ≥ 1`;
+    /// 4. every live node is reachable from the root exactly once, and
     ///    every data node sits on level `height`;
-    /// 6. the recorded record count matches the stored records.
+    /// 5. the recorded record count matches the stored records.
     pub fn check_invariants(&self) -> DcResult<()> {
         let mut seen: HashSet<u32> = HashSet::new();
         let mut records = 0u64;
         let mut path: Vec<Mds> = Vec::new();
-        self.check_node(self.root, None, &mut path, &mut seen, &mut records)?;
+        self.check_node(&self.root, &mut path, &mut seen, &mut records)?;
         if seen.len() != self.num_nodes() {
             return Err(DcError::Corrupt(format!(
                 "{} live nodes but only {} reachable from the root",
@@ -51,32 +51,37 @@ impl<S: NodeStore> DcTree<S> {
         Ok(())
     }
 
-    /// The tree's nodes in pre-order with their depth, child handles
-    /// blanked. Two trees are the same tree — per node: kind, `blocks`, MDS,
-    /// summary and members in storage order — iff their structures are
-    /// equal, wherever their nodes live.
-    pub fn structure(&self) -> DcResult<Vec<(usize, Node)>> {
+    /// The tree's nodes in pre-order with their depth and the entry that
+    /// references them (the root's: the tree's root entry), child handles
+    /// blanked. Two trees are the same tree — per node: kind, `blocks`,
+    /// MDS, summary and members in storage order — iff their structures
+    /// are equal, wherever their nodes live.
+    pub fn structure(&self) -> DcResult<Vec<(usize, DirEntry, Node)>> {
         let mut out = Vec::with_capacity(self.num_nodes());
-        self.for_each_node(|depth, node| {
+        self.for_each_node(|depth, entry, node| {
+            let entry = DirEntry {
+                child: NodeId(0),
+                ..entry.clone()
+            };
             let mut node = node.clone();
             if let NodeKind::Dir(entries) = &mut node.kind {
                 for e in entries.iter_mut() {
                     e.child = NodeId(0);
                 }
             }
-            out.push((depth, node));
+            out.push((depth, entry, node));
         })?;
         Ok(out)
     }
 
     fn check_node(
         &self,
-        id: NodeId,
-        expected: Option<(&Mds, &MeasureSummary)>,
+        entry: &DirEntry,
         path: &mut Vec<Mds>,
         seen: &mut HashSet<u32>,
         records: &mut u64,
     ) -> DcResult<()> {
+        let id = entry.child;
         if !seen.insert(id.0) {
             return Err(DcError::Corrupt(format!("{id:?} reachable via two paths")));
         }
@@ -86,20 +91,12 @@ impl<S: NodeStore> DcTree<S> {
         if node.blocks == 0 {
             return fail("zero blocks".into());
         }
-        if let Some((mds, summary)) = expected {
-            if node.mds != *mds {
-                return fail("node MDS differs from its parent entry's copy".into());
-            }
-            if node.summary != *summary {
-                return fail("node summary differs from its parent entry's copy".into());
-            }
-        }
 
         let cap = capacity(self.config(), &node) * node.blocks as usize;
         if node.len() > cap {
             return fail(format!("{} members exceed capacity {cap}", node.len()));
         }
-        path.push(node.mds.clone());
+        path.push(entry.mds.clone());
         let result = (|| {
             match &node.kind {
                 NodeKind::Data(stored) => {
@@ -122,7 +119,7 @@ impl<S: NodeStore> DcTree<S> {
                         }
                         summary.add(r.record.measure);
                     }
-                    if summary != node.summary {
+                    if summary != entry.summary {
                         return fail("summary does not equal the fold of the records".into());
                     }
                     *records += stored.len() as u64;
@@ -134,9 +131,9 @@ impl<S: NodeStore> DcTree<S> {
                     let mut summary = MeasureSummary::empty();
                     for e in entries.iter() {
                         summary.merge(&e.summary);
-                        self.check_node(e.child, Some((&e.mds, &e.summary)), path, seen, records)?;
+                        self.check_node(e, path, seen, records)?;
                     }
-                    if summary != node.summary {
+                    if summary != entry.summary {
                         return fail("summary does not equal the fold of the entries".into());
                     }
                 }

@@ -523,7 +523,7 @@ mod tests {
                 reached.reused_slots |= tree.num_nodes() > nodes && tree.store.free_slots() < free;
             }
             if step % 25 == 0 {
-                tree.for_each_node(|_, node| {
+                tree.for_each_node(|_, _, node| {
                     if let NodeKind::Dir(entries) = &node.kind {
                         reached.mixed_levels |= (0..3).any(|d| {
                             let level = entries[0].mds.dim(d).level();

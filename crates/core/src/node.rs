@@ -1,20 +1,22 @@
 //! Nodes of the DC-tree.
 //!
 //! Nodes live in a [`NodeStore`](crate::store::NodeStore) under explicit
-//! [`NodeId`] handles. Every node carries its own MDS and
-//! materialized [`MeasureSummary`]; directory entries duplicate the MDS and
-//! summary of the child they reference so that a range query can apply the
-//! contained-entry shortcut of Fig. 7 *without touching the child's page* —
-//! that duplication is the whole point of the DC-tree's directory layout.
+//! [`NodeId`] handles. As in the paper's directory layout (§3, Fig. 4), a
+//! subtree's MDS and materialized [`MeasureSummary`] live in one place:
+//! the [`DirEntry`] that references it — in its parent node, or, for the
+//! root, in the tree itself. A range query prunes and applies the
+//! contained-entry shortcut of Fig. 7 on the entry alone, *without
+//! touching the child's page*, and a node holds nothing but its block
+//! count and its members.
 //!
 //! A node's members sit in [`Members`]: a body and a tail that a snapshot
 //! shares with the writer, so the first write to a node after a publish
-//! copies the node's header and the block it changes — for a leaf taking a
-//! record, its tail.
+//! copies the node's header (its block count and two block pointers) and
+//! the block it changes — for a leaf taking a record, its tail.
 
 use dc_common::{MeasureSummary, RecordId};
-use dc_hierarchy::{Dims, Record};
-use dc_mds::{DimSet, Mds};
+use dc_hierarchy::Record;
+use dc_mds::Mds;
 
 pub use crate::members::{Members, TAIL_MEMBERS};
 
@@ -41,10 +43,10 @@ impl NodeId {
 }
 
 /// One directory entry: the child's MDS and materialized measure summary,
-/// plus the child pointer.
+/// plus the child pointer — the only place either value is kept.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DirEntry {
-    /// MDS of the referenced subtree (kept identical to the child's own).
+    /// MDS of the referenced subtree.
     pub mds: Mds,
     /// Materialized aggregate over all records below the child.
     pub summary: MeasureSummary,
@@ -70,14 +72,10 @@ pub enum NodeKind {
     Data(Members<StoredRecord>),
 }
 
-/// A DC-tree node: MDS, materialized summary, supernode block count, and
-/// the payload.
+/// A DC-tree node: its supernode block count and its payload. Its MDS
+/// and summary sit in the entry that references it.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Node {
-    /// The node's minimum describing sequence.
-    pub mds: Mds,
-    /// Materialized aggregate over all records below this node.
-    pub summary: MeasureSummary,
     /// Number of blocks this node spans; > 1 makes it a *supernode*.
     pub blocks: u32,
     /// Directory entries or data records.
@@ -85,27 +83,25 @@ pub struct Node {
 }
 
 impl Node {
-    /// A fresh data node.
-    pub fn new_data(mds: Mds) -> Self {
-        Node {
-            mds,
-            summary: MeasureSummary::empty(),
-            blocks: 1,
-            kind: NodeKind::Data(Members::new()),
-        }
+    /// A fresh one-block node holding `kind`.
+    pub fn new(kind: NodeKind) -> Self {
+        Node { blocks: 1, kind }
     }
 
-    /// A fresh directory node.
-    pub fn new_dir(mds: Mds, entries: Members<DirEntry>) -> Self {
-        let mut summary = MeasureSummary::empty();
-        for e in entries.iter() {
-            summary.merge(&e.summary);
-        }
-        Node {
-            mds,
-            summary,
-            blocks: 1,
-            kind: NodeKind::Dir(entries),
+    /// A fresh, empty data node.
+    pub fn new_data() -> Self {
+        Node::new(NodeKind::Data(Members::new()))
+    }
+
+    /// The fold of the node's members: its records' measures or its
+    /// entries' summaries — what the entry referencing it materializes.
+    pub(crate) fn fold_summary(&self) -> MeasureSummary {
+        match &self.kind {
+            NodeKind::Data(records) => records.iter().map(|r| r.record.measure).collect(),
+            NodeKind::Dir(entries) => entries.iter().fold(MeasureSummary::empty(), |mut a, e| {
+                a.merge(&e.summary);
+                a
+            }),
         }
     }
 
@@ -130,24 +126,6 @@ impl Node {
     /// `true` iff the node stores nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Bytes a copy of this node copies besides its members: the node
-    /// itself and the MDS sets too long to sit inline.
-    pub(crate) fn header_bytes(&self) -> usize {
-        let num_dims = self.mds.num_dims();
-        let spilled_sets = if num_dims > Dims::INLINE {
-            num_dims * std::mem::size_of::<DimSet>()
-        } else {
-            0
-        };
-        let spilled_values: usize = self
-            .mds
-            .dims()
-            .filter(|set| set.len() > DimSet::INLINE)
-            .map(|set| std::mem::size_of_val(set.values()))
-            .sum();
-        std::mem::size_of::<Node>() + spilled_sets + spilled_values
     }
 
     /// Directory entries; panics on data nodes (internal use).
@@ -208,14 +186,23 @@ mod tests {
                 child: c2,
             },
         ]);
-        let dir = Node::new_dir(dummy_mds(), entries);
-        assert_eq!(dir.summary.sum, 6);
-        assert_eq!(dir.summary.count, 2);
-        assert_eq!(dir.summary.min, -4);
-        assert_eq!(dir.summary.max, 10);
+        let dir = Node::new(NodeKind::Dir(entries));
+        let summary = dir.fold_summary();
+        assert_eq!(summary.sum, 6);
+        assert_eq!(summary.count, 2);
+        assert_eq!(summary.min, -4);
+        assert_eq!(summary.max, 10);
         assert!(!dir.is_data());
         assert!(!dir.is_supernode());
         assert_eq!(dir.len(), 2);
+    }
+
+    #[test]
+    fn a_node_is_a_small_header() {
+        // A node is its block count and two member-block pointers; its MDS
+        // and summary live in the entry referencing it. A field re-added
+        // here is copied by every write after a publish.
+        assert!(std::mem::size_of::<Node>() <= 64);
     }
 
     #[test]
@@ -229,7 +216,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "data node")]
     fn entries_on_data_node_panics() {
-        let n = Node::new_data(dummy_mds());
-        let _ = n.entries();
+        let _ = Node::new_data().entries();
     }
 }

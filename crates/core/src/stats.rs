@@ -68,8 +68,8 @@ pub struct TreeStats {
     pub supernodes: usize,
     /// Per-depth statistics, root first.
     pub levels: Vec<LevelStat>,
-    /// Sum of `size(MDS)` over all node MDSs — a proxy for the directory's
-    /// variable-size storage cost.
+    /// Sum of `size(MDS)` over the MDSs of all nodes' entries (the root's
+    /// included) — a proxy for the directory's variable-size storage cost.
     pub total_mds_size: usize,
 }
 
@@ -80,7 +80,7 @@ impl<S: NodeStore> DcTree<S> {
         let mut sums: Vec<(usize, usize, usize, u64)> = Vec::new();
         let (mut dir_nodes, mut data_nodes) = (0, 0);
         let mut total_mds_size = 0;
-        self.for_each_node(|depth, node| {
+        self.for_each_node(|depth, entry, node| {
             if sums.len() <= depth {
                 sums.resize(depth + 1, (0, 0, 0, 0));
             }
@@ -94,7 +94,7 @@ impl<S: NodeStore> DcTree<S> {
             } else {
                 dir_nodes += 1;
             }
-            total_mds_size += node.mds.size();
+            total_mds_size += entry.mds.size();
         })?;
         let levels: Vec<LevelStat> = sums
             .iter()
@@ -127,7 +127,7 @@ impl<S: NodeStore> DcTree<S> {
             mds_cells: 0,
             mbr_cells: 0,
         };
-        self.for_each_node(|_, node| {
+        self.for_each_node(|_, _, node| {
             let NodeKind::Data(records) = &node.kind else {
                 return;
             };
@@ -135,7 +135,7 @@ impl<S: NodeStore> DcTree<S> {
                 return;
             }
             report.data_nodes += 1;
-            for d in 0..node.mds.num_dims() {
+            for d in 0..self.schema().num_dims() {
                 let mut ids: Vec<u32> = records.iter().map(|r| r.record.dims[d].index()).collect();
                 ids.sort_unstable();
                 ids.dedup();

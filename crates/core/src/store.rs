@@ -23,8 +23,9 @@
 //! and the original then *share* every node until one of them mutates it:
 //! [`NodeStore::update`] goes through [`Arc::make_mut`], which mutates in
 //! place when the slot holds the only reference and otherwise copies that
-//! one node's *header* first — its MDS, summary and block count, and the
-//! two pointers to its members. The members themselves sit in
+//! one node's *header* first — its block count and the two pointers to its
+//! members; its MDS and summary are not in it but in the entry that
+//! references it. The members themselves sit in
 //! [`Members`](crate::node::Members), a shared body and tail, so the header
 //! copy shares both with the snapshot, and the step then copies only the
 //! block it writes: appending a record copies the tail (at most
@@ -45,7 +46,9 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use dc_common::DcResult;
+use dc_common::{DcResult, MeasureSummary};
+use dc_mds::Mds;
+use dc_storage::ByteReader;
 
 use crate::members::copied_on_this_thread;
 use crate::node::{Node, NodeId};
@@ -92,10 +95,10 @@ pub trait NodeStore {
 }
 
 /// Bytes a resident store copied because a snapshot shared what a
-/// mutation changed, by node kind: *header* is the node itself with its
-/// spilled MDS sets, copied by the first step on a shared node and by
-/// freeing one; *payload* is the members of the blocks a step wrote while
-/// a snapshot shared them.
+/// mutation changed, by node kind: *header* is the node itself, copied by
+/// the first step on a shared node and by freeing one; *payload* is the
+/// members of the blocks a step wrote while a snapshot shared them — the
+/// entries a step changes included, which hold the MDSs and summaries.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct CopiedBytes {
     /// Directory-node headers.
@@ -120,7 +123,7 @@ impl CopiedBytes {
     }
 
     fn add_header(&mut self, node: &Node) {
-        let bytes = node.header_bytes() as u64;
+        let bytes = std::mem::size_of::<Node>() as u64;
         if node.is_data() {
             self.data_header += bytes;
         } else {
@@ -130,7 +133,7 @@ impl CopiedBytes {
 }
 
 /// A [`NodeStore`] that outlives the process: besides nodes it keeps one
-/// metadata blob (tree root, counters, schema), which is what
+/// metadata blob (root entry, counters, schema), which is what
 /// [`create_in`] / [`open_in`] / [`flush`] write and read.
 ///
 /// [`create_in`]: crate::DcTree::create_in
@@ -147,6 +150,18 @@ pub trait PersistentStore: NodeStore {
 
     /// Rewrites the metadata blob.
     fn write_meta(&mut self, bytes: &[u8]) -> DcResult<()>;
+
+    /// Appends `mds` and `summary` to `out` as the store's pages encode an
+    /// entry's: how the metadata blob carries the root entry.
+    fn encode_cover(&self, mds: &Mds, summary: &MeasureSummary, out: &mut Vec<u8>);
+
+    /// Reads what [`encode_cover`](Self::encode_cover) wrote.
+    fn decode_cover(&self, r: &mut ByteReader) -> DcResult<(Mds, MeasureSummary)>;
+
+    /// The MDS and summary in the header of the node page at `id`, which
+    /// only pages of the first node format carry. A tree whose metadata
+    /// predates the root entry reads its root's here; nothing else does.
+    fn legacy_cover(&self, id: NodeId) -> DcResult<(Mds, MeasureSummary)>;
 
     /// Forces every buffered write — nodes held decoded included — down
     /// to durable storage.
@@ -268,14 +283,12 @@ mod tests {
     use super::*;
     use crate::node::DirEntry;
     use crate::{DcTree, DcTreeConfig};
-    use dc_common::ValueId;
     use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
-    use dc_mds::{DimSet, Mds};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn node() -> Node {
-        Node::new_data(Mds::new(vec![DimSet::singleton(ValueId::new(1, 0))]))
+        Node::new_data()
     }
 
     #[test]
@@ -398,12 +411,7 @@ mod tests {
         // And of each node on the path, one header and one block: the
         // largest directory block of the tree bounds both kinds.
         assert_eq!(created, 0, "the probe record must not split a node");
-        let header = snap
-            .store
-            .iter()
-            .map(|(_, n)| n.header_bytes())
-            .max()
-            .unwrap();
+        let header = std::mem::size_of::<Node>();
         let block = snap
             .store
             .iter()

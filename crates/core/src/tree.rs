@@ -29,7 +29,11 @@ use crate::store::{Arena, CopiedBytes, NodeStore, PersistentStore};
 /// 2.4–3.7 at 64 and 2.9–3.0 / 3.3–3.6 reading every record.
 const SAMPLED_RECORDS: usize = 16;
 
-const META_MAGIC: u64 = 0x4443_4449_534b_3032; // "DCDISK02"
+/// Tree metadata: counters, schema and the root entry.
+const META_MAGIC: u64 = 0x4443_4449_534b_3033; // "DCDISK03"
+/// Tree metadata without the root entry: the root's MDS and summary sit
+/// in its page's header (node format 1).
+const META_MAGIC_NO_ROOT_ENTRY: u64 = 0x4443_4449_534b_3032; // "DCDISK02"
 
 /// Internal operation counters, useful for performance diagnosis and the
 /// benchmark harness. All counters are cumulative since construction.
@@ -111,7 +115,9 @@ pub struct DcTree<S = Arena> {
     schema: Arc<CubeSchema>,
     config: DcTreeConfig,
     pub(crate) store: S,
-    pub(crate) root: NodeId,
+    /// The root's entry: the tree's MDS and materialized summary, and the
+    /// root node. A child's sit in its parent's entries.
+    pub(crate) root: DirEntry,
     /// The writer's logical page I/O: every block of every node a mutation
     /// reads or writes. Reads add theirs to [`QueryCounters`].
     io: IoStats,
@@ -189,34 +195,52 @@ impl<S: PersistentStore> DcTree<S> {
     }
 
     /// Opens the tree persisted in `store`.
+    ///
+    /// Metadata written before the root entry was part of it is read too:
+    /// the root's MDS and summary then come from its page's header.
     pub fn open_in(mut store: S, config: DcTreeConfig) -> DcResult<Self> {
         let bytes = store.read_meta()?;
         let mut r = ByteReader::new(&bytes);
-        if r.get_u64()? != META_MAGIC {
+        let magic = r.get_u64()?;
+        if magic != META_MAGIC && magic != META_MAGIC_NO_ROOT_ENTRY {
             return Err(DcError::Corrupt("not a disk DC-tree".into()));
         }
-        let root = u32::try_from(r.get_u64()?)
+        let child = u32::try_from(r.get_u64()?)
             .map(NodeId::from_raw)
             .map_err(|_| DcError::Corrupt("root handle exceeds the node-handle width".into()))?;
         let next_record_id = r.get_u64()?;
         let len = r.get_u64()?;
         let nodes = r.get_u64()? as usize;
         let schema = Arc::new(crate::persist::read_schema(&mut r)?);
-        r.expect_end()?;
         store.set_num_dims(schema.num_dims());
+        let (mds, summary) = if magic == META_MAGIC {
+            store.decode_cover(&mut r)?
+        } else {
+            store.legacy_cover(child)?
+        };
+        r.expect_end()?;
+        let root = DirEntry {
+            mds,
+            summary,
+            child,
+        };
         Self::from_stored(schema, config, store, root, next_record_id, len, nodes)
     }
 
-    /// Persists metadata + schema and flushes the store to disk.
+    /// Persists metadata (counters, schema, root entry) and flushes the
+    /// store to disk.
     pub fn flush(&mut self) -> DcResult<()> {
         let mut w = ByteWriter::new();
         w.put_u64(META_MAGIC);
-        w.put_u64(u64::from(self.root.raw()));
+        w.put_u64(u64::from(self.root.child.raw()));
         w.put_u64(self.next_record_id);
         w.put_u64(self.len);
         w.put_u64(self.nodes as u64);
         crate::persist::write_schema(&mut w, &self.schema);
-        self.store.write_meta(&w.into_vec())?;
+        let mut meta = w.into_vec();
+        let root = &self.root;
+        self.store.encode_cover(&root.mds, &root.summary, &mut meta);
+        self.store.write_meta(&meta)?;
         self.store.sync()
     }
 }
@@ -225,7 +249,11 @@ impl<S: NodeStore> DcTree<S> {
     /// An empty tree whose lone data-node root is allocated in `store`.
     fn with_store(mut store: S, schema: CubeSchema, config: DcTreeConfig) -> DcResult<Self> {
         config.validate();
-        let root = store.alloc(Node::new_data(Mds::all(&schema)))?;
+        let root = DirEntry {
+            mds: Mds::all(&schema),
+            summary: MeasureSummary::empty(),
+            child: store.alloc(Node::new_data())?,
+        };
         Ok(DcTree {
             schema: Arc::new(schema),
             config,
@@ -249,7 +277,7 @@ impl<S: NodeStore> DcTree<S> {
         schema: Arc<CubeSchema>,
         config: DcTreeConfig,
         store: S,
-        root: NodeId,
+        root: DirEntry,
         next_record_id: u64,
         len: u64,
         nodes: usize,
@@ -269,7 +297,7 @@ impl<S: NodeStore> DcTree<S> {
             query_counters: QueryCounters::default(),
             members: MembershipIndex::default(),
         };
-        let mut id = root;
+        let mut id = tree.root.child;
         while let NodeKind::Dir(entries) = &tree.store.get(id)?.kind {
             let first = entries
                 .first()
@@ -293,7 +321,7 @@ impl<S: NodeStore> DcTree<S> {
     pub fn copy_to<T: NodeStore>(&self, mut store: T) -> DcResult<DcTree<T>> {
         let corrupt = || DcError::Corrupt(format!("not a tree of {} nodes", self.nodes));
         // The path being copied: each node with its children's new handles.
-        let mut path = vec![(self.store.get(self.root)?, Vec::new())];
+        let mut path = vec![(self.store.get(self.root.child)?, Vec::new())];
         let mut reached = 1;
         let root = loop {
             let (node, copied) = path.last().expect("the root is on the path");
@@ -331,6 +359,10 @@ impl<S: NodeStore> DcTree<S> {
             return Err(corrupt());
         }
         let (schema, next_id) = (Arc::clone(&self.schema), self.next_record_id);
+        let root = DirEntry {
+            child: root,
+            ..self.root.clone()
+        };
         DcTree::from_stored(schema, self.config, store, root, next_id, self.len, reached)
     }
 
@@ -385,21 +417,31 @@ impl<S: NodeStore> DcTree<S> {
         self.height
     }
 
-    /// The materialized aggregate over **all** records — read from the root
-    /// without touching anything else.
+    /// The materialized aggregate over **all** records — the root entry's,
+    /// read without touching a node.
     pub fn total_summary(&self) -> DcResult<MeasureSummary> {
-        Ok(self.store.get(self.root)?.summary)
+        Ok(self.root.summary)
     }
 
     /// Visits every node in pre-order — children in entry order — with its
-    /// depth below the root (0 = root).
-    pub fn for_each_node(&self, mut f: impl FnMut(usize, &Node)) -> DcResult<()> {
-        let mut pending = vec![(self.root, 0)];
-        while let Some((id, depth)) = pending.pop() {
-            let node = self.store.get(id)?;
-            f(depth, &node);
-            if let NodeKind::Dir(entries) = &node.kind {
-                pending.extend(entries.iter().rev().map(|e| (e.child, depth + 1)));
+    /// depth below the root (0 = root) and the entry that references it
+    /// (the root's: the tree's root entry), which holds its MDS and
+    /// summary.
+    pub fn for_each_node(&self, mut f: impl FnMut(usize, &DirEntry, &Node)) -> DcResult<()> {
+        self.walk(&self.root, 0, &mut f)
+    }
+
+    fn walk<F: FnMut(usize, &DirEntry, &Node)>(
+        &self,
+        entry: &DirEntry,
+        depth: usize,
+        f: &mut F,
+    ) -> DcResult<()> {
+        let node = self.store.get(entry.child)?;
+        f(depth, entry, &node);
+        if let NodeKind::Dir(entries) = &node.kind {
+            for e in entries.iter() {
+                self.walk(e, depth + 1, f)?;
             }
         }
         Ok(())
@@ -563,7 +605,7 @@ impl<S: NodeStore> DcTree<S> {
     /// (`len` / `next_record_id` are maintained by the callers — `rebuild`
     /// preserves ids, `bulk_load` assigns fresh ones).
     fn build_from_sorted(&mut self, sorted: Vec<StoredRecord>) -> DcResult<()> {
-        let old_root = self.free(self.root)?;
+        let old_root = self.free(self.root.child)?;
         debug_assert!(old_root.is_data() && old_root.is_empty());
         let d = self.schema.num_dims();
         // Upper MDSs are kept from degenerating into huge leaf-level value
@@ -577,9 +619,7 @@ impl<S: NodeStore> DcTree<S> {
             let chunk: Members<StoredRecord> =
                 iter.by_ref().take(self.config.data_capacity).collect();
             let mut dimvals: Vec<Vec<ValueId>> = vec![Vec::new(); d];
-            let mut summary = MeasureSummary::empty();
             for r in chunk.iter() {
-                summary.add(r.record.measure);
                 for (dim, &v) in r.record.dims.iter().enumerate() {
                     dimvals[dim].push(v);
                 }
@@ -590,10 +630,7 @@ impl<S: NodeStore> DcTree<S> {
                     .map(|vals| dc_mds::DimSet::new(0, vals))
                     .collect(),
             );
-            let mut node = Node::new_data(mds);
-            node.summary = summary;
-            *node.records_mut() = chunk;
-            level.push(self.alloc_entry(node)?);
+            level.push(self.alloc_entry(Node::new(NodeKind::Data(chunk)), mds)?);
         }
         self.height = 1;
         while level.len() > 1 {
@@ -602,29 +639,36 @@ impl<S: NodeStore> DcTree<S> {
             while below.peek().is_some() {
                 let entries: Members<DirEntry> =
                     below.by_ref().take(self.config.dir_capacity).collect();
-                let mut mds = entries[0].mds.clone();
-                for e in entries.iter().skip(1) {
-                    mds = mds.cover(&e.mds, &self.schema)?;
-                }
-                let mds = self.coarsen_mds(mds, max_set)?;
-                next.push(self.alloc_entry(Node::new_dir(mds, entries))?);
+                let mds = self.coarsen_mds(self.cover_of(&entries)?, max_set)?;
+                next.push(self.alloc_entry(Node::new(NodeKind::Dir(entries)), mds)?);
             }
             level = next;
             self.height += 1;
         }
-        self.root = level[0].child;
+        self.root = level.pop().expect("a non-empty load");
         Ok(())
     }
 
     /// Allocates `node` (charging its write) and returns the directory
-    /// entry that references it.
-    fn alloc_entry(&mut self, node: Node) -> DcResult<DirEntry> {
+    /// entry that references it: `mds` and the fold of the node's members.
+    fn alloc_entry(&mut self, node: Node, mds: Mds) -> DcResult<DirEntry> {
         self.io.writes += u64::from(node.blocks);
+        let summary = node.fold_summary();
         Ok(DirEntry {
-            mds: node.mds.clone(),
-            summary: node.summary,
+            mds,
+            summary,
             child: self.alloc(node)?,
         })
+    }
+
+    /// The cover of the MDSs of `entries` (at least one): the MDS of a
+    /// directory node built over them.
+    fn cover_of(&self, entries: &Members<DirEntry>) -> DcResult<Mds> {
+        let mut mds = entries[0].mds.clone();
+        for e in entries.iter().skip(1) {
+            mds = mds.cover(&e.mds, &self.schema)?;
+        }
+        Ok(mds)
     }
 
     /// Adapts any dimension set longer than `max_len` to coarser hierarchy
@@ -643,32 +687,45 @@ impl<S: NodeStore> DcTree<S> {
         Ok(mds)
     }
 
-    /// Inserts one run of identical-coordinate records, growing the root as
-    /// many times as the cascade of splits demands.
+    /// Inserts one run of identical-coordinate records: the root entry
+    /// takes the run, then the run descends, and a root that overflows
+    /// splits, growing the tree as many times as the cascade of splits
+    /// demands.
     fn insert_run(&mut self, run: &[StoredRecord]) -> DcResult<()> {
-        let mut siblings = self.insert_run_rec(self.root, run)?;
-        while !siblings.is_empty() {
-            self.grow_root(&siblings)?;
-            siblings = self.split_overflow(self.root)?;
+        for r in run {
+            self.root.summary.add(r.record.measure);
         }
+        self.root
+            .mds
+            .extend_to_cover_record(&self.schema, &run[0].record)?;
+        if !self.insert_run_rec(self.root.child, run)? {
+            return Ok(());
+        }
+        let mut root = self.root.clone();
+        loop {
+            let siblings = self.split_overflow(&mut root)?;
+            if siblings.is_empty() {
+                break;
+            }
+            root = self.grow_root(root, siblings)?;
+        }
+        self.root = root;
         Ok(())
     }
 
-    /// Recursive insert (Fig. 4) of a run of identical-coordinate records:
-    /// update the measure and the MDS, then append (data node) or choose
-    /// the subtree to descend into (directory node) — one choose-subtree,
+    /// Recursive insert (Fig. 4) of a run of identical-coordinate records
+    /// into node `id`, whose entry the caller has already updated: append
+    /// (data node), or choose the entry to descend into, extend its MDS and
+    /// add the run to its summary (directory node) — one choose-subtree,
     /// one MDS extension and one summary pass per level for the whole run.
-    /// Returns every new sibling the overflow resolution produced at this
-    /// level.
-    fn insert_run_rec(&mut self, id: NodeId, run: &[StoredRecord]) -> DcResult<Vec<NodeId>> {
+    /// A child that overflows is split here, under its entry. Returns
+    /// whether `id` now overflows; the caller, holding its entry, resolves
+    /// that.
+    fn insert_run_rec(&mut self, id: NodeId, run: &[StoredRecord]) -> DcResult<bool> {
         let first = &run[0].record;
-        let (child, overflow) = self.store.update(id, |node| {
+        let (chosen, overflow) = self.store.update(id, |node| {
             self.io.reads += u64::from(node.blocks);
-            for r in run {
-                node.summary.add(r.record.measure);
-            }
-            node.mds.extend_to_cover_record(&self.schema, first)?;
-            let child = match &mut node.kind {
+            let chosen = match &mut node.kind {
                 NodeKind::Data(records) => {
                     records.extend_from_slice(run);
                     None
@@ -687,51 +744,51 @@ impl<S: NodeStore> DcTree<S> {
                     for r in run {
                         entry.summary.add(r.record.measure);
                     }
-                    Some(entry.child)
+                    Some((choice, entry.child))
                 }
             };
             self.io.writes += u64::from(node.blocks);
-            Ok((child, child.is_none() && overflows(&self.config, node)))
+            Ok((chosen, chosen.is_none() && overflows(&self.config, node)))
         })?;
-        let Some(child) = child else {
-            return if overflow {
-                self.split_overflow(id)
-            } else {
-                Ok(Vec::new())
-            };
+        let Some((pos, child)) = chosen else {
+            return Ok(overflow);
         };
-
-        let new_children = self.insert_run_rec(child, run)?;
-        if new_children.is_empty() {
-            return Ok(Vec::new());
+        if !self.insert_run_rec(child, run)? {
+            return Ok(false);
         }
-        // The child split (possibly multi-way): refresh its entry and add
-        // the new sons, then resolve this node's own overflow.
-        let refreshed = self.entry_for(child)?;
-        let new_entries: Vec<DirEntry> = new_children
-            .iter()
-            .map(|&c| self.entry_for(c))
-            .collect::<DcResult<_>>()?;
-        if self.adopt_split_child(id, refreshed, new_entries)? {
-            self.split_overflow(id)
-        } else {
-            Ok(Vec::new())
+        // The child overflows: split it (possibly multi-way), then refresh
+        // its entry, add the new sons and report this node's own overflow.
+        let mut entry = self.store.get(id)?.entries()[pos].clone();
+        let siblings = self.split_overflow(&mut entry)?;
+        if siblings.is_empty() {
+            return Ok(false);
         }
+        self.adopt_split_child(id, pos, entry, siblings)
     }
 
-    /// Resolves an arbitrary overflow on `id` (a batched append can exceed
-    /// capacity by more than one): split while the content exceeds
-    /// `capacity × blocks`, letting a failed split grow the supernode.
-    /// Returns the new siblings.
-    fn split_overflow(&mut self, id: NodeId) -> DcResult<Vec<NodeId>> {
-        let mut siblings = Vec::new();
-        let mut work = vec![id];
-        while let Some(nid) = work.pop() {
-            while overflows(&self.config, &*self.store.get(nid)?) {
+    /// Resolves an arbitrary overflow of the node under `entry` (a batched
+    /// append can exceed capacity by more than one): split while the
+    /// content exceeds `capacity × blocks`, letting a failed split grow the
+    /// supernode, and resolve the siblings split off the same way.
+    /// Refreshes `entry` and returns the siblings' entries in the order
+    /// they were split off.
+    fn split_overflow(&mut self, entry: &mut DirEntry) -> DcResult<Vec<DirEntry>> {
+        let mut siblings: Vec<DirEntry> = Vec::new();
+        // `None` is `entry`, `Some(i)` is `siblings[i]`.
+        let mut work = vec![None];
+        while let Some(slot) = work.pop() {
+            loop {
+                let target = match slot {
+                    None => &mut *entry,
+                    Some(i) => &mut siblings[i],
+                };
+                if !overflows(&self.config, &*self.store.get(target.child)?) {
+                    break;
+                }
                 // `None` means the supernode grew a block; re-check.
-                if let Some(sib) = self.split_node(nid)? {
-                    siblings.push(sib);
-                    work.push(sib);
+                if let Some(sibling) = self.split_node(target)? {
+                    work.push(Some(siblings.len()));
+                    siblings.push(sibling);
                 }
             }
         }
@@ -745,48 +802,31 @@ impl<S: NodeStore> DcTree<S> {
     }
 
     /// Root split: grows the tree by one level, a new directory root over
-    /// the old root and the `siblings` it split off.
-    fn grow_root(&mut self, siblings: &[NodeId]) -> DcResult<()> {
+    /// the old `root` and the `siblings` it split off. Returns the new
+    /// root's entry.
+    fn grow_root(&mut self, root: DirEntry, siblings: Vec<DirEntry>) -> DcResult<DirEntry> {
         let mut entries = Members::new();
-        entries.push(self.entry_for(self.root)?);
-        for &s in siblings {
-            entries.push(self.entry_for(s)?);
+        entries.push(root);
+        for s in siblings {
+            entries.push(s);
         }
-        let mut mds = entries[0].mds.clone();
-        for e in entries.iter().skip(1) {
-            mds = mds.cover(&e.mds, &self.schema)?;
-        }
-        let root = Node::new_dir(mds, entries);
-        self.io.writes += u64::from(root.blocks);
-        self.root = self.alloc(root)?;
+        let mds = self.cover_of(&entries)?;
         self.height += 1;
-        Ok(())
+        self.alloc_entry(Node::new(NodeKind::Dir(entries)), mds)
     }
 
-    fn entry_for(&self, child: NodeId) -> DcResult<DirEntry> {
-        let node = self.store.get(child)?;
-        Ok(DirEntry {
-            mds: node.mds.clone(),
-            summary: node.summary,
-            child,
-        })
-    }
-
-    /// After a child of `id` split: replaces the child's entry with its
-    /// refreshed copy and appends the new sons. Returns whether `id` now
-    /// overflows.
+    /// After a child of `id` split: replaces the child's entry at `pos`
+    /// with its `refreshed` copy and appends the new sons. Returns whether
+    /// `id` now overflows.
     fn adopt_split_child(
         &mut self,
         id: NodeId,
+        pos: usize,
         refreshed: DirEntry,
         new_entries: Vec<DirEntry>,
     ) -> DcResult<bool> {
         self.store.update(id, |node| {
             let entries = node.entries_mut();
-            let pos = entries
-                .iter()
-                .position(|e| e.child == refreshed.child)
-                .expect("split child must still be referenced");
             self.members
                 .replace_entry(id, pos, &entries[pos].mds, &refreshed.mds);
             entries[pos] = refreshed;
@@ -803,19 +843,21 @@ impl<S: NodeStore> DcTree<S> {
     // Split (§4.2)
     // ------------------------------------------------------------------
 
-    /// Attempts to split node `id` (Fig. 5). On success the node keeps the
-    /// first group and the returned sibling holds the second. On failure
-    /// the node grows into (or extends) a supernode and `None` is returned —
-    /// unless supernodes are disabled, in which case the best rejected
-    /// grouping is forced.
-    fn split_node(&mut self, id: NodeId) -> DcResult<Option<NodeId>> {
+    /// Attempts to split the node under `entry` (Fig. 5). On success the
+    /// node keeps the first group, `entry` becomes its cover and summary,
+    /// and the returned sibling entry holds the second. On failure the node
+    /// grows into (or extends) a supernode and `None` is returned — unless
+    /// supernodes are disabled, in which case the best rejected grouping is
+    /// forced.
+    fn split_node(&mut self, entry: &mut DirEntry) -> DcResult<Option<DirEntry>> {
         let t0 = std::time::Instant::now();
-        let result = self.split_node_inner(id);
+        let result = self.split_node_inner(entry);
         self.metrics.split_nanos += t0.elapsed().as_nanos() as u64;
         result
     }
 
-    fn split_node_inner(&mut self, id: NodeId) -> DcResult<Option<NodeId>> {
+    fn split_node_inner(&mut self, entry: &mut DirEntry) -> DcResult<Option<DirEntry>> {
+        let id = entry.child;
         let node = self.store.get(id)?;
         let (member_mds, children): (Vec<Mds>, Option<Vec<NodeId>>) = match &node.kind {
             NodeKind::Dir(entries) => (
@@ -830,10 +872,8 @@ impl<S: NodeStore> DcTree<S> {
                 None,
             ),
         };
-        let node_levels = node.mds.levels();
-        let node_dim_lens: Vec<usize> = (0..node.mds.num_dims())
-            .map(|d| node.mds.dim(d).len())
-            .collect();
+        let node_levels = entry.mds.levels();
+        let node_dim_lens: Vec<usize> = entry.mds.dims().map(|set| set.len()).collect();
         let node_blocks = node.blocks;
         drop(node);
         let num_members = member_mds.len();
@@ -927,7 +967,7 @@ impl<S: NodeStore> DcTree<S> {
                 let (analysis, refinements) =
                     align_members(&self.schema, &member_mds, &align_levels, d, level, |i| {
                         match &children {
-                            Some(kids) => self.subtree_dimset_at(kids[i], d, level),
+                            Some(kids) => self.subtree_dimset_at(&member_mds[i], kids[i], d, level),
                             None => unreachable!("records sit on leaf level 0"),
                         }
                     })?;
@@ -955,18 +995,10 @@ impl<S: NodeStore> DcTree<S> {
                 if balanced && low_overlap {
                     self.metrics.splits += 1;
                     // Commit the lazy refinement: entries analysed at the
-                    // finer level keep it — both in this node's entries and
-                    // in the referenced child's own MDS. Their extent at the
-                    // finer level is exact (computed from the subtree), so
-                    // record coverage is preserved while dead space shrinks.
+                    // finer level keep it. Their extent at the finer level
+                    // is exact (computed from the subtree), so record
+                    // coverage is preserved while dead space shrinks.
                     if !refinements.is_empty() {
-                        let kids = children.as_ref().expect("refinement only on dir");
-                        for (i, refined) in &refinements {
-                            self.store.update(kids[*i], |child| {
-                                *child.mds.dim_mut(d) = refined.clone();
-                                Ok(())
-                            })?;
-                        }
                         self.store.update(id, |node| {
                             for (i, refined) in refinements {
                                 *node.entries_mut()[i].mds.dim_mut(d) = refined;
@@ -974,7 +1006,7 @@ impl<S: NodeStore> DcTree<S> {
                             Ok(())
                         })?;
                     }
-                    return self.apply_split(id, outcome).map(Some);
+                    return self.apply_split(entry, outcome).map(Some);
                 }
                 let better = match &best_rejected {
                     None => true,
@@ -1037,7 +1069,7 @@ impl<S: NodeStore> DcTree<S> {
                     }
                 }
             };
-            self.apply_split(id, outcome).map(Some)
+            self.apply_split(entry, outcome).map(Some)
         }
     }
 
@@ -1085,17 +1117,22 @@ impl<S: NodeStore> DcTree<S> {
         Ok(())
     }
 
-    /// Computes the extent of the subtree under `id` in dimension `d`,
-    /// expressed on `level` — descending past entries whose stored MDS is
-    /// coarser than `level`. Used by the split path to refine coarse
-    /// members; never stored.
-    fn subtree_dimset_at(&self, id: NodeId, d: usize, level: u8) -> DcResult<dc_mds::DimSet> {
-        let node = self.store.get(id)?;
+    /// Computes the extent in dimension `d` of the subtree an entry of MDS
+    /// `mds` references at `child`, expressed on `level` — descending past
+    /// entries whose stored MDS is coarser than `level`. Used by the split
+    /// path to refine coarse members; never stored.
+    fn subtree_dimset_at(
+        &self,
+        mds: &Mds,
+        child: NodeId,
+        d: usize,
+        level: u8,
+    ) -> DcResult<dc_mds::DimSet> {
         let h = self.schema.dims().nth(d).expect("dimension in schema");
-        if node.mds.dim(d).level() <= level {
-            return node.mds.dim(d).adapt_to(h, level);
+        if mds.dim(d).level() <= level {
+            return mds.dim(d).adapt_to(h, level);
         }
-        match &node.kind {
+        match &self.store.get(child)?.kind {
             NodeKind::Data(records) => {
                 let mut values = Vec::with_capacity(records.len());
                 for r in records.iter() {
@@ -1108,11 +1145,7 @@ impl<S: NodeStore> DcTree<S> {
             NodeKind::Dir(entries) => {
                 let mut acc: Option<dc_mds::DimSet> = None;
                 for e in entries.iter() {
-                    let part = if e.mds.dim(d).level() <= level {
-                        e.mds.dim(d).adapt_to(h, level)?
-                    } else {
-                        self.subtree_dimset_at(e.child, d, level)?
-                    };
+                    let part = self.subtree_dimset_at(&e.mds, e.child, d, level)?;
                     acc = Some(match acc {
                         None => part,
                         Some(mut a) => {
@@ -1126,48 +1159,45 @@ impl<S: NodeStore> DcTree<S> {
         }
     }
 
-    /// Materializes a split outcome: the node keeps group 1, a fresh sibling
-    /// receives group 2. Returns the sibling.
-    fn apply_split(&mut self, id: NodeId, outcome: SplitOutcome) -> DcResult<NodeId> {
+    /// Materializes a split outcome on the node under `entry`: the node
+    /// keeps group 1 and `entry` becomes its cover and summary; a fresh
+    /// sibling receives group 2. Returns the sibling's entry.
+    fn apply_split(&mut self, entry: &mut DirEntry, outcome: SplitOutcome) -> DcResult<DirEntry> {
         let SplitOutcome {
             group1,
             group2,
             cover1,
             cover2,
         } = outcome;
+        let id = entry.child;
         self.members.forget(id);
-        let sibling = self.store.update(id, |node| {
+        let (sibling, summary) = self.store.update(id, |node| {
             debug_assert_eq!(group1.len() + group2.len(), node.len());
             let old_kind = std::mem::replace(&mut node.kind, NodeKind::Data(Members::new()));
-            let mut sibling = match old_kind {
+            let (kind, sibling) = match old_kind {
                 NodeKind::Data(records) => {
                     let (part1, part2) = partition_by_index(records, &group1);
-                    node.summary = part1.iter().map(|r| r.record.measure).collect();
-                    let mut sibling = Node::new_data(cover2);
-                    sibling.summary = part2.iter().map(|r| r.record.measure).collect();
-                    node.kind = NodeKind::Data(part1);
-                    *sibling.records_mut() = part2;
-                    sibling
+                    (NodeKind::Data(part1), NodeKind::Data(part2))
                 }
                 NodeKind::Dir(entries) => {
                     let (part1, part2) = partition_by_index(entries, &group1);
-                    node.summary = part1.iter().fold(MeasureSummary::empty(), |mut a, e| {
-                        a.merge(&e.summary);
-                        a
-                    });
-                    node.kind = NodeKind::Dir(part1);
-                    Node::new_dir(cover2, part2)
+                    (NodeKind::Dir(part1), NodeKind::Dir(part2))
                 }
             };
-            node.mds = cover1;
+            node.kind = kind;
+            let mut sibling = Node::new(sibling);
             // Supernodes shrink back to the fewest blocks that hold each part.
             node.blocks = blocks_needed(&self.config, node);
             sibling.blocks = blocks_needed(&self.config, &sibling);
             self.io.writes += u64::from(node.blocks);
-            Ok(sibling)
+            Ok((sibling, node.fold_summary()))
         })?;
-        self.io.writes += u64::from(sibling.blocks);
-        self.alloc(sibling)
+        *entry = DirEntry {
+            mds: cover1,
+            summary,
+            child: id,
+        };
+        self.alloc_entry(sibling, cover2)
     }
 
     // ------------------------------------------------------------------
@@ -1421,7 +1451,7 @@ impl<S: NodeStore> DcTree<S> {
     fn read<V: Visitor>(&self, range: &PreparedRange, visitor: &mut V) -> DcResult<u64> {
         use std::sync::atomic::Ordering::Relaxed;
         let mut tally = Tally::default();
-        let read = self.descend(self.root, range, visitor, &mut tally);
+        let read = self.descend(self.root.child, range, visitor, &mut tally);
         let counters = &self.query_counters;
         counters
             .shortcut_hits
@@ -1486,30 +1516,31 @@ impl<S: NodeStore> DcTree<S> {
     pub fn delete(&mut self, record: &Record) -> DcResult<bool> {
         self.schema.validate_record(record)?;
         let mut orphans = Vec::new();
-        let found = self.delete_rec(self.root, record, &mut orphans)?;
-        if !found {
+        let root = self.root.clone();
+        let Some(root) = self.delete_rec(&root, record, &mut orphans)? else {
             return Ok(false);
-        }
+        };
+        self.root = root;
         self.len -= 1;
         // Collapse a root with a single child.
         loop {
-            let only_child = match &self.store.get(self.root)?.kind {
-                NodeKind::Dir(entries) if entries.len() <= 1 => entries.first().map(|e| e.child),
+            let only_child = match &self.store.get(self.root.child)?.kind {
+                NodeKind::Dir(entries) if entries.len() <= 1 => entries.first().cloned(),
                 _ => break,
             };
             match only_child {
                 Some(child) => {
-                    self.free(self.root)?;
+                    self.free(self.root.child)?;
                     self.root = child;
                     self.height -= 1;
                 }
                 None => {
-                    let mds = Mds::all(&self.schema);
-                    self.members.forget(self.root);
-                    self.store.update(self.root, |root| {
-                        *root = Node::new_data(mds);
+                    self.members.forget(self.root.child);
+                    self.store.update(self.root.child, |root| {
+                        *root = Node::new_data();
                         Ok(())
                     })?;
+                    self.root.mds = Mds::all(&self.schema);
                     self.height = 1;
                     break;
                 }
@@ -1536,36 +1567,36 @@ impl<S: NodeStore> DcTree<S> {
         Ok(true)
     }
 
-    /// Recursive delete; returns whether the record was found and removed in
-    /// this subtree. Underflowing children are dissolved into `orphans`.
+    /// Recursive delete below `entry`; returns the entry refreshed when the
+    /// record was found and removed in this subtree. Underflowing children
+    /// are dissolved into `orphans`.
     fn delete_rec(
         &mut self,
-        id: NodeId,
+        entry: &DirEntry,
         record: &Record,
         orphans: &mut Vec<StoredRecord>,
-    ) -> DcResult<bool> {
-        let candidates: Vec<(usize, NodeId)> = {
+    ) -> DcResult<Option<DirEntry>> {
+        let id = entry.child;
+        let candidates: Vec<(usize, DirEntry)> = {
             let node = self.store.get(id)?;
             self.io.reads += u64::from(node.blocks);
             match &node.kind {
                 NodeKind::Data(records) => {
                     let Some(pos) = records.iter().position(|r| &r.record == record) else {
-                        return Ok(false);
+                        return Ok(None);
                     };
                     drop(node);
-                    self.store.update(id, |node| {
+                    return self.store.update(id, |node| {
                         node.records_mut().remove(pos);
-                        recompute_node(&self.schema, node)?;
                         self.io.writes += u64::from(node.blocks);
-                        Ok(())
-                    })?;
-                    return Ok(true);
+                        recompute_entry(&self.schema, entry, node).map(Some)
+                    });
                 }
                 NodeKind::Dir(entries) => {
                     let mut v = Vec::new();
                     for (i, e) in entries.iter().enumerate() {
                         if e.mds.contains_record(&self.schema, record)? {
-                            v.push((i, e.child));
+                            v.push((i, e.clone()));
                         }
                     }
                     v
@@ -1573,51 +1604,39 @@ impl<S: NodeStore> DcTree<S> {
             }
         };
         for (i, child) in candidates {
-            if !self.delete_rec(child, record, orphans)? {
+            let Some(refreshed) = self.delete_rec(&child, record, orphans)? else {
                 continue;
-            }
-            let (refreshed, child_len, child_blocks, cap_per_block) = {
-                let node = self.store.get(child)?;
-                let entry = DirEntry {
-                    mds: node.mds.clone(),
-                    summary: node.summary,
-                    child,
-                };
-                (
-                    entry,
-                    node.len(),
-                    node.blocks,
-                    capacity(&self.config, &node),
-                )
+            };
+            let (child_len, child_blocks, cap_per_block) = {
+                let node = self.store.get(child.child)?;
+                (node.len(), node.blocks, capacity(&self.config, &node))
             };
             let dissolve = child_len < self.config.min_group(cap_per_block);
             if dissolve {
                 // Dissolve the child: collect its records for re-insertion.
-                self.collect_subtree(child, orphans)?;
+                self.collect_subtree(child.child, orphans)?;
             } else {
                 // Maybe shrink a supernode that no longer needs its blocks.
                 let needed = (child_len.div_ceil(cap_per_block)).max(1) as u32;
                 if needed < child_blocks {
-                    self.store.update(child, |node| {
+                    self.store.update(child.child, |node| {
                         node.blocks = needed;
                         Ok(())
                     })?;
                 }
             }
             self.members.forget(id);
-            self.store.update(id, |node| {
+            return self.store.update(id, |node| {
                 if dissolve {
                     node.entries_mut().remove(i);
                 } else {
                     node.entries_mut()[i] = refreshed;
                 }
-                recompute_node(&self.schema, node)?;
                 self.io.writes += u64::from(node.blocks);
-                Ok(())
-            })?;
-            return Ok(true);
+                recompute_entry(&self.schema, entry, node).map(Some)
+            });
         }
-        Ok(false)
+        Ok(None)
     }
 
     /// Collects every record below `id` and frees the whole subtree.
@@ -1636,33 +1655,28 @@ impl<S: NodeStore> DcTree<S> {
     }
 }
 
-/// Recomputes a node's summary and shrinks its MDS to the minimal cover of
-/// its content at the node's current relevant levels.
-fn recompute_node(schema: &CubeSchema, node: &mut Node) -> DcResult<()> {
-    let levels = node.mds.levels();
-    let (mds, summary) = match &node.kind {
+/// The entry of `node` after a delete below `entry`, its entry before: the
+/// summary recomputed and the MDS shrunk to the minimal cover of the
+/// node's content at `entry`'s relevant levels.
+fn recompute_entry(schema: &CubeSchema, entry: &DirEntry, node: &Node) -> DcResult<DirEntry> {
+    let levels = entry.mds.levels();
+    let mds = match &node.kind {
         NodeKind::Data(records) => {
-            if records.is_empty() {
-                (node.mds.clone(), MeasureSummary::empty())
-            } else {
-                let mut mds: Option<Mds> = None;
-                let mut summary = MeasureSummary::empty();
-                for r in records.iter() {
-                    summary.add(r.record.measure);
-                    let p = Mds::from_record(&r.record).adapt_to_levels(schema, &levels)?;
-                    mds = Some(match mds {
-                        None => p,
-                        Some(m) => m.union_aligned(&p),
-                    });
-                }
-                (mds.expect("non-empty records"), summary)
+            let mut mds: Option<Mds> = None;
+            for r in records.iter() {
+                let p = Mds::from_record(&r.record).adapt_to_levels(schema, &levels)?;
+                mds = Some(match mds {
+                    None => p,
+                    Some(m) => m.union_aligned(&p),
+                });
             }
+            mds
         }
         NodeKind::Dir(entries) => {
-            // Lazy refinement may have left this node's MDS finer than
-            // some entries; the recomputed cover can go no deeper than the
-            // coarsest entry per dimension.
-            let levels: Vec<u8> = (0..node.mds.num_dims())
+            // Lazy refinement may have left the entry's MDS finer than some
+            // entries below it; the recomputed cover can go no deeper than
+            // the coarsest entry per dimension.
+            let levels: Vec<u8> = (0..levels.len())
                 .map(|dim| {
                     entries
                         .iter()
@@ -1672,21 +1686,21 @@ fn recompute_node(schema: &CubeSchema, node: &mut Node) -> DcResult<()> {
                 })
                 .collect();
             let mut mds: Option<Mds> = None;
-            let mut summary = MeasureSummary::empty();
             for e in entries.iter() {
-                summary.merge(&e.summary);
                 let p = e.mds.adapt_to_levels(schema, &levels)?;
                 mds = Some(match mds {
                     None => p,
                     Some(m) => m.union_aligned(&p),
                 });
             }
-            (mds.unwrap_or_else(|| node.mds.clone()), summary)
+            mds
         }
     };
-    node.mds = mds;
-    node.summary = summary;
-    Ok(())
+    Ok(DirEntry {
+        mds: mds.unwrap_or_else(|| entry.mds.clone()),
+        summary: node.fold_summary(),
+        child: entry.child,
+    })
 }
 
 /// Splits `items` into the members whose index is in `first` and the rest,

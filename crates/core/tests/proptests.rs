@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use dc_common::{AggregateOp, DimensionId, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, HierarchySchema, Record};
 use dc_mds::{DimSet, Mds};
-use dc_tree::node::{Node, StoredRecord, TAIL_MEMBERS};
+use dc_tree::node::{DirEntry, Node, StoredRecord, TAIL_MEMBERS};
 use dc_tree::{DcTree, DcTreeConfig};
 use proptest::prelude::*;
 
@@ -149,7 +149,7 @@ fn interned(tree: &mut DcTree, r: &RawRec) -> Record {
 /// A snapshot with everything it must keep answering, frozen at `take`.
 struct Snap {
     tree: DcTree,
-    frozen: Vec<(usize, Node)>,
+    frozen: Vec<(usize, DirEntry, Node)>,
     values: Vec<usize>,
     queries: Vec<Mds>,
     answers: Vec<MeasureSummary>,
@@ -586,7 +586,7 @@ fn snapshots_are_isolated_across_shared_member_blocks() {
     let (mut writer, live) = grown(n);
     let blocks = |tree: &DcTree| {
         let mut lens = [0; 2];
-        tree.for_each_node(|_, node| lens = node.records().blocks().map(<[_]>::len))
+        tree.for_each_node(|_, _, node| lens = node.records().blocks().map(<[_]>::len))
             .unwrap();
         lens
     };

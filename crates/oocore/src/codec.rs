@@ -16,21 +16,32 @@
 //! `SET_WAH`, a word-aligned-hybrid bitmap ([`CompressedBitmap`]) over the
 //! index domain, so that tag still decodes; nothing writes it.
 //!
-//! Every page starts with a format tag. Decoding is fully checked: any
-//! truncation, overflow, out-of-domain level/index, or inconsistent bitmap
-//! yields [`DcError::Corrupt`] — never a panic — because these bytes come
-//! from disk.
+//! Every page starts with a format tag. A node page holds the node's block
+//! count and members; a node's MDS and summary are its entry's, encoded in
+//! its parent's page (the root's in the tree metadata, through
+//! [`encode_cover`]). Pages of the first format, [`FORMAT_NODE_V1`], also
+//! carry the node's MDS and summary in a header before the block count;
+//! they still decode, the header parsed and skipped, and
+//! [`decode_v1_cover`] reads it for a tree whose metadata predates the
+//! root entry.
+//!
+//! Decoding is fully checked: any truncation, overflow, out-of-domain
+//! level/index, or inconsistent bitmap yields [`DcError::Corrupt`] — never
+//! a panic — because these bytes come from disk.
 
 use dc_bitmap::CompressedBitmap;
 use dc_common::id::{MAX_INDEX, MAX_LEVEL};
-use dc_common::{DcError, DcResult, RecordId, ValueId};
+use dc_common::{DcError, DcResult, MeasureSummary, RecordId, ValueId};
 use dc_hierarchy::Record;
 use dc_mds::{DimSet, Mds};
 use dc_storage::ByteReader;
 use dc_tree::node::{DirEntry, Node, NodeKind, StoredRecord};
 
 /// Format tag: the node encoding of this module follows.
-pub const FORMAT_NODE: u8 = 1;
+pub const FORMAT_NODE: u8 = 2;
+/// Format tag of the first node encoding: the node's MDS and summary, then
+/// what [`FORMAT_NODE`] holds. Decode-only.
+pub const FORMAT_NODE_V1: u8 = 1;
 
 const KIND_DIR: u8 = 0;
 const KIND_DATA: u8 = 1;
@@ -215,20 +226,32 @@ fn decode_mds(r: &mut ByteReader, num_dims: usize) -> DcResult<Mds> {
     Ok(Mds::new(dims))
 }
 
-fn encode_summary(out: &mut Vec<u8>, s: &dc_common::MeasureSummary) {
+fn encode_summary(out: &mut Vec<u8>, s: &MeasureSummary) {
     put_zigzag(out, s.sum);
     put_varint(out, s.count);
     put_zigzag(out, s.min);
     put_zigzag(out, s.max);
 }
 
-fn decode_summary(r: &mut ByteReader) -> DcResult<dc_common::MeasureSummary> {
-    Ok(dc_common::MeasureSummary {
+fn decode_summary(r: &mut ByteReader) -> DcResult<MeasureSummary> {
+    Ok(MeasureSummary {
         sum: get_zigzag(r)?,
         count: get_varint(r)?,
         min: get_zigzag(r)?,
         max: get_zigzag(r)?,
     })
+}
+
+/// Appends an entry's MDS and summary to `out`, as a directory page holds
+/// them.
+pub fn encode_cover(out: &mut Vec<u8>, mds: &Mds, summary: &MeasureSummary) {
+    encode_mds(out, mds);
+    encode_summary(out, summary);
+}
+
+/// Reads what [`encode_cover`] wrote.
+pub fn decode_cover(r: &mut ByteReader, num_dims: usize) -> DcResult<(Mds, MeasureSummary)> {
+    Ok((decode_mds(r, num_dims)?, decode_summary(r)?))
 }
 
 // ---------------------------------------------------------------------
@@ -238,16 +261,13 @@ fn decode_summary(r: &mut ByteReader) -> DcResult<dc_common::MeasureSummary> {
 /// Encodes `node` for storage; [`decode_node`] reads it back.
 pub fn encode_node(node: &Node) -> Vec<u8> {
     let mut out = vec![FORMAT_NODE];
-    encode_mds(&mut out, &node.mds);
-    encode_summary(&mut out, &node.summary);
     put_varint(&mut out, u64::from(node.blocks));
     match &node.kind {
         NodeKind::Dir(entries) => {
             out.push(KIND_DIR);
             put_varint(&mut out, entries.len() as u64);
             for e in entries.iter() {
-                encode_mds(&mut out, &e.mds);
-                encode_summary(&mut out, &e.summary);
+                encode_cover(&mut out, &e.mds, &e.summary);
                 put_varint(&mut out, u64::from(e.child.raw()));
             }
         }
@@ -271,23 +291,36 @@ pub fn encode_node(node: &Node) -> Vec<u8> {
     out
 }
 
-/// Decodes a node produced by [`encode_node`]. All failures are checked
+/// Decodes a node produced by [`encode_node`], or a page of the first
+/// format, whose header is checked and dropped. All failures are checked
 /// [`DcError::Corrupt`]s — disk bytes must never panic the server.
 pub fn decode_node(bytes: &[u8], num_dims: usize) -> DcResult<Node> {
     let mut r = ByteReader::new(bytes);
     match r.get_u8()? {
-        FORMAT_NODE => {
-            let node = decode_body(&mut r, num_dims)?;
-            r.expect_end()?;
-            Ok(node)
+        FORMAT_NODE => {}
+        FORMAT_NODE_V1 => {
+            decode_cover(&mut r, num_dims)?;
         }
-        tag => Err(DcError::Corrupt(format!("bad node format tag {tag}"))),
+        tag => return Err(DcError::Corrupt(format!("bad node format tag {tag}"))),
+    }
+    let node = decode_body(&mut r, num_dims)?;
+    r.expect_end()?;
+    Ok(node)
+}
+
+/// The MDS and summary in the header of a [`FORMAT_NODE_V1`] page; any
+/// other page is [`DcError::Corrupt`].
+pub fn decode_v1_cover(bytes: &[u8], num_dims: usize) -> DcResult<(Mds, MeasureSummary)> {
+    let mut r = ByteReader::new(bytes);
+    match r.get_u8()? {
+        FORMAT_NODE_V1 => decode_cover(&mut r, num_dims),
+        tag => Err(DcError::Corrupt(format!(
+            "node format tag {tag} carries no header"
+        ))),
     }
 }
 
 fn decode_body(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
-    let mds = decode_mds(r, num_dims)?;
-    let summary = decode_summary(r)?;
     let blocks = get_varint(r)?;
     let blocks = u32::try_from(blocks)
         .map_err(|_| DcError::Corrupt(format!("block count {blocks} overflows u32")))?;
@@ -299,8 +332,7 @@ fn decode_body(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
             let n = get_bounded_count(r, 2 * num_dims.max(1) + 5)?;
             let mut entries = Vec::with_capacity(n);
             for _ in 0..n {
-                let mds = decode_mds(r, num_dims)?;
-                let summary = decode_summary(r)?;
+                let (mds, summary) = decode_cover(r, num_dims)?;
                 let child = get_varint(r)?;
                 let child = u32::try_from(child)
                     .map_err(|_| DcError::Corrupt(format!("child handle {child} overflows")))?;
@@ -337,12 +369,7 @@ fn decode_body(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
         }
         tag => return Err(DcError::Corrupt(format!("bad node kind tag {tag}"))),
     };
-    Ok(Node {
-        mds,
-        summary,
-        blocks,
-        kind,
-    })
+    Ok(Node { blocks, kind })
 }
 
 #[cfg(test)]

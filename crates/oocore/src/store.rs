@@ -26,12 +26,13 @@ use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-use dc_common::{DcError, DcResult};
-use dc_storage::{BlockConfig, PageId, PagedFile};
+use dc_common::{DcError, DcResult, MeasureSummary};
+use dc_mds::Mds;
+use dc_storage::{BlockConfig, ByteReader, PageId, PagedFile};
 use dc_tree::node::{Node, NodeId};
 use dc_tree::store::{NodeStore, PersistentStore};
 
-use crate::codec::{decode_node, encode_node};
+use crate::codec::{decode_cover, decode_node, decode_v1_cover, encode_cover, encode_node};
 use crate::pool::{ConcurrentPool, OocPoolStats};
 
 /// Sentinel `next` link terminating a page chain.
@@ -348,6 +349,18 @@ impl PersistentStore for OocStore {
         write_chain(&self.pool, PageId(META_PAGE), bytes, self.payload)
     }
 
+    fn encode_cover(&self, mds: &Mds, summary: &MeasureSummary, out: &mut Vec<u8>) {
+        encode_cover(out, mds, summary);
+    }
+
+    fn decode_cover(&self, r: &mut ByteReader) -> DcResult<(Mds, MeasureSummary)> {
+        decode_cover(r, self.num_dims)
+    }
+
+    fn legacy_cover(&self, id: NodeId) -> DcResult<(Mds, MeasureSummary)> {
+        decode_v1_cover(&read_chain(&self.pool, page_of(id))?, self.num_dims)
+    }
+
     /// Empties the write-back set into the pool, then flushes the pool.
     fn sync(&mut self) -> DcResult<()> {
         self.write_back(|_| true)?;
@@ -358,10 +371,11 @@ impl PersistentStore for OocStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dc_common::{AggregateOp, TempDir, ValueId};
+    use dc_common::{AggregateOp, RecordId, TempDir, ValueId};
     use dc_hierarchy::Record;
-    use dc_mds::{DimSet, Mds};
+    use dc_mds::DimSet;
     use dc_tpcd::{generate, TpcdConfig};
+    use dc_tree::node::{NodeKind, StoredRecord};
     use dc_tree::{DcTree, DcTreeConfig};
 
     fn opts(frames: usize) -> OocOptions {
@@ -380,13 +394,14 @@ mod tests {
         }
     }
 
-    /// A one-dimensional data node over `values` values, 1 000 apart so
-    /// each gap takes two bytes — several 512-byte pages at 600 values.
-    fn node(values: u32) -> Node {
-        Node::new_data(Mds::new(vec![DimSet::new(
-            0,
-            (0..values).map(|v| ValueId::new(0, v * 1_000)).collect(),
-        )]))
+    /// A one-dimensional data node of `records` records, about five bytes
+    /// each encoded — several 512-byte pages at 600 records.
+    fn node(records: u32) -> Node {
+        let records = (0..records).map(|i| StoredRecord {
+            id: RecordId(u64::from(i)),
+            record: Record::new(vec![ValueId::new(0, i * 1_000)], 1),
+        });
+        Node::new(NodeKind::Data(records.collect()))
     }
 
     fn store_at(dir: &TempDir, frames: usize) -> OocStore {
@@ -445,7 +460,7 @@ mod tests {
 
         // Allocated and freed between two syncs: never encoded.
         let id = store.alloc(node(600)).unwrap();
-        assert_eq!(*store.free(id).unwrap().mds.dim(0), *node(600).mds.dim(0));
+        assert_eq!(store.free(id).unwrap(), node(600));
         store.sync().unwrap();
         assert_eq!(store.pool_stats().node_encodes, 0);
         assert_eq!(store.alloc(node(1)).unwrap(), id, "head page recycled");

@@ -1,14 +1,15 @@
 //! Property tests for the node codec: random nodes round-trip exactly, pages
 //! written by the earlier encoder (which stored some dimension sets as WAH
-//! bitmaps) still decode, and corrupt pages produce *checked* [`DcError`]s —
-//! never a panic — because these bytes come from disk.
+//! bitmaps, and every node's MDS and summary in a page header) still
+//! decode, and corrupt pages produce *checked* [`DcError`]s — never a
+//! panic — because these bytes come from disk.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dc_common::{DcError, MeasureSummary, RecordId, ValueId};
 use dc_hierarchy::Record;
 use dc_mds::{DimSet, Mds};
-use dc_oocore::codec::{decode_node, encode_node};
+use dc_oocore::codec::{decode_node, decode_v1_cover, encode_node};
 use dc_tree::node::{DirEntry, Node, NodeId, NodeKind, StoredRecord};
 use proptest::prelude::*;
 
@@ -27,7 +28,7 @@ fn fixed_width_len(node: &Node) -> usize {
             .map(|r| 8 + 4 * r.record.dims.len() + 8)
             .sum::<usize>(),
     };
-    1 + mds(&node.mds) + summary + 4 + 1 + 4 + body
+    1 + 4 + 1 + 4 + body
 }
 
 fn dimset_strategy(level: u8) -> impl Strategy<Value = DimSet> {
@@ -66,8 +67,6 @@ fn summary_strategy() -> impl Strategy<Value = MeasureSummary> {
 
 fn data_node_strategy() -> impl Strategy<Value = Node> {
     (
-        mds_strategy(),
-        summary_strategy(),
         prop::collection::vec(
             (
                 0u64..1 << 40,
@@ -78,9 +77,7 @@ fn data_node_strategy() -> impl Strategy<Value = Node> {
         ),
         1u32..4,
     )
-        .prop_map(|(mds, summary, recs, blocks)| Node {
-            mds,
-            summary,
+        .prop_map(|(recs, blocks)| Node {
             blocks,
             kind: NodeKind::Data(
                 recs.into_iter()
@@ -98,14 +95,10 @@ fn data_node_strategy() -> impl Strategy<Value = Node> {
 
 fn dir_node_strategy() -> impl Strategy<Value = Node> {
     (
-        mds_strategy(),
-        summary_strategy(),
         prop::collection::vec((mds_strategy(), summary_strategy(), 2u32..1 << 30), 1..12),
         1u32..4,
     )
-        .prop_map(|(mds, summary, entries, blocks)| Node {
-            mds,
-            summary,
+        .prop_map(|(entries, blocks)| Node {
             blocks,
             kind: NodeKind::Dir(
                 entries
@@ -196,11 +189,13 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Pages written by the earlier encoder. It wrote a dimension set as a WAH
-// bitmap whenever that came out smaller, which long consecutive runs do;
-// every shard file and checkpoint image of a few thousand records holds
-// such sets. The bytes below are that encoder's output for the two nodes
-// built next to them.
+// Pages written by the earlier encoder, in node format 1. It wrote a
+// dimension set as a WAH bitmap whenever that came out smaller, which long
+// consecutive runs do; every shard file and checkpoint image of a few
+// thousand records holds such sets. And it wrote each node's MDS and
+// summary into a header before the block count. The bytes below are that
+// encoder's output for the two nodes built next to them: each node's
+// header, then the node it decodes to now.
 // ----------------------------------------------------------------------
 
 fn run(level: u8, range: std::ops::Range<u32>) -> DimSet {
@@ -219,15 +214,21 @@ fn summary(vals: &[i64]) -> MeasureSummary {
     s
 }
 
-/// A directory node whose first entry holds 2 000 consecutive values.
-fn fixture_dir_node() -> Node {
-    Node {
-        mds: Mds::new(vec![
+/// The header of a directory node whose first entry holds 2 000
+/// consecutive values.
+fn fixture_dir_header() -> (Mds, MeasureSummary) {
+    (
+        Mds::new(vec![
             run(1, 100..2_140),
             set(0, &[7, 4_000]),
             set(3, &[5, 9, 200]),
         ]),
-        summary: summary(&[-12, 40_000, 3]),
+        summary(&[-12, 40_000, 3]),
+    )
+}
+
+fn fixture_dir_node() -> Node {
+    Node {
         blocks: 2,
         kind: NodeKind::Dir(
             vec![
@@ -247,15 +248,20 @@ fn fixture_dir_node() -> Node {
     }
 }
 
-/// A data node whose MDS holds 2 500 consecutive values.
+/// The header of a data node whose MDS holds 2 500 consecutive values.
+fn fixture_data_header() -> (Mds, MeasureSummary) {
+    (
+        Mds::new(vec![run(0, 0..2_500), set(0, &[12, 13]), set(0, &[90_000])]),
+        summary(&[5, -7_000_000, 123]),
+    )
+}
+
 fn fixture_data_node() -> Node {
     let rec = |id: u64, dims: [u32; 3], measure: i64| StoredRecord {
         id: RecordId(id),
         record: Record::new(dims.iter().map(|&i| ValueId::new(0, i)).collect(), measure),
     };
     Node {
-        mds: Mds::new(vec![run(0, 0..2_500), set(0, &[12, 13]), set(0, &[90_000])]),
-        summary: summary(&[5, -7_000_000, 123]),
         blocks: 1,
         kind: NodeKind::Data(
             vec![
@@ -297,22 +303,29 @@ const WAH_DATA_PAGE: [u8; 79] = [
     0x09, 0x0c, 0x90, 0xbf, 0x05, 0xf6, 0x01,
 ];
 
-fn fixtures() -> [(&'static [u8], Node); 2] {
+#[allow(clippy::type_complexity)]
+fn fixtures() -> [(&'static [u8], (Mds, MeasureSummary), Node); 2] {
     [
-        (&WAH_DIR_PAGE, fixture_dir_node()),
-        (&WAH_DATA_PAGE, fixture_data_node()),
+        (&WAH_DIR_PAGE, fixture_dir_header(), fixture_dir_node()),
+        (&WAH_DATA_PAGE, fixture_data_header(), fixture_data_node()),
     ]
 }
 
-/// Old pages decode to the nodes they were written from; written again,
-/// the same nodes take the one set form and still round-trip.
+/// Old pages decode to the nodes they were written from, their headers
+/// to the MDS and summary written there; written again, the same nodes
+/// take the one set form and the headerless format, and still round-trip.
 #[test]
 fn pages_with_wah_sets_still_decode() {
-    for (page, node) in fixtures() {
+    for (page, header, node) in fixtures() {
         assert_eq!(decode_node(page, NUM_DIMS).unwrap(), node);
+        assert_eq!(decode_v1_cover(page, NUM_DIMS).unwrap(), header);
         let rewritten = encode_node(&node);
         assert_ne!(rewritten, page, "the encoder no longer writes WAH sets");
         assert_eq!(decode_node(&rewritten, NUM_DIMS).unwrap(), node);
+        assert!(
+            decode_v1_cover(&rewritten, NUM_DIMS).is_err(),
+            "a page of the current format has no header"
+        );
     }
 }
 
@@ -320,7 +333,7 @@ fn pages_with_wah_sets_still_decode() {
 /// single-bit flip and every inversion of every byte, and every truncation.
 #[test]
 fn corrupt_wah_pages_are_checked_errors() {
-    for (page, _) in fixtures() {
+    for (page, _, _) in fixtures() {
         for xor in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
             let pos = first_panicking_flip(page, xor);
             assert!(pos.is_none(), "xor {xor:#04x} panicked at byte {pos:?}");
@@ -334,20 +347,16 @@ fn corrupt_wah_pages_are_checked_errors() {
 #[test]
 fn targeted_corruptions_yield_dc_errors() {
     let node = Node {
-        mds: Mds::new(vec![
-            DimSet::new(1, (0..50).map(|i| ValueId::new(1, i)).collect()),
-            DimSet::new(0, vec![ValueId::new(0, 7)]),
-            DimSet::new(3, (0..2000).map(|i| ValueId::new(3, i * 3)).collect()),
-        ]),
-        summary: MeasureSummary::of(42),
         blocks: 1,
-        kind: NodeKind::Data(
-            vec![StoredRecord {
-                id: RecordId(9),
-                record: Record::new(
-                    vec![ValueId::new(0, 1), ValueId::new(0, 2), ValueId::new(0, 3)],
-                    -5,
-                ),
+        kind: NodeKind::Dir(
+            vec![DirEntry {
+                mds: Mds::new(vec![
+                    DimSet::new(1, (0..50).map(|i| ValueId::new(1, i)).collect()),
+                    DimSet::new(0, vec![ValueId::new(0, 7)]),
+                    DimSet::new(3, (0..2000).map(|i| ValueId::new(3, i * 3)).collect()),
+                ]),
+                summary: MeasureSummary::of(42),
+                child: NodeId::from_raw(9),
             }]
             .into(),
         ),
@@ -362,9 +371,10 @@ fn targeted_corruptions_yield_dc_errors() {
         Err(DcError::Corrupt(msg)) if msg.contains("format tag")
     ));
 
-    // Level beyond MAX_LEVEL (byte 1 is the first dimension's level).
+    // Level beyond MAX_LEVEL (bytes 1–3 are the block count, the kind tag
+    // and the entry count; byte 4 is the entry's first dimension's level).
     let mut bad = encoded.clone();
-    bad[1] = 0xff;
+    bad[4] = 0xff;
     assert!(matches!(decode_node(&bad, 3), Err(DcError::Corrupt(_))));
 
     // Empty input.

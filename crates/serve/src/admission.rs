@@ -62,6 +62,12 @@ impl Default for AdmissionConfig {
 /// The tenant id used by connections that never sent `HELLO`.
 pub const DEFAULT_TENANT: &str = "default";
 
+/// Most tenants a server keeps counters and a token bucket for, the
+/// default one included: each name a client declares stays in two maps
+/// and in every `STATS` reply, so a `HELLO` naming a new tenant past this
+/// is refused.
+pub const MAX_TENANTS: usize = 1024;
+
 /// Outcome of [`AdmissionController::check`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Verdict {
@@ -139,6 +145,12 @@ impl AdmissionController {
                 b
             }
         }
+    }
+
+    /// Tenants holding a bucket.
+    #[cfg(test)]
+    pub(crate) fn tenants(&self) -> usize {
+        self.buckets.lock().len()
     }
 
     /// Both gates in order against a pre-resolved bucket: overload first

@@ -11,6 +11,8 @@ use std::time::{Duration, Instant};
 use dc_plan::Backend;
 use parking_lot::Mutex;
 
+use crate::admission::{DEFAULT_TENANT, MAX_TENANTS};
+
 /// Sub-buckets per power of two (a power of two itself).
 const SUB_BUCKETS: usize = 8;
 /// Values below [`SUB_BUCKETS`] get one bucket each; every power of two
@@ -313,17 +315,21 @@ pub struct NetMetrics {
 }
 
 impl NetMetrics {
-    /// The counters for `name`, created on first sight. Front-ends cache
-    /// the `Arc` per connection, so the map lock is off the per-request
-    /// path.
-    pub fn tenant(&self, name: &str) -> Arc<TenantNetMetrics> {
+    /// The counters for `name`, created on first sight — unless `name` is
+    /// new and [`MAX_TENANTS`] tenants are known already: then `None`
+    /// (never for [`DEFAULT_TENANT`]). Front-ends cache the `Arc` per
+    /// connection, so the map lock is off the per-request path.
+    pub fn tenant(&self, name: &str) -> Option<Arc<TenantNetMetrics>> {
         let mut tenants = self.tenants.lock();
         if let Some(t) = tenants.get(name) {
-            return Arc::clone(t);
+            return Some(Arc::clone(t));
+        }
+        if tenants.len() >= MAX_TENANTS && name != DEFAULT_TENANT {
+            return None;
         }
         let t = Arc::new(TenantNetMetrics::default());
         tenants.insert(name.to_string(), Arc::clone(&t));
-        t
+        Some(t)
     }
 
     /// Snapshot of every tenant's counters, in name order.
@@ -881,12 +887,16 @@ mod tests {
         m.net.shed_total.store(3, Relaxed);
         m.net.pipeline_depth.record(1);
         m.net.pipeline_depth.record(32);
-        let t = m.net.tenant("analytics");
+        let t = m.net.tenant("analytics").unwrap();
         t.admitted.fetch_add(5, Relaxed);
         t.denied.fetch_add(3, Relaxed);
         // Same name returns the same counters; a new name appears too.
-        m.net.tenant("analytics").admitted.fetch_add(1, Relaxed);
-        m.net.tenant("default");
+        m.net
+            .tenant("analytics")
+            .unwrap()
+            .admitted
+            .fetch_add(1, Relaxed);
+        m.net.tenant("default").unwrap();
         let json = m.to_json();
         assert!(json.contains("\"net\":{\"active_connections\":2"));
         assert!(json.contains("\"accepted_total\":7"));

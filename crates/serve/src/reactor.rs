@@ -202,7 +202,9 @@ mod imp {
 
     use super::sys::{self, PollFd};
     use super::{ReactorConfig, ServerHandle};
-    use crate::admission::{AdmissionController, TenantBucket, Verdict, DEFAULT_TENANT};
+    use crate::admission::{
+        AdmissionController, TenantBucket, Verdict, DEFAULT_TENANT, MAX_TENANTS,
+    };
     use crate::codec::{self, DecodeStep, Protocol};
     use crate::engine::ShardedDcTree;
     use crate::metrics::TenantNetMetrics;
@@ -372,6 +374,15 @@ mod imp {
         addr: &str,
         config: ReactorConfig,
     ) -> io::Result<ServerHandle> {
+        start(engine, addr, config).map(|(handle, _)| handle)
+    }
+
+    /// [`serve_reactor`], also handing back the state its threads share.
+    fn start(
+        engine: Arc<ShardedDcTree>,
+        addr: &str,
+        config: ReactorConfig,
+    ) -> io::Result<(ServerHandle, Arc<Shared>)> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
@@ -429,12 +440,14 @@ mod imp {
                 }
                 drop(supervisor_shared);
             })?;
-        Ok(ServerHandle {
+        let waker_shared = Arc::clone(&shared);
+        let handle = ServerHandle {
             addr: local,
             stop,
             supervisor,
-            waker: Box::new(move || shared.wake_all()),
-        })
+            waker: Box::new(move || waker_shared.wake_all()),
+        };
+        Ok((handle, shared))
     }
 
     fn worker_loop(shared: &Shared) {
@@ -629,7 +642,10 @@ mod imp {
                 queued: VecDeque::new(),
                 inflight: false,
                 tenant_name: DEFAULT_TENANT.to_string(),
-                tenant: metrics.net.tenant(DEFAULT_TENANT),
+                tenant: metrics
+                    .net
+                    .tenant(DEFAULT_TENANT)
+                    .expect("the default tenant is never refused"),
                 bucket: self.shared.admission.bucket(DEFAULT_TENANT),
                 last_activity: Instant::now(),
                 read_closed: false,
@@ -820,8 +836,15 @@ mod imp {
             };
             match req {
                 // Connection-state verbs run inline: no engine resources.
+                // A new tenant past the cap is refused before either map
+                // grows, and the connection keeps the tenant it has.
                 Request::Hello { tenant } => {
-                    conn.tenant = metrics.net.tenant(&tenant);
+                    let Some(counters) = metrics.net.tenant(&tenant) else {
+                        let line = format!("ERR more than {MAX_TENANTS} tenants");
+                        conn.push_ready(line, Control::Continue);
+                        return;
+                    };
+                    conn.tenant = counters;
                     conn.bucket = self.shared.admission.bucket(&tenant);
                     conn.tenant_name = tenant;
                     let line = format!("OK HELLO {}", conn.tenant_name);
@@ -1047,6 +1070,76 @@ mod imp {
             for slot in expired {
                 self.close(slot);
             }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::engine::EngineConfig;
+        use dc_hierarchy::{CubeSchema, HierarchySchema};
+        use std::io::{BufRead, BufReader};
+        use std::net::TcpStream;
+
+        /// One connection declaring more tenants than the cap: the new
+        /// names past it are refused, neither tenant map grows past it, and
+        /// STATS stays bounded by it.
+        #[test]
+        fn hello_past_the_tenant_cap_is_refused() {
+            let schema = CubeSchema::new(
+                vec![HierarchySchema::new("Customer", vec!["Region".into()])],
+                "sales",
+            );
+            let engine = Arc::new(ShardedDcTree::new(schema, EngineConfig::default()).unwrap());
+            let (handle, shared) =
+                start(Arc::clone(&engine), "127.0.0.1:0", ReactorConfig::default()).unwrap();
+            let stream = TcpStream::connect(handle.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            let mut w = stream.try_clone().unwrap();
+            let mut r = BufReader::new(stream);
+            let mut request = |line: &str| {
+                w.write_all(format!("{line}\n").as_bytes()).unwrap();
+                let mut response = String::new();
+                r.read_line(&mut response).unwrap();
+                response.trim_end().to_string()
+            };
+            let base = request("STATS").len();
+
+            // The default tenant holds one of the slots.
+            let name = |i: usize| format!("tenant-{i:04}");
+            let last = MAX_TENANTS - 2;
+            for i in 0..MAX_TENANTS + 100 {
+                let response = request(&format!("HELLO {}", name(i)));
+                if i <= last {
+                    assert_eq!(response, format!("OK HELLO {}", name(i)));
+                } else {
+                    assert!(response.starts_with("ERR "), "HELLO #{i}: {response}");
+                }
+            }
+            // A known name is still accepted at the cap.
+            assert_eq!(request("HELLO default"), "OK HELLO default");
+            assert_eq!(
+                request(&format!("HELLO {}", name(last))),
+                format!("OK HELLO {}", name(last))
+            );
+            assert!(request(&format!("HELLO {}", name(last + 1))).starts_with("ERR "));
+
+            let tenants = engine.metrics().net.tenant_counts();
+            assert_eq!(tenants.len(), MAX_TENANTS);
+            assert!(shared.admission.tenants() <= MAX_TENANTS);
+            // The refused HELLO left the connection on its tenant.
+            assert_eq!(request("COUNT"), "OK 0.00");
+            let counts = engine.metrics().net.tenant_counts();
+            assert!(counts.contains(&(name(last), 1, 0)), "{counts:?}");
+
+            // Each tenant adds one `"name":{"admitted":a,"denied":d}` member.
+            let member = format!("\"{}\":{{\"admitted\":1,\"denied\":0}},", name(0)).len();
+            let stats = request("STATS").len();
+            assert!(stats <= base + MAX_TENANTS * member + 256, "{stats} bytes");
+            handle.stop();
+            engine.shutdown();
         }
     }
 }

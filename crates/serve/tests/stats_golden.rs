@@ -159,10 +159,10 @@ fn stats_json_golden() {
             set(a);
         }
     }
-    let t = m.net.tenant("analytics");
+    let t = m.net.tenant("analytics").unwrap();
     t.admitted.store(901, Relaxed);
     t.denied.store(902, Relaxed);
-    let t = m.net.tenant("default");
+    let t = m.net.tenant("default").unwrap();
     t.admitted.store(903, Relaxed);
     t.denied.store(904, Relaxed);
     for depth in [0, 1, 3, 7, 7, 31] {

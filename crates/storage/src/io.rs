@@ -79,9 +79,8 @@ impl IoTracker {
 
     /// Charges `blocks` logical reads attributed to the storage object
     /// `key` (e.g. a node id); when tracing is active, appends one synthetic
-    /// block id per block to the trace so [`CacheSim`] can replay it.
-    ///
-    /// [`CacheSim`]: crate::cachesim::CacheSim
+    /// block id per block to the trace, which the A6 ablation's cache
+    /// simulation (`dc_bench::cachesim::CacheSim`) replays.
     #[inline]
     pub fn read_keyed(&self, key: u64, blocks: u32) {
         self.read(blocks);

@@ -13,24 +13,21 @@
 //!   page I/O alongside wall time (the machine-independent half of the
 //!   paper's measurements). The DC-tree counts each read's pages in the
 //!   read itself; the X-tree, scan and bitmap baselines charge an
-//!   [`IoTracker`] on every node touch, which can also record the block
-//!   trace [`CacheSim`] replays;
+//!   [`IoTracker`] on every node touch, which can also record a block
+//!   trace (the A6 ablation replays it through an LRU simulation,
+//!   `dc_bench::cachesim`);
 //! * [`codec`] — a small, checked binary reader/writer used to persist
 //!   trees and to compute byte-accurate node sizes;
 //! * [`PagedFile`] — a block-aligned file of fixed-size pages with a free
 //!   list, the on-disk substrate of a production deployment (the one
-//!   buffer pool over it is `dc_oocore::ConcurrentPool`);
-//! * [`CacheSim`] — an LRU simulation turning a logical page trace into
-//!   physical reads under a memory budget.
+//!   buffer pool over it is `dc_oocore::ConcurrentPool`).
 
 pub mod block;
-pub mod cachesim;
 pub mod codec;
 pub mod io;
 pub mod paged;
 
 pub use block::BlockConfig;
-pub use cachesim::{CacheReport, CacheSim};
 pub use codec::{crc32, ByteReader, ByteWriter};
 pub use io::{IoStats, IoTracker};
 pub use paged::{PageId, PagedFile};

@@ -9,56 +9,14 @@
 //! A counting `#[global_allocator]` tracks live and peak bytes; this file
 //! holds one test so no other test's allocations land in the window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
 use dc_tree::{DcTree, DcTreeConfig};
 
-/// Counts live heap bytes and their high-water mark.
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Relaxed) + by;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are plain atomics, so updating them
-// never allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` obligations pass through unchanged.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout` (above).
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: the caller's `ptr`/`layout`/`new_size` obligations pass
-        // through unchanged.
-        let out = unsafe { System.realloc(ptr, layout, new_size) };
-        if !out.is_null() {
-            LIVE.fetch_sub(layout.size(), Relaxed);
-            grew(new_size);
-        }
-        out
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{LIVE, PEAK};
 
 const RECORDS: usize = 20_000;
 /// Records per writer batch: a two-shard engine's share of the 512-record
