@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks of the substrate layers: WAH bitmap algebra,
-//! the bitmap index, and the paged-file / buffer-pool storage path.
+//! the bitmap index, and the paged store's node reads (a cached node, and
+//! one read from its pages and decoded).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dc_bitmap::{BitmapIndex, CompressedBitmap};
 use dc_common::TempDir;
-use dc_oocore::ConcurrentPool;
+use dc_oocore::{OocOptions, OocStore};
 use dc_query::{RangeQueryGen, ValuePick};
-use dc_storage::{BlockConfig, PagedFile};
+use dc_storage::BlockConfig;
 use dc_tpcd::{generate, TpcdConfig};
+use dc_tree::{DcTree, DcTreeConfig, NodeStore, PersistentStore};
 
 fn bench_wah(c: &mut Criterion) {
     // Two sparse bitmaps over 1M positions.
@@ -94,29 +96,43 @@ fn bench_bitmap_index_load(c: &mut Criterion) {
 }
 
 fn bench_storage(c: &mut Criterion) {
+    // A flushed disk tree, reopened twice: with room for every node, and
+    // with a one-node cache that every other node's read evicts.
     let dir = TempDir::new("bench-storage");
-    let file = PagedFile::create(dir.join("pages"), BlockConfig::DEFAULT).unwrap();
-    let pool = ConcurrentPool::new(file, 64);
-    let pages: Vec<_> = (0..256).map(|_| pool.alloc().unwrap()).collect();
-    for (i, &p) in pages.iter().enumerate() {
-        pool.with_page_mut(p, |d| d[0] = i as u8).unwrap();
-    }
+    let path = dir.join("tree.dct");
+    let data = generate(&TpcdConfig::scaled(5_000, 1));
+    let opts = |frames| OocOptions {
+        block: BlockConfig::DEFAULT,
+        frames,
+    };
+    let config = DcTreeConfig::default();
+    let mut tree = DcTree::create_in(
+        OocStore::create(&path, opts(1024)).unwrap(),
+        data.schema.clone(),
+        config,
+    )
+    .unwrap();
+    tree.insert_batch(data.records.clone()).unwrap();
+    tree.flush().unwrap();
+    let mut ids = Vec::new();
+    tree.for_each_node(|_, entry, _| ids.push(entry.child))
+        .unwrap();
+    drop(tree);
+    let open = |frames| {
+        let mut store = OocStore::open(&path, opts(frames)).unwrap();
+        store.set_num_dims(data.schema.num_dims());
+        store
+    };
+    let (hot, cold) = (open(1024), open(1));
     let mut g = c.benchmark_group("storage");
+    g.bench_function("node_get/hot", |bch| {
+        bch.iter(|| hot.get(ids[0]).unwrap().blocks)
+    });
     let mut i = 0usize;
-    g.bench_function("pool_read/cold+hot_mix", |bch| {
+    g.bench_function("node_get/cold", |bch| {
         bch.iter(|| {
             i += 1;
-            pool.with_page(pages[i % pages.len()], |d| d[0]).unwrap()
-        })
-    });
-    let hot = pages[0];
-    g.bench_function("pool_read/hot", |bch| {
-        bch.iter(|| pool.with_page(hot, |d| d[0]).unwrap())
-    });
-    g.bench_function("pool_write/hot", |bch| {
-        bch.iter(|| {
-            pool.with_page_mut(hot, |d| d[1] = d[1].wrapping_add(1))
-                .unwrap()
+            cold.get(ids[i % ids.len()]).unwrap().blocks
         })
     });
     g.finish();

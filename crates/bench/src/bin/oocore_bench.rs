@@ -1,26 +1,29 @@
 //! Out-of-core serving bench (`dc-oocore`): what does it cost to serve a
-//! DC-tree cube from disk through the concurrent buffer pool, and how dense
-//! are its node pages? Four sections:
+//! DC-tree cube from disk through a shard's node cache, and how dense are
+//! its node pages? Five sections:
 //!
 //! * **density** — the cube written as one standalone shard: file bytes
 //!   (a count, so it repeats exactly) and records per GB.
 //! * **write path** — `insert_batch(512)` of the same records into one
-//!   disk tree (frames a tenth of its pages, final flush included) and one
-//!   resident tree: µs per record each, and the node decodes + encodes the
-//!   disk tree paid per record — a count, so it repeats exactly. The store
-//!   keeps the nodes a batch mutates decoded; without that the count is
-//!   about 2 × height.
+//!   disk tree (a node budget of `records / 500 + 3`, about a tenth of the
+//!   density file's pages; final flush included) and one resident tree: µs
+//!   per record each, and the node decodes + encodes the disk tree paid per
+//!   record — a count, so it repeats exactly. The store keeps the nodes a
+//!   batch mutates decoded; without that the count is about 2 × height.
 //! * **codec** — every node of the resident tree encoded and decoded
 //!   (decode fills the node's member blocks): mean µs per node, by kind.
 //!   Reported, not gated.
-//! * **serving** — the disk-backed engine with a frame budget ≥10× below
+//! * **serving** — the disk-backed engine with a node budget ≥10× below
 //!   the dataset's page count vs. the RAM-resident engine, same query
 //!   stream (cache off on both, so every query descends): mean latency
-//!   and queries/sec. Disk is expected to lose — the point is to measure
-//!   the gap the pool holds it to while RAM holds 10× less.
-//! * **scan resistance** — a hot 1% query loop, alone and interleaved
-//!   with full-cube scans: the segmented LRU must keep the hot set's hit
-//!   rate from collapsing when scans sweep the pool.
+//!   and queries/sec, and the nodes the disk engine decoded per query (a
+//!   count: the stream is read-only). Disk is expected to lose — the point
+//!   is to measure the gap the node cache holds it to while RAM holds 10×
+//!   less.
+//! * **scan resistance** — a hot 0.1 % query loop, alone and interleaved
+//!   with full-cube scans: the node cache's hit rate on the hot query's
+//!   node accesses in both cases (clean data nodes are dropped before
+//!   directory nodes, so a scan sweeps leaves, not the directory).
 //!
 //! Emits `results/oocore_bench.json` (gated keys: `mean_query_us` and
 //! `insert_us_per_record`, two occurrences each — disk then resident —
@@ -85,7 +88,8 @@ fn json_u64(json: &str, key: &str) -> u64 {
         .unwrap()
 }
 
-fn pool_touches(engine: &ShardedDcTree) -> (u64, u64) {
+/// The disk engine's node-cache hits and misses (node loads) so far.
+fn cache_touches(engine: &ShardedDcTree) -> (u64, u64) {
     let s = engine.stats_json();
     (json_u64(&s, "pool_hits"), json_u64(&s, "pool_misses"))
 }
@@ -173,7 +177,9 @@ fn main() {
     // Write path: insert_batch into disk pages vs. the arena.
     // ------------------------------------------------------------------
     let total_pages = file_bytes / BLOCK as u64;
-    let write_frames = ((total_pages / 10) as usize).max(8);
+    // About a tenth of the density file's pages (≈ 48 records a page),
+    // from the record count so that a page-format change cannot move it.
+    let write_frames = (records / 500 + 3).max(8);
     let disk_tree = OocDcTree::create(
         dir.join("write_path.dct"),
         data.schema.clone(),
@@ -203,9 +209,9 @@ fn main() {
     let resident_insert_us = t0.elapsed().as_secs_f64() * 1e6 / records as f64;
     assert_eq!(disk_tree.read().num_nodes(), resident_tree.num_nodes());
     let codec = disk_tree.pool_stats();
-    let codec_ops = (codec.node_decodes + codec.node_encodes) as f64 / records as f64;
+    let codec_ops = (codec.misses + codec.writebacks) as f64 / records as f64;
     println!(
-        "\nwrite path ({write_frames} frames, height {}): disk {disk_insert_us:.1} µs/record, \
+        "\nwrite path ({write_frames} cached nodes, height {}): disk {disk_insert_us:.1} µs/record, \
          resident {resident_insert_us:.1} µs/record, {codec_ops:.3} node decodes + encodes per record",
         resident_tree.height()
     );
@@ -239,12 +245,12 @@ fn main() {
     drop((disk_tree, resident_tree, data_nodes, dir_nodes));
 
     // ------------------------------------------------------------------
-    // Serving: disk at ≥10× the frame budget vs. RAM-resident.
+    // Serving: disk at ≥10× the node budget vs. RAM-resident.
     // ------------------------------------------------------------------
     let frames = ((total_pages / (10 * SHARDS as u64)) as usize).max(8);
     let over_budget = total_pages as f64 / (frames * SHARDS) as f64;
     println!(
-        "\nserving: {total_pages} pages over {SHARDS}×{frames} frames \
+        "\nserving: {total_pages} pages over {SHARDS}×{frames} cached nodes \
          ({over_budget:.1}x the budget), {num_queries} queries, cache off"
     );
 
@@ -280,10 +286,16 @@ fn main() {
 
     let stream = queries(&data, num_queries);
     let mut rows = Vec::new();
+    let mut node_loads = 0.0;
     for (mode, engine) in [("disk", &disk), ("resident", &resident)] {
-        // Warmup: fault the spine in, size per-thread scratch.
+        // Warmup: decode the spine, size per-thread scratch.
         run_stream(engine, &stream[..stream.len().min(8)]);
+        let misses = || engine.is_disk().then(|| cache_touches(engine).1);
+        let before = misses();
         let secs = run_stream(engine, &stream);
+        if let (Some(before), Some(after)) = (before, misses()) {
+            node_loads = (after - before) as f64 / stream.len() as f64;
+        }
         let mean_query_us = secs * 1e6 / stream.len() as f64;
         let qps = stream.len() as f64 / secs;
         println!("{mode:>12}: {mean_query_us:>10.1} µs/query, {qps:>10.0} q/s");
@@ -291,6 +303,7 @@ fn main() {
     }
     let slowdown = rows[0].1 / rows[1].1;
     println!("{:>12}: {slowdown:.1}x resident latency", "disk pays");
+    println!("{:>12}: {node_loads:.1} node loads per query", "disk");
 
     // ------------------------------------------------------------------
     // Scan resistance: a hot query alone vs. interleaved with full scans.
@@ -307,9 +320,9 @@ fn main() {
             if with_scans && i % 5 == 0 {
                 std::hint::black_box(disk.range_summary(&all).expect("scan"));
             }
-            let (h0, m0) = pool_touches(&disk);
+            let (h0, m0) = cache_touches(&disk);
             std::hint::black_box(disk.range_query(&hot, AggregateOp::Sum).expect("hot"));
-            let (h1, m1) = pool_touches(&disk);
+            let (h1, m1) = cache_touches(&disk);
             hits += h1 - h0;
             misses += m1 - m0;
         }
@@ -367,6 +380,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!("  \"disk_slowdown_x\": {slowdown:.2},\n"));
+    json.push_str(&format!("  \"node_loads_per_query\": {node_loads:.1},\n"));
     json.push_str(&format!(
         "  \"scan_resistance\": {{\"hot_hit_rate\": {hot_alone:.3}, \
          \"hot_hit_rate_under_scans\": {hot_scanned:.3}}},\n"
@@ -384,7 +398,7 @@ fn main() {
     // Sanity: the bench must actually have run out-of-core.
     if over_budget < 10.0 {
         eprintln!(
-            "FAIL: dataset only {over_budget:.1}x the frame budget — raise [records] \
+            "FAIL: dataset only {over_budget:.1}x the node budget — raise [records] \
              so the serving section measures disk, not RAM"
         );
         std::process::exit(1);

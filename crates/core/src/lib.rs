@@ -69,10 +69,10 @@
 //! The paper's nodes are disk blocks. [`DcTree`] is generic over a
 //! [`NodeStore`]: the default [`Arena`] keeps them in memory, and
 //! `dc_oocore::OocStore` — the one paged store — keeps them as page chains
-//! behind a concurrent buffer pool, in one varint node encoding. Insert, choose-subtree, hierarchy split,
-//! supernode growth, queries, deletion, bulk load, the invariant checker
-//! and the statistics exist once, written against the trait, so every
-//! store builds the same tree node for node
+//! behind a cache of decoded nodes, in one varint node encoding. Insert,
+//! choose-subtree, hierarchy split, supernode growth, queries, deletion,
+//! bulk load, the invariant checker and the statistics exist once, written
+//! against the trait, so every store builds the same tree node for node
 //! ([`DcTree::structure`] is how the tests say so).
 //!
 //! [minimum describing sequences]: dc_mds::Mds

@@ -5,7 +5,7 @@
 //! [`NodeStore`] holds the *nodes*. The paper's nodes are disk blocks; here
 //! the same tree runs over the in-memory [`Arena`] (the default, and what
 //! every resident shard uses) and over `dc_oocore::OocStore` (node pages
-//! behind the concurrent, scan-resistant buffer pool) without duplicating
+//! behind a cache of decoded nodes) without duplicating
 //! any tree logic. This crate knows neither pages nor pools: how a node is
 //! laid out on disk, and how long a mutated node stays decoded before it is
 //! written back, is the paged store's business alone.
@@ -59,25 +59,26 @@ use crate::node::{Node, NodeId};
 /// it runs *one mutation step* on it ([`update`]). For the arena these are
 /// a borrow and a mutable borrow. A paged store decodes a node it reads
 /// from its pages, but it need not pay the codec per step: the paged store
-/// keeps the nodes it has mutated decoded (a bounded set, written back
-/// when it fills and when the store syncs), so the steps an insertion
-/// takes on one node cost one decode and one encode between them, and a
-/// read of such a node is a borrow there too.
+/// keeps the nodes it has mutated decoded (its dirty nodes, written back
+/// when they fill its bound and when the store syncs), so the steps an
+/// insertion takes on one node cost one decode and one encode between
+/// them, and nodes it read stay decoded while there is room.
 ///
 /// [`get`]: NodeStore::get
 /// [`update`]: NodeStore::update
 pub trait NodeStore {
     /// Reads the node at `id`: borrowed from a resident store; from a paged
-    /// one decoded (owned), or borrowed when the store holds it decoded.
+    /// one owned — decoded, or a copy of the node it holds decoded.
     fn get(&self, id: NodeId) -> DcResult<Cow<'_, Node>>;
 
     /// Runs one mutation step on the node at `id`. When `f` fails the
     /// node's state is unspecified (the step may have been half applied) on
     /// a resident store and for a node a paged store already held decoded
-    /// and dirty; a node a paged store had to load for the step keeps its
-    /// stored state. No caller retries a failed step: the tree propagates
-    /// the error. On a paged store the call may first write other nodes
-    /// back to make room, and an I/O error from that is returned here.
+    /// and dirty; a node a paged store held clean or had to load for the
+    /// step keeps its stored state. No caller retries a failed step: the
+    /// tree propagates the error. On a paged store the call may first write
+    /// other nodes back to make room, and an I/O error from that is
+    /// returned here.
     fn update<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Node) -> DcResult<R>) -> DcResult<R>;
 
     /// Stores a fresh node and returns its handle. May write other nodes

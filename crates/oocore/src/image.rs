@@ -12,7 +12,7 @@ use dc_tree::{Arena, DcTree, DcTreeConfig};
 
 use crate::store::{OocOptions, OocStore};
 
-/// The frame budget of the store an image is written or read through:
+/// The node budget of the store an image is written or read through:
 /// it streams nodes, each touched once.
 pub const IMAGE_FRAMES: usize = 64;
 

@@ -2,10 +2,10 @@
 //!
 //! The tree logic is `dc_tree::DcTree` over an [`OocStore`]; this
 //! wrapper adds the `RwLock` discipline the serving engine needs — queries
-//! take the read lock (the store underneath is fully concurrent, so any
-//! number of readers fault and evict pages in parallel), mutations take the
-//! write lock. The pool `Arc` is kept alongside so checkpointing and stats
-//! never have to take the tree lock just to reach the buffer pool.
+//! take the read lock (readers share the store's node cache, which a mutex
+//! keeps consistent between them), mutations take the write lock. The
+//! store's counters are kept alongside, so stats and the file size never
+//! have to take the tree lock.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -15,18 +15,24 @@ use dc_hierarchy::CubeSchema;
 use dc_tree::{DcTree, DcTreeConfig};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::pool::{ConcurrentPool, OocPoolStats};
-use crate::store::{OocOptions, OocStore};
+use crate::store::{Counters, OocOptions, OocPoolStats, OocStore};
 
 /// A DC-tree shard served out-of-core: `RwLock<DcTree<OocStore>>`
-/// plus a handle to the shared buffer pool.
+/// plus a handle to the store's counters.
 #[derive(Debug)]
 pub struct OocDcTree {
     inner: RwLock<DcTree<OocStore>>,
-    pool: Arc<ConcurrentPool>,
+    counters: Arc<Counters>,
 }
 
 impl OocDcTree {
+    fn over(tree: DcTree<OocStore>) -> Self {
+        OocDcTree {
+            counters: Arc::clone(tree.store().counters()),
+            inner: RwLock::new(tree),
+        }
+    }
+
     /// Creates a fresh shard file at `path`.
     pub fn create(
         path: impl AsRef<Path>,
@@ -35,23 +41,13 @@ impl OocDcTree {
         opts: OocOptions,
     ) -> DcResult<Self> {
         let store = OocStore::create(path, opts)?;
-        let pool = Arc::clone(store.pool());
-        let tree = DcTree::create_in(store, schema, config)?;
-        Ok(OocDcTree {
-            inner: RwLock::new(tree),
-            pool,
-        })
+        Ok(Self::over(DcTree::create_in(store, schema, config)?))
     }
 
     /// Opens an existing shard file.
     pub fn open(path: impl AsRef<Path>, config: DcTreeConfig, opts: OocOptions) -> DcResult<Self> {
         let store = OocStore::open(path, opts)?;
-        let pool = Arc::clone(store.pool());
-        let tree = DcTree::open_in(store, config)?;
-        Ok(OocDcTree {
-            inner: RwLock::new(tree),
-            pool,
-        })
+        Ok(Self::over(DcTree::open_in(store, config)?))
     }
 
     /// Read access to the tree. Hold this across a batch of queries that
@@ -67,17 +63,12 @@ impl OocDcTree {
         self.inner.write()
     }
 
-    /// The shared buffer pool (reachable without the tree lock).
-    pub fn pool(&self) -> &Arc<ConcurrentPool> {
-        &self.pool
-    }
-
-    /// Buffer-pool counters for the `pool_*` gauges.
+    /// Node-cache counters for the `pool_*` gauges.
     pub fn pool_stats(&self) -> OocPoolStats {
-        self.pool.stats()
+        self.counters.stats()
     }
 
-    /// Flushes tree metadata, writes back every dirty frame, and fsyncs:
+    /// Flushes tree metadata, writes back every dirty node, and fsyncs:
     /// after this returns, the shard file on disk is a complete image of
     /// the tree — the barrier the checkpointer copies behind.
     pub fn flush(&self) -> DcResult<()> {
@@ -86,7 +77,7 @@ impl OocDcTree {
 
     /// On-disk footprint in bytes (pages × page size).
     pub fn file_bytes(&self) -> u64 {
-        self.pool.num_pages() * self.pool.page_size() as u64
+        self.counters.file_bytes()
     }
 }
 
@@ -98,6 +89,6 @@ mod tests {
     fn send_sync_bounds_hold() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<OocDcTree>();
-        assert_send_sync::<ConcurrentPool>();
+        assert_send_sync::<OocStore>();
     }
 }

@@ -1,5 +1,5 @@
-//! Differential test: an [`OocDcTree`] running through the concurrent pool
-//! with a deliberately tiny frame budget must answer
+//! Differential test: an [`OocDcTree`] running through its node cache
+//! with a deliberately tiny node budget must answer
 //! every query exactly like the RAM-resident [`DcTree`], including after
 //! deletes, a reopen, and under concurrent query load — and, being the same
 //! tree over a different store, must *be* the same tree node for node.
@@ -17,9 +17,10 @@ use dc_tree::{DcTree, DcTreeConfig, PreparedRange};
 fn small_opts() -> OocOptions {
     OocOptions {
         block: BlockConfig::new(512),
-        // Tiny budget: the working set cannot stay resident, so every query
-        // path exercises faulting and eviction.
-        frames: 16,
+        // Tiny budget: 2 nodes of a tree of several, so the working set
+        // cannot stay cached and every query path exercises decoding and
+        // eviction.
+        frames: 2,
     }
 }
 
@@ -105,7 +106,7 @@ fn disk_backed_tree_matches_ram_resident_baseline() {
     let stats = ooc.pool_stats();
     assert!(
         stats.evictions > 0,
-        "16-frame pool over a 600-record cube must evict (got {stats:?})"
+        "a 2-node cache over a 600-record cube must evict (got {stats:?})"
     );
     assert!(stats.resident <= stats.capacity);
 
@@ -170,6 +171,60 @@ fn concurrent_queries_during_churn_see_consistent_states() {
         assert!(final_seen <= cube.records.len() as u64);
     }
     assert_eq!(ooc.read().len(), cube.records.len() as u64);
+}
+
+/// Four readers share one shard's node cache — 4 nodes, so they constantly
+/// decode, insert and evict under its mutex — while the writer applies a
+/// batch between read rounds. Every answer equals the resident tree's.
+#[test]
+fn concurrent_readers_share_the_node_cache() {
+    let cube = generate(&TpcdConfig::scaled(1_200, 29));
+    let dir = TempDir::new("ooc-diff");
+    let opts = OocOptions {
+        frames: 4,
+        ..small_opts()
+    };
+    let config = DcTreeConfig::default();
+    let ooc = OocDcTree::create(dir.join("readers.dct"), cube.schema.clone(), config, opts);
+    let ooc = ooc.unwrap();
+    let mut ram = DcTree::new(cube.schema.clone(), config);
+    let queries = probe_queries(&cube.schema);
+    for (round, chunk) in cube.records.chunks(200).enumerate() {
+        ram.insert_batch(chunk.to_vec()).unwrap();
+        ooc.write().insert_batch(chunk.to_vec()).unwrap();
+        if round % 2 == 1 {
+            for r in chunk.iter().step_by(3) {
+                assert!(ram.delete(r).unwrap());
+                assert!(ooc.write().delete(r).unwrap());
+            }
+        }
+        let (ram, ooc, queries) = (&ram, &ooc, &queries);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                s.spawn(move || {
+                    // Each reader starts at its own query, so they race on
+                    // different nodes as well as the same ones.
+                    for i in 0..queries.len() {
+                        let q = &queries[(i + t * 3) % queries.len()];
+                        let tree = ooc.read();
+                        assert_eq!(
+                            tree.range_summary(q).unwrap(),
+                            ram.range_summary(q).unwrap()
+                        );
+                        let dim = DimensionId((i % 3) as u16);
+                        assert_eq!(
+                            tree.group_by(dim, 1, q).unwrap(),
+                            ram.group_by(dim, 1, q).unwrap(),
+                            "round {round}, query {i}"
+                        );
+                    }
+                });
+            }
+        });
+        let stats = ooc.pool_stats();
+        assert!(stats.resident <= 4, "{stats:?}");
+    }
+    assert!(ooc.pool_stats().evictions > 0);
 }
 
 fn roomy_opts() -> OocOptions {

@@ -1,6 +1,6 @@
 //! Differential tests: one `DcTree`, whatever the store. Over disk pages it
 //! must build the very tree, node for node, that it builds in the arena,
-//! answer identically, survive close/reopen cycles, exercise the buffer pool
+//! answer identically, survive close/reopen cycles, exercise the node cache
 //! for real, and turn a damaged page chain into `DcError::Corrupt` rather
 //! than a panic or an unbounded walk.
 
@@ -225,9 +225,8 @@ fn disk_tree_deletes_like_memory_tree() {
 
 #[test]
 fn buffer_pool_pressure_still_answers_correctly() {
-    // A tiny pool (its floor of 4 frames) forces constant eviction and
-    // reload; the store's decoded set is bounded by the same option, so at
-    // 1 and 2 it gives a node up between the steps of one insertion.
+    // A node cache of 1, 2 or 4 nodes forces constant eviction and reload;
+    // at 1 and 2 it gives a node up between the steps of one insertion.
     for frames in [1, 2, 4] {
         let dir = TempDir::new("disk-pressure");
         let mut mem = DcTree::new(schema(), config(4));
@@ -238,10 +237,13 @@ fn buffer_pool_pressure_still_answers_correctly() {
             let m = rng.gen_range(0..100);
             mem.insert_raw(&paths, m).unwrap();
             disk.insert_raw(&paths, m).unwrap();
-            assert!(disk.store().pool_stats().decoded_nodes <= frames as u64);
+            assert!(disk.store().pool_stats().resident <= frames as u64);
         }
         let stats = disk.store().pool_stats();
-        assert!(stats.evictions > 0, "4 frames must thrash: {stats:?}");
+        assert!(
+            stats.evictions > 0,
+            "{frames} frames must thrash: {stats:?}"
+        );
         assert!(stats.writebacks > 0, "dirty nodes must be written back");
         disk.check_invariants().unwrap();
         assert_eq!(disk.structure().unwrap(), mem.structure().unwrap());
@@ -289,7 +291,7 @@ fn write_small_tree(path: &Path) -> u64 {
         tree.write().insert_raw(&random_paths(&mut rng), 1).unwrap();
     }
     tree.flush().unwrap();
-    tree.pool().num_pages()
+    tree.file_bytes() / PAGE as u64
 }
 
 /// The chain header `(next, len)` of `page` in the file at `path`.
@@ -355,7 +357,7 @@ fn a_cyclic_chain_is_corrupt_not_an_endless_walk() {
     assert_corrupt(store.free(NodeId::from_raw(2)));
     // Each of the three walks gave up after one step per page of the file.
     let touched = store.pool_stats();
-    assert!(touched.hits + touched.misses <= 3 * pages, "{touched:?}");
+    assert!(touched.page_reads <= 3 * pages, "{touched:?}");
     drop(store);
 
     // Undamaged again, the file opens.
@@ -409,7 +411,7 @@ proptest! {
 
     /// One algorithm, one tree, whatever the store: the same interned
     /// stream — inserts batched, deletes interleaved — builds the same tree
-    /// node for node in the arena and on disk pages, under buffer-pool
+    /// node for node in the arena and on disk pages, under node-cache
     /// pressure — and, at 1, 2 and 4 frames, with the
     /// store writing decoded nodes back between the steps of a split, a
     /// supernode growth and a condensing delete.

@@ -132,10 +132,10 @@ pub enum StorageMode {
     #[default]
     Resident,
     /// Every shard is a disk file of compressed node pages served through
-    /// `dc-oocore`'s concurrent, scan-resistant buffer pool — the cube may
-    /// exceed RAM by an order of magnitude. A shard publishes its pooled
-    /// tree, which a query reads under the shard's read lock for the length
-    /// of its descent there, and STATS grows a `buffer_pool` section.
+    /// `dc-oocore`'s cache of decoded nodes — the cube may exceed RAM by an
+    /// order of magnitude. A shard publishes its disk tree, which a query
+    /// reads under the shard's read lock for the length of its descent
+    /// there, and STATS grows a `buffer_pool` section.
     /// Descent is its only backend: disk mode rejects
     /// [`EngineConfig::planner`].
     Disk(DiskOptions),
@@ -148,12 +148,12 @@ pub struct DiskOptions {
     /// a WAL these files are the only copy of the data; with one they are
     /// working state, rebuilt from checkpoint images on recovery.
     pub dir: PathBuf,
-    /// Buffer-pool knobs (frame budget, block size).
+    /// Store knobs (node budget, block size).
     pub ooc: OocOptions,
 }
 
 impl DiskOptions {
-    /// Disk mode under `dir` with default pool options.
+    /// Disk mode under `dir` with default store options.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DiskOptions {
             dir: dir.into(),
@@ -213,7 +213,7 @@ pub struct EngineConfig {
     /// lean: the planner still runs, but descent is the only candidate.
     pub planner: Option<PlannerOptions>,
     /// Where the shard trees live: RAM-resident (default) or disk-backed
-    /// through `dc-oocore`'s buffer pool. Queries and the cache run the
+    /// through `dc-oocore`'s node cache. Queries and the cache run the
     /// same code over both; a disk shard maintains only the DC-tree
     /// backend, so disk mode rejects [`EngineConfig::planner`].
     pub storage: StorageMode,
@@ -318,7 +318,7 @@ pub(crate) enum ShardTree {
     /// A resident shard: an immutable snapshot sharing its nodes with the
     /// writer's tree (see the [module docs](self)).
     Snapshot(Arc<DcTree>),
-    /// A disk shard: the pooled tree itself. A reader takes its read lock
+    /// A disk shard: the disk tree itself. A reader takes its read lock
     /// for one evaluation; the writer holds its write lock across a whole
     /// batch *and* the publish that follows, so readers observe pre- or
     /// post-batch state only — the all-or-nothing visibility the snapshot
@@ -723,14 +723,14 @@ impl ShardedDcTree {
     }
 
     /// Serializes the STATS payload, refreshing the `buffer_pool` gauges
-    /// from the live pools first (disk mode only; resident engines emit no
-    /// `buffer_pool` section).
+    /// from the disk shards' node caches first (disk mode only; resident
+    /// engines emit no `buffer_pool` section).
     pub fn stats_json(&self) -> String {
         self.refresh_pool_gauges();
         self.metrics.to_json()
     }
 
-    /// Sums the per-shard buffer-pool counters into the STATS gauges.
+    /// Sums the per-shard node-cache counters into the STATS gauges.
     fn refresh_pool_gauges(&self) {
         let mut agg = OocPoolStats::default();
         let mut any = false;
@@ -743,10 +743,6 @@ impl ShardedDcTree {
                 agg.writebacks += s.writebacks;
                 agg.resident += s.resident;
                 agg.capacity += s.capacity;
-                agg.node_decodes += s.node_decodes;
-                agg.node_encodes += s.node_encodes;
-                agg.decoded_hits += s.decoded_hits;
-                agg.decoded_nodes += s.decoded_nodes;
                 any = true;
             }
         }
@@ -761,10 +757,6 @@ impl ShardedDcTree {
         bp.writebacks.store(agg.writebacks, Relaxed);
         bp.resident.store(agg.resident, Relaxed);
         bp.capacity.store(agg.capacity, Relaxed);
-        bp.node_decodes.store(agg.node_decodes, Relaxed);
-        bp.node_encodes.store(agg.node_encodes, Relaxed);
-        bp.decoded_hits.store(agg.decoded_hits, Relaxed);
-        bp.decoded_nodes.store(agg.decoded_nodes, Relaxed);
     }
 
     /// Number of shards.
@@ -1182,7 +1174,7 @@ impl ShardedDcTree {
     }
 
     /// The published snapshot of one resident shard (primarily for tests
-    /// and tools). A disk-backed shard publishes its pooled tree, not a
+    /// and tools). A disk-backed shard publishes its disk tree, not a
     /// snapshot: this answers with an empty tree — query through the
     /// engine instead.
     pub fn shard_snapshot(&self, shard: usize) -> Arc<DcTree> {
@@ -1689,7 +1681,7 @@ pub(crate) enum WriterBacking {
         tree: DcTree,
         views: Option<RollupViews>,
     },
-    /// Readers share the pooled tree ([`ShardTree::Disk`]), so the writer
+    /// Readers share the disk tree ([`ShardTree::Disk`]), so the writer
     /// holds its **write lock across the whole batch and [`publish`]**.
     Disk(Arc<OocDcTree>),
 }

@@ -215,36 +215,30 @@ impl PlanMetrics {
     }
 }
 
-/// Buffer-pool observability (`dc-oocore`): aggregated over every shard's
-/// pool when the engine runs disk-backed
+/// Node-cache observability (`dc-oocore`): aggregated over every disk
+/// shard's node cache when the engine runs disk-backed
 /// ([`StorageMode::Disk`](crate::StorageMode::Disk)). All zero — and the
-/// STATS section absent — in RAM-resident mode. Refreshed from the pools by
-/// [`crate::ShardedDcTree::stats_json`] and at each snapshot publish.
+/// STATS section absent — in RAM-resident mode. Refreshed from the shards by
+/// [`crate::ShardedDcTree::stats_json`] and at each snapshot publish. The
+/// counts are of nodes: a shard caches decoded nodes, not pages.
 #[derive(Default)]
 pub struct BufferPoolMetrics {
     /// `1` once the engine runs disk-backed (gates the STATS section).
     pub enabled: AtomicU64,
-    /// Page touches served from a resident frame.
+    /// Node accesses served from the cache (`pool_hits`).
     pub hits: AtomicU64,
-    /// Page touches that went to disk.
+    /// Node accesses that read and decoded the node's pages
+    /// (`pool_misses`).
     pub misses: AtomicU64,
-    /// Frames dropped to make room.
+    /// Clean nodes dropped to make room (`pool_evictions`).
     pub evictions: AtomicU64,
-    /// Dirty frames written back (on eviction or flush).
+    /// Dirty nodes encoded and written to their pages (`pool_writebacks`).
     pub writebacks: AtomicU64,
-    /// Frames currently resident, summed over shards (gauge).
+    /// Nodes cached now, summed over shards (gauge, `pool_resident`).
     pub resident: AtomicU64,
-    /// Total frame budget, summed over shards (gauge).
+    /// Node budget (`frames`), summed over shards (gauge,
+    /// `pool_capacity`).
     pub capacity: AtomicU64,
-    /// Nodes decoded from their pages.
-    pub node_decodes: AtomicU64,
-    /// Nodes encoded into their pages.
-    pub node_encodes: AtomicU64,
-    /// Node accesses served from a store's decoded write-back set (they
-    /// touch no page, so `hits`/`misses` do not see them).
-    pub decoded_hits: AtomicU64,
-    /// Nodes currently held decoded, summed over shards (gauge).
-    pub decoded_nodes: AtomicU64,
 }
 
 /// A log-linear histogram over dimensionless counts (pipeline depths),
@@ -586,11 +580,7 @@ impl EngineMetrics {
                         .counter("pool_evictions", &b.evictions)
                         .counter("pool_writebacks", &b.writebacks)
                         .counter("pool_resident", &b.resident)
-                        .counter("pool_capacity", &b.capacity)
-                        .counter("node_decodes", &b.node_decodes)
-                        .counter("node_encodes", &b.node_encodes)
-                        .counter("decoded_hits", &b.decoded_hits)
-                        .counter("decoded_nodes", &b.decoded_nodes);
+                        .counter("pool_capacity", &b.capacity);
                 });
             }
             let r = &self.replication;
@@ -845,14 +835,11 @@ mod tests {
         m.buffer_pool.misses.store(10, Relaxed);
         m.buffer_pool.evictions.store(4, Relaxed);
         m.buffer_pool.capacity.store(64, Relaxed);
-        m.buffer_pool.node_encodes.store(7, Relaxed);
-        m.buffer_pool.decoded_nodes.store(3, Relaxed);
         let json = m.to_json();
         assert!(json.contains("\"buffer_pool\":{\"pool_hits\":30"));
         assert!(json.contains("\"pool_hit_rate\":0.750"));
         assert!(json.contains("\"pool_evictions\":4"));
-        assert!(json.contains("\"pool_capacity\":64,\"node_decodes\":0,\"node_encodes\":7"));
-        assert!(json.contains("\"decoded_hits\":0,\"decoded_nodes\":3}"));
+        assert!(json.contains("\"pool_capacity\":64}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -111,10 +111,6 @@ fn stats_json_golden() {
         &b.writebacks,
         &b.resident,
         &b.capacity,
-        &b.node_decodes,
-        &b.node_encodes,
-        &b.decoded_hits,
-        &b.decoded_nodes,
     ] {
         set(a);
     }
@@ -188,10 +184,10 @@ fn stats_json_golden() {
             r#","pool":{"workers":15,"queued_tasks":16,"busy_workers":17,"tasks":18,"inline_tasks":19,"steals":20,"task_latency_us":{"count":0,"mean":0.0,"p50":0.0,"p99":0.0}}"#,
             r#","plan":{"plans":21,"explains":22,"chose":{"descend":23,"mview":25},"mispredictions":27,"est_pages":28,"actual_pages":29}"#,
             r#","durability":{"wal_appends":30,"wal_syncs":31,"wal_rotations":32,"wal_segment":33,"wal_last_lsn":34,"wal_synced_lsn":35,"checkpoints":36,"checkpoint_last_lsn":37,"checkpoint_last_bytes":38,"recovery_checkpoint_lsn":39,"recovery_replayed_entries":40,"recovery_truncated_bytes":41,"recovery_tail_lost":42}"#,
-            r#","buffer_pool":{"pool_hits":44,"pool_misses":45,"pool_hit_rate":0.494,"pool_evictions":46,"pool_writebacks":47,"pool_resident":48,"pool_capacity":49,"node_decodes":50,"node_encodes":51,"decoded_hits":52,"decoded_nodes":53}"#,
-            r#","replication":{"role":"follower","applied_lsn":56,"segment_fetches":57,"segments_shipped":58,"bytes_shipped":59,"checkpoint_fetches":60,"checkpoint_redirects":61,"waits":62,"wait_timeouts":63}"#,
-            r#","net":{"active_connections":65,"accepted_total":66,"requests_total":67,"shed_total":68,"bytes_in":69,"bytes_out":70,"pipeline_depth":{"count":6,"mean":8.0,"p50":3,"p99":31},"tenants":{"analytics":{"admitted":901,"denied":902},"default":{"admitted":903,"denied":904}}}"#,
-            r#","shards":[{"queue_depth":71,"applied":72,"snapshot_records":73,"snapshot_age_ms":_,"io_reads":76,"io_writes":77},{"queue_depth":78,"applied":79,"snapshot_records":80,"snapshot_age_ms":_,"io_reads":83,"io_writes":84}]}"#,
+            r#","buffer_pool":{"pool_hits":44,"pool_misses":45,"pool_hit_rate":0.494,"pool_evictions":46,"pool_writebacks":47,"pool_resident":48,"pool_capacity":49}"#,
+            r#","replication":{"role":"follower","applied_lsn":52,"segment_fetches":53,"segments_shipped":54,"bytes_shipped":55,"checkpoint_fetches":56,"checkpoint_redirects":57,"waits":58,"wait_timeouts":59}"#,
+            r#","net":{"active_connections":61,"accepted_total":62,"requests_total":63,"shed_total":64,"bytes_in":65,"bytes_out":66,"pipeline_depth":{"count":6,"mean":8.0,"p50":3,"p99":31},"tenants":{"analytics":{"admitted":901,"denied":902},"default":{"admitted":903,"denied":904}}}"#,
+            r#","shards":[{"queue_depth":67,"applied":68,"snapshot_records":69,"snapshot_age_ms":_,"io_reads":72,"io_writes":73},{"queue_depth":74,"applied":75,"snapshot_records":76,"snapshot_age_ms":_,"io_reads":79,"io_writes":80}]}"#,
         )
     );
 }

@@ -19,8 +19,8 @@
 //! * [`codec`] — a small, checked binary reader/writer used to persist
 //!   trees and to compute byte-accurate node sizes;
 //! * [`PagedFile`] — a block-aligned file of fixed-size pages with a free
-//!   list, the on-disk substrate of a production deployment (the one
-//!   buffer pool over it is `dc_oocore::ConcurrentPool`).
+//!   list, the on-disk substrate of a production deployment (read and
+//!   written by `dc_oocore::OocStore`, whose cache holds decoded nodes).
 
 pub mod block;
 pub mod codec;

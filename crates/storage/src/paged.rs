@@ -8,8 +8,9 @@
 //! growing monotonically.
 //!
 //! The paged file itself is deliberately dumb — fixed-size page reads and
-//! writes plus allocation — with all caching delegated to the buffer pool
-//! above it (`dc_oocore::ConcurrentPool`), mirroring the classic DBMS split.
+//! writes plus allocation. The store above it (`dc_oocore::OocStore`)
+//! caches decoded nodes, not pages: decoding is what a node access costs,
+//! and the OS page cache already holds recently read pages.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};

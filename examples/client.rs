@@ -122,9 +122,9 @@ fn main() -> std::io::Result<()> {
     // replication role, applied frontier, and segment-shipping counters.
     print_section(&stats, "replication", "replication");
     // Only present when the server runs disk-backed shards
-    // (StorageMode::Disk); resident servers skip it silently. Pool
-    // counters, then the store's: node decodes and encodes, and how many
-    // node accesses its decoded write-back set served.
+    // (StorageMode::Disk); resident servers skip it silently. The node
+    // caches' counters: node accesses served (hits) and decoded from pages
+    // (misses), clean nodes evicted, dirty nodes written back, nodes cached.
     print_section(&stats, "buffer_pool", "buffer pool");
     // Only present once the network front-end serves the engine: connections, request/byte counters, pipeline depth,
     // admission shed counts and per-tenant admit/deny tallies.

@@ -1,7 +1,7 @@
-//! The disk-resident DC-tree: nodes live in a paged file behind the
-//! segmented-LRU buffer pool, so the paper's I/O story becomes physically
-//! measurable — pool hits, misses and write-backs instead of simulated
-//! counters.
+//! The disk-resident DC-tree: nodes live in a paged file behind a cache
+//! of decoded nodes, so the paper's node accesses become physically
+//! measurable — cache hits, node loads (read and decoded) and write-backs
+//! instead of simulated counters.
 //!
 //! Run with:
 //! ```sh
@@ -43,7 +43,7 @@ fn main() -> dctree::DcResult<()> {
         let load = t0.elapsed();
         let after_load = tree.pool_stats();
 
-        // A dashboard roll-up workload on the cold-ish pool.
+        // A dashboard roll-up workload on the cold-ish cache.
         let customer = data.schema.dim(DimensionId(0));
         let queries: Vec<Mds> = customer
             .values_at(3)
@@ -73,14 +73,14 @@ fn main() -> dctree::DcResult<()> {
         let qt = t0.elapsed() / (20 * queries.len() as u32);
         let s = tree.pool_stats();
         println!(
-            "frames {frames:>5}: load {load:?} | query {qt:?} | pool after queries: \
-             {} hits / {} misses ({:.0}% hit), {} write-backs   (checksum {total:.0})",
+            "{frames:>5} cached nodes: load {load:?} | query {qt:?} | node accesses after \
+             queries: {} hits / {} loads ({:.0}% hit), {} write-backs   (checksum {total:.0})",
             s.hits,
             s.misses,
             100.0 * s.hits as f64 / (s.hits + s.misses).max(1) as f64,
             s.writebacks - after_load.writebacks,
         );
     }
-    println!("\nsmaller pools trade memory for physical reads — the axis the paper's\nevaluation lives on.");
+    println!("\nsmaller caches trade memory for node loads — the node accesses the\npaper's evaluation counts.");
     Ok(())
 }

@@ -38,7 +38,7 @@ fn main() -> dctree::DcResult<()> {
     let pages = std::fs::metadata(&path)?.len() / config.block.block_size as u64;
     println!("\nimage: {path:?} ({pages} × 4 KiB pages)");
 
-    // 2. The image *is* a disk tree: open it behind a buffer pool and
+    // 2. The image *is* a disk tree: open it behind a node cache and
     //    serve it from its pages.
     let opts = OocOptions {
         frames: 64,
@@ -67,7 +67,7 @@ fn main() -> dctree::DcResult<()> {
         reader.range_query(&all, AggregateOp::Sum)?
     );
     drop(reader);
-    println!("  buffer pool: {:?}", disk.pool_stats());
+    println!("  node cache: {:?}", disk.pool_stats());
     disk.flush()?;
     drop(disk);
 

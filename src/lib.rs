@@ -18,7 +18,7 @@
 //! | [`common`] | `dc-common` | IDs, measures, aggregate summaries, errors |
 //! | [`hierarchy`] | `dc-hierarchy` | concept hierarchies, cube schema |
 //! | [`mds`] | `dc-mds` | minimum describing sequences |
-//! | [`storage`] | `dc-storage` | block model, I/O stats, binary codec, paged file (the buffer pool over it lives in `dc-oocore`) |
+//! | [`storage`] | `dc-storage` | block model, I/O stats, binary codec, paged file (read and written by `dc-oocore`'s store) |
 //! | [`tree`] | `dc-tree` | **the DC-tree** |
 //! | [`xtree`] | `dc-xtree` | X-tree baseline |
 //! | [`scan`] | `dc-scan` | sequential-scan baseline |
@@ -31,7 +31,7 @@
 //! | [`durable`] | `dc-durable` | segmented write-ahead log, checkpoint directory protocol, fault-injection shim |
 //! | [`cache`] | `dc-cache` | semantic aggregate cache with write-through delta maintenance |
 //! | [`serve`] | `dc-serve` | sharded concurrent serving engine + dc-ql TCP front-end |
-//! | [`oocore`] | `dc-oocore` | the one page layer: concurrent scan-resistant buffer pool, node-page codec, `OocStore` (every paged DC-tree is `DcTree<OocStore>`) |
+//! | [`oocore`] | `dc-oocore` | the one page layer: node-page codec, `OocStore` and its cache of decoded nodes (every paged DC-tree is `DcTree<OocStore>`) |
 //! | [`replica`] | `dc-replica` | WAL segment-shipping replication: follower reads, read-your-LSN, promotion |
 
 pub use dc_bitmap as bitmap;

@@ -660,7 +660,7 @@ fn an_unsharded_checkpoint_is_rejected_not_half_opened() {
 
 /// [`config`] with the log under `dir/wal` and the shards resident or, with
 /// `disk`, shard files of 512-byte pages under `dir/shards` behind an
-/// eight-frame pool.
+/// eight-node cache.
 fn storage_config(dir: &Path, shards: usize, disk: bool) -> EngineConfig {
     let mut cfg = config(&dir.join("wal"), None, shards, 0);
     if disk {

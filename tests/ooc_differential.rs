@@ -1,7 +1,7 @@
 //! Disk-backed engine differential: a [`ShardedDcTree`] in
 //! [`StorageMode::Disk`] — shards served from compressed pages through
-//! `dc-oocore`'s buffer pool, with a frame budget far below the working
-//! set so every query path faults and evicts — must answer every query
+//! `dc-oocore`'s node cache, with a node budget far below the working
+//! set so every query path decodes and evicts — must answer every query
 //! exactly like the RAM-resident engine over the same records. Pinned
 //! across a selectivity × group-by matrix, through delete churn, via the
 //! planned `execute`/`explain` entry points, and across a WAL
@@ -21,15 +21,16 @@ use dctree::storage::BlockConfig;
 use dctree::tpcd::{generate, TpcdConfig, TpcdData};
 use dctree::{Mds, Record};
 
-/// Disk storage with a deliberately tiny per-shard frame budget: the
-/// working set cannot stay resident, so the equivalence below is served
-/// through real faults, evictions, and write-backs.
+/// Disk storage with a deliberately tiny per-shard node budget (2 nodes of
+/// a shard's several): the working set cannot stay cached, so the
+/// equivalence below is served through real node loads, evictions, and
+/// write-backs.
 fn tiny_disk(dir: &TempDir) -> StorageMode {
     StorageMode::Disk(DiskOptions {
         dir: dir.to_path_buf(),
         ooc: OocOptions {
             block: BlockConfig::new(512),
-            frames: 16,
+            frames: 2,
         },
     })
 }
@@ -129,7 +130,7 @@ fn disk_engine_matches_resident_engine_through_churn() {
 
     // The RAM engine's STATS has no buffer_pool section; the disk one
     // must show real evictions — proof the equivalence above ran
-    // out-of-core, not from a fully resident pool.
+    // out-of-core, not from a fully cached tree.
     let ram_stats = ram.stats_json();
     assert!(!ram_stats.contains("\"buffer_pool\""));
     let disk_stats = disk.stats_json();

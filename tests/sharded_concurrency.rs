@@ -4,7 +4,7 @@
 //! reader threads continuously query what the shards have published;
 //! afterwards the engine must hold exactly what a sequential replay into a
 //! plain [`DcTree`] holds. Each race runs over resident shards and over
-//! disk shards on a buffer pool far below the working set, both with the
+//! disk shards whose node caches are far below the working set, both with the
 //! query pool on, so readers scatter over the shards from several threads
 //! while the writers publish.
 //!
@@ -62,8 +62,8 @@ fn trade(rng: &mut StdRng) -> (Vec<Vec<String>>, i64) {
 }
 
 /// The engine a race runs on: resident shards, or (`disk`) shards paged
-/// through `ooc_differential`'s tiny pool — 512-byte blocks, 16 frames —
-/// so queries and writer batches fault and evict against each other. The
+/// through `ooc_differential`'s tiny node cache — 512-byte blocks, 2
+/// nodes — so queries and writer batches load and evict against each other. The
 /// query pool is set explicitly: a one-core host would default it off.
 fn config(policy: PartitionPolicy, disk: Option<&TempDir>) -> EngineConfig {
     EngineConfig {
@@ -75,7 +75,7 @@ fn config(policy: PartitionPolicy, disk: Option<&TempDir>) -> EngineConfig {
                 dir: dir.to_path_buf(),
                 ooc: OocOptions {
                     block: BlockConfig::new(512),
-                    frames: 16,
+                    frames: 2,
                 },
             }),
         },

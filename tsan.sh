@@ -7,6 +7,8 @@
 #   ./tsan.sh -p dc-serve
 #   ./tsan.sh -p dc-durable --features fault-injection
 #   ./tsan.sh --test crash_recovery          # engine-level fault harness
+#   ./tsan.sh -p dc-oocore --test differential concurrent_readers_share_the_node_cache
+#                                            # readers sharing a disk shard's node cache
 #   ./tsan.sh                                # whole workspace
 #
 # Any arguments are forwarded to `cargo test`; with none, the whole
