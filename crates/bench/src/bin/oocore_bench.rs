@@ -1,6 +1,6 @@
 //! Out-of-core serving bench (`dc-oocore`): what does it cost to serve a
 //! DC-tree cube from disk through a shard's node cache, and how dense are
-//! its node pages? Five sections:
+//! its node pages? Four sections:
 //!
 //! * **density** — the cube written as one standalone shard: file bytes
 //!   (a count, so it repeats exactly) and records per GB.
@@ -20,10 +20,6 @@
 //!   count: the stream is read-only). Disk is expected to lose — the point
 //!   is to measure the gap the node cache holds it to while RAM holds 10×
 //!   less.
-//! * **scan resistance** — a hot 0.1 % query loop, alone and interleaved
-//!   with full-cube scans: the node cache's hit rate on the hot query's
-//!   node accesses in both cases (clean data nodes are dropped before
-//!   directory nodes, so a scan sweeps leaves, not the directory).
 //!
 //! Emits `results/oocore_bench.json` (gated keys: `mean_query_us` and
 //! `insert_us_per_record`, two occurrences each — disk then resident —
@@ -35,7 +31,7 @@
 
 use std::time::Instant;
 
-use dc_common::{AggregateOp, DimensionId, TempDir};
+use dc_common::{DimensionId, TempDir};
 use dc_mds::Mds;
 use dc_oocore::codec::{decode_node, encode_node};
 use dc_oocore::{OocDcTree, OocOptions};
@@ -305,36 +301,6 @@ fn main() {
     println!("{:>12}: {slowdown:.1}x resident latency", "disk pays");
     println!("{:>12}: {node_loads:.1} node loads per query", "disk");
 
-    // ------------------------------------------------------------------
-    // Scan resistance: a hot query alone vs. interleaved with full scans.
-    // ------------------------------------------------------------------
-    let hot = RangeQueryGen::new(0.001, ValuePick::ContiguousRun, 11).generate(&data.schema);
-    let all = Mds::all(&data.schema);
-    let hot_rate = |with_scans: bool| -> f64 {
-        // Prime the hot set, then measure its touches per iteration.
-        for _ in 0..3 {
-            std::hint::black_box(disk.range_query(&hot, AggregateOp::Sum).expect("prime"));
-        }
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for i in 0..40 {
-            if with_scans && i % 5 == 0 {
-                std::hint::black_box(disk.range_summary(&all).expect("scan"));
-            }
-            let (h0, m0) = cache_touches(&disk);
-            std::hint::black_box(disk.range_query(&hot, AggregateOp::Sum).expect("hot"));
-            let (h1, m1) = cache_touches(&disk);
-            hits += h1 - h0;
-            misses += m1 - m0;
-        }
-        hits as f64 / (hits + misses).max(1) as f64
-    };
-    let hot_alone = hot_rate(false);
-    let hot_scanned = hot_rate(true);
-    println!(
-        "\nscan resistance: hot hit rate {:.3} alone, {:.3} under scans",
-        hot_alone, hot_scanned
-    );
-
     let stats = disk.stats_json();
     let (hits, misses) = (
         json_u64(&stats, "pool_hits"),
@@ -381,10 +347,6 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str(&format!("  \"disk_slowdown_x\": {slowdown:.2},\n"));
     json.push_str(&format!("  \"node_loads_per_query\": {node_loads:.1},\n"));
-    json.push_str(&format!(
-        "  \"scan_resistance\": {{\"hot_hit_rate\": {hot_alone:.3}, \
-         \"hot_hit_rate_under_scans\": {hot_scanned:.3}}},\n"
-    ));
     json.push_str(&format!(
         "  \"pool\": {{\"hits\": {hits}, \"misses\": {misses}}}\n"
     ));

@@ -19,8 +19,7 @@
 //! cargo run --release -p dc-bench --bin query_bench [records] [queries_per_cell]
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 use dc_common::DimensionId;
@@ -29,34 +28,13 @@ use dc_serve::{EngineConfig, PartitionPolicy, ShardedDcTree};
 use dc_tpcd::{generate, TpcdConfig, TpcdData};
 use dc_tree::{Arena, DcTree, DcTreeConfig};
 
-/// Counts every heap acquisition (alloc, alloc_zeroed, realloc) on every
-/// thread. Frees are not counted: the steady-state claim is about taking
-/// memory on the query path, and the preparation scratch recycles its
-/// buffers instead of freeing them.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+/// Counts every heap acquisition (allocation or reallocation) on every
+/// thread in `ALLOCS`. Frees are not counted: the steady-state claim is
+/// about taking memory on the query path, and the preparation scratch
+/// recycles its buffers instead of freeing them.
+#[path = "../../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::ALLOCS;
 
 const SELECTIVITIES: [f64; 3] = [0.01, 0.05, 0.25];
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];

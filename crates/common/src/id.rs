@@ -114,17 +114,6 @@ impl fmt::Display for DimensionId {
     }
 }
 
-/// Identifier of a data record inside an index structure. Assigned densely
-/// in insertion order; stable across queries but recycled after deletion.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct RecordId(pub u64);
-
-impl fmt::Display for RecordId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rec{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,6 +15,6 @@ pub mod measure;
 pub mod tempdir;
 
 pub use error::{DcError, DcResult};
-pub use id::{DimensionId, Level, RecordId, ValueId};
+pub use id::{DimensionId, Level, ValueId};
 pub use measure::{AggregateOp, Measure, MeasureSummary};
 pub use tempdir::TempDir;

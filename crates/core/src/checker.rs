@@ -110,14 +110,13 @@ impl<S: NodeStore> DcTree<S> {
                     let mut summary = MeasureSummary::empty();
                     for r in stored.iter() {
                         for (depth, mds) in path.iter().enumerate() {
-                            if !mds.contains_record(self.schema(), &r.record)? {
+                            if !mds.contains_record(self.schema(), r)? {
                                 return fail(format!(
-                                    "record {:?} escapes the MDS at path depth {depth}",
-                                    r.id
+                                    "record {r:?} escapes the MDS at path depth {depth}"
                                 ));
                             }
                         }
-                        summary.add(r.record.measure);
+                        summary.add(r.measure);
                     }
                     if summary != entry.summary {
                         return fail("summary does not equal the fold of the records".into());

@@ -60,7 +60,8 @@ pub struct DcTreeConfig {
     /// is dominated by a query value); setting this flag reproduces the
     /// paper's literal algorithm, which fires the shortcut far more often
     /// at the price of wrong answers on mixed-level queries (demonstrated
-    /// by `paper_fig7_containment_overcounts` in the test suite).
+    /// by `paper_fig7_containment_overcounts` in the test suite). A tree
+    /// switch for that ablation: the sharded engine refuses it.
     pub use_paper_fig7_containment: bool,
 }
 

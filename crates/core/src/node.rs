@@ -9,12 +9,14 @@
 //! touching the child's page*, and a node holds nothing but its block
 //! count and its members.
 //!
-//! A node's members sit in [`Members`]: a body and a tail that a snapshot
+//! A data node's members are the records themselves — a leaf value per
+//! dimension plus the measure, 32 bytes each (§3); a directory node's are
+//! its entries. They sit in [`Members`]: a body and a tail that a snapshot
 //! shares with the writer, so the first write to a node after a publish
 //! copies the node's header (its block count and two block pointers) and
 //! the block it changes — for a leaf taking a record, its tail.
 
-use dc_common::{MeasureSummary, RecordId};
+use dc_common::MeasureSummary;
 use dc_hierarchy::Record;
 use dc_mds::Mds;
 
@@ -54,22 +56,13 @@ pub struct DirEntry {
     pub child: NodeId,
 }
 
-/// A stored record together with its stable identifier.
-#[derive(Clone, PartialEq, Debug)]
-pub struct StoredRecord {
-    /// The record id assigned at insertion.
-    pub id: RecordId,
-    /// The record itself.
-    pub record: Record,
-}
-
 /// Payload of a node: directory entries or data records, in storage order.
 #[derive(Clone, PartialEq, Debug)]
 pub enum NodeKind {
     /// An internal (directory) node.
     Dir(Members<DirEntry>),
     /// A data (leaf) node.
-    Data(Members<StoredRecord>),
+    Data(Members<Record>),
 }
 
 /// A DC-tree node: its supernode block count and its payload. Its MDS
@@ -97,7 +90,7 @@ impl Node {
     /// entries' summaries — what the entry referencing it materializes.
     pub(crate) fn fold_summary(&self) -> MeasureSummary {
         match &self.kind {
-            NodeKind::Data(records) => records.iter().map(|r| r.record.measure).collect(),
+            NodeKind::Data(records) => records.iter().map(|r| r.measure).collect(),
             NodeKind::Dir(entries) => entries.iter().fold(MeasureSummary::empty(), |mut a, e| {
                 a.merge(&e.summary);
                 a
@@ -145,7 +138,7 @@ impl Node {
     }
 
     /// Data records; panics on directory nodes (internal use).
-    pub fn records(&self) -> &Members<StoredRecord> {
+    pub fn records(&self) -> &Members<Record> {
         match &self.kind {
             NodeKind::Data(records) => records,
             NodeKind::Dir(_) => panic!("records() on a directory node"),
@@ -153,7 +146,7 @@ impl Node {
     }
 
     /// Mutable data records; panics on directory nodes (internal use).
-    pub(crate) fn records_mut(&mut self) -> &mut Members<StoredRecord> {
+    pub(crate) fn records_mut(&mut self) -> &mut Members<Record> {
         match &mut self.kind {
             NodeKind::Data(records) => records,
             NodeKind::Dir(_) => panic!("records_mut() on a directory node"),
@@ -209,7 +202,7 @@ mod tests {
     fn members_are_inline_and_their_size_is_pinned() {
         // What a node's member blocks are runs of: a later field must not
         // silently re-bloat every leaf and directory node.
-        assert_eq!(std::mem::size_of::<StoredRecord>(), 40);
+        assert_eq!(std::mem::size_of::<Record>(), 32);
         assert_eq!(std::mem::size_of::<DirEntry>(), 408);
     }
 

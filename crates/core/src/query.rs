@@ -25,7 +25,7 @@ use dc_common::{DcError, DcResult, DimensionId, Level, MeasureSummary, ValueId};
 use dc_hierarchy::{CubeSchema, Record};
 use dc_mds::Mds;
 
-use crate::node::{DirEntry, StoredRecord};
+use crate::node::DirEntry;
 
 /// Upper bound on recycled bitset backing stores kept per thread. Generous
 /// for any realistic query shape (dims × levels) while bounding the pool if
@@ -318,7 +318,7 @@ pub(crate) trait Visitor {
     const ABSORBS: bool = false;
 
     /// A stored record the range selects.
-    fn record(&mut self, r: &StoredRecord) -> DcResult<()>;
+    fn record(&mut self, r: &Record) -> DcResult<()>;
 
     /// A directory entry the range contains: folds its materialized
     /// summary in and returns `true`, or returns `false` to have the
@@ -381,9 +381,9 @@ impl<const N: usize> Visitor for Cells<'_, N> {
     const ABSORBS: bool = true;
 
     #[inline]
-    fn record(&mut self, r: &StoredRecord) -> DcResult<()> {
-        let cell = self.cell_of_record(&r.record)?;
-        self.cells[cell].add(r.record.measure);
+    fn record(&mut self, r: &Record) -> DcResult<()> {
+        let cell = self.cell_of_record(r)?;
+        self.cells[cell].add(r.measure);
         Ok(())
     }
 
@@ -401,8 +401,8 @@ impl<const N: usize> Visitor for Cells<'_, N> {
 /// entry, so contained subtrees are descended to their data pages.
 pub(crate) struct Select<F>(pub(crate) F);
 
-impl<F: FnMut(&StoredRecord)> Visitor for Select<F> {
-    fn record(&mut self, r: &StoredRecord) -> DcResult<()> {
+impl<F: FnMut(&Record)> Visitor for Select<F> {
+    fn record(&mut self, r: &Record) -> DcResult<()> {
         (self.0)(r);
         Ok(())
     }

@@ -136,7 +136,7 @@ impl<S: NodeStore> DcTree<S> {
             }
             report.data_nodes += 1;
             for d in 0..self.schema().num_dims() {
-                let mut ids: Vec<u32> = records.iter().map(|r| r.record.dims[d].index()).collect();
+                let mut ids: Vec<u32> = records.iter().map(|r| r.dims[d].index()).collect();
                 ids.sort_unstable();
                 ids.dedup();
                 report.mds_cells += ids.len() as u64;

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dc_common::{
-    AggregateOp, DcError, DcResult, DimensionId, Level, Measure, MeasureSummary, RecordId, ValueId,
+    AggregateOp, DcError, DcResult, DimensionId, Level, Measure, MeasureSummary, ValueId,
 };
 use dc_hierarchy::{CubeSchema, Dims, Record};
 use dc_mds::Mds;
@@ -15,7 +15,7 @@ use dc_storage::{ByteReader, ByteWriter, IoStats};
 
 use crate::choose::MembershipIndex;
 use crate::config::DcTreeConfig;
-use crate::node::{DirEntry, Members, Node, NodeId, NodeKind, StoredRecord};
+use crate::node::{DirEntry, Members, Node, NodeId, NodeKind};
 use crate::query::{Cells, PreparedRange, QueryOutput, Select, Visitor};
 use crate::split::{align_members, connected, hierarchy_split, SplitOutcome};
 use crate::store::{Arena, CopiedBytes, NodeStore, PersistentStore};
@@ -30,9 +30,11 @@ use crate::store::{Arena, CopiedBytes, NodeStore, PersistentStore};
 const SAMPLED_RECORDS: usize = 16;
 
 /// Tree metadata: counters, schema and the root entry.
-const META_MAGIC: u64 = 0x4443_4449_534b_3033; // "DCDISK03"
-/// Tree metadata without the root entry: the root's MDS and summary sit
-/// in its page's header (node format 1).
+const META_MAGIC: u64 = 0x4443_4449_534b_3034; // "DCDISK04"
+/// Tree metadata that also holds a record-id counter, read and dropped.
+const META_MAGIC_WITH_ID_COUNTER: u64 = 0x4443_4449_534b_3033; // "DCDISK03"
+/// Tree metadata with the id counter and without the root entry: the
+/// root's MDS and summary sit in its page's header (node format 1).
 const META_MAGIC_NO_ROOT_ENTRY: u64 = 0x4443_4449_534b_3032; // "DCDISK02"
 
 /// Internal operation counters, useful for performance diagnosis and the
@@ -121,7 +123,6 @@ pub struct DcTree<S = Arena> {
     /// The writer's logical page I/O: every block of every node a mutation
     /// reads or writes. Reads add theirs to [`QueryCounters`].
     io: IoStats,
-    next_record_id: u64,
     len: u64,
     /// Live nodes, maintained across alloc/free.
     nodes: usize,
@@ -144,23 +145,12 @@ impl DcTree {
 
     /// Rebuilds the tree from scratch via a hierarchy-sorted bulk load —
     /// compaction after heavy churn (deletes leave recycled arena slots and
-    /// per-node slack that a fresh load removes). Record ids are preserved.
+    /// per-node slack that a fresh load removes).
     pub fn rebuild(&mut self) -> DcResult<()> {
-        let stored: Vec<StoredRecord> = self.iter_records().cloned().collect();
-        let mut keys: Vec<(Vec<u32>, usize)> = stored
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Ok((self.schema.flatten_record(&r.record)?, i)))
-            .collect::<DcResult<_>>()?;
-        keys.sort();
-        let mut slots: Vec<Option<StoredRecord>> = stored.into_iter().map(Some).collect();
-        let sorted: Vec<StoredRecord> = keys
-            .into_iter()
-            .map(|(_, i)| slots[i].take().expect("each record index exactly once"))
-            .collect();
+        let records: Vec<Record> = self.iter_records().cloned().collect();
+        let sorted = self.sorted_by_hierarchy(records)?;
         let mut fresh = DcTree::new(CubeSchema::clone(&self.schema), self.config);
         fresh.len = sorted.len() as u64;
-        fresh.next_record_id = self.next_record_id;
         if !sorted.is_empty() {
             fresh.build_from_sorted(sorted)?;
         }
@@ -173,7 +163,7 @@ impl DcTree {
 
     /// Iterates over every stored record (diagnostics and tests; order is
     /// unspecified).
-    pub fn iter_records(&self) -> impl Iterator<Item = &StoredRecord> {
+    pub fn iter_records(&self) -> impl Iterator<Item = &Record> {
         self.store
             .iter()
             .filter_map(|(_, n)| match &n.kind {
@@ -196,24 +186,29 @@ impl<S: PersistentStore> DcTree<S> {
 
     /// Opens the tree persisted in `store`.
     ///
-    /// Metadata written before the root entry was part of it is read too:
-    /// the root's MDS and summary then come from its page's header.
+    /// Metadata of the earlier forms is read too: a record-id counter is
+    /// read and dropped, and metadata written before the root entry was
+    /// part of it takes the root's MDS and summary from its page's header.
     pub fn open_in(mut store: S, config: DcTreeConfig) -> DcResult<Self> {
         let bytes = store.read_meta()?;
         let mut r = ByteReader::new(&bytes);
-        let magic = r.get_u64()?;
-        if magic != META_MAGIC && magic != META_MAGIC_NO_ROOT_ENTRY {
-            return Err(DcError::Corrupt("not a disk DC-tree".into()));
-        }
+        let (id_counter, root_entry) = match r.get_u64()? {
+            META_MAGIC => (false, true),
+            META_MAGIC_WITH_ID_COUNTER => (true, true),
+            META_MAGIC_NO_ROOT_ENTRY => (true, false),
+            _ => return Err(DcError::Corrupt("not a disk DC-tree".into())),
+        };
         let child = u32::try_from(r.get_u64()?)
             .map(NodeId::from_raw)
             .map_err(|_| DcError::Corrupt("root handle exceeds the node-handle width".into()))?;
-        let next_record_id = r.get_u64()?;
+        if id_counter {
+            r.get_u64()?;
+        }
         let len = r.get_u64()?;
         let nodes = r.get_u64()? as usize;
         let schema = Arc::new(crate::persist::read_schema(&mut r)?);
         store.set_num_dims(schema.num_dims());
-        let (mds, summary) = if magic == META_MAGIC {
+        let (mds, summary) = if root_entry {
             store.decode_cover(&mut r)?
         } else {
             store.legacy_cover(child)?
@@ -224,7 +219,7 @@ impl<S: PersistentStore> DcTree<S> {
             summary,
             child,
         };
-        Self::from_stored(schema, config, store, root, next_record_id, len, nodes)
+        Self::from_stored(schema, config, store, root, len, nodes)
     }
 
     /// Persists metadata (counters, schema, root entry) and flushes the
@@ -233,7 +228,6 @@ impl<S: PersistentStore> DcTree<S> {
         let mut w = ByteWriter::new();
         w.put_u64(META_MAGIC);
         w.put_u64(u64::from(self.root.child.raw()));
-        w.put_u64(self.next_record_id);
         w.put_u64(self.len);
         w.put_u64(self.nodes as u64);
         crate::persist::write_schema(&mut w, &self.schema);
@@ -260,7 +254,6 @@ impl<S: NodeStore> DcTree<S> {
             store,
             root,
             io: IoStats::default(),
-            next_record_id: 0,
             len: 0,
             nodes: 1,
             height: 1,
@@ -278,7 +271,6 @@ impl<S: NodeStore> DcTree<S> {
         config: DcTreeConfig,
         store: S,
         root: DirEntry,
-        next_record_id: u64,
         len: u64,
         nodes: usize,
     ) -> DcResult<Self> {
@@ -289,7 +281,6 @@ impl<S: NodeStore> DcTree<S> {
             store,
             root,
             io: IoStats::default(),
-            next_record_id,
             len,
             nodes,
             height: 1,
@@ -358,12 +349,12 @@ impl<S: NodeStore> DcTree<S> {
         if reached != self.nodes {
             return Err(corrupt());
         }
-        let (schema, next_id) = (Arc::clone(&self.schema), self.next_record_id);
         let root = DirEntry {
             child: root,
             ..self.root.clone()
         };
-        DcTree::from_stored(schema, self.config, store, root, next_id, self.len, reached)
+        let schema = Arc::clone(&self.schema);
+        DcTree::from_stored(schema, self.config, store, root, self.len, reached)
     }
 
     /// The backing store.
@@ -490,7 +481,7 @@ impl<S: NodeStore> DcTree<S> {
         &mut self,
         paths: &[Vec<T>],
         measure: Measure,
-    ) -> DcResult<RecordId> {
+    ) -> DcResult<()> {
         let record = Arc::make_mut(&mut self.schema).intern_record(paths, measure)?;
         self.insert(record)
     }
@@ -508,14 +499,11 @@ impl<S: NodeStore> DcTree<S> {
     /// Inserts a pre-interned record (its leaf IDs must come from this
     /// tree's schema, e.g. via [`CubeSchema::intern_record`] on a clone the
     /// tree was constructed from).
-    pub fn insert(&mut self, record: Record) -> DcResult<RecordId> {
+    pub fn insert(&mut self, record: Record) -> DcResult<()> {
         self.schema.validate_record(&record)?;
-        let id = RecordId(self.next_record_id);
-        self.next_record_id += 1;
-        let stored = StoredRecord { id, record };
-        self.insert_stored(stored)?;
+        self.insert_run(std::slice::from_ref(&record))?;
         self.len += 1;
-        Ok(id)
+        Ok(())
     }
 
     /// Builds the tree **bottom-up** from a record set: sort along the
@@ -526,39 +514,31 @@ impl<S: NodeStore> DcTree<S> {
     /// the clustering the split algorithm works towards record-by-record.
     ///
     /// Requires an empty tree; on a populated tree this delegates to the
-    /// amortized [`Self::insert_batch`] path. Returns the assigned ids in
-    /// the order of the *input* slice.
-    pub fn bulk_load(&mut self, records: Vec<Record>) -> DcResult<Vec<RecordId>> {
+    /// amortized [`Self::insert_batch`] path.
+    pub fn bulk_load(&mut self, records: Vec<Record>) -> DcResult<()> {
         if !self.is_empty() {
             return self.insert_batch(records);
         }
         if records.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         for r in &records {
             self.schema.validate_record(r)?;
         }
-        let n = records.len();
-        let mut keyed: Vec<(Vec<u32>, usize)> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Ok((self.schema.flatten_record(r)?, i)))
-            .collect::<DcResult<_>>()?;
-        keyed.sort();
-        let base = self.next_record_id;
-        let ids: Vec<RecordId> = (0..n).map(|i| RecordId(base + i as u64)).collect();
-        self.next_record_id += n as u64;
-        self.len += n as u64;
-        let mut slots: Vec<Option<Record>> = records.into_iter().map(Some).collect();
-        let sorted: Vec<StoredRecord> = keyed
+        self.len += records.len() as u64;
+        let sorted = self.sorted_by_hierarchy(records)?;
+        self.build_from_sorted(sorted)
+    }
+
+    /// `records` sorted along their hierarchy paths (dimension-major,
+    /// coarse levels first); equal paths keep their order.
+    fn sorted_by_hierarchy(&self, records: Vec<Record>) -> DcResult<Vec<Record>> {
+        let mut keyed: Vec<(Vec<u32>, Record)> = records
             .into_iter()
-            .map(|(_, i)| StoredRecord {
-                id: ids[i],
-                record: slots[i].take().expect("each input index exactly once"),
-            })
-            .collect();
-        self.build_from_sorted(sorted)?;
-        Ok(ids)
+            .map(|r| Ok((self.schema.flatten_record(&r)?, r)))
+            .collect::<DcResult<_>>()?;
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(keyed.into_iter().map(|(_, r)| r).collect())
     }
 
     /// Inserts a batch through a shared descent: records with identical
@@ -574,37 +554,30 @@ impl<S: NodeStore> DcTree<S> {
     /// sorted-insertion pathology, measured here as ~3× directory MDS
     /// bloat that taxes every later descent and query. Grouping keeps the
     /// arrival order's natural scatter while still deduplicating descents.
-    ///
-    /// Returns the assigned ids in the order of the *input* slice.
-    pub fn insert_batch(&mut self, records: Vec<Record>) -> DcResult<Vec<RecordId>> {
+    pub fn insert_batch(&mut self, records: Vec<Record>) -> DcResult<()> {
         for r in &records {
             self.schema.validate_record(r)?;
         }
-        let n = records.len();
-        let base = self.next_record_id;
-        let ids: Vec<RecordId> = (0..n).map(|i| RecordId(base + i as u64)).collect();
-        self.next_record_id += n as u64;
-        self.len += n as u64;
-        let mut runs: Vec<Vec<StoredRecord>> = Vec::new();
+        self.len += records.len() as u64;
+        let mut runs: Vec<Vec<Record>> = Vec::new();
         let mut by_dims: HashMap<Dims, usize> = HashMap::new();
-        for (i, record) in records.into_iter().enumerate() {
+        for record in records {
             let slot = *by_dims.entry(record.dims.clone()).or_insert_with(|| {
                 runs.push(Vec::new());
                 runs.len() - 1
             });
-            runs[slot].push(StoredRecord { id: ids[i], record });
+            runs[slot].push(record);
         }
         for run in &runs {
             self.insert_run(run)?;
         }
-        Ok(ids)
+        Ok(())
     }
 
     /// Packs hierarchy-sorted records into data nodes and builds the
     /// directory levels above them. Assumes the tree is structurally empty
-    /// (`len` / `next_record_id` are maintained by the callers — `rebuild`
-    /// preserves ids, `bulk_load` assigns fresh ones).
-    fn build_from_sorted(&mut self, sorted: Vec<StoredRecord>) -> DcResult<()> {
+    /// (`len` is maintained by the callers).
+    fn build_from_sorted(&mut self, sorted: Vec<Record>) -> DcResult<()> {
         let old_root = self.free(self.root.child)?;
         debug_assert!(old_root.is_data() && old_root.is_empty());
         let d = self.schema.num_dims();
@@ -616,11 +589,10 @@ impl<S: NodeStore> DcTree<S> {
         let mut level: Vec<DirEntry> = Vec::new();
         let mut iter = sorted.into_iter().peekable();
         while iter.peek().is_some() {
-            let chunk: Members<StoredRecord> =
-                iter.by_ref().take(self.config.data_capacity).collect();
+            let chunk: Members<Record> = iter.by_ref().take(self.config.data_capacity).collect();
             let mut dimvals: Vec<Vec<ValueId>> = vec![Vec::new(); d];
             for r in chunk.iter() {
-                for (dim, &v) in r.record.dims.iter().enumerate() {
+                for (dim, &v) in r.dims.iter().enumerate() {
                     dimvals[dim].push(v);
                 }
             }
@@ -691,13 +663,13 @@ impl<S: NodeStore> DcTree<S> {
     /// takes the run, then the run descends, and a root that overflows
     /// splits, growing the tree as many times as the cascade of splits
     /// demands.
-    fn insert_run(&mut self, run: &[StoredRecord]) -> DcResult<()> {
+    fn insert_run(&mut self, run: &[Record]) -> DcResult<()> {
         for r in run {
-            self.root.summary.add(r.record.measure);
+            self.root.summary.add(r.measure);
         }
         self.root
             .mds
-            .extend_to_cover_record(&self.schema, &run[0].record)?;
+            .extend_to_cover_record(&self.schema, &run[0])?;
         if !self.insert_run_rec(self.root.child, run)? {
             return Ok(());
         }
@@ -721,8 +693,8 @@ impl<S: NodeStore> DcTree<S> {
     /// A child that overflows is split here, under its entry. Returns
     /// whether `id` now overflows; the caller, holding its entry, resolves
     /// that.
-    fn insert_run_rec(&mut self, id: NodeId, run: &[StoredRecord]) -> DcResult<bool> {
-        let first = &run[0].record;
+    fn insert_run_rec(&mut self, id: NodeId, run: &[Record]) -> DcResult<bool> {
+        let first = &run[0];
         let (chosen, overflow) = self.store.update(id, |node| {
             self.io.reads += u64::from(node.blocks);
             let chosen = match &mut node.kind {
@@ -742,7 +714,7 @@ impl<S: NodeStore> DcTree<S> {
                     self.metrics.choose_nanos += t0.elapsed().as_nanos() as u64;
                     let entry = &mut entries[choice];
                     for r in run {
-                        entry.summary.add(r.record.measure);
+                        entry.summary.add(r.measure);
                     }
                     Some((choice, entry.child))
                 }
@@ -793,12 +765,6 @@ impl<S: NodeStore> DcTree<S> {
             }
         }
         Ok(siblings)
-    }
-
-    /// Core insertion of one record — the run of one — shared with delete's
-    /// re-insertion path (does not touch `len` / `next_record_id`).
-    fn insert_stored(&mut self, stored: StoredRecord) -> DcResult<()> {
-        self.insert_run(std::slice::from_ref(&stored))
     }
 
     /// Root split: grows the tree by one level, a new directory root over
@@ -864,13 +830,7 @@ impl<S: NodeStore> DcTree<S> {
                 entries.iter().map(|e| e.mds.clone()).collect(),
                 Some(entries.iter().map(|e| e.child).collect()),
             ),
-            NodeKind::Data(records) => (
-                records
-                    .iter()
-                    .map(|r| Mds::from_record(&r.record))
-                    .collect(),
-                None,
-            ),
+            NodeKind::Data(records) => (records.iter().map(Mds::from_record).collect(), None),
         };
         let node_levels = entry.mds.levels();
         let node_dim_lens: Vec<usize> = entry.mds.dims().map(|set| set.len()).collect();
@@ -1102,7 +1062,7 @@ impl<S: NodeStore> DcTree<S> {
             match &self.store.get(kids[i])?.kind {
                 NodeKind::Data(records) => {
                     for r in records.iter().take(SAMPLED_RECORDS) {
-                        pairs.push((h.ancestor_at(r.record.dims[d], level)?, member));
+                        pairs.push((h.ancestor_at(r.dims[d], level)?, member));
                     }
                 }
                 NodeKind::Dir(entries) => {
@@ -1136,7 +1096,7 @@ impl<S: NodeStore> DcTree<S> {
             NodeKind::Data(records) => {
                 let mut values = Vec::with_capacity(records.len());
                 for r in records.iter() {
-                    values.push(h.ancestor_at(r.record.dims[d], level)?);
+                    values.push(h.ancestor_at(r.dims[d], level)?);
                 }
                 values.sort_unstable();
                 values.dedup();
@@ -1284,7 +1244,7 @@ impl<S: NodeStore> DcTree<S> {
     /// integrated into a DBMS (the paper's future work) must also produce
     /// the qualifying rows; selection cannot use the materialized shortcut,
     /// so contained subtrees are descended to their data pages.
-    pub fn for_each_in_range(&self, range: &Mds, f: impl FnMut(&StoredRecord)) -> DcResult<()> {
+    pub fn for_each_in_range(&self, range: &Mds, f: impl FnMut(&Record)) -> DcResult<()> {
         self.read(&PreparedRange::new(&self.schema, range)?, &mut Select(f))?;
         Ok(())
     }
@@ -1292,7 +1252,7 @@ impl<S: NodeStore> DcTree<S> {
     /// Range selection collecting the matching records.
     pub fn range_records(&self, range: &Mds) -> DcResult<Vec<Record>> {
         let mut out = Vec::new();
-        self.for_each_in_range(range, |r| out.push(r.record.clone()))?;
+        self.for_each_in_range(range, |r| out.push(r.clone()))?;
         Ok(out)
     }
 
@@ -1305,7 +1265,7 @@ impl<S: NodeStore> DcTree<S> {
         let mut count = 0;
         self.read(
             &point,
-            &mut Select(|r: &StoredRecord| count += u64::from(r.record.measure == record.measure)),
+            &mut Select(|r: &Record| count += u64::from(r.measure == record.measure)),
         )?;
         Ok(count)
     }
@@ -1474,7 +1434,7 @@ impl<S: NodeStore> DcTree<S> {
             NodeKind::Data(records) => {
                 for block in records.blocks() {
                     for r in block {
-                        if range.contains_record(&self.schema, &r.record)? {
+                        if range.contains_record(&self.schema, r)? {
                             visitor.record(r)?;
                         }
                     }
@@ -1547,7 +1507,7 @@ impl<S: NodeStore> DcTree<S> {
             }
         }
         for orphan in orphans {
-            self.insert_stored(orphan)?;
+            self.insert_run(std::slice::from_ref(&orphan))?;
         }
         Ok(true)
     }
@@ -1574,7 +1534,7 @@ impl<S: NodeStore> DcTree<S> {
         &mut self,
         entry: &DirEntry,
         record: &Record,
-        orphans: &mut Vec<StoredRecord>,
+        orphans: &mut Vec<Record>,
     ) -> DcResult<Option<DirEntry>> {
         let id = entry.child;
         let candidates: Vec<(usize, DirEntry)> = {
@@ -1582,7 +1542,7 @@ impl<S: NodeStore> DcTree<S> {
             self.io.reads += u64::from(node.blocks);
             match &node.kind {
                 NodeKind::Data(records) => {
-                    let Some(pos) = records.iter().position(|r| &r.record == record) else {
+                    let Some(pos) = records.iter().position(|r| r == record) else {
                         return Ok(None);
                     };
                     drop(node);
@@ -1640,7 +1600,7 @@ impl<S: NodeStore> DcTree<S> {
     }
 
     /// Collects every record below `id` and frees the whole subtree.
-    fn collect_subtree(&mut self, id: NodeId, out: &mut Vec<StoredRecord>) -> DcResult<()> {
+    fn collect_subtree(&mut self, id: NodeId, out: &mut Vec<Record>) -> DcResult<()> {
         let node = self.free(id)?;
         self.io.reads += u64::from(node.blocks);
         match node.kind {
@@ -1664,7 +1624,7 @@ fn recompute_entry(schema: &CubeSchema, entry: &DirEntry, node: &Node) -> DcResu
         NodeKind::Data(records) => {
             let mut mds: Option<Mds> = None;
             for r in records.iter() {
-                let p = Mds::from_record(&r.record).adapt_to_levels(schema, &levels)?;
+                let p = Mds::from_record(r).adapt_to_levels(schema, &levels)?;
                 mds = Some(match mds {
                     None => p,
                     Some(m) => m.union_aligned(&p),

@@ -609,8 +609,7 @@ fn bulk_insert_equals_incremental_semantics() {
     let (incremental, oracle) = build(400, 91, config);
     // Same records via bulk_load into a fresh tree sharing the schema.
     let mut bulk = DcTree::new(incremental.schema().clone(), config);
-    let ids = bulk.bulk_load(oracle.clone()).unwrap();
-    assert_eq!(ids.len(), oracle.len());
+    bulk.bulk_load(oracle.clone()).unwrap();
     bulk.check_invariants().unwrap();
     assert_eq!(
         bulk.total_summary().unwrap(),
@@ -816,10 +815,8 @@ fn a_copy_into_a_fresh_arena_is_the_same_tree() {
         (tree.len(), tree.num_nodes(), tree.height())
     );
     assert_eq!(copy.config().dir_capacity, 4);
-    // The copy stays fully dynamic and numbers records on from where the
-    // original stopped.
-    let id = copy.insert_raw(&random_paths(&mut rng), 7).unwrap();
-    assert_eq!(id.0, 600);
+    // The copy stays fully dynamic.
+    copy.insert_raw(&random_paths(&mut rng), 7).unwrap();
     copy.check_invariants().unwrap();
     assert_eq!(tree.len(), 400, "the original is untouched");
 }

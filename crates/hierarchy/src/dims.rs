@@ -24,7 +24,8 @@ pub struct IdVec<const N: usize>(Repr<N>);
 
 /// Leaf-level [`ValueId`]s of one record, one per dimension. Five 4-byte
 /// ids plus the length fit the 24 bytes a `Vec` header occupied, so a
-/// [`Record`](crate::Record) is 32 bytes with nothing behind it.
+/// [`Record`](crate::Record) is 32 bytes with nothing behind it — and so is
+/// a member of a DC-tree data node, which is the record itself.
 pub type Dims = IdVec<5>;
 
 #[derive(Clone)]

@@ -2,48 +2,21 @@
 //! nothing: the dictionary is searched through a borrowed `&str` view, not
 //! with a freshly built `String` per path element.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::Ordering::Relaxed;
 
 use dc_common::DimensionId;
 use dc_hierarchy::{ConceptHierarchy, HierarchySchema};
 
-/// Counts the allocations of the thread that armed it.
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::ALLOCS;
 
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are const-initialised thread-locals,
-// so bumping them never allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        }
-        // SAFETY: the caller's `layout` obligations pass through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout` (above).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations made by `f` on this thread.
-fn allocations(f: impl FnOnce()) -> u64 {
-    ALLOCATIONS.with(|n| n.set(0));
-    COUNTING.with(|c| c.set(true));
+/// Heap acquisitions made while `f` runs; this file's one test is the
+/// only code allocating meanwhile.
+fn allocations(f: impl FnOnce()) -> usize {
+    let before = ALLOCS.load(Relaxed);
     f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.with(Cell::get)
+    ALLOCS.load(Relaxed) - before
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! into records-per-GB and fault rate. Against a fixed-width layout
 //! (u32/u64/i64 everywhere) the codec saves two ways:
 //!
-//! * **Varints** — counts, ids, child pointers and block counts are LEB128;
+//! * **Varints** — counts, value ids, child pointers and block counts are LEB128;
 //!   measures and summaries are zigzag varints (small magnitudes, either
 //!   sign, stay short).
 //! * **First index + gaps** — an MDS dimension set is a sorted run of
@@ -17,12 +17,14 @@
 //! index domain, so that tag still decodes; nothing writes it.
 //!
 //! Every page starts with a format tag. A node page holds the node's block
-//! count and members; a node's MDS and summary are its entry's, encoded in
-//! its parent's page (the root's in the tree metadata, through
-//! [`encode_cover`]). Pages of the first format, [`FORMAT_NODE_V1`], also
-//! carry the node's MDS and summary in a header before the block count;
-//! they still decode, the header parsed and skipped, and
-//! [`decode_v1_cover`] reads it for a tree whose metadata predates the
+//! count and members — a data node's records, each its leaf values and
+//! measure; a node's MDS and summary are its entry's, encoded in its
+//! parent's page (the root's in the tree metadata, through
+//! [`encode_cover`]). Pages of the two earlier formats still decode:
+//! [`FORMAT_NODE_V2`] pages carry a record id before each record, read and
+//! dropped; [`FORMAT_NODE_V1`] pages carry those ids too, and the node's
+//! MDS and summary in a header before the block count, parsed and skipped
+//! — [`decode_v1_cover`] reads it for a tree whose metadata predates the
 //! root entry.
 //!
 //! Decoding is fully checked: any truncation, overflow, out-of-domain
@@ -31,16 +33,19 @@
 
 use dc_bitmap::CompressedBitmap;
 use dc_common::id::{MAX_INDEX, MAX_LEVEL};
-use dc_common::{DcError, DcResult, MeasureSummary, RecordId, ValueId};
+use dc_common::{DcError, DcResult, MeasureSummary, ValueId};
 use dc_hierarchy::Record;
 use dc_mds::{DimSet, Mds};
 use dc_storage::ByteReader;
-use dc_tree::node::{DirEntry, Node, NodeKind, StoredRecord};
+use dc_tree::node::{DirEntry, Node, NodeKind};
 
 /// Format tag: the node encoding of this module follows.
-pub const FORMAT_NODE: u8 = 2;
+pub const FORMAT_NODE: u8 = 3;
+/// Format tag of the second node encoding: what [`FORMAT_NODE`] holds,
+/// each record preceded by its id as a zigzag delta. Decode-only.
+pub const FORMAT_NODE_V2: u8 = 2;
 /// Format tag of the first node encoding: the node's MDS and summary, then
-/// what [`FORMAT_NODE`] holds. Decode-only.
+/// what [`FORMAT_NODE_V2`] holds. Decode-only.
 pub const FORMAT_NODE_V1: u8 = 1;
 
 const KIND_DIR: u8 = 0;
@@ -274,36 +279,33 @@ pub fn encode_node(node: &Node) -> Vec<u8> {
         NodeKind::Data(records) => {
             out.push(KIND_DATA);
             put_varint(&mut out, records.len() as u64);
-            let mut prev_id = 0i64;
             for rec in records.iter() {
-                // Ids are near-sequential but not sorted after splits move
-                // records around; zigzag deltas handle both directions.
-                let id = rec.id.0 as i64;
-                put_zigzag(&mut out, id.wrapping_sub(prev_id));
-                prev_id = id;
-                for &d in &rec.record.dims {
+                for &d in &rec.dims {
                     put_varint(&mut out, u64::from(d.raw()));
                 }
-                put_zigzag(&mut out, rec.record.measure);
+                put_zigzag(&mut out, rec.measure);
             }
         }
     }
     out
 }
 
-/// Decodes a node produced by [`encode_node`], or a page of the first
-/// format, whose header is checked and dropped. All failures are checked
-/// [`DcError::Corrupt`]s — disk bytes must never panic the server.
+/// Decodes a node produced by [`encode_node`], or a page of an earlier
+/// format, whose header and record ids are checked and dropped. All
+/// failures are checked [`DcError::Corrupt`]s — disk bytes must never
+/// panic the server.
 pub fn decode_node(bytes: &[u8], num_dims: usize) -> DcResult<Node> {
     let mut r = ByteReader::new(bytes);
-    match r.get_u8()? {
-        FORMAT_NODE => {}
+    let record_ids = match r.get_u8()? {
+        FORMAT_NODE => false,
+        FORMAT_NODE_V2 => true,
         FORMAT_NODE_V1 => {
             decode_cover(&mut r, num_dims)?;
+            true
         }
         tag => return Err(DcError::Corrupt(format!("bad node format tag {tag}"))),
-    }
-    let node = decode_body(&mut r, num_dims)?;
+    };
+    let node = decode_body(&mut r, num_dims, record_ids)?;
     r.expect_end()?;
     Ok(node)
 }
@@ -320,7 +322,9 @@ pub fn decode_v1_cover(bytes: &[u8], num_dims: usize) -> DcResult<(Mds, MeasureS
     }
 }
 
-fn decode_body(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
+/// A node's block count and members; `record_ids` skips the id each
+/// record of an earlier format carries.
+fn decode_body(r: &mut ByteReader, num_dims: usize, record_ids: bool) -> DcResult<Node> {
     let blocks = get_varint(r)?;
     let blocks = u32::try_from(blocks)
         .map_err(|_| DcError::Corrupt(format!("block count {blocks} overflows u32")))?;
@@ -345,12 +349,12 @@ fn decode_body(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
             NodeKind::Dir(entries.into())
         }
         KIND_DATA => {
-            let n = get_bounded_count(r, num_dims.max(1) + 2)?;
+            let n = get_bounded_count(r, num_dims.max(1) + 1 + usize::from(record_ids))?;
             let mut records = Vec::with_capacity(n);
-            let mut prev_id = 0i64;
             for _ in 0..n {
-                let id = prev_id.wrapping_add(get_zigzag(r)?);
-                prev_id = id;
+                if record_ids {
+                    get_varint(r)?;
+                }
                 let dims = (0..num_dims)
                     .map(|_| {
                         let raw = get_varint(r)?;
@@ -360,10 +364,7 @@ fn decode_body(r: &mut ByteReader, num_dims: usize) -> DcResult<Node> {
                     })
                     .collect::<DcResult<_>>()?;
                 let measure = get_zigzag(r)?;
-                records.push(StoredRecord {
-                    id: RecordId(id as u64),
-                    record: Record { dims, measure },
-                });
+                records.push(Record { dims, measure });
             }
             NodeKind::Data(records.into())
         }

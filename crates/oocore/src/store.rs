@@ -553,11 +553,11 @@ impl PersistentStore for OocStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dc_common::{AggregateOp, DimensionId, RecordId, TempDir, ValueId};
+    use dc_common::{AggregateOp, DimensionId, TempDir, ValueId};
     use dc_hierarchy::Record;
     use dc_mds::DimSet;
     use dc_tpcd::{generate, TpcdConfig};
-    use dc_tree::node::{NodeKind, StoredRecord};
+    use dc_tree::node::NodeKind;
     use dc_tree::{DcTree, DcTreeConfig};
 
     fn opts(frames: usize) -> OocOptions {
@@ -576,13 +576,10 @@ mod tests {
         }
     }
 
-    /// A one-dimensional data node of `records` records, about five bytes
+    /// A one-dimensional data node of `records` records, about four bytes
     /// each encoded — several 512-byte pages at 600 records.
     fn node(records: u32) -> Node {
-        let records = (0..records).map(|i| StoredRecord {
-            id: RecordId(u64::from(i)),
-            record: Record::new(vec![ValueId::new(0, i * 1_000)], 1),
-        });
+        let records = (0..records).map(|i| Record::new(vec![ValueId::new(0, i * 1_000)], 1));
         Node::new(NodeKind::Data(records.collect()))
     }
 

@@ -1,32 +1,30 @@
 //! Property tests for the node codec: random nodes round-trip exactly, pages
-//! written by the earlier encoder (which stored some dimension sets as WAH
-//! bitmaps, and every node's MDS and summary in a page header) still
-//! decode, and corrupt pages produce *checked* [`DcError`]s — never a
-//! panic — because these bytes come from disk.
+//! written by the earlier encoders (which stored a record id before each
+//! record, and first also some dimension sets as WAH bitmaps and every
+//! node's MDS and summary in a page header) still decode, and corrupt pages
+//! produce *checked* [`DcError`]s — never a panic — because these bytes
+//! come from disk.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use dc_common::{DcError, MeasureSummary, RecordId, ValueId};
+use dc_common::{DcError, MeasureSummary, ValueId};
 use dc_hierarchy::Record;
 use dc_mds::{DimSet, Mds};
-use dc_oocore::codec::{decode_node, decode_v1_cover, encode_node};
-use dc_tree::node::{DirEntry, Node, NodeId, NodeKind, StoredRecord};
+use dc_oocore::codec::{decode_node, decode_v1_cover, encode_node, FORMAT_NODE};
+use dc_tree::node::{DirEntry, Node, NodeId, NodeKind};
 use proptest::prelude::*;
 
 const NUM_DIMS: usize = 3;
 
 /// The byte count of a fixed-width layout of `node` (u32 ids and counts,
-/// u64 record ids, i64 measures and summaries, one byte per level and
-/// tag): the yardstick the varint codec is held to.
+/// i64 measures and summaries, one byte per level and tag): the yardstick
+/// the varint codec is held to.
 fn fixed_width_len(node: &Node) -> usize {
     let mds = |m: &Mds| m.dims().map(|d| 1 + 4 + 4 * d.len()).sum::<usize>();
     let summary = 4 * 8;
     let body = match &node.kind {
         NodeKind::Dir(entries) => entries.iter().map(|e| mds(&e.mds) + summary + 4).sum(),
-        NodeKind::Data(records) => records
-            .iter()
-            .map(|r| 8 + 4 * r.record.dims.len() + 8)
-            .sum::<usize>(),
+        NodeKind::Data(records) => records.iter().map(|r| 4 * r.dims.len() + 8).sum::<usize>(),
     };
     1 + 4 + 1 + 4 + body
 }
@@ -69,7 +67,6 @@ fn data_node_strategy() -> impl Strategy<Value = Node> {
     (
         prop::collection::vec(
             (
-                0u64..1 << 40,
                 prop::collection::vec(0u32..100_000, NUM_DIMS..=NUM_DIMS),
                 -1_000_000i64..1_000_000,
             ),
@@ -81,12 +78,11 @@ fn data_node_strategy() -> impl Strategy<Value = Node> {
             blocks,
             kind: NodeKind::Data(
                 recs.into_iter()
-                    .map(|(id, dims, measure)| StoredRecord {
-                        id: RecordId(id),
-                        record: Record::new(
+                    .map(|(dims, measure)| {
+                        Record::new(
                             dims.into_iter().map(|i| ValueId::new(0, i)).collect(),
                             measure,
-                        ),
+                        )
                     })
                     .collect(),
             ),
@@ -195,7 +191,7 @@ proptest! {
 // thousand records holds such sets. And it wrote each node's MDS and
 // summary into a header before the block count. The bytes below are that
 // encoder's output for the two nodes built next to them: each node's
-// header, then the node it decodes to now.
+// header, then the node it decodes to now (the records' ids dropped).
 // ----------------------------------------------------------------------
 
 fn run(level: u8, range: std::ops::Range<u32>) -> DimSet {
@@ -257,17 +253,16 @@ fn fixture_data_header() -> (Mds, MeasureSummary) {
 }
 
 fn fixture_data_node() -> Node {
-    let rec = |id: u64, dims: [u32; 3], measure: i64| StoredRecord {
-        id: RecordId(id),
-        record: Record::new(dims.iter().map(|&i| ValueId::new(0, i)).collect(), measure),
+    let rec = |dims: [u32; 3], measure: i64| {
+        Record::new(dims.iter().map(|&i| ValueId::new(0, i)).collect(), measure)
     };
     Node {
         blocks: 1,
         kind: NodeKind::Data(
             vec![
-                rec(1_000, [0, 12, 90_000], 5),
-                rec(4, [2_499, 13, 90_000], -7_000_000),
-                rec(1_001, [1_234, 12, 90_000], 123),
+                rec([0, 12, 90_000], 5),
+                rec([2_499, 13, 90_000], -7_000_000),
+                rec([1_234, 12, 90_000], 123),
             ]
             .into(),
         ),
@@ -327,6 +322,35 @@ fn pages_with_wah_sets_still_decode() {
             "a page of the current format has no header"
         );
     }
+}
+
+/// The format-2 encoder's output for [`fixture_data_node`] with record
+/// ids 1 000, 4 and 1 001: each record preceded by its id as a zigzag
+/// delta from the previous one.
+#[rustfmt::skip]
+const V2_DATA_PAGE: [u8; 34] = [
+    0x02, 0x01, 0x01, 0x03, 0xd0, 0x0f, 0x00, 0x0c, 0x90, 0xbf, 0x05, 0x0a,
+    0xc7, 0x0f, 0xc3, 0x13, 0x0d, 0x90, 0xbf, 0x05, 0xff, 0xbe, 0xd6, 0x06,
+    0xca, 0x0f, 0xd2, 0x09, 0x0c, 0x90, 0xbf, 0x05, 0xf6, 0x01,
+];
+
+/// A format-2 page decodes to its node, the ids read and dropped; written
+/// again, the node takes the current format, two bytes shorter per record
+/// (each of these id deltas takes two).
+#[test]
+fn format2_pages_still_decode() {
+    let node = fixture_data_node();
+    assert_eq!(decode_node(&V2_DATA_PAGE, NUM_DIMS).unwrap(), node);
+    let rewritten = encode_node(&node);
+    assert_eq!(rewritten[0], FORMAT_NODE);
+    assert_eq!(rewritten.len(), V2_DATA_PAGE.len() - 6);
+    assert_eq!(decode_node(&rewritten, NUM_DIMS).unwrap(), node);
+    for xor in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+        let pos = first_panicking_flip(&V2_DATA_PAGE, xor);
+        assert!(pos.is_none(), "xor {xor:#04x} panicked at byte {pos:?}");
+    }
+    let bad = first_unchecked_truncation(&V2_DATA_PAGE);
+    assert!(bad.is_none(), "truncation at {bad:?} not a Corrupt error");
 }
 
 /// The decode-only WAH arm is swept like the encoder's output: every

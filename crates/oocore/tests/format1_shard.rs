@@ -1,14 +1,19 @@
-//! A shard file of the first node format — every node page headed by the
-//! node's MDS and summary, tree metadata without the root entry — still
-//! opens, as a disk shard and as a checkpoint image, as the tree it was
-//! written from: the same nodes, the same total and the same answers.
+//! Shard files of the two earlier node formats still open, as a disk shard
+//! and as a checkpoint image, as the tree they were written from: the same
+//! nodes, the same total and the same answers.
 //!
-//! `data/format1_shard.dct` is 480 TPC-D records (`TpcdConfig::scaled(600,
-//! 46)` inserted one at a time, every fifth insert followed by a delete of
-//! the record inserted three before it) in a disk shard with 512-byte
-//! blocks, directory capacity 4 and data capacity 16: height 4, 69 nodes,
-//! one directory supernode. The pinned values below were read from the
-//! code that wrote it.
+//! * `data/format1_shard.dct`: node format 1 — every node page headed by
+//!   the node's MDS and summary, every record preceded by an id — and
+//!   tree metadata `DCDISK02`, without the root entry.
+//! * `data/format2_shard.dct`: node format 2 — records preceded by ids,
+//!   no header — and tree metadata `DCDISK03`, with a record-id counter.
+//!
+//! Both hold the same tree: 480 TPC-D records (`TpcdConfig::scaled(600,
+//! 46)` inserted one at a time, each insert `i` with `i % 5 == 4` followed
+//! by a delete of record `i - 2`) in a disk shard with 512-byte blocks,
+//! directory capacity 4 and data capacity 16: height 4, 69 nodes, one
+//! directory supernode. The pinned values below were computed by the code
+//! that wrote each file.
 
 use std::fmt::Write;
 use std::path::PathBuf;
@@ -28,7 +33,11 @@ const TOTAL: MeasureSummary = MeasureSummary {
 /// FNV-1a of [`answers`].
 const ANSWERS: u64 = 0x7559_2113_8756_5175;
 /// FNV-1a of [`structure`].
-const STRUCTURE: u64 = 0xf262_af1a_9c75_3caa;
+const STRUCTURE: u64 = 0xaf97_de40_a3c2_d01e;
+/// FNV-1a of [`structure`] after [`churn`].
+const CHURNED: u64 = 0xc79a_c34f_86a2_3148;
+
+const FIXTURES: [&str; 2] = ["format1_shard.dct", "format2_shard.dct"];
 
 fn config() -> DcTreeConfig {
     DcTreeConfig {
@@ -46,10 +55,12 @@ fn opts() -> OocOptions {
     }
 }
 
-/// A scratch copy of the fixture: opening a shard may write to it.
-fn fixture(dir: &TempDir) -> PathBuf {
-    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/format1_shard.dct");
-    let path = dir.join("format1_shard.dct");
+/// A scratch copy of the fixture `name`: opening a shard may write to it.
+fn fixture(dir: &TempDir, name: &str) -> PathBuf {
+    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data")
+        .join(name);
+    let path = dir.join(name);
     std::fs::copy(src, &path).unwrap();
     path
 }
@@ -93,7 +104,7 @@ fn answers<S: NodeStore>(tree: &DcTree<S>) -> String {
 }
 
 /// The tree's structure, one line per node: depth, MDS, summary, blocks
-/// and members.
+/// and members — a data node's records, each its leaf values and measure.
 fn structure<S: NodeStore>(tree: &DcTree<S>) -> String {
     let mut out = String::new();
     for (depth, entry, node) in tree.structure().unwrap() {
@@ -108,7 +119,22 @@ fn structure<S: NodeStore>(tree: &DcTree<S>) -> String {
     out
 }
 
-fn assert_is_the_written_tree<S: NodeStore>(tree: &DcTree<S>) {
+/// Deletes the first record of the first data node and inserts it back:
+/// the nodes on both paths are rewritten, the answers stay the same.
+fn churn<S: NodeStore>(tree: &mut DcTree<S>) {
+    let mut first = None;
+    tree.for_each_node(|_, _, node| {
+        if first.is_none() && node.is_data() && !node.is_empty() {
+            first = Some(node.records()[0].clone());
+        }
+    })
+    .unwrap();
+    let record = first.unwrap();
+    assert!(tree.delete(&record).unwrap());
+    tree.insert(record).unwrap();
+}
+
+fn assert_is_the_tree<S: NodeStore>(tree: &DcTree<S>, structure_digest: u64) {
     tree.check_invariants().unwrap();
     assert_eq!((tree.len(), tree.num_nodes(), tree.height()), (480, 69, 4));
     assert_eq!(tree.total_summary().unwrap(), TOTAL);
@@ -119,33 +145,40 @@ fn assert_is_the_written_tree<S: NodeStore>(tree: &DcTree<S>) {
     .unwrap();
     assert_eq!(dir_supernodes, 1);
     assert_eq!(fnv(&answers(tree)), ANSWERS);
-    assert_eq!(fnv(&structure(tree)), STRUCTURE);
+    assert_eq!(fnv(&structure(tree)), structure_digest);
 }
 
 #[test]
 fn a_format1_shard_opens_as_a_disk_shard() {
-    let dir = TempDir::new("format1");
-    let path = fixture(&dir);
-    let shard = OocDcTree::open(&path, config(), opts()).unwrap();
-    assert_is_the_written_tree(&*shard.read());
+    for name in FIXTURES {
+        let dir = TempDir::new("format1");
+        let path = fixture(&dir, name);
+        let shard = OocDcTree::open(&path, config(), opts()).unwrap();
+        assert_is_the_tree(&*shard.read(), STRUCTURE);
 
-    // Flushed, the shard's metadata takes the current form; the tree
-    // reopens unchanged.
-    shard.flush().unwrap();
-    drop(shard);
-    let shard = OocDcTree::open(&path, config(), opts()).unwrap();
-    assert_is_the_written_tree(&*shard.read());
+        // Churned and flushed, the shard holds the rewritten nodes in the
+        // current format beside the old pages, and its metadata in the
+        // current form; it reopens as the churned tree.
+        churn(&mut shard.write());
+        assert_is_the_tree(&*shard.read(), CHURNED);
+        shard.flush().unwrap();
+        drop(shard);
+        let shard = OocDcTree::open(&path, config(), opts()).unwrap();
+        assert_is_the_tree(&*shard.read(), CHURNED);
+    }
 }
 
 #[test]
 fn a_format1_shard_opens_as_a_checkpoint_image() {
-    let dir = TempDir::new("format1");
-    let tree = read_image(fixture(&dir), config()).unwrap();
-    assert_is_the_written_tree(&tree);
+    for name in FIXTURES {
+        let dir = TempDir::new("format1");
+        let tree = read_image(fixture(&dir, name), config()).unwrap();
+        assert_is_the_tree(&tree, STRUCTURE);
 
-    // Written again, the image is in the current format and reads back as
-    // the same tree.
-    let path = dir.join("rewritten.dct");
-    write_image(&tree, &path).unwrap();
-    assert_is_the_written_tree(&read_image(&path, config()).unwrap());
+        // Written again, the image is in the current format and reads back
+        // as the same tree.
+        let path = dir.join("rewritten.dct");
+        write_image(&tree, &path).unwrap();
+        assert_is_the_tree(&read_image(&path, config()).unwrap(), STRUCTURE);
+    }
 }

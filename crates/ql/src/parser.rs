@@ -24,6 +24,8 @@
 //! ancestor membership (exactly the restriction a join against the
 //! denormalized dimension table would produce).
 
+use std::collections::HashMap;
+
 use dc_common::{AggregateOp, DimensionId, ValueId};
 use dc_hierarchy::{ConceptHierarchy, CubeSchema};
 use dc_mds::{DimSet, Mds};
@@ -339,22 +341,24 @@ impl<'a> Resolver<'a> {
     /// One condition resolved to the values it names on its level.
     fn condition(&self, cond: &RawCondition) -> Result<(DimensionId, DimSet), QlError> {
         let (dim, level, h) = self.lookup_path(&cond.path)?;
+        // Every value with a listed name on the level qualifies (names can
+        // repeat under different parents, e.g. month '03'): one pass over
+        // the level, each name marked once it matches.
+        let mut matched: HashMap<&str, bool> =
+            cond.values.iter().map(|n| (n.as_str(), false)).collect();
         let mut values: Vec<ValueId> = Vec::new();
-        for name in &cond.values {
-            // Every value with this name on the level qualifies (names can
-            // repeat under different parents, e.g. month '03').
-            let matches: Vec<ValueId> = h
-                .values_at(level)
-                .filter(|&v| h.name(v).is_ok_and(|n| n == name))
-                .collect();
-            if matches.is_empty() {
-                return Err(QlError::UnknownValue {
-                    dimension: h.schema().name().to_string(),
-                    attribute: h.schema().attribute_name(level).unwrap_or("?").to_string(),
-                    value: name.clone(),
-                });
+        for v in h.values_at(level) {
+            if let Some(hit) = h.name(v).ok().and_then(|n| matched.get_mut(n)) {
+                *hit = true;
+                values.push(v);
             }
-            values.extend(matches);
+        }
+        if let Some(name) = cond.values.iter().find(|n| !matched[n.as_str()]) {
+            return Err(QlError::UnknownValue {
+                dimension: h.schema().name().to_string(),
+                attribute: h.schema().attribute_name(level).unwrap_or("?").to_string(),
+                value: name.clone(),
+            });
         }
         Ok((dim, DimSet::new(level, values)))
     }
@@ -374,11 +378,11 @@ impl<'a> Resolver<'a> {
         let mut candidates: Vec<ValueId> = sets[0].values().to_vec();
         for set in &sets[1..] {
             if set.level() == finest {
-                candidates.retain(|v| set.values().contains(v));
+                candidates.retain(|&v| set.contains_value(v));
             } else {
-                candidates.retain(|v| {
-                    h.ancestor_at(*v, set.level())
-                        .is_ok_and(|a| set.values().contains(&a))
+                candidates.retain(|&v| {
+                    h.ancestor_at(v, set.level())
+                        .is_ok_and(|a| set.contains_value(a))
                 });
             }
         }
@@ -446,6 +450,19 @@ mod tests {
         let q = parse_query(&s, "SUM WHERE Time.Month = '03'").unwrap();
         assert_eq!(q.filter.dim(1).len(), 2);
         assert_eq!(q.filter.dim(1).level(), 0);
+    }
+
+    #[test]
+    fn an_in_list_resolves_in_one_pass() {
+        let s = schema();
+        // Repeated names are harmless; every month named qualifies.
+        let q = parse_query(&s, "SUM WHERE Time.Month IN ('07', '03', '03')").unwrap();
+        assert_eq!(q.filter.dim(1).len(), 3);
+        // The error names the first unknown name in statement order.
+        match parse_query(&s, "SUM WHERE Time.Month IN ('03', 'YY', '07', 'XX')") {
+            Err(QlError::UnknownValue { value, .. }) => assert_eq!(value, "YY"),
+            other => panic!("expected UnknownValue, got {other:?}"),
+        }
     }
 
     #[test]

@@ -418,9 +418,9 @@ fn lattice_of(tree: &DcTree) -> Vec<MaterializedView> {
         .into_iter()
         .map(MaterializedView::new)
         .collect();
-    for stored in tree.iter_records() {
+    for record in tree.iter_records() {
         for v in &mut views {
-            v.apply(schema, &stored.record)
+            v.apply(schema, record)
                 .expect("tree records resolve in their own schema");
         }
     }
@@ -519,8 +519,6 @@ struct Gather {
     /// knows every value their trees know, so one preparation against it
     /// serves them all.
     schema: Arc<CubeSchema>,
-    /// Prepare with the paper's Fig. 7 containment shortcut.
-    paper: bool,
     /// One fragment per relevant shard, in shard order: the backend it
     /// runs and the planner's estimate. A shard the coverage check skipped
     /// never gets `actual_pages`.
@@ -576,10 +574,6 @@ pub struct ShardedDcTree {
     /// What [`Self::shard_snapshot`] answers for a disk shard, which has
     /// no snapshot: one empty tree (`None` in resident mode).
     no_snapshot: Option<Arc<DcTree>>,
-    /// `DcTreeConfig::use_paper_fig7_containment`, hoisted so the engine
-    /// can prepare ranges once against the catalog with the same
-    /// containment mode every shard tree would use.
-    paper_mode: bool,
     cache: Option<Arc<SharedCache>>,
     /// The log, shared with the shard writers (see [`DurableWal`]).
     pub(crate) wal: Arc<OnceLock<DurableWal>>,
@@ -602,6 +596,13 @@ impl ShardedDcTree {
         if config.role == EngineRole::Follower && config.wal.is_none() {
             return Err(DcError::Config(
                 "a follower recovers from a replicated WAL directory; set EngineConfig::wal".into(),
+            ));
+        }
+        if config.tree.use_paper_fig7_containment {
+            return Err(DcError::Config(
+                "the engine serves sound containment only; the paper's Fig. 7 \
+                 containment test overcounts (DcTreeConfig::use_paper_fig7_containment)"
+                    .into(),
             ));
         }
         if matches!(config.storage, StorageMode::Disk(_)) && config.planner.is_some() {
@@ -700,7 +701,6 @@ impl ShardedDcTree {
             policy: config.policy,
             pool,
             no_snapshot,
-            paper_mode: config.tree.use_paper_fig7_containment,
             cache,
             wal,
             ingest_gate: RwLock::new(()),
@@ -1373,10 +1373,6 @@ impl ShardedDcTree {
         }
         Ok(Gather {
             schema,
-            // `group_by` decomposes containment per group, which the
-            // paper-mode shortcut does not model — grouped plans always
-            // prepare soundly.
-            paper: self.paper_mode && plan.group_by.is_none(),
             frags,
             units,
         })
@@ -1395,11 +1391,10 @@ impl ShardedDcTree {
     fn run(&self, plan: &LogicalPlan, gather: Gather) -> DcResult<(QueryOutput, Explain)> {
         let Gather {
             schema,
-            paper,
             mut frags,
             units,
         } = gather;
-        let prepared = PreparedRange::with_mode(&schema, &plan.filter, paper)?;
+        let prepared = PreparedRange::new(&schema, &plan.filter)?;
         self.metrics
             .shard_visits
             .fetch_add(units.len() as u64, Relaxed);
@@ -1546,9 +1541,7 @@ impl ShardedDcTree {
     /// cache and the planner counters.
     pub fn compare_backends(&self, stmt: &ParsedStatement) -> DcResult<BackendComparison> {
         let plan = LogicalPlan::from_statement(stmt);
-        let mut gather = self.gather(&plan, None)?;
-        // Sound containment mode: every backend must agree bit-for-bit.
-        gather.paper = false;
+        let gather = self.gather(&plan, None)?;
         let comparable = |b: Backend| {
             gather
                 .units
@@ -2026,5 +2019,21 @@ mod tests {
             std::ptr::eq(tree.schema(), Arc::as_ptr(&newer)),
             "the writer moved back to the older snapshot"
         );
+    }
+
+    /// The engine prepares every range soundly: a tree configuration that
+    /// asks for the paper's Fig. 7 containment test, which overcounts, is
+    /// refused rather than served.
+    #[test]
+    fn paper_fig7_containment_is_a_config_error() {
+        let config = EngineConfig {
+            tree: DcTreeConfig {
+                use_paper_fig7_containment: true,
+                ..DcTreeConfig::default()
+            },
+            ..EngineConfig::default()
+        };
+        let engine = ShardedDcTree::new(dc_tpcd::cube_schema(), config);
+        assert!(matches!(engine, Err(DcError::Config(_))));
     }
 }

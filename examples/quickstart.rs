@@ -78,7 +78,7 @@ fn main() -> dctree::DcResult<()> {
     );
 
     // Fully dynamic also means deletion: remove one sale and re-check.
-    let victim = tree.iter_records().next().unwrap().record.clone();
+    let victim = tree.iter_records().next().unwrap().clone();
     let gone = tree.delete(&victim)?;
     println!("deleted one record: {gone}; {} remain", tree.len());
     tree.check_invariants()?;

@@ -3,7 +3,10 @@
 //! median/min per benchmark — no statistical regression analysis, no HTML
 //! reports. When invoked by `cargo test` (which passes `--test` to
 //! `harness = false` bench binaries), each benchmark body runs once as a
-//! smoke test so the suite stays fast.
+//! smoke test so the suite stays fast. As in criterion, the first free
+//! argument filters: `cargo bench --bench baseline_ops -- storage` runs only
+//! the benchmarks whose `group/function` id contains `storage` (the setup
+//! a target runs outside its `bench_function` closures still runs).
 
 use std::time::{Duration, Instant};
 
@@ -23,14 +26,16 @@ pub enum BatchSize {
 pub struct Criterion {
     sample_size: usize,
     smoke_test: bool,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        let smoke_test = std::env::args().any(|a| a == "--test");
+        let args: Vec<String> = std::env::args().skip(1).collect();
         Criterion {
             sample_size: 50,
-            smoke_test,
+            smoke_test: args.iter().any(|a| a == "--test"),
+            filter: args.into_iter().find(|a| !a.starts_with('-')),
         }
     }
 }
@@ -48,8 +53,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size: self.sample_size,
-            smoke_test: self.smoke_test,
-            _parent: std::marker::PhantomData,
+            parent: self,
         }
     }
 
@@ -58,23 +62,53 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
-        let sample_size = self.sample_size;
-        let smoke = self.smoke_test;
-        run_one(&id, sample_size, smoke, f);
+        let (id, sample_size) = (id.into(), self.sample_size);
+        self.run_one(&id, sample_size, f);
         self
     }
+
+    fn run_one<F: FnMut(&mut Bencher)>(&self, id: &str, sample_size: usize, mut f: F) {
+        if !selected(self.filter.as_deref(), id) {
+            return;
+        }
+        let smoke = self.smoke_test;
+        let mut b = Bencher {
+            samples: Vec::with_capacity(sample_size),
+            sample_size: if smoke { 1 } else { sample_size },
+        };
+        f(&mut b);
+        if smoke {
+            println!("bench {id}: ok (smoke test)");
+            return;
+        }
+        b.samples.sort_unstable();
+        if b.samples.is_empty() {
+            println!("bench {id}: no samples");
+            return;
+        }
+        let median = b.samples[b.samples.len() / 2];
+        let min = b.samples[0];
+        println!(
+            "bench {id}: median {median:?}  min {min:?}  ({} samples)",
+            b.samples.len()
+        );
+    }
+}
+
+/// Whether the benchmark `id` runs under the command line's `filter`:
+/// every benchmark without one, else those whose id contains it.
+fn selected(filter: Option<&str>, id: &str) -> bool {
+    filter.is_none_or(|f| id.contains(f))
 }
 
 /// A group of benchmarks sharing a name prefix and sample size.
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
-    smoke_test: bool,
-    _parent: std::marker::PhantomData<&'a mut Criterion>,
+    parent: &'a Criterion,
 }
 
-impl<'a> BenchmarkGroup<'a> {
+impl BenchmarkGroup<'_> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         assert!(n > 0, "sample_size must be positive");
         self.sample_size = n;
@@ -86,34 +120,11 @@ impl<'a> BenchmarkGroup<'a> {
         F: FnMut(&mut Bencher),
     {
         let full = format!("{}/{}", self.name, id.into());
-        run_one(&full, self.sample_size, self.smoke_test, f);
+        self.parent.run_one(&full, self.sample_size, f);
         self
     }
 
     pub fn finish(self) {}
-}
-
-fn run_one<F: FnMut(&mut Bencher)>(id: &str, sample_size: usize, smoke: bool, mut f: F) {
-    let mut b = Bencher {
-        samples: Vec::with_capacity(sample_size),
-        sample_size: if smoke { 1 } else { sample_size },
-    };
-    f(&mut b);
-    if smoke {
-        println!("bench {id}: ok (smoke test)");
-        return;
-    }
-    b.samples.sort_unstable();
-    if b.samples.is_empty() {
-        println!("bench {id}: no samples");
-        return;
-    }
-    let median = b.samples[b.samples.len() / 2];
-    let min = b.samples[0];
-    println!(
-        "bench {id}: median {median:?}  min {min:?}  ({} samples)",
-        b.samples.len()
-    );
 }
 
 /// Passed to each benchmark body; collects timed samples.
@@ -206,5 +217,14 @@ mod tests {
     #[test]
     fn group_machinery_runs() {
         benches();
+    }
+
+    #[test]
+    fn the_filter_selects_ids_containing_it() {
+        assert!(selected(None, "wah/count_ones"));
+        assert!(selected(Some("storage"), "storage/node_get/hot"));
+        assert!(selected(Some("node_get/co"), "storage/node_get/cold"));
+        assert!(!selected(Some("storage"), "wah/count_ones"));
+        assert!(!selected(Some("Storage"), "storage/node_get/hot"));
     }
 }

@@ -55,7 +55,7 @@ pub use dc_xtree as xtree;
 
 // The most commonly used items, flattened for convenience.
 pub use dc_common::{
-    AggregateOp, DcError, DcResult, DimensionId, Measure, MeasureSummary, RecordId, ValueId,
+    AggregateOp, DcError, DcResult, DimensionId, Measure, MeasureSummary, ValueId,
 };
 pub use dc_hierarchy::{ConceptHierarchy, CubeSchema, HierarchySchema, Record};
 pub use dc_mds::{DimSet, Mds};

@@ -1,7 +1,10 @@
-//! The counting `#[global_allocator]` of the memory tests: live heap bytes
-//! and their high-water mark, across every thread. A test file includes it
-//! with `#[path = "support/counting_alloc.rs"] mod counting_alloc;` and
-//! holds one test, so no other test's allocations land in its window.
+//! The workspace's one counting `#[global_allocator]`: live heap bytes,
+//! their high-water mark and the number of heap acquisitions, across every
+//! thread. The memory tests here include it with `#[path =
+//! "support/counting_alloc.rs"] mod counting_alloc;`, and so do the
+//! hierarchy's allocation-free probe test and the query bench, by their
+//! own relative paths. A test file including it holds one test, so no
+//! other test's allocations land in its window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -11,11 +14,15 @@ pub static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// The most `LIVE` has been since a test last stored into it.
 #[allow(dead_code)]
 pub static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Heap acquisitions — allocations and reallocations — since the start.
+#[allow(dead_code)]
+pub static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
-/// Counts live heap bytes and their high-water mark.
+/// Counts live heap bytes, their high-water mark and acquisitions.
 struct CountingAlloc;
 
 fn grew(by: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
     let live = LIVE.fetch_add(by, Relaxed) + by;
     PEAK.fetch_max(live, Relaxed);
 }
