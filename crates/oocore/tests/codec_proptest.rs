@@ -3,7 +3,9 @@
 //! record, and first also some dimension sets as WAH bitmaps and every
 //! node's MDS and summary in a page header) still decode, and corrupt pages
 //! produce *checked* [`DcError`]s — never a panic — because these bytes
-//! come from disk.
+//! come from disk. The encoder's bytes are pinned for two fixture nodes,
+//! and the decoder answers every flipped and truncated page exactly as the
+//! [`reference`] decoder does.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -113,6 +115,36 @@ fn node_strategy() -> impl Strategy<Value = Node> {
     prop_oneof![data_node_strategy(), dir_node_strategy()]
 }
 
+/// Whether `decode_node` and the [`reference`] decoder agree on `page`: the
+/// same node, or both a `Corrupt` error.
+fn agrees_with_reference(page: &[u8]) -> bool {
+    match (
+        decode_node(page, NUM_DIMS),
+        reference::decode_node(page, NUM_DIMS),
+    ) {
+        (Ok(a), Ok(b)) => a == b,
+        (Err(DcError::Corrupt(_)), Err(DcError::Corrupt(_))) => true,
+        _ => false,
+    }
+}
+
+/// The first single-byte mutation of `page` by `xor`, or the first strict
+/// prefix of it, on which the two decoders disagree.
+fn first_disagreement(page: &[u8], xor: u8) -> Option<String> {
+    let mut bad = page.to_vec();
+    for pos in 0..page.len() {
+        bad[pos] ^= xor;
+        let agrees = agrees_with_reference(&bad);
+        bad[pos] ^= xor;
+        if !agrees {
+            return Some(format!("flip of byte {pos} by {xor:#04x}"));
+        }
+    }
+    (0..=page.len())
+        .find(|&cut| !agrees_with_reference(&page[..cut]))
+        .map(|cut| format!("truncation at {cut}"))
+}
+
 /// Every single-byte mutation of `page` by `xor` either decodes to *some*
 /// node or fails with a checked error; returns the first position that
 /// panicked.
@@ -181,6 +213,20 @@ proptest! {
     fn truncations_are_checked_errors(node in node_strategy()) {
         let bad = first_unchecked_truncation(&encode_node(&node));
         prop_assert!(bad.is_none(), "truncation at {:?} not a Corrupt error", bad);
+    }
+}
+
+proptest! {
+    // Each case decodes every flip and every prefix of its page twice.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On every single-byte mutation and every truncation of a page, the
+    /// decoder returns what the reference decoder returns: the same node or
+    /// a `Corrupt` error.
+    #[test]
+    fn decode_matches_the_reference_on_damaged_pages(node in node_strategy(), xor in 1u8..=255) {
+        let bad = first_disagreement(&encode_node(&node), xor);
+        prop_assert!(bad.is_none(), "decoders disagree on the {:?}", bad);
     }
 }
 
@@ -367,6 +413,74 @@ fn corrupt_wah_pages_are_checked_errors() {
     }
 }
 
+/// The tag-3 bytes of [`fixture_data_node`]: format tag, block count, kind,
+/// record count, then each record's three value ids and zigzag measure.
+#[rustfmt::skip]
+const FORMAT3_DATA_PAGE: [u8; 28] = [
+    0x03, 0x01, 0x01, 0x03,
+    0x00, 0x0c, 0x90, 0xbf, 0x05, 0x0a,
+    0xc3, 0x13, 0x0d, 0x90, 0xbf, 0x05, 0xff, 0xbe, 0xd6, 0x06,
+    0xd2, 0x09, 0x0c, 0x90, 0xbf, 0x05, 0xf6, 0x01,
+];
+
+/// The tag-3 bytes of [`fixture_dir_node`]: each entry's three dimension
+/// sets (level, count, set tag, first index, one gap varint per further
+/// value), its zigzag summary and its child handle.
+fn format3_dir_page() -> Vec<u8> {
+    let mut page = vec![0x03, 0x02, 0x00, 0x02];
+    // Entry 1: 2 000 level-1 values from 100, {7}, {5, 9}; sum 39 988 over
+    // 2 values, min -12, max 40 000; child 17.
+    page.extend([0x01, 0xd0, 0x0f, 0x00, 0x64]);
+    page.extend([0x00; 1_999]);
+    page.extend([0x00, 0x01, 0x00, 0x07]);
+    page.extend([0x03, 0x02, 0x00, 0x05, 0x03]);
+    page.extend([0xe8, 0xf0, 0x04, 0x02, 0x17, 0x80, 0xf1, 0x04, 0x11]);
+    // Entry 2: 40 level-1 values from 2 100, {4 000}, {200}; the summary of
+    // the one value 3; child 300.
+    page.extend([0x01, 0x28, 0x00, 0xb4, 0x10]);
+    page.extend([0x00; 39]);
+    page.extend([0x00, 0x01, 0x00, 0xa0, 0x1f]);
+    page.extend([0x03, 0x01, 0x00, 0xc8, 0x01]);
+    page.extend([0x06, 0x01, 0x06, 0x06, 0xac, 0x02]);
+    page
+}
+
+/// The encoder writes the fixture nodes byte for byte as pinned: the page
+/// format does not drift under a faster codec.
+#[test]
+fn format3_pages_are_pinned() {
+    assert_eq!(encode_node(&fixture_data_node()), FORMAT3_DATA_PAGE);
+    assert_eq!(encode_node(&fixture_dir_node()), format3_dir_page());
+    assert_eq!(
+        decode_node(&FORMAT3_DATA_PAGE, NUM_DIMS).unwrap(),
+        fixture_data_node()
+    );
+    assert_eq!(
+        decode_node(&format3_dir_page(), NUM_DIMS).unwrap(),
+        fixture_dir_node()
+    );
+}
+
+/// Every page of every format the fixtures hold, flipped bit by bit and
+/// byte by byte and cut at every length, decodes as the reference decoder
+/// decodes it.
+#[test]
+fn fixture_pages_decode_as_the_reference_decodes_them() {
+    let pages: [&[u8]; 5] = [
+        &WAH_DIR_PAGE,
+        &WAH_DATA_PAGE,
+        &V2_DATA_PAGE,
+        &FORMAT3_DATA_PAGE,
+        &format3_dir_page(),
+    ];
+    for page in pages {
+        for xor in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+            let bad = first_disagreement(page, xor);
+            assert!(bad.is_none(), "decoders disagree on the {bad:?}");
+        }
+    }
+}
+
 /// Targeted corruptions hit the specific checked paths.
 #[test]
 fn targeted_corruptions_yield_dc_errors() {
@@ -407,4 +521,183 @@ fn targeted_corruptions_yield_dc_errors() {
     // Wrong dimensionality shears the layout apart: must error, not panic.
     let outcome = catch_unwind(AssertUnwindSafe(|| decode_node(&encoded, 2)));
     assert!(outcome.is_ok(), "wrong num_dims must not panic");
+}
+
+/// The node decoder as written over [`ByteReader`], one checked call per
+/// byte, before the slice-cursor decoder replaced it. Kept as the oracle
+/// the decoder must equal on every page, damaged or not.
+mod reference {
+    use dc_bitmap::CompressedBitmap;
+    use dc_common::id::{MAX_INDEX, MAX_LEVEL};
+    use dc_common::{DcError, DcResult, MeasureSummary, ValueId};
+    use dc_hierarchy::Record;
+    use dc_mds::{DimSet, Mds};
+    use dc_storage::ByteReader;
+    use dc_tree::node::{DirEntry, Node, NodeId, NodeKind};
+
+    fn get_varint(r: &mut ByteReader) -> DcResult<u64> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = r.get_u8()?;
+            if shift == 63 && b > 1 {
+                return Err(DcError::Corrupt("varint overflows u64".into()));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(DcError::Corrupt("varint longer than 10 bytes".into()));
+            }
+        }
+    }
+
+    fn get_zigzag(r: &mut ByteReader) -> DcResult<i64> {
+        let v = get_varint(r)?;
+        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
+    }
+
+    fn get_bounded_count(r: &mut ByteReader, min_elem: usize) -> DcResult<usize> {
+        let n = get_varint(r)?;
+        let n = usize::try_from(n).map_err(|_| DcError::Corrupt("count overflow".into()))?;
+        if n.saturating_mul(min_elem.max(1)) > r.remaining() {
+            return Err(DcError::Corrupt("count exceeds remaining bytes".into()));
+        }
+        Ok(n)
+    }
+
+    fn decode_dimset(r: &mut ByteReader) -> DcResult<DimSet> {
+        let level = r.get_u8()?;
+        if level > MAX_LEVEL {
+            return Err(DcError::Corrupt("level exceeds MAX_LEVEL".into()));
+        }
+        let count = get_varint(r)?;
+        if count > u64::from(MAX_INDEX) + 1 {
+            return Err(DcError::Corrupt("cardinality exceeds the domain".into()));
+        }
+        let count = count as usize;
+        if count == 0 {
+            return Ok(DimSet::new(level, Vec::new()));
+        }
+        let mut values;
+        match r.get_u8()? {
+            0 => {
+                if count > r.remaining() {
+                    return Err(DcError::Corrupt("count exceeds remaining bytes".into()));
+                }
+                values = Vec::with_capacity(count);
+                let mut idx = 0u64;
+                for i in 0..count {
+                    let gap = get_varint(r)?;
+                    idx = if i == 0 {
+                        gap
+                    } else {
+                        idx.checked_add(gap)
+                            .and_then(|v| v.checked_add(1))
+                            .ok_or_else(|| DcError::Corrupt("index delta overflow".into()))?
+                    };
+                    if idx > u64::from(MAX_INDEX) {
+                        return Err(DcError::Corrupt("index exceeds MAX_INDEX".into()));
+                    }
+                    values.push(ValueId::new(level, idx as u32));
+                }
+            }
+            1 => {
+                let n_words = get_bounded_count(r, 8)?;
+                let mut words = Vec::with_capacity(n_words);
+                for _ in 0..n_words {
+                    words.push(r.get_u64()?);
+                }
+                let tail = r.get_u64()?;
+                let len = get_varint(r)?;
+                let bm = CompressedBitmap::from_parts(words, tail, len, u64::from(MAX_INDEX) + 1)
+                    .ok_or_else(|| DcError::Corrupt("inconsistent WAH set".into()))?;
+                if bm.count_ones() != count as u64 {
+                    return Err(DcError::Corrupt("WAH count mismatch".into()));
+                }
+                values = Vec::with_capacity(count);
+                for idx in bm.iter_ones() {
+                    values.push(ValueId::new(level, idx as u32));
+                }
+            }
+            _ => return Err(DcError::Corrupt("bad set tag".into())),
+        }
+        Ok(DimSet::new(level, values))
+    }
+
+    fn decode_cover(r: &mut ByteReader, num_dims: usize) -> DcResult<(Mds, MeasureSummary)> {
+        let mut dims = Vec::with_capacity(num_dims);
+        for _ in 0..num_dims {
+            dims.push(decode_dimset(r)?);
+        }
+        let summary = MeasureSummary {
+            sum: get_zigzag(r)?,
+            count: get_varint(r)?,
+            min: get_zigzag(r)?,
+            max: get_zigzag(r)?,
+        };
+        Ok((Mds::new(dims), summary))
+    }
+
+    pub fn decode_node(bytes: &[u8], num_dims: usize) -> DcResult<Node> {
+        let mut r = ByteReader::new(bytes);
+        let record_ids = match r.get_u8()? {
+            3 => false,
+            2 => true,
+            1 => {
+                decode_cover(&mut r, num_dims)?;
+                true
+            }
+            _ => return Err(DcError::Corrupt("bad node format tag".into())),
+        };
+        let blocks = get_varint(&mut r)?;
+        let blocks =
+            u32::try_from(blocks).map_err(|_| DcError::Corrupt("block count overflow".into()))?;
+        if blocks == 0 {
+            return Err(DcError::Corrupt("node with zero blocks".into()));
+        }
+        let kind = match r.get_u8()? {
+            0 => {
+                let n = get_bounded_count(&mut r, 2 * num_dims.max(1) + 5)?;
+                let mut entries = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let (mds, summary) = decode_cover(&mut r, num_dims)?;
+                    let child = get_varint(&mut r)?;
+                    let child = u32::try_from(child)
+                        .map_err(|_| DcError::Corrupt("child handle overflow".into()))?;
+                    entries.push(DirEntry {
+                        mds,
+                        summary,
+                        child: NodeId::from_raw(child),
+                    });
+                }
+                NodeKind::Dir(entries.into())
+            }
+            1 => {
+                let n = get_bounded_count(&mut r, num_dims.max(1) + 1 + usize::from(record_ids))?;
+                let mut records = Vec::with_capacity(n);
+                for _ in 0..n {
+                    if record_ids {
+                        get_varint(&mut r)?;
+                    }
+                    let dims = (0..num_dims)
+                        .map(|_| {
+                            let raw = get_varint(&mut r)?;
+                            u32::try_from(raw)
+                                .map(ValueId::from_raw)
+                                .map_err(|_| DcError::Corrupt("value id overflow".into()))
+                        })
+                        .collect::<DcResult<_>>()?;
+                    let measure = get_zigzag(&mut r)?;
+                    records.push(Record { dims, measure });
+                }
+                NodeKind::Data(records.into())
+            }
+            _ => return Err(DcError::Corrupt("bad node kind tag".into())),
+        };
+        r.expect_end()?;
+        Ok(Node { blocks, kind })
+    }
 }
