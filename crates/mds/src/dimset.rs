@@ -46,6 +46,23 @@ impl DimSet {
         }
     }
 
+    /// Builds a dimension set from values already sorted and distinct, as a
+    /// decoder produces them: copied in, inline up to [`Self::INLINE`],
+    /// with no sort and no intermediate `Vec`.
+    ///
+    /// # Panics
+    /// Panics unless the values are strictly increasing and all on `level`.
+    pub fn from_sorted(level: Level, values: &[ValueId]) -> Self {
+        assert!(
+            values.iter().all(|v| v.level() == level) && values.windows(2).all(|w| w[0] < w[1]),
+            "a DimSet's values are distinct, sorted and on its level {level}"
+        );
+        DimSet {
+            level,
+            values: values.into(),
+        }
+    }
+
     /// What an MDS's unused inline cells hold: no values, no allocation.
     pub(crate) fn blank() -> Self {
         DimSet {

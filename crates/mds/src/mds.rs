@@ -103,6 +103,15 @@ impl std::fmt::Debug for DimSets {
     }
 }
 
+/// An MDS of the sets in order, one per cube dimension.
+impl FromIterator<DimSet> for Mds {
+    fn from_iter<I: IntoIterator<Item = DimSet>>(sets: I) -> Self {
+        Mds {
+            dims: sets.into_iter().collect(),
+        }
+    }
+}
+
 impl Mds {
     /// Builds an MDS from per-dimension sets (one per cube dimension).
     pub fn new(dims: Vec<DimSet>) -> Self {

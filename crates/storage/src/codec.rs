@@ -96,6 +96,17 @@ impl<'a> ByteReader<'a> {
         self.buf.len()
     }
 
+    /// The bytes not yet consumed, for a decoder that reads them through
+    /// its own cursor and then [`skip`](Self::skip)s what it read.
+    pub fn rest(&self) -> &'a [u8] {
+        self.buf
+    }
+
+    /// Consumes `n` bytes unread.
+    pub fn skip(&mut self, n: usize) -> DcResult<()> {
+        self.take(n).map(drop)
+    }
+
     /// Fails with [`DcError::Corrupt`] unless all input was consumed.
     pub fn expect_end(&self) -> DcResult<()> {
         if self.buf.is_empty() {
