@@ -143,6 +143,45 @@ pub(crate) fn connected(members: usize, pairs: &mut [(ValueId, u32)]) -> bool {
     components <= 1
 }
 
+/// The members of one split attempt, as the values each holds in each
+/// dimension: every dimension's values of every member on one level.
+pub(crate) trait MemberValues {
+    /// How many members there are.
+    fn count(&self) -> usize;
+    /// The sorted values member `member` holds in dimension `dim`.
+    fn values(&self, member: usize, dim: usize) -> &[ValueId];
+}
+
+/// Directory entries (or any aligned MDSs) as split members.
+impl MemberValues for [Mds] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn values(&self, member: usize, dim: usize) -> &[ValueId] {
+        self[member].dim(dim).values()
+    }
+}
+
+/// A data node's records as split members: each record's leaf values
+/// lifted to the attempt's levels, one value per dimension, row after row.
+pub(crate) struct RecordRows<'a> {
+    /// Values per row: the cube's dimensions.
+    pub dims: usize,
+    /// `count × dims` values.
+    pub values: &'a [ValueId],
+}
+
+impl MemberValues for RecordRows<'_> {
+    fn count(&self) -> usize {
+        self.values.len() / self.dims
+    }
+
+    fn values(&self, member: usize, dim: usize) -> &[ValueId] {
+        std::slice::from_ref(&self.values[member * self.dims + dim])
+    }
+}
+
 /// The members of one split attempt as **node-local dense bitsets**.
 ///
 /// Per dimension — and, as one more *plane*, for the split dimension seen
@@ -165,16 +204,23 @@ struct Bitsets {
 }
 
 impl Bitsets {
-    fn new(schema: &CubeSchema, members: &[Mds], split_dim: usize) -> DcResult<Self> {
-        let dims = members[0].num_dims();
+    /// The bitsets of `members`, whose values in dimension `k` sit on
+    /// `levels[k]`.
+    fn new<M: MemberValues + ?Sized>(
+        schema: &CubeSchema,
+        members: &M,
+        levels: &[Level],
+        split_dim: usize,
+    ) -> DcResult<Self> {
+        let dims = levels.len();
         let mut universe = Vec::new();
         let mut rank_off = vec![0];
         let mut plane_off = vec![0];
         let mut values = Vec::new();
         for k in 0..dims {
             values.clear();
-            for m in members {
-                values.extend_from_slice(m.dim(k).values());
+            for i in 0..members.count() {
+                values.extend_from_slice(members.values(i, k));
             }
             values.sort_unstable();
             values.dedup();
@@ -191,7 +237,7 @@ impl Bitsets {
             .dims()
             .nth(split_dim)
             .expect("split dimension within schema");
-        let parent_level = (members[0].dim(split_dim).level() + 1).min(h.top_level());
+        let parent_level = (levels[split_dim] + 1).min(h.top_level());
         let split_universe = &universe[rank_off[split_dim]..rank_off[split_dim + 1]];
         let mut parent_of = Vec::with_capacity(split_universe.len());
         for &v in split_universe {
@@ -207,13 +253,13 @@ impl Bitsets {
         plane_off.push(plane_off[dims] + values.len().div_ceil(64));
 
         let stride = plane_off[dims + 1];
-        let mut words = vec![0u64; (members.len() + 2) * stride];
-        for (i, m) in members.iter().enumerate() {
+        let mut words = vec![0u64; (members.count() + 2) * stride];
+        for i in 0..members.count() {
             let row = &mut words[i * stride..][..stride];
             for k in 0..dims {
                 let ranks = &universe[rank_off[k]..rank_off[k + 1]];
                 let mut rank = 0;
-                for v in m.dim(k).values() {
+                for v in members.values(i, k) {
                     // Both sides are sorted: search only past the last hit.
                     rank += ranks[rank..]
                         .binary_search(v)
@@ -347,13 +393,30 @@ pub fn hierarchy_split(
     split_dim: usize,
     min_group: usize,
 ) -> DcResult<Option<SplitOutcome>> {
-    if members.len() < 2 {
+    match members.first() {
+        Some(first) => split_members(schema, members, &first.levels(), split_dim, min_group),
+        None => Ok(None),
+    }
+}
+
+/// [`hierarchy_split`] over any [`MemberValues`], whose values in dimension
+/// `k` sit on `levels[k]`: one kernel for directory entries and for a data
+/// node's record rows.
+pub(crate) fn split_members<M: MemberValues + ?Sized>(
+    schema: &CubeSchema,
+    members: &M,
+    levels: &[Level],
+    split_dim: usize,
+    min_group: usize,
+) -> DcResult<Option<SplitOutcome>> {
+    let total = members.count();
+    if total < 2 {
         return Ok(None);
     }
-    let mut sets = Bitsets::new(schema, members, split_dim)?;
+    let mut sets = Bitsets::new(schema, members, levels, split_dim)?;
     let parents = sets.dims;
     // Rows of the two running covers.
-    let (c1, c2) = (members.len(), members.len() + 1);
+    let (c1, c2) = (total, total + 1);
 
     // Seed selection: the pair with the largest covering MDS — volume first,
     // then the number of distinct parent concepts spanned in the split
@@ -374,10 +437,10 @@ pub fn hierarchy_split(
         (volume, spread, size)
     };
     let (mut s1, mut s2) = (0usize, 1usize);
-    if members.len() <= QUADRATIC_LIMIT {
+    if total <= QUADRATIC_LIMIT {
         let mut best: Option<(u128, usize, usize)> = None;
-        for i in 0..members.len() {
-            for j in (i + 1)..members.len() {
+        for i in 0..total {
+            for j in (i + 1)..total {
                 let key = seed_key(i, j);
                 if best.is_none_or(|b| key > b) {
                     best = Some(key);
@@ -387,7 +450,7 @@ pub fn hierarchy_split(
         }
     } else {
         let far_from = |origin: usize| {
-            (0..members.len())
+            (0..total)
                 .filter(|&j| j != origin)
                 .max_by_key(|&j| seed_key(origin.min(j), origin.max(j)))
                 .expect("at least two members")
@@ -407,9 +470,8 @@ pub fn hierarchy_split(
     sets.absorb(c1, s1);
     sets.absorb(c2, s2);
 
-    let mut remaining: Vec<usize> = (0..members.len()).filter(|&i| i != s1 && i != s2).collect();
+    let mut remaining: Vec<usize> = (0..total).filter(|&i| i != s1 && i != s2).collect();
 
-    let total = members.len();
     let min_group = min_group.max(1);
     while !remaining.is_empty() {
         // Guttman's force-assignment: if one group must receive every
@@ -495,12 +557,11 @@ pub fn hierarchy_split(
         }
     }
 
-    let levels = members[0].levels();
     Ok(Some(SplitOutcome {
         group1,
         group2,
-        cover1: sets.to_mds(c1, &levels),
-        cover2: sets.to_mds(c2, &levels),
+        cover1: sets.to_mds(c1, levels),
+        cover2: sets.to_mds(c2, levels),
     }))
 }
 
