@@ -14,12 +14,13 @@
 //!   (decode fills the node's member blocks): mean µs per node, by kind.
 //!   Reported, not gated.
 //! * **serving** — the disk-backed engine with a node budget ≥10× below
-//!   the dataset's page count vs. the RAM-resident engine, same query
-//!   stream (cache off on both, so every query descends): mean latency
-//!   and queries/sec, and the nodes the disk engine decoded per query (a
-//!   count: the stream is read-only). Disk is expected to lose — the point
-//!   is to measure the gap the node cache holds it to while RAM holds 10×
-//!   less.
+//!   the dataset's page count (`records / 1 200` nodes per shard, from the
+//!   record count like the write path's, so that a page-format change
+//!   cannot move it) vs. the RAM-resident engine, same query stream (cache
+//!   off on both, so every query descends): mean latency and queries/sec,
+//!   and the nodes the disk engine decoded per query (a count: the stream
+//!   is read-only). Disk is expected to lose — the point is to measure the
+//!   gap the node cache holds it to while RAM holds 10× less.
 //!
 //! Emits `results/oocore_bench.json` (gated keys: `mean_query_us` and
 //! `insert_us_per_record`, two occurrences each — disk then resident —
@@ -243,7 +244,10 @@ fn main() {
     // ------------------------------------------------------------------
     // Serving: disk at ≥10× the node budget vs. RAM-resident.
     // ------------------------------------------------------------------
-    let frames = ((total_pages / (10 * SHARDS as u64)) as usize).max(8);
+    // 600 records per cached node: about an eleventh of a shard's pages
+    // at ≈ 54 records a page, from the record count for the same reason
+    // as the write path's budget.
+    let frames = (records / (600 * SHARDS)).max(8);
     let over_budget = total_pages as f64 / (frames * SHARDS) as f64;
     println!(
         "\nserving: {total_pages} pages over {SHARDS}×{frames} cached nodes \
